@@ -23,10 +23,6 @@ pub struct RunRecord {
     pub evaluations: usize,
     /// Intermediate answers produced.
     pub intermediates: usize,
-    /// Score-sorted insert shifts — historically SSO's resort cost; zero
-    /// since the bucketized order maintenance (kept in the schema so
-    /// regressions are visible in the JSON).
-    pub shifts: u64,
     /// Buckets materialized (SSO and Hybrid).
     pub buckets: usize,
     /// Free-form annotation (used by ablations, e.g. rank-quality metrics).
@@ -160,7 +156,6 @@ pub fn run_once(
         relaxations: stats.relaxations_used,
         evaluations: stats.evaluations,
         intermediates: stats.intermediate_answers,
-        shifts: stats.sorted_insert_shifts,
         buckets: stats.buckets,
         note: String::new(),
     }
@@ -207,7 +202,6 @@ pub fn run_once_threads(
         relaxations: stats.relaxations_used,
         evaluations: stats.evaluations,
         intermediates: stats.intermediate_answers,
-        shifts: stats.sorted_insert_shifts,
         buckets: stats.buckets,
         note: format!("{threads} thread(s)"),
     }
@@ -375,7 +369,6 @@ fn store_coldstart(scale: f64, repeats: usize) -> Series {
             relaxations: 0,
             evaluations: 0,
             intermediates: 0,
-            shifts: 0,
             buckets: 0,
             note,
         };
@@ -669,7 +662,6 @@ pub mod ablations {
                     relaxations: result.stats.relaxations_used,
                     evaluations: result.stats.evaluations,
                     intermediates: result.stats.intermediate_answers,
-                    shifts: result.stats.sorted_insert_shifts,
                     buckets: result.stats.buckets,
                     note: if result.stats.shortcut_pairs > 0 {
                         format!("{} shortcut pairs", result.stats.shortcut_pairs)
@@ -702,8 +694,8 @@ pub mod ablations {
 
     /// The two bucketization flavors at growing K: SSO's generalized
     /// score-key buckets (`flexpath_engine::order`) vs Hybrid's
-    /// satisfied-bitset buckets. Both report zero shifts; the `buckets`
-    /// column shows how many score classes each materializes.
+    /// satisfied-bitset buckets. The `buckets` column shows how many score
+    /// classes each materializes.
     pub fn buckets(scale: f64, repeats: usize) -> Series {
         sweep_k(
             "ablation_buckets",
@@ -780,6 +772,8 @@ pub mod ablations {
                         ctx,
                         &enc,
                         flexpath::RankingScheme::StructureFirst,
+                        &flexpath::Budget::unlimited(),
+                        &flexpath::ParallelConfig::sequential(),
                         |a| {
                             if seen.insert(a.node) {
                                 fresh += 1;
@@ -815,7 +809,6 @@ pub mod ablations {
                 relaxations: rounds_used,
                 evaluations: rounds_used + 1,
                 intermediates: answers,
-                shifts: 0,
                 buckets: 0,
                 note: String::new(),
             }
@@ -854,6 +847,8 @@ pub mod ablations {
                     ctx,
                     &enc,
                     flexpath::RankingScheme::StructureFirst,
+                    &flexpath::Budget::unlimited(),
+                    &flexpath::ParallelConfig::sequential(),
                     |a| {
                         if seen.insert(a.node) && admitted.len() < k {
                             admitted.push(a.node);

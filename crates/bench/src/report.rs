@@ -27,13 +27,12 @@ pub fn render_table(series: &Series) -> String {
             .iter()
             .map(|r| {
                 let mut n = format!(
-                    "{}: ans={} rel={} ev={} int={} sh={} bk={}",
+                    "{}: ans={} rel={} ev={} int={} bk={}",
                     r.algorithm,
                     r.answers,
                     r.relaxations,
                     r.evaluations,
                     r.intermediates,
-                    r.shifts,
                     r.buckets
                 );
                 if !r.note.is_empty() {
@@ -78,14 +77,13 @@ fn serde_json_lite(series: &Series) -> String {
             }
             let _ = write!(
                 out,
-                "{{\"algorithm\":\"{}\",\"millis\":{:.4},\"answers\":{},\"relaxations\":{},\"evaluations\":{},\"intermediates\":{},\"shifts\":{},\"buckets\":{},\"note\":\"{}\"}}",
+                "{{\"algorithm\":\"{}\",\"millis\":{:.4},\"answers\":{},\"relaxations\":{},\"evaluations\":{},\"intermediates\":{},\"buckets\":{},\"note\":\"{}\"}}",
                 esc(&r.algorithm),
                 r.millis,
                 r.answers,
                 r.relaxations,
                 r.evaluations,
                 r.intermediates,
-                r.shifts,
                 r.buckets,
                 esc(&r.note)
             );
@@ -117,7 +115,6 @@ mod tests {
                         relaxations: 2,
                         evaluations: 3,
                         intermediates: 80,
-                        shifts: 0,
                         buckets: 0,
                         note: String::new(),
                     },
@@ -128,7 +125,6 @@ mod tests {
                         relaxations: 2,
                         evaluations: 1,
                         intermediates: 75,
-                        shifts: 100,
                         buckets: 0,
                         note: String::new(),
                     },
@@ -143,7 +139,7 @@ mod tests {
         assert!(t.contains("sample"));
         assert!(t.contains("1.500"));
         assert!(t.contains("1.000"));
-        assert!(t.contains("sh=100"));
+        assert!(t.contains("int=75"));
     }
 
     #[test]

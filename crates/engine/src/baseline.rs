@@ -24,12 +24,20 @@
 use crate::context::EngineContext;
 use crate::encode::EncodedQuery;
 use crate::exec::evaluate_encoded;
+use crate::parallel::ParallelConfig;
 use crate::schedule::build_schedule;
 use crate::score::{AnswerScore, PenaltyModel};
 use crate::structural_join::stack_tree_desc;
 use crate::topk::{sort_answers, Answer, ExecStats, TopKRequest, TopKResult};
+use flexpath_ftsearch::Budget;
 use flexpath_tpq::enumerate_space;
 use std::collections::HashSet;
+
+/// The baselines are reference implementations: they run the shared
+/// evaluator without resource limits and on the calling thread.
+fn reference_settings() -> (Budget, ParallelConfig) {
+    (Budget::unlimited(), ParallelConfig::sequential())
+}
 
 /// Rewriting-enumeration baseline: materialize the relaxation space, order
 /// the relaxed queries by the structural score of their answers, evaluate
@@ -43,6 +51,7 @@ pub fn rewrite_enumeration_topk(
     max_space: usize,
 ) -> TopKResult {
     let model = PenaltyModel::new(&request.query, request.weights.clone());
+    let (unbudgeted, inline) = reference_settings();
     let mut stats = ExecStats::default();
     let space = enumerate_space(&request.query, max_space);
     stats.relaxations_used = space.len() - 1;
@@ -54,7 +63,11 @@ pub fn rewrite_enumeration_topk(
         .iter()
         .enumerate()
         .map(|(i, e)| {
-            let penalty: f64 = e.dropped.iter().map(|p| model.penalty(ctx, p)).sum();
+            let penalty: f64 = e
+                .dropped
+                .iter()
+                .map(|p| model.penalty(ctx, p, &unbudgeted))
+                .sum();
             (base - penalty, i)
         })
         .collect();
@@ -69,7 +82,7 @@ pub fn rewrite_enumeration_topk(
         let entry = &space.entries[idx];
         let enc = EncodedQuery::exact(ctx, &model, &entry.tpq);
         stats.evaluations += 1;
-        evaluate_encoded(ctx, &enc, request.scheme, |a| {
+        evaluate_encoded(ctx, &enc, request.scheme, &unbudgeted, &inline, |a| {
             stats.intermediate_answers += 1;
             if seen.insert(a.node) {
                 answers.push(Answer {
@@ -91,6 +104,7 @@ pub fn rewrite_enumeration_topk(
 /// from stopping earlier.
 pub fn full_encoding_topk(ctx: &EngineContext, request: &TopKRequest) -> TopKResult {
     let model = PenaltyModel::new(&request.query, request.weights.clone());
+    let (unbudgeted, inline) = reference_settings();
     let schedule = build_schedule(ctx, &model, &request.query, request.max_relaxation_steps);
     let mut stats = ExecStats {
         relaxations_used: schedule.len(),
@@ -99,7 +113,7 @@ pub fn full_encoding_topk(ctx: &EngineContext, request: &TopKRequest) -> TopKRes
     };
     let enc = EncodedQuery::build(ctx, &model, &request.query, &schedule);
     let mut answers: Vec<Answer> = Vec::new();
-    evaluate_encoded(ctx, &enc, request.scheme, |a| {
+    evaluate_encoded(ctx, &enc, request.scheme, &unbudgeted, &inline, |a| {
         stats.intermediate_answers += 1;
         answers.push(a);
     });
@@ -115,6 +129,7 @@ pub fn full_encoding_topk(ctx: &EngineContext, request: &TopKRequest) -> TopKRes
 /// scaling hazard and is reported in [`ExecStats::shortcut_pairs`].
 pub fn data_relaxation_topk(ctx: &EngineContext, request: &TopKRequest) -> TopKResult {
     let model = PenaltyModel::new(&request.query, request.weights.clone());
+    let (unbudgeted, inline) = reference_settings();
     let mut stats = ExecStats::default();
 
     // Materialize shortcut edges between every pair of query tags related
@@ -148,7 +163,7 @@ pub fn data_relaxation_topk(ctx: &EngineContext, request: &TopKRequest) -> TopKR
     stats.evaluations = 1;
     let enc = EncodedQuery::build(ctx, &model, &request.query, &schedule);
     let mut answers: Vec<Answer> = Vec::new();
-    evaluate_encoded(ctx, &enc, request.scheme, |a| {
+    evaluate_encoded(ctx, &enc, request.scheme, &unbudgeted, &inline, |a| {
         stats.intermediate_answers += 1;
         answers.push(a);
     });
@@ -160,8 +175,8 @@ pub fn data_relaxation_topk(ctx: &EngineContext, request: &TopKRequest) -> TopKR
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hybrid::hybrid_topk;
-    use flexpath_ftsearch::FtExpr;
+    use crate::fixtures::q1;
+    use crate::single_pass::hybrid_topk;
     use flexpath_tpq::TpqBuilder;
     use flexpath_xmldom::parse;
 
@@ -174,15 +189,6 @@ mod tests {
           </section><algorithm>z</algorithm></article>\
         <article id=\"a3\"><note>XML streaming</note></article>\
         </site>";
-
-    fn q1() -> flexpath_tpq::Tpq {
-        let mut b = TpqBuilder::new("article");
-        let s = b.child(0, "section");
-        let _a = b.child(s, "algorithm");
-        let p = b.child(s, "paragraph");
-        b.add_contains(p, FtExpr::all_of(&["XML", "streaming"]));
-        b.build()
-    }
 
     #[test]
     fn rewrite_enumeration_finds_the_same_answer_set() {

@@ -261,23 +261,20 @@ impl EngineContext {
         }
     }
 
-    /// Evaluates (or recalls) a full-text expression. The result is shared:
-    /// the same `contains` expression appearing at several query nodes — or
-    /// across relaxation rounds — is evaluated once (the "optimize repeated
-    /// computation" goal of Section 1).
-    pub fn ft_eval(&self, expr: &FtExpr) -> Arc<FtEval> {
-        self.ft_cache
-            .get_or_insert_with(expr, || self.index().evaluate(self.doc(), expr))
-    }
-
-    /// [`ft_eval`](Self::ft_eval) under a resource [`Budget`].
+    /// Evaluates (or recalls) a full-text expression under a resource
+    /// [`Budget`]. The result is shared: the same `contains` expression
+    /// appearing at several query nodes — or across relaxation rounds — is
+    /// evaluated once (the "optimize repeated computation" goal of
+    /// Section 1).
     ///
     /// A tripped evaluation is returned to the caller (best-effort partial
-    /// matches) but never inserted into the shared cache — a later
-    /// unbudgeted query must not observe a truncated evaluation.
-    pub fn ft_eval_budgeted(&self, expr: &FtExpr, budget: &Budget) -> Arc<FtEval> {
+    /// matches) but never inserted into the shared cache — a later query
+    /// must not observe a truncated evaluation.
+    pub fn ft_eval(&self, expr: &FtExpr, budget: &Budget) -> Arc<FtEval> {
         if !budget.is_limited() {
-            return self.ft_eval(expr);
+            return self
+                .ft_cache
+                .get_or_insert_with(expr, || self.index().evaluate(self.doc(), expr));
         }
         if let Some(hit) = self.ft_cache.get(expr) {
             return hit;
@@ -380,8 +377,8 @@ mod tests {
     fn ft_eval_is_cached() {
         let c = ctx("<a><b>gold</b></a>");
         let e = FtExpr::term("gold");
-        let first = c.ft_eval(&e);
-        let second = c.ft_eval(&e);
+        let first = c.ft_eval(&e, &Budget::unlimited());
+        let second = c.ft_eval(&e, &Budget::unlimited());
         assert!(std::sync::Arc::ptr_eq(&first, &second));
         assert_eq!(c.ft_cache_size(), 1);
     }

@@ -14,7 +14,7 @@
 //!
 //! ## Parallel rounds
 //!
-//! With [`ParallelConfig::is_parallel`] set, DPO evaluates the next
+//! With more than one thread configured, DPO evaluates the next
 //! `threads` rounds *speculatively* as one batch, one worker per round —
 //! Theorem 3 makes round deltas independent of each other, so evaluating
 //! round `r+1` before round `r` has committed changes nothing. The merge
@@ -30,13 +30,14 @@
 
 use crate::context::EngineContext;
 use crate::encode::EncodedQuery;
-use crate::exec::{evaluate_encoded_budgeted, evaluate_encoded_parallel};
-use crate::governor::{reason_key, CheckpointSite, Completeness, ExhaustReason};
-use crate::metrics::{self, TraceSpan, Tracer};
+use crate::exec::evaluate_encoded;
+use crate::metrics::{self, TraceSpan};
 use crate::parallel::{fan_out, ParallelConfig};
-use crate::schedule::build_schedule_reported;
-use crate::score::{PenaltyModel, RankingScheme};
-use crate::topk::{sort_answers, Answer, ExecStats, TopKRequest, TopKResult};
+use crate::run::Run;
+use crate::score::RankingScheme;
+use crate::selectivity::estimate_cardinality;
+use crate::topk::{sort_answers, Algorithm, Answer, ExecStats, TopKRequest, TopKResult};
+use flexpath_ftsearch::Budget;
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
@@ -47,43 +48,8 @@ use std::time::{Duration, Instant};
 /// rounds, which by Theorem 3 is a prefix of the unbounded run's ranking
 /// under structure-first order.
 pub fn dpo_topk(ctx: &EngineContext, request: &TopKRequest) -> TopKResult {
-    // lint:allow(determinism): wall-clock feeds only duration stats, which
-    // the trace/counter fingerprints exclude.
-    let started = Instant::now();
-    let mut tracer = if request.collect_trace {
-        Tracer::enabled("dpo")
-    } else {
-        Tracer::disabled()
-    };
-    let cache_before = tracer.is_enabled().then(|| ctx.ft_cache_stats());
-    let budget = request.limits.budget(request.cancel.clone());
-    let model = PenaltyModel::new(&request.query, request.weights.clone());
-    tracer.begin("schedule");
-    let (mut schedule, sched_report) = build_schedule_reported(
-        ctx,
-        &model,
-        &request.query,
-        request.max_relaxation_steps,
-        &budget,
-        &request.parallel,
-    );
-    // `max_relaxations_enumerated` bounds the schedule itself; remember how
-    // much was cut so the completeness report can estimate remaining work.
-    let mut truncated_steps = 0usize;
-    if let Some(cap) = request.limits.max_relaxations_enumerated {
-        if schedule.len() > cap {
-            truncated_steps = schedule.len() - cap;
-            schedule.truncate(cap);
-        }
-    }
-    if tracer.is_enabled() {
-        tracer.add("schedule.steps", schedule.len() as u64);
-        tracer.add("schedule.truncated", truncated_steps as u64);
-        tracer.add("schedule.ops_scored", sched_report.ops_scored);
-        tracer.add("governor.checkpoint.schedule", sched_report.checkpoints);
-    }
-    tracer.end();
-    let base_ss = model.base_structural_score(&request.query);
+    let mut run = Run::begin(ctx, request, Algorithm::Dpo);
+    let (schedule, budget, model, base_ss) = (&run.schedule, &run.budget, &run.model, run.base_ss);
     let m = request.query.contains_count() as f64; // Combined-scheme bound
 
     let mut stats = ExecStats::default();
@@ -132,6 +98,15 @@ pub fn dpo_topk(ctx: &EngineContext, request: &TopKRequest) -> TopKResult {
             schedule[r - 1].ss_after
         }
     };
+    // Round 0 evaluates the exact query, round `r` the schedule's `r`-th
+    // (cumulatively relaxed) query.
+    let round_query_of = |r: usize| {
+        if r == 0 {
+            &request.query
+        } else {
+            &schedule[r - 1].query
+        }
+    };
 
     let total_rounds = schedule.len() + 1;
     let mut next_round = 0usize;
@@ -163,29 +138,24 @@ pub fn dpo_topk(ctx: &EngineContext, request: &TopKRequest) -> TopKResult {
             // are excluded from the counter fingerprint.
             let round_started = Instant::now();
             let round = next_round + bi;
-            let round_query = if round == 0 {
-                request.query.clone()
-            } else {
-                schedule[round - 1].query.clone()
-            };
             let round_ss = round_ss_of(round);
             // Evaluate this round's query exactly (the off-the-shelf-engine
             // path).
-            let enc = EncodedQuery::build_full_budgeted(
+            let enc = EncodedQuery::build_full(
                 ctx,
-                &model,
-                &round_query,
+                model,
+                round_query_of(round),
                 &[],
                 request.hierarchy.as_ref(),
                 request.attr_relaxation,
-                &budget,
+                budget,
             );
             let mut round_delta: Vec<Answer> = Vec::new();
             // lint:allow(determinism): membership-only dedup set — never
             // iterated; cross-round merge applies `seen` in round order.
             let mut round_seen: HashSet<flexpath_xmldom::NodeId> = HashSet::new();
             let mut intermediates = 0u64;
-            let mut on_answer = |a: Answer| {
+            let on_answer = |a: Answer| {
                 intermediates += 1;
                 if round_seen.insert(a.node) {
                     // With the hierarchy extension the per-answer score
@@ -204,17 +174,9 @@ pub fn dpo_topk(ctx: &EngineContext, request: &TopKRequest) -> TopKResult {
                     });
                 }
             };
-            let candidates = if within_round.is_parallel() {
-                let (collected, eval_stats) =
-                    evaluate_encoded_parallel(ctx, &enc, request.scheme, &budget, &within_round);
-                for a in collected {
-                    on_answer(a);
-                }
-                eval_stats.candidates_examined
-            } else {
-                evaluate_encoded_budgeted(ctx, &enc, request.scheme, &budget, on_answer)
-                    .candidates_examined
-            };
+            let candidates =
+                evaluate_encoded(ctx, &enc, request.scheme, budget, &within_round, on_answer)
+                    .candidates_examined;
             (
                 round_delta,
                 intermediates,
@@ -257,16 +219,11 @@ pub fn dpo_topk(ctx: &EngineContext, request: &TopKRequest) -> TopKResult {
             // estimate — a pure function of document statistics and the round
             // query — so neither governor counters nor the deterministic
             // fingerprint can see a difference.
-            let round_query_ref = if round == 0 {
-                &request.query
-            } else {
-                &schedule[round - 1].query
-            };
-            let round_est = crate::selectivity::estimate_cardinality(ctx, round_query_ref);
+            let round_est = estimate_cardinality(ctx, round_query_of(round), &Budget::unlimited());
             metrics::global().record_skew("dpo", round_est, before_dedup as u64);
             stats.estimated_answers = round_est;
             stats.observed_answers = before_dedup as u64;
-            if tracer.is_enabled() {
+            if run.tracer.is_enabled() {
                 // Span attachment happens only here, at commit time and in
                 // round order, so the span tree (and every non-`nd.`
                 // counter) is identical at every thread count.
@@ -293,7 +250,7 @@ pub fn dpo_topk(ctx: &EngineContext, request: &TopKRequest) -> TopKResult {
                 }
                 span.add("governor.checkpoint.dpo_round", 1);
                 span.add("governor.checkpoint.candidate_loop", candidates);
-                tracer.attach(span);
+                run.tracer.attach(span);
             }
             seen.extend(round_delta.iter().map(|a| a.node));
             answers.append(&mut round_delta);
@@ -315,106 +272,22 @@ pub fn dpo_topk(ctx: &EngineContext, request: &TopKRequest) -> TopKResult {
 
     sort_answers(&mut answers, request.scheme);
     answers.truncate(request.k);
-    let explored = completed_rounds.saturating_sub(1);
-    let completeness = if let Some(reason) = budget.tripped() {
-        Completeness::Exhausted {
-            reason,
-            relaxations_explored: explored,
-            relaxations_remaining_estimate: schedule.len() - explored + truncated_steps,
-        }
-    } else if truncated_steps > 0 && answers.len() < request.k {
-        // The enumeration cap hid relaxations that might have produced the
-        // missing answers; everything actually enumerated ran to completion.
-        Completeness::Exhausted {
-            reason: ExhaustReason::RelaxationBudget,
-            relaxations_explored: explored,
-            relaxations_remaining_estimate: truncated_steps,
-        }
-    } else {
-        Completeness::Complete
-    };
-    if tracer.is_enabled() {
-        tracer.add_root("dpo.rounds_total", (schedule.len() + 1) as u64);
-        tracer.add_root("dpo.rounds_committed", completed_rounds as u64);
-        tracer.add_root("evaluations", stats.evaluations as u64);
-        if discarded_rounds > 0 {
-            tracer.add_root("nd.dpo.rounds_discarded", discarded_rounds as u64);
-        }
-        record_common_root(&mut tracer, ctx, cache_before, &budget);
-        if let Some(reason) = completeness.exhaust_reason() {
-            let site = CheckpointSite::for_reason(reason, CheckpointSite::DpoRound);
-            tracer.record_trip(site.name(), reason_key(reason));
-        }
+    run.tracer
+        .add_root("dpo.rounds_total", (schedule.len() + 1) as u64);
+    run.tracer
+        .add_root("dpo.rounds_committed", completed_rounds as u64);
+    if discarded_rounds > 0 {
+        run.tracer
+            .add_root("nd.dpo.rounds_discarded", discarded_rounds as u64);
     }
-    let reg = metrics::global();
-    reg.add("engine.query.count", 1);
-    reg.add("engine.query.dpo", 1);
-    reg.observe_duration("engine.query_duration", started.elapsed());
-    TopKResult {
-        answers,
-        stats,
-        completeness,
-        trace: None,
-    }
-    .with_trace(tracer.finish())
-}
-
-/// Adds the whole-query root counters shared by all three algorithms: the
-/// full-text cache delta for this run and the postings total — all under
-/// `nd.` because cache hit/miss splits (and hence postings scanned through
-/// the cache) legitimately vary with thread scheduling.
-pub(crate) fn record_common_root(
-    tracer: &mut Tracer,
-    ctx: &EngineContext,
-    cache_before: Option<flexpath_ftsearch::CacheStats>,
-    budget: &crate::governor::Budget,
-) {
-    if let Some(before) = cache_before {
-        let after = ctx.ft_cache_stats();
-        tracer.add_root("nd.cache.hits", after.hits.saturating_sub(before.hits));
-        tracer.add_root(
-            "nd.cache.misses",
-            after.misses.saturating_sub(before.misses),
-        );
-        tracer.add_root(
-            "nd.cache.inserts",
-            after.inserts.saturating_sub(before.inserts),
-        );
-        tracer.add_root(
-            "nd.cache.evictions",
-            after.evictions.saturating_sub(before.evictions),
-        );
-    }
-    tracer.add_root("nd.ft.postings_scanned", budget.postings_scanned());
+    run.finish(answers, stats, completed_rounds.saturating_sub(1))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topk::TopKRequest;
-    use flexpath_ftsearch::FtExpr;
-    use flexpath_tpq::TpqBuilder;
+    use crate::fixtures::{q1, ARTICLES};
     use flexpath_xmldom::parse;
-
-    const ARTICLES: &str = "<site>\
-        <article id=\"a0\"><section><algorithm>x</algorithm>\
-          <paragraph>XML streaming</paragraph></section></article>\
-        <article id=\"a1\"><section><title>XML streaming</title>\
-          <algorithm>y</algorithm><paragraph>other</paragraph></section></article>\
-        <article id=\"a2\"><section><wrap><paragraph>XML streaming</paragraph></wrap>\
-          </section><algorithm>z</algorithm></article>\
-        <article id=\"a3\"><note>XML streaming</note></article>\
-        <article id=\"a4\"><section><paragraph>nothing here</paragraph></section></article>\
-        </site>";
-
-    fn q1() -> flexpath_tpq::Tpq {
-        let mut b = TpqBuilder::new("article");
-        let s = b.child(0, "section");
-        let _a = b.child(s, "algorithm");
-        let p = b.child(s, "paragraph");
-        b.add_contains(p, FtExpr::all_of(&["XML", "streaming"]));
-        b.build()
-    }
 
     fn label(ctx: &EngineContext, a: &Answer) -> String {
         let id = ctx.resolve_tag("id").unwrap();

@@ -152,38 +152,18 @@ impl EncodedQuery {
         original: &Tpq,
         steps: &[ScheduledStep],
     ) -> Self {
-        Self::build_with(ctx, model, original, steps, None)
+        Self::build_structural(ctx, model, original, steps, None, &Budget::unlimited())
     }
 
-    /// [`build_with`](Self::build_with) plus numeric attribute-bound
-    /// slackening (the full set of Section 3.4 extensions).
-    pub fn build_full(
-        ctx: &EngineContext,
-        model: &PenaltyModel,
-        original: &Tpq,
-        steps: &[ScheduledStep],
-        hierarchy: Option<&TagHierarchy>,
-        attr_relax: Option<AttrRelaxation>,
-    ) -> Self {
-        Self::build_full_budgeted(
-            ctx,
-            model,
-            original,
-            steps,
-            hierarchy,
-            attr_relax,
-            &Budget::unlimited(),
-        )
-    }
-
-    /// [`build_full`](Self::build_full) under a resource [`Budget`]: the
-    /// full-text evaluations feeding the encoded plan are budgeted (and a
-    /// tripped evaluation is never cached). Check [`Budget::tripped`] after
-    /// building — an encoding constructed under a tripped budget may carry
-    /// partial `contains` evaluations and must only serve a best-effort
-    /// result.
+    /// [`build`](Self::build) plus the full set of Section 3.4 extensions
+    /// (tag relaxation over a type hierarchy, numeric attribute-bound
+    /// slackening), under a resource [`Budget`]: the full-text evaluations
+    /// feeding the encoded plan are budgeted (and a tripped evaluation is
+    /// never cached). Check [`Budget::tripped`] after building — an
+    /// encoding constructed under a tripped budget may carry partial
+    /// `contains` evaluations and must only serve a best-effort result.
     #[allow(clippy::too_many_arguments)]
-    pub fn build_full_budgeted(
+    pub fn build_full(
         ctx: &EngineContext,
         model: &PenaltyModel,
         original: &Tpq,
@@ -192,7 +172,7 @@ impl EncodedQuery {
         attr_relax: Option<AttrRelaxation>,
         budget: &Budget,
     ) -> Self {
-        let mut enc = Self::build_with_budget(ctx, model, original, steps, hierarchy, budget);
+        let mut enc = Self::build_structural(ctx, model, original, steps, hierarchy, budget);
         let Some(relax) = attr_relax else { return enc };
         enc.attr_relax = Some(relax);
         for idx in 0..enc.specs.len() {
@@ -237,17 +217,7 @@ impl EncodedQuery {
     /// extension: nodes whose tag belongs to a declared type also match
     /// sibling subtypes, with the exact-tag predicate as one more
     /// relaxable bit.
-    pub fn build_with(
-        ctx: &EngineContext,
-        model: &PenaltyModel,
-        original: &Tpq,
-        steps: &[ScheduledStep],
-        hierarchy: Option<&TagHierarchy>,
-    ) -> Self {
-        Self::build_with_budget(ctx, model, original, steps, hierarchy, &Budget::unlimited())
-    }
-
-    fn build_with_budget(
+    fn build_structural(
         ctx: &EngineContext,
         model: &PenaltyModel,
         original: &Tpq,
@@ -350,7 +320,7 @@ impl EncodedQuery {
                 let holder = holder.unwrap_or(idx);
                 let ci = cspecs.len();
                 cspecs.push(ContainsSpec {
-                    eval: ctx.ft_eval_budgeted(expr, budget),
+                    eval: ctx.ft_eval(expr, budget),
                     weight: model
                         .weights()
                         .weight(&Predicate::Contains(node.var, expr.clone())),
@@ -371,7 +341,7 @@ impl EncodedQuery {
                     Predicate::Ad(x, y) => (idx_of_var(*y), BitCheck::AdFrom(idx_of_var(*x))),
                     Predicate::Contains(v, e) => (
                         idx_of_var(*v),
-                        BitCheck::ContainsHere(ctx.ft_eval_budgeted(e, budget)),
+                        BitCheck::ContainsHere(ctx.ft_eval(e, budget)),
                     ),
                     Predicate::Tag(..) | Predicate::Attr(..) => continue,
                 };
@@ -603,30 +573,15 @@ impl ChildIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixtures::{q1, TWO_ARTICLES};
     use crate::schedule::build_schedule;
     use crate::score::WeightAssignment;
-    use flexpath_ftsearch::FtExpr;
     use flexpath_tpq::TpqBuilder;
     use flexpath_xmldom::parse;
 
-    const DOC: &str = "<site><article><section><algorithm>x</algorithm>\
-        <paragraph>XML streaming</paragraph></section></article>\
-        <article><section><wrap><paragraph>XML streaming</paragraph></wrap>\
-        </section></article></site>";
-
-    fn q1() -> Tpq {
-        let mut b = TpqBuilder::new("article");
-        let s = b.child(0, "section");
-        let _a = b.child(s, "algorithm");
-        let p = b.child(s, "paragraph");
-        b.add_contains(p, FtExpr::all_of(&["XML", "streaming"]));
-        b.build()
-    }
-
     fn setup() -> (EngineContext, PenaltyModel, Tpq) {
         let q = q1();
-        let ctx = EngineContext::new(parse(DOC).unwrap());
-        let model = PenaltyModel::new(&q, WeightAssignment::uniform());
+        let (ctx, model) = crate::fixtures::setup(TWO_ARTICLES, &q);
         (ctx, model, q)
     }
 
@@ -711,7 +666,7 @@ mod tests {
         let mut b = TpqBuilder::new("article");
         b.child(0, "nonexistent");
         let q = b.build();
-        let ctx = EngineContext::new(parse(DOC).unwrap());
+        let ctx = EngineContext::new(parse(TWO_ARTICLES).unwrap());
         let model = PenaltyModel::new(&q, WeightAssignment::uniform());
         let enc = EncodedQuery::exact(&ctx, &model, &q);
         assert!(enc.specs[1].tag_missing);

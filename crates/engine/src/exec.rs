@@ -75,206 +75,81 @@ pub struct EvalStats {
     pub saturated_breaks: u64,
 }
 
+/// Spec index of the query root.
+const ROOT_SPEC: usize = 0;
+
 /// Evaluates `enc`, invoking `on_answer` once per distinct answer
 /// (distinguished-node binding) in document order.
-pub fn evaluate_encoded(
-    ctx: &EngineContext,
-    enc: &EncodedQuery,
-    scheme: RankingScheme,
-    on_answer: impl FnMut(Answer),
-) -> EvalStats {
-    evaluate_encoded_budgeted(ctx, enc, scheme, &Budget::unlimited(), on_answer)
-}
-
-/// [`evaluate_encoded`] under a resource [`Budget`]: the candidate loops
-/// checkpoint cooperatively and each emitted answer is charged against the
-/// answer cap. When the budget trips, evaluation stops at the next
-/// checkpoint — answers already emitted stand (document-order prefix), and
-/// the caller learns the reason via [`Budget::tripped`].
-pub fn evaluate_encoded_budgeted(
-    ctx: &EngineContext,
-    enc: &EncodedQuery,
-    scheme: RankingScheme,
-    budget: &Budget,
-    mut on_answer: impl FnMut(Answer),
-) -> EvalStats {
-    let children = enc.child_index();
-    let mut ev = Evaluator {
-        ctx,
-        enc,
-        scheme,
-        children,
-        subtree: subtree_info(enc),
-        range_memo: vec![None; enc.specs.len()],
-        env: vec![None; enc.specs.len()],
-        pinned: None,
-        stats: EvalStats::default(),
-        buffer_pool: Vec::new(),
-        budget,
-    };
-
-    let root_spec = 0usize;
-    let dist = enc.distinguished_spec();
-    let root_candidates = ev.root_candidates(root_spec);
-
-    if dist == root_spec {
-        for d in root_candidates {
-            if ev.budget.checkpoint() {
-                break;
-            }
-            ev.stats.candidates_examined += 1;
-            if let Some(contrib) = ev.match_node(root_spec, d) {
-                if ev.budget.charge_answer() {
-                    break;
-                }
-                ev.stats.answers += 1;
-                on_answer(finalize(enc, d, contrib));
-            }
-        }
-    } else {
-        // General case (distinguished node below the root): enumerate
-        // distinguished candidates, pin each, and keep the best embedding
-        // per candidate. Quadratic in the worst case but exact; the paper's
-        // workloads always distinguish the root.
-        let dist_candidates: Vec<NodeId> = ev.root_candidates(dist);
-        for dd in dist_candidates {
-            if ev.budget.checkpoint() {
-                break;
-            }
-            ev.pinned = Some((dist, dd));
-            let mut best: Option<Contribution> = None;
-            for &d in &root_candidates {
-                ev.stats.candidates_examined += 1;
-                if let Some(contrib) = ev.match_node(root_spec, d) {
-                    if best.is_none_or(|b| contrib.better_than(&b, scheme)) {
-                        best = Some(contrib);
-                    }
-                }
-            }
-            if let Some(contrib) = best {
-                if ev.budget.charge_answer() {
-                    break;
-                }
-                ev.stats.answers += 1;
-                on_answer(finalize(enc, dd, contrib));
-            }
-        }
-    }
-    record_eval(&ev.stats);
-    ev.stats
-}
-
-/// Folds one encoded-plan evaluation into the process-wide registry.
-fn record_eval(stats: &EvalStats) {
-    let reg = crate::metrics::global();
-    reg.add("engine.exec.evaluations", 1);
-    reg.add("engine.exec.candidates", stats.candidates_examined);
-    reg.add("engine.exec.answers", stats.answers);
-    reg.add("engine.exec.saturated", stats.saturated_breaks);
-}
-
-/// [`evaluate_encoded_budgeted`] fanned out over worker threads, collecting
-/// the answers into a vector.
 ///
-/// The outer candidate list (root candidates, or distinguished candidates in
-/// the general driver) is split into **contiguous** document-order chunks,
-/// one evaluator per worker; concatenating the per-chunk answer vectors in
-/// chunk order therefore reproduces the sequential answer stream exactly —
+/// The candidate loops checkpoint `budget` cooperatively and each emitted
+/// answer is charged against the answer cap. When the budget trips,
+/// evaluation stops at the next checkpoint — answers already emitted stand
+/// (document-order prefix), and the caller learns the reason via
+/// [`Budget::tripped`]. An unlimited budget short-circuits every check.
+///
+/// The outer candidate list (root candidates, or distinguished candidates
+/// when the distinguished node sits below the root) is scanned by the one
+/// candidate loop (`Evaluator::scan`), either inline — streaming straight
+/// into `on_answer` — or, when `parallel` admits more than one worker for
+/// its size
+/// ([`ParallelConfig::workers_for_candidates`]), split into **contiguous**
+/// document-order chunks with one evaluator per worker. The per-chunk
+/// answers are then replayed through `on_answer` on the calling thread in
+/// chunk order, which reproduces the sequential answer stream exactly —
 /// same answers, same order, same scores (each answer's embedding search is
 /// confined to its own subtree, so per-answer results are independent of
 /// chunk boundaries; see Theorem 3 / the [`crate::parallel`] module doc).
 ///
-/// Small candidate sets (below [`ParallelConfig::min_round_size`]) and
-/// `threads = 1` run inline on the calling thread — literally the
-/// sequential code path. When the shared [`Budget`] trips mid-fan-out every
-/// worker stops at its next checkpoint and the partial answer set is
-/// best-effort (callers that need an exact-prefix guarantee, like DPO's
-/// batched rounds, discard tripped batches instead).
-pub fn evaluate_encoded_parallel(
+/// When the shared budget trips mid-fan-out every worker stops at its next
+/// checkpoint and the partial answer set is best-effort (callers that need
+/// an exact-prefix guarantee, like DPO's batched rounds, discard tripped
+/// batches instead).
+pub fn evaluate_encoded(
     ctx: &EngineContext,
     enc: &EncodedQuery,
     scheme: RankingScheme,
     budget: &Budget,
     parallel: &ParallelConfig,
-) -> (Vec<Answer>, EvalStats) {
+    mut on_answer: impl FnMut(Answer),
+) -> EvalStats {
     let dist = enc.distinguished_spec();
-    let root_spec = 0usize;
-    let outer: Vec<NodeId> =
-        spec_candidates(ctx, enc, if dist == root_spec { root_spec } else { dist });
-    let workers = parallel.workers_for_candidates(outer.len());
-    if workers <= 1 {
-        let mut answers = Vec::new();
-        let stats = evaluate_encoded_budgeted(ctx, enc, scheme, budget, |a| answers.push(a));
-        return (answers, stats);
-    }
-    // The general driver scans all root candidates per pinned distinguished
-    // candidate; share that list across workers.
-    let shared_roots: Vec<NodeId> = if dist == root_spec {
+    // The pinned scan tries every root candidate per distinguished
+    // candidate; workers share that list.
+    let roots = if dist == ROOT_SPEC {
         Vec::new()
     } else {
-        spec_candidates(ctx, enc, root_spec)
+        spec_candidates(ctx, enc, ROOT_SPEC)
     };
-    let ranges = chunk_ranges(outer.len(), workers);
-    let per_chunk: Vec<(Vec<Answer>, EvalStats)> = fan_out(ranges.len(), workers, |wi| {
-        let mut ev = Evaluator {
-            ctx,
-            enc,
-            scheme,
-            children: enc.child_index(),
-            subtree: subtree_info(enc),
-            range_memo: vec![None; enc.specs.len()],
-            env: vec![None; enc.specs.len()],
-            pinned: None,
-            stats: EvalStats::default(),
-            buffer_pool: Vec::new(),
-            budget,
-        };
-        let mut answers = Vec::new();
-        for &d in &outer[ranges[wi].clone()] {
-            if ev.budget.checkpoint() {
-                break;
-            }
-            if dist == root_spec {
-                ev.stats.candidates_examined += 1;
-                if let Some(contrib) = ev.match_node(root_spec, d) {
-                    if ev.budget.charge_answer() {
-                        break;
-                    }
-                    ev.stats.answers += 1;
-                    answers.push(finalize(enc, d, contrib));
-                }
-            } else {
-                ev.pinned = Some((dist, d));
-                let mut best: Option<Contribution> = None;
-                for &r in &shared_roots {
-                    ev.stats.candidates_examined += 1;
-                    if let Some(contrib) = ev.match_node(root_spec, r) {
-                        if best.is_none_or(|b| contrib.better_than(&b, scheme)) {
-                            best = Some(contrib);
-                        }
-                    }
-                }
-                if let Some(contrib) = best {
-                    if ev.budget.charge_answer() {
-                        break;
-                    }
-                    ev.stats.answers += 1;
-                    answers.push(finalize(enc, d, contrib));
-                }
-            }
+    let outer = spec_candidates(ctx, enc, dist);
+    let workers = parallel.workers_for_candidates(outer.len());
+    let stats = if workers <= 1 {
+        Evaluator::new(ctx, enc, scheme, budget).scan(&outer, &roots, &mut on_answer)
+    } else {
+        let ranges = chunk_ranges(outer.len(), workers);
+        let per_chunk = fan_out(ranges.len(), workers, |wi| {
+            let mut answers = Vec::new();
+            let stats = Evaluator::new(ctx, enc, scheme, budget).scan(
+                &outer[ranges[wi].clone()],
+                &roots,
+                &mut |a| answers.push(a),
+            );
+            (answers, stats)
+        });
+        let mut stats = EvalStats::default();
+        for (answers, s) in per_chunk {
+            answers.into_iter().for_each(&mut on_answer);
+            stats.candidates_examined += s.candidates_examined;
+            stats.answers += s.answers;
+            stats.saturated_breaks += s.saturated_breaks;
         }
-        (answers, ev.stats)
-    });
-    let mut all = Vec::new();
-    let mut stats = EvalStats::default();
-    for (answers, s) in per_chunk {
-        all.extend(answers);
-        stats.candidates_examined += s.candidates_examined;
-        stats.answers += s.answers;
-        stats.saturated_breaks += s.saturated_breaks;
-    }
-    record_eval(&stats);
-    (all, stats)
+        stats
+    };
+    let reg = crate::metrics::global();
+    reg.add("engine.exec.evaluations", 1);
+    reg.add("engine.exec.candidates", stats.candidates_examined);
+    reg.add("engine.exec.answers", stats.answers);
+    reg.add("engine.exec.saturated", stats.saturated_breaks);
+    stats
 }
 
 fn finalize(enc: &EncodedQuery, node: NodeId, c: Contribution) -> Answer {
@@ -463,14 +338,78 @@ fn spec_candidates(ctx: &EngineContext, enc: &EncodedQuery, spec_idx: usize) -> 
     out
 }
 
-impl Evaluator<'_> {
+impl<'a> Evaluator<'a> {
     /// Scratch capacity of [`Self::leaf_scan`]'s inner-binding table.
     /// Bounded by the spec's bit count; real queries reference a handful of
     /// ancestors, so overflow just means falling back to the generic scan.
     const LEAF_SCAN_MAX_INNER: usize = 8;
 
-    fn root_candidates(&self, root_spec: usize) -> Vec<NodeId> {
-        spec_candidates(self.ctx, self.enc, root_spec)
+    fn new(
+        ctx: &'a EngineContext,
+        enc: &'a EncodedQuery,
+        scheme: RankingScheme,
+        budget: &'a Budget,
+    ) -> Self {
+        Evaluator {
+            ctx,
+            enc,
+            scheme,
+            children: enc.child_index(),
+            subtree: subtree_info(enc),
+            range_memo: vec![None; enc.specs.len()],
+            env: vec![None; enc.specs.len()],
+            pinned: None,
+            stats: EvalStats::default(),
+            buffer_pool: Vec::new(),
+            budget,
+        }
+    }
+
+    /// The candidate scan: one answer per element of `outer` (a contiguous
+    /// document-order run of candidates for the distinguished spec) that
+    /// has an embedding, emitted in order.
+    ///
+    /// With the distinguished node at the root each candidate is matched
+    /// directly. Otherwise (the general case) each distinguished candidate
+    /// is pinned and the best embedding over all `roots` is kept —
+    /// quadratic in the worst case but exact; the paper's workloads always
+    /// distinguish the root.
+    fn scan(
+        mut self,
+        outer: &[NodeId],
+        roots: &[NodeId],
+        on_answer: &mut impl FnMut(Answer),
+    ) -> EvalStats {
+        let dist = self.enc.distinguished_spec();
+        for &d in outer {
+            if self.budget.checkpoint() {
+                break;
+            }
+            let best = if dist == ROOT_SPEC {
+                self.stats.candidates_examined += 1;
+                self.match_node(ROOT_SPEC, d)
+            } else {
+                self.pinned = Some((dist, d));
+                let mut best: Option<Contribution> = None;
+                for &r in roots {
+                    self.stats.candidates_examined += 1;
+                    if let Some(contrib) = self.match_node(ROOT_SPEC, r) {
+                        if best.is_none_or(|b| contrib.better_than(&b, self.scheme)) {
+                            best = Some(contrib);
+                        }
+                    }
+                }
+                best
+            };
+            if let Some(contrib) = best {
+                if self.budget.charge_answer() {
+                    break;
+                }
+                self.stats.answers += 1;
+                on_answer(finalize(self.enc, d, contrib));
+            }
+        }
+        self.stats
     }
 
     /// Local (non-edge) requirements of binding `spec` to `d`.
@@ -587,31 +526,11 @@ impl Evaluator<'_> {
         // counter and tie-break is preserved.
         if self.subtree.leaf_simple[c] && !children_only && self.pinned.is_none() {
             if let Some(best) = self.leaf_scan(c, anchor_binding) {
-                return if surviving {
-                    best
-                } else {
-                    match (best, self.ghost_skip(c)) {
-                        (Some(b), Some(s)) => {
-                            Some(if b.better_than(&s, self.scheme) { b } else { s })
-                        }
-                        (Some(b), None) => Some(b),
-                        (None, s) => s,
-                    }
-                };
+                return self.or_unbound(c, best);
             }
         }
 
-        // Saturation target for the candidate-loop shortcut: a subtree bit
-        // whose check references an unbound external spec (a λ-deleted
-        // ancestor left unbound for this whole loop) is unsatisfiable and
-        // drops out of the target.
-        let mut achievable = self.subtree.mask[c];
-        for &(bi, x) in &self.subtree.ext_refs[c] {
-            if self.env[x].is_none() {
-                achievable &= !(1u64 << bi);
-            }
-        }
-        let can_saturate = !self.subtree.scored[c];
+        let (achievable, can_saturate) = self.saturation_target(c);
 
         let mut best: Option<Contribution> = None;
         if let (Some(tag), true) = (spec.tag, spec.alt_tags.is_empty()) {
@@ -692,18 +611,37 @@ impl Evaluator<'_> {
             candidates.clear();
             self.buffer_pool.push(candidates);
         }
-        if surviving {
-            best
-        } else {
-            // Ghost: also consider leaving the node unbound — its
-            // descendants may still bind (independently) under their own
-            // anchors.
-            match (best, self.ghost_skip(c)) {
-                (Some(b), Some(s)) => Some(if b.better_than(&s, self.scheme) { b } else { s }),
-                (Some(b), None) => Some(b),
-                (None, s) => s,
+        self.or_unbound(c, best)
+    }
+
+    /// The result of spec `c`'s candidate loop: `best` as is for a
+    /// surviving node; for a ghost, the better of `best` and leaving the
+    /// node unbound — its descendants may still bind (independently) under
+    /// their own anchors.
+    fn or_unbound(&mut self, c: usize, best: Option<Contribution>) -> Option<Contribution> {
+        if self.enc.specs[c].surviving {
+            return best;
+        }
+        match (best, self.ghost_skip(c)) {
+            (Some(b), Some(s)) => Some(if b.better_than(&s, self.scheme) { b } else { s }),
+            (Some(b), None) => Some(b),
+            (None, s) => s,
+        }
+    }
+
+    /// Saturation target for the candidate-loop shortcut of spec `c`: the
+    /// subtree's achievable bits, and whether reaching them may stop the
+    /// loop. A subtree bit whose check references an unbound external spec
+    /// (a λ-deleted ancestor left unbound for this whole loop) is
+    /// unsatisfiable and drops out of the target.
+    fn saturation_target(&self, c: usize) -> (u64, bool) {
+        let mut achievable = self.subtree.mask[c];
+        for &(bi, x) in &self.subtree.ext_refs[c] {
+            if self.env[x].is_none() {
+                achievable &= !(1u64 << bi);
             }
         }
+        (achievable, !self.subtree.scored[c])
     }
 
     /// One step of a candidate loop: examine `d` for spec `c`, fold its
@@ -842,14 +780,7 @@ impl Evaluator<'_> {
         }
         let need_parent = anchor_pc != 0 || inner[..ninner].iter().any(|e| e.1 != 0);
 
-        // Saturation target, identical to the generic scan's.
-        let mut achievable = self.subtree.mask[c];
-        for &(bi, x) in &self.subtree.ext_refs[c] {
-            if self.env[x].is_none() {
-                achievable &= !(1u64 << bi);
-            }
-        }
-        let can_saturate = !self.subtree.scored[c];
+        let (achievable, can_saturate) = self.saturation_target(c);
 
         let list = doc.nodes_with_tag(tag);
         let mut best: Option<Contribution> = None;
@@ -920,22 +851,27 @@ impl Evaluator<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixtures::{q1, setup, ARTICLES};
     use crate::schedule::build_schedule;
     use crate::score::{PenaltyModel, WeightAssignment};
     use flexpath_ftsearch::FtExpr;
     use flexpath_tpq::{Predicate, Tpq, TpqBuilder, Var};
-    use flexpath_xmldom::parse;
-
-    fn setup(xml: &str, q: &Tpq) -> (EngineContext, PenaltyModel) {
-        let ctx = EngineContext::new(parse(xml).unwrap());
-        let model = PenaltyModel::new(q, WeightAssignment::uniform());
-        (ctx, model)
-    }
 
     fn collect(ctx: &EngineContext, enc: &EncodedQuery, scheme: RankingScheme) -> Vec<Answer> {
+        collect_with(ctx, enc, scheme, &ParallelConfig::sequential()).0
+    }
+
+    fn collect_with(
+        ctx: &EngineContext,
+        enc: &EncodedQuery,
+        scheme: RankingScheme,
+        parallel: &ParallelConfig,
+    ) -> (Vec<Answer>, EvalStats) {
         let mut out = Vec::new();
-        evaluate_encoded(ctx, enc, scheme, |a| out.push(a));
-        out
+        let stats = evaluate_encoded(ctx, enc, scheme, &Budget::unlimited(), parallel, |a| {
+            out.push(a)
+        });
+        (out, stats)
     }
 
     /// Brute-force oracle: all embeddings by exhaustive assignment.
@@ -977,26 +913,6 @@ mod tests {
         let mut asg = vec![None; q.node_count()];
         try_assign(doc, q, 0, &mut asg, &mut out);
         out.into_iter().collect()
-    }
-
-    const ARTICLES: &str = "<site>\
-        <article id=\"a0\"><section><algorithm>x</algorithm>\
-          <paragraph>XML streaming</paragraph></section></article>\
-        <article id=\"a1\"><section><title>XML streaming</title>\
-          <algorithm>y</algorithm><paragraph>other</paragraph></section></article>\
-        <article id=\"a2\"><section><wrap><paragraph>XML streaming</paragraph></wrap>\
-          </section><algorithm>z</algorithm></article>\
-        <article id=\"a3\"><note>XML streaming</note></article>\
-        <article id=\"a4\"><section><paragraph>nothing here</paragraph></section></article>\
-        </site>";
-
-    fn q1() -> Tpq {
-        let mut b = TpqBuilder::new("article");
-        let s = b.child(0, "section");
-        let _a = b.child(s, "algorithm");
-        let p = b.child(s, "paragraph");
-        b.add_contains(p, FtExpr::all_of(&["XML", "streaming"]));
-        b.build()
     }
 
     #[test]
@@ -1169,7 +1085,7 @@ mod tests {
         let (ctx, model) = setup(ARTICLES, &q);
         let enc = EncodedQuery::exact(&ctx, &model, &q);
         let answers = collect(&ctx, &enc, RankingScheme::StructureFirst);
-        let eval = ctx.ft_eval(&FtExpr::all_of(&["XML", "streaming"]));
+        let eval = ctx.ft_eval(&FtExpr::all_of(&["XML", "streaming"]), &Budget::unlimited());
         // The single answer's ks equals the paragraph's contains score.
         let para = ctx
             .doc()
@@ -1218,8 +1134,7 @@ mod tests {
             for threads in [2, 4, 8] {
                 let mut cfg = ParallelConfig::with_threads(threads);
                 cfg.min_round_size = 1; // force the fan-out even on tiny inputs
-                let (par, stats) =
-                    evaluate_encoded_parallel(&ctx, &enc, scheme, &Budget::unlimited(), &cfg);
+                let (par, stats) = collect_with(&ctx, &enc, scheme, &cfg);
                 assert_eq!(seq.len(), par.len());
                 for (a, b) in seq.iter().zip(&par) {
                     assert_eq!(a.node, b.node);
@@ -1245,13 +1160,7 @@ mod tests {
         let seq = collect(&ctx, &enc, RankingScheme::StructureFirst);
         let mut cfg = ParallelConfig::with_threads(4);
         cfg.min_round_size = 1;
-        let (par, _) = evaluate_encoded_parallel(
-            &ctx,
-            &enc,
-            RankingScheme::StructureFirst,
-            &Budget::unlimited(),
-            &cfg,
-        );
+        let (par, _) = collect_with(&ctx, &enc, RankingScheme::StructureFirst, &cfg);
         assert_eq!(
             seq.iter().map(|a| a.node).collect::<Vec<_>>(),
             par.iter().map(|a| a.node).collect::<Vec<_>>()

@@ -27,7 +27,14 @@
 //!   predicates hold (the per-answer satisfied-predicate *bitset* that
 //!   Hybrid's buckets are keyed on).
 //! * [`dpo_topk`], [`sso_topk`], [`hybrid_topk`] are the three top-K
-//!   algorithms.
+//!   algorithms, built from two drivers: DPO's round loop, and one
+//!   single-pass restart loop that becomes SSO or Hybrid depending on how
+//!   it holds intermediate answers ([`order`]: ranking-key buckets with a
+//!   threshold, or satisfied-bitset buckets with a `maxScoreGrowth`
+//!   floor). Both share one prologue/epilogue and one evaluator entry
+//!   point, [`exec::evaluate_encoded`], which takes the run's [`Budget`]
+//!   and [`ParallelConfig`] — an unlimited budget and a width-1 config are
+//!   the unbudgeted, sequential evaluation, not separate functions.
 //! * [`structural_join`] is the Stack-Tree structural join primitive
 //!   (Al-Khalifa et al.) the paper's implementation builds on; it is used
 //!   by the micro-benchmarks and as a cross-validation oracle in tests.
@@ -62,8 +69,9 @@ pub mod structural_join;
 pub mod topk;
 
 mod dpo;
-mod hybrid;
-mod sso;
+mod fixtures;
+mod run;
+mod single_pass;
 
 pub use attr_relax::AttrRelaxation;
 pub use baseline::{data_relaxation_topk, full_encoding_topk, rewrite_enumeration_topk};
@@ -75,7 +83,6 @@ pub use governor::{
     reason_key, Budget, CancelToken, CheckpointSite, Completeness, ExhaustReason, QueryLimits,
 };
 pub use hierarchy::TagHierarchy;
-pub use hybrid::hybrid_topk;
 pub use metrics::{
     prometheus_name, skew_millibits, MetricsRegistry, MetricsSnapshot, QueryTrace, TraceSpan,
     Tracer,
@@ -84,9 +91,7 @@ pub use order::{Offer, PruneFloor, ScoreKey, TopKBuckets};
 pub use parallel::{hardware_threads, ParallelConfig};
 pub use schedule::{build_schedule, ScheduleBuildReport, ScheduledStep};
 pub use score::{AnswerScore, PenaltyModel, RankingScheme, WeightAssignment};
-pub use selectivity::{estimate_cardinality, estimate_cardinality_budgeted};
-pub use sso::sso_topk;
-pub use structural_join::{
-    stack_tree_anc, stack_tree_desc, stack_tree_desc_budgeted, stack_tree_desc_parallel,
-};
+pub use selectivity::estimate_cardinality;
+pub use single_pass::{hybrid_topk, sso_topk};
+pub use structural_join::{stack_tree_anc, stack_tree_desc};
 pub use topk::{Algorithm, Answer, ExecStats, TopKRequest, TopKResult};

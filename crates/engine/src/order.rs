@@ -5,8 +5,8 @@
 //! expects its result to be sorted on node identifiers while pruning …
 //! requires their sorting on scores." A score-sorted `Vec` resolves that
 //! tension by paying for it — every insert binary-searches a position and
-//! shifts the tail (the historical [`ExecStats::sorted_insert_shifts`]
-//! counter, which reached 753 k shifted elements on the 10 MB workload).
+//! shifts the tail (753 k shifted elements on the 10 MB workload, before
+//! this module existed).
 //!
 //! This module resolves it the way Hybrid does, generalized to *any*
 //! ranking scheme: answers with equal ranking keys land in the same bucket
@@ -30,17 +30,22 @@
 //!
 //! [`PruneFloor`] is the scalar sibling used by Hybrid: a min-heap over
 //! the top-K *structural* scores whose minimum is the `maxScoreGrowth`
-//! pruning threshold (Section 5.2.3).
+//! pruning threshold (Section 5.2.3). The crate-internal
+//! `SatisfiedBuckets` wraps it into Hybrid's bucket set, keyed on the
+//! satisfied-predicate bitset.
+//!
+//! Both bucket sets implement the crate-internal `IntermediateAnswers`
+//! trait, the one point where SSO and Hybrid differ: the single-pass driver
+//! behind [`crate::sso_topk`] and [`crate::hybrid_topk`] is the same code
+//! monomorphized over it.
 //!
 //! Everything here is deterministic: `BTreeMap` iteration order is defined
 //! by `ScoreKey`'s total order, and no wall-clock or hash state is
 //! consulted (this module is covered by `flexpath-lint`'s determinism
 //! rule).
-//!
-//! [`ExecStats::sorted_insert_shifts`]: crate::topk::ExecStats::sorted_insert_shifts
 
 use crate::score::{AnswerScore, RankingScheme};
-use crate::topk::Answer;
+use crate::topk::{sort_answers, Answer};
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BTreeMap, BinaryHeap};
 
@@ -212,30 +217,6 @@ impl TopKBuckets {
         self.held == 0
     }
 
-    /// Distinct ranking keys currently holding answers — the bucket count
-    /// surfaced as [`ExecStats::buckets`].
-    ///
-    /// [`ExecStats::buckets`]: crate::topk::ExecStats::buckets
-    pub fn bucket_count(&self) -> usize {
-        self.buckets.len()
-    }
-
-    /// Answers admitted and later discarded by whole-bucket eviction since
-    /// the last [`clear`](TopKBuckets::clear).
-    pub fn evicted(&self) -> u64 {
-        self.evicted
-    }
-
-    /// Resets to empty (a restart re-evaluates the extended plan from
-    /// scratch). Counters reset too: each pass reports its own eviction
-    /// tally.
-    pub fn clear(&mut self) {
-        self.buckets.clear();
-        self.held = 0;
-        self.floor = None;
-        self.evicted = 0;
-    }
-
     /// Consumes the structure and emits the ranked answers: best key
     /// first, arrival order within a key, truncated to K. This is exactly
     /// the sequence the score-sorted `Vec` held after `truncate(k)`.
@@ -301,6 +282,191 @@ impl PruneFloor {
     }
 }
 
+/// Hybrid's intermediate answers (paper Section 5.2.3, Algorithm 2):
+/// "create buckets of intermediate results … where each bucket corresponds
+/// to a set of predicates. Answers in a bucket satisfy the same set of
+/// predicates and so have the same score. Within each bucket, answers are
+/// sorted on their node id. Since this sort order is preserved by the join
+/// algorithm we use, no additional sorting is necessary."
+///
+/// Buckets are keyed on the satisfied-predicate bitset the evaluator
+/// computes per answer; answers stream in document order, so each bucket's
+/// `Vec` push keeps node-id order for free. Pruning happens per answer
+/// against the current K-th structural score — a [`PruneFloor`] — plus
+/// `maxScoreGrowth` (the keyword headroom, for schemes that rank on `ks`).
+#[derive(Debug)]
+pub(crate) struct SatisfiedBuckets {
+    k: usize,
+    scheme: RankingScheme,
+    /// The most an answer's rank can still gain over its `ss`.
+    max_growth: f64,
+    /// `BTreeMap` so the final concatenation visits equal-`ss` buckets in
+    /// key order — the stable sort then yields one deterministic ranking.
+    buckets: BTreeMap<u64, Vec<Answer>>,
+    /// Answers held across all buckets.
+    kept: usize,
+    /// Min-heap of the top-K structural scores seen so far: its minimum is
+    /// the pruning floor, maintained in O(log K) per answer — no score
+    /// sorting of intermediate results ever happens. (`floor()` is `None`
+    /// when `k == 0`: the heap never fills, and nothing can be pruned
+    /// against an empty floor.)
+    top_ss: PruneFloor,
+}
+
+/// How the single-pass driver holds the answers streaming out of its one
+/// encoded plan: what is pruned on arrival, what is kept, and how the
+/// survivors are ranked at the end. The two implementers are the whole
+/// difference between SSO and Hybrid.
+///
+/// | | [`TopKBuckets`] (SSO) | [`SatisfiedBuckets`] (Hybrid) |
+/// |---|---|---|
+/// | bucket key | ranking key under the scheme | satisfied-predicate bitset |
+/// | prune test | `key ≤` K-th best key held | `ss + maxScoreGrowth <` K-th best `ss` seen |
+/// | eviction | buckets below the floor, on arrival | buckets that cannot contribute, at the end |
+/// | final ranking | emit buckets best key first | concatenate best-`ss`-first, sort survivors |
+pub(crate) trait IntermediateAnswers {
+    /// Offers one answer, in document order. [`Offer::Pruned`] means it
+    /// cannot enter the top K and was discarded.
+    fn offer(&mut self, answer: Answer) -> Offer;
+
+    /// Answers currently held; `len() < k` after a pass means the encoded
+    /// prefix produced too few and the driver restarts.
+    fn len(&self) -> usize;
+
+    /// Buckets currently holding answers ([`ExecStats::buckets`]).
+    ///
+    /// [`ExecStats::buckets`]: crate::topk::ExecStats::buckets
+    fn bucket_count(&self) -> usize;
+
+    /// Answers admitted and later evicted since the last clear, for
+    /// policies that evict on arrival (the `pass.evicted` trace counter).
+    fn evicted(&self) -> Option<u64>;
+
+    /// Resets to empty, counters included: a restart re-evaluates the
+    /// extended plan from scratch and each pass reports its own tallies.
+    fn clear(&mut self);
+
+    /// Consumes the set and emits the top K, best first.
+    fn into_ranked(self) -> Vec<Answer>;
+}
+
+impl IntermediateAnswers for TopKBuckets {
+    fn offer(&mut self, answer: Answer) -> Offer {
+        TopKBuckets::offer(self, answer)
+    }
+
+    fn len(&self) -> usize {
+        self.held
+    }
+
+    fn bucket_count(&self) -> usize {
+        self.buckets.len()
+    }
+
+    fn evicted(&self) -> Option<u64> {
+        Some(self.evicted)
+    }
+
+    fn clear(&mut self) {
+        self.buckets.clear();
+        self.held = 0;
+        self.floor = None;
+        self.evicted = 0;
+    }
+
+    fn into_ranked(self) -> Vec<Answer> {
+        TopKBuckets::into_ranked(self)
+    }
+}
+
+impl SatisfiedBuckets {
+    /// An empty set targeting the best `k` answers under `scheme`.
+    /// `keyword_headroom` bounds what `ks` can add to any answer (each
+    /// `contains` predicate is weighted 1 and IR scores are ≤ 1).
+    pub(crate) fn new(k: usize, scheme: RankingScheme, keyword_headroom: f64) -> Self {
+        SatisfiedBuckets {
+            k,
+            scheme,
+            max_growth: match scheme {
+                RankingScheme::Combined | RankingScheme::KeywordFirst => keyword_headroom,
+                RankingScheme::StructureFirst => 0.0,
+            },
+            buckets: BTreeMap::new(),
+            kept: 0,
+            top_ss: PruneFloor::new(k),
+        }
+    }
+}
+
+impl IntermediateAnswers for SatisfiedBuckets {
+    fn offer(&mut self, answer: Answer) -> Offer {
+        if let Some(floor) = self.top_ss.floor() {
+            if answer.score.ss + self.max_growth < floor {
+                return Offer::Pruned;
+            }
+        }
+        self.top_ss.observe(answer.score.ss);
+        self.buckets
+            .entry(answer.satisfied)
+            .or_default()
+            .push(answer);
+        self.kept += 1;
+        Offer::Kept
+    }
+
+    fn len(&self) -> usize {
+        self.kept
+    }
+
+    fn bucket_count(&self) -> usize {
+        self.buckets.len()
+    }
+
+    fn evicted(&self) -> Option<u64> {
+        None
+    }
+
+    fn clear(&mut self) {
+        self.buckets.clear();
+        self.kept = 0;
+        self.top_ss.clear();
+    }
+
+    /// Buckets are ordered by score "since each bucket is uniquely
+    /// identified by the set of structural predicates satisfied":
+    /// concatenate buckets best-`ss`-first, then rank the (small) survivor
+    /// set under the scheme.
+    fn into_ranked(self) -> Vec<Answer> {
+        let mut answers: Vec<Answer> = Vec::new();
+        let mut keyed: Vec<(f64, Vec<Answer>)> = self
+            .buckets
+            .into_values()
+            .map(|v| (v[0].score.ss, v))
+            .collect();
+        keyed.sort_by(|a, b| b.0.total_cmp(&a.0));
+        let mut taken = 0usize;
+        for (ss, bucket) in keyed {
+            // Buckets that can no longer contribute are dropped wholesale
+            // ("pruning of intermediate answers translates to elimination
+            // of buckets").
+            if taken >= self.k {
+                let worst_kept = answers
+                    .iter()
+                    .map(|a| a.score.ss)
+                    .fold(f64::INFINITY, f64::min);
+                if ss + self.max_growth < worst_kept {
+                    break;
+                }
+            }
+            taken += bucket.len();
+            answers.extend(bucket);
+        }
+        sort_answers(&mut answers, self.scheme);
+        answers.truncate(self.k);
+        answers
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -347,7 +513,7 @@ mod tests {
         b.offer(answer(2, 0.3, 0.0));
         b.offer(answer(3, 0.4, 0.0));
         // 0.1 and 0.2 fell strictly below the floor bucket and are gone.
-        assert_eq!(b.evicted(), 2);
+        assert_eq!(b.evicted(), Some(2));
         assert!(b.len() >= 2);
         let nodes: Vec<u32> = b.into_ranked().iter().map(|a| a.node.0).collect();
         assert_eq!(nodes, vec![3, 2]);
@@ -375,10 +541,10 @@ mod tests {
         let mut b = TopKBuckets::new(1, RankingScheme::StructureFirst);
         b.offer(answer(0, 0.1, 0.0));
         b.offer(answer(1, 0.2, 0.0));
-        assert!(b.evicted() > 0);
+        assert!(b.evicted() > Some(0));
         b.clear();
         assert!(b.is_empty());
-        assert_eq!(b.evicted(), 0);
+        assert_eq!(b.evicted(), Some(0));
         assert_eq!(b.bucket_count(), 0);
         assert_eq!(b.offer(answer(2, 0.05, 0.0)), Offer::Kept);
         assert_eq!(b.into_ranked().len(), 1);

@@ -112,11 +112,6 @@ impl ParallelConfig {
         Self::with_threads(threads)
     }
 
-    /// Whether any fan-out may use more than the calling thread.
-    pub fn is_parallel(&self) -> bool {
-        self.threads > 1
-    }
-
     /// The configured thread count clamped to the machine
     /// ([`hardware_threads`]): the most workers any fan-out of this config
     /// will ever use.
@@ -303,7 +298,6 @@ mod tests {
     #[test]
     fn config_worker_counts() {
         let seq = ParallelConfig::sequential();
-        assert!(!seq.is_parallel());
         assert_eq!(seq.workers_for_rounds(10), 1);
         assert_eq!(seq.workers_for_candidates(10_000), 1);
 
@@ -311,7 +305,6 @@ mod tests {
         // against the machine running the test.
         let hw = hardware_threads();
         let p = ParallelConfig::with_threads(4);
-        assert!(p.is_parallel());
         assert_eq!(p.workers_for_rounds(2), 2.min(hw));
         assert_eq!(p.workers_for_rounds(64), 4.min(hw));
         // Fine-grained floor: tiny candidate sets stay sequential.

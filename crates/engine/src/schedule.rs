@@ -48,28 +48,15 @@ pub fn build_schedule(
     original: &Tpq,
     max_steps: usize,
 ) -> Vec<ScheduledStep> {
-    build_schedule_budgeted(ctx, model, original, max_steps, &Budget::unlimited())
-}
-
-/// [`build_schedule`] under a resource [`Budget`]: checkpoints between
-/// steps, returning the (valid) prefix built so far when the budget trips.
-/// Schedule prefixes are always usable — each step only depends on the
-/// steps before it.
-pub fn build_schedule_budgeted(
-    ctx: &EngineContext,
-    model: &PenaltyModel,
-    original: &Tpq,
-    max_steps: usize,
-    budget: &Budget,
-) -> Vec<ScheduledStep> {
-    build_schedule_parallel(
+    build_schedule_reported(
         ctx,
         model,
         original,
         max_steps,
-        budget,
+        &Budget::unlimited(),
         &ParallelConfig::sequential(),
     )
+    .0
 }
 
 /// Work counters from one schedule construction, for the observability
@@ -83,8 +70,13 @@ pub struct ScheduleBuildReport {
     pub ops_scored: u64,
 }
 
-/// [`build_schedule_budgeted`] with the per-step operator evaluation fanned
-/// out over worker threads.
+/// [`build_schedule`] under a resource [`Budget`], with the per-step
+/// operator evaluation fanned out over worker threads, returning a
+/// [`ScheduleBuildReport`] of the work performed alongside the schedule.
+///
+/// The budget is checkpointed between steps; when it trips, the (valid)
+/// prefix built so far is returned. Schedule prefixes are always usable —
+/// each step only depends on the steps before it.
 ///
 /// The greedy loop itself stays sequential (step `i+1` depends on step
 /// `i`'s query), but within one step every applicable operator's penalty is
@@ -92,19 +84,6 @@ pub struct ScheduleBuildReport {
 /// the same rule as the sequential scan: smallest penalty, earliest
 /// operator index on ties (strict `<` over the index-ordered candidate
 /// list). The schedule is therefore identical at every thread count.
-pub fn build_schedule_parallel(
-    ctx: &EngineContext,
-    model: &PenaltyModel,
-    original: &Tpq,
-    max_steps: usize,
-    budget: &Budget,
-    parallel: &ParallelConfig,
-) -> Vec<ScheduledStep> {
-    build_schedule_reported(ctx, model, original, max_steps, budget, parallel).0
-}
-
-/// [`build_schedule_parallel`] that also returns a [`ScheduleBuildReport`]
-/// of the work performed.
 pub fn build_schedule_reported(
     ctx: &EngineContext,
     model: &PenaltyModel,
@@ -144,7 +123,7 @@ pub fn build_schedule_reported(
                 .iter()
                 .filter(|p| !dropped_so_far.contains(p))
                 .filter(|p| model.weights().weight(p) > 0.0)
-                .map(|p| (p.clone(), model.penalty_budgeted(ctx, p, budget)))
+                .map(|p| (p.clone(), model.penalty(ctx, p, budget)))
                 .collect();
             if new_dropped.is_empty() {
                 // The operator did not weaken the query w.r.t. the original
@@ -191,35 +170,13 @@ pub fn build_schedule_reported(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::score::WeightAssignment;
-    use flexpath_ftsearch::FtExpr;
+    use crate::fixtures::{q1, setup, TWO_ARTICLES};
     use flexpath_tpq::TpqBuilder;
-    use flexpath_xmldom::parse;
-
-    fn setup(xml: &str, q: &Tpq) -> (EngineContext, PenaltyModel) {
-        let ctx = EngineContext::new(parse(xml).unwrap());
-        let model = PenaltyModel::new(q, WeightAssignment::uniform());
-        (ctx, model)
-    }
-
-    fn q1() -> Tpq {
-        let mut b = TpqBuilder::new("article");
-        let s = b.child(0, "section");
-        let _a = b.child(s, "algorithm");
-        let p = b.child(s, "paragraph");
-        b.add_contains(p, FtExpr::all_of(&["XML", "streaming"]));
-        b.build()
-    }
-
-    const DOC: &str = "<site><article><section><algorithm>x</algorithm>\
-        <paragraph>XML streaming</paragraph></section></article>\
-        <article><section><wrap><paragraph>XML streaming</paragraph></wrap>\
-        </section></article></site>";
 
     #[test]
     fn schedule_is_penalty_monotone_in_cumulative_score() {
         let q = q1();
-        let (ctx, model) = setup(DOC, &q);
+        let (ctx, model) = setup(TWO_ARTICLES, &q);
         let steps = build_schedule(&ctx, &model, &q, 64);
         assert!(!steps.is_empty());
         let mut last_ss = model.base_structural_score(&q);
@@ -233,7 +190,7 @@ mod tests {
     #[test]
     fn schedule_drops_disjoint_predicate_sets() {
         let q = q1();
-        let (ctx, model) = setup(DOC, &q);
+        let (ctx, model) = setup(TWO_ARTICLES, &q);
         let steps = build_schedule(&ctx, &model, &q, 64);
         let mut seen = std::collections::HashSet::new();
         for s in &steps {
@@ -246,7 +203,7 @@ mod tests {
     #[test]
     fn schedule_reaches_full_relaxation() {
         let q = q1();
-        let (ctx, model) = setup(DOC, &q);
+        let (ctx, model) = setup(TWO_ARTICLES, &q);
         let steps = build_schedule(&ctx, &model, &q, 64);
         // The last query should be maximally relaxed: a single node with the
         // contains predicate promoted to the root.
@@ -258,7 +215,7 @@ mod tests {
     #[test]
     fn first_step_is_the_cheapest_available() {
         let q = q1();
-        let (ctx, model) = setup(DOC, &q);
+        let (ctx, model) = setup(TWO_ARTICLES, &q);
         let steps = build_schedule(&ctx, &model, &q, 64);
         // Recompute all first-step penalties by hand and compare.
         let mut penalties = Vec::new();
@@ -268,7 +225,7 @@ mod tests {
                 .dropped
                 .iter()
                 .filter(|p| model.weights().weight(p) > 0.0)
-                .map(|p| model.penalty(&ctx, p))
+                .map(|p| model.penalty(&ctx, p, &Budget::unlimited()))
                 .sum();
             penalties.push(p);
         }
@@ -284,7 +241,7 @@ mod tests {
     #[test]
     fn max_steps_caps_the_schedule() {
         let q = q1();
-        let (ctx, model) = setup(DOC, &q);
+        let (ctx, model) = setup(TWO_ARTICLES, &q);
         let steps = build_schedule(&ctx, &model, &q, 2);
         assert_eq!(steps.len(), 2);
     }
@@ -292,17 +249,17 @@ mod tests {
     #[test]
     fn single_node_query_has_empty_schedule() {
         let q = TpqBuilder::new("article").build();
-        let (ctx, model) = setup(DOC, &q);
+        let (ctx, model) = setup(TWO_ARTICLES, &q);
         assert!(build_schedule(&ctx, &model, &q, 64).is_empty());
     }
 
     #[test]
     fn parallel_schedule_is_identical_to_sequential() {
         let q = q1();
-        let (ctx, model) = setup(DOC, &q);
+        let (ctx, model) = setup(TWO_ARTICLES, &q);
         let seq = build_schedule(&ctx, &model, &q, 64);
         for threads in [2, 4, 8] {
-            let par = build_schedule_parallel(
+            let (par, _) = build_schedule_reported(
                 &ctx,
                 &model,
                 &q,
@@ -323,7 +280,7 @@ mod tests {
     #[test]
     fn cumulative_penalty_accumulates() {
         let q = q1();
-        let (ctx, model) = setup(DOC, &q);
+        let (ctx, model) = setup(TWO_ARTICLES, &q);
         let steps = build_schedule(&ctx, &model, &q, 64);
         let mut acc = 0.0;
         for s in &steps {

@@ -134,16 +134,13 @@ impl PenaltyModel {
     /// pair absent from the document, a wildcard variable) fall back to the
     /// full predicate weight — a relaxation that cannot produce new answers
     /// earns no discount.
-    pub fn penalty(&self, ctx: &EngineContext, p: &Predicate) -> f64 {
-        self.penalty_budgeted(ctx, p, &Budget::unlimited())
-    }
-
-    /// [`penalty`](Self::penalty) under a resource [`Budget`]: the full-text
-    /// evaluation behind a `contains` penalty charges the budget's postings
-    /// meter (and a tripped evaluation is never cached). A tripped budget
-    /// yields a penalty from a partial evaluation — callers stop at their
-    /// next checkpoint, so the value is never used to rank answers.
-    pub fn penalty_budgeted(&self, ctx: &EngineContext, p: &Predicate, budget: &Budget) -> f64 {
+    ///
+    /// The full-text evaluation behind a `contains` penalty charges
+    /// `budget`'s postings meter (and a tripped evaluation is never
+    /// cached). A tripped budget yields a penalty from a partial evaluation
+    /// — callers stop at their next checkpoint, so the value is never used
+    /// to rank answers.
+    pub fn penalty(&self, ctx: &EngineContext, p: &Predicate, budget: &Budget) -> f64 {
         let w = self.weights.weight(p);
         if w == 0.0 {
             return 0.0;
@@ -195,7 +192,7 @@ impl PenaltyModel {
         let (Some(sx), Some(sl)) = (ctx.resolve_tag(tx), ctx.resolve_tag(tl)) else {
             return 1.0;
         };
-        let eval = ctx.ft_eval_budgeted(e, budget);
+        let eval = ctx.ft_eval(e, budget);
         let denom = eval.count_for_tag(ctx.doc(), sl);
         if denom == 0 {
             return 1.0;
@@ -209,7 +206,13 @@ impl PenaltyModel {
         ctx: &EngineContext,
         dropped: impl IntoIterator<Item = &'a Predicate>,
     ) -> f64 {
-        dropped.into_iter().map(|p| self.penalty(ctx, p)).sum()
+        // Explain-side helper (tests, paper examples): deliberately
+        // unbudgeted, like the estimates it is compared against.
+        let budget = Budget::unlimited();
+        dropped
+            .into_iter()
+            .map(|p| self.penalty(ctx, p, &budget))
+            .sum()
     }
 }
 
@@ -270,6 +273,10 @@ mod tests {
         b.build()
     }
 
+    fn penalty(m: &PenaltyModel, c: &EngineContext, p: &Predicate) -> f64 {
+        m.penalty(c, p, &Budget::unlimited())
+    }
+
     #[test]
     fn uniform_weights_match_paper_defaults() {
         let w = WeightAssignment::uniform();
@@ -297,7 +304,7 @@ mod tests {
              <paragraph>x</paragraph></section></article>");
         let q = q_section();
         let m = PenaltyModel::new(&q, WeightAssignment::uniform());
-        let pi = m.penalty(&c, &Predicate::Pc(Var(2), Var(3)));
+        let pi = penalty(&m, &c, &Predicate::Pc(Var(2), Var(3)));
         assert!((pi - 2.0 / 3.0).abs() < 1e-12, "got {pi}");
     }
 
@@ -307,7 +314,7 @@ mod tests {
         let c = ctx("<article><section><paragraph>gold</paragraph><paragraph>x</paragraph></section></article>");
         let q = q_section();
         let m = PenaltyModel::new(&q, WeightAssignment::uniform());
-        let pi = m.penalty(&c, &Predicate::Ad(Var(1), Var(3)));
+        let pi = penalty(&m, &c, &Predicate::Ad(Var(1), Var(3)));
         assert!((pi - 1.0).abs() < 1e-12, "got {pi}");
     }
 
@@ -318,7 +325,7 @@ mod tests {
              <section>gold<paragraph>x</paragraph></section></article>");
         let q = q_section();
         let m = PenaltyModel::new(&q, WeightAssignment::uniform());
-        let pi = m.penalty(&c, &Predicate::Contains(Var(3), FtExpr::term("gold")));
+        let pi = penalty(&m, &c, &Predicate::Contains(Var(3), FtExpr::term("gold")));
         assert!((pi - 0.5).abs() < 1e-12, "got {pi}");
     }
 
@@ -328,10 +335,10 @@ mod tests {
         let q = q_section();
         let m = PenaltyModel::new(&q, WeightAssignment::uniform());
         // No (section, paragraph) pairs at all → full weight.
-        assert_eq!(m.penalty(&c, &Predicate::Pc(Var(2), Var(3))), 1.0);
-        assert_eq!(m.penalty(&c, &Predicate::Ad(Var(1), Var(3))), 1.0);
+        assert_eq!(penalty(&m, &c, &Predicate::Pc(Var(2), Var(3))), 1.0);
+        assert_eq!(penalty(&m, &c, &Predicate::Ad(Var(1), Var(3))), 1.0);
         assert_eq!(
-            m.penalty(&c, &Predicate::Contains(Var(3), FtExpr::term("gold"))),
+            penalty(&m, &c, &Predicate::Contains(Var(3), FtExpr::term("gold"))),
             1.0
         );
     }
@@ -342,7 +349,7 @@ mod tests {
         let q = q_section();
         let m = PenaltyModel::new(&q, WeightAssignment::uniform());
         for p in q.closure().iter() {
-            let pi = m.penalty(&c, p);
+            let pi = penalty(&m, &c, p);
             assert!(
                 (0.0..=m.weights().weight(p)).contains(&pi),
                 "penalty of {p} out of range: {pi}"
@@ -359,7 +366,7 @@ mod tests {
             &q,
             WeightAssignment::uniform().with_override(pred.clone(), 5.0),
         );
-        let pi = m.penalty(&c, &pred);
+        let pi = penalty(&m, &c, &pred);
         // ratio = 1/1 (only pc pairs), weight 5.
         assert!((pi - 5.0).abs() < 1e-12, "got {pi}");
     }

@@ -25,15 +25,12 @@ use flexpath_tpq::{Axis, Tpq};
 
 /// Estimates the number of answers (distinct distinguished-node bindings)
 /// of `q` against the context's document.
-pub fn estimate_cardinality(ctx: &EngineContext, q: &Tpq) -> f64 {
-    estimate_cardinality_budgeted(ctx, q, &Budget::unlimited())
-}
-
-/// [`estimate_cardinality`] under a resource [`Budget`]: the full-text
-/// evaluations behind `contains` probabilities charge the budget's postings
-/// meter (and a tripped evaluation is never cached). Under a tripped budget
-/// the estimate may be truncated — callers stop at their next checkpoint.
-pub fn estimate_cardinality_budgeted(ctx: &EngineContext, q: &Tpq, budget: &Budget) -> f64 {
+///
+/// The full-text evaluations behind `contains` probabilities charge
+/// `budget`'s postings meter (and a tripped evaluation is never cached).
+/// Under a tripped budget the estimate may be truncated — callers stop at
+/// their next checkpoint.
+pub fn estimate_cardinality(ctx: &EngineContext, q: &Tpq, budget: &Budget) -> f64 {
     // Root count.
     let root = q.node(q.root());
     let mut est = match root.tag.as_deref() {
@@ -68,9 +65,7 @@ pub fn estimate_cardinality_budgeted(ctx: &EngineContext, q: &Tpq, budget: &Budg
             return 0.0;
         }
         for e in &node.contains {
-            let sat = ctx
-                .ft_eval_budgeted(e, budget)
-                .count_for_tag(ctx.doc(), sym);
+            let sat = ctx.ft_eval(e, budget).count_for_tag(ctx.doc(), sym);
             est *= sat as f64 / total as f64;
         }
     }
@@ -112,11 +107,15 @@ mod tests {
         EngineContext::new(parse(xml).unwrap())
     }
 
+    fn estimate(ctx: &EngineContext, q: &Tpq) -> f64 {
+        estimate_cardinality(ctx, q, &Budget::unlimited())
+    }
+
     #[test]
     fn exact_for_single_tag_queries() {
         let c = ctx("<r><a/><a/><a/></r>");
         let q = TpqBuilder::new("a").build();
-        assert_eq!(estimate_cardinality(&c, &q), 3.0);
+        assert_eq!(estimate(&c, &q), 3.0);
     }
 
     #[test]
@@ -126,7 +125,7 @@ mod tests {
         let mut b = TpqBuilder::new("a");
         b.child(0, "b");
         let q = b.build();
-        assert!((estimate_cardinality(&c, &q) - 2.0).abs() < 1e-12);
+        assert!((estimate(&c, &q) - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -139,8 +138,8 @@ mod tests {
         let mut builder = TpqBuilder::new("a");
         builder.descendant(0, "b");
         let ad_q = builder.build();
-        assert_eq!(estimate_cardinality(&c, &pc_q), 0.0);
-        assert!((estimate_cardinality(&c, &ad_q) - 1.0).abs() < 1e-12);
+        assert_eq!(estimate(&c, &pc_q), 0.0);
+        assert!((estimate(&c, &ad_q) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -150,10 +149,10 @@ mod tests {
         builder.child(0, "b");
         builder.child(0, "c");
         let q = builder.build();
-        let base = estimate_cardinality(&c, &q);
+        let base = estimate(&c, &q);
         for op in flexpath_tpq::applicable_ops(&q) {
             let relaxed = flexpath_tpq::apply_op(&q, &op).unwrap();
-            let est = estimate_cardinality(&c, &relaxed);
+            let est = estimate(&c, &relaxed);
             assert!(
                 est >= base - 1e-12,
                 "{op} lowered the estimate: {base} → {est}"
@@ -168,17 +167,17 @@ mod tests {
         let mut b = TpqBuilder::new("a");
         b.add_contains(0, FtExpr::term("gold"));
         let q = b.build();
-        assert!((estimate_cardinality(&c, &q) - 2.0).abs() < 1e-12);
+        assert!((estimate(&c, &q) - 2.0).abs() < 1e-12);
     }
 
     #[test]
     fn unknown_tags_estimate_zero() {
         let c = ctx("<r><a/></r>");
         let q = TpqBuilder::new("missing").build();
-        assert_eq!(estimate_cardinality(&c, &q), 0.0);
+        assert_eq!(estimate(&c, &q), 0.0);
         let mut b = TpqBuilder::new("a");
         b.child(0, "missing");
-        assert_eq!(estimate_cardinality(&c, &b.build()), 0.0);
+        assert_eq!(estimate(&c, &b.build()), 0.0);
     }
 
     #[test]
@@ -189,7 +188,7 @@ mod tests {
         let mut b = TpqBuilder::new("a");
         b.child(0, "b");
         let q = b.build();
-        assert!((estimate_cardinality(&c, &q) - 2.0).abs() < 1e-12);
+        assert!((estimate(&c, &q) - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -197,7 +196,7 @@ mod tests {
         let doc = flexpath_xmark::generate(&flexpath_xmark::XmarkConfig::sized(64 * 1024, 42));
         let c = EngineContext::new(doc);
         let q = flexpath_tpq::parse_query("//item[./description/parlist]").unwrap();
-        let est = estimate_cardinality(&c, &q);
+        let est = estimate(&c, &q);
         let items = c.stats().tag_count(c.resolve_tag("item").unwrap()) as f64;
         assert!(est > 0.0 && est <= items, "est {est}, items {items}");
     }

@@ -7,24 +7,11 @@
 //! (ancestor, descendant) — or (parent, child) — pairs in a single merge
 //! pass with an explicit stack, O(|A| + |D| + |output|).
 
-use crate::parallel::{chunk_ranges, fan_out, ParallelConfig};
-use flexpath_ftsearch::Budget;
 use flexpath_xmldom::{Document, NodeId};
 
 /// All pairs `(a, d)` with `a ∈ ancestors`, `d ∈ descendants`, and `a` a
 /// strict ancestor of `d`. Output is sorted by `(d, a)` grouped per
 /// descendant in stack order (outermost ancestor first).
-pub fn stack_tree_desc(
-    doc: &Document,
-    ancestors: &[NodeId],
-    descendants: &[NodeId],
-) -> Vec<(NodeId, NodeId)> {
-    stack_tree_desc_budgeted(doc, ancestors, descendants, &Budget::unlimited())
-}
-
-/// [`stack_tree_desc`] under a resource [`Budget`]: checkpoints once per
-/// descendant and returns the (document-order) pair prefix joined so far
-/// when the budget trips.
 ///
 /// Descendants that provably produce no pairs are skipped by **galloping**
 /// (exponential probe + binary search) rather than visited one at a time:
@@ -32,11 +19,14 @@ pub fn stack_tree_desc(
 /// ancestor's start position is output-free, so the merge jumps straight
 /// to the first viable descendant in `O(log gap)`. Skipped counts surface
 /// as `engine.join.skipped`; the emitted pair stream is identical.
-pub fn stack_tree_desc_budgeted(
+///
+/// The join takes no [`Budget`](flexpath_ftsearch::Budget): the query path
+/// evaluates through [`crate::exec`], and this primitive's callers (the
+/// reference baseline and the micro-benchmarks) run unbudgeted.
+pub fn stack_tree_desc(
     doc: &Document,
     ancestors: &[NodeId],
     descendants: &[NodeId],
-    budget: &Budget,
 ) -> Vec<(NodeId, NodeId)> {
     let mut out = Vec::new();
     let mut stack: Vec<NodeId> = Vec::new();
@@ -44,9 +34,6 @@ pub fn stack_tree_desc_budgeted(
     let mut di = 0usize;
     let mut skipped = 0u64;
     while di < descendants.len() {
-        if budget.checkpoint() {
-            break;
-        }
         if stack.is_empty() {
             // No open ancestor interval: only a future ancestor can cover
             // the descendants ahead.
@@ -65,10 +52,9 @@ pub fn stack_tree_desc_budgeted(
             }
         }
         let d = descendants[di];
-        // Push every ancestor-candidate that starts before `d`.
-        // lint:allow(governor): `ai` is a monotone cursor — this loop visits
-        // each ancestor once across the whole join, and the enclosing
-        // per-descendant loop checkpoints the budget.
+        // Push every ancestor-candidate that starts before `d` (`ai` is a
+        // monotone cursor — this loop visits each ancestor once across the
+        // whole join).
         while ai < ancestors.len() && doc.start(ancestors[ai]) < doc.start(d) {
             let a = ancestors[ai];
             // Pop candidates that ended before this one starts.
@@ -108,8 +94,6 @@ pub fn stack_tree_desc_budgeted(
 /// galloping: exponential probe to bracket the boundary, then binary
 /// search inside the bracket. `O(log k)` for a skip of `k` — cheap for
 /// short hops, still logarithmic for huge ones.
-// lint:allow(governor): logarithmic probe over an in-memory slice — the
-// caller's per-descendant loop holds the budget checkpoint.
 fn gallop_below(doc: &Document, nodes: &[NodeId], bound: u32) -> usize {
     let mut probe = 1usize;
     while probe < nodes.len() && doc.start(nodes[probe]) < bound {
@@ -118,41 +102,6 @@ fn gallop_below(doc: &Document, nodes: &[NodeId], bound: u32) -> usize {
     let lo = probe >> 1;
     let hi = probe.min(nodes.len());
     lo + nodes[lo..hi].partition_point(|&n| doc.start(n) < bound)
-}
-
-/// [`stack_tree_desc`] fanned out over worker threads.
-///
-/// The descendant list is split into contiguous document-order chunks; each
-/// worker re-runs the merge for its chunk against the full ancestor list.
-/// Because XML intervals nest properly, the ancestors stacked above a given
-/// descendant are a pure function of that descendant — chunk boundaries
-/// cannot change any pair — so concatenating the per-chunk outputs in chunk
-/// order reproduces the sequential `(d, a)`-grouped output exactly.
-///
-/// Each worker's merge rescans the ancestor list from the beginning, so the
-/// total work is `O(W·|A| + |D| + |output|)` for `W` workers: worthwhile
-/// when the descendant side dominates (the common shape for the selective
-/// ancestor lists relaxation produces), and the fan-out is skipped below
-/// [`ParallelConfig::min_round_size`] descendants.
-pub fn stack_tree_desc_parallel(
-    doc: &Document,
-    ancestors: &[NodeId],
-    descendants: &[NodeId],
-    parallel: &ParallelConfig,
-) -> Vec<(NodeId, NodeId)> {
-    let workers = parallel.workers_for_candidates(descendants.len());
-    if workers <= 1 {
-        return stack_tree_desc(doc, ancestors, descendants);
-    }
-    let ranges = chunk_ranges(descendants.len(), workers);
-    let per_chunk = fan_out(ranges.len(), workers, |wi| {
-        stack_tree_desc(doc, ancestors, &descendants[ranges[wi].clone()])
-    });
-    let mut out = Vec::with_capacity(per_chunk.iter().map(Vec::len).sum());
-    for chunk in per_chunk {
-        out.extend(chunk);
-    }
-    out
 }
 
 /// All pairs `(p, c)` with `p ∈ parents`, `c ∈ children`, and `p` the
@@ -255,21 +204,6 @@ mod tests {
         let mut sorted_ds = ds.clone();
         sorted_ds.sort();
         assert_eq!(ds, sorted_ds);
-    }
-
-    #[test]
-    fn parallel_join_reproduces_sequential_output_exactly() {
-        let cfg = flexpath_xmark::XmarkConfig::sized(16 * 1024, 5);
-        let doc = flexpath_xmark::generate(&cfg);
-        let a_list = doc.nodes_with_tag_name("parlist").to_vec();
-        let d_list = doc.nodes_with_tag_name("text").to_vec();
-        let seq = stack_tree_desc(&doc, &a_list, &d_list);
-        for threads in [2, 4, 8] {
-            let mut p = ParallelConfig::with_threads(threads);
-            p.min_round_size = 1;
-            let par = stack_tree_desc_parallel(&doc, &a_list, &d_list, &p);
-            assert_eq!(seq, par, "threads={threads}");
-        }
     }
 
     #[test]

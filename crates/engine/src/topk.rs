@@ -1,7 +1,7 @@
 //! Shared top-K request/result types and execution statistics.
 
 use crate::attr_relax::AttrRelaxation;
-use crate::governor::{CancelToken, Completeness, QueryLimits};
+use crate::governor::{CancelToken, CheckpointSite, Completeness, QueryLimits};
 use crate::hierarchy::TagHierarchy;
 use crate::metrics::QueryTrace;
 use crate::parallel::ParallelConfig;
@@ -19,6 +19,28 @@ pub enum Algorithm {
     Sso,
     /// SSO's single plan + DPO's no-resort property via bucketization.
     Hybrid,
+}
+
+impl Algorithm {
+    /// Stable lowercase key: the trace root's name, the
+    /// `engine.query.<key>` counter and the `engine.skew.<key>` label.
+    pub(crate) fn key(self) -> &'static str {
+        match self {
+            Algorithm::Dpo => "dpo",
+            Algorithm::Sso => "sso",
+            Algorithm::Hybrid => "hybrid",
+        }
+    }
+
+    /// The driver-loop checkpoint (round or pass boundary) at which this
+    /// algorithm observes time-based budget trips.
+    pub(crate) fn checkpoint_site(self) -> CheckpointSite {
+        match self {
+            Algorithm::Dpo => CheckpointSite::DpoRound,
+            Algorithm::Sso => CheckpointSite::SsoPass,
+            Algorithm::Hybrid => CheckpointSite::HybridPass,
+        }
+    }
 }
 
 impl std::fmt::Display for Algorithm {
@@ -163,12 +185,6 @@ pub struct ExecStats {
     pub intermediate_answers: usize,
     /// SSO restarts due to estimate misses.
     pub restarts: usize,
-    /// Elements shifted by score-sorted insertion. Historically SSO's
-    /// resort cost (753 k on the 10 MB workload); structurally zero since
-    /// the bucketized [`crate::order::TopKBuckets`] replaced the sorted
-    /// intermediate list. Kept so benchmark schemas and regression tests
-    /// can assert it stays zero.
-    pub sorted_insert_shifts: u64,
     /// Distinct score/predicate buckets materialized (SSO and Hybrid).
     pub buckets: usize,
     /// Answers pruned by the score threshold (maxScoreGrowth pruning).
@@ -211,12 +227,6 @@ impl TopKResult {
             completeness: Completeness::Complete,
             trace: None,
         }
-    }
-
-    /// Attaches a trace (builder-style, used by the algorithms).
-    pub fn with_trace(mut self, trace: Option<QueryTrace>) -> Self {
-        self.trace = trace;
-        self
     }
 
     /// Answer nodes in rank order.

@@ -79,8 +79,10 @@ const DETERMINISM_ENGINE: &[&str] = &[
     "schedule.rs",
     "score.rs",
     "dpo.rs",
-    "sso.rs",
-    "hybrid.rs",
+    "single_pass.rs",
+    // The shared run prologue/epilogue reads the wall clock for duration
+    // stats and writes the trace root.
+    "run.rs",
     "exec.rs",
     "structural_join.rs",
     "metrics.rs",
@@ -90,13 +92,7 @@ const DETERMINISM_ENGINE: &[&str] = &[
 ];
 
 /// Engine modules whose loops must observe the governor.
-const GOVERNOR_ENGINE: &[&str] = &[
-    "exec.rs",
-    "structural_join.rs",
-    "dpo.rs",
-    "sso.rs",
-    "hybrid.rs",
-];
+const GOVERNOR_ENGINE: &[&str] = &["exec.rs", "dpo.rs", "single_pass.rs"];
 
 /// xmldom modules that decode raw bytes (indexing rule applies).
 const INDEXING_XMLDOM: &[&str] = &["wire.rs", "codec.rs", "parser.rs", "events.rs"];

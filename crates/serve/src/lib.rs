@@ -36,7 +36,7 @@
 //! | `/query` | POST | Run a top-K query; JSON results, optional trace |
 //! | `/explain` | POST | EXPLAIN ANALYZE (text) for a query |
 //! | `/catalogs` | GET | List store documents (+ quarantined files) |
-//! | `/metrics` | GET | Prometheus text exposition (`?format=json` / `?format=text`) |
+//! | `/metrics` | GET | Prometheus text exposition (`?format=json` for the snapshot) |
 //! | `/healthz` | GET | Liveness: sessions, in-flight, concurrency, uptime |
 //! | `/version` | GET | Build info, uptime, drain state, recorder config |
 //! | `/debug/queries` | GET | Flight recorder: last completed queries (`?n=`) |

@@ -175,14 +175,11 @@ fn version(ctx: &RouteContext<'_>) -> Response {
 
 /// `/metrics`: Prometheus text exposition by default (`# TYPE`d counters
 /// and cumulative `_bucket`/`_sum`/`_count` histograms); `?format=json`
-/// keeps the machine-readable snapshot and `?format=text` the legacy flat
-/// listing.
+/// returns the machine-readable snapshot.
 fn metrics_endpoint(req: &Request) -> Response {
     let snapshot = metrics::global().snapshot();
     if req.query.split('&').any(|kv| kv == "format=json") {
         Response::json(200, snapshot.render_json())
-    } else if req.query.split('&').any(|kv| kv == "format=text") {
-        Response::text(200, snapshot.render_text())
     } else {
         Response::text(200, snapshot.render_prometheus())
     }
@@ -797,8 +794,6 @@ mod tests {
         assert!(prom.contains("serve_requests"), "{prom}");
         let mj = dispatch(&ctx, &get("/metrics", "format=json"));
         assert!(json::parse(&mj.body).is_ok());
-        let mt = dispatch(&ctx, &get("/metrics", "format=text"));
-        assert_eq!(mt.status, 200);
         let cats = dispatch(&ctx, &get("/catalogs", ""));
         assert_eq!(cats.status, 200);
         let explain = dispatch(

@@ -51,13 +51,12 @@ fn main() {
             let dt = t.elapsed();
             println!(
                 "   {alg:<6} {:>6.2?}  answers={:<4} relaxations={:<2} evals={:<2} \
-                 intermediates={:<6} shifts={:<7} buckets={}",
+                 intermediates={:<6} buckets={}",
                 dt,
                 r.hits.len(),
                 r.stats.relaxations_used,
                 r.stats.evaluations,
                 r.stats.intermediate_answers,
-                r.stats.sorted_insert_shifts,
                 r.stats.buckets,
             );
         }

@@ -749,13 +749,12 @@ fn main() -> ExitCode {
         let s = &results.stats;
         println!(
             "\nstats: algorithm={} relaxations={} evaluations={} intermediates={} \
-             pruned={} shifts={} buckets={} restarts={}",
+             pruned={} buckets={} restarts={}",
             results.algorithm,
             s.relaxations_used,
             s.evaluations,
             s.intermediate_answers,
             s.pruned,
-            s.sorted_insert_shifts,
             s.buckets,
             s.restarts
         );

@@ -133,7 +133,7 @@ fn example_1_score_arithmetic() {
     assert!(penalty > 0.0);
     // Every component is within its unit weight.
     for p in &dropped {
-        let pi = model.penalty(flex.context(), p);
+        let pi = model.penalty(flex.context(), p, &flexpath::Budget::unlimited());
         assert!((0.0..=1.0).contains(&pi), "π({p}) = {pi}");
     }
     // The noAlgorithm article is a Q5-but-not-Q4 answer: its reported score

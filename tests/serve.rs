@@ -5,12 +5,14 @@
 //! drain that finishes in-flight work while shedding new work — all
 //! without ever poisoning the shared session.
 
+mod common;
+
+use common::ScratchDir;
 use flexpath::FleXPath;
 use flexpath_serve::{http_call, Client, ServePolicy, Server, ServerHandle, ServerState};
 use flexpath_xmark::{generate, XmarkConfig};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -18,25 +20,20 @@ const QUERY: &str = "//item[./description/parlist and ./mailbox/mail/text]";
 
 const TIMEOUT: Duration = Duration::from_secs(5);
 
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("flexpath-serve-e2e-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 /// A running server over an in-memory XMark session, plus the bits a test
 /// needs to talk to it and shut it down.
 struct Harness {
     addr: SocketAddr,
     handle: ServerHandle,
     join: Option<std::thread::JoinHandle<()>>,
-    dir: PathBuf,
+    /// The catalog directory; removed after `Drop::drop` stopped the server.
+    _dir: ScratchDir,
 }
 
 impl Harness {
     fn start(tag: &str, policy: ServePolicy) -> Harness {
-        let dir = temp_dir(tag);
-        let state = ServerState::open(&dir).expect("catalog opens");
+        let dir = ScratchDir::new(tag);
+        let state = ServerState::open(dir.path()).expect("catalog opens");
         let flex = FleXPath::new(generate(&XmarkConfig::sized(64 * 1024, 41)));
         // Save to the catalog so /catalogs lists it, and inject the
         // already-built session so tests don't pay a reload.
@@ -59,7 +56,7 @@ impl Harness {
             addr,
             handle,
             join: Some(join),
-            dir,
+            _dir: dir,
         }
     }
 
@@ -85,7 +82,6 @@ impl Drop for Harness {
         if let Some(join) = self.join.take() {
             join.join().expect("server thread exits cleanly");
         }
-        let _ = std::fs::remove_dir_all(&self.dir);
     }
 }
 
@@ -254,11 +250,8 @@ fn malformed_http_maps_to_typed_statuses() {
 
 #[test]
 fn flight_recorder_and_metrics_endpoints_e2e() {
-    let slow_log = std::env::temp_dir().join(format!(
-        "flexpath-serve-e2e-slowlog-{}.jsonl",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_file(&slow_log);
+    let log_dir = ScratchDir::new("serve-slowlog");
+    let slow_log = log_dir.path().join("slow.jsonl");
     let mut policy = ServePolicy::for_tests();
     // for_tests() sets a zero slow threshold, so *every* completed query
     // counts as slow — deterministic coverage for /debug/slow and the log.
@@ -319,8 +312,6 @@ fn flight_recorder_and_metrics_endpoints_e2e() {
     let text = resp.body_text();
     assert!(text.contains("serve_debug_recorded"), "{text}");
     assert_prometheus_parses(&text);
-
-    let _ = std::fs::remove_file(&slow_log);
 }
 
 /// A minimal Prometheus text-exposition parser (mirrors the one in

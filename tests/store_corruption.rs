@@ -10,6 +10,9 @@
 //! the open, and the first touch must surface a typed checksum error
 //! through `try_execute` — never a panic.
 
+mod common;
+
+use common::ScratchDir;
 use flexpath::{Budget, Catalog, CorpusStore, EngineError, FleXPath, SourceErrorKind, StoreError};
 use flexpath_store::{FORMAT_VERSION, MAGIC};
 use std::ops::Range;
@@ -24,21 +27,15 @@ const XML: &str = r#"<site>
     </description></item>
 </site>"#;
 
-fn temp_dir(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("flexpath-corruption-{tag}-{}", std::process::id()))
-}
-
 /// A healthy store file for the tests to damage.
 fn store_bytes() -> Vec<u8> {
-    let dir = temp_dir("seed");
-    let path = dir.join("doc.fxs");
+    let dir = ScratchDir::new("corruption-seed");
+    let path = dir.path().join("doc.fxs");
     FleXPath::from_xml(XML)
         .expect("corpus parses")
         .save(&path, "doc")
         .expect("store saves");
-    let bytes = std::fs::read(&path).expect("store file readable");
-    let _ = std::fs::remove_dir_all(&dir);
-    bytes
+    std::fs::read(&path).expect("store file readable")
 }
 
 fn decode(bytes: &[u8]) -> Result<CorpusStore, StoreError> {
@@ -169,14 +166,13 @@ fn flipped_byte_in_each_section_names_that_section() {
     }
 }
 
-/// Writes a (possibly damaged) image to a fresh temp file and returns the
-/// path; the caller removes the directory.
-fn write_store(tag: &str, bytes: &[u8]) -> PathBuf {
-    let dir = temp_dir(tag);
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("doc.fxs");
+/// Writes a (possibly damaged) image to a fresh scratch directory and
+/// returns it with the file's path; dropping the directory removes both.
+fn write_store(tag: &str, bytes: &[u8]) -> (ScratchDir, PathBuf) {
+    let dir = ScratchDir::new(tag);
+    let path = dir.path().join("doc.fxs");
     std::fs::write(&path, bytes).expect("write store");
-    path
+    (dir, path)
 }
 
 #[test]
@@ -188,7 +184,7 @@ fn lazy_open_tolerates_corruption_in_untouched_sections() {
     let postings = section_range(&bytes, 6);
     let mut bad = bytes.clone();
     bad[postings.start + postings.len() / 2] ^= 0xff;
-    let path = write_store("lazy-postings", &bad);
+    let (_dir, path) = write_store("lazy-postings", &bad);
 
     let flex = FleXPath::open(&path).expect("lazy open ignores untouched damage");
     let hits = flex
@@ -223,7 +219,6 @@ fn lazy_open_tolerates_corruption_in_untouched_sections() {
         .top(5)
         .try_execute()
         .is_err());
-    let _ = std::fs::remove_dir_all(path.parent().unwrap());
 }
 
 #[test]
@@ -235,7 +230,7 @@ fn lazy_first_structural_touch_surfaces_document_damage() {
     let elems = section_range(&bytes, 3);
     let mut bad = bytes.clone();
     bad[elems.start + elems.len() / 2] ^= 0xff;
-    let path = write_store("lazy-elems", &bad);
+    let (_dir, path) = write_store("lazy-elems", &bad);
 
     let flex = FleXPath::open(&path).expect("open validates only header + meta");
     let err = flex
@@ -253,7 +248,6 @@ fn lazy_first_structural_touch_surfaces_document_damage() {
     }
     // The fallible document accessor reports the same typed failure.
     assert!(flex.try_document().is_err());
-    let _ = std::fs::remove_dir_all(path.parent().unwrap());
 }
 
 #[test]
@@ -264,18 +258,17 @@ fn eager_open_still_rejects_any_section_damage_up_front() {
     let postings = section_range(&bytes, 6);
     let mut bad = bytes.clone();
     bad[postings.start + postings.len() / 2] ^= 0xff;
-    let path = write_store("eager-postings", &bad);
+    let (_dir, path) = write_store("eager-postings", &bad);
     assert!(matches!(
         FleXPath::open_eager(&path),
         Err(StoreError::ChecksumMismatch { .. })
     ));
-    let _ = std::fs::remove_dir_all(path.parent().unwrap());
 }
 
 #[test]
 fn on_disk_garbage_and_truncation_are_typed_through_open() {
-    let dir = temp_dir("disk");
-    std::fs::create_dir_all(&dir).expect("temp dir");
+    let scratch = ScratchDir::new("corruption-disk");
+    let dir = scratch.path();
     let garbage = dir.join("garbage.fxs");
     std::fs::write(&garbage, b"this is not a store file").expect("write");
     assert!(matches!(
@@ -291,7 +284,6 @@ fn on_disk_garbage_and_truncation_are_typed_through_open() {
             let _ = format!("{e}");
         }
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -304,8 +296,8 @@ fn catalog_listing_quarantines_damaged_entries() {
     // meta section — that is what keeps it cheap — so the damage here is
     // aimed at that region; payload damage is caught at load time, see
     // the flip/truncation sweeps above.)
-    let dir = temp_dir("quarantine");
-    std::fs::create_dir_all(&dir).expect("temp dir");
+    let scratch = ScratchDir::new("corruption-quarantine");
+    let dir = scratch.path();
     let bytes = store_bytes();
     std::fs::write(dir.join("healthy.fxs"), &bytes).expect("write healthy");
     std::fs::write(dir.join("truncated.fxs"), &bytes[..20]).expect("write truncated");
@@ -316,7 +308,7 @@ fn catalog_listing_quarantines_damaged_entries() {
     // Non-.fxs files are not the catalog's business at all.
     std::fs::write(dir.join("notes.txt"), b"ignore me").expect("write notes");
 
-    let catalog = Catalog::open(&dir).expect("catalog opens");
+    let catalog = Catalog::open(dir).expect("catalog opens");
     let report = catalog.list_report().expect("listing survives corruption");
     assert_eq!(report.entries.len(), 1, "only the healthy store lists");
     assert_eq!(report.entries[0].meta.name, "doc");
@@ -340,5 +332,4 @@ fn catalog_listing_quarantines_damaged_entries() {
     // loads (by file name — the meta name inside is "doc").
     let store = catalog.load("healthy").expect("healthy store loads");
     assert_eq!(store.name(), "doc");
-    let _ = std::fs::remove_dir_all(&dir);
 }

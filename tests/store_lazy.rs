@@ -6,6 +6,9 @@
 //! A memory-mapped reader must also survive the catalog's atomic
 //! temp-and-rename replace: the old session keeps serving the old bytes.
 
+mod common;
+
+use common::ScratchDir;
 use flexpath::{Catalog, FleXPath};
 use flexpath_store::{StoreBuilder, FORMAT_V1};
 use std::path::PathBuf;
@@ -28,18 +31,16 @@ const QUERIES: &[&str] = &[
     r#"//item[./description[.contains("gold" and "watch")]]"#,
 ];
 
-fn temp_dir(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("flexpath-lazy-{tag}-{}", std::process::id()))
-}
-
-fn saved_store(tag: &str) -> PathBuf {
-    let dir = temp_dir(tag);
-    let path = dir.join("doc.fxs");
+/// The corpus saved into a fresh scratch directory: the directory (its
+/// drop removes the file) and the store's path.
+fn saved_store(tag: &str) -> (ScratchDir, PathBuf) {
+    let dir = ScratchDir::new(tag);
+    let path = dir.path().join("doc.fxs");
     FleXPath::from_xml(XML)
         .expect("corpus parses")
         .save(&path, "doc")
         .expect("store saves");
-    path
+    (dir, path)
 }
 
 /// Runs `query` on `flex` with `threads` workers and returns the ranked
@@ -66,7 +67,7 @@ fn run(flex: &FleXPath, query: &str, threads: usize) -> (Vec<(u32, u64, u64)>, S
 
 #[test]
 fn lazy_and_eager_sessions_answer_byte_identically_at_every_thread_count() {
-    let path = saved_store("equiv");
+    let (_dir, path) = saved_store("lazy-equiv");
     let lazy = FleXPath::open(&path).expect("lazy open");
     let eager = FleXPath::open_eager(&path).expect("eager open");
     for query in QUERIES {
@@ -84,12 +85,11 @@ fn lazy_and_eager_sessions_answer_byte_identically_at_every_thread_count() {
             assert!(!lazy_hits.is_empty(), "query {query:?} must match");
         }
     }
-    let _ = std::fs::remove_dir_all(path.parent().unwrap());
 }
 
 #[test]
 fn residency_progresses_with_what_queries_touch() {
-    let path = saved_store("residency");
+    let (_dir, path) = saved_store("lazy-residency");
     let flex = FleXPath::open(&path).expect("lazy open");
     let r = flex.residency();
     assert!(
@@ -119,7 +119,6 @@ fn residency_progresses_with_what_queries_touch() {
         .hits;
     assert!(!hits.is_empty());
     assert!(flex.residency().index, "full-text touch decodes the index");
-    let _ = std::fs::remove_dir_all(path.parent().unwrap());
 }
 
 #[test]
@@ -128,8 +127,8 @@ fn v1_files_open_eagerly_and_answer_like_v2() {
     // an old build would have written it) must open through the same
     // `FleXPath::open` entry point, decode everything up front, and
     // answer byte-identically to the v2 image.
-    let dir = temp_dir("v1compat");
-    std::fs::create_dir_all(&dir).expect("temp dir");
+    let scratch = ScratchDir::new("lazy-v1compat");
+    let dir = scratch.path();
     let flex = FleXPath::from_xml(XML).expect("corpus parses");
     let ctx = flex.context();
     let v1_path = dir.join("v1.fxs");
@@ -159,7 +158,6 @@ fn v1_files_open_eagerly_and_answer_like_v2() {
             );
         }
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -169,8 +167,8 @@ fn open_sessions_survive_atomic_replace() {
     // mmap or an owned buffer — either way the unlinked inode stays alive
     // until unmapped) and must keep answering from them; a session opened
     // after sees the new document. No torn reads, no crashes.
-    let dir = temp_dir("replace");
-    let catalog = Catalog::open(&dir).expect("catalog opens");
+    let scratch = ScratchDir::new("lazy-replace");
+    let catalog = Catalog::open(scratch.path()).expect("catalog opens");
     let old = FleXPath::from_xml(XML).expect("corpus parses");
     let old_ctx = old.context();
     catalog
@@ -229,5 +227,4 @@ fn open_sessions_survive_atomic_replace() {
         1,
         "post-replace session sees the new document"
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }

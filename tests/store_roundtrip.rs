@@ -4,9 +4,11 @@
 //! across every algorithm, every ranking scheme, and both serial and
 //! parallel execution.
 
+mod common;
+
+use common::ScratchDir;
 use flexpath::{Algorithm, FleXPath, RankingScheme};
 use flexpath_xmark::{generate, XmarkConfig};
-use std::path::PathBuf;
 
 const QUERY: &str = "//item[./description/parlist and ./mailbox/mail/text]";
 
@@ -17,12 +19,6 @@ const SCHEMES: [RankingScheme; 3] = [
     RankingScheme::Combined,
 ];
 const THREADS: [usize; 2] = [1, 4];
-
-fn temp_path(tag: &str) -> PathBuf {
-    std::env::temp_dir()
-        .join(format!("flexpath-roundtrip-{}", std::process::id()))
-        .join(format!("{tag}.fxs"))
-}
 
 /// `(nodes, scores-debug, fingerprint)` of one run — everything a caller
 /// can observe about the ranking.
@@ -51,7 +47,8 @@ fn observe(
 fn saved_and_loaded_sessions_are_observationally_identical() {
     for (i, bytes) in [48 * 1024usize, 192 * 1024, 512 * 1024].iter().enumerate() {
         let built = FleXPath::new(generate(&XmarkConfig::sized(*bytes, 1)));
-        let path = temp_path(&format!("size-{i}"));
+        let dir = ScratchDir::new("roundtrip-size");
+        let path = dir.path().join(format!("size-{i}.fxs"));
         built.save(&path, "roundtrip").expect("store saves");
         let loaded = FleXPath::open(&path).expect("store opens");
         assert!(loaded.store_trace().is_some(), "load span must be exposed");
@@ -73,7 +70,6 @@ fn saved_and_loaded_sessions_are_observationally_identical() {
                 }
             }
         }
-        let _ = std::fs::remove_dir_all(path.parent().expect("parent"));
     }
 }
 
@@ -82,12 +78,12 @@ fn save_is_deterministic_across_sessions() {
     // Two independent builds of the same corpus must serialize to the very
     // same bytes — the property the golden-file drift check relies on.
     let doc = || generate(&XmarkConfig::sized(64 * 1024, 7));
-    let p1 = temp_path("det-1");
-    let p2 = temp_path("det-2");
+    let dir = ScratchDir::new("roundtrip-det");
+    let p1 = dir.path().join("det-1.fxs");
+    let p2 = dir.path().join("det-2.fxs");
     FleXPath::new(doc()).save(&p1, "same").expect("save 1");
     FleXPath::new(doc()).save(&p2, "same").expect("save 2");
     let b1 = std::fs::read(&p1).expect("read 1");
     let b2 = std::fs::read(&p2).expect("read 2");
     assert_eq!(b1, b2, "store serialization must be deterministic");
-    let _ = std::fs::remove_dir_all(p1.parent().expect("parent"));
 }
