@@ -118,7 +118,7 @@ pub const FIGURES: [FigureSpec; 14] = [
     },
     FigureSpec {
         id: "store_coldstart",
-        title: "Cold start: parse+index from XML vs CorpusStore::open (1/10/100MB)",
+        title: "Cold start: parse+index from XML vs store open + materialize (1/10/100MB)",
     },
 ];
 
@@ -286,8 +286,8 @@ fn threads_scaling(scale: f64, repeats: usize) -> Series {
 
 /// Cold-start elimination: per document size, median wall-clock of a full
 /// in-memory build (XML parse + statistics + inverted index) vs restoring
-/// the same session eagerly (`FleXPath::open_eager` — every section
-/// decoded and CRC-verified at open) vs the lazy v2 open
+/// the same session eagerly (`FleXPath::open` + `materialize(true)` —
+/// every section decoded and CRC-verified up front) vs the lazy v2 open
 /// (`FleXPath::open` — header + meta validated, sections decoded on
 /// first touch, so the open itself is O(ms) regardless of store size).
 /// All three sessions answer a verification query identically
@@ -297,13 +297,13 @@ fn store_coldstart(scale: f64, repeats: usize) -> Series {
     use crate::workload::bench_config;
     use flexpath_xmark::generate;
 
-    let dir = std::env::temp_dir().join(format!("flexpath-bench-coldstart-{}", std::process::id()));
+    let dir = crate::scratch::ScratchDir::new("bench-coldstart");
     let mut rows = Vec::new();
     for mb in [1.0, 10.0, 100.0] {
         let bytes = scaled(mb, scale);
         let doc = generate(&bench_config(bytes));
         let xml = flexpath_xmldom::to_xml_string(&doc);
-        let path = dir.join(format!("coldstart-{bytes}.fxs"));
+        let path = dir.path().join(format!("coldstart-{bytes}.fxs"));
         let file_bytes = FleXPath::new(doc)
             .save(&path, "coldstart")
             .expect("benchmark store saves");
@@ -339,7 +339,9 @@ fn store_coldstart(scale: f64, repeats: usize) -> Series {
         let load_times: Vec<f64> = (0..repeats.max(1))
             .map(|_| {
                 let t = Instant::now();
-                loaded = Some(FleXPath::open_eager(&path).expect("benchmark store opens"));
+                let flex = FleXPath::open(&path).expect("benchmark store opens");
+                flex.materialize(true).expect("benchmark store decodes");
+                loaded = Some(flex);
                 t.elapsed().as_secs_f64() * 1e3
             })
             .collect();
@@ -404,7 +406,6 @@ fn store_coldstart(scale: f64, repeats: usize) -> Series {
             ],
         });
     }
-    let _ = std::fs::remove_dir_all(&dir);
     Series {
         id: "store_coldstart".into(),
         title: "Cold start — XML parse+index vs eager store open vs lazy mmap open (same answers)"

@@ -26,5 +26,10 @@ pub mod report;
 pub mod serve_load;
 pub mod workload;
 
+/// The workspace's one RAII scratch directory (`tests/common/mod.rs`) —
+/// not test-only here: the coldstart and serve-load figures write stores.
+#[path = "../../../tests/common/mod.rs"]
+mod scratch;
+
 pub use harness::{run_figure, run_once, run_once_threads, FigureSpec, RunRecord, Series};
 pub use workload::{bench_config, bench_session, QUERIES, XQ1, XQ2, XQ3};

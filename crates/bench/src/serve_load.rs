@@ -149,9 +149,8 @@ pub fn run(scale: f64) -> LoadReport {
     };
     let max_concurrent_queries = policy.max_concurrent_queries;
 
-    let dir = std::env::temp_dir().join(format!("flexpath-serve-load-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let state = ServerState::open(&dir).expect("catalog opens");
+    let dir = crate::scratch::ScratchDir::new("serve-load");
+    let state = ServerState::open(dir.path()).expect("catalog opens");
     state.insert_session(
         "doc",
         FleXPath::new(generate(&XmarkConfig::sized(corpus_bytes, 7))),
@@ -170,7 +169,6 @@ pub fn run(scale: f64) -> LoadReport {
 
     handle.shutdown();
     let _ = server_thread.join();
-    let _ = std::fs::remove_dir_all(&dir);
     LoadReport {
         corpus_bytes,
         max_concurrent_queries,

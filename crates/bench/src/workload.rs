@@ -90,7 +90,7 @@ pub fn store_backed_session(
     let catalog = Catalog::open(dir)?;
     let name = store_document_name(target_bytes);
     if catalog.contains(&name) {
-        return Ok(FleXPath::from_store(catalog.load(&name)?));
+        return Ok(FleXPath::from_lazy_store(catalog.open_lazy(&name)?));
     }
     let flex = FleXPath::new(generate(&bench_config(target_bytes)));
     let ctx = flex.context();
@@ -133,14 +133,11 @@ mod tests {
 
     #[test]
     fn store_backed_session_matches_in_memory_build() {
-        let dir = std::env::temp_dir().join(format!(
-            "flexpath-bench-workload-test-{}",
-            std::process::id()
-        ));
+        let dir = crate::scratch::ScratchDir::new("bench-workload");
         let bytes = 128 * 1024;
         // First call indexes and saves; second call loads from the store.
-        let built = store_backed_session(&dir, bytes).unwrap();
-        let loaded = store_backed_session(&dir, bytes).unwrap();
+        let built = store_backed_session(dir.path(), bytes).unwrap();
+        let loaded = store_backed_session(dir.path(), bytes).unwrap();
         assert!(
             loaded.store_trace().is_some(),
             "second call must come from the store"
@@ -151,7 +148,6 @@ mod tests {
             (nodes, r.trace.unwrap().counter_fingerprint())
         };
         assert_eq!(run(&built), run(&loaded));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,17 +1,15 @@
 //! The FleXPath session and query-builder API.
 
-use flexpath_engine::Budget;
 use flexpath_engine::{
     dpo_topk, hybrid_topk, sso_topk, Algorithm, Answer, AttrRelaxation, CancelToken, Completeness,
-    ContextSource, EngineContext, EngineError, ExecStats, ParallelConfig, QueryLimits, QueryTrace,
-    RankingScheme, SourceError, SourceResidency, TagHierarchy, TopKRequest, TopKResult, TraceSpan,
-    WeightAssignment,
+    EngineContext, EngineError, ExecStats, ParallelConfig, QueryLimits, QueryTrace, RankingScheme,
+    SourceResidency, TagHierarchy, TopKRequest, TopKResult, TraceSpan, WeightAssignment,
 };
 use flexpath_ftsearch::{highlight, HighlightStyle, Thesaurus};
-use flexpath_store::{CorpusStore, LazyStore, StoreBuilder, StoreError};
+use flexpath_store::{LazyStore, StoreBuilder, StoreError};
 use flexpath_tpq::{parse_query_weighted, QueryParseError, Tpq};
 use flexpath_xmldom::{
-    parse as parse_xml, to_xml_string, DocStats, Document, NodeId, ParseError, ParseErrorKind,
+    parse as parse_xml, to_xml_string, Document, NodeId, ParseError, ParseErrorKind,
 };
 use std::path::Path;
 use std::sync::Arc;
@@ -27,38 +25,12 @@ use std::time::Duration;
 /// CRC-verified and decoded on first touch.
 pub struct FleXPath {
     ctx: EngineContext,
-    /// The `store.open` span when this session was loaded from a store.
-    /// Deliberately *not* spliced into query traces: answers and
-    /// `counter_fingerprint()`s must be identical across the parse and
-    /// load paths.
-    store_trace: Option<TraceSpan>,
-    /// The backing lazy store when opened via [`FleXPath::open`] /
-    /// [`FleXPath::from_lazy_store`] — shared with the engine context's
-    /// source. Lets the session layer reach store-typed state (version,
-    /// residency, typed errors for `save`) that the engine cannot name.
+    /// The backing store when opened via [`FleXPath::open`] /
+    /// [`FleXPath::from_lazy_store`] — the same `Arc` the engine context
+    /// reads from. Lets the session layer reach store-typed state
+    /// (version, mapping, typed errors for `save`) that the engine cannot
+    /// name.
     lazy: Option<Arc<LazyStore>>,
-}
-
-/// Adapter sharing one [`LazyStore`] between the engine context (as its
-/// [`ContextSource`]) and the session (for store-typed accessors).
-struct SharedSource(Arc<LazyStore>);
-
-impl ContextSource for SharedSource {
-    fn load_document(&self) -> Result<&Document, SourceError> {
-        self.0.load_document()
-    }
-
-    fn load_stats(&self) -> Result<&DocStats, SourceError> {
-        self.0.load_stats()
-    }
-
-    fn load_index(&self) -> Result<&flexpath_ftsearch::InvertedIndex, SourceError> {
-        self.0.load_index()
-    }
-
-    fn residency(&self) -> SourceResidency {
-        self.0.residency()
-    }
 }
 
 impl FleXPath {
@@ -66,7 +38,6 @@ impl FleXPath {
     pub fn new(doc: Document) -> Self {
         FleXPath {
             ctx: EngineContext::new(doc),
-            store_trace: None,
             lazy: None,
         }
     }
@@ -123,58 +94,29 @@ impl FleXPath {
         Ok(Self::from_lazy_store(LazyStore::open(path)?))
     }
 
-    /// [`FleXPath::open`] under a governor [`Budget`]: the load charges
-    /// the file's bytes against the memory cap and the index's posting
-    /// entries against the postings cap up front, bounding what the
-    /// session may eventually materialize.
-    pub fn open_budgeted(path: &Path, budget: &Budget) -> Result<Self, StoreError> {
-        Ok(Self::from_lazy_store(LazyStore::open_budgeted(
-            path, budget,
-        )?))
-    }
-
-    /// [`FleXPath::open`] via the historical eager path: every section is
-    /// CRC-verified and decoded before this returns. Kept for callers that
-    /// prefer open-time validation over open-time speed (and as the
-    /// baseline the coldstart benchmark compares against).
-    pub fn open_eager(path: &Path) -> Result<Self, StoreError> {
-        Ok(Self::from_store(CorpusStore::open(path)?))
-    }
-
-    /// Wraps an already-loaded [`CorpusStore`] (e.g. one fetched from a
-    /// [`flexpath_store::Catalog`]) in a session.
-    pub fn from_store(store: CorpusStore) -> Self {
-        let trace = store.load_trace().clone();
-        let (doc, stats, index) = store.into_parts();
-        FleXPath {
-            ctx: EngineContext::from_parts(doc, stats, index),
-            store_trace: Some(trace),
-            lazy: None,
-        }
-    }
-
-    /// Wraps a lazily-opened [`LazyStore`] (e.g. from
-    /// [`flexpath_store::Catalog::open_lazy`]) in a session. Nothing is
-    /// decoded yet for v2 stores; use [`FleXPath::materialize`] or the
-    /// fallible query path ([`TopKQuery::try_execute`]) to surface
-    /// first-touch corruption as typed errors instead of panics.
+    /// Wraps an opened [`LazyStore`] (e.g. from
+    /// [`flexpath_store::Catalog::open_lazy`]) in a session — the one way
+    /// a store-backed session is built. Nothing is decoded yet for v2
+    /// stores; use [`FleXPath::materialize`] or the fallible query path
+    /// ([`TopKQuery::try_execute`]) to surface first-touch corruption as
+    /// typed errors instead of panics. A caller that prefers open-time
+    /// validation over open-time speed calls `materialize(true)` right
+    /// after opening.
     pub fn from_lazy_store(store: LazyStore) -> Self {
-        let trace = store.load_trace().clone();
         let store = Arc::new(store);
         FleXPath {
-            ctx: EngineContext::from_source(Box::new(SharedSource(store.clone()))),
-            store_trace: Some(trace),
+            ctx: EngineContext::from_source(store.clone()),
             lazy: Some(store),
         }
     }
 
-    /// The backing lazy store, when this session was opened lazily.
+    /// The backing store, when this session was opened from one.
     pub fn lazy_store(&self) -> Option<&LazyStore> {
         self.lazy.as_deref()
     }
 
     /// Which parts of the session are materialized (always everything for
-    /// sessions built from XML or opened eagerly).
+    /// sessions built from XML).
     pub fn residency(&self) -> SourceResidency {
         self.ctx.residency()
     }
@@ -190,8 +132,9 @@ impl FleXPath {
 
     /// Persists this session's document, statistics, and index to `path`
     /// in the store format, under the logical name `name`. Returns the
-    /// number of bytes written. For lazy sessions this materializes all
-    /// parts first (reporting store faults as typed errors).
+    /// number of bytes written. For store-backed sessions this
+    /// materializes all parts first (reporting store faults as typed
+    /// errors).
     pub fn save(&self, path: &Path, name: &str) -> Result<u64, StoreError> {
         if let Some(store) = &self.lazy {
             store.document()?;
@@ -204,9 +147,11 @@ impl FleXPath {
 
     /// The `store.open` trace span when this session was restored from a
     /// store (bytes, node/term counts, load wall time); `None` for
-    /// sessions built from XML.
+    /// sessions built from XML. Deliberately *not* spliced into query
+    /// traces: answers and `counter_fingerprint()`s must be identical
+    /// across the parse and load paths.
     pub fn store_trace(&self) -> Option<&TraceSpan> {
-        self.store_trace.as_ref()
+        self.lazy.as_deref().map(LazyStore::load_trace)
     }
 
     /// The underlying engine context (document, stats, index).
@@ -728,9 +673,8 @@ mod tests {
 
     #[test]
     fn save_then_open_reproduces_answers_and_fingerprints() {
-        let dir = std::env::temp_dir().join(format!("flexpath-session-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let path = dir.join("corpus.fxs");
+        let dir = crate::scratch::ScratchDir::new("session");
+        let path = dir.path().join("corpus.fxs");
 
         let built = FleXPath::from_xml(CORPUS).unwrap();
         built.save(&path, "corpus").unwrap();
@@ -770,12 +714,12 @@ mod tests {
                 "{alg}"
             );
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn open_missing_file_is_a_typed_error() {
-        let missing = std::env::temp_dir().join("flexpath-definitely-missing.fxs");
+        let dir = crate::scratch::ScratchDir::new("session-missing");
+        let missing = dir.path().join("missing.fxs");
         assert!(matches!(FleXPath::open(&missing), Err(StoreError::Io(_))));
     }
 }

@@ -108,8 +108,9 @@ impl AttrRelaxation {
         };
         let mut strict = 0u64;
         let mut relaxed = 0u64;
-        for &n in ctx.doc().nodes_with_tag(tag) {
-            let actual = ctx.doc().attribute(n, attr);
+        let doc = ctx.doc();
+        for &n in doc.nodes_with_tag(tag) {
+            let actual = doc.attribute(n, attr);
             if self.satisfies_relaxed(pred, actual) {
                 relaxed += 1;
                 if pred.eval(actual) {

@@ -6,15 +6,16 @@
 //! the document in order to obtain counts of the various types of nodes and
 //! edges").
 //!
-//! Two backing modes exist. An **owned** context holds the decoded parts
-//! directly (the parse/build path and the eager store path). A **lazy**
-//! context borrows them on demand from a [`ContextSource`] — the
-//! memory-mapped store — which decodes each part at most once, on first
-//! touch, and reports failures as typed [`SourceError`]s. Callers that can
-//! observe a lazy source (the session layer, the server) materialize the
-//! parts they need up front via [`EngineContext::ensure_ready`] and handle
-//! the error; after that, the infallible accessors are guaranteed to
-//! succeed and the hot paths stay branch-light.
+//! A context has one shape: it reads its parts from a [`ContextSource`].
+//! The memory-mapped store is a source that decodes each part at most
+//! once, on first touch, and reports failures as typed [`SourceError`]s;
+//! an in-memory corpus ([`EngineContext::new`]) is a source whose parts
+//! are already resident and whose loads cannot fail. Callers that can
+//! observe a store-backed source (the session layer, the server)
+//! materialize the parts they need up front via
+//! [`EngineContext::ensure_ready`] and handle the error; after that, the
+//! infallible accessors are guaranteed to succeed. The evaluator resolves
+//! the document once per run, so no candidate loop calls into the source.
 
 use flexpath_ftsearch::{
     Budget, CacheStats, FtEval, FtExpr, InvertedIndex, ScoringModel, ShardedCache,
@@ -69,8 +70,8 @@ impl std::fmt::Display for SourceError {
 impl std::error::Error for SourceError {}
 
 /// Which parts a [`ContextSource`] has already materialized (all `true`
-/// for owned contexts). Surfaced per-session by the server so operators
-/// can see what a lazy open has actually paid for.
+/// for in-memory corpora). Surfaced per-session by the server so
+/// operators can see what a lazy open has actually paid for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SourceResidency {
     /// The document arena is decoded and resident.
@@ -82,7 +83,7 @@ pub struct SourceResidency {
 }
 
 impl SourceResidency {
-    /// Residency of a fully-materialized (owned/eager) context.
+    /// Residency of a fully-materialized context.
     pub fn full() -> Self {
         SourceResidency {
             document: true,
@@ -92,12 +93,13 @@ impl SourceResidency {
     }
 }
 
-/// A provider of context parts that decodes them on demand.
+/// A provider of context parts.
 ///
-/// Implementations (the memory-mapped `LazyStore` in `flexpath-store`)
-/// own the decoded values and hand out references: the first call to a
-/// `load_*` method validates and decodes that part, subsequent calls are
-/// cheap cache hits. All methods must be safe to call concurrently.
+/// Implementations own the values and hand out references. For the
+/// memory-mapped `LazyStore` in `flexpath-store` the first call to a
+/// `load_*` method validates and decodes that part and subsequent calls
+/// are cheap cache hits; for an in-memory corpus every call is. All
+/// methods must be safe to call concurrently.
 pub trait ContextSource: Send + Sync {
     /// The document arena, decoding it on first call.
     fn load_document(&self) -> Result<&Document, SourceError>;
@@ -109,35 +111,45 @@ pub trait ContextSource: Send + Sync {
     fn residency(&self) -> SourceResidency;
 }
 
-/// The decoded parts, owned directly or borrowed from a lazy source.
-///
-/// The `Owned` variant is boxed: it is hundreds of bytes of inline
-/// structure headers next to `Lazy`'s single fat pointer, and an
-/// `EngineContext` is created once per session — one extra indirection
-/// here is free, while the size skew would bloat every context on the
-/// stack.
-enum Parts {
-    Owned(Box<OwnedParts>),
-    Lazy(Box<dyn ContextSource>),
-}
-
-struct OwnedParts {
+/// An in-memory corpus: the source whose parts are already resident.
+struct Resident {
     doc: Document,
     stats: DocStats,
     index: InvertedIndex,
 }
 
-/// Owns one document plus every auxiliary structure the engine needs.
+impl ContextSource for Resident {
+    fn load_document(&self) -> Result<&Document, SourceError> {
+        Ok(&self.doc)
+    }
+
+    fn load_stats(&self) -> Result<&DocStats, SourceError> {
+        Ok(&self.stats)
+    }
+
+    fn load_index(&self) -> Result<&InvertedIndex, SourceError> {
+        Ok(&self.index)
+    }
+
+    fn residency(&self) -> SourceResidency {
+        SourceResidency::full()
+    }
+}
+
+/// One document plus every auxiliary structure the engine needs, read
+/// from a [`ContextSource`].
 pub struct EngineContext {
-    parts: Parts,
+    /// Shared (`Arc`) so the session layer can keep its own typed handle
+    /// on the same store the context reads from.
+    source: Arc<dyn ContextSource>,
     /// Memoized full-text evaluations, keyed by expression. Sharded and
     /// lock-striped so the parallel top-K workers — and concurrent queries
     /// sharing one session — probe it without serializing on a single lock.
     ft_cache: ShardedCache<FtExpr, FtEval>,
 }
 
-/// A lazily-backed part failed *after* the session layer reported it
-/// ready — a contract violation (e.g. an accessor called without
+/// A part failed to load *after* the session layer reported it ready — a
+/// contract violation (e.g. an accessor called without
 /// [`EngineContext::ensure_ready`] on a corrupt store), not an
 /// input-reachable state. Keeping the diverging arm out of line keeps the
 /// accessors inlinable.
@@ -153,43 +165,22 @@ impl EngineContext {
     pub fn new(doc: Document) -> Self {
         let stats = DocStats::compute(&doc);
         let index = InvertedIndex::build(&doc);
-        Self::from_parts(doc, stats, index)
+        Self::from_source(Arc::new(Resident { doc, stats, index }))
     }
 
-    /// Assembles a context from precomputed parts — the persistent-store
-    /// load path, which skips [`DocStats::compute`] and
-    /// [`InvertedIndex::build`] entirely. The caller guarantees `stats`
-    /// and `index` were derived from `doc` (the store's decoders validate
-    /// exactly that).
-    pub fn from_parts(doc: Document, stats: DocStats, index: InvertedIndex) -> Self {
-        EngineContext {
-            parts: Parts::Owned(Box::new(OwnedParts { doc, stats, index })),
-            ft_cache: ShardedCache::default(),
-        }
-    }
-
-    /// Assembles a context over a lazy [`ContextSource`]: nothing is
-    /// decoded yet. Callers must run [`EngineContext::ensure_ready`] (or
+    /// Assembles a context over `source`; nothing is loaded yet. Callers
+    /// whose source can fail must run [`EngineContext::ensure_ready`] (or
     /// use the `try_*` accessors) before the infallible accessors.
-    pub fn from_source(source: Box<dyn ContextSource>) -> Self {
+    pub fn from_source(source: Arc<dyn ContextSource>) -> Self {
         EngineContext {
-            parts: Parts::Lazy(source),
+            source,
             ft_cache: ShardedCache::default(),
         }
     }
 
-    /// Whether this context decodes its parts on demand.
-    pub fn is_lazy(&self) -> bool {
-        matches!(self.parts, Parts::Lazy(_))
-    }
-
-    /// Which parts are currently materialized (always everything for an
-    /// owned context).
+    /// Which parts are currently materialized.
     pub fn residency(&self) -> SourceResidency {
-        match &self.parts {
-            Parts::Owned(_) => SourceResidency::full(),
-            Parts::Lazy(src) => src.residency(),
-        }
+        self.source.residency()
     }
 
     /// Materializes the document and statistics — plus the inverted index
@@ -206,59 +197,32 @@ impl EngineContext {
 
     /// The document, materializing it if needed.
     pub fn try_doc(&self) -> Result<&Document, SourceError> {
-        match &self.parts {
-            Parts::Owned(p) => Ok(&p.doc),
-            Parts::Lazy(src) => src.load_document(),
-        }
+        self.source.load_document()
     }
 
     /// The statistics, materializing them if needed.
     pub fn try_stats(&self) -> Result<&DocStats, SourceError> {
-        match &self.parts {
-            Parts::Owned(p) => Ok(&p.stats),
-            Parts::Lazy(src) => src.load_stats(),
-        }
+        self.source.load_stats()
     }
 
     /// The inverted index, materializing it if needed.
     pub fn try_index(&self) -> Result<&InvertedIndex, SourceError> {
-        match &self.parts {
-            Parts::Owned(p) => Ok(&p.index),
-            Parts::Lazy(src) => src.load_index(),
-        }
+        self.source.load_index()
     }
 
     /// The document.
     pub fn doc(&self) -> &Document {
-        match &self.parts {
-            Parts::Owned(p) => &p.doc,
-            Parts::Lazy(src) => match src.load_document() {
-                Ok(doc) => doc,
-                Err(e) => source_fault(&e),
-            },
-        }
+        self.try_doc().unwrap_or_else(|e| source_fault(&e))
     }
 
     /// Structural statistics (`#(t)`, `#pc`, `#ad`).
     pub fn stats(&self) -> &DocStats {
-        match &self.parts {
-            Parts::Owned(p) => &p.stats,
-            Parts::Lazy(src) => match src.load_stats() {
-                Ok(stats) => stats,
-                Err(e) => source_fault(&e),
-            },
-        }
+        self.try_stats().unwrap_or_else(|e| source_fault(&e))
     }
 
     /// The inverted index.
     pub fn index(&self) -> &InvertedIndex {
-        match &self.parts {
-            Parts::Owned(p) => &p.index,
-            Parts::Lazy(src) => match src.load_index() {
-                Ok(index) => index,
-                Err(e) => source_fault(&e),
-            },
-        }
+        self.try_index().unwrap_or_else(|e| source_fault(&e))
     }
 
     /// Evaluates (or recalls) a full-text expression under a resource

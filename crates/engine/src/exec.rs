@@ -30,7 +30,7 @@ use crate::parallel::{chunk_ranges, fan_out, ParallelConfig};
 use crate::score::{AnswerScore, RankingScheme};
 use crate::topk::Answer;
 use flexpath_ftsearch::Budget;
-use flexpath_xmldom::NodeId;
+use flexpath_xmldom::{Document, NodeId};
 
 /// Per-subtree contribution of a (partial) embedding.
 #[derive(Debug, Clone, Copy, Default)]
@@ -180,6 +180,9 @@ fn finalize(enc: &EncodedQuery, node: NodeId, c: Contribution) -> Answer {
 
 struct Evaluator<'a> {
     ctx: &'a EngineContext,
+    /// `ctx.doc()`, resolved once: the candidate loops below run per
+    /// document node and must not call into the context's source.
+    doc: &'a Document,
     enc: &'a EncodedQuery,
     scheme: RankingScheme,
     /// Flat child-list arena — range reads, no per-candidate allocation.
@@ -352,6 +355,7 @@ impl<'a> Evaluator<'a> {
     ) -> Self {
         Evaluator {
             ctx,
+            doc: ctx.doc(),
             enc,
             scheme,
             children: enc.child_index(),
@@ -423,7 +427,7 @@ impl<'a> Evaluator<'a> {
         // lint:allow(governor): iterates the query's attribute specs —
         // query-arity-sized, not corpus-sized.
         for (name, pred, mode) in &spec.attrs {
-            let actual = name.and_then(|sym| self.ctx.doc().attribute(d, sym));
+            let actual = name.and_then(|sym| self.doc.attribute(d, sym));
             let ok = match (mode, self.enc.attr_relax) {
                 (crate::encode::AttrMode::Slackened, Some(relax)) => {
                     relax.satisfies_relaxed(pred, actual)
@@ -435,7 +439,7 @@ impl<'a> Evaluator<'a> {
             }
         }
         for &ci in &spec.required_contains {
-            if !self.enc.cspecs[ci].eval.satisfies(self.ctx.doc(), d) {
+            if !self.enc.cspecs[ci].eval.satisfies(self.doc, d) {
                 return false;
             }
         }
@@ -455,7 +459,7 @@ impl<'a> Evaluator<'a> {
         // Keyword score: contains predicates required here.
         for &ci in &spec.required_contains {
             let cs = &self.enc.cspecs[ci];
-            contrib.ks += cs.weight * cs.eval.score(self.ctx.doc(), d);
+            contrib.ks += cs.weight * cs.eval.score(self.doc, d);
         }
         // Relaxable predicate bits owned here.
         for &bi in &spec.bits {
@@ -484,15 +488,15 @@ impl<'a> Evaluator<'a> {
     fn check_bit(&self, bi: usize, d: NodeId) -> bool {
         match &self.enc.relaxable[bi].check {
             BitCheck::PcFrom(x) => self.env[*x]
-                .map(|dx| self.ctx.doc().is_parent(dx, d))
+                .map(|dx| self.doc.is_parent(dx, d))
                 .unwrap_or(false),
             BitCheck::AdFrom(x) => self.env[*x]
-                .map(|dx| self.ctx.doc().is_ancestor(dx, d))
+                .map(|dx| self.doc.is_ancestor(dx, d))
                 .unwrap_or(false),
-            BitCheck::ContainsHere(eval) => eval.satisfies(self.ctx.doc(), d),
-            BitCheck::TagIs(sym) => self.ctx.doc().tag(d) == Some(*sym),
+            BitCheck::ContainsHere(eval) => eval.satisfies(self.doc, d),
+            BitCheck::TagIs(sym) => self.doc.tag(d) == Some(*sym),
             BitCheck::AttrStrict { attr, pred } => {
-                let actual = attr.and_then(|sym| self.ctx.doc().attribute(d, sym));
+                let actual = attr.and_then(|sym| self.doc.attribute(d, sym));
                 pred.eval(actual)
             }
         }
@@ -534,8 +538,8 @@ impl<'a> Evaluator<'a> {
 
         let mut best: Option<Contribution> = None;
         if let (Some(tag), true) = (spec.tag, spec.alt_tags.is_empty()) {
-            let ctx = self.ctx;
-            let last = ctx.doc().subtree_last(anchor_binding);
+            let doc = self.doc;
+            let last = doc.subtree_last(anchor_binding);
             if last.0 - anchor_binding.0 <= SMALL_SUBTREE {
                 // Tiny anchor subtree (deep specs re-anchored at a bound
                 // parent): a sequential id-range scan with a tag test per
@@ -548,10 +552,10 @@ impl<'a> Evaluator<'a> {
                         break;
                     }
                     let d = NodeId(raw);
-                    if ctx.doc().tag(d) != Some(tag) {
+                    if doc.tag(d) != Some(tag) {
                         continue;
                     }
-                    if children_only && !ctx.doc().is_parent(anchor_binding, d) {
+                    if children_only && !doc.is_parent(anchor_binding, d) {
                         continue;
                     }
                     if self.consider(c, d, achievable, can_saturate, &mut best) {
@@ -565,12 +569,12 @@ impl<'a> Evaluator<'a> {
                 // spec (inner loops re-request the same (spec, anchor)
                 // range for every candidate of the enclosing loop).
                 let (lo, hi) = self.tag_range(c, tag, anchor_binding);
-                let list = ctx.doc().nodes_with_tag(tag);
+                let list = doc.nodes_with_tag(tag);
                 for &d in &list[lo..hi] {
                     if self.budget.checkpoint() {
                         break;
                     }
-                    if children_only && !ctx.doc().is_parent(anchor_binding, d) {
+                    if children_only && !doc.is_parent(anchor_binding, d) {
                         continue;
                     }
                     if self.consider(c, d, achievable, can_saturate, &mut best) {
@@ -685,7 +689,7 @@ impl<'a> Evaluator<'a> {
                 return (lo, hi);
             }
         }
-        let doc = self.ctx.doc();
+        let doc = self.doc;
         let list = doc.nodes_with_tag(tag);
         let last = doc.subtree_last(anchor);
         let lo = list.partition_point(|&n| n <= anchor);
@@ -725,8 +729,7 @@ impl<'a> Evaluator<'a> {
             // No candidate under the anchor: the scan finds nothing.
             return Some(None);
         }
-        let ctx = self.ctx;
-        let doc = ctx.doc();
+        let doc = self.doc;
 
         // Classify each bound bit reference against the anchor subtree.
         // All containment tests are the O(1) start/end compares of

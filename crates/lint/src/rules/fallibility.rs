@@ -1,8 +1,9 @@
 //! Rule family 7: lazy-store fallibility discipline.
 //!
-//! Since the store went lazy (`EngineContext` is Owned | Lazy), the
+//! An `EngineContext` reads its parts from a `ContextSource`, and the
+//! source behind a store-backed session decodes lazily and can fail. The
 //! infallible part accessors — `ctx.doc()`, `ctx.stats()`, `ctx.index()` —
-//! panic on a lazy decode fault. Library code must reach parts through the
+//! panic on such a decode fault. Library code must reach parts through the
 //! fallible surface (`try_doc`/`try_stats`/`try_index`/`ensure_ready`/
 //! `materialize`) unless the enclosing scope is provably post-
 //! materialization. This rule flags infallible accessor calls on an

@@ -330,17 +330,6 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
-
-    static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
-
-    fn tmp_path(tag: &str) -> std::path::PathBuf {
-        let seq = DIR_SEQ.fetch_add(1, Ordering::Relaxed);
-        std::env::temp_dir().join(format!(
-            "flexpath-recorder-{tag}-{}-{seq}.jsonl",
-            std::process::id()
-        ))
-    }
 
     fn rec(duration_ms: u64) -> QueryRecord {
         QueryRecord {
@@ -396,8 +385,8 @@ mod tests {
 
     #[test]
     fn slow_log_appends_one_json_line_per_slow_record() {
-        let path = tmp_path("lines");
-        let _ = std::fs::remove_file(&path);
+        let dir = crate::scratch::ScratchDir::new("recorder-lines");
+        let path = dir.path().join("slow.jsonl");
         let r = FlightRecorder::new(8, Duration::from_millis(50))
             .with_slow_log(&path)
             .unwrap();
@@ -412,7 +401,6 @@ mod tests {
             assert_eq!(v.get("endpoint").and_then(|e| e.as_str()), Some("query"));
             assert!(v.get("skew").is_some());
         }
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -616,18 +616,10 @@ mod tests {
         AdmissionController,
         CancelToken,
         FlightRecorder,
-        std::path::PathBuf,
+        crate::scratch::ScratchDir,
     ) {
-        // A process-wide counter keeps parallel tests in distinct dirs
-        // (thread identity is a disallowed API workspace-wide).
-        static DIR_SEQ: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-        let seq = DIR_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!(
-            "flexpath-serve-routes-{}-{seq}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let state = ServerState::open(&dir).unwrap();
+        let dir = crate::scratch::ScratchDir::new("serve-routes");
+        let state = ServerState::open(dir.path()).unwrap();
         state.insert_session(
             "doc",
             flexpath::FleXPath::from_xml(
@@ -655,7 +647,7 @@ mod tests {
 
     #[test]
     fn query_round_trips_json() {
-        let (state, policy, admission, cancel, recorder, dir) = test_ctx();
+        let (state, policy, admission, cancel, recorder, _dir) = test_ctx();
         let ctx = RouteContext {
             state: &state,
             policy: &policy,
@@ -676,12 +668,11 @@ mod tests {
         );
         let hits = v.get("hits").cloned();
         assert!(matches!(hits, Some(Json::Array(a)) if !a.is_empty()));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn partial_results_carry_retry_after() {
-        let (state, policy, admission, cancel, recorder, dir) = test_ctx();
+        let (state, policy, admission, cancel, recorder, _dir) = test_ctx();
         let ctx = RouteContext {
             state: &state,
             policy: &policy,
@@ -708,12 +699,11 @@ mod tests {
                 .and_then(Json::as_str),
             Some("answer_budget")
         );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn bad_bodies_and_unknown_fields_are_400() {
-        let (state, policy, admission, cancel, recorder, dir) = test_ctx();
+        let (state, policy, admission, cancel, recorder, _dir) = test_ctx();
         let ctx = RouteContext {
             state: &state,
             policy: &policy,
@@ -745,12 +735,11 @@ mod tests {
         let mut req = post("/nope", "");
         req.method = Method::Get;
         assert_eq!(dispatch(&ctx, &req).status, 404);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn draining_sheds_with_503_and_retry_after() {
-        let (state, policy, admission, cancel, recorder, dir) = test_ctx();
+        let (state, policy, admission, cancel, recorder, _dir) = test_ctx();
         admission.drain();
         let ctx = RouteContext {
             state: &state,
@@ -762,12 +751,11 @@ mod tests {
         let resp = dispatch(&ctx, &post("/query", r#"{"catalog":"doc","query":"//a"}"#));
         assert_eq!(resp.status, 503);
         assert!(resp.headers.iter().any(|(n, _)| *n == "Retry-After"));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn auxiliary_endpoints_respond() {
-        let (state, policy, admission, cancel, recorder, dir) = test_ctx();
+        let (state, policy, admission, cancel, recorder, _dir) = test_ctx();
         let ctx = RouteContext {
             state: &state,
             policy: &policy,
@@ -802,12 +790,11 @@ mod tests {
         );
         assert_eq!(explain.status, 200);
         assert!(String::from_utf8_lossy(&explain.body).contains("EXPLAIN ANALYZE"));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn explain_runs_under_clamped_limits_and_drain_token() {
-        let (state, policy, admission, cancel, recorder, dir) = test_ctx();
+        let (state, policy, admission, cancel, recorder, _dir) = test_ctx();
         {
             let ctx = RouteContext {
                 state: &state,
@@ -849,12 +836,11 @@ mod tests {
         assert_eq!(resp.status, 200);
         let text = String::from_utf8_lossy(&resp.body);
         assert!(text.contains("completeness: exhausted"), "{text}");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn flight_recorder_feeds_debug_endpoints() {
-        let (state, policy, admission, cancel, recorder, dir) = test_ctx();
+        let (state, policy, admission, cancel, recorder, _dir) = test_ctx();
         let ctx = RouteContext {
             state: &state,
             policy: &policy,
@@ -940,12 +926,11 @@ mod tests {
         let health = dispatch(&ctx, &get("/healthz", ""));
         let v = json::parse(&health.body).unwrap();
         assert!(v.get("uptime_s").and_then(Json::as_u64).is_some());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn test_delay_requires_policy_opt_in() {
-        let (state, mut policy, admission, cancel, recorder, dir) = test_ctx();
+        let (state, mut policy, admission, cancel, recorder, _dir) = test_ctx();
         policy.allow_test_delay = false;
         policy.http = HttpLimits::default();
         let ctx = RouteContext {
@@ -963,6 +948,5 @@ mod tests {
             ),
         );
         assert_eq!(resp.status, 400);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

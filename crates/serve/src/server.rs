@@ -380,9 +380,8 @@ mod tests {
 
     #[test]
     fn bind_on_port_zero_yields_an_addr_and_handle() {
-        let dir = std::env::temp_dir().join(format!("flexpath-serve-bind-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let state = Arc::new(ServerState::open(&dir).unwrap());
+        let dir = crate::scratch::ScratchDir::new("serve-bind");
+        let state = Arc::new(ServerState::open(dir.path()).unwrap());
         let server = Server::bind("127.0.0.1:0", state, ServePolicy::for_tests()).unwrap();
         let addr = server.local_addr().unwrap();
         assert_ne!(addr.port(), 0);
@@ -392,6 +391,5 @@ mod tests {
         assert!(handle.is_shutdown());
         // run() after shutdown returns promptly (nothing to drain).
         server.run().unwrap();
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -205,19 +205,13 @@ fn write_lock<'a, T>(l: &'a RwLock<T>) -> std::sync::RwLockWriteGuard<'a, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scratch::ScratchDir;
     use flexpath::StoreBuilder;
-
-    fn tmp_dir(tag: &str) -> std::path::PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("flexpath-serve-state-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
 
     #[test]
     fn sessions_load_once_and_are_shared() {
-        let dir = tmp_dir("shared");
-        let state = ServerState::open(&dir).unwrap();
+        let dir = ScratchDir::new("serve-state-shared");
+        let state = ServerState::open(dir.path()).unwrap();
         let flex = FleXPath::from_xml("<a><b>gold coin</b></a>").unwrap();
         let ctx = flex.context();
         state
@@ -240,13 +234,12 @@ mod tests {
                 flexpath::StoreError::DocumentNotFound { .. }
             ))
         ));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn failed_loads_are_not_cached() {
-        let dir = tmp_dir("retry");
-        let state = ServerState::open(&dir).unwrap();
+        let dir = ScratchDir::new("serve-state-retry");
+        let state = ServerState::open(dir.path()).unwrap();
         assert!(state.session("doc").is_err());
         assert_eq!(state.session_count(), 0, "failure left no cached slot");
         // The operator indexes the document; the next request must retry
@@ -264,13 +257,12 @@ mod tests {
             .unwrap();
         assert!(state.session("doc").is_ok());
         assert_eq!(state.session_count(), 1);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn catalog_sessions_open_lazily_with_recorded_open_time() {
-        let dir = tmp_dir("lazy");
-        let state = ServerState::open(&dir).unwrap();
+        let dir = ScratchDir::new("serve-state-lazy");
+        let state = ServerState::open(dir.path()).unwrap();
         let flex = FleXPath::from_xml("<a><b>gold coin</b></a>").unwrap();
         let ctx = flex.context();
         state
@@ -306,15 +298,13 @@ mod tests {
         assert!(!info[1].lazy);
         assert_eq!(info[1].open, Duration::ZERO);
         assert!(info[1].residency.index, "owned sessions are fully resident");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn injected_sessions_bypass_the_catalog() {
-        let dir = tmp_dir("inject");
-        let state = ServerState::open(&dir).unwrap();
+        let dir = ScratchDir::new("serve-state-inject");
+        let state = ServerState::open(dir.path()).unwrap();
         state.insert_session("mem", FleXPath::from_xml("<a>x</a>").unwrap());
         assert!(state.session("mem").is_ok());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

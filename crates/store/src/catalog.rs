@@ -9,8 +9,8 @@
 use crate::error::StoreError;
 use crate::format::FILE_EXTENSION;
 use crate::lazy::LazyStore;
-use crate::store::{CorpusStore, StoreBuilder, StoreMeta};
-use crate::{format, SectionId};
+use crate::mmap::StoreBytes;
+use crate::store::{StoreBuilder, StoreMeta};
 use flexpath_engine::Budget;
 use std::path::{Path, PathBuf};
 
@@ -98,39 +98,16 @@ impl Catalog {
         self.path_for(name).map(|p| p.is_file()).unwrap_or(false)
     }
 
-    /// Loads the document named `name` with no budget.
-    pub fn load(&self, name: &str) -> Result<CorpusStore, StoreError> {
-        self.load_budgeted(name, &Budget::unlimited())
-    }
-
-    /// Loads the document named `name`, charging `budget` as
-    /// [`CorpusStore::open_budgeted`] does.
-    pub fn load_budgeted(&self, name: &str, budget: &Budget) -> Result<CorpusStore, StoreError> {
-        let path = self.path_for(name)?;
-        if !path.is_file() {
-            return Err(StoreError::DocumentNotFound {
-                name: name.to_string(),
-            });
-        }
-        CorpusStore::open_budgeted(&path, budget)
-    }
-
-    /// Opens the document named `name` lazily (memory-mapped when
-    /// possible, sections decoded on first touch) with no budget.
+    /// Opens the document named `name` (memory-mapped when possible,
+    /// sections decoded on first touch).
     pub fn open_lazy(&self, name: &str) -> Result<LazyStore, StoreError> {
-        self.open_lazy_budgeted(name, &Budget::unlimited())
-    }
-
-    /// [`Catalog::open_lazy`] charging `budget` as
-    /// [`LazyStore::open_budgeted`] does.
-    pub fn open_lazy_budgeted(&self, name: &str, budget: &Budget) -> Result<LazyStore, StoreError> {
         let path = self.path_for(name)?;
         if !path.is_file() {
             return Err(StoreError::DocumentNotFound {
                 name: name.to_string(),
             });
         }
-        LazyStore::open_budgeted(&path, budget)
+        LazyStore::open(&path)
     }
 
     /// Removes the document named `name`.
@@ -145,10 +122,12 @@ impl Catalog {
         Ok(())
     }
 
-    /// Lists the catalog's documents, sorted by name. Only each file's
-    /// header and meta section are read (and CRC-verified) — payloads are
-    /// not decoded, so listing stays cheap for large catalogs. Files that
-    /// are not valid stores are quarantined out of the listing; use
+    /// Lists the catalog's documents, sorted by name. Each file is mapped
+    /// and only its header and meta section are read (and CRC-verified) —
+    /// payloads are neither read nor decoded, so listing stays cheap for
+    /// large catalogs. (v1 files have no lazy representation: listing one
+    /// decodes it, as every open of a v1 file does.) Files that are not
+    /// valid stores are quarantined out of the listing; use
     /// [`Catalog::list_report`] to see them with their typed errors.
     pub fn list(&self) -> Result<Vec<CatalogEntry>, StoreError> {
         Ok(self.list_report()?.entries)
@@ -169,13 +148,16 @@ impl Catalog {
             if path.extension().and_then(|e| e.to_str()) != Some(FILE_EXTENSION) {
                 continue;
             }
-            let verified = std::fs::read(&path)
+            // The in-memory open, not `LazyStore::open`: a listing is not
+            // a session open and must not count as one in
+            // `engine.store.opens` / `open_errors`.
+            let opened = StoreBytes::open(&path)
                 .map_err(StoreError::from)
-                .and_then(|bytes| Ok((peek_meta(&bytes)?, bytes.len() as u64)));
-            match verified {
-                Ok((meta, file_bytes)) => listing.entries.push(CatalogEntry {
-                    meta,
-                    file_bytes,
+                .and_then(|bytes| LazyStore::from_store_bytes(bytes, &Budget::unlimited()));
+            match opened {
+                Ok(store) => listing.entries.push(CatalogEntry {
+                    meta: store.meta().clone(),
+                    file_bytes: store.file_bytes(),
                     path,
                 }),
                 Err(error) => listing.quarantined.push(QuarantinedEntry { path, error }),
@@ -189,24 +171,12 @@ impl Catalog {
     }
 }
 
-/// Reads and verifies just the header + meta section of a store image.
-fn peek_meta(bytes: &[u8]) -> Result<StoreMeta, StoreError> {
-    let header = format::parse_header(bytes)?;
-    StoreMeta::decode(format::section(bytes, &header.entries, SectionId::Meta)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scratch::ScratchDir;
     use flexpath_ftsearch::InvertedIndex;
     use flexpath_xmldom::{parse, DocStats};
-
-    fn tmp_dir(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("flexpath-catalog-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
 
     fn builder(name: &str, xml: &str) -> StoreBuilder {
         let doc = parse(xml).unwrap();
@@ -217,8 +187,9 @@ mod tests {
 
     #[test]
     fn save_load_list_remove() {
-        let dir = tmp_dir("basic");
-        let cat = Catalog::open(&dir).unwrap();
+        let scratch = ScratchDir::new("catalog-basic");
+        let dir = scratch.path();
+        let cat = Catalog::open(dir).unwrap();
         cat.save(&builder("alpha", "<a>gold</a>")).unwrap();
         cat.save(&builder("beta", "<b><c>silver</c></b>")).unwrap();
         assert!(cat.contains("alpha"));
@@ -229,22 +200,22 @@ mod tests {
         assert_eq!(listing[0].meta.name, "alpha");
         assert_eq!(listing[1].meta.name, "beta");
 
-        let store = cat.load("beta").unwrap();
-        assert_eq!(store.index().df("silver"), 1);
+        let store = cat.open_lazy("beta").unwrap();
+        assert_eq!(store.index().unwrap().df("silver"), 1);
 
         cat.remove("alpha").unwrap();
         assert!(!cat.contains("alpha"));
         assert!(matches!(
-            cat.load("alpha"),
+            cat.open_lazy("alpha"),
             Err(StoreError::DocumentNotFound { .. })
         ));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn names_are_sanitized() {
-        let dir = tmp_dir("names");
-        let cat = Catalog::open(&dir).unwrap();
+        let scratch = ScratchDir::new("catalog-names");
+        let dir = scratch.path();
+        let cat = Catalog::open(dir).unwrap();
         for bad in ["", ".", "..", "a/b", "a\\b", "x y", ".hidden", "a\0b"] {
             assert!(
                 matches!(cat.path_for(bad), Err(StoreError::InvalidName { .. })),
@@ -254,13 +225,13 @@ mod tests {
         for good in ["doc", "Doc-1", "a.b_c", "XMARK-10mb"] {
             assert!(cat.path_for(good).is_ok(), "name {good:?} must be accepted");
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn listing_skips_non_store_files() {
-        let dir = tmp_dir("skip");
-        let cat = Catalog::open(&dir).unwrap();
+        let scratch = ScratchDir::new("catalog-skip");
+        let dir = scratch.path();
+        let cat = Catalog::open(dir).unwrap();
         cat.save(&builder("real", "<a>x1</a>")).unwrap();
         std::fs::write(dir.join("junk.fxs"), b"not a store").unwrap();
         std::fs::write(dir.join("other.txt"), b"ignored").unwrap();
@@ -277,19 +248,19 @@ mod tests {
             report.quarantined[0].error,
             StoreError::BadMagic | StoreError::Truncated { .. }
         ));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn save_replaces_existing_document() {
-        let dir = tmp_dir("replace");
-        let cat = Catalog::open(&dir).unwrap();
+        let scratch = ScratchDir::new("catalog-replace");
+        let dir = scratch.path();
+        let cat = Catalog::open(dir).unwrap();
         cat.save(&builder("doc", "<a>old</a>")).unwrap();
         cat.save(&builder("doc", "<a>new shiny</a>")).unwrap();
-        let store = cat.load("doc").unwrap();
-        assert_eq!(store.index().df("old"), 0);
-        assert_eq!(store.index().df("shini"), 1); // Porter-stemmed "shiny"
+        let store = cat.open_lazy("doc").unwrap();
+        let index = store.index().unwrap();
+        assert_eq!(index.df("old"), 0);
+        assert_eq!(index.df("shini"), 1); // Porter-stemmed "shiny"
         assert_eq!(cat.list().unwrap().len(), 1);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

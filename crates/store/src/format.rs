@@ -13,8 +13,9 @@
 //! Two versions share this container shape:
 //!
 //! * **v1** packs payloads back to back immediately after the header CRC.
-//!   It is read via the *eager* path only: every section is CRC-verified
-//!   and decoded at open.
+//!   No build writes it any more; it is read only, and every section is
+//!   CRC-verified and decoded inside the open. The committed
+//!   `tests/golden/tiny.fxs` is the reference v1 image.
 //! * **v2** places each payload at an 8-byte-aligned offset (gap bytes are
 //!   zero). Alignment makes every section directly addressable inside a
 //!   memory-mapped file, which is what the lazy open path
@@ -37,7 +38,7 @@ use flexpath_xmldom::wire::{ByteReader, ByteWriter};
 pub const MAGIC: [u8; 8] = *b"FXPSTORE";
 
 /// The original, unaligned format: payloads packed back to back, decoded
-/// eagerly at open. Still fully readable.
+/// eagerly at open. Still fully readable; no longer written.
 pub const FORMAT_V1: u32 = 1;
 
 /// The aligned, mmap-friendly format: payloads at 8-byte-aligned offsets,
@@ -123,24 +124,22 @@ fn align_up(offset: u64, align: u64) -> u64 {
     offset.div_ceil(align) * align
 }
 
-/// Serializes a whole store file from `(id, payload)` pairs in the given
-/// format version. v1 packs payloads densely; v2 aligns every payload
-/// offset to [`SECTION_ALIGN`] with zero padding in the gaps.
-pub(crate) fn assemble(sections: &[(SectionId, Vec<u8>)], version: u32) -> Vec<u8> {
+/// Serializes a whole store file from `(id, payload)` pairs in format
+/// [`FORMAT_VERSION`]: every payload offset is aligned to
+/// [`SECTION_ALIGN`], with zero padding in the gaps.
+pub(crate) fn assemble(sections: &[(SectionId, Vec<u8>)]) -> Vec<u8> {
     let table_end = FIXED_HEADER_BYTES + sections.len() * ENTRY_BYTES;
     let payload_base = (table_end + 4) as u64; // + header CRC
     let mut offset = payload_base;
     let mut offsets = Vec::with_capacity(sections.len());
     for (_, payload) in sections {
-        if version >= FORMAT_V2 {
-            offset = align_up(offset, SECTION_ALIGN);
-        }
+        offset = align_up(offset, SECTION_ALIGN);
         offsets.push(offset);
         offset += payload.len() as u64;
     }
     let mut w = ByteWriter::with_capacity(offset as usize);
     w.bytes(&MAGIC);
-    w.u32(version);
+    w.u32(FORMAT_VERSION);
     w.u32(sections.len() as u32);
     for ((id, payload), &off) in sections.iter().zip(&offsets) {
         w.u32(*id as u32);
@@ -153,7 +152,7 @@ pub(crate) fn assemble(sections: &[(SectionId, Vec<u8>)], version: u32) -> Vec<u
     let header_crc = crc32(&bytes[..table_end]);
     bytes.extend_from_slice(&header_crc.to_le_bytes());
     for ((_, payload), &off) in sections.iter().zip(&offsets) {
-        // Zero padding up to the (possibly aligned) payload offset.
+        // Zero padding up to the aligned payload offset.
         bytes.resize(off as usize, 0);
         bytes.extend_from_slice(payload);
     }
@@ -220,20 +219,17 @@ pub(crate) fn parse_header(bytes: &[u8]) -> Result<ParsedHeader, StoreError> {
     Ok(ParsedHeader { version, entries })
 }
 
-/// Looks up a section's table entry.
-pub(crate) fn entry_for(entries: &[SectionEntry], id: SectionId) -> Option<&SectionEntry> {
-    entries.iter().find(|e| e.id == id as u32)
-}
-
-/// Borrows a section's payload after verifying *bounds only* — the CRC is
-/// deliberately NOT checked. This is the lazy path's raw view; callers
-/// must run [`verify_section`] before decoding.
-pub(crate) fn section_unverified<'a>(
+/// Borrows a section's payload after verifying its bounds and its CRC —
+/// the validation step every decode runs first.
+pub(crate) fn section<'a>(
     bytes: &'a [u8],
     entries: &[SectionEntry],
     id: SectionId,
-) -> Result<(&'a [u8], u32), StoreError> {
-    let entry = entry_for(entries, id).ok_or(StoreError::MissingSection { section: id.name() })?;
+) -> Result<&'a [u8], StoreError> {
+    let entry = entries
+        .iter()
+        .find(|e| e.id == id as u32)
+        .ok_or(StoreError::MissingSection { section: id.name() })?;
     let start = usize::try_from(entry.offset)
         .ok()
         .filter(|&s| s <= bytes.len())
@@ -244,70 +240,61 @@ pub(crate) fn section_unverified<'a>(
         .ok_or(StoreError::Truncated { what: id.name() })?;
     // lint:allow(panic): start ≤ len(bytes) and len ≤ len(bytes) − start are
     // both enforced by the try_from filters directly above.
-    Ok((&bytes[start..start + len], entry.crc))
-}
-
-/// Verifies a section payload against its table CRC.
-pub(crate) fn verify_section(payload: &[u8], crc: u32, id: SectionId) -> Result<(), StoreError> {
-    if crc32(payload) != crc {
+    let payload = &bytes[start..start + len];
+    if crc32(payload) != entry.crc {
         return Err(StoreError::ChecksumMismatch { section: id.name() });
     }
-    Ok(())
-}
-
-/// Borrows a section's payload after verifying bounds and its CRC.
-pub(crate) fn section<'a>(
-    bytes: &'a [u8],
-    entries: &[SectionEntry],
-    id: SectionId,
-) -> Result<&'a [u8], StoreError> {
-    let (payload, crc) = section_unverified(bytes, entries, id)?;
-    verify_section(payload, crc, id)?;
     Ok(payload)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::GOLDEN_V1;
+
+    /// One image per readable container version.
+    fn images() -> [(u32, Vec<u8>); 2] {
+        let v2 = assemble(&[
+            (SectionId::Meta, vec![9; 16]),
+            (SectionId::Tags, vec![4, 5]),
+        ]);
+        [(FORMAT_V1, GOLDEN_V1.to_vec()), (FORMAT_V2, v2)]
+    }
+
+    fn known_id(e: &SectionEntry) -> SectionId {
+        SectionId::from_raw(e.id).expect("images carry known sections only")
+    }
 
     #[test]
-    fn assemble_then_parse_roundtrips_both_versions() {
-        for version in [FORMAT_V1, FORMAT_V2] {
-            let file = assemble(
-                &[
-                    (SectionId::Meta, vec![1, 2, 3]),
-                    (SectionId::Tags, vec![4, 5]),
-                ],
-                version,
-            );
-            let hdr = parse_header(&file).unwrap();
-            assert_eq!(hdr.version, version);
-            assert_eq!(hdr.entries.len(), 2);
-            assert_eq!(
-                section(&file, &hdr.entries, SectionId::Meta).unwrap(),
-                &[1, 2, 3]
-            );
-            assert_eq!(
-                section(&file, &hdr.entries, SectionId::Tags).unwrap(),
-                &[4, 5]
-            );
-            assert!(matches!(
-                section(&file, &hdr.entries, SectionId::Stats),
-                Err(StoreError::MissingSection { section: "stats" })
-            ));
-        }
+    fn assemble_then_parse_roundtrips() {
+        let file = assemble(&[
+            (SectionId::Meta, vec![1, 2, 3]),
+            (SectionId::Tags, vec![4, 5]),
+        ]);
+        let hdr = parse_header(&file).unwrap();
+        assert_eq!(hdr.version, FORMAT_V2);
+        assert_eq!(hdr.entries.len(), 2);
+        assert_eq!(
+            section(&file, &hdr.entries, SectionId::Meta).unwrap(),
+            &[1, 2, 3]
+        );
+        assert_eq!(
+            section(&file, &hdr.entries, SectionId::Tags).unwrap(),
+            &[4, 5]
+        );
+        assert!(matches!(
+            section(&file, &hdr.entries, SectionId::Stats),
+            Err(StoreError::MissingSection { section: "stats" })
+        ));
     }
 
     #[test]
     fn v2_sections_are_aligned_and_padded_with_zeros() {
-        let file = assemble(
-            &[
-                (SectionId::Meta, vec![1, 2, 3]),
-                (SectionId::Tags, vec![4, 5, 6, 7, 8]),
-                (SectionId::Stats, vec![9]),
-            ],
-            FORMAT_V2,
-        );
+        let file = assemble(&[
+            (SectionId::Meta, vec![1, 2, 3]),
+            (SectionId::Tags, vec![4, 5, 6, 7, 8]),
+            (SectionId::Stats, vec![9]),
+        ]);
         let hdr = parse_header(&file).unwrap();
         let mut covered = vec![false; file.len()];
         let table_end = FIXED_HEADER_BYTES + hdr.entries.len() * ENTRY_BYTES + 4;
@@ -329,27 +316,31 @@ mod tests {
     }
 
     #[test]
-    fn v1_layout_is_dense() {
-        let file = assemble(&[(SectionId::Meta, vec![1, 2, 3])], FORMAT_V1);
-        let hdr = parse_header(&file).unwrap();
+    fn v1_golden_parses_and_its_layout_is_dense() {
+        let hdr = parse_header(GOLDEN_V1).unwrap();
         assert_eq!(hdr.version, FORMAT_V1);
-        let e = &hdr.entries[0];
-        assert_eq!(e.offset as usize, FIXED_HEADER_BYTES + ENTRY_BYTES + 4);
-        assert_eq!(file.len() as u64, e.offset + e.len);
+        assert_eq!(hdr.entries.len(), 6);
+        let mut next = (FIXED_HEADER_BYTES + hdr.entries.len() * ENTRY_BYTES + 4) as u64;
+        for e in &hdr.entries {
+            assert_eq!(e.offset, next, "section {} is not packed", e.id);
+            section(GOLDEN_V1, &hdr.entries, known_id(e)).unwrap();
+            next = e.offset + e.len;
+        }
+        assert_eq!(GOLDEN_V1.len() as u64, next);
     }
 
     #[test]
     fn bad_magic_and_future_version_are_typed() {
-        let mut file = assemble(&[(SectionId::Meta, vec![])], FORMAT_V2);
+        let mut file = assemble(&[(SectionId::Meta, vec![])]);
         file[0] ^= 0xff;
         assert!(matches!(parse_header(&file), Err(StoreError::BadMagic)));
-        let mut file = assemble(&[(SectionId::Meta, vec![])], FORMAT_V2);
+        let mut file = assemble(&[(SectionId::Meta, vec![])]);
         file[8] = 0x7f; // version low byte
         assert!(matches!(
             parse_header(&file),
             Err(StoreError::UnsupportedVersion { found: 0x7f, .. })
         ));
-        let mut file = assemble(&[(SectionId::Meta, vec![])], FORMAT_V2);
+        let mut file = assemble(&[(SectionId::Meta, vec![])]);
         file[8] = 0; // version zero is below the supported floor
         assert!(matches!(
             parse_header(&file),
@@ -359,43 +350,47 @@ mod tests {
 
     #[test]
     fn header_and_section_corruption_hit_their_crcs() {
-        for version in [FORMAT_V1, FORMAT_V2] {
-            let file = assemble(&[(SectionId::Meta, vec![9; 16])], version);
+        for (version, file) in images() {
             // Corrupt a table byte: header CRC must catch it.
             let mut bad = file.clone();
             bad[20] ^= 0xff;
-            assert!(matches!(
-                parse_header(&bad),
-                Err(StoreError::ChecksumMismatch { section: "header" })
-            ));
-            // Corrupt a payload byte: the section CRC must catch it.
+            assert!(
+                matches!(
+                    parse_header(&bad),
+                    Err(StoreError::ChecksumMismatch { section: "header" })
+                ),
+                "v{version}"
+            );
+            // Corrupt the last byte — inside the last section's payload:
+            // that section's CRC must catch it.
             let mut bad = file.clone();
             let last = bad.len() - 1;
             bad[last] ^= 0xff;
             let hdr = parse_header(&bad).unwrap();
-            assert!(matches!(
-                section(&bad, &hdr.entries, SectionId::Meta),
-                Err(StoreError::ChecksumMismatch { section: "meta" })
-            ));
-            // The unverified borrow sees the same bytes without failing —
-            // verification is the caller's explicit second step.
-            let (payload, crc) = section_unverified(&bad, &hdr.entries, SectionId::Meta).unwrap();
-            assert!(verify_section(payload, crc, SectionId::Meta).is_err());
+            let id = known_id(hdr.entries.last().unwrap());
+            assert!(
+                matches!(
+                    section(&bad, &hdr.entries, id),
+                    Err(StoreError::ChecksumMismatch { section }) if section == id.name()
+                ),
+                "v{version}"
+            );
         }
     }
 
     #[test]
     fn every_truncation_point_is_typed() {
-        for version in [FORMAT_V1, FORMAT_V2] {
-            let file = assemble(&[(SectionId::Meta, vec![7; 8])], version);
+        for (version, file) in images() {
             for cut in 0..file.len() {
                 let head = &file[..cut];
-                match parse_header(head) {
-                    Err(_) => {}
-                    Ok(hdr) => {
-                        // Header happens to fit; the payload must then fail.
-                        assert!(section(head, &hdr.entries, SectionId::Meta).is_err());
-                    }
+                if let Ok(hdr) = parse_header(head) {
+                    // Header happens to fit; a payload must then fail.
+                    assert!(
+                        hdr.entries
+                            .iter()
+                            .any(|e| section(head, &hdr.entries, known_id(e)).is_err()),
+                        "v{version} cut at {cut}"
+                    );
                 }
             }
         }

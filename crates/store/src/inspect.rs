@@ -92,27 +92,28 @@ mod tests {
     use super::*;
     use crate::format::{FORMAT_V1, FORMAT_V2};
     use crate::store::StoreBuilder;
+    use crate::GOLDEN_V1;
     use flexpath_ftsearch::InvertedIndex;
     use flexpath_xmldom::{parse, DocStats};
 
-    fn image(version: u32) -> Vec<u8> {
+    fn image() -> Vec<u8> {
         let doc = parse("<a><b>gold coin</b></a>").unwrap();
         let stats = DocStats::compute(&doc);
         let index = InvertedIndex::build(&doc);
-        StoreBuilder::from_parts("doc", &doc, &stats, &index)
-            .with_version(version)
-            .unwrap()
-            .to_bytes()
+        StoreBuilder::from_parts("doc", &doc, &stats, &index).to_bytes()
     }
 
     #[test]
     fn inspects_both_versions() {
-        for version in [FORMAT_V1, FORMAT_V2] {
-            let report = inspect_bytes(&image(version)).unwrap();
+        for (version, bytes, name) in [
+            (FORMAT_V1, GOLDEN_V1.to_vec(), "tiny"),
+            (FORMAT_V2, image(), "doc"),
+        ] {
+            let report = inspect_bytes(&bytes).unwrap();
             assert_eq!(report.version, version);
             assert_eq!(report.sections.len(), 6);
             assert!(report.all_crc_ok());
-            assert_eq!(report.meta.as_ref().unwrap().name, "doc");
+            assert_eq!(report.meta.as_ref().unwrap().name, name);
             let names: Vec<_> = report.sections.iter().map(|s| s.name).collect();
             assert_eq!(
                 names,
@@ -123,7 +124,7 @@ mod tests {
 
     #[test]
     fn payload_corruption_is_reported_not_fatal() {
-        let mut bytes = image(FORMAT_V2);
+        let mut bytes = image();
         let last = bytes.len() - 1;
         bytes[last] ^= 0xff;
         let report = inspect_bytes(&bytes).unwrap();
@@ -135,7 +136,7 @@ mod tests {
 
     #[test]
     fn header_corruption_is_fatal() {
-        let mut bytes = image(FORMAT_V2);
+        let mut bytes = image();
         bytes[20] ^= 0xff;
         assert!(matches!(
             inspect_bytes(&bytes),

@@ -1,31 +1,36 @@
-//! The lazy open path: a memory-mapped store whose sections are validated
-//! and decoded on first touch.
+//! The store: a memory-mapped file whose sections are validated and
+//! decoded on first touch. This is the only decoder of the format.
 //!
 //! [`LazyStore::open`] does O(header) work — map the file, verify the
-//! header CRC, decode the tiny `meta` section, charge the governor budget
-//! — and returns in milliseconds regardless of corpus size. The three
-//! expensive parts (document arena, statistics, inverted index) stay as
-//! raw mapped bytes until a query actually needs them:
+//! header CRC, decode the tiny `meta` section — and returns in
+//! milliseconds regardless of corpus size. The three expensive parts
+//! (document arena, statistics, inverted index) stay as raw mapped bytes
+//! until a query actually needs them:
 //!
 //! * first structural touch → `tags` + `elems` sections are CRC-verified
 //!   and decoded into the [`Document`], then `stats`;
 //! * first full-text touch → `terms` + `postings` are CRC-verified and
 //!   decoded into the [`InvertedIndex`].
 //!
-//! Decoding happens at most once per part (double-checked `OnceLock`
-//! cells; a per-part mutex serializes racing first touches). Failures are
+//! Decoding happens at most once per part (a double-checked `OnceLock`
+//! cell; a per-part mutex serializes racing first touches). Failures are
 //! **not** cached: a corrupt section reports the same typed
-//! [`StoreError`] on every touch, and an operator replacing the file can
-//! simply reopen.
+//! [`StoreError`] on every touch (and counts
+//! `engine.store.lazy_decode_errors` each time), and an operator
+//! replacing the file can simply reopen.
+//!
+//! **Eager is a usage, not a second decoder.** A caller that prefers
+//! open-time validation over open-time speed opens and then touches all
+//! three parts; [`CorpusStore::open`] is exactly that.
 //!
 //! **v1 compatibility.** v1 files (dense layout, written by older builds)
-//! are decoded eagerly *inside* open — identical behavior, answers, and
-//! fingerprints to the historical [`CorpusStore`] path, including open-time
-//! corruption errors. Only v2 files get lazy semantics.
+//! are decoded *inside* open — every part is touched before the open
+//! returns, so corruption anywhere fails the open, as it always did for
+//! v1. Only v2 files get lazy semantics.
 //!
 //! [`LazyStore`] implements [`ContextSource`], so an
-//! [`EngineContext`](flexpath_engine::EngineContext) can sit directly on
-//! top of it; the engine's `ensure_ready` / `try_*` accessors are the
+//! [`EngineContext`](flexpath_engine::EngineContext) sits directly on top
+//! of it; the engine's `ensure_ready` / `try_*` accessors are the
 //! fallible surface through which first-touch errors reach callers.
 
 use crate::error::StoreError;
@@ -38,8 +43,64 @@ use flexpath_ftsearch::InvertedIndex;
 use flexpath_xmldom::codec::{decode_document, decode_stats};
 use flexpath_xmldom::{CodecError, DocStats, Document};
 use std::path::Path;
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
+
+/// One lazily decoded part: the value once it exists, and the mutex that
+/// serializes racing first touches.
+#[derive(Debug)]
+struct Part<T> {
+    cell: OnceLock<T>,
+    init: Mutex<()>,
+}
+
+impl<T> Part<T> {
+    fn new() -> Self {
+        Part {
+            cell: OnceLock::new(),
+            init: Mutex::new(()),
+        }
+    }
+
+    fn is_resident(&self) -> bool {
+        self.cell.get().is_some()
+    }
+
+    /// The part, running `decode` (which returns the value and the number
+    /// of section bytes it read) if no touch has succeeded yet. Every
+    /// first touch — document, statistics, index — goes through here, so
+    /// the `engine.store.lazy_*` accounting exists once.
+    fn first_touch(
+        &self,
+        decode: impl FnOnce() -> Result<(T, usize), StoreError>,
+    ) -> Result<&T, StoreError> {
+        if let Some(value) = self.cell.get() {
+            return Ok(value);
+        }
+        // The cell holds an immutable decoded value; a poisoned init mutex
+        // only means another thread's decode panicked mid-flight (which
+        // the no-panic policy already forbids) — the cell is still either
+        // empty or fully set.
+        let _init = self.init.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(value) = self.cell.get() {
+            return Ok(value);
+        }
+        let start = Instant::now();
+        let m = metrics::global();
+        match decode() {
+            Ok((value, bytes_read)) => {
+                m.add("engine.store.lazy_decodes", 1);
+                m.add("engine.store.bytes_read", bytes_read as u64);
+                m.observe_duration("engine.store.lazy_decode", start.elapsed());
+                Ok(self.cell.get_or_init(move || value))
+            }
+            Err(e) => {
+                m.add("engine.store.lazy_decode_errors", 1);
+                Err(e)
+            }
+        }
+    }
+}
 
 /// A store whose sections decode on demand. See the module docs.
 #[derive(Debug)]
@@ -49,40 +110,20 @@ pub struct LazyStore {
     entries: Vec<format::SectionEntry>,
     meta: StoreMeta,
     open_span: TraceSpan,
-    doc: OnceLock<Document>,
-    stats: OnceLock<DocStats>,
-    index: OnceLock<InvertedIndex>,
-    doc_init: Mutex<()>,
-    stats_init: Mutex<()>,
-    index_init: Mutex<()>,
-}
-
-// The cells hold immutable decoded values; a poisoned init mutex only
-// means another thread's decode panicked mid-flight (which the no-panic
-// policy already forbids) — the cell is still either empty or fully set.
-fn lock(m: &Mutex<()>) -> MutexGuard<'_, ()> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
+    doc: Part<Document>,
+    stats: Part<DocStats>,
+    index: Part<InvertedIndex>,
 }
 
 impl LazyStore {
-    /// Opens the store at `path` lazily with no budget.
+    /// Opens the store at `path`: header and meta are verified now, the
+    /// payload sections on first touch.
     pub fn open(path: &Path) -> Result<Self, StoreError> {
-        Self::open_budgeted(path, &Budget::unlimited())
-    }
-
-    /// Opens the store at `path` lazily, charging `budget` exactly like
-    /// the eager path: the file's size against the memory cap and the
-    /// meta-declared posting entry count against the postings cap, both
-    /// *before* anything expensive happens. The caps bound what the
-    /// session may eventually materialize, so charging at open keeps
-    /// admission decisions identical whether a store is opened eagerly or
-    /// lazily.
-    pub fn open_budgeted(path: &Path, budget: &Budget) -> Result<Self, StoreError> {
         let start = Instant::now();
         let m = metrics::global();
         let result = StoreBytes::open(path)
             .map_err(StoreError::Io)
-            .and_then(|bytes| Self::from_store_bytes(bytes, budget));
+            .and_then(|bytes| Self::from_store_bytes(bytes, &Budget::unlimited()));
         match result {
             Ok(mut store) => {
                 let elapsed = start.elapsed();
@@ -100,7 +141,13 @@ impl LazyStore {
     }
 
     /// The in-memory open path: wraps already-obtained bytes (mapped or
-    /// owned). v1 images are decoded eagerly here; v2 images defer.
+    /// owned). v1 images are decoded in full here; v2 images defer.
+    ///
+    /// This is the governed open: `budget` is charged the image's size
+    /// against the memory cap and the meta-declared posting entry count
+    /// against the postings cap, both *before* anything expensive happens
+    /// — the caps bound what the session may eventually materialize. A
+    /// tripped budget aborts the open with [`StoreError::Budget`].
     pub fn from_store_bytes(bytes: StoreBytes, budget: &Budget) -> Result<Self, StoreError> {
         let header = format::parse_header(&bytes)?;
         let meta = StoreMeta::decode(format::section(&bytes, &header.entries, SectionId::Meta)?)?;
@@ -125,22 +172,24 @@ impl LazyStore {
             entries: header.entries,
             meta,
             open_span,
-            doc: OnceLock::new(),
-            stats: OnceLock::new(),
-            index: OnceLock::new(),
-            doc_init: Mutex::new(()),
-            stats_init: Mutex::new(()),
-            index_init: Mutex::new(()),
+            doc: Part::new(),
+            stats: Part::new(),
+            index: Part::new(),
         };
         if store.version == FORMAT_V1 {
             // v1 predates lazy validation: decode everything now so that
-            // corruption anywhere still fails the *open*, exactly like the
-            // historical eager path.
-            store.document()?;
-            store.stats()?;
-            store.index()?;
+            // corruption anywhere still fails the *open*.
+            store.touch_all()?;
         }
         Ok(store)
+    }
+
+    /// Touches all three parts, reporting the first failure.
+    pub(crate) fn touch_all(&self) -> Result<(), StoreError> {
+        self.document()?;
+        self.stats()?;
+        self.index()?;
+        Ok(())
     }
 
     /// The stored meta fields (decoded and verified at open).
@@ -171,18 +220,9 @@ impl LazyStore {
     /// The `store.open` trace span (bytes/version/lazy/mapped counters and
     /// the wall-clock open time for [`LazyStore::open`]). Kept *separate*
     /// from query traces on purpose: query `counter_fingerprint()`s must
-    /// be identical whether a session was parsed, loaded, or mapped.
+    /// be identical whether a session was parsed or opened from a store.
     pub fn load_trace(&self) -> &TraceSpan {
         &self.open_span
-    }
-
-    /// Which parts are currently decoded.
-    pub fn parts_resident(&self) -> SourceResidency {
-        SourceResidency {
-            document: self.doc.get().is_some(),
-            stats: self.stats.get().is_some(),
-            index: self.index.get().is_some(),
-        }
     }
 
     /// CRC-verified borrow of one section's payload (the first-touch
@@ -193,83 +233,65 @@ impl LazyStore {
 
     /// The document arena, decoding `tags` + `elems` on first call.
     pub fn document(&self) -> Result<&Document, StoreError> {
-        if let Some(doc) = self.doc.get() {
-            return Ok(doc);
-        }
-        let _init = lock(&self.doc_init);
-        if let Some(doc) = self.doc.get() {
-            return Ok(doc);
-        }
-        let start = Instant::now();
-        let tags = self.section(SectionId::Tags)?;
-        let elems = self.section(SectionId::Elems)?;
-        let doc = decode_document(tags, elems)?;
-        if doc.node_count() as u64 != self.meta.nodes {
-            return Err(StoreError::Corrupt(CodecError::Invalid {
-                what: "meta node count disagrees with element table",
-                index: self.meta.nodes,
-            }));
-        }
-        let m = metrics::global();
-        m.add("engine.store.lazy_decodes", 1);
-        m.add("engine.store.bytes_read", (tags.len() + elems.len()) as u64);
-        m.observe_duration("engine.store.lazy_decode", start.elapsed());
-        Ok(self.doc.get_or_init(move || doc))
+        self.doc.first_touch(|| {
+            let tags = self.section(SectionId::Tags)?;
+            let elems = self.section(SectionId::Elems)?;
+            let doc = decode_document(tags, elems)?;
+            if doc.node_count() as u64 != self.meta.nodes {
+                return Err(StoreError::Corrupt(CodecError::Invalid {
+                    what: "meta node count disagrees with element table",
+                    index: self.meta.nodes,
+                }));
+            }
+            Ok((doc, tags.len() + elems.len()))
+        })
     }
 
     /// The structural statistics, decoding `stats` on first call (forces
     /// the document first — the decoder needs the symbol count).
     pub fn stats(&self) -> Result<&DocStats, StoreError> {
-        if let Some(stats) = self.stats.get() {
-            return Ok(stats);
-        }
         let symbol_count = self.document()?.symbols().len();
-        let _init = lock(&self.stats_init);
-        if let Some(stats) = self.stats.get() {
-            return Ok(stats);
-        }
-        let start = Instant::now();
-        let payload = self.section(SectionId::Stats)?;
-        let stats = decode_stats(payload, symbol_count)?;
-        let m = metrics::global();
-        m.add("engine.store.lazy_decodes", 1);
-        m.add("engine.store.bytes_read", payload.len() as u64);
-        m.observe_duration("engine.store.lazy_decode", start.elapsed());
-        Ok(self.stats.get_or_init(move || stats))
+        self.stats.first_touch(|| {
+            let payload = self.section(SectionId::Stats)?;
+            Ok((decode_stats(payload, symbol_count)?, payload.len()))
+        })
     }
 
     /// The inverted index, decoding `terms` + `postings` on first call
     /// (forces the document first — postings are validated against the
     /// node count).
     pub fn index(&self) -> Result<&InvertedIndex, StoreError> {
-        if let Some(index) = self.index.get() {
-            return Ok(index);
-        }
         let node_count = self.document()?.node_count();
-        let _init = lock(&self.index_init);
-        if let Some(index) = self.index.get() {
-            return Ok(index);
-        }
-        let start = Instant::now();
-        let terms = self.section(SectionId::Terms)?;
-        let postings = self.section(SectionId::Postings)?;
-        let index = InvertedIndex::decode(terms, postings, node_count)?;
-        if index.posting_entry_count() != self.meta.posting_entries
-            || index.term_count() as u64 != self.meta.terms
-        {
-            return Err(StoreError::Corrupt(CodecError::Invalid {
-                what: "meta index counts disagree with postings",
-                index: self.meta.posting_entries,
-            }));
-        }
-        let m = metrics::global();
-        m.add("engine.store.lazy_decodes", 1);
-        m.add(
-            "engine.store.bytes_read",
-            (terms.len() + postings.len()) as u64,
-        );
-        m.observe_duration("engine.store.lazy_decode", start.elapsed());
-        Ok(self.index.get_or_init(move || index))
+        self.index.first_touch(|| {
+            let terms = self.section(SectionId::Terms)?;
+            let postings = self.section(SectionId::Postings)?;
+            let index = InvertedIndex::decode(terms, postings, node_count)?;
+            if index.posting_entry_count() != self.meta.posting_entries
+                || index.term_count() as u64 != self.meta.terms
+            {
+                return Err(StoreError::Corrupt(CodecError::Invalid {
+                    what: "meta index counts disagree with postings",
+                    index: self.meta.posting_entries,
+                }));
+            }
+            Ok((index, terms.len() + postings.len()))
+        })
+    }
+}
+
+/// The eager open: a [`LazyStore`] with all three parts already decoded,
+/// for callers that want every section verified before the open returns.
+#[derive(Debug)]
+pub struct CorpusStore(pub LazyStore);
+
+impl CorpusStore {
+    /// Opens the store at `path` and touches the document, statistics and
+    /// index; a damaged section fails here with the error its first touch
+    /// reports.
+    pub fn open(path: &Path) -> Result<Self, StoreError> {
+        let store = LazyStore::open(path)?;
+        store.touch_all()?;
+        Ok(CorpusStore(store))
     }
 }
 
@@ -304,7 +326,11 @@ impl ContextSource for LazyStore {
     }
 
     fn residency(&self) -> SourceResidency {
-        self.parts_resident()
+        SourceResidency {
+            document: self.doc.is_resident(),
+            stats: self.stats.is_resident(),
+            index: self.index.is_resident(),
+        }
     }
 }
 
@@ -312,16 +338,14 @@ impl ContextSource for LazyStore {
 mod tests {
     use super::*;
     use crate::store::StoreBuilder;
+    use crate::GOLDEN_V1;
     use flexpath_xmldom::parse;
 
-    fn image(xml: &str, version: u32) -> Vec<u8> {
+    fn image(xml: &str) -> Vec<u8> {
         let doc = parse(xml).unwrap();
         let stats = DocStats::compute(&doc);
         let index = InvertedIndex::build(&doc);
-        StoreBuilder::from_parts("t", &doc, &stats, &index)
-            .with_version(version)
-            .unwrap()
-            .to_bytes()
+        StoreBuilder::from_parts("t", &doc, &stats, &index).to_bytes()
     }
 
     fn lazy(bytes: Vec<u8>) -> Result<LazyStore, StoreError> {
@@ -330,29 +354,29 @@ mod tests {
 
     #[test]
     fn v2_open_decodes_nothing_until_touched() {
-        let store = lazy(image("<a><b>gold coin</b></a>", format::FORMAT_V2)).unwrap();
-        let r = store.parts_resident();
+        let store = lazy(image("<a><b>gold coin</b></a>")).unwrap();
+        let r = store.residency();
         assert!(!r.document && !r.stats && !r.index, "open stayed lazy");
         assert_eq!(store.meta().name, "t");
         let doc = store.document().unwrap();
         assert_eq!(doc.node_count() as u64, store.meta().nodes);
-        assert!(store.parts_resident().document);
-        assert!(!store.parts_resident().index, "index still cold");
+        assert!(store.residency().document);
+        assert!(!store.residency().index, "index still cold");
         assert_eq!(store.index().unwrap().df("gold"), 1);
-        assert!(store.parts_resident().index);
+        assert!(store.residency().index);
     }
 
     #[test]
     fn v1_open_is_eager() {
-        let store = lazy(image("<a><b>gold</b></a>", FORMAT_V1)).unwrap();
-        let r = store.parts_resident();
+        let store = lazy(GOLDEN_V1.to_vec()).unwrap();
+        let r = store.residency();
         assert!(r.document && r.stats && r.index, "v1 decodes at open");
         assert_eq!(store.version(), FORMAT_V1);
     }
 
     #[test]
     fn flipped_untouched_section_fails_only_on_touch() {
-        let mut bytes = image("<a><b>gold silver coins</b></a>", format::FORMAT_V2);
+        let mut bytes = image("<a><b>gold silver coins</b></a>");
         // Flip the last byte: inside the postings payload.
         let last = bytes.len() - 1;
         bytes[last] ^= 0xff;
@@ -370,7 +394,7 @@ mod tests {
 
     #[test]
     fn budget_is_charged_at_open() {
-        let bytes = image("<a><b>gold</b></a>", format::FORMAT_V2);
+        let bytes = image("<a><b>gold</b></a>");
         let budget = Budget::new(None, None, u64::MAX, u64::MAX, 16);
         assert!(matches!(
             LazyStore::from_store_bytes(StoreBytes::from_vec(bytes), &budget),
@@ -380,7 +404,7 @@ mod tests {
 
     #[test]
     fn context_source_maps_errors() {
-        let mut bytes = image("<a><b>gold</b></a>", format::FORMAT_V2);
+        let mut bytes = image("<a><b>gold</b></a>");
         let last = bytes.len() - 1;
         bytes[last] ^= 0xff;
         let store = lazy(bytes).unwrap();

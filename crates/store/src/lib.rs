@@ -5,8 +5,11 @@
 //! the arena document with its structural `(start, end, level)` labels,
 //! the tag dictionary, the `#(t)`/`#pc`/`#ad` statistics behind predicate
 //! penalties, and the positional inverted index with its collection
-//! stats. Opening a store ([`CorpusStore::open`]) replaces the parse +
-//! stats + index cold-start with a single validated read; the XML IR
+//! stats. Opening a store ([`LazyStore::open`]) replaces the parse +
+//! stats + index cold-start with an O(header) validated open; each part
+//! is CRC-verified and decoded the first time something touches it. The
+//! store *is* lazy — there is one decoder — and an eager open is a usage:
+//! open, then touch all three parts ([`CorpusStore::open`]). The XML IR
 //! survey literature treats exactly this labeled-tree + postings store as
 //! table stakes for serving tree-pattern/full-text queries at scale.
 //!
@@ -20,9 +23,10 @@
 //! * **Deterministic bytes.** Identical inputs produce identical files
 //!   (dictionaries sorted, no timestamps), so a committed golden file
 //!   can detect format drift that lacks a version bump.
-//! * **Governed loads.** [`CorpusStore::open_budgeted`] charges the
-//!   session's [`Budget`](flexpath_engine::Budget) for file bytes and
-//!   posting entries before decoding, and emits `engine.store.*` metrics.
+//! * **Governed loads.** [`LazyStore::from_store_bytes`] charges a
+//!   [`Budget`](flexpath_engine::Budget) for file bytes and posting
+//!   entries before anything is decoded; opens, first-touch decodes and
+//!   their failures emit `engine.store.*` metrics.
 //! * **Byte-identical answers.** A loaded session must reproduce the
 //!   exact top-K results and `counter_fingerprint()`s of an in-memory
 //!   build; the load trace span is therefore kept out of query traces.
@@ -40,8 +44,8 @@
 //! catalog
 //!     .save(&StoreBuilder::from_parts("auctions", &doc, &stats, &index))
 //!     .unwrap();
-//! let loaded = catalog.load("auctions").unwrap();
-//! assert_eq!(loaded.index().df("gold"), 1);
+//! let store = catalog.open_lazy("auctions").unwrap();
+//! assert_eq!(store.index().unwrap().df("gold"), 1);
 //! ```
 
 // Library targets must stay panic-free on input-reachable paths; the
@@ -61,11 +65,21 @@ pub mod lazy;
 pub mod mmap;
 pub mod store;
 
+/// The workspace's one RAII scratch directory (`tests/common/mod.rs`).
+#[cfg(test)]
+#[path = "../../../tests/common/mod.rs"]
+mod scratch;
+
+/// The committed v1 golden (document name `tiny`): the only v1 image
+/// there is, now that nothing writes the format.
+#[cfg(test)]
+const GOLDEN_V1: &[u8] = include_bytes!("../../../tests/golden/tiny.fxs");
+
 pub use catalog::{Catalog, CatalogEntry, CatalogListing, QuarantinedEntry};
 pub use crc::crc32;
 pub use error::StoreError;
 pub use format::{SectionId, FILE_EXTENSION, FORMAT_V1, FORMAT_V2, FORMAT_VERSION, MAGIC};
 pub use inspect::{inspect_bytes, inspect_file, SectionReport, StoreInspection};
-pub use lazy::LazyStore;
+pub use lazy::{CorpusStore, LazyStore};
 pub use mmap::StoreBytes;
-pub use store::{CorpusStore, StoreBuilder, StoreMeta};
+pub use store::{StoreBuilder, StoreMeta};

@@ -67,7 +67,7 @@ impl StoreBytes {
         })
     }
 
-    /// Wraps an in-memory image (tests, `from_bytes` decode paths).
+    /// Wraps an in-memory image (tests, callers that already hold bytes).
     pub fn from_vec(bytes: Vec<u8>) -> StoreBytes {
         StoreBytes {
             inner: Inner::Owned(bytes),
@@ -192,44 +192,44 @@ mod sys {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scratch::ScratchDir;
 
-    fn tmp_file(tag: &str, bytes: &[u8]) -> std::path::PathBuf {
-        let path =
-            std::env::temp_dir().join(format!("flexpath-mmap-{tag}-{}.bin", std::process::id()));
+    /// `bytes` written to a file in a fresh scratch directory (whose drop
+    /// removes it).
+    fn tmp_file(tag: &str, bytes: &[u8]) -> (ScratchDir, std::path::PathBuf) {
+        let dir = ScratchDir::new(tag);
+        let path = dir.path().join("image.bin");
         std::fs::write(&path, bytes).unwrap();
-        path
+        (dir, path)
     }
 
     #[test]
     fn open_sees_the_file_bytes() {
-        let path = tmp_file("basic", b"hello store");
+        let (_dir, path) = tmp_file("mmap-basic", b"hello store");
         let bytes = StoreBytes::open(&path).unwrap();
         assert_eq!(&*bytes, b"hello store");
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn read_never_maps() {
-        let path = tmp_file("read", b"plain");
+        let (_dir, path) = tmp_file("mmap-read", b"plain");
         let bytes = StoreBytes::read(&path).unwrap();
         assert!(!bytes.is_mapped());
         assert_eq!(&*bytes, b"plain");
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn empty_files_open_via_fallback() {
-        let path = tmp_file("empty", b"");
+        let (_dir, path) = tmp_file("mmap-empty", b"");
         let bytes = StoreBytes::open(&path).unwrap();
         assert!(!bytes.is_mapped());
         assert!(bytes.is_empty());
-        let _ = std::fs::remove_file(&path);
     }
 
     #[cfg(all(unix, feature = "mmap"))]
     #[test]
     fn nonempty_files_map_on_unix() {
-        let path = tmp_file("mapped", &[7u8; 4096]);
+        let (_dir, path) = tmp_file("mmap-mapped", &[7u8; 4096]);
         let bytes = StoreBytes::open(&path).unwrap();
         assert!(bytes.is_mapped());
         assert_eq!(bytes.len(), 4096);

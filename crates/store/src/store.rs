@@ -1,24 +1,18 @@
-//! Writing ([`StoreBuilder`]) and reading ([`CorpusStore`]) one document's
-//! persistent image.
+//! Writing one document's persistent image ([`StoreBuilder`]) and the
+//! `meta` summary every reader decodes first ([`StoreMeta`]).
 //!
 //! A store file bundles everything [`flexpath_engine::EngineContext`]
 //! needs, so opening one skips XML parsing, statistics collection, and
 //! index construction entirely — the cold-start elimination this
-//! subsystem exists for. Loading charges the governor [`Budget`]
-//! (memory for the file bytes, postings for the index entries) *before*
-//! decoding the expensive sections, and emits `engine.store.*` metrics
-//! plus a `store.open` trace span retrievable from the loaded store.
+//! subsystem exists for. Reading lives in [`crate::lazy`].
 
 use crate::error::StoreError;
 use crate::format::{self, SectionId};
-use flexpath_engine::metrics::{self, TraceSpan};
-use flexpath_engine::Budget;
+use flexpath_engine::metrics;
 use flexpath_ftsearch::InvertedIndex;
-use flexpath_xmldom::codec::{
-    decode_document, decode_stats, encode_nodes, encode_stats, encode_symbols,
-};
+use flexpath_xmldom::codec::{encode_nodes, encode_stats, encode_symbols};
 use flexpath_xmldom::wire::{ByteReader, ByteWriter};
-use flexpath_xmldom::{CodecError, DocStats, Document};
+use flexpath_xmldom::{DocStats, Document};
 use std::path::Path;
 use std::time::Instant;
 
@@ -72,13 +66,11 @@ impl StoreMeta {
 pub struct StoreBuilder {
     meta: StoreMeta,
     sections: Vec<(SectionId, Vec<u8>)>,
-    version: u32,
 }
 
 impl StoreBuilder {
-    /// Encodes `doc`, `stats`, and `index` under the logical name `name`.
-    /// Writes the current [`format::FORMAT_VERSION`] (v2, aligned) unless
-    /// [`StoreBuilder::with_version`] overrides it.
+    /// Encodes `doc`, `stats`, and `index` under the logical name `name`,
+    /// in the current [`format::FORMAT_VERSION`] (v2, aligned).
     pub fn from_parts(name: &str, doc: &Document, stats: &DocStats, index: &InvertedIndex) -> Self {
         let (terms, postings) = index.encode();
         let meta = StoreMeta {
@@ -95,25 +87,7 @@ impl StoreBuilder {
             (SectionId::Terms, terms),
             (SectionId::Postings, postings),
         ];
-        StoreBuilder {
-            meta,
-            sections,
-            version: format::FORMAT_VERSION,
-        }
-    }
-
-    /// Selects the container version to write — v1 (dense, eager-only) or
-    /// v2 (aligned, lazily openable). Compatibility tests and the v1
-    /// golden file use this; normal callers keep the default.
-    pub fn with_version(mut self, version: u32) -> Result<Self, StoreError> {
-        if !(format::FORMAT_V1..=format::FORMAT_VERSION).contains(&version) {
-            return Err(StoreError::UnsupportedVersion {
-                found: version,
-                supported: format::FORMAT_VERSION,
-            });
-        }
-        self.version = version;
-        Ok(self)
+        StoreBuilder { meta, sections }
     }
 
     /// The meta fields this builder will write.
@@ -121,14 +95,9 @@ impl StoreBuilder {
         &self.meta
     }
 
-    /// The container version this builder will write.
-    pub fn version(&self) -> u32 {
-        self.version
-    }
-
     /// Serializes the full store file to a byte vector.
     pub fn to_bytes(&self) -> Vec<u8> {
-        format::assemble(&self.sections, self.version)
+        format::assemble(&self.sections)
     }
 
     /// Writes the store to `path` atomically (temp file + rename), creating
@@ -157,150 +126,12 @@ impl StoreBuilder {
     }
 }
 
-/// A fully loaded store: the document, its statistics, and its inverted
-/// index, ready to back an engine context without any parsing.
-#[derive(Debug)]
-pub struct CorpusStore {
-    meta: StoreMeta,
-    doc: Document,
-    stats: DocStats,
-    index: InvertedIndex,
-    load_span: TraceSpan,
-}
-
-impl CorpusStore {
-    /// Opens and fully validates the store at `path` with no budget.
-    pub fn open(path: &Path) -> Result<Self, StoreError> {
-        Self::open_budgeted(path, &Budget::unlimited())
-    }
-
-    /// Opens the store at `path`, charging `budget` for the load: the
-    /// file's size against the memory cap (before decode) and the posting
-    /// entry count against the postings cap. A tripped budget aborts the
-    /// load with [`StoreError::Budget`].
-    pub fn open_budgeted(path: &Path, budget: &Budget) -> Result<Self, StoreError> {
-        let start = Instant::now();
-        let m = metrics::global();
-        let bytes = std::fs::read(path)?;
-        let result = Self::from_bytes(&bytes, budget);
-        match result {
-            Ok(mut store) => {
-                let elapsed = start.elapsed();
-                store.load_span.duration = elapsed;
-                m.add("engine.store.opens", 1);
-                m.add("engine.store.bytes_read", bytes.len() as u64);
-                m.observe_duration("engine.store.open", elapsed);
-                Ok(store)
-            }
-            Err(e) => {
-                m.add("engine.store.open_errors", 1);
-                Err(e)
-            }
-        }
-    }
-
-    /// Decodes a store image from memory (the open path minus the I/O).
-    /// Reads both container versions; always eager — every section is
-    /// CRC-verified and decoded here. The lazy alternative is
-    /// [`crate::LazyStore`].
-    pub fn from_bytes(bytes: &[u8], budget: &Budget) -> Result<Self, StoreError> {
-        let header = format::parse_header(bytes)?;
-        let entries = header.entries;
-        let meta = StoreMeta::decode(format::section(bytes, &entries, SectionId::Meta)?)?;
-        // Charge the budget up front, before any expensive decoding: the
-        // resident cost of the load is roughly the file size, and the
-        // postings cap bounds how large an index a query session accepts.
-        if budget.charge_memory(bytes.len() as u64) || budget.charge_postings(meta.posting_entries)
-        {
-            let reason = budget
-                .tripped()
-                .unwrap_or(flexpath_engine::ExhaustReason::MemoryBudget);
-            return Err(StoreError::Budget(reason));
-        }
-        let tags = format::section(bytes, &entries, SectionId::Tags)?;
-        let elems = format::section(bytes, &entries, SectionId::Elems)?;
-        let doc = decode_document(tags, elems)?;
-        if doc.node_count() as u64 != meta.nodes {
-            return Err(StoreError::Corrupt(CodecError::Invalid {
-                what: "meta node count disagrees with element table",
-                index: meta.nodes,
-            }));
-        }
-        let stats = decode_stats(
-            format::section(bytes, &entries, SectionId::Stats)?,
-            doc.symbols().len(),
-        )?;
-        let index = InvertedIndex::decode(
-            format::section(bytes, &entries, SectionId::Terms)?,
-            format::section(bytes, &entries, SectionId::Postings)?,
-            doc.node_count(),
-        )?;
-        if index.posting_entry_count() != meta.posting_entries
-            || index.term_count() as u64 != meta.terms
-        {
-            return Err(StoreError::Corrupt(CodecError::Invalid {
-                what: "meta index counts disagree with postings",
-                index: meta.posting_entries,
-            }));
-        }
-        let mut load_span = TraceSpan::new("store.open");
-        load_span.add("store.bytes", bytes.len() as u64);
-        load_span.add("store.version", u64::from(header.version));
-        load_span.add("store.nodes", meta.nodes);
-        load_span.add("store.terms", meta.terms);
-        load_span.add("store.posting_entries", meta.posting_entries);
-        Ok(CorpusStore {
-            meta,
-            doc,
-            stats,
-            index,
-            load_span,
-        })
-    }
-
-    /// The stored meta fields.
-    pub fn meta(&self) -> &StoreMeta {
-        &self.meta
-    }
-
-    /// Logical document name.
-    pub fn name(&self) -> &str {
-        &self.meta.name
-    }
-
-    /// The decoded document.
-    pub fn document(&self) -> &Document {
-        &self.doc
-    }
-
-    /// The decoded statistics.
-    pub fn stats(&self) -> &DocStats {
-        &self.stats
-    }
-
-    /// The decoded inverted index.
-    pub fn index(&self) -> &InvertedIndex {
-        &self.index
-    }
-
-    /// The `store.open` trace span (bytes/nodes/terms counters and, for
-    /// [`CorpusStore::open`], the wall-clock load time). Kept *separate*
-    /// from query traces on purpose: query `counter_fingerprint()`s must
-    /// be identical whether a session was parsed or loaded.
-    pub fn load_trace(&self) -> &TraceSpan {
-        &self.load_span
-    }
-
-    /// Consumes the store, yielding `(document, stats, index)` for
-    /// engine-context construction.
-    pub fn into_parts(self) -> (Document, DocStats, InvertedIndex) {
-        (self.doc, self.stats, self.index)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lazy::LazyStore;
+    use crate::mmap::StoreBytes;
+    use flexpath_engine::Budget;
     use flexpath_xmldom::parse;
 
     fn build(xml: &str) -> StoreBuilder {
@@ -310,15 +141,22 @@ mod tests {
         StoreBuilder::from_parts("t", &doc, &stats, &index)
     }
 
+    /// The production decode: open under `budget`, then touch every part.
+    fn decode(bytes: Vec<u8>, budget: &Budget) -> Result<LazyStore, StoreError> {
+        let store = LazyStore::from_store_bytes(StoreBytes::from_vec(bytes), budget)?;
+        store.touch_all()?;
+        Ok(store)
+    }
+
     #[test]
     fn memory_roundtrip_preserves_counts() {
         let b = build("<a><b>gold silver</b><c>gold</c></a>");
-        let bytes = b.to_bytes();
-        let store = CorpusStore::from_bytes(&bytes, &Budget::unlimited()).unwrap();
+        let store = decode(b.to_bytes(), &Budget::unlimited()).unwrap();
         assert_eq!(store.name(), "t");
-        assert_eq!(store.meta().nodes, store.document().node_count() as u64);
-        assert_eq!(store.index().df("gold"), 2);
-        assert_eq!(store.stats().element_total(), 3);
+        let doc = store.document().unwrap();
+        assert_eq!(store.meta().nodes, doc.node_count() as u64);
+        assert_eq!(store.index().unwrap().df("gold"), 2);
+        assert_eq!(store.stats().unwrap().element_total(), 3);
         assert_eq!(store.load_trace().name, "store.open");
     }
 
@@ -331,9 +169,8 @@ mod tests {
     #[test]
     fn postings_budget_blocks_load() {
         let b = build("<a><b>gold silver</b></a>");
-        let bytes = b.to_bytes();
         let budget = Budget::new(None, None, 0, u64::MAX, u64::MAX);
-        match CorpusStore::from_bytes(&bytes, &budget) {
+        match decode(b.to_bytes(), &budget) {
             Err(StoreError::Budget(reason)) => {
                 assert_eq!(reason, flexpath_engine::ExhaustReason::PostingsBudget)
             }
@@ -344,10 +181,9 @@ mod tests {
     #[test]
     fn memory_budget_blocks_load() {
         let b = build("<a><b>gold</b></a>");
-        let bytes = b.to_bytes();
         let budget = Budget::new(None, None, u64::MAX, u64::MAX, 16);
         assert!(matches!(
-            CorpusStore::from_bytes(&bytes, &budget),
+            decode(b.to_bytes(), &budget),
             Err(StoreError::Budget(_))
         ));
     }
@@ -356,19 +192,15 @@ mod tests {
     fn meta_disagreement_is_corrupt() {
         // Hand-assemble a file whose meta claims the wrong node count but
         // whose CRCs are all valid.
-        let doc = parse("<a><b>x1</b></a>").unwrap();
-        let stats = DocStats::compute(&doc);
-        let index = InvertedIndex::build(&doc);
-        let b = StoreBuilder::from_parts("t", &doc, &stats, &index);
+        let b = build("<a><b>x1</b></a>");
         let mut sections = b.sections.clone();
         let meta = StoreMeta {
             nodes: 999,
             ..b.meta.clone()
         };
         sections[0].1 = meta.encode();
-        let bytes = format::assemble(&sections, format::FORMAT_VERSION);
         assert!(matches!(
-            CorpusStore::from_bytes(&bytes, &Budget::unlimited()),
+            decode(format::assemble(&sections), &Budget::unlimited()),
             Err(StoreError::Corrupt(_))
         ));
     }

@@ -3,18 +3,21 @@
 //! format version — must surface as a *typed* [`StoreError`], never a
 //! panic, never an out-of-bounds slice, never a giant bogus allocation.
 //!
-//! Two decode disciplines are exercised. The eager path
-//! ([`CorpusStore`]) verifies everything at open. The lazy path
-//! ([`FleXPath::open`]) verifies the header + meta at open and each
-//! section on first touch: damage in an untouched section must NOT fail
-//! the open, and the first touch must surface a typed checksum error
-//! through `try_execute` — never a panic.
+//! There is one decoder — the one production serves with — and the
+//! sweeps drive it the eager way: open, then touch every part. The lazy
+//! discipline is exercised on top: [`FleXPath::open`] verifies the
+//! header + meta at open and each section on first touch, so damage in
+//! an untouched section must NOT fail the open, and the first touch must
+//! surface a typed checksum error through `try_execute` — never a panic
+//! — and count in `engine.store.lazy_decode_errors`.
 
 mod common;
 
 use common::ScratchDir;
-use flexpath::{Budget, Catalog, CorpusStore, EngineError, FleXPath, SourceErrorKind, StoreError};
-use flexpath_store::{FORMAT_VERSION, MAGIC};
+use flexpath::{
+    Budget, Catalog, CorpusStore, EngineError, FleXPath, LazyStore, SourceErrorKind, StoreError,
+};
+use flexpath_store::{StoreBytes, FORMAT_VERSION, MAGIC};
 use std::ops::Range;
 use std::path::PathBuf;
 
@@ -38,8 +41,24 @@ fn store_bytes() -> Vec<u8> {
     std::fs::read(&path).expect("store file readable")
 }
 
-fn decode(bytes: &[u8]) -> Result<CorpusStore, StoreError> {
-    CorpusStore::from_bytes(bytes, &Budget::unlimited())
+/// The production decode, driven eagerly: open the image, then touch
+/// all three parts.
+fn decode(bytes: &[u8]) -> Result<LazyStore, StoreError> {
+    let store =
+        LazyStore::from_store_bytes(StoreBytes::from_vec(bytes.to_vec()), &Budget::unlimited())?;
+    store.document()?;
+    store.stats()?;
+    store.index()?;
+    Ok(store)
+}
+
+/// Process-wide count of failed first touches.
+fn lazy_decode_errors() -> u64 {
+    flexpath::engine_metrics()
+        .counters
+        .get("engine.store.lazy_decode_errors")
+        .copied()
+        .unwrap_or(0)
 }
 
 /// The byte ranges of a store image that are semantically live: the
@@ -187,6 +206,7 @@ fn lazy_open_tolerates_corruption_in_untouched_sections() {
     let (_dir, path) = write_store("lazy-postings", &bad);
 
     let flex = FleXPath::open(&path).expect("lazy open ignores untouched damage");
+    let errors_before = lazy_decode_errors();
     let hits = flex
         .query("//item[./name]")
         .expect("query parses")
@@ -219,6 +239,15 @@ fn lazy_open_tolerates_corruption_in_untouched_sections() {
         .top(5)
         .try_execute()
         .is_err());
+
+    // Both failed touches are visible to an operator: the open succeeded
+    // (`engine.store.open_errors` did not move for this file), so this
+    // counter is the only signal that the store is damaged. The registry
+    // is process-wide and other tests fail touches too, hence `>=`.
+    assert!(
+        lazy_decode_errors() >= errors_before + 2,
+        "each failed first touch counts in engine.store.lazy_decode_errors"
+    );
 }
 
 #[test]
@@ -252,17 +281,23 @@ fn lazy_first_structural_touch_surfaces_document_damage() {
 
 #[test]
 fn eager_open_still_rejects_any_section_damage_up_front() {
-    // `open_eager` keeps the v1 contract on v2 files: everything decodes
-    // (and therefore verifies) at open time.
+    // The eager open keeps the v1 contract on v2 files: everything
+    // decodes (and therefore verifies) before the open returns.
     let bytes = store_bytes();
     let postings = section_range(&bytes, 6);
     let mut bad = bytes.clone();
     bad[postings.start + postings.len() / 2] ^= 0xff;
     let (_dir, path) = write_store("eager-postings", &bad);
     assert!(matches!(
-        FleXPath::open_eager(&path),
+        CorpusStore::open(&path),
         Err(StoreError::ChecksumMismatch { .. })
     ));
+    // The same through a session: open, then materialize everything.
+    let flex = FleXPath::open(&path).expect("open validates only header + meta");
+    match flex.materialize(true) {
+        Err(EngineError::Store(src)) => assert_eq!(src.kind, SourceErrorKind::Checksum),
+        other => panic!("expected a typed checksum error, got {other:?}"),
+    }
 }
 
 #[test]
@@ -330,6 +365,6 @@ fn catalog_listing_quarantines_damaged_entries() {
 
     // Quarantine is observation, not repair: the healthy entry still
     // loads (by file name — the meta name inside is "doc").
-    let store = catalog.load("healthy").expect("healthy store loads");
+    let store = catalog.open_lazy("healthy").expect("healthy store opens");
     assert_eq!(store.name(), "doc");
 }

@@ -1,21 +1,22 @@
-//! Golden-file drift check: the committed `tests/golden/tiny.fxs` (v1,
-//! dense layout) and `tests/golden/tiny_v2.fxs` (v2, aligned layout) are
-//! the byte-exact serializations of a fixed tiny corpus at their
-//! respective container versions. Any change to the wire layout —
-//! container, section payloads, encoding order — flips these bytes and
-//! fails this test.
+//! Golden-file drift check: the committed `tests/golden/tiny_v2.fxs` is
+//! the byte-exact serialization of a fixed tiny corpus in the container
+//! version this build writes (v2, aligned layout). Any change to the wire
+//! layout — container, section payloads, encoding order — flips these
+//! bytes and fails this test.
 //!
 //! That failure is the prompt: either revert the accidental layout change,
 //! or (for a deliberate format change) add a new container version and
-//! regenerate the golden files with
+//! regenerate the golden file with
 //!
 //! ```text
 //! cargo test -q --test store_golden -- --ignored regenerate
 //! ```
 //!
-//! The v1 golden doubles as the backward-compatibility fixture: the
-//! current reader must keep opening it (eagerly — v1 has no lazy path)
-//! and must produce answers identical to the v2 image of the same corpus.
+//! `tests/golden/tiny.fxs` is the same corpus as a v1 build wrote it
+//! (dense layout). Nothing writes v1 any more, so that file is the
+//! backward-compatibility fixture and is never regenerated: the current
+//! reader must keep opening it (eagerly — v1 has no lazy path) and must
+//! produce answers identical to the v2 image of the same corpus.
 
 use flexpath::FleXPath;
 use flexpath_store::{StoreBuilder, FORMAT_V1, FORMAT_V2};
@@ -35,46 +36,50 @@ const TINY_XML: &str = r#"<site>
 /// (container version, committed file name) for each golden image.
 const GOLDENS: &[(u32, &str)] = &[(FORMAT_V1, "tiny.fxs"), (FORMAT_V2, "tiny_v2.fxs")];
 
+/// The golden this build can still write (and therefore drift-check).
+const WRITTEN_GOLDEN: &str = "tiny_v2.fxs";
+
 fn golden_path(file: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
         .join(file)
 }
 
-fn current_bytes(version: u32) -> Vec<u8> {
+fn current_bytes() -> Vec<u8> {
     let flex = FleXPath::from_xml(TINY_XML).expect("tiny corpus parses");
     let ctx = flex.context();
-    StoreBuilder::from_parts("tiny", ctx.doc(), ctx.stats(), ctx.index())
-        .with_version(version)
-        .expect("supported version")
-        .to_bytes()
+    StoreBuilder::from_parts("tiny", ctx.doc(), ctx.stats(), ctx.index()).to_bytes()
 }
 
 #[test]
 fn format_matches_committed_golden_files() {
-    for &(version, file) in GOLDENS {
-        let golden = std::fs::read(golden_path(file)).unwrap_or_else(|_| {
-            panic!(
-                "tests/golden/{file} missing — regenerate with \
-                 `cargo test -q --test store_golden -- --ignored regenerate`"
-            )
-        });
-        let current = current_bytes(version);
-        assert_eq!(
-            current,
-            golden,
-            "store serialization drifted from the committed golden file \
-             {file} at container version {version} (first differing byte: \
-             {:?}). If the layout change is deliberate, add a new container \
-             version and regenerate with `cargo test -q --test store_golden \
-             -- --ignored regenerate`; otherwise revert the encoding change.",
-            current
-                .iter()
-                .zip(golden.iter())
-                .position(|(a, b)| a != b)
-                .unwrap_or_else(|| current.len().min(golden.len()))
-        );
-    }
+    let file = WRITTEN_GOLDEN;
+    let golden = std::fs::read(golden_path(file)).unwrap_or_else(|_| {
+        panic!(
+            "tests/golden/{file} missing — regenerate with \
+             `cargo test -q --test store_golden -- --ignored regenerate`"
+        )
+    });
+    let current = current_bytes();
+    assert_eq!(
+        u32::from_le_bytes(current[8..12].try_into().expect("version field")),
+        FORMAT_V2,
+        "the builder writes container version {FORMAT_V2}"
+    );
+    assert_eq!(
+        current,
+        golden,
+        "store serialization drifted from the committed golden file \
+         {file} (first differing byte: {:?}). If the layout change is \
+         deliberate, add a new container version and regenerate with \
+         `cargo test -q --test store_golden -- --ignored regenerate`; \
+         otherwise revert the encoding change.",
+        current
+            .iter()
+            .zip(golden.iter())
+            .position(|(a, b)| a != b)
+            .unwrap_or_else(|| current.len().min(golden.len()))
+    );
 }
 
 #[test]
@@ -112,15 +117,14 @@ fn golden_files_still_open_and_answer_identically() {
     );
 }
 
-/// Regenerates both golden files. Run explicitly after a deliberate
-/// format change (with the version bump already in place):
+/// Regenerates the v2 golden file (the v1 golden cannot be rewritten —
+/// it is kept as committed). Run explicitly after a deliberate format
+/// change (with the version bump already in place):
 /// `cargo test -q --test store_golden -- --ignored regenerate`.
 #[test]
-#[ignore = "writes tests/golden/*.fxs; run explicitly after a format bump"]
+#[ignore = "writes tests/golden/tiny_v2.fxs; run explicitly after a format bump"]
 fn regenerate() {
-    for &(version, file) in GOLDENS {
-        let path = golden_path(file);
-        std::fs::create_dir_all(path.parent().expect("parent")).expect("golden dir");
-        std::fs::write(&path, current_bytes(version)).expect("write golden file");
-    }
+    let path = golden_path(WRITTEN_GOLDEN);
+    std::fs::create_dir_all(path.parent().expect("parent")).expect("golden dir");
+    std::fs::write(&path, current_bytes()).expect("write golden file");
 }

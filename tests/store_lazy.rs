@@ -1,8 +1,9 @@
-//! Integration suite for the lazy store path: a session opened with
+//! Integration suite for the store path: a session opened with
 //! [`FleXPath::open`] (header + meta validated, sections decoded on first
-//! touch) must be observationally identical to one opened eagerly — same
-//! answers, same scores, same trace counter fingerprints, at every thread
-//! count — while only paying for the sections a query actually touches.
+//! touch) must be observationally identical to the session it was saved
+//! from, and to itself materialized up front — same answers, same scores,
+//! same trace counter fingerprints, at every thread count — while only
+//! paying for the sections a query actually touches.
 //! A memory-mapped reader must also survive the catalog's atomic
 //! temp-and-rename replace: the old session keeps serving the old bytes.
 
@@ -10,7 +11,7 @@ mod common;
 
 use common::ScratchDir;
 use flexpath::{Catalog, FleXPath};
-use flexpath_store::{StoreBuilder, FORMAT_V1};
+use flexpath_store::StoreBuilder;
 use std::path::PathBuf;
 
 const XML: &str = r#"<site>
@@ -67,22 +68,29 @@ fn run(flex: &FleXPath, query: &str, threads: usize) -> (Vec<(u32, u64, u64)>, S
 
 #[test]
 fn lazy_and_eager_sessions_answer_byte_identically_at_every_thread_count() {
+    // The reference is the session parsed from XML (no store involved);
+    // `eager` is the same store opened and materialized up front.
     let (_dir, path) = saved_store("lazy-equiv");
+    let parsed = FleXPath::from_xml(XML).expect("corpus parses");
     let lazy = FleXPath::open(&path).expect("lazy open");
-    let eager = FleXPath::open_eager(&path).expect("eager open");
+    let eager = FleXPath::open(&path).expect("eager open");
+    eager.materialize(true).expect("every section decodes");
+    assert!(eager.residency().index && !lazy.residency().document);
     for query in QUERIES {
         for threads in [1, 2, 4, 8] {
-            let (lazy_hits, lazy_fp) = run(&lazy, query, threads);
-            let (eager_hits, eager_fp) = run(&eager, query, threads);
-            assert_eq!(
-                lazy_hits, eager_hits,
-                "hits diverged for {query:?} at {threads} threads"
-            );
-            assert_eq!(
-                lazy_fp, eager_fp,
-                "trace fingerprints diverged for {query:?} at {threads} threads"
-            );
-            assert!(!lazy_hits.is_empty(), "query {query:?} must match");
+            let (parsed_hits, parsed_fp) = run(&parsed, query, threads);
+            for (label, flex) in [("lazy", &lazy), ("eager", &eager)] {
+                let (hits, fp) = run(flex, query, threads);
+                assert_eq!(
+                    hits, parsed_hits,
+                    "{label} hits diverged for {query:?} at {threads} threads"
+                );
+                assert_eq!(
+                    fp, parsed_fp,
+                    "{label} trace fingerprints diverged for {query:?} at {threads} threads"
+                );
+            }
+            assert!(!parsed_hits.is_empty(), "query {query:?} must match");
         }
     }
 }
@@ -123,36 +131,29 @@ fn residency_progresses_with_what_queries_touch() {
 
 #[test]
 fn v1_files_open_eagerly_and_answer_like_v2() {
-    // Write the same corpus in both container versions; the v1 file (as
-    // an old build would have written it) must open through the same
-    // `FleXPath::open` entry point, decode everything up front, and
-    // answer byte-identically to the v2 image.
-    let scratch = ScratchDir::new("lazy-v1compat");
-    let dir = scratch.path();
-    let flex = FleXPath::from_xml(XML).expect("corpus parses");
-    let ctx = flex.context();
-    let v1_path = dir.join("v1.fxs");
-    StoreBuilder::from_parts("doc", ctx.doc(), ctx.stats(), ctx.index())
-        .with_version(FORMAT_V1)
-        .expect("v1 supported")
-        .write_to(&v1_path)
-        .expect("v1 writes");
-    let v2_path = dir.join("v2.fxs");
-    StoreBuilder::from_parts("doc", ctx.doc(), ctx.stats(), ctx.index())
-        .write_to(&v2_path)
-        .expect("v2 writes");
-
-    let v1 = FleXPath::open(&v1_path).expect("v1 file opens");
+    // The committed goldens are one corpus in both container versions
+    // (nothing writes v1 any more, so `tiny.fxs` is *the* v1 file). It
+    // must open through the same `FleXPath::open` entry point, decode
+    // everything up front, and answer byte-identically to the v2 image.
+    let golden = |file: &str| {
+        PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/golden")
+            .join(file)
+    };
+    let v1 = FleXPath::open(&golden("tiny.fxs")).expect("v1 file opens");
     let r = v1.residency();
     assert!(
         r.document && r.stats && r.index,
         "v1 has no lazy representation — everything decodes at open"
     );
-    let v2 = FleXPath::open(&v2_path).expect("v2 file opens");
+    let v2 = FleXPath::open(&golden("tiny_v2.fxs")).expect("v2 file opens");
+    assert!(!v2.residency().document, "the v2 image opens lazily");
     for query in QUERIES {
         for threads in [1, 2, 4, 8] {
+            let (v1_hits, v1_fp) = run(&v1, query, threads);
+            assert!(!v1_hits.is_empty(), "query {query:?} must match");
             assert_eq!(
-                run(&v1, query, threads),
+                (v1_hits, v1_fp),
                 run(&v2, query, threads),
                 "v1/v2 diverged for {query:?} at {threads} threads"
             );
