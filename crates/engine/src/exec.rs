@@ -832,20 +832,17 @@ impl<'a> Evaluator<'a> {
 
     /// Contribution of ghost `c`'s subtree with `c` left unbound: its own
     /// bits are unsatisfied; its children are matched independently. A
-    /// child may still be *surviving* (σ promoted it out before λ deleted
-    /// `c`) — such a child is required, and its failure fails the match.
+    /// descendant may still be *surviving* (σ promoted it out before λ
+    /// deleted `c`) — it is required, and [`Self::best_child`] reports
+    /// `None` for exactly that case (a ghost on its own always has the
+    /// unbound fallback), so every `None` fails the match, whether the
+    /// child that returned it survives or is itself a ghost above the
+    /// required node.
     fn ghost_skip(&mut self, c: usize) -> Option<Contribution> {
         let mut contrib = Contribution::default();
         for ki in self.children.range(c) {
             let k = self.children.at(ki);
-            match self.best_child(k) {
-                Some(cc) => contrib.merge(cc),
-                None => {
-                    if self.enc.specs[k].surviving {
-                        return None;
-                    }
-                }
-            }
+            contrib.merge(self.best_child(k)?);
         }
         Some(contrib)
     }
@@ -854,11 +851,12 @@ impl<'a> Evaluator<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::brute_force::naive_exact_answers;
     use crate::fixtures::{q1, setup, ARTICLES};
     use crate::schedule::build_schedule;
     use crate::score::{PenaltyModel, WeightAssignment};
     use flexpath_ftsearch::FtExpr;
-    use flexpath_tpq::{Predicate, Tpq, TpqBuilder, Var};
+    use flexpath_tpq::{Predicate, TpqBuilder, Var};
 
     fn collect(ctx: &EngineContext, enc: &EncodedQuery, scheme: RankingScheme) -> Vec<Answer> {
         collect_with(ctx, enc, scheme, &ParallelConfig::sequential()).0
@@ -875,47 +873,6 @@ mod tests {
             out.push(a)
         });
         (out, stats)
-    }
-
-    /// Brute-force oracle: all embeddings by exhaustive assignment.
-    fn naive_exact_answers(doc: &flexpath_xmldom::Document, q: &Tpq) -> Vec<NodeId> {
-        fn try_assign(
-            doc: &flexpath_xmldom::Document,
-            q: &Tpq,
-            idx: usize,
-            asg: &mut Vec<Option<NodeId>>,
-            out: &mut std::collections::BTreeSet<NodeId>,
-        ) {
-            if idx == q.node_count() {
-                out.insert(asg[q.distinguished()].unwrap());
-                return;
-            }
-            let node = q.node(idx);
-            for d in doc.elements() {
-                if let Some(tag) = node.tag.as_deref() {
-                    if doc.tag_name(d) != Some(tag) {
-                        continue;
-                    }
-                }
-                if let Some(p) = node.parent {
-                    let dp = asg[p].unwrap();
-                    let ok = match node.axis {
-                        flexpath_tpq::Axis::Child => doc.is_parent(dp, d),
-                        flexpath_tpq::Axis::Descendant => doc.is_ancestor(dp, d),
-                    };
-                    if !ok {
-                        continue;
-                    }
-                }
-                asg[idx] = Some(d);
-                try_assign(doc, q, idx + 1, asg, out);
-                asg[idx] = None;
-            }
-        }
-        let mut out = std::collections::BTreeSet::new();
-        let mut asg = vec![None; q.node_count()];
-        try_assign(doc, q, 0, &mut asg, &mut out);
-        out.into_iter().collect()
     }
 
     #[test]
@@ -1200,5 +1157,89 @@ mod tests {
         let mut ss: Vec<f64> = answers.iter().map(|a| a.score.ss).collect();
         ss.sort_by(f64::total_cmp);
         assert!(ss[0] < ss[1] && ss[1] < ss[2]);
+    }
+
+    /// A hand-picked schedule: `ops` applied in order, each step's newly
+    /// dropped closure predicates priced by `model` — what
+    /// [`build_schedule`] records, without its greedy operator choice.
+    fn steps_applying(
+        ctx: &EngineContext,
+        model: &PenaltyModel,
+        q: &flexpath_tpq::Tpq,
+        ops: &[flexpath_tpq::RelaxOp],
+    ) -> Vec<crate::schedule::ScheduledStep> {
+        let closure = q.closure();
+        let mut dropped = flexpath_tpq::PredicateSet::new();
+        let mut steps: Vec<crate::schedule::ScheduledStep> = Vec::new();
+        let mut current = q.clone();
+        for op in ops {
+            let next = flexpath_tpq::apply_op(&current, op).unwrap();
+            let after = flexpath_tpq::closure_of(&next.logical());
+            let new_dropped: Vec<(Predicate, f64)> = closure
+                .difference(&after)
+                .iter()
+                .filter(|p| !dropped.contains(p))
+                .map(|p| (p.clone(), model.penalty(ctx, p, &Budget::unlimited())))
+                .collect();
+            for (p, _) in &new_dropped {
+                dropped.insert(p.clone());
+            }
+            let step_penalty: f64 = new_dropped.iter().map(|(_, pi)| pi).sum();
+            let cumulative = steps.last().map_or(0.0, |s| s.cumulative_penalty) + step_penalty;
+            steps.push(crate::schedule::ScheduledStep {
+                op: op.clone(),
+                query: next.clone(),
+                new_dropped,
+                step_penalty,
+                cumulative_penalty: cumulative,
+                ss_after: model.base_structural_score(q) - cumulative,
+            });
+            current = next;
+        }
+        steps
+    }
+
+    #[test]
+    fn required_leaf_below_two_ghosts_still_has_to_match() {
+        // a/b/c/d with d promoted out (σ twice) before c and b are deleted:
+        // the relaxed query is a[.//d]. b and c are ghosts, d survives —
+        // so an `a` without any d is no answer, however its ghosts fare.
+        use flexpath_tpq::RelaxOp;
+        let mut builder = TpqBuilder::new("a");
+        let b = builder.child(0, "b");
+        let c = builder.child(b, "c");
+        let _d = builder.child(c, "d");
+        let q = builder.build();
+        let xml = "<r><a><b><c><d/></c></b></a><a><b/></a><a><b><c/></b></a><a><x><d/></x></a></r>";
+        let (ctx, model) = setup(xml, &q);
+        let (vc, vd) = (q.node(2).var, q.node(3).var);
+        let steps = steps_applying(
+            &ctx,
+            &model,
+            &q,
+            &[
+                RelaxOp::SubtreePromote { var: vd },
+                RelaxOp::SubtreePromote { var: vd },
+                RelaxOp::LeafDelete { var: vc },
+                RelaxOp::LeafDelete { var: q.node(1).var },
+            ],
+        );
+        let enc = EncodedQuery::build(&ctx, &model, &q, &steps);
+        assert_eq!(enc.relaxed.to_xpath(), "//a[.//d]");
+        let surviving: Vec<bool> = enc.specs.iter().map(|s| s.surviving).collect();
+        assert_eq!(surviving, [true, false, false, true]);
+
+        let nodes = |enc: &EncodedQuery| -> Vec<NodeId> {
+            collect(&ctx, enc, RankingScheme::StructureFirst)
+                .into_iter()
+                .map(|a| a.node)
+                .collect()
+        };
+        let a_nodes = ctx.doc().nodes_with_tag_name("a");
+        assert_eq!(nodes(&enc), [a_nodes[0], a_nodes[3]]);
+        // Encoded ≡ exact evaluation of the relaxed query ≡ brute force.
+        let exact = EncodedQuery::exact(&ctx, &model, &enc.relaxed);
+        assert_eq!(nodes(&enc), nodes(&exact));
+        assert_eq!(nodes(&enc), naive_exact_answers(ctx.doc(), &enc.relaxed));
     }
 }

@@ -68,6 +68,11 @@ pub mod selectivity;
 pub mod structural_join;
 pub mod topk;
 
+/// The workspace's independent brute-force matcher
+/// (`tests/common/brute_force.rs`), shared with `tests/relaxation_oracle.rs`.
+#[cfg(test)]
+#[path = "../../../tests/common/brute_force.rs"]
+mod brute_force;
 mod dpo;
 mod fixtures;
 mod run;

@@ -8,6 +8,19 @@
 //! [`ExecStats`]. A refactor that claims to be behaviour-preserving must
 //! leave the file byte-identical.
 //!
+//! The answers it pins are checked against `tests/relaxation_oracle.rs`
+//! (encoded plan ≡ exact evaluation of the relaxed query ≡ brute force),
+//! not merely carried over from the previous build. Every regeneration is
+//! accounted for:
+//!
+//! 1. *`ghost_skip` propagates every `None`* (DESIGN.md §6.8) changed 12 of
+//!    the 126 lines: `q3` × {SSO, Hybrid} × {StructureFirst, Combined} ×
+//!    {t1, t4} in counters only (`intermediates` 133 → 103 — the plan no
+//!    longer admits items the relaxed query rejects; the top 50 are the
+//!    same), and `restart` × {SSO, Hybrid} × Combined × {t1, t4} in answers,
+//!    `restarts` 3 → 4 and `relaxations_used` 9 → 14 (the old run stopped at
+//!    prefix 9 with 11 hits that do not match it).
+//!
 //! A failure is the prompt: either the engine's observable behaviour
 //! changed by accident (revert), or deliberately (regenerate, and say so in
 //! the change description):
