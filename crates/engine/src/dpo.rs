@@ -30,7 +30,7 @@
 
 use crate::context::EngineContext;
 use crate::encode::EncodedQuery;
-use crate::exec::evaluate_encoded;
+use crate::exec::{evaluate_encoded, EvalStats};
 use crate::metrics::{self, TraceSpan};
 use crate::parallel::{fan_out, ParallelConfig};
 use crate::run::Run;
@@ -133,7 +133,7 @@ pub fn dpo_topk(ctx: &EngineContext, request: &TopKRequest) -> TopKResult {
         // workers dedup only within their own round; the cross-round filter
         // happens at merge time, in round order, exactly as the sequential
         // loop interleaves it.
-        let evaluated: Vec<(Vec<Answer>, u64, u64, Duration)> = fan_out(batch, batch, |bi| {
+        let evaluated: Vec<(Vec<Answer>, u64, EvalStats, Duration)> = fan_out(batch, batch, |bi| {
             // lint:allow(determinism): per-round duration only; durations
             // are excluded from the counter fingerprint.
             let round_started = Instant::now();
@@ -174,15 +174,9 @@ pub fn dpo_topk(ctx: &EngineContext, request: &TopKRequest) -> TopKResult {
                     });
                 }
             };
-            let candidates =
-                evaluate_encoded(ctx, &enc, request.scheme, budget, &within_round, on_answer)
-                    .candidates_examined;
-            (
-                round_delta,
-                intermediates,
-                candidates,
-                round_started.elapsed(),
-            )
+            let scanned =
+                evaluate_encoded(ctx, &enc, request.scheme, budget, &within_round, on_answer);
+            (round_delta, intermediates, scanned, round_started.elapsed())
         });
         if budget.tripped().is_some() {
             // Partial batch: discard its deltas entirely (Theorem 3 prefix
@@ -196,9 +190,10 @@ pub fn dpo_topk(ctx: &EngineContext, request: &TopKRequest) -> TopKResult {
         }
         // Commit the batch strictly in round order, re-applying the stop
         // conditions against the growing committed state.
-        for (bi, (mut round_delta, intermediates, candidates, round_time)) in
+        for (bi, (mut round_delta, intermediates, scanned, round_time)) in
             evaluated.into_iter().enumerate()
         {
+            let candidates = scanned.candidates_examined;
             let round = next_round + bi;
             let round_ss = round_ss_of(round);
             if bi > 0 && should_stop(&answers, ss_at_k, round_ss) {
@@ -233,6 +228,7 @@ pub fn dpo_topk(ctx: &EngineContext, request: &TopKRequest) -> TopKResult {
                     format!("round[{round}] op={}", schedule[round - 1].op)
                 });
                 span.duration = round_time;
+                span.add("round.roots", scanned.roots);
                 span.add("round.candidates", candidates);
                 span.add("round.intermediates", intermediates);
                 span.add("round.estimated", round_est.max(0.0) as u64);

@@ -10,7 +10,13 @@
 //!
 //! ## How matching works
 //!
-//! The evaluator runs a best-embedding dynamic program over the *original*
+//! Evaluation is a **semijoin prefilter** followed by a **best-embedding
+//! DP**. The prefilter (`required_roots`) asks the per-tag sorted lists
+//! the cheap existence question — which root candidates have the relaxed
+//! query's *required* skeleton below them at all — and hands the DP only
+//! those; it admits nothing, it only spares the DP roots that cannot match.
+//!
+//! The DP runs a best-embedding dynamic program over the *original*
 //! query tree. Sibling subtrees of a tree pattern are independent given the
 //! parent binding, and every relaxable predicate is owned by exactly one
 //! node and only references bindings of that node's original ancestors — so
@@ -28,9 +34,12 @@ use crate::context::EngineContext;
 use crate::encode::{BitCheck, ChildIndex, EncodedQuery};
 use crate::parallel::{chunk_ranges, fan_out, ParallelConfig};
 use crate::score::{AnswerScore, RankingScheme};
+use crate::structural_join::{retain_containing, retain_parents_of};
 use crate::topk::Answer;
 use flexpath_ftsearch::Budget;
+use flexpath_tpq::Axis;
 use flexpath_xmldom::{Document, NodeId};
+use std::borrow::Cow;
 
 /// Per-subtree contribution of a (partial) embedding.
 #[derive(Debug, Clone, Copy, Default)]
@@ -64,6 +73,9 @@ impl Contribution {
 /// Streaming evaluation statistics.
 #[derive(Debug, Clone, Default)]
 pub struct EvalStats {
+    /// Root candidates handed to the DP: the root tag's nodes that passed
+    /// the required-skeleton prefilter (`required_roots`).
+    pub roots: u64,
     /// Candidate nodes examined across all specs.
     pub candidates_examined: u64,
     /// Answers emitted.
@@ -87,8 +99,9 @@ const ROOT_SPEC: usize = 0;
 /// (document-order prefix), and the caller learns the reason via
 /// [`Budget::tripped`]. An unlimited budget short-circuits every check.
 ///
-/// The outer candidate list (root candidates, or distinguished candidates
-/// when the distinguished node sits below the root) is scanned by the one
+/// The outer candidate list (the root candidates that passed the
+/// required-skeleton prefilter, or all distinguished candidates when the
+/// distinguished node sits below the root) is scanned by the one
 /// candidate loop (`Evaluator::scan`), either inline — streaming straight
 /// into `on_answer` — or, when `parallel` admits more than one worker for
 /// its size
@@ -112,17 +125,20 @@ pub fn evaluate_encoded(
     parallel: &ParallelConfig,
     mut on_answer: impl FnMut(Answer),
 ) -> EvalStats {
+    let doc = ctx.doc();
     let dist = enc.distinguished_spec();
-    // The pinned scan tries every root candidate per distinguished
-    // candidate; workers share that list.
-    let roots = if dist == ROOT_SPEC {
-        Vec::new()
+    // Computed once, before any chunking, so every worker count scans the
+    // same lists. The pinned scan (distinguished node below the root) tries
+    // every root per distinguished candidate; workers share that list.
+    let roots = required_roots(doc, enc, budget);
+    let root_count = roots.len() as u64;
+    let (outer, roots) = if dist == ROOT_SPEC {
+        (roots, Cow::Borrowed(&[][..]))
     } else {
-        spec_candidates(ctx, enc, ROOT_SPEC)
+        (spec_candidates(doc, enc, dist), roots)
     };
-    let outer = spec_candidates(ctx, enc, dist);
     let workers = parallel.workers_for_candidates(outer.len());
-    let stats = if workers <= 1 {
+    let mut stats = if workers <= 1 {
         Evaluator::new(ctx, enc, scheme, budget).scan(&outer, &roots, &mut on_answer)
     } else {
         let ranges = chunk_ranges(outer.len(), workers);
@@ -144,8 +160,10 @@ pub fn evaluate_encoded(
         }
         stats
     };
+    stats.roots = root_count;
     let reg = crate::metrics::global();
     reg.add("engine.exec.evaluations", 1);
+    reg.add("engine.exec.roots", stats.roots);
     reg.add("engine.exec.candidates", stats.candidates_examined);
     reg.add("engine.exec.answers", stats.answers);
     reg.add("engine.exec.saturated", stats.saturated_breaks);
@@ -319,26 +337,91 @@ fn subtree_info(enc: &EncodedQuery) -> SubtreeInfo {
 }
 
 /// Document-ordered candidates for an unanchored spec (the query root, or
-/// the distinguished spec in the general driver).
-fn spec_candidates(ctx: &EngineContext, enc: &EncodedQuery, spec_idx: usize) -> Vec<NodeId> {
+/// the distinguished spec in the general driver): every node carrying one
+/// of the spec's tags. A single concrete tag borrows the document's list.
+fn spec_candidates<'d>(
+    doc: &'d Document,
+    enc: &EncodedQuery,
+    spec_idx: usize,
+) -> Cow<'d, [NodeId]> {
     let spec = &enc.specs[spec_idx];
     if spec.tag_missing {
-        return Vec::new();
+        return Cow::Borrowed(&[]);
     }
     let mut out: Vec<NodeId> = match spec.tag {
-        Some(tag) => ctx.doc().nodes_with_tag(tag).to_vec(),
-        None if spec.alt_tags.is_empty() => ctx.doc().elements().collect(),
+        Some(tag) if spec.alt_tags.is_empty() => return Cow::Borrowed(doc.nodes_with_tag(tag)),
+        Some(tag) => doc.nodes_with_tag(tag).to_vec(),
+        None if spec.alt_tags.is_empty() => return doc.elements().collect(),
         None => Vec::new(),
     };
     // Hierarchy extension: sibling subtypes are candidates too; merge
     // back into document order so answers stream sorted by node id.
     for &alt in &spec.alt_tags {
-        out.extend_from_slice(ctx.doc().nodes_with_tag(alt));
+        out.extend_from_slice(doc.nodes_with_tag(alt));
     }
-    if !spec.alt_tags.is_empty() {
-        out.sort_unstable();
+    out.sort_unstable();
+    Cow::Owned(out)
+}
+
+/// The root candidates worth handing to the DP: those that pass the
+/// **existence test of the relaxed query's required skeleton**.
+///
+/// The surviving specs, linked by `anchor`/`axis`, *are* the relaxed tree
+/// pattern; each starts from its tag's document-ordered node list, is cut
+/// down to the nodes satisfying its `required_contains` (the sorted
+/// [`flexpath_ftsearch::FtEval::matches`]), and then cuts its anchor's set
+/// down to the nodes that have it as a child / descendant — a bottom-up
+/// pass of semijoins, spec index descending, since an anchor's index is
+/// always smaller than its dependants'. What reaches the root is a
+/// **superset** of the roots [`Evaluator::match_node`] accepts: ghosts,
+/// wildcards, hierarchy `alt_tags`, attribute predicates and the pinned
+/// distinguished binding constrain nothing here and are left to the DP,
+/// which stays the only code that admits, scores and emits an answer.
+///
+/// A pure function of the document and the encoding. The semijoins
+/// checkpoint `budget`; on a trip no roots are returned, exactly as if the
+/// scan had tripped on its first candidate.
+fn required_roots<'d>(doc: &'d Document, enc: &EncodedQuery, budget: &Budget) -> Cow<'d, [NodeId]> {
+    let specs = &enc.specs;
+    if specs.iter().any(|s| s.surviving && s.tag_missing) {
+        return Cow::Borrowed(&[]); // a required node names a tag the document lacks
     }
-    out
+    // Per spec, the nodes that can still bind it; `None` = unconstrained.
+    let mut sets: Vec<Option<Cow<'d, [NodeId]>>> = specs
+        .iter()
+        .map(|s| match s.tag {
+            Some(tag) if s.surviving && s.alt_tags.is_empty() => {
+                Some(Cow::Borrowed(doc.nodes_with_tag(tag)))
+            }
+            _ => None,
+        })
+        .collect();
+    // lint:allow(governor): query-arity-sized loop; the corpus-sized work
+    // is inside the semijoins, which checkpoint per node.
+    for i in (0..specs.len()).rev() {
+        let Some(mut set) = sets[i].take() else {
+            continue;
+        };
+        for &ci in &specs[i].required_contains {
+            let matches = enc.cspecs[ci].eval.matches();
+            retain_containing(doc, budget, &mut set, matches, |m| m.0, true);
+        }
+        let Some(anchor) = specs[i].anchor else {
+            return if budget.tripped().is_some() {
+                Cow::Borrowed(&[])
+            } else {
+                set
+            };
+        };
+        if let Some(anchor_set) = sets[anchor].as_mut() {
+            match specs[i].axis {
+                Axis::Child => retain_parents_of(doc, budget, anchor_set, &set),
+                Axis::Descendant => retain_containing(doc, budget, anchor_set, &set, |&n| n, false),
+            }
+        }
+    }
+    // Wildcard or hierarchy-typed root: nothing to filter by.
+    spec_candidates(doc, enc, ROOT_SPEC)
 }
 
 impl<'a> Evaluator<'a> {
@@ -519,7 +602,7 @@ impl<'a> Evaluator<'a> {
             Some(b) => b,
             None => return if surviving { None } else { self.ghost_skip(c) },
         };
-        let children_only = surviving && spec.axis == flexpath_tpq::Axis::Child;
+        let children_only = surviving && spec.axis == Axis::Child;
 
         // Batched inner loop for simple leaves: classify the spec's pc/ad
         // bits against the bound reference intervals ONCE, then scan with
@@ -1159,52 +1242,11 @@ mod tests {
         assert!(ss[0] < ss[1] && ss[1] < ss[2]);
     }
 
-    /// A hand-picked schedule: `ops` applied in order, each step's newly
-    /// dropped closure predicates priced by `model` — what
-    /// [`build_schedule`] records, without its greedy operator choice.
-    fn steps_applying(
-        ctx: &EngineContext,
-        model: &PenaltyModel,
-        q: &flexpath_tpq::Tpq,
-        ops: &[flexpath_tpq::RelaxOp],
-    ) -> Vec<crate::schedule::ScheduledStep> {
-        let closure = q.closure();
-        let mut dropped = flexpath_tpq::PredicateSet::new();
-        let mut steps: Vec<crate::schedule::ScheduledStep> = Vec::new();
-        let mut current = q.clone();
-        for op in ops {
-            let next = flexpath_tpq::apply_op(&current, op).unwrap();
-            let after = flexpath_tpq::closure_of(&next.logical());
-            let new_dropped: Vec<(Predicate, f64)> = closure
-                .difference(&after)
-                .iter()
-                .filter(|p| !dropped.contains(p))
-                .map(|p| (p.clone(), model.penalty(ctx, p, &Budget::unlimited())))
-                .collect();
-            for (p, _) in &new_dropped {
-                dropped.insert(p.clone());
-            }
-            let step_penalty: f64 = new_dropped.iter().map(|(_, pi)| pi).sum();
-            let cumulative = steps.last().map_or(0.0, |s| s.cumulative_penalty) + step_penalty;
-            steps.push(crate::schedule::ScheduledStep {
-                op: op.clone(),
-                query: next.clone(),
-                new_dropped,
-                step_penalty,
-                cumulative_penalty: cumulative,
-                ss_after: model.base_structural_score(q) - cumulative,
-            });
-            current = next;
-        }
-        steps
-    }
-
     #[test]
     fn required_leaf_below_two_ghosts_still_has_to_match() {
         // a/b/c/d with d promoted out (σ twice) before c and b are deleted:
         // the relaxed query is a[.//d]. b and c are ghosts, d survives —
         // so an `a` without any d is no answer, however its ghosts fare.
-        use flexpath_tpq::RelaxOp;
         let mut builder = TpqBuilder::new("a");
         let b = builder.child(0, "b");
         let c = builder.child(b, "c");
@@ -1212,22 +1254,18 @@ mod tests {
         let q = builder.build();
         let xml = "<r><a><b><c><d/></c></b></a><a><b/></a><a><b><c/></b></a><a><x><d/></x></a></r>";
         let (ctx, model) = setup(xml, &q);
-        let (vc, vd) = (q.node(2).var, q.node(3).var);
-        let steps = steps_applying(
-            &ctx,
-            &model,
-            &q,
-            &[
-                RelaxOp::SubtreePromote { var: vd },
-                RelaxOp::SubtreePromote { var: vd },
-                RelaxOp::LeafDelete { var: vc },
-                RelaxOp::LeafDelete { var: q.node(1).var },
-            ],
-        );
-        let enc = EncodedQuery::build(&ctx, &model, &q, &steps);
+        // The penalty-ordered schedule passes through that state: find it.
+        let steps = build_schedule(&ctx, &model, &q, 64);
+        let enc = (0..=steps.len())
+            .map(|p| EncodedQuery::build(&ctx, &model, &q, &steps[..p]))
+            .find(|enc| {
+                enc.specs
+                    .iter()
+                    .map(|s| s.surviving)
+                    .eq([true, false, false, true])
+            })
+            .expect("the schedule deletes b and c while d survives");
         assert_eq!(enc.relaxed.to_xpath(), "//a[.//d]");
-        let surviving: Vec<bool> = enc.specs.iter().map(|s| s.surviving).collect();
-        assert_eq!(surviving, [true, false, false, true]);
 
         let nodes = |enc: &EncodedQuery| -> Vec<NodeId> {
             collect(&ctx, enc, RankingScheme::StructureFirst)
@@ -1237,9 +1275,142 @@ mod tests {
         };
         let a_nodes = ctx.doc().nodes_with_tag_name("a");
         assert_eq!(nodes(&enc), [a_nodes[0], a_nodes[3]]);
+        // The DP must reach that verdict on its own, without the root
+        // prefilter having removed the d-less `a`s first.
+        let dp_alone: Vec<NodeId> = scan_unfiltered(&ctx, &enc, RankingScheme::StructureFirst)
+            .iter()
+            .map(|a| a.node)
+            .collect();
+        assert_eq!(dp_alone, nodes(&enc));
         // Encoded ≡ exact evaluation of the relaxed query ≡ brute force.
         let exact = EncodedQuery::exact(&ctx, &model, &enc.relaxed);
         assert_eq!(nodes(&enc), nodes(&exact));
         assert_eq!(nodes(&enc), naive_exact_answers(ctx.doc(), &enc.relaxed));
+    }
+
+    /// The answer stream of the one candidate scan over the *unfiltered*
+    /// root list — what `evaluate_encoded` produced before the prefilter.
+    fn scan_unfiltered(
+        ctx: &EngineContext,
+        enc: &EncodedQuery,
+        scheme: RankingScheme,
+    ) -> Vec<Answer> {
+        let (doc, dist) = (ctx.doc(), enc.distinguished_spec());
+        let roots = spec_candidates(doc, enc, ROOT_SPEC);
+        let (outer, roots) = if dist == ROOT_SPEC {
+            (roots, Cow::Borrowed(&[][..]))
+        } else {
+            (spec_candidates(doc, enc, dist), roots)
+        };
+        let mut out = Vec::new();
+        let budget = Budget::unlimited();
+        Evaluator::new(ctx, enc, scheme, &budget).scan(&outer, &roots, &mut |a| out.push(a));
+        out
+    }
+
+    /// `evaluate_encoded` (prefiltered roots) and the unfiltered scan emit
+    /// the same answers: node, score bits, satisfied set, level, order.
+    fn assert_prefilter_is_invisible(
+        ctx: &EngineContext,
+        enc: &EncodedQuery,
+        what: &str,
+    ) -> EvalStats {
+        let (filtered, stats) = collect_with(
+            ctx,
+            enc,
+            RankingScheme::Combined,
+            &ParallelConfig::sequential(),
+        );
+        let key = |a: &Answer| {
+            let (ss, ks) = (a.score.ss.to_bits(), a.score.ks.to_bits());
+            (a.node, ss, ks, a.satisfied, a.relaxation_level)
+        };
+        let unfiltered = scan_unfiltered(ctx, enc, RankingScheme::Combined);
+        assert_eq!(
+            filtered.iter().map(key).collect::<Vec<_>>(),
+            unfiltered.iter().map(key).collect::<Vec<_>>(),
+            "{what}"
+        );
+        stats
+    }
+
+    #[test]
+    fn prefiltered_roots_leave_the_answer_stream_unchanged_at_every_prefix() {
+        let mut roots_dropped = 0u64;
+        for case in 0..10 * crate::shapes::SHAPES {
+            let (xml, q) = crate::shapes::case(case);
+            let (ctx, model) = setup(&xml, &q);
+            let steps = build_schedule(&ctx, &model, &q, 64);
+            for p in 0..=steps.len() {
+                let enc = EncodedQuery::build(&ctx, &model, &q, &steps[..p]);
+                let what = format!("case {case}, prefix {p}: {} over {xml}", q.to_xpath());
+                let stats = assert_prefilter_is_invisible(&ctx, &enc, &what);
+                let all = spec_candidates(ctx.doc(), &enc, ROOT_SPEC).len() as u64;
+                assert!(stats.roots <= all, "{what}");
+                roots_dropped += all - stats.roots;
+            }
+        }
+        assert!(roots_dropped > 1_000, "the prefilter must have work to do");
+    }
+
+    #[test]
+    fn prefilter_edge_cases() {
+        let exact = |xml: &str, query: &str| {
+            let q = flexpath_tpq::parse_query(query).unwrap();
+            let (ctx, model) = setup(xml, &q);
+            let enc = EncodedQuery::exact(&ctx, &model, &q);
+            let stats = assert_prefilter_is_invisible(&ctx, &enc, query);
+            (stats.roots, stats.answers)
+        };
+        // Strict axes on a recursive tag: a node is not its own child or
+        // descendant, and the innermost parlist has neither.
+        let nested = "<r><parlist><parlist><parlist/></parlist></parlist><parlist/></r>";
+        assert_eq!(exact(nested, "//parlist[./parlist]"), (2, 2));
+        assert_eq!(exact(nested, "//parlist[.//parlist]"), (2, 2));
+        // A required node whose tag the document lacks: no roots at all.
+        assert_eq!(exact(nested, "//parlist[./nowhere]"), (0, 0));
+        // A wildcard constrains nothing, and neither does what hangs below
+        // it; the DP still decides.
+        let items = "<r><item><x><b/></x>gold</item><item><b/></item><item>old gold</item></r>";
+        assert_eq!(exact(items, "//item[./*[./b]]"), (3, 1));
+        assert_eq!(exact(items, "//*[./b]"), (7, 2));
+        // `contains` at the root is an or-self test against the matches.
+        assert_eq!(exact(items, "//item[.contains(\"gold\")]"), (2, 2));
+        // A term the document lacks: an empty `FtEval`, no roots.
+        assert_eq!(exact(items, "//item[.contains(\"silver\")]"), (0, 0));
+        // Attribute predicates are left to the DP.
+        let attrs = "<r><item id=\"1\"><b/></item><item id=\"2\"><b/></item><item id=\"2\"/></r>";
+        assert_eq!(exact(attrs, "//item[@id = \"2\" and ./b]"), (2, 1));
+
+        // Distinguished node below the root: only `roots` is filtered, the
+        // distinguished candidates are not.
+        let mut b = TpqBuilder::new("article");
+        let s = b.child(0, "section");
+        b.child(s, "algorithm");
+        b.set_distinguished(s);
+        let q = b.build();
+        let (ctx, model) = setup(ARTICLES, &q);
+        let enc = EncodedQuery::exact(&ctx, &model, &q);
+        let stats = assert_prefilter_is_invisible(&ctx, &enc, "//article/section[./algorithm]");
+        assert_eq!((stats.roots, stats.answers), (2, 2)); // a0 and a1, of five articles
+
+        // Hierarchy `alt_tags`: the widened spec is unconstrained, so the
+        // sibling subtype still reaches the DP.
+        let q = flexpath_tpq::parse_query("//article[./section]").unwrap();
+        let xml = "<r><article><section/></article><article><chapter/></article><article/></r>";
+        let (ctx, model) = setup(xml, &q);
+        let mut hierarchy = crate::hierarchy::TagHierarchy::new();
+        hierarchy.add_type("division", &["section", "chapter"]);
+        let enc = EncodedQuery::build_full(
+            &ctx,
+            &model,
+            &q,
+            &[],
+            Some(&hierarchy),
+            None,
+            &Budget::unlimited(),
+        );
+        let stats = assert_prefilter_is_invisible(&ctx, &enc, "section|chapter");
+        assert_eq!((stats.roots, stats.answers), (3, 2));
     }
 }

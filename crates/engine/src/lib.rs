@@ -68,14 +68,17 @@ pub mod selectivity;
 pub mod structural_join;
 pub mod topk;
 
-/// The workspace's independent brute-force matcher
-/// (`tests/common/brute_force.rs`), shared with `tests/relaxation_oracle.rs`.
+/// The workspace's independent brute-force matcher and its case generator
+/// (`tests/common/`), shared with `tests/relaxation_oracle.rs`.
 #[cfg(test)]
 #[path = "../../../tests/common/brute_force.rs"]
 mod brute_force;
 mod dpo;
 mod fixtures;
 mod run;
+#[cfg(test)]
+#[path = "../../../tests/common/shapes.rs"]
+mod shapes;
 mod single_pass;
 
 pub use attr_relax::AttrRelaxation;

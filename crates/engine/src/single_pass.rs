@@ -147,21 +147,21 @@ fn single_pass_topk(
         stats.relaxations_used = prefix;
         stats.evaluations += 1;
         held.clear();
-        let candidates =
-            evaluate_encoded(ctx, &enc, request.scheme, budget, &request.parallel, |a| {
-                stats.intermediate_answers += 1;
-                // Pruning (cannot enter the top K → discard) and bucket
-                // placement happen inside the policy; no element is ever
-                // shifted.
-                if held.offer(a) == Offer::Pruned {
-                    stats.pruned += 1;
-                }
-            })
-            .candidates_examined;
+        let scanned = evaluate_encoded(ctx, &enc, request.scheme, budget, &request.parallel, |a| {
+            stats.intermediate_answers += 1;
+            // Pruning (cannot enter the top K → discard) and bucket
+            // placement happen inside the policy; no element is ever
+            // shifted.
+            if held.offer(a) == Offer::Pruned {
+                stats.pruned += 1;
+            }
+        });
+        let candidates = scanned.candidates_examined;
         let pass_observed = (stats.intermediate_answers - pass_intermediates) as u64;
         if run.tracer.is_enabled() {
             let t = &mut run.tracer;
             t.add("pass.prefix", prefix as u64);
+            t.add("pass.roots", scanned.roots);
             t.add("pass.candidates", candidates);
             t.add("pass.estimated", pass_est.max(0.0) as u64);
             t.add("pass.intermediates", pass_observed);

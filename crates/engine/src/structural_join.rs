@@ -6,8 +6,17 @@
 //! Both variants take two document-ordered node lists and emit all
 //! (ancestor, descendant) — or (parent, child) — pairs in a single merge
 //! pass with an explicit stack, O(|A| + |D| + |output|).
+//!
+//! The query path does not enumerate pairs — [`crate::exec`] scores each
+//! answer with a best-embedding DP — but it asks the same lists the
+//! cheaper *existence* question first: `retain_containing` and
+//! `retain_parents_of` are the semijoin halves of the two joins (keep
+//! the ancestors / parents that have at least one partner), budgeted, and
+//! share the galloping cursor (`gallop`) with the pair join.
 
+use flexpath_ftsearch::Budget;
 use flexpath_xmldom::{Document, NodeId};
+use std::borrow::Cow;
 
 /// All pairs `(a, d)` with `a ∈ ancestors`, `d ∈ descendants`, and `a` a
 /// strict ancestor of `d`. Output is sorted by `(d, a)` grouped per
@@ -20,9 +29,9 @@ use flexpath_xmldom::{Document, NodeId};
 /// to the first viable descendant in `O(log gap)`. Skipped counts surface
 /// as `engine.join.skipped`; the emitted pair stream is identical.
 ///
-/// The join takes no [`Budget`](flexpath_ftsearch::Budget): the query path
-/// evaluates through [`crate::exec`], and this primitive's callers (the
-/// reference baseline and the micro-benchmarks) run unbudgeted.
+/// The pair join takes no [`Budget`]: the query path evaluates through
+/// [`crate::exec`], and this primitive's callers (the reference baseline
+/// and the micro-benchmarks) run unbudgeted.
 pub fn stack_tree_desc(
     doc: &Document,
     ancestors: &[NodeId],
@@ -43,7 +52,7 @@ pub fn stack_tree_desc(
             }
             let next_start = doc.start(ancestors[ai]);
             if doc.start(descendants[di]) < next_start {
-                let jump = gallop_below(doc, &descendants[di..], next_start);
+                let jump = gallop(&descendants[di..], |&n| doc.start(n) < next_start);
                 skipped += jump as u64;
                 di += jump;
                 if di >= descendants.len() {
@@ -90,18 +99,103 @@ pub fn stack_tree_desc(
     out
 }
 
-/// Number of leading `nodes` whose start position is `< bound`, found by
-/// galloping: exponential probe to bracket the boundary, then binary
-/// search inside the bracket. `O(log k)` for a skip of `k` — cheap for
+/// Number of leading `items` for which `before` holds, found by galloping:
+/// exponential probe to bracket the boundary, then binary search inside
+/// the bracket. `before` must be monotone over the (sorted) slice — true
+/// for a prefix, false after. `O(log k)` for a skip of `k` — cheap for
 /// short hops, still logarithmic for huge ones.
-fn gallop_below(doc: &Document, nodes: &[NodeId], bound: u32) -> usize {
+pub(crate) fn gallop<T>(items: &[T], mut before: impl FnMut(&T) -> bool) -> usize {
     let mut probe = 1usize;
-    while probe < nodes.len() && doc.start(nodes[probe]) < bound {
+    while probe < items.len() && before(&items[probe]) {
         probe <<= 1;
     }
     let lo = probe >> 1;
-    let hi = probe.min(nodes.len());
-    lo + nodes[lo..hi].partition_point(|&n| doc.start(n) < bound)
+    let hi = probe.min(items.len());
+    lo + items[lo..hi].partition_point(before)
+}
+
+/// Filters a document-ordered node set in place. A set nothing has
+/// filtered yet is a borrowed tag list; the first filter makes the (smaller)
+/// owned copy.
+fn retain(set: &mut Cow<'_, [NodeId]>, mut keep: impl FnMut(NodeId) -> bool) {
+    match set {
+        Cow::Borrowed(all) => *set = all.iter().copied().filter(|&n| keep(n)).collect(),
+        Cow::Owned(kept) => kept.retain(|&n| keep(n)),
+    }
+}
+
+/// Descendant-axis semijoin: keeps the nodes of `set` whose subtree holds
+/// an entry of `below` (document-ordered, `id` names each entry's node) —
+/// a strict descendant, or with `or_self` the node itself too. One forward
+/// pass over `set` with a galloping cursor into `below`:
+/// `O(|set| · log(|below| / |set|))`.
+///
+/// Checkpoints `budget` per node; once it trips nothing more is kept and
+/// the caller must discard the set ([`Budget::tripped`]).
+pub(crate) fn retain_containing<T>(
+    doc: &Document,
+    budget: &Budget,
+    set: &mut Cow<'_, [NodeId]>,
+    below: &[T],
+    id: impl Fn(&T) -> NodeId,
+    or_self: bool,
+) {
+    let mut cursor = 0usize;
+    retain(set, |x| {
+        if budget.checkpoint() {
+            return false;
+        }
+        // `set` ascends, so the first entry past `x` only moves forward.
+        cursor += gallop(&below[cursor..], |b| id(b) < x || (!or_self && id(b) == x));
+        below
+            .get(cursor)
+            .is_some_and(|b| id(b) <= doc.subtree_last(x))
+    });
+}
+
+/// Child-axis semijoin: keeps the nodes of `parents` that are the parent of
+/// some node in `children` (both document-ordered). Driven from the
+/// smaller side: few children mark their parents in a node bitset
+/// (`O(|children| + |parents|)`); otherwise each parent gallops to its
+/// subtree's slice of `children` and stops at its first child there, so a
+/// selective parent list never pays a pass over a large child list.
+///
+/// Budget contract as for [`retain_containing`].
+pub(crate) fn retain_parents_of(
+    doc: &Document,
+    budget: &Budget,
+    parents: &mut Cow<'_, [NodeId]>,
+    children: &[NodeId],
+) {
+    if children.len() < parents.len() {
+        let mut is_parent = vec![0u64; doc.node_count().div_ceil(64)];
+        for &c in children {
+            if budget.checkpoint() {
+                break;
+            }
+            if let Some(p) = doc.parent(c) {
+                is_parent[p.index() / 64] |= 1 << (p.index() % 64);
+            }
+        }
+        retain(parents, |p| {
+            !budget.checkpoint() && is_parent[p.index() / 64] >> (p.index() % 64) & 1 == 1
+        });
+    } else {
+        let mut cursor = 0usize;
+        retain(parents, |x| {
+            cursor += gallop(&children[cursor..], |&c| c <= x);
+            let last = doc.subtree_last(x);
+            for &c in &children[cursor..] {
+                if c > last || budget.checkpoint() {
+                    break;
+                }
+                if doc.parent(c) == Some(x) {
+                    return true;
+                }
+            }
+            false
+        });
+    }
 }
 
 /// All pairs `(p, c)` with `p ∈ parents`, `c ∈ children`, and `p` the
@@ -224,5 +318,87 @@ mod tests {
                 "mismatch for ({anc}, {desc})"
             );
         }
+    }
+
+    #[test]
+    fn gallop_is_the_partition_point() {
+        let items: Vec<u32> = (0..100).map(|i| i * 3).collect();
+        for bound in [0, 1, 3, 50, 149, 297, 298, 1000] {
+            for from in [0, 1, 7, 99, 100] {
+                assert_eq!(
+                    gallop(&items[from..], |&v| v < bound),
+                    items[from..].partition_point(|&v| v < bound),
+                    "bound {bound} from {from}"
+                );
+            }
+        }
+    }
+
+    /// Both semijoins against their definitions, on every ordered tag pair
+    /// of a generated corpus — which exercises both directions of the
+    /// child-axis join (few children / many children) and recursive tags.
+    #[test]
+    fn semijoins_keep_exactly_the_nodes_with_a_partner() {
+        let doc = flexpath_xmark::generate(&flexpath_xmark::XmarkConfig::sized(24 * 1024, 3));
+        let tags = [
+            "item", "text", "parlist", "listitem", "name", "bold", "category",
+        ];
+        let unlimited = Budget::unlimited();
+        let mut directions = [0usize; 2];
+        for outer in tags {
+            for inner in tags {
+                let (a, d) = (
+                    doc.nodes_with_tag_name(outer),
+                    doc.nodes_with_tag_name(inner),
+                );
+                directions[usize::from(d.len() < a.len())] += 1;
+
+                let mut parents = Cow::Borrowed(a);
+                retain_parents_of(&doc, &unlimited, &mut parents, d);
+                let expect: Vec<NodeId> = a
+                    .iter()
+                    .copied()
+                    .filter(|&x| d.iter().any(|&c| doc.parent(c) == Some(x)))
+                    .collect();
+                assert_eq!(parents.as_ref(), expect, "{outer}[./{inner}]");
+
+                for or_self in [false, true] {
+                    let mut ancestors = Cow::Borrowed(a);
+                    retain_containing(&doc, &unlimited, &mut ancestors, d, |&n| n, or_self);
+                    let expect: Vec<NodeId> = a
+                        .iter()
+                        .copied()
+                        .filter(|&x| {
+                            d.iter()
+                                .any(|&c| doc.is_ancestor(x, c) || (or_self && c == x))
+                        })
+                        .collect();
+                    assert_eq!(ancestors.as_ref(), expect, "{outer}[.//{inner}] {or_self}");
+                    // Filtering an already-owned set takes the other arm.
+                    retain_containing(&doc, &unlimited, &mut ancestors, d, |&n| n, or_self);
+                    assert_eq!(ancestors.as_ref(), expect);
+                }
+            }
+        }
+        assert!(directions[0] > 0 && directions[1] > 0);
+    }
+
+    #[test]
+    fn a_tripped_budget_keeps_nothing() {
+        let doc = parse("<r><a><b/></a><a><b/></a><a/></r>").unwrap();
+        let (a, b) = (doc.nodes_with_tag_name("a"), doc.nodes_with_tag_name("b"));
+        let cancel = flexpath_ftsearch::CancelToken::new();
+        cancel.cancel();
+        let budget = Budget::new(None, Some(cancel), u64::MAX, u64::MAX, u64::MAX);
+        // |b| < |a|: child-driven; |a| ≥ |b| reversed: parent-driven.
+        for (parents, children) in [(a, b), (b, a)] {
+            let mut set = Cow::Borrowed(parents);
+            retain_parents_of(&doc, &budget, &mut set, children);
+            assert!(set.is_empty());
+        }
+        let mut set = Cow::Borrowed(a);
+        retain_containing(&doc, &budget, &mut set, b, |&n| n, false);
+        assert!(set.is_empty());
+        assert!(budget.tripped().is_some());
     }
 }

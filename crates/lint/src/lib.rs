@@ -92,7 +92,14 @@ const DETERMINISM_ENGINE: &[&str] = &[
 ];
 
 /// Engine modules whose loops must observe the governor.
-const GOVERNOR_ENGINE: &[&str] = &["exec.rs", "dpo.rs", "single_pass.rs"];
+const GOVERNOR_ENGINE: &[&str] = &[
+    "exec.rs",
+    "dpo.rs",
+    "single_pass.rs",
+    // The semijoin prefilter's corpus-sized passes over the per-tag lists
+    // run at the head of every evaluation.
+    "structural_join.rs",
+];
 
 /// xmldom modules that decode raw bytes (indexing rule applies).
 const INDEXING_XMLDOM: &[&str] = &["wire.rs", "codec.rs", "parser.rs", "events.rs"];

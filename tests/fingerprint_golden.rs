@@ -11,7 +11,7 @@
 //! The answers it pins are checked against `tests/relaxation_oracle.rs`
 //! (encoded plan ≡ exact evaluation of the relaxed query ≡ brute force),
 //! not merely carried over from the previous build. Every regeneration is
-//! accounted for:
+//! accounted for (two, both in PR 16):
 //!
 //! 1. *`ghost_skip` propagates every `None`* (DESIGN.md §6.8) changed 12 of
 //!    the 126 lines: `q3` × {SSO, Hybrid} × {StructureFirst, Combined} ×
@@ -20,6 +20,9 @@
 //!    same), and `restart` × {SSO, Hybrid} × Combined × {t1, t4} in answers,
 //!    `restarts` 3 → 4 and `relaxations_used` 9 → 14 (the old run stopped at
 //!    prefix 9 with 11 hits that do not match it).
+//! 2. *The required-skeleton prefilter* (DESIGN.md §6.6) changed **only**
+//!    `trace=` digests (new `roots` counters, fewer candidates): every
+//!    `answers=` digest and every work counter is byte-identical to (1).
 //!
 //! A failure is the prompt: either the engine's observable behaviour
 //! changed by accident (revert), or deliberately (regenerate, and say so in

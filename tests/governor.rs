@@ -118,6 +118,72 @@ fn cross_thread_cancellation_stops_within_50ms() {
 }
 
 #[test]
+fn cancel_inside_the_prefilter_admits_nothing_and_dpo_keeps_a_rank_prefix() {
+    use flexpath_engine::exec::evaluate_encoded;
+    use flexpath_engine::{EncodedQuery, ParallelConfig, PenaltyModel, WeightAssignment};
+    use flexpath_ftsearch::Budget;
+
+    let flex = big_session();
+    // The first checkpoint of an evaluation is inside the required-skeleton
+    // prefilter (corpus-sized semijoins over the tag lists), so a token
+    // that is already cancelled trips there: no roots reach the candidate
+    // scan, nothing is examined, nothing is emitted.
+    let q = flexpath_tpq::parse_query(XQ3).unwrap();
+    let model = PenaltyModel::new(&q, WeightAssignment::uniform());
+    let enc = EncodedQuery::exact(flex.context(), &model, &q);
+    let token = CancelToken::new();
+    token.cancel();
+    let budget = Budget::new(None, Some(token), u64::MAX, u64::MAX, u64::MAX);
+    let mut emitted = 0;
+    let stats = evaluate_encoded(
+        flex.context(),
+        &enc,
+        flexpath::RankingScheme::StructureFirst,
+        &budget,
+        &ParallelConfig::sequential(),
+        |_| emitted += 1,
+    );
+    assert_eq!(budget.tripped(), Some(ExhaustReason::Cancelled));
+    assert_eq!((emitted, stats.roots, stats.candidates_examined), (0, 0, 0));
+
+    // Through DPO: wherever a cancel lands — round boundary, prefilter or
+    // candidate scan — the interrupted round is discarded whole, so the
+    // result is labelled and is an exact rank prefix of the unbounded run.
+    // The prefilter is a large share of every round, so a sweep of delays
+    // lands inside it many times over.
+    let run = |cancel: Option<CancelToken>| {
+        let query = flex.query(XQ3).unwrap().top(500).algorithm(Algorithm::Dpo);
+        match cancel {
+            Some(token) => query.cancel(token).execute(),
+            None => query.execute(),
+        }
+    };
+    let unbounded = run(None);
+    assert!(unbounded.is_complete());
+    for delay_us in (0..40).map(|i| i * 150) {
+        let token = CancelToken::new();
+        let bounded = std::thread::scope(|scope| {
+            let canceller = token.clone();
+            scope.spawn(move || {
+                std::thread::sleep(Duration::from_micros(delay_us));
+                canceller.cancel();
+            });
+            run(Some(token.clone()))
+        });
+        match bounded.completeness {
+            Completeness::Exhausted { reason, .. } => assert_eq!(reason, ExhaustReason::Cancelled),
+            Completeness::Complete => assert_eq!(bounded.hits.len(), unbounded.hits.len()),
+        }
+        assert!(bounded.hits.len() <= unbounded.hits.len());
+        assert_eq!(
+            bounded.nodes(),
+            unbounded.nodes()[..bounded.hits.len()].to_vec(),
+            "cancel after {delay_us}µs: DPO's committed rounds are not a rank prefix"
+        );
+    }
+}
+
+#[test]
 fn zero_budgets_return_exhausted_without_panicking() {
     let flex = big_session();
     for alg in [Algorithm::Dpo, Algorithm::Sso, Algorithm::Hybrid] {
