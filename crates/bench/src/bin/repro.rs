@@ -9,10 +9,6 @@
 //! repro all --metrics results/metrics.json
 //!                                # dump the engine metrics registry
 //!                                # (same JSON the CLI's --metrics shows)
-//! repro --serve-load results/serve_load.json
-//!                                # closed-loop load sweep against the
-//!                                # flexpath-serve front end (QPS, latency
-//!                                # percentiles, shed-vs-degrade knee)
 //! repro --recorder-overhead results/recorder_overhead.json
 //!                                # flight-recorder cost per query on the
 //!                                # fig10 workload (must stay < 2%)
@@ -43,7 +39,6 @@ fn main() {
     let mut repeats = 3usize;
     let mut json_path: Option<String> = None;
     let mut metrics_path: Option<String> = None;
-    let mut serve_load_path: Option<String> = None;
     let mut recorder_overhead_path: Option<String> = None;
     let mut parallel = false;
     let mut i = 0;
@@ -71,16 +66,6 @@ fn main() {
                 i += 1;
                 metrics_path = args.get(i).cloned();
             }
-            "--serve-load" => {
-                i += 1;
-                match args.get(i) {
-                    Some(path) => serve_load_path = Some(path.clone()),
-                    None => {
-                        eprintln!("--serve-load requires an output path");
-                        std::process::exit(2);
-                    }
-                }
-            }
             "--recorder-overhead" => {
                 i += 1;
                 match args.get(i) {
@@ -107,26 +92,18 @@ fn main() {
         }
         i += 1;
     }
-    if let Some(path) = &serve_load_path {
-        // The serve sweep is its own target: it owns the process's load
-        // pattern, so it runs before (or instead of) the figure workers.
-        let report = flexpath_bench::serve_load::run(scale);
-        println!("{}", report.render_table());
-        write_report(path, &report.render_json());
-    }
     if let Some(path) = &recorder_overhead_path {
         let report = flexpath_bench::recorder_overhead::run(scale);
         println!("{}", report.render_table());
         write_report(path, &report.render_json());
     }
     if figures.is_empty() {
-        if serve_load_path.is_some() || recorder_overhead_path.is_some() {
+        if recorder_overhead_path.is_some() {
             return;
         }
         eprintln!(
             "usage: repro <all|figNN|ablation_*>... [--scale F] [--repeats N] [--json PATH] \
-             [--metrics PATH] [--store DIR] [--serve-load PATH] [--recorder-overhead PATH] \
-             [--parallel]"
+             [--metrics PATH] [--store DIR] [--recorder-overhead PATH] [--parallel]"
         );
         eprintln!("       repro --list");
         std::process::exit(2);

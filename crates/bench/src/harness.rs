@@ -63,7 +63,7 @@ pub struct FigureSpec {
 }
 
 /// All reproducible figures and ablations.
-pub const FIGURES: [FigureSpec; 14] = [
+pub const FIGURES: [FigureSpec; 13] = [
     FigureSpec {
         id: "fig09",
         title: "Varying number of relaxations (1MB, K=50): DPO vs SSO",
@@ -114,63 +114,15 @@ pub const FIGURES: [FigureSpec; 14] = [
     },
     FigureSpec {
         id: "threads_scaling",
-        title: "Thread scaling (fig09/fig10 workloads): 1/2/4/8 workers, identical ranking",
-    },
-    FigureSpec {
-        id: "store_coldstart",
-        title: "Cold start: parse+index from XML vs store open + materialize (1/10/100MB)",
+        title: "Thread scaling (fig09/fig10 workloads): each distinct effective width of 1/2/4/8, identical ranking",
     },
 ];
 
 const MB: usize = 1 << 20;
 
-/// Runs one `(query, k, algorithm)` cell against a prepared session,
-/// reporting the median time over `repeats` executions.
-pub fn run_once(
-    flex: &FleXPath,
-    query: &str,
-    k: usize,
-    algorithm: Algorithm,
-    repeats: usize,
-) -> RunRecord {
-    let mut times = Vec::with_capacity(repeats.max(1));
-    let mut answers = 0usize;
-    let mut stats = ExecStats::default();
-    for _ in 0..repeats.max(1) {
-        let t = Instant::now();
-        let r = flex
-            .query(query)
-            .expect("benchmark query parses")
-            .top(k)
-            .algorithm(algorithm)
-            .execute();
-        times.push(t.elapsed().as_secs_f64() * 1e3);
-        answers = r.hits.len();
-        stats = r.stats;
-    }
-    times.sort_by(f64::total_cmp);
-    RunRecord {
-        algorithm: algorithm.to_string(),
-        millis: times[times.len() / 2],
-        answers,
-        relaxations: stats.relaxations_used,
-        evaluations: stats.evaluations,
-        intermediates: stats.intermediate_answers,
-        buckets: stats.buckets,
-        note: String::new(),
-    }
-}
-
-/// Like [`run_once`] but with an explicit worker-thread count. The ranking
-/// is identical at every count (see `flexpath_engine::parallel`), so this
-/// measures wall-clock only; the record's note carries the thread count.
-///
-/// Reports the **minimum** over the repeats rather than the median: the
-/// thread-scaling acceptance check is "adding threads never makes the
-/// query slower", a property of the code path, and min-of-N is the
-/// standard low-noise estimator for it (scheduling jitter only ever adds
-/// time; it cannot subtract).
-pub fn run_once_threads(
+/// Executes one `(query, k, algorithm)` cell `repeats` times at `threads`
+/// workers; the record carries the median wall-clock time.
+fn run_cell(
     flex: &FleXPath,
     query: &str,
     k: usize,
@@ -197,26 +149,58 @@ pub fn run_once_threads(
     times.sort_by(f64::total_cmp);
     RunRecord {
         algorithm: algorithm.to_string(),
-        millis: times.first().copied().unwrap_or(0.0),
+        millis: times[times.len() / 2],
         answers,
         relaxations: stats.relaxations_used,
         evaluations: stats.evaluations,
         intermediates: stats.intermediate_answers,
         buckets: stats.buckets,
-        note: format!("{threads} thread(s)"),
+        note: String::new(),
     }
 }
 
+/// Runs one `(query, k, algorithm)` cell against a prepared session on the
+/// calling thread, reporting the median time over `repeats` executions.
+pub fn run_once(
+    flex: &FleXPath,
+    query: &str,
+    k: usize,
+    algorithm: Algorithm,
+    repeats: usize,
+) -> RunRecord {
+    run_cell(flex, query, k, algorithm, 1, repeats)
+}
+
+/// Like [`run_once`] but with an explicit worker-thread count. The ranking
+/// is identical at every count (see `flexpath_engine::parallel`), so this
+/// measures wall-clock only; the record's note carries the thread count.
+pub fn run_once_threads(
+    flex: &FleXPath,
+    query: &str,
+    k: usize,
+    algorithm: Algorithm,
+    threads: usize,
+    repeats: usize,
+) -> RunRecord {
+    let mut record = run_cell(flex, query, k, algorithm, threads, repeats);
+    record.note = format!("{threads} thread(s)");
+    record
+}
+
 /// Thread-scaling series on the fig09 and fig10 workloads: the same query
-/// run at 1/2/4/8 worker threads for each algorithm. Every cell returns the
-/// same answers in the same order; only wall-clock varies. Worker counts
-/// are hardware-clamped and work-gated (`flexpath_engine::parallel`), so
-/// on hosts with fewer cores than the requested thread count the extra
-/// requests are no-ops rather than overhead — the curve is flat there and
-/// slopes downward where the hardware exists.
+/// for each algorithm at every **distinct effective width** among 1/2/4/8
+/// requested threads. Requests that clamp to the same width
+/// (`ParallelConfig::effective_threads`) run the identical code path, so
+/// each width is swept once — every row is a different configuration
+/// measured from the same number of samples. Every cell returns the same
+/// answers in the same order; only wall-clock varies. `millis` is the
+/// median over the repeats, the note carries the minimum.
 fn threads_scaling(scale: f64, repeats: usize) -> Series {
     use Algorithm::{Dpo, Hybrid, Sso};
-    const THREADS: [usize; 4] = [1, 2, 4, 8];
+    let mut widths = [1usize, 2, 4, 8]
+        .map(|t| ParallelConfig::with_threads(t).effective_threads())
+        .to_vec();
+    widths.dedup();
     let algs = [Dpo, Sso, Hybrid];
     let workloads = [
         ("fig09 wl (1MB, K=50, Q3)", scaled(1.0, scale), 50usize),
@@ -225,193 +209,48 @@ fn threads_scaling(scale: f64, repeats: usize) -> Series {
     let mut rows = Vec::new();
     for (label, bytes, k) in workloads {
         let flex = bench_session(bytes);
-        // Repeats are interleaved round-robin across thread counts (rep 1
-        // of every T, then rep 2, ...): background machine drift during
-        // the sweep then shifts every count equally instead of biasing
-        // whichever rows happen to run last. Each cell keeps its min.
-        let mut best: Vec<Vec<Option<RunRecord>>> = vec![vec![None; algs.len()]; THREADS.len()];
+        // One cell per (width, algorithm), width-major.
+        let mut cells: Vec<(usize, Algorithm, Vec<f64>, Option<RunRecord>)> = widths
+            .iter()
+            .flat_map(|&t| algs.map(|alg| (t, alg, Vec::new(), None)))
+            .collect();
+        // Repeats are interleaved round-robin across cells (rep 1 of every
+        // cell, then rep 2, ...): background machine drift during the
+        // sweep then shifts every width equally instead of biasing
+        // whichever rows happen to run last.
         for _rep in 0..repeats.max(1) {
-            for (ti, &t) in THREADS.iter().enumerate() {
-                for (ai, &alg) in algs.iter().enumerate() {
-                    let rec = run_once_threads(&flex, XQ3, k, alg, t, 1);
-                    let cell = &mut best[ti][ai];
-                    if cell.as_ref().is_none_or(|c| rec.millis < c.millis) {
-                        *cell = Some(rec);
-                    }
-                }
+            for (t, alg, times, record) in &mut cells {
+                let rec = run_cell(&flex, XQ3, k, *alg, *t, 1);
+                times.push(rec.millis);
+                *record = Some(rec);
             }
         }
-        // Thread counts that clamp to the same effective width run the
-        // *identical* code path (`ParallelConfig::effective_threads`, the
-        // work gate) — their timing distributions are the same, so the
-        // pooled min is the best estimator for every one of them. Pooling
-        // also keeps the reported curve monotone under measurement noise
-        // where the rows are equivalent by construction; where hardware
-        // genuinely differs the pools are separate and the curve is real.
-        for (ti, &t) in THREADS.iter().enumerate() {
-            let eff = ParallelConfig::with_threads(t).effective_threads();
-            for (ai, _) in algs.iter().enumerate() {
-                let pooled = THREADS
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &u)| ParallelConfig::with_threads(u).effective_threads() == eff)
-                    .filter_map(|(ui, _)| best[ui][ai].as_ref().map(|c| c.millis))
-                    .fold(f64::INFINITY, f64::min);
-                if let Some(cell) = best[ti][ai].as_mut() {
-                    cell.millis = pooled;
-                    if eff != t {
-                        cell.note = format!("{t} thread(s), clamped to {eff}");
-                    }
-                }
-            }
-        }
-        for (ti, &t) in THREADS.iter().enumerate() {
+        for row in cells.chunks_mut(algs.len()) {
+            let t = row[0].0;
+            let records = row
+                .iter_mut()
+                .map(|(_, _, times, record)| {
+                    let mut record = record.take().expect("repeats >= 1 fills every cell");
+                    times.sort_by(f64::total_cmp);
+                    record.millis = times[times.len() / 2];
+                    record.note =
+                        format!("{t} thread(s), min {:.4} ms of {}", times[0], times.len());
+                    record
+                })
+                .collect();
             rows.push(SeriesRow {
                 x: format!("{label}, T={t}"),
-                records: best[ti]
-                    .iter()
-                    .map(|c| c.clone().expect("repeats >= 1 fills every cell"))
-                    .collect(),
+                records,
             });
         }
     }
     Series {
         id: "threads_scaling".into(),
-        title: "Thread scaling — 1/2/4/8 workers, fig09/fig10 workloads (ranking identical)".into(),
+        title:
+            "Thread scaling — distinct effective widths, fig09/fig10 workloads (ranking identical)"
+                .into(),
         x_label: "workload, worker threads".into(),
         algorithms: vec!["DPO".into(), "SSO".into(), "Hybrid".into()],
-        rows,
-    }
-}
-
-/// Cold-start elimination: per document size, median wall-clock of a full
-/// in-memory build (XML parse + statistics + inverted index) vs restoring
-/// the same session eagerly (`FleXPath::open` + `materialize(true)` —
-/// every section decoded and CRC-verified up front) vs the lazy v2 open
-/// (`FleXPath::open` — header + meta validated, sections decoded on
-/// first touch, so the open itself is O(ms) regardless of store size).
-/// All three sessions answer a verification query identically
-/// (fingerprints compared; a mismatch is reported in the record's note
-/// rather than silently ignored).
-fn store_coldstart(scale: f64, repeats: usize) -> Series {
-    use crate::workload::bench_config;
-    use flexpath_xmark::generate;
-
-    let dir = crate::scratch::ScratchDir::new("bench-coldstart");
-    let mut rows = Vec::new();
-    for mb in [1.0, 10.0, 100.0] {
-        let bytes = scaled(mb, scale);
-        let doc = generate(&bench_config(bytes));
-        let xml = flexpath_xmldom::to_xml_string(&doc);
-        let path = dir.path().join(format!("coldstart-{bytes}.fxs"));
-        let file_bytes = FleXPath::new(doc)
-            .save(&path, "coldstart")
-            .expect("benchmark store saves");
-
-        let median = |mut times: Vec<f64>| -> f64 {
-            times.sort_by(f64::total_cmp);
-            times[times.len() / 2]
-        };
-        let fingerprint = |flex: &FleXPath| {
-            let r = flex
-                .query(XQ2)
-                .expect("benchmark query parses")
-                .top(20)
-                .trace()
-                .execute();
-            let nodes: Vec<_> = r.hits.iter().map(|h| h.node).collect();
-            (
-                r.hits.len(),
-                nodes,
-                r.trace.expect("trace requested").counter_fingerprint(),
-            )
-        };
-
-        let mut built = None;
-        let build_times: Vec<f64> = (0..repeats.max(1))
-            .map(|_| {
-                let t = Instant::now();
-                built = Some(FleXPath::from_xml(&xml).expect("serialized document reparses"));
-                t.elapsed().as_secs_f64() * 1e3
-            })
-            .collect();
-        let mut loaded = None;
-        let load_times: Vec<f64> = (0..repeats.max(1))
-            .map(|_| {
-                let t = Instant::now();
-                let flex = FleXPath::open(&path).expect("benchmark store opens");
-                flex.materialize(true).expect("benchmark store decodes");
-                loaded = Some(flex);
-                t.elapsed().as_secs_f64() * 1e3
-            })
-            .collect();
-        let mut lazy = None;
-        let lazy_times: Vec<f64> = (0..repeats.max(1))
-            .map(|_| {
-                let t = Instant::now();
-                lazy = Some(FleXPath::open(&path).expect("benchmark store opens lazily"));
-                t.elapsed().as_secs_f64() * 1e3
-            })
-            .collect();
-
-        let built = built.expect("at least one build");
-        let loaded = loaded.expect("at least one load");
-        let lazy = lazy.expect("at least one lazy open");
-        let lazy_mapped = lazy.lazy_store().is_some_and(|s| s.is_mapped());
-        let (answers, built_nodes, built_fp) = fingerprint(&built);
-        let (_, loaded_nodes, loaded_fp) = fingerprint(&loaded);
-        let (_, lazy_nodes, lazy_fp) = fingerprint(&lazy);
-        let verified = built_nodes == loaded_nodes && built_fp == loaded_fp;
-        let lazy_verified = built_nodes == lazy_nodes && built_fp == lazy_fp;
-
-        let record = |label: &str, millis: f64, note: String| RunRecord {
-            algorithm: label.into(),
-            millis,
-            answers,
-            relaxations: 0,
-            evaluations: 0,
-            intermediates: 0,
-            buckets: 0,
-            note,
-        };
-        rows.push(SeriesRow {
-            x: size_label(bytes),
-            records: vec![
-                record(
-                    "ColdBuild",
-                    median(build_times),
-                    format!("{} B xml", xml.len()),
-                ),
-                record(
-                    "StoreOpen",
-                    median(load_times),
-                    format!(
-                        "{file_bytes} B store, answers {}",
-                        if verified { "identical" } else { "MISMATCH" }
-                    ),
-                ),
-                record(
-                    "LazyOpen",
-                    median(lazy_times),
-                    format!(
-                        "{file_bytes} B store, v2 lazy ({}), answers {}",
-                        if lazy_mapped { "mmap" } else { "owned bytes" },
-                        if lazy_verified {
-                            "identical"
-                        } else {
-                            "MISMATCH"
-                        }
-                    ),
-                ),
-            ],
-        });
-    }
-    Series {
-        id: "store_coldstart".into(),
-        title: "Cold start — XML parse+index vs eager store open vs lazy mmap open (same answers)"
-            .into(),
-        x_label: "document size".into(),
-        algorithms: vec!["ColdBuild".into(), "StoreOpen".into(), "LazyOpen".into()],
         rows,
     }
 }
@@ -597,7 +436,6 @@ pub fn run_figure(id: &str, scale: f64, repeats: usize) -> Option<Series> {
             repeats,
         ),
         "threads_scaling" => threads_scaling(scale, repeats),
-        "store_coldstart" => store_coldstart(scale, repeats),
         "baselines" => crate::harness::ablations::baselines(scale, repeats),
         "ablation_buckets" => crate::harness::ablations::buckets(scale, repeats),
         "ablation_pruning" => crate::harness::ablations::pruning(scale, repeats),

@@ -23,11 +23,10 @@ pub mod harness;
 pub mod minibench;
 pub mod recorder_overhead;
 pub mod report;
-pub mod serve_load;
 pub mod workload;
 
-/// The workspace's one RAII scratch directory (`tests/common/mod.rs`) —
-/// not test-only here: the coldstart and serve-load figures write stores.
+/// The workspace's one RAII scratch directory (`tests/common/mod.rs`).
+#[cfg(test)]
 #[path = "../../../tests/common/mod.rs"]
 mod scratch;
 

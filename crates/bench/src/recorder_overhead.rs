@@ -16,6 +16,7 @@
 
 use crate::workload::{bench_session, XQ3};
 use flexpath::{skew_millibits, Algorithm, FleXPath, QueryLimits, QueryResults};
+use flexpath_serve::json::JsonBuf;
 use flexpath_serve::recorder::{fnv1a, FlightRecorder, QueryRecord};
 use std::time::{Duration, Instant};
 
@@ -44,19 +45,19 @@ pub struct OverheadReport {
 impl OverheadReport {
     /// Machine-readable report for `results/recorder_overhead.json`.
     pub fn render_json(&self) -> String {
-        format!(
-            "{{\"benchmark\":\"recorder_overhead\",\
-             \"workload\":\"fig10 (XMark Q3, K sweep)\",\
-             \"corpus_bytes\":{},\"queries\":{},\"exec_us\":{},\
-             \"record_us\":{},\"per_record_ns\":{},\
-             \"overhead_percent\":{:.4}}}",
-            self.corpus_bytes,
-            self.queries,
-            self.exec_us,
-            self.record_us,
-            self.per_record_ns,
-            self.overhead_percent
-        )
+        let mut b = JsonBuf::new();
+        b.raw("{");
+        b.key("benchmark").string("recorder_overhead");
+        b.key("workload").string("fig10 (XMark Q3, K sweep)");
+        b.key("corpus_bytes").u64(self.corpus_bytes as u64);
+        b.key("queries").u64(self.queries);
+        b.key("exec_us").u64(self.exec_us);
+        b.key("record_us").u64(self.record_us);
+        b.key("per_record_ns").u64(self.per_record_ns);
+        b.key("overhead_percent")
+            .raw(&format!("{:.4}", self.overhead_percent));
+        b.raw("}");
+        b.finish()
     }
 
     /// Human-readable summary for the console.

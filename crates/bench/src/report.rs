@@ -1,6 +1,7 @@
 //! Text and JSON rendering of regenerated figures.
 
 use crate::harness::Series;
+use flexpath_serve::json::JsonBuf;
 use std::fmt::Write as _;
 
 /// Renders a figure as an aligned text table (what `repro` prints and what
@@ -46,58 +47,43 @@ pub fn render_table(series: &Series) -> String {
     out
 }
 
-/// JSON rendering (stable field order).
+/// JSON rendering (stable field order), through the workspace's one
+/// escaping writer.
 pub fn render_json(series: &Series) -> String {
-    serde_json_lite(series)
-}
-
-// A tiny hand-rolled JSON writer: the workspace carries no serialization
-// dependency, so the harness serializes its own (flat, simple) structures
-// directly.
-fn serde_json_lite(series: &Series) -> String {
-    fn esc(s: &str) -> String {
-        s.replace('\\', "\\\\").replace('"', "\\\"")
-    }
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"id\":\"{}\",\"title\":\"{}\",\"x_label\":\"{}\",\"rows\":[",
-        esc(&series.id),
-        esc(&series.title),
-        esc(&series.x_label)
-    );
-    for (i, row) in series.rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+    let mut b = JsonBuf::new();
+    b.raw("{");
+    b.key("id").string(&series.id);
+    b.key("title").string(&series.title);
+    b.key("x_label").string(&series.x_label);
+    b.key("rows").raw("[");
+    for row in &series.rows {
+        b.comma().raw("{");
+        b.key("x").string(&row.x);
+        b.key("records").raw("[");
+        for r in &row.records {
+            b.comma().raw("{");
+            b.key("algorithm").string(&r.algorithm);
+            // Four decimals, so regenerated files diff cleanly.
+            b.key("millis").raw(&format!("{:.4}", r.millis));
+            b.key("answers").u64(r.answers as u64);
+            b.key("relaxations").u64(r.relaxations as u64);
+            b.key("evaluations").u64(r.evaluations as u64);
+            b.key("intermediates").u64(r.intermediates as u64);
+            b.key("buckets").u64(r.buckets as u64);
+            b.key("note").string(&r.note);
+            b.raw("}");
         }
-        let _ = write!(out, "{{\"x\":\"{}\",\"records\":[", esc(&row.x));
-        for (j, r) in row.records.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"algorithm\":\"{}\",\"millis\":{:.4},\"answers\":{},\"relaxations\":{},\"evaluations\":{},\"intermediates\":{},\"buckets\":{},\"note\":\"{}\"}}",
-                esc(&r.algorithm),
-                r.millis,
-                r.answers,
-                r.relaxations,
-                r.evaluations,
-                r.intermediates,
-                r.buckets,
-                esc(&r.note)
-            );
-        }
-        out.push_str("]}");
+        b.raw("]}");
     }
-    out.push_str("]}");
-    out
+    b.raw("]}");
+    b.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::harness::{RunRecord, SeriesRow};
+    use flexpath_serve::json::Json;
 
     fn sample() -> Series {
         Series {
@@ -144,13 +130,22 @@ mod tests {
 
     #[test]
     fn json_is_parsable_shape() {
-        let j = render_json(&sample());
-        assert!(j.starts_with('{') && j.ends_with('}'));
+        let mut series = sample();
+        series.rows[0].records[1].note = "tab\there \"quoted\"\nnext line".into();
+        let j = render_json(&series);
         assert!(j.contains("\"id\":\"figXX\""));
         assert!(j.contains("\"millis\":1.0000"));
-        // Balanced braces/brackets.
-        let opens = j.matches('{').count();
-        let closes = j.matches('}').count();
-        assert_eq!(opens, closes);
+        let parsed = flexpath_serve::json::parse(j.as_bytes()).expect("valid JSON");
+        let Some(Json::Array(rows)) = parsed.get("rows") else {
+            panic!("rows must be an array: {j}");
+        };
+        let Some(Json::Array(records)) = rows[0].get("records") else {
+            panic!("records must be an array: {j}");
+        };
+        assert_eq!(records[0].get("answers").and_then(Json::as_u64), Some(50));
+        assert_eq!(
+            records[1].get("note").and_then(Json::as_str),
+            Some("tab\there \"quoted\"\nnext line")
+        );
     }
 }

@@ -8,9 +8,7 @@ use flexpath_engine::{
 use flexpath_ftsearch::{highlight, HighlightStyle, Thesaurus};
 use flexpath_store::{LazyStore, StoreBuilder, StoreError};
 use flexpath_tpq::{parse_query_weighted, QueryParseError, Tpq};
-use flexpath_xmldom::{
-    parse as parse_xml, to_xml_string, Document, NodeId, ParseError, ParseErrorKind,
-};
+use flexpath_xmldom::{parse as parse_xml, Document, NodeId, ParseError, ParseErrorKind};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
@@ -220,15 +218,6 @@ impl FleXPath {
             s.push('…');
         }
         s
-    }
-
-    /// Serializes the full document.
-    pub fn document_xml(&self) -> String {
-        // lint:allow(fallibility): same contract as `document()` — a store
-        // fault on first touch is a panic by design on this surface;
-        // store-backed callers that skipped `materialize` use
-        // [`FleXPath::try_document`] and serialize that.
-        to_xml_string(self.ctx.doc())
     }
 
     /// A snippet of an answer with the query's keywords highlighted

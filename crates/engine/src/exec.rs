@@ -242,12 +242,6 @@ struct SubtreeInfo {
     /// is unbound at loop entry the bit is unsatisfiable for the whole
     /// loop and drops out of the saturation target.
     ext_refs: Vec<Vec<(usize, usize)>>,
-    /// Per spec: eligible for the batched leaf scan — a childless spec
-    /// with one concrete tag, no attribute or `contains` requirements, and
-    /// only `pc`/`ad` bits. Its candidate loop then runs in
-    /// [`Evaluator::leaf_scan`] with the per-bit checks hoisted out of the
-    /// loop (the referenced bindings are loop-invariant).
-    leaf_simple: Vec<bool>,
 }
 
 fn subtree_info(enc: &EncodedQuery) -> SubtreeInfo {
@@ -302,37 +296,10 @@ fn subtree_info(enc: &EncodedQuery) -> SubtreeInfo {
             }
         }
     }
-    let mut has_child = vec![false; n];
-    for spec in enc.specs.iter().skip(1) {
-        if let Some(p) = spec.parent {
-            has_child[p] = true;
-        }
-    }
-    let leaf_simple = enc
-        .specs
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            !has_child[i]
-                && s.tag.is_some()
-                && !s.tag_missing
-                && s.alt_tags.is_empty()
-                && s.attrs.is_empty()
-                && s.required_contains.is_empty()
-                && !s.bits.is_empty()
-                && s.bits.iter().all(|&bi| {
-                    matches!(
-                        enc.relaxable[bi].check,
-                        BitCheck::PcFrom(_) | BitCheck::AdFrom(_)
-                    )
-                })
-        })
-        .collect();
     SubtreeInfo {
         mask,
         scored,
         ext_refs,
-        leaf_simple,
     }
 }
 
@@ -425,11 +392,6 @@ fn required_roots<'d>(doc: &'d Document, enc: &EncodedQuery, budget: &Budget) ->
 }
 
 impl<'a> Evaluator<'a> {
-    /// Scratch capacity of [`Self::leaf_scan`]'s inner-binding table.
-    /// Bounded by the spec's bit count; real queries reference a handful of
-    /// ancestors, so overflow just means falling back to the generic scan.
-    const LEAF_SCAN_MAX_INNER: usize = 8;
-
     fn new(
         ctx: &'a EngineContext,
         enc: &'a EncodedQuery,
@@ -604,19 +566,6 @@ impl<'a> Evaluator<'a> {
         };
         let children_only = surviving && spec.axis == Axis::Child;
 
-        // Batched inner loop for simple leaves: classify the spec's pc/ad
-        // bits against the bound reference intervals ONCE, then scan with
-        // two or three integer compares per candidate instead of a
-        // check_bit call per bit (each of which re-loads the referenced
-        // binding and its subtree interval from memory). Visits the exact
-        // same candidates in the same order as the generic scan, so every
-        // counter and tie-break is preserved.
-        if self.subtree.leaf_simple[c] && !children_only && self.pinned.is_none() {
-            if let Some(best) = self.leaf_scan(c, anchor_binding) {
-                return self.or_unbound(c, best);
-            }
-        }
-
         let (achievable, can_saturate) = self.saturation_target(c);
 
         let mut best: Option<Contribution> = None;
@@ -698,17 +647,11 @@ impl<'a> Evaluator<'a> {
             candidates.clear();
             self.buffer_pool.push(candidates);
         }
-        self.or_unbound(c, best)
-    }
-
-    /// The result of spec `c`'s candidate loop: `best` as is for a
-    /// surviving node; for a ghost, the better of `best` and leaving the
-    /// node unbound — its descendants may still bind (independently) under
-    /// their own anchors.
-    fn or_unbound(&mut self, c: usize, best: Option<Contribution>) -> Option<Contribution> {
-        if self.enc.specs[c].surviving {
+        if surviving {
             return best;
         }
+        // A ghost may also stay unbound — its descendants can still bind
+        // (independently) under their own anchors; keep the better of the two.
         match (best, self.ghost_skip(c)) {
             (Some(b), Some(s)) => Some(if b.better_than(&s, self.scheme) { b } else { s }),
             (Some(b), None) => Some(b),
@@ -779,138 +722,6 @@ impl<'a> Evaluator<'a> {
         let hi = lo + list[lo..].partition_point(|&n| n <= last);
         self.range_memo[c] = Some((anchor, lo, hi));
         (lo, hi)
-    }
-
-    /// Batched candidate loop for a [`SubtreeInfo::leaf_simple`] spec: the
-    /// same scan over the same candidates in the same order as the generic
-    /// path, with the per-bit work hoisted out of the loop.
-    ///
-    /// A simple leaf's bits are all `pc`/`ad` checks against bindings of
-    /// *other* specs, which are loop-invariant: each bound reference is
-    /// classified once into "is the anchor", "inside the anchor subtree"
-    /// (an id interval plus its pc/ad bit masks), "an ancestor of the
-    /// anchor" (its `ad` bits hold for every candidate), or "disjoint"
-    /// (unsatisfiable). Per candidate the satisfied-bit mask then follows
-    /// from at most one parent lookup and a couple of interval compares —
-    /// no per-bit [`Self::check_bit`] dispatch, no env loads, no repeated
-    /// `subtree_last` probes. Penalties are summed in `spec.bits` order, so
-    /// the contribution is bit-for-bit what [`Self::match_node`] computes;
-    /// candidate counters, budget checkpoints, and the saturation shortcut
-    /// fire identically.
-    ///
-    /// Returns `None` — caller falls back to the generic scan — in the
-    /// out-of-spec case of more than [`Self::LEAF_SCAN_MAX_INNER`] distinct
-    /// inner reference bindings (the scratch table is stack-allocated).
-    fn leaf_scan(&mut self, c: usize, anchor: NodeId) -> Option<Option<Contribution>> {
-        let enc = self.enc;
-        let spec = &enc.specs[c];
-        // leaf_simple guarantees a concrete tag; fall back rather than
-        // assert so the generic scan stays the single source of truth.
-        let tag = spec.tag?;
-        let (lo, hi) = self.tag_range(c, tag, anchor);
-        if lo == hi {
-            // No candidate under the anchor: the scan finds nothing.
-            return Some(None);
-        }
-        let doc = self.doc;
-
-        // Classify each bound bit reference against the anchor subtree.
-        // All containment tests are the O(1) start/end compares of
-        // [`flexpath_xmldom::Document::is_ancestor`] — no `subtree_last`
-        // binary searches on this path.
-        let mut base_mask = 0u64; // ad bits every candidate satisfies
-        let mut anchor_pc = 0u64; // pc bits whose referenced binding IS the anchor
-                                  // Bindings strictly inside the anchor subtree: (b, pc, ad).
-        let mut inner = [(NodeId(0), 0u64, 0u64); Self::LEAF_SCAN_MAX_INNER];
-        let mut ninner = 0usize;
-        // lint:allow(governor): query-arity-sized loop, not corpus-sized.
-        for &bi in &spec.bits {
-            let (x, is_pc) = match enc.relaxable[bi].check {
-                BitCheck::PcFrom(x) => (x, true),
-                BitCheck::AdFrom(x) => (x, false),
-                // lint:allow(panic): guaranteed by the leaf_simple filter.
-                _ => unreachable!("leaf_simple admits only pc/ad bits"),
-            };
-            let Some(b) = self.env[x] else {
-                continue; // unbound reference: unsatisfiable for every candidate
-            };
-            let bit = 1u64 << bi;
-            if b == anchor {
-                if is_pc {
-                    anchor_pc |= bit;
-                } else {
-                    base_mask |= bit; // every candidate is a strict descendant
-                }
-            } else if doc.is_ancestor(anchor, b) {
-                let e = match inner[..ninner].iter().position(|e| e.0 == b) {
-                    Some(i) => &mut inner[i],
-                    None => {
-                        if ninner == Self::LEAF_SCAN_MAX_INNER {
-                            return None; // scratch full: generic scan handles it
-                        }
-                        inner[ninner] = (b, 0, 0);
-                        ninner += 1;
-                        &mut inner[ninner - 1]
-                    }
-                };
-                if is_pc {
-                    e.1 |= bit;
-                } else {
-                    e.2 |= bit;
-                }
-            } else if !is_pc && doc.is_ancestor(b, anchor) {
-                base_mask |= bit; // ancestor of the anchor: globally satisfied
-            }
-            // Anything else is disjoint from the candidate range — the bit
-            // is unsatisfiable here, exactly as check_bit would conclude.
-        }
-        let need_parent = anchor_pc != 0 || inner[..ninner].iter().any(|e| e.1 != 0);
-
-        let (achievable, can_saturate) = self.saturation_target(c);
-
-        let list = doc.nodes_with_tag(tag);
-        let mut best: Option<Contribution> = None;
-        for &d in &list[lo..hi] {
-            if self.budget.checkpoint() {
-                break;
-            }
-            self.stats.candidates_examined += 1;
-            let p = if need_parent { doc.parent(d) } else { None };
-            let mut mask = base_mask;
-            if anchor_pc != 0 && p == Some(anchor) {
-                mask |= anchor_pc;
-            }
-            // lint:allow(governor): at most LEAF_SCAN_MAX_INNER entries;
-            // the enclosing candidate loop checkpoints per candidate.
-            for e in &inner[..ninner] {
-                if doc.is_ancestor(e.0, d) {
-                    mask |= e.2;
-                    if e.1 != 0 && p == Some(e.0) {
-                        mask |= e.1;
-                    }
-                }
-            }
-            let mut contrib = Contribution {
-                bits: mask,
-                sat_penalty: 0.0,
-                ks: 0.0,
-            };
-            // Same order as match_node's bits loop: identical float sums.
-            for &bi in &spec.bits {
-                if mask & (1u64 << bi) != 0 {
-                    contrib.sat_penalty += enc.relaxable[bi].penalty;
-                }
-            }
-            if best.is_none_or(|b| contrib.better_than(&b, self.scheme)) {
-                let saturated = can_saturate && mask & achievable == achievable;
-                best = Some(contrib);
-                if saturated {
-                    self.stats.saturated_breaks += 1;
-                    break;
-                }
-            }
-        }
-        Some(best)
     }
 
     /// Contribution of ghost `c`'s subtree with `c` left unbound: its own

@@ -5,7 +5,11 @@
 //! only on *which* relaxation admitted it, not on the derivation order, so
 //! the relaxations evaluated within one DPO penalty round — and the
 //! independent root-candidate subtrees of one encoded-plan evaluation — are
-//! rank-independent and can be evaluated concurrently.
+//! rank-independent and can be evaluated concurrently. Those are the two
+//! fan-out sites: DPO's speculative round batches (`dpo.rs`) and candidate
+//! chunks (`exec.rs`). The schedule is built sequentially — scoring one
+//! operator costs less than waking a thread (PERFORMANCE.md,
+//! "Parallelism").
 //!
 //! Determinism contract: every fan-out in this engine assigns work items a
 //! stable index (schedule position for relaxation rounds, document order

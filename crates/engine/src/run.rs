@@ -61,7 +61,6 @@ impl<'a> Run<'a> {
             &request.query,
             request.max_relaxation_steps,
             &budget,
-            &request.parallel,
         );
         let mut truncated_steps = 0usize;
         if let Some(cap) = request.limits.max_relaxations_enumerated {

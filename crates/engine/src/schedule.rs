@@ -14,7 +14,6 @@
 //! independent of derivation order (Theorem 3).
 
 use crate::context::EngineContext;
-use crate::parallel::{fan_out, ParallelConfig};
 use crate::score::PenaltyModel;
 use flexpath_ftsearch::Budget;
 use flexpath_tpq::{applicable_ops, closure_of, relaxation_step, Predicate, RelaxOp, Tpq};
@@ -48,20 +47,11 @@ pub fn build_schedule(
     original: &Tpq,
     max_steps: usize,
 ) -> Vec<ScheduledStep> {
-    build_schedule_reported(
-        ctx,
-        model,
-        original,
-        max_steps,
-        &Budget::unlimited(),
-        &ParallelConfig::sequential(),
-    )
-    .0
+    build_schedule_reported(ctx, model, original, max_steps, &Budget::unlimited()).0
 }
 
 /// Work counters from one schedule construction, for the observability
-/// layer. Both counts come from the sequential greedy loop, so they are
-/// identical at every thread count.
+/// layer.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScheduleBuildReport {
     /// Governor checkpoints taken (one per greedy step attempted).
@@ -70,27 +60,22 @@ pub struct ScheduleBuildReport {
     pub ops_scored: u64,
 }
 
-/// [`build_schedule`] under a resource [`Budget`], with the per-step
-/// operator evaluation fanned out over worker threads, returning a
+/// [`build_schedule`] under a resource [`Budget`], returning a
 /// [`ScheduleBuildReport`] of the work performed alongside the schedule.
 ///
 /// The budget is checkpointed between steps; when it trips, the (valid)
 /// prefix built so far is returned. Schedule prefixes are always usable —
 /// each step only depends on the steps before it.
 ///
-/// The greedy loop itself stays sequential (step `i+1` depends on step
-/// `i`'s query), but within one step every applicable operator's penalty is
-/// independent — each is scored concurrently, and the winner is chosen by
-/// the same rule as the sequential scan: smallest penalty, earliest
-/// operator index on ties (strict `<` over the index-ordered candidate
-/// list). The schedule is therefore identical at every thread count.
+/// Within one step every applicable operator is scored in operator-index
+/// order and the winner is the smallest penalty, earliest operator on ties
+/// (strict `<`).
 pub fn build_schedule_reported(
     ctx: &EngineContext,
     model: &PenaltyModel,
     original: &Tpq,
     max_steps: usize,
     budget: &Budget,
-    parallel: &ParallelConfig,
 ) -> (Vec<ScheduledStep>, ScheduleBuildReport) {
     let base = model.base_structural_score(original);
     let original_closure = original.closure();
@@ -105,16 +90,15 @@ pub fn build_schedule_reported(
         if budget.check_now() {
             break;
         }
-        // Score every applicable operator (concurrently when configured);
-        // pick the cheapest, first-listed on ties.
+        // Score every applicable operator; pick the cheapest, first-listed
+        // on ties.
         type Candidate = (RelaxOp, Tpq, Vec<(Predicate, f64)>, f64);
         let ops = applicable_ops(&current);
         report.ops_scored += ops.len() as u64;
-        let workers = parallel.workers_for_rounds(ops.len());
-        let scored: Vec<Option<Candidate>> = fan_out(ops.len(), workers, |i| {
-            let op = ops[i].clone();
+        let mut best: Option<Candidate> = None;
+        for op in ops {
             let Ok(step) = relaxation_step(&current, &op) else {
-                return None;
+                continue;
             };
             // New drops relative to the ORIGINAL closure (weighted preds only).
             let after_closure = closure_of(&step.result.logical());
@@ -128,19 +112,11 @@ pub fn build_schedule_reported(
             if new_dropped.is_empty() {
                 // The operator did not weaken the query w.r.t. the original
                 // closure (e.g. a no-op diamond); skip it.
-                return None;
+                continue;
             }
             let penalty: f64 = new_dropped.iter().map(|(_, pi)| pi).sum();
-            Some((op, step.result, new_dropped, penalty))
-        });
-        let mut best: Option<Candidate> = None;
-        for candidate in scored.into_iter().flatten() {
-            let better = match &best {
-                None => true,
-                Some((_, _, _, best_penalty)) => candidate.3 < *best_penalty,
-            };
-            if better {
-                best = Some(candidate);
+            if best.as_ref().is_none_or(|b| penalty < b.3) {
+                best = Some((op, step.result, new_dropped, penalty));
             }
         }
         let Some((op, next, new_dropped, step_penalty)) = best else {
@@ -251,30 +227,6 @@ mod tests {
         let q = TpqBuilder::new("article").build();
         let (ctx, model) = setup(TWO_ARTICLES, &q);
         assert!(build_schedule(&ctx, &model, &q, 64).is_empty());
-    }
-
-    #[test]
-    fn parallel_schedule_is_identical_to_sequential() {
-        let q = q1();
-        let (ctx, model) = setup(TWO_ARTICLES, &q);
-        let seq = build_schedule(&ctx, &model, &q, 64);
-        for threads in [2, 4, 8] {
-            let (par, _) = build_schedule_reported(
-                &ctx,
-                &model,
-                &q,
-                64,
-                &Budget::unlimited(),
-                &ParallelConfig::with_threads(threads),
-            );
-            assert_eq!(seq.len(), par.len());
-            for (a, b) in seq.iter().zip(&par) {
-                assert_eq!(format!("{:?}", a.op), format!("{:?}", b.op));
-                assert_eq!(a.step_penalty, b.step_penalty);
-                assert_eq!(a.ss_after, b.ss_after);
-                assert_eq!(a.new_dropped.len(), b.new_dropped.len());
-            }
-        }
     }
 
     #[test]

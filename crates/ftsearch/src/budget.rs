@@ -296,11 +296,6 @@ impl Budget {
     pub fn postings_scanned(&self) -> u64 {
         self.postings.load(Ordering::Relaxed)
     }
-
-    /// Candidate answers charged so far (for stats reporting).
-    pub fn answers_produced(&self) -> u64 {
-        self.answers.load(Ordering::Relaxed)
-    }
 }
 
 #[cfg(test)]

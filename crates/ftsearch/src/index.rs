@@ -51,14 +51,6 @@ impl Posting {
         self.entries.partition_point(|e| e.node < id)
     }
 
-    /// Entries whose element falls in the (inclusive) id range
-    /// `[from, to]` — i.e. inside one subtree.
-    pub fn entries_in_range(&self, from: NodeId, to: NodeId) -> &[PostingEntry] {
-        let lo = self.lower_bound(from);
-        let hi = self.entries.partition_point(|e| e.node <= to);
-        &self.entries[lo..hi]
-    }
-
     /// Whether any entry falls in `[from, to]`.
     pub fn any_in_range(&self, from: NodeId, to: NodeId) -> bool {
         let lo = self.lower_bound(from);
@@ -427,11 +419,7 @@ mod tests {
         let b = doc.nodes_with_tag_name("b")[0];
         let p = idx.posting("gold").unwrap();
         assert!(p.any_in_range(a, doc.subtree_last(a)));
-        assert_eq!(p.entries_in_range(a, doc.subtree_last(a)).len(), 1);
         assert!(p.any_in_range(b, doc.subtree_last(b)));
-        // Range covering the whole document sees both.
-        let r = doc.root_element();
-        assert_eq!(p.entries_in_range(r, doc.subtree_last(r)).len(), 2);
     }
 
     #[test]

@@ -207,11 +207,6 @@ impl Tpq {
         self.nodes.iter().map(|n| n.contains.len()).sum()
     }
 
-    /// Largest variable number in use (for allocating fresh variables).
-    pub fn max_var(&self) -> u32 {
-        self.nodes.iter().map(|n| n.var.0).max().unwrap_or(0)
-    }
-
     /// Returns a copy with every `contains` expression rewritten by `f`
     /// (used e.g. for thesaurus expansion, paper Section 3.4).
     pub fn map_contains(&self, mut f: impl FnMut(&FtExpr) -> FtExpr) -> Tpq {
@@ -350,15 +345,6 @@ impl TpqBuilder {
         self.nodes[idx].contains.push(expr);
     }
 
-    /// Attaches an attribute predicate to node `idx`.
-    pub fn add_attr(&mut self, idx: usize, name: &str, op: AttrOp, value: &str) {
-        self.nodes[idx].attrs.push(AttrPred {
-            name: name.into(),
-            op,
-            value: value.into(),
-        });
-    }
-
     /// Marks node `idx` as the distinguished node.
     pub fn set_distinguished(&mut self, idx: usize) {
         assert!(idx < self.nodes.len(), "node index out of range");
@@ -408,7 +394,6 @@ mod tests {
         assert_eq!(q.ancestors(3), vec![1, 0]);
         assert_eq!(q.contains_count(), 1);
         assert_eq!(q.distinguished_var(), Var(1));
-        assert_eq!(q.max_var(), 4);
     }
 
     #[test]

@@ -33,14 +33,6 @@ impl Predicate {
         matches!(self, Predicate::Pc(..) | Predicate::Ad(..))
     }
 
-    /// Whether the predicate mentions variable `v`.
-    pub fn involves(&self, v: Var) -> bool {
-        match self {
-            Predicate::Pc(a, b) | Predicate::Ad(a, b) => *a == v || *b == v,
-            Predicate::Tag(a, _) | Predicate::Attr(a, _) | Predicate::Contains(a, _) => *a == v,
-        }
-    }
-
     /// All variables mentioned.
     pub fn vars(&self) -> Vec<Var> {
         match self {
@@ -275,11 +267,8 @@ mod tests {
     }
 
     #[test]
-    fn involves_and_vars() {
-        let p = Predicate::Pc(Var(1), Var(2));
-        assert!(p.involves(Var(1)) && p.involves(Var(2)) && !p.involves(Var(3)));
+    fn contains_predicate_vars() {
         let c = Predicate::Contains(Var(4), FtExpr::term("gold"));
-        assert!(c.involves(Var(4)));
         assert_eq!(c.vars(), vec![Var(4)]);
     }
 

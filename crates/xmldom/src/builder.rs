@@ -234,20 +234,6 @@ impl DocumentBuilder {
         Ok(())
     }
 
-    /// Tag name of the innermost open element (useful for parsers).
-    pub fn current_open_tag(&self) -> Option<&str> {
-        let &(id, _) = self.open.last()?;
-        match self.nodes[id.index()].kind {
-            NodeKind::Element { tag } => Some(self.symbols.name(tag)),
-            NodeKind::Text { .. } => None,
-        }
-    }
-
-    /// Depth of the open-element stack.
-    pub fn open_depth(&self) -> usize {
-        self.open.len()
-    }
-
     /// Finalizes the document.
     pub fn finish(self) -> Result<Document, BuildError> {
         let (Some(root), true) = (self.root, self.open.is_empty()) else {

@@ -108,11 +108,6 @@ impl Document {
         self.nodes.len()
     }
 
-    /// Number of element nodes.
-    pub fn element_count(&self) -> usize {
-        self.tag_index.values().map(Vec::len).sum()
-    }
-
     /// The interned-name table for this document.
     #[inline]
     pub fn symbols(&self) -> &SymbolTable {
@@ -187,12 +182,6 @@ impl Document {
         let na = &self.nodes[a.index()];
         let nb = &self.nodes[b.index()];
         na.start < nb.start && nb.end < na.end
-    }
-
-    /// O(1) ancestor-or-self test.
-    #[inline]
-    pub fn is_ancestor_or_self(&self, a: NodeId, b: NodeId) -> bool {
-        a == b || self.is_ancestor(a, b)
     }
 
     /// O(1) parent test: is `a` the parent of `b`?
@@ -274,11 +263,6 @@ impl Document {
     #[inline]
     pub fn subtree_last(&self, n: NodeId) -> NodeId {
         self.subtree_last[n.index()]
-    }
-
-    /// Number of descendants of `n` (excluding `n`).
-    pub fn descendant_count(&self, n: NodeId) -> usize {
-        self.subtree_last(n).index() - n.index()
     }
 
     /// A human-readable absolute path like `/site/regions/item[3]` (indexes
@@ -380,7 +364,6 @@ mod tests {
         let doc = parse(DOC).unwrap();
         let root = doc.root_element();
         assert_eq!(doc.subtree_last(root).index(), doc.node_count() - 1);
-        assert_eq!(doc.descendant_count(root), doc.node_count() - 1);
         // A leaf text node has no descendants.
         let c = doc.nodes_with_tag_name("c")[0];
         let text = doc.first_child(c).unwrap();

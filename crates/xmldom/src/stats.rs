@@ -91,28 +91,6 @@ impl DocStats {
         self.element_total
     }
 
-    /// Fraction of `parent`-tagged elements that have at least `1` expected
-    /// `child` below them as a direct child, under the paper's uniformity
-    /// assumption: `#pc(p, c) / #(p)` (may exceed 1 when children repeat).
-    pub fn pc_per_parent(&self, parent: Sym, child: Sym) -> f64 {
-        let p = self.tag_count(parent);
-        if p == 0 {
-            0.0
-        } else {
-            self.pc_count(parent, child) as f64 / p as f64
-        }
-    }
-
-    /// `#ad(a, d) / #(a)` — expected descendants of tag `d` per `a` element.
-    pub fn ad_per_ancestor(&self, anc: Sym, desc: Sym) -> f64 {
-        let a = self.tag_count(anc);
-        if a == 0 {
-            0.0
-        } else {
-            self.ad_count(anc, desc) as f64 / a as f64
-        }
-    }
-
     /// Iterates all distinct tags that occur in the document.
     pub fn tags(&self) -> impl Iterator<Item = Sym> + '_ {
         self.tag_counts.keys().copied()
@@ -187,15 +165,5 @@ mod tests {
         let s = DocStats::compute(&doc);
         assert_eq!(s.tag_count(Sym(99)), 0);
         assert_eq!(s.pc_count(Sym(0), Sym(99)), 0);
-    }
-
-    #[test]
-    fn per_parent_fractions() {
-        // 2 a's; 3 b-children overall → 1.5 b per a.
-        let doc = parse("<r><a><b/><b/></a><a><b/></a></r>").unwrap();
-        let s = DocStats::compute(&doc);
-        let (a, b) = (sym(&doc, "a"), sym(&doc, "b"));
-        assert!((s.pc_per_parent(a, b) - 1.5).abs() < 1e-12);
-        assert!((s.ad_per_ancestor(a, b) - 1.5).abs() < 1e-12);
     }
 }

@@ -1,6 +1,6 @@
 //! The workspace's one scratch-directory helper: the root test binaries
-//! take it as `mod common;`, and the crates whose unit tests (or, for
-//! `flexpath-bench`, figures) write files include this same file with
+//! take it as `mod common;`, and the crates whose unit tests write files
+//! include this same file with
 //! `#[path = "../../../tests/common/mod.rs"] mod scratch;`.
 
 use std::path::{Path, PathBuf};

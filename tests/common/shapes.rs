@@ -3,15 +3,25 @@
 //! equivalence test in `crates/engine/src/exec.rs`, which includes this
 //! file by `#[path]`). Besides plain random trees, the documents come in
 //! the shapes XMark never produces: one tag recursing five deep, repeated
-//! labels on one path, 200-way fan-out, and a/b/c/d chains broken at every
-//! link (a required leaf below ancestors the schedule deletes).
+//! labels on one path, 200-way fan-out, a/b/c/d chains broken at every
+//! link (a required leaf below ancestors the schedule deletes) — and in the
+//! two shapes the evaluator's candidate-loop fast paths branch on: anchors
+//! whose subtrees span exactly 31, 32 and 33 node ids (either side of
+//! `exec.rs`'s `SMALL_SUBTREE`), and several hundred same-tag leaves under
+//! one anchor with the one best binding anywhere among them (the
+//! saturation shortcut must not stop before it).
 
 use flexpath_ftsearch::FtExpr;
 use flexpath_tpq::{Axis, Tpq, TpqBuilder};
 use flexpath_xmark::rng::{Rng, SeedableRng, StdRng};
 
-/// Document shapes 0–3 are the adversarial ones; 4–7 plain random trees.
-pub const SHAPES: u64 = 8;
+/// Document shapes 0–3 are the adversarial ones, 4–7 plain random trees,
+/// [`SPANS`] and [`LEAVES`] the fast-path ones.
+pub const SHAPES: u64 = 10;
+/// Shape: `a` anchors spanning exactly 31, 32 and 33 node ids.
+pub const SPANS: u64 = 8;
+/// Shape: several hundred `c` leaves under one `a`.
+pub const LEAVES: u64 = 9;
 
 /// The `(xml, query)` pair of one case; `case % SHAPES` picks the shape.
 pub fn case(case: u64) -> (String, Tpq) {
@@ -103,6 +113,43 @@ fn document(rng: &mut StdRng, shape: u64) -> String {
                 body.push_str("</a>");
             }
         }
+        // Nine `a` anchors with exactly 31, 32 and 33 descendants: a `b/c`
+        // part and a `d` part (each whole, one level too deep, or missing)
+        // at either end of the subtree, `x` filler between them — so the
+        // first and the last node id of a span both get to decide a match.
+        SPANS => {
+            for i in 0..9usize {
+                let b_part = [("<b><c/></b>", 2), ("<b><x><c/></x></b>", 3), ("", 0)];
+                let d_part = [("<d/>", 1), ("<x><d/></x>", 2), ("", 0)];
+                let (b_xml, b_nodes) = b_part[rng.gen_range(0..b_part.len())];
+                let (d_xml, d_nodes) = d_part[rng.gen_range(0..d_part.len())];
+                let filler = "<x/>".repeat(31 + i % 3 - b_nodes - d_nodes);
+                let (first, last) = if rng.gen_bool(0.5) {
+                    (b_xml, d_xml)
+                } else {
+                    (d_xml, b_xml)
+                };
+                body.push_str(&format!("<a>{first}{filler}{last}</a>"));
+            }
+        }
+        // One `a` with 200–400 `c` leaves, at most one of them below a `b`
+        // (as its child, one level deeper, or not at all) at a random place
+        // in the run; then an exact `a/b/c` and a bare `a`.
+        LEAVES => {
+            let b_part = ["<b><c/></b>", "<b><x><c/></x></b>", "<b/>", ""];
+            let leaves = rng.gen_range(200..400usize);
+            let b_at = rng.gen_range(0..=leaves);
+            body.push_str("<a>");
+            for i in 0..=leaves {
+                if i == b_at {
+                    body.push_str(b_part[rng.gen_range(0..b_part.len())]);
+                }
+                if i < leaves {
+                    body.push_str(if i % 7 == 0 { "<x><c/></x>" } else { "<c/>" });
+                }
+            }
+            body.push_str("</a><a><b><c/></b></a><a/>");
+        }
         _ => {
             for _ in 0..rng.gen_range(1..5usize) {
                 random_subtree(rng, 0, 5, &mut body);
@@ -115,7 +162,9 @@ fn document(rng: &mut StdRng, shape: u64) -> String {
 /// A random TPQ of up to five nodes; sometimes a wildcard, a `contains`,
 /// or a distinguished node below the root.
 fn random_query(rng: &mut StdRng, shape: u64) -> Tpq {
-    let mut b = TpqBuilder::new(if shape <= 3 { "a" } else { pick(rng, &TAGS) });
+    // Only the plain random trees (4–7) have no `a` to root the query at.
+    let rooted_at_a = shape <= 3 || shape >= SPANS;
+    let mut b = TpqBuilder::new(if rooted_at_a { "a" } else { pick(rng, &TAGS) });
     let mut created = vec![0usize];
     if shape == 3 && rng.gen_bool(0.5) {
         // The chain itself: every schedule deletes b and c above d.
@@ -124,6 +173,19 @@ fn random_query(rng: &mut StdRng, shape: u64) -> Tpq {
             at = b.child(at, tag);
             created.push(at);
         }
+    } else if shape == SPANS && rng.gen_bool(0.5) {
+        // a[./b/c and ./d]: `b` and `d` are looked for in the 31–33-id
+        // span of `a`, `c` in the two or three ids of `b`.
+        let at = b.child(0, "b");
+        b.child(at, "c");
+        b.child(0, "d");
+        return b.build();
+    } else if shape == LEAVES && rng.gen_bool(0.7) {
+        // a/b/c: once σ has promoted `c` and λ deleted `b`, `c` is a leaf
+        // with only pc/ad bits, two of them referring to the ghost `b`.
+        let at = b.child(0, "b");
+        b.child(at, "c");
+        return b.build();
     } else {
         for _ in 0..rng.gen_range(1..5usize) {
             let parent = created[rng.gen_range(0..created.len())];
@@ -137,7 +199,8 @@ fn random_query(rng: &mut StdRng, shape: u64) -> Tpq {
             created.push(idx);
         }
     }
-    if rng.gen_bool(0.5) {
+    // The two fast-path shapes carry no text: nothing to contain.
+    if shape < SPANS && rng.gen_bool(0.5) {
         let holder = created[rng.gen_range(0..created.len())];
         let expr = if rng.gen_bool(0.3) {
             FtExpr::any_of(&[pick(rng, &WORDS), pick(rng, &WORDS)])
