@@ -67,6 +67,15 @@ fn micro(c: &mut Criterion) {
     group.bench_function("schedule_q3", |b| {
         b.iter(|| build_schedule(&ctx, &model, &q3, 64).len())
     });
+    // The other half of a build's cost: `contains` penalties. The first
+    // build evaluates the expression; the timed ones find it in the FT
+    // cache and pay the per-tag counts only.
+    let leaf = parse_query("//mail[./text/keyword[.contains(\"vintage\" and \"gold\")]]").unwrap();
+    let model = PenaltyModel::new(&leaf, WeightAssignment::uniform());
+    build_schedule(&ctx, &model, &leaf, 64);
+    group.bench_function("schedule_contains", |b| {
+        b.iter(|| build_schedule(&ctx, &model, &leaf, 64).len())
+    });
     group.finish();
 }
 

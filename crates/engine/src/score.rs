@@ -95,12 +95,11 @@ impl PenaltyModel {
     pub fn new(original: &Tpq, weights: WeightAssignment) -> Self {
         let mut var_tags = BTreeMap::new();
         let mut var_parent = BTreeMap::new();
-        for (idx, node) in original.nodes().iter().enumerate() {
+        for node in original.nodes() {
             var_tags.insert(node.var, node.tag.clone());
             if let Some(p) = node.parent {
                 var_parent.insert(node.var, original.node(p).var);
             }
-            let _ = idx;
         }
         PenaltyModel {
             var_tags,

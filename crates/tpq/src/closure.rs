@@ -22,11 +22,13 @@ use crate::logical::{Predicate, PredicateSet};
 /// growing predicate vectors the closure is computed on dense `u64`
 /// adjacency bitsets (one per distinct variable) and materialized once:
 /// `O(V²·V/64)` bit operations plus a single sort, versus the naive
-/// quadratic re-scan per fixpoint round. Schedule construction scores
-/// hundreds of candidate operators — each needing a closure — per query, so
-/// this is a hot path. Sets mentioning more than 64 distinct variables fall
-/// back to the naive fixpoint (queries are arity-sized; this is a safety
-/// hatch, not an expected path).
+/// quadratic re-scan per fixpoint round. A query pays for it once (schedule
+/// construction takes the original closure and then decides each candidate
+/// operator's drops on the relaxed tree); the relaxation-space enumeration
+/// (`space.rs`) and the core computation (`core.rs`) call it repeatedly.
+/// Sets mentioning more than 64 distinct variables fall back to the naive
+/// fixpoint (queries are arity-sized; this is a safety hatch, not an
+/// expected path).
 pub fn closure_of(preds: &PredicateSet) -> PredicateSet {
     // Dense var ↦ index mapping.
     let mut vars: Vec<crate::ast::Var> = Vec::new();

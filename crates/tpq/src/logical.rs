@@ -171,7 +171,7 @@ impl Tpq {
     /// predicates plus all value-based predicates.
     pub fn logical(&self) -> PredicateSet {
         let mut preds = Vec::new();
-        for (idx, node) in self.nodes.iter().enumerate() {
+        for node in &self.nodes {
             if let Some(p) = node.parent {
                 let pvar = self.nodes[p].var;
                 match node.axis {
@@ -188,7 +188,6 @@ impl Tpq {
             for c in &node.contains {
                 preds.push(Predicate::Contains(node.var, c.clone()));
             }
-            let _ = idx;
         }
         PredicateSet::from_vec(preds)
     }

@@ -418,3 +418,83 @@ fn generous_deadline_matches_the_unbounded_run_exactly() {
     assert!(bounded.is_complete());
     assert_eq!(bounded.nodes(), unbounded.nodes());
 }
+
+#[test]
+fn a_cancelled_schedule_build_scores_nothing() {
+    use flexpath_engine::schedule::build_schedule_reported;
+    use flexpath_engine::{PenaltyModel, ScheduleBuildReport, WeightAssignment};
+    use flexpath_ftsearch::Budget;
+
+    let flex = big_session();
+    let q = flexpath_tpq::parse_query(XQ3).unwrap();
+    let model = PenaltyModel::new(&q, WeightAssignment::uniform());
+    let token = CancelToken::new();
+    token.cancel();
+    let budget = Budget::new(None, Some(token), u64::MAX, u64::MAX, u64::MAX);
+    let (steps, report) = build_schedule_reported(flex.context(), &model, &q, 64, &budget);
+    assert!(steps.is_empty());
+    assert_eq!(
+        report,
+        ScheduleBuildReport {
+            checkpoints: 1,
+            ops_scored: 0
+        }
+    );
+}
+
+#[test]
+fn a_postings_trip_inside_a_schedule_penalty_stops_the_build_and_caches_nothing() {
+    use flexpath_engine::schedule::build_schedule_reported;
+    use flexpath_engine::{PenaltyModel, ScheduleBuildReport, WeightAssignment};
+    use flexpath_ftsearch::Budget;
+
+    // No other test of this file evaluates this expression, so the shared
+    // session's FT cache starts without it.
+    const QUERY: &str = "//item[./description[.contains(\"porcelain\")]]";
+    let flex = big_session();
+    let ctx = flex.context();
+    let q = flexpath_tpq::parse_query(QUERY).unwrap();
+    let model = PenaltyModel::new(&q, WeightAssignment::uniform());
+
+    // The first `contains` penalty is needed while the first step's
+    // candidates are scored: the budget trips inside that evaluation, the
+    // step is completed from what the truncated evaluation returned (never
+    // used to rank), and the next step's checkpoint ends the build. The
+    // reference build does the same (`schedule::tests`).
+    let budget = Budget::new(None, None, 1, u64::MAX, u64::MAX);
+    let (steps, report) = build_schedule_reported(ctx, &model, &q, 64, &budget);
+    assert_eq!(budget.tripped(), Some(ExhaustReason::PostingsBudget));
+    assert_eq!(steps.len(), 1);
+    assert_eq!(
+        report,
+        ScheduleBuildReport {
+            checkpoints: 2,
+            ops_scored: flexpath_tpq::applicable_ops(&q).len() as u64
+        }
+    );
+
+    // The same trip through the facade is reported, not hidden …
+    let tripped = flex
+        .query(QUERY)
+        .unwrap()
+        .top(10)
+        .limits(QueryLimits::default().with_max_ft_postings_scanned(1))
+        .execute();
+    assert_eq!(
+        tripped.completeness.exhaust_reason(),
+        Some(ExhaustReason::PostingsBudget)
+    );
+
+    // … and neither run left its truncated evaluation behind: what the
+    // cache hands an unbudgeted caller next is the whole evaluation.
+    let expr = &q.node(1).contains[0];
+    let whole = ctx.index().evaluate(ctx.doc(), expr);
+    assert!(whole.len() > 1);
+    assert_eq!(
+        ctx.ft_eval(expr, &Budget::unlimited()).matches(),
+        whole.matches()
+    );
+    let unbudgeted = flex.query(QUERY).unwrap().top(10).execute();
+    assert!(unbudgeted.is_complete());
+    assert_eq!(unbudgeted.hits.len(), 10);
+}
