@@ -49,16 +49,37 @@ fn micro(c: &mut Criterion) {
     });
 
     let ctx = EngineContext::new(doc.clone());
+    // Full-text evaluation, one case per kind of atom work: a frequent
+    // term (the sweep and the scoring cursors), a conjunction (two lists
+    // merged), a phrase that starts with its frequent word (the
+    // intersection is driven from the rare one).
     let gold = FtExpr::parse("\"vintage\" and \"gold\"").unwrap();
-    group.bench_function("ft_eval_conjunction", |b| {
-        b.iter(|| ctx.index().evaluate(ctx.doc(), &gold).len())
-    });
-    group.bench_function("ft_eval_conjunction_bm25", |b| {
+    for (name, expr) in [
+        ("ft_eval_term", FtExpr::term("gold")),
+        ("ft_eval_and", gold.clone()),
+        ("ft_eval_phrase", FtExpr::term("gold ivory")),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter(|| ctx.index().evaluate(ctx.doc(), &expr).len())
+        });
+    }
+    group.bench_function("ft_eval_and_bm25", |b| {
         b.iter(|| {
             ctx.index()
                 .evaluate_with(ctx.doc(), &gold, ScoringModel::bm25())
                 .len()
         })
+    });
+    // What a `contains` penalty and a selectivity estimate ask of a cached
+    // evaluation: how many nodes of a tag satisfy it.
+    let eval = ctx.index().evaluate(ctx.doc(), &FtExpr::term("gold"));
+    let name = ctx
+        .doc()
+        .symbols()
+        .lookup("name")
+        .expect("XMark has <name>");
+    group.bench_function("count_for_tag", |b| {
+        b.iter(|| eval.count_for_tag(ctx.doc(), name))
     });
 
     let q3 = parse_query(flexpath_bench::XQ3).unwrap();

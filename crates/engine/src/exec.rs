@@ -336,7 +336,7 @@ fn spec_candidates<'d>(
 /// The surviving specs, linked by `anchor`/`axis`, *are* the relaxed tree
 /// pattern; each starts from its tag's document-ordered node list, is cut
 /// down to the nodes satisfying its `required_contains` (the sorted
-/// [`flexpath_ftsearch::FtEval::matches`]), and then cuts its anchor's set
+/// [`flexpath_ftsearch::FtEval::nodes`]), and then cuts its anchor's set
 /// down to the nodes that have it as a child / descendant — a bottom-up
 /// pass of semijoins, spec index descending, since an anchor's index is
 /// always smaller than its dependants'. What reaches the root is a
@@ -370,8 +370,7 @@ fn required_roots<'d>(doc: &'d Document, enc: &EncodedQuery, budget: &Budget) ->
             continue;
         };
         for &ci in &specs[i].required_contains {
-            let matches = enc.cspecs[ci].eval.matches();
-            retain_containing(doc, budget, &mut set, matches, |m| m.0, true);
+            retain_containing(doc, budget, &mut set, enc.cspecs[ci].eval.nodes(), true);
         }
         let Some(anchor) = specs[i].anchor else {
             return if budget.tripped().is_some() {
@@ -383,7 +382,7 @@ fn required_roots<'d>(doc: &'d Document, enc: &EncodedQuery, budget: &Budget) ->
         if let Some(anchor_set) = sets[anchor].as_mut() {
             match specs[i].axis {
                 Axis::Child => retain_parents_of(doc, budget, anchor_set, &set),
-                Axis::Descendant => retain_containing(doc, budget, anchor_set, &set, |&n| n, false),
+                Axis::Descendant => retain_containing(doc, budget, anchor_set, &set, false),
             }
         }
     }

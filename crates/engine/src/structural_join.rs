@@ -125,19 +125,18 @@ fn retain(set: &mut Cow<'_, [NodeId]>, mut keep: impl FnMut(NodeId) -> bool) {
 }
 
 /// Descendant-axis semijoin: keeps the nodes of `set` whose subtree holds
-/// an entry of `below` (document-ordered, `id` names each entry's node) —
-/// a strict descendant, or with `or_self` the node itself too. One forward
+/// a node of `below` (document-ordered) — a strict descendant, or with
+/// `or_self` the node itself too. One forward
 /// pass over `set` with a galloping cursor into `below`:
 /// `O(|set| · log(|below| / |set|))`.
 ///
 /// Checkpoints `budget` per node; once it trips nothing more is kept and
 /// the caller must discard the set ([`Budget::tripped`]).
-pub(crate) fn retain_containing<T>(
+pub(crate) fn retain_containing(
     doc: &Document,
     budget: &Budget,
     set: &mut Cow<'_, [NodeId]>,
-    below: &[T],
-    id: impl Fn(&T) -> NodeId,
+    below: &[NodeId],
     or_self: bool,
 ) {
     let mut cursor = 0usize;
@@ -146,10 +145,8 @@ pub(crate) fn retain_containing<T>(
             return false;
         }
         // `set` ascends, so the first entry past `x` only moves forward.
-        cursor += gallop(&below[cursor..], |b| id(b) < x || (!or_self && id(b) == x));
-        below
-            .get(cursor)
-            .is_some_and(|b| id(b) <= doc.subtree_last(x))
+        cursor += gallop(&below[cursor..], |&b| b < x || (!or_self && b == x));
+        below.get(cursor).is_some_and(|&b| b <= doc.subtree_last(x))
     });
 }
 
@@ -364,7 +361,7 @@ mod tests {
 
                 for or_self in [false, true] {
                     let mut ancestors = Cow::Borrowed(a);
-                    retain_containing(&doc, &unlimited, &mut ancestors, d, |&n| n, or_self);
+                    retain_containing(&doc, &unlimited, &mut ancestors, d, or_self);
                     let expect: Vec<NodeId> = a
                         .iter()
                         .copied()
@@ -375,7 +372,7 @@ mod tests {
                         .collect();
                     assert_eq!(ancestors.as_ref(), expect, "{outer}[.//{inner}] {or_self}");
                     // Filtering an already-owned set takes the other arm.
-                    retain_containing(&doc, &unlimited, &mut ancestors, d, |&n| n, or_self);
+                    retain_containing(&doc, &unlimited, &mut ancestors, d, or_self);
                     assert_eq!(ancestors.as_ref(), expect);
                 }
             }
@@ -397,7 +394,7 @@ mod tests {
             assert!(set.is_empty());
         }
         let mut set = Cow::Borrowed(a);
-        retain_containing(&doc, &budget, &mut set, b, |&n| n, false);
+        retain_containing(&doc, &budget, &mut set, b, false);
         assert!(set.is_empty());
         assert!(budget.tripped().is_some());
     }

@@ -8,6 +8,45 @@
 //! XRANK-style per-level decay (tokens found deeper below the scored element
 //! contribute less), normalized so the best match scores `1.0`.
 //!
+//! ## One document-order sweep
+//!
+//! Every positive atom (term, phrase, window) compiles to its *holders*:
+//! the elements whose direct text satisfies it, in ascending id. For a safe
+//! expression a satisfying element must contain a positive witness, so the
+//! candidate *universe* is the ancestors-or-self of every holder of every
+//! atom. [`InvertedIndex::evaluate_budgeted`] does work proportional to
+//! what it reads:
+//!
+//! 1. **Merge and emit.** The atoms' holder lists are merged in document
+//!    order (one merge cursor per atom) while a stack holds the root path
+//!    of the current holder: pop while `subtree_last(top) < holder`, then
+//!    walk `parent` from the holder up to the stack top and push that chain
+//!    top-down. Every universe element is pushed exactly once, and *in
+//!    ascending id*: an element not yet on the stack when holder `h`
+//!    arrives has no earlier holder in its subtree, so its id is above
+//!    every earlier holder's and hence above everything those emitted; and
+//!    a chain is pushed ancestor first.
+//! 2. **Test.** Each emitted element `e` is tested against the compiled
+//!    expression with one forward cursor per atom — "first holder `>= e`",
+//!    then "is it `<= subtree_last(e)`". Elements arrive ascending, so a
+//!    cursor never moves back. *Every* universe element is tested, which is
+//!    what keeps `Not` exact: an ancestor can fail where its descendant
+//!    satisfied.
+//! 3. **Most specific.** Ids in a subtree are contiguous, so a satisfying
+//!    element has a satisfying descendant iff the *next* satisfying element
+//!    falls inside its range: it is replaced as that one arrives.
+//! 4. **Score.** Most-specific matches are ascending and their subtrees
+//!    disjoint, so one cursor per atom walks its holders once across all
+//!    matches. Per match the sum runs atoms in compile order, holders
+//!    ascending — the order the formula above is defined in, so scores do
+//!    not depend on how the holders were found.
+//!
+//! The [`Budget`] sees one `charge_postings(holders)` per atom in compile
+//! order before anything else, then one `checkpoint()` per merged
+//! (atom, holder), one per universe element and one per match scored. A
+//! trip while sweeping returns [`FtEval::empty`]; a trip while scoring
+//! returns the scored document-order prefix.
+//!
 //! ## Negation safety
 //!
 //! Evaluation requires at least one positive term
@@ -17,9 +56,8 @@
 
 use crate::budget::Budget;
 use crate::ftexpr::FtExpr;
-use crate::index::InvertedIndex;
+use crate::index::{InvertedIndex, Posting, PostingEntry};
 use flexpath_xmldom::{Document, NodeId, Sym};
-use std::collections::BTreeSet;
 
 /// Score decay per level of depth between the direct holder of a token and
 /// the element being scored (XRANK's hyperlink-style dampening).
@@ -84,71 +122,99 @@ impl FtExpr {
 
 /// The result of evaluating one [`FtExpr`] against one document: the ranked
 /// `(node, score)` contract FleXPath expects from its IR engine.
+///
+/// Ids and scores are two parallel columns: the id column is what
+/// [`satisfies`](Self::satisfies) binary-searches (once per candidate per
+/// required `contains`) and what the count merge streams, and a cached
+/// evaluation costs 12 bytes per match.
 #[derive(Debug, Clone)]
 pub struct FtEval {
-    /// Most-specific satisfying elements in ascending id (document) order,
-    /// with scores normalized to `(0, 1]`.
-    matches: Vec<(NodeId, f64)>,
+    /// Most-specific satisfying elements in ascending id (document) order.
+    nodes: Vec<NodeId>,
+    /// `scores[i]` is the score of `nodes[i]`, normalized to `(0, 1]`.
+    scores: Vec<f64>,
 }
 
 impl FtEval {
     /// An evaluation with no matches.
     pub fn empty() -> Self {
         FtEval {
-            matches: Vec::new(),
+            nodes: Vec::new(),
+            scores: Vec::new(),
         }
     }
 
-    /// Most-specific matches in document order.
-    pub fn matches(&self) -> &[(NodeId, f64)] {
-        &self.matches
+    /// Most-specific matches in document order. No match is an ancestor of
+    /// another, so their subtrees are disjoint; a match's own score is
+    /// [`score`](Self::score) of it.
+    pub fn nodes(&self) -> &[NodeId] {
+        &self.nodes
     }
 
     /// Matches sorted by descending score (the IR engine's ranked list).
     pub fn ranked(&self) -> Vec<(NodeId, f64)> {
-        let mut out = self.matches.clone();
+        let mut out: Vec<(NodeId, f64)> = self
+            .nodes
+            .iter()
+            .copied()
+            .zip(self.scores.iter().copied())
+            .collect();
         out.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         out
     }
 
     /// Number of most-specific matches.
     pub fn len(&self) -> usize {
-        self.matches.len()
+        self.nodes.len()
     }
 
     /// Whether nothing matched.
     pub fn is_empty(&self) -> bool {
-        self.matches.is_empty()
+        self.nodes.is_empty()
     }
 
     /// Does the subtree rooted at `n` satisfy the expression?
     ///
     /// O(log m): a subtree is a contiguous id range and matches are sorted.
     pub fn satisfies(&self, doc: &Document, n: NodeId) -> bool {
-        let last = doc.subtree_last(n);
-        let lo = self.matches.partition_point(|(m, _)| *m < n);
-        lo < self.matches.len() && self.matches[lo].0 <= last
+        let lo = self.nodes.partition_point(|&m| m < n);
+        self.nodes
+            .get(lo)
+            .is_some_and(|&m| m <= doc.subtree_last(n))
     }
 
     /// Keyword score of context node `n`: the best match score within its
     /// subtree (`0.0` when the subtree does not satisfy the expression).
     pub fn score(&self, doc: &Document, n: NodeId) -> f64 {
         let last = doc.subtree_last(n);
-        let lo = self.matches.partition_point(|(m, _)| *m < n);
-        let hi = self.matches.partition_point(|(m, _)| *m <= last);
-        self.matches[lo..hi]
-            .iter()
-            .map(|(_, s)| *s)
-            .fold(0.0, f64::max)
+        let lo = self.nodes.partition_point(|&m| m < n);
+        let hi = self.nodes.partition_point(|&m| m <= last);
+        self.scores[lo..hi].iter().copied().fold(0.0, f64::max)
     }
 
     /// `#contains(tag, expr)`: how many elements with `tag` satisfy the
     /// expression (the count FleXPath's contains-promotion penalty uses).
+    ///
+    /// One merge of the tag's node list with the match ids, both in
+    /// document order: `O(T + M)`, sequential.
     pub fn count_for_tag(&self, doc: &Document, tag: Sym) -> u64 {
-        doc.nodes_with_tag(tag)
-            .iter()
-            .filter(|&&n| self.satisfies(doc, n))
-            .count() as u64
+        // First match at or after the current tag node; tag nodes ascend,
+        // so it only moves forward.
+        let mut next = 0usize;
+        let mut count = 0u64;
+        // lint:allow(governor): one linear merge of two document-ordered
+        // lists, no budget in the signature — the schedule build that asks
+        // for the count checkpoints per step.
+        for &n in doc.nodes_with_tag(tag) {
+            while self.nodes.get(next).is_some_and(|&m| m < n) {
+                next += 1;
+            }
+            match self.nodes.get(next) {
+                Some(&m) => count += u64::from(m <= doc.subtree_last(n)),
+                None => break, // no match left for this or any later node
+            }
+        }
+        count
     }
 }
 
@@ -161,13 +227,6 @@ struct Atom {
     idf: f64,
     /// Whether the atom occurs under a `Not` (satisfaction only, no score).
     scoring: bool,
-}
-
-impl Atom {
-    fn any_in_range(&self, from: NodeId, to: NodeId) -> bool {
-        let lo = self.holders.partition_point(|(n, _)| *n < from);
-        lo < self.holders.len() && self.holders[lo].0 <= to
-    }
 }
 
 enum Compiled {
@@ -195,11 +254,11 @@ impl InvertedIndex {
     /// [`evaluate_with`](Self::evaluate_with) under a resource [`Budget`].
     ///
     /// Charges the postings each compiled atom scans and checkpoints the
-    /// candidate and scoring loops. When the budget trips mid-evaluation
-    /// the result is a *best-effort partial* evaluation — a document-order
-    /// subset of the most-specific matches (possibly empty), normalized
-    /// over what was scored. Callers must not cache a tripped evaluation:
-    /// check [`Budget::tripped`] afterwards.
+    /// sweep and the scoring loop (see the module doc). When the budget
+    /// trips mid-evaluation the result is a *best-effort partial*
+    /// evaluation — a document-order prefix of the most-specific matches
+    /// (possibly empty), normalized over what was scored. Callers must not
+    /// cache a tripped evaluation: check [`Budget::tripped`] afterwards.
     pub fn evaluate_budgeted(
         &self,
         doc: &Document,
@@ -217,87 +276,70 @@ impl InvertedIndex {
                 return FtEval::empty();
             }
         }
-
-        // Candidate universe: ancestors-or-self of every holder of every
-        // atom — for safe expressions any satisfying element must contain a
-        // positive witness.
-        let mut universe: BTreeSet<NodeId> = BTreeSet::new();
-        for atom in &atoms {
-            for &(holder, _) in &atom.holders {
-                if budget.checkpoint() {
-                    return FtEval::empty();
-                }
-                if universe.insert(holder) {
-                    for anc in doc.ancestors(holder) {
-                        if !universe.insert(anc) {
-                            break; // ancestors already recorded
-                        }
-                    }
-                }
-            }
+        let Some(mut nodes) = most_specific(doc, &compiled, &atoms, budget) else {
+            return FtEval::empty();
+        };
+        let mut scores = self.score_matches(doc, &atoms, &nodes, model, budget);
+        // A trip while scoring keeps the scored document-order prefix; the
+        // caller sees the trip via the budget.
+        nodes.truncate(scores.len());
+        nodes.shrink_to_fit();
+        let max = scores.iter().copied().fold(0.0, f64::max);
+        for s in &mut scores {
+            // Degenerate (e.g. satisfaction through Not only): uniform score.
+            *s = if max > 0.0 { *s / max } else { 1.0 };
         }
+        FtEval { nodes, scores }
+    }
 
-        let mut satisfying: Vec<NodeId> = Vec::new();
-        for e in universe {
-            if budget.checkpoint() {
-                return FtEval::empty();
-            }
-            if sat(&compiled, &atoms, e, doc.subtree_last(e)) {
-                satisfying.push(e);
-            }
-        }
-        satisfying.sort_unstable();
-
-        // Most-specific filter: ids in a subtree are contiguous, so a
-        // candidate has a satisfying descendant iff the *next* candidate
-        // falls inside its range.
-        let mut specific: Vec<NodeId> = Vec::new();
-        // lint:allow(governor): linear pass over candidates that were each
-        // already checkpoint-charged when `satisfying` was built above.
-        for (i, &e) in satisfying.iter().enumerate() {
-            let has_inner = satisfying
-                .get(i + 1)
-                .map(|&next| next <= doc.subtree_last(e))
-                .unwrap_or(false);
-            if !has_inner {
-                specific.push(e);
-            }
-        }
-
-        // Model-dependent scoring, then normalization to (0, 1].
+    /// Model-dependent raw scores of `matches` (most-specific: ascending,
+    /// subtrees disjoint), in order; shorter than `matches` when the budget
+    /// trips.
+    fn score_matches(
+        &self,
+        doc: &Document,
+        atoms: &[Atom],
+        matches: &[NodeId],
+        model: ScoringModel,
+        budget: &Budget,
+    ) -> Vec<f64> {
         let avgdl = self.avg_element_length().max(1.0);
-        let mut matches: Vec<(NodeId, f64)> = Vec::with_capacity(specific.len());
-        for e in specific {
+        // Per atom: its first holder not yet passed. Matches ascend and do
+        // not nest, so each cursor walks its holders once.
+        let mut cursors = vec![0usize; atoms.len()];
+        let mut scores = Vec::with_capacity(matches.len());
+        for &e in matches {
             if budget.checkpoint() {
-                // Keep the scored document-order prefix as the partial
-                // result; the caller sees the trip via the budget.
                 break;
             }
             let last = doc.subtree_last(e);
             let elevel = doc.level(e) as i64;
             let mut score = 0.0;
             // lint:allow(governor): per-query atom count; the enclosing
-            // per-candidate loop checkpoints the budget.
-            for atom in &atoms {
+            // per-match loop checkpoints the budget.
+            for (atom, at) in atoms.iter().zip(&mut cursors) {
                 if !atom.scoring {
                     continue;
                 }
-                let lo = atom.holders.partition_point(|(n, _)| *n < e);
-                let hi = atom.holders.partition_point(|(n, _)| *n <= last);
+                while atom.holders.get(*at).is_some_and(|&(h, _)| h < e) {
+                    *at += 1;
+                }
+                let lo = *at;
+                while atom.holders.get(*at).is_some_and(|&(h, _)| h <= last) {
+                    *at += 1;
+                }
+                let inside = &atom.holders[lo..*at];
                 match model {
                     ScoringModel::TfIdfDecay { decay } => {
                         // lint:allow(governor): holders were charged to the
                         // postings meter at the compile boundary.
-                        for &(holder, tf) in &atom.holders[lo..hi] {
+                        for &(holder, tf) in inside {
                             let depth = (doc.level(holder) as i64 - elevel).max(0) as i32;
                             score += atom.idf * (1.0 + f64::from(tf).ln()) * decay.powi(depth);
                         }
                     }
                     ScoringModel::Bm25 { k1, b } => {
-                        let tf: f64 = atom.holders[lo..hi]
-                            .iter()
-                            .map(|&(_, tf)| f64::from(tf))
-                            .sum();
+                        let tf: f64 = inside.iter().map(|&(_, tf)| f64::from(tf)).sum();
                         if tf > 0.0 {
                             let dl = self.subtree_token_count(doc, e) as f64;
                             let norm = k1 * (1.0 - b + b * dl / avgdl);
@@ -306,20 +348,9 @@ impl InvertedIndex {
                     }
                 }
             }
-            matches.push((e, score));
+            scores.push(score);
         }
-        let max = matches.iter().map(|(_, s)| *s).fold(0.0, f64::max);
-        if max > 0.0 {
-            for (_, s) in &mut matches {
-                *s /= max;
-            }
-        } else {
-            // Degenerate (e.g. satisfaction through Not only): uniform score.
-            for (_, s) in &mut matches {
-                *s = 1.0;
-            }
-        }
-        FtEval { matches }
+        scores
     }
 
     fn compile(&self, expr: &FtExpr, scoring: bool, atoms: &mut Vec<Atom>) -> Compiled {
@@ -366,83 +397,46 @@ impl InvertedIndex {
         }
     }
 
+    /// The posting of every term — of none when one term has none, since no
+    /// element can then hold them all.
+    fn postings_of(&self, terms: &[String]) -> Vec<&Posting> {
+        let all: Option<Vec<_>> = terms.iter().map(|t| self.posting(t)).collect();
+        all.unwrap_or_default()
+    }
+
     /// Elements whose direct text contains the terms at consecutive
-    /// positions, with the number of phrase occurrences.
+    /// positions, with the number of phrase occurrences (counted from the
+    /// first term's positions).
     fn phrase_holders(&self, terms: &[String]) -> Vec<(NodeId, u32)> {
-        if terms.is_empty() {
-            return Vec::new();
-        }
-        if terms.len() == 1 {
-            return self
-                .posting(&terms[0])
-                .map(|p| p.entries.iter().map(|e| (e.node, e.tf())).collect())
-                .unwrap_or_default();
-        }
-        let Some(first) = self.posting(&terms[0]) else {
-            return Vec::new();
-        };
-        let rest: Option<Vec<_>> = terms[1..].iter().map(|t| self.posting(t)).collect();
-        let Some(rest) = rest else {
-            return Vec::new();
-        };
         let mut out = Vec::new();
-        // lint:allow(governor): the holders produced here are charged to the
-        // postings meter by `evaluate` right after compile returns.
-        for entry in &first.entries {
-            // Locate the same element in every other posting list.
-            let followers: Option<Vec<&[u32]>> = rest
+        for_each_common(&self.postings_of(terms), |node, positions| {
+            let Some((first, followers)) = positions.split_first() else {
+                return;
+            };
+            let occurrences = first
                 .iter()
-                .map(|p| {
-                    let i = p.lower_bound(entry.node);
-                    p.entries
-                        .get(i)
-                        .filter(|e| e.node == entry.node)
-                        .map(|e| e.positions.as_slice())
+                .filter(|&&start| {
+                    followers
+                        .iter()
+                        .enumerate()
+                        .all(|(k, pos)| pos.binary_search(&(start + 1 + k as u32)).is_ok())
                 })
-                .collect();
-            let Some(followers) = followers else { continue };
-            let mut occurrences = 0u32;
-            // lint:allow(governor): position-list walk inside one postings
-            // entry; the entry itself is charged via the postings meter.
-            for &start in &entry.positions {
-                let chained = followers
-                    .iter()
-                    .enumerate()
-                    .all(|(k, pos)| pos.binary_search(&(start + 1 + k as u32)).is_ok());
-                if chained {
-                    occurrences += 1;
-                }
-            }
+                .count() as u32;
             if occurrences > 0 {
-                out.push((entry.node, occurrences));
+                out.push((node, occurrences));
             }
-        }
+        });
         out
     }
 
     /// Elements whose direct text contains every term within a positional
     /// window of `window` tokens.
     fn window_holders(&self, terms: &[String], window: u32) -> Vec<(NodeId, u32)> {
-        if terms.is_empty() {
-            return Vec::new();
-        }
-        let postings: Option<Vec<_>> = terms.iter().map(|t| self.posting(t)).collect();
-        let Some(postings) = postings else {
-            return Vec::new();
-        };
         let mut out = Vec::new();
-        for entry in &postings[0].entries {
-            let per_term: Option<Vec<&[u32]>> = postings
-                .iter()
-                .map(|p| {
-                    let i = p.lower_bound(entry.node);
-                    p.entries
-                        .get(i)
-                        .filter(|e| e.node == entry.node)
-                        .map(|e| e.positions.as_slice())
-                })
-                .collect();
-            let Some(per_term) = per_term else { continue };
+        if window == 0 {
+            return out; // no span is narrower than nothing
+        }
+        for_each_common(&self.postings_of(terms), |node, per_term| {
             // Sliding window over the merged position stream: does any span
             // of width < window cover all terms?
             let mut merged: Vec<(u32, usize)> = Vec::new();
@@ -450,10 +444,9 @@ impl InvertedIndex {
                 merged.extend(positions.iter().map(|&p| (p, k)));
             }
             merged.sort_unstable();
-            let mut counts = vec![0u32; terms.len()];
+            let mut counts = vec![0u32; per_term.len()];
             let mut covered = 0usize;
             let mut left = 0usize;
-            let mut hit = false;
             // lint:allow(governor): sliding window over one element's merged
             // position stream; holders are charged at the compile boundary.
             for right in 0..merged.len() {
@@ -470,25 +463,145 @@ impl InvertedIndex {
                     }
                     left += 1;
                 }
-                if covered == terms.len() {
-                    hit = true;
+                if covered == per_term.len() {
+                    out.push((node, 1));
                     break;
                 }
             }
-            if hit {
-                out.push((entry.node, 1));
-            }
-        }
+        });
         out
     }
 }
 
-fn sat(c: &Compiled, atoms: &[Atom], from: NodeId, to: NodeId) -> bool {
+/// Visits, in ascending id, every element that has an entry in all of
+/// `postings`, with its position lists in `postings` order. Driven from the
+/// shortest list; the others follow with galloping cursors, so an
+/// intersection costs what its rarest term costs.
+fn for_each_common<'p>(postings: &[&'p Posting], mut visit: impl FnMut(NodeId, &[&'p [u32]])) {
+    let Some(driver) = (0..postings.len()).min_by_key(|&k| postings[k].entries.len()) else {
+        return;
+    };
+    let mut cursors = vec![0usize; postings.len()];
+    let mut positions: Vec<&[u32]> = Vec::with_capacity(postings.len());
+    // lint:allow(governor): the holders produced here are charged to the
+    // postings meter by `evaluate_budgeted` right after compile returns.
+    'entries: for entry in &postings[driver].entries {
+        positions.clear();
+        // lint:allow(governor): one pass over the phrase's terms; a gallop
+        // skips entries of a list no shorter than the driver's, in O(log).
+        for (k, posting) in postings.iter().enumerate() {
+            if k == driver {
+                positions.push(&entry.positions);
+                continue;
+            }
+            cursors[k] += gallop_to(&posting.entries[cursors[k]..], entry.node);
+            match posting.entries.get(cursors[k]) {
+                Some(e) if e.node == entry.node => positions.push(&e.positions),
+                Some(_) => continue 'entries,
+                None => return, // this list is spent: nothing further is common
+            }
+        }
+        visit(entry.node, &positions);
+    }
+}
+
+/// Number of leading `entries` before `node`, by galloping: exponential
+/// probe to bracket the boundary, binary search inside the bracket —
+/// `O(log skip)`.
+fn gallop_to(entries: &[PostingEntry], node: NodeId) -> usize {
+    let mut probe = 1usize;
+    while probe < entries.len() && entries[probe].node < node {
+        probe <<= 1;
+    }
+    let lo = probe >> 1;
+    let hi = probe.min(entries.len());
+    lo + entries[lo..hi].partition_point(|e| e.node < node)
+}
+
+/// The sweep (module doc, steps 1–3): the most-specific satisfying elements
+/// in ascending id, or `None` when the budget trips.
+fn most_specific(
+    doc: &Document,
+    compiled: &Compiled,
+    atoms: &[Atom],
+    budget: &Budget,
+) -> Option<Vec<NodeId>> {
+    // Per atom: its next unmerged holder, and (for `sat`) its first holder
+    // at or after the element under test.
+    let mut merge = vec![0usize; atoms.len()];
+    let mut seek = vec![0usize; atoms.len()];
+    // Universe elements whose subtree holds the current holder: a root path.
+    let mut path: Vec<NodeId> = Vec::new();
+    let mut chain: Vec<NodeId> = Vec::new();
+    let mut specific: Vec<NodeId> = Vec::new();
+    loop {
+        let next = atoms
+            .iter()
+            .zip(&merge)
+            .enumerate()
+            .filter_map(|(i, (atom, &at))| atom.holders.get(at).map(|&(h, _)| (h, i)))
+            .min();
+        let Some((holder, i)) = next else {
+            return Some(specific);
+        };
+        merge[i] += 1;
+        if budget.checkpoint() {
+            return None;
+        }
+        while path
+            .last()
+            .is_some_and(|&top| doc.subtree_last(top) < holder)
+        {
+            path.pop();
+        }
+        // What is left on the path contains the holder. New to the universe
+        // are the holder and its ancestors below the path's top — nothing
+        // when the same element just arrived as another atom's holder.
+        let top = path.last().copied();
+        let mut cur = holder;
+        while Some(cur) != top {
+            chain.push(cur);
+            match doc.parent(cur) {
+                Some(parent) => cur = parent,
+                None => break,
+            }
+        }
+        while let Some(e) = chain.pop() {
+            if budget.checkpoint() {
+                return None;
+            }
+            path.push(e);
+            if sat(compiled, atoms, &mut seek, e, doc.subtree_last(e)) {
+                // Ascending order: a satisfying descendant of the previous
+                // satisfying element arrives right after it.
+                if specific
+                    .last()
+                    .is_some_and(|&prev| doc.subtree_last(prev) >= e)
+                {
+                    specific.pop();
+                }
+                specific.push(e);
+            }
+        }
+    }
+}
+
+/// Does the id range `[from, to]` (a subtree) satisfy `c`? `seek[i]` is
+/// atom `i`'s cursor: callers test ranges in ascending `from`, so "first
+/// holder `>= from`" only moves forward.
+fn sat(c: &Compiled, atoms: &[Atom], seek: &mut [usize], from: NodeId, to: NodeId) -> bool {
     match c {
-        Compiled::Atom(i) => atoms[*i].any_in_range(from, to),
-        Compiled::And(xs) => xs.iter().all(|x| sat(x, atoms, from, to)),
-        Compiled::Or(xs) => xs.iter().any(|x| sat(x, atoms, from, to)),
-        Compiled::Not(inner) => !sat(inner, atoms, from, to),
+        Compiled::Atom(i) => {
+            let holders = &atoms[*i].holders;
+            let at = &mut seek[*i];
+            while holders.get(*at).is_some_and(|&(h, _)| h < from) {
+                *at += 1;
+            }
+            holders.get(*at).is_some_and(|&(h, _)| h <= to)
+        }
+        Compiled::And(xs) => xs.iter().all(|x| sat(x, atoms, seek, from, to)),
+        Compiled::Or(xs) => xs.iter().any(|x| sat(x, atoms, seek, from, to)),
+        Compiled::Not(inner) => !sat(inner, atoms, seek, from, to),
     }
 }
 
@@ -496,6 +609,15 @@ fn sat(c: &Compiled, atoms: &[Atom], from: NodeId, to: NodeId) -> bool {
 mod tests {
     use super::*;
     use flexpath_xmldom::parse;
+
+    /// `(node, score)` per match, in document order.
+    fn pairs(ev: &FtEval) -> Vec<(NodeId, f64)> {
+        ev.nodes
+            .iter()
+            .copied()
+            .zip(ev.scores.iter().copied())
+            .collect()
+    }
 
     fn eval(xml: &str, query: &str) -> (Document, FtEval) {
         let doc = parse(xml).unwrap();
@@ -510,8 +632,8 @@ mod tests {
         let (doc, ev) = eval("<a><b>gold coin</b><c>silver</c></a>", "\"gold\"");
         let b = doc.nodes_with_tag_name("b")[0];
         assert_eq!(ev.len(), 1);
-        assert_eq!(ev.matches()[0].0, b);
-        assert_eq!(ev.matches()[0].1, 1.0);
+        assert_eq!(pairs(&ev)[0].0, b);
+        assert_eq!(pairs(&ev)[0].1, 1.0);
     }
 
     #[test]
@@ -524,7 +646,7 @@ mod tests {
         );
         let section = doc.nodes_with_tag_name("section")[0];
         assert_eq!(ev.len(), 1);
-        assert_eq!(ev.matches()[0].0, section);
+        assert_eq!(pairs(&ev)[0].0, section);
     }
 
     #[test]
@@ -536,7 +658,7 @@ mod tests {
             "\"XML\" and \"streaming\"",
         );
         let p = doc.nodes_with_tag_name("p")[0];
-        assert_eq!(ev.matches(), &[(p, 1.0)]);
+        assert_eq!(pairs(&ev), &[(p, 1.0)]);
     }
 
     #[test]
@@ -565,7 +687,7 @@ mod tests {
             "<r><a>gold</a><b>silver</b><c>copper</c></r>",
             "\"gold\" or \"silver\"",
         );
-        let ids: Vec<NodeId> = ev.matches().iter().map(|(n, _)| *n).collect();
+        let ids: Vec<NodeId> = pairs(&ev).iter().map(|(n, _)| *n).collect();
         let a = doc.nodes_with_tag_name("a")[0];
         let b = doc.nodes_with_tag_name("b")[0];
         assert_eq!(ids, vec![a, b]);
@@ -578,10 +700,10 @@ mod tests {
             "\"gold\" and not \"plated\"",
         );
         let a = doc.nodes_with_tag_name("a")[0];
-        assert_eq!(ev.matches().len(), 1);
-        assert_eq!(ev.matches()[0].0, a);
+        assert_eq!(pairs(&ev).len(), 1);
+        assert_eq!(pairs(&ev)[0].0, a);
         // <r> is not a match: its subtree contains "plated".
-        assert!(!ev.satisfies(&doc, doc.root_element()) || ev.matches()[0].0 != doc.root_element());
+        assert!(!ev.satisfies(&doc, doc.root_element()) || pairs(&ev)[0].0 != doc.root_element());
     }
 
     #[test]
@@ -591,8 +713,8 @@ mod tests {
             "\"vintage gold\"",
         );
         let a = doc.nodes_with_tag_name("a")[0];
-        assert_eq!(ev.matches().len(), 1);
-        assert_eq!(ev.matches()[0].0, a);
+        assert_eq!(pairs(&ev).len(), 1);
+        assert_eq!(pairs(&ev)[0].0, a);
     }
 
     #[test]
@@ -607,8 +729,8 @@ mod tests {
         };
         let ev = idx.evaluate(&doc, &near);
         let a = doc.nodes_with_tag_name("a")[0];
-        assert_eq!(ev.matches().len(), 1);
-        assert_eq!(ev.matches()[0].0, a);
+        assert_eq!(pairs(&ev).len(), 1);
+        assert_eq!(pairs(&ev)[0].0, a);
     }
 
     #[test]
@@ -617,7 +739,7 @@ mod tests {
         let a = doc.nodes_with_tag_name("a")[0];
         let b = doc.nodes_with_tag_name("b")[0];
         let score = |n: NodeId| {
-            ev.matches()
+            pairs(&ev)
                 .iter()
                 .find(|(m, _)| *m == n)
                 .map(|(_, s)| *s)
@@ -625,8 +747,8 @@ mod tests {
         };
         assert_eq!(score(a), 1.0);
         assert!(score(b) < 1.0 && score(b) > 0.0);
-        for (_, s) in ev.matches() {
-            assert!((0.0..=1.0).contains(s));
+        for (_, s) in pairs(&ev) {
+            assert!((0.0..=1.0).contains(&s));
         }
         let _ = doc;
     }
@@ -673,7 +795,7 @@ mod tests {
             "\"streams\" and \"algorithm\"",
         );
         assert_eq!(ev.len(), 1);
-        assert_eq!(ev.matches()[0].0, doc.nodes_with_tag_name("a")[0]);
+        assert_eq!(pairs(&ev)[0].0, doc.nodes_with_tag_name("a")[0]);
     }
 
     #[test]
@@ -695,7 +817,7 @@ mod tests {
         let expr = FtExpr::term("gold");
         let tfidf = idx.evaluate_with(&doc, &expr, ScoringModel::default());
         let bm25 = idx.evaluate_with(&doc, &expr, ScoringModel::bm25());
-        let nodes = |e: &FtEval| e.matches().iter().map(|(n, _)| *n).collect::<Vec<_>>();
+        let nodes = |e: &FtEval| pairs(e).iter().map(|(n, _)| *n).collect::<Vec<_>>();
         assert_eq!(nodes(&tfidf), nodes(&bm25));
         for n in doc.elements() {
             assert_eq!(tfidf.satisfies(&doc, n), bm25.satisfies(&doc, n));
@@ -712,7 +834,7 @@ mod tests {
         let ev = idx.evaluate_with(&doc, &FtExpr::term("gold"), ScoringModel::bm25());
         let a = doc.nodes_with_tag_name("a")[0];
         let b = doc.nodes_with_tag_name("b")[0];
-        let score = |n| ev.matches().iter().find(|(m, _)| *m == n).unwrap().1;
+        let score = |n| pairs(&ev).iter().find(|(m, _)| *m == n).unwrap().1;
         assert_eq!(score(a), 1.0);
         assert!(
             score(b) > 0.3,
@@ -731,7 +853,7 @@ mod tests {
         let ev = idx.evaluate_with(&doc, &FtExpr::term("gold"), ScoringModel::bm25());
         let short = doc.nodes_with_tag_name("short")[0];
         let long = doc.nodes_with_tag_name("long")[0];
-        let score = |n| ev.matches().iter().find(|(m, _)| *m == n).unwrap().1;
+        let score = |n| pairs(&ev).iter().find(|(m, _)| *m == n).unwrap().1;
         assert!(
             score(short) > score(long),
             "length normalization must favour the short element"
@@ -763,7 +885,7 @@ mod tests {
         // holders score equally (decay applies relative to the match, which
         // *is* the holder here) — so both are 1.0.
         assert_eq!(ev.len(), 2);
-        assert!(ev.matches().iter().all(|(_, s)| *s == 1.0));
+        assert!(pairs(&ev).iter().all(|(_, s)| *s == 1.0));
         // But the *root*'s score sees the shallow one at less decay; the
         // max-based context score is still positive.
         assert!(ev.score(&doc, doc.root_element()) > 0.0);

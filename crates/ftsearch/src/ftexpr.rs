@@ -147,8 +147,17 @@ impl FtExpr {
     /// A quoted `STRING` with several words is a phrase. Examples:
     /// `"XML" and "streaming"`, `"gold" and not "plated"`,
     /// `("rare" or "scarce") and "vintage coin"`.
+    ///
+    /// Whitespace between tokens is any Unicode whitespace character — a
+    /// no-break space pasted from a document separates tokens like a blank
+    /// does. Parentheses and `not` may nest [`MAX_NESTING`] deep; deeper
+    /// input is an error, not a deeper recursion.
     pub fn parse(input: &str) -> Result<FtExpr, FtParseError> {
-        let mut p = FtParser { input, pos: 0 };
+        let mut p = FtParser {
+            input,
+            pos: 0,
+            depth: 0,
+        };
         let expr = p.parse_or()?;
         p.skip_ws();
         if p.pos != input.len() {
@@ -179,9 +188,16 @@ impl fmt::Display for FtExpr {
     }
 }
 
+/// How deep `(` and `not` may nest in [`FtExpr::parse`]. The parser, and
+/// everything that later walks the expression (evaluation, `Ord`, `Drop`),
+/// recurses once per level; expressions people write nest two or three deep.
+pub const MAX_NESTING: usize = 64;
+
 struct FtParser<'a> {
     input: &'a str,
     pos: usize,
+    /// Open `(` and `not` around the current position.
+    depth: usize,
 }
 
 impl<'a> FtParser<'a> {
@@ -193,15 +209,32 @@ impl<'a> FtParser<'a> {
     }
 
     fn skip_ws(&mut self) {
-        while self.input[self.pos..].starts_with(|c: char| c.is_whitespace()) {
-            self.pos += 1;
+        self.pos = self.input.len() - self.input[self.pos..].trim_start().len();
+    }
+
+    /// Parses one nesting level with `inner`, refusing to go deeper than
+    /// [`MAX_NESTING`].
+    fn nested(
+        &mut self,
+        inner: impl FnOnce(&mut Self) -> Result<FtExpr, FtParseError>,
+    ) -> Result<FtExpr, FtParseError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.error(&format!("nesting deeper than {MAX_NESTING}")));
         }
+        self.depth += 1;
+        let out = inner(self);
+        self.depth -= 1;
+        out
     }
 
     fn eat_keyword(&mut self, kw: &str) -> bool {
         self.skip_ws();
         let rest = &self.input[self.pos..];
-        if rest.len() >= kw.len() && rest[..kw.len()].eq_ignore_ascii_case(kw) {
+        // `get`: a multi-byte character may straddle `kw.len()`.
+        if rest
+            .get(..kw.len())
+            .is_some_and(|head| head.eq_ignore_ascii_case(kw))
+        {
             let after = rest[kw.len()..].chars().next();
             if after.is_none_or(|c| !c.is_alphanumeric()) {
                 self.pos += kw.len();
@@ -243,7 +276,7 @@ impl<'a> FtParser<'a> {
 
     fn parse_unary(&mut self) -> Result<FtExpr, FtParseError> {
         if self.eat_keyword("not") {
-            return Ok(FtExpr::Not(Box::new(self.parse_unary()?)));
+            return Ok(FtExpr::Not(Box::new(self.nested(Self::parse_unary)?)));
         }
         self.parse_primary()
     }
@@ -266,8 +299,10 @@ impl<'a> FtParser<'a> {
                 Ok(expr)
             }
             Some('(') => {
-                self.pos += 1;
-                let inner = self.parse_or()?;
+                let inner = self.nested(|p| {
+                    p.pos += 1;
+                    p.parse_or()
+                })?;
                 self.skip_ws();
                 if !self.input[self.pos..].starts_with(')') {
                     return Err(self.error("expected ')'"));
@@ -345,6 +380,54 @@ mod tests {
         assert!(FtExpr::parse("(\"a\"").is_err());
         assert!(FtExpr::parse("").is_err());
         assert!(FtExpr::parse("\"   \"").is_err());
+    }
+
+    #[test]
+    fn multi_byte_whitespace_separates_tokens() {
+        let plain = FtExpr::parse("(\"a1\" and \"b1\" )").unwrap();
+        for ws in ['\u{a0}', '\u{2003}', '\u{3000}'] {
+            for input in [
+                format!("{ws}(\"a1\" and \"b1\")"),
+                format!("(\"a1\" and{ws}\"b1\")"),
+                format!("(\"a1\" and \"b1\"{ws})"),
+                format!("(\"a1\"{ws}and{ws}{ws}\"b1\"){ws}"),
+            ] {
+                assert_eq!(FtExpr::parse(&input).as_ref(), Ok(&plain), "{input:?}");
+            }
+        }
+        // A keyword probe that would end inside a character is not a keyword.
+        let e = FtExpr::parse("\"a1\" an\u{a0}\"b1\"").unwrap_err();
+        assert_eq!((e.offset, e.message.as_str()), (5, "trailing input"));
+    }
+
+    #[test]
+    fn nesting_is_capped_not_recursed() {
+        let parens = |n: usize| format!("{}\"a1\"{}", "(".repeat(n), ")".repeat(n));
+        let nots = |n: usize| format!("\"b1\" and {}\"a1\"", "not ".repeat(n));
+        assert_eq!(FtExpr::parse(&parens(MAX_NESTING)), Ok(FtExpr::term("a1")));
+        assert!(FtExpr::parse(&nots(MAX_NESTING)).is_ok());
+        let e = FtExpr::parse(&parens(MAX_NESTING + 1)).unwrap_err();
+        assert_eq!(e.offset, MAX_NESTING);
+        assert_eq!(e.message, format!("nesting deeper than {MAX_NESTING}"));
+        // Mixed: the cap counts `(` and `not` together.
+        let mixed = format!("\"b1\" and {}\"a1\"{}", "not (".repeat(40), ")".repeat(40));
+        assert!(FtExpr::parse(&mixed)
+            .unwrap_err()
+            .message
+            .starts_with("nesting deeper"));
+        // Far past the cap, on the stack a server worker has.
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                for input in [parens(100_000), nots(100_000)] {
+                    let e = FtExpr::parse(&input).unwrap_err();
+                    assert!(e.message.starts_with("nesting deeper"), "{e}");
+                    assert!(input.is_char_boundary(e.offset));
+                }
+            })
+            .unwrap()
+            .join()
+            .unwrap();
     }
 
     #[test]

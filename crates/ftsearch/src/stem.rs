@@ -6,12 +6,20 @@
 //!
 //! The implementation operates on ASCII lowercase bytes; tokens containing
 //! non-ASCII characters are returned unchanged (stemming rules are
-//! English-specific).
+//! English-specific), and so are tokens longer than `MAX_STEM_LEN` bytes.
 
-/// Stems a lowercase word. Words shorter than 3 characters and non-ASCII
-/// words are returned unchanged.
+/// Longest token the stemmer rewrites. No English word comes near it, and
+/// the consonant test walks back (recursively) along a run of `y`s each
+/// time it is asked, so an unbounded token — a query string is one — would
+/// be a stack depth and a quadratic cost chosen by the caller (34 s for
+/// 200 KB of `y` + `ed`).
+const MAX_STEM_LEN: usize = 64;
+
+/// Stems a lowercase word. Words shorter than 3 characters, longer than 64
+/// bytes (`MAX_STEM_LEN`) and non-ASCII words are returned unchanged.
 pub fn stem(word: &str) -> String {
     if word.len() <= 2
+        || word.len() > MAX_STEM_LEN
         || !word
             .bytes()
             .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit())
@@ -344,6 +352,24 @@ mod tests {
     #[test]
     fn short_and_non_ascii_words_pass_through() {
         check(&[("a", "a"), ("is", "is"), ("héllo", "héllo")]);
+    }
+
+    #[test]
+    fn overlong_tokens_pass_through_without_recursing() {
+        // 64 bytes are still stemmed, 65 are not; a run of `y`s as long as
+        // a request body must not cost a stack frame per letter.
+        let at_cap = format!("{}s", "ab".repeat(31) + "c");
+        assert_eq!(at_cap.len(), MAX_STEM_LEN);
+        assert_eq!(stem(&at_cap), at_cap[..MAX_STEM_LEN - 1]);
+        let over = format!("{at_cap}s");
+        assert_eq!(stem(&over), over);
+        let ys = "y".repeat(1 << 20) + "ed";
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || assert_eq!(stem(&ys), ys))
+            .unwrap()
+            .join()
+            .unwrap();
     }
 
     #[test]

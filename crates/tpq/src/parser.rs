@@ -13,6 +13,11 @@
 //! literal    := quoted string or bare number
 //! ```
 //!
+//! Whitespace is any Unicode whitespace character (a no-break space pasted
+//! from a document separates tokens like a blank does). A step may sit at
+//! most [`MAX_DEPTH`] steps below the query root — path steps and
+//! qualifiers both count; deeper input is an error, not a deeper recursion.
+//!
 //! The distinguished node is the last step of the outer path (XPath result
 //! semantics). Only conjunctive qualifiers are supported — TPQs are
 //! conjunctive queries; disjunction would leave the tree-pattern fragment
@@ -52,6 +57,11 @@ use crate::ast::{AttrOp, Axis, Tpq, TpqNode, Var};
 use crate::logical::Predicate;
 use flexpath_ftsearch::FtExpr;
 use std::fmt;
+
+/// How many steps deep a query tree may be. The parser, and everything that
+/// later walks the pattern, recurses once per level; the paper's largest
+/// query (Q3) is four deep.
+pub const MAX_DEPTH: usize = 64;
 
 /// A failure to parse a query string.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -93,7 +103,7 @@ pub fn parse_query_weighted(input: &str) -> Result<(Tpq, Vec<(Predicate, f64)>),
     };
     p.skip_ws();
     let first_axis = p.parse_leading_axis()?;
-    let spine_end = p.parse_path(None, first_axis)?;
+    let spine_end = p.parse_path(None, first_axis, 1)?;
     p.skip_ws();
     if p.pos != input.len() {
         return Err(p.error("trailing input"));
@@ -164,9 +174,7 @@ impl<'a> QParser<'a> {
     }
 
     fn skip_ws(&mut self) {
-        while self.rest().starts_with(|c: char| c.is_whitespace()) {
-            self.pos += 1;
-        }
+        self.pos = self.input.len() - self.rest().trim_start().len();
     }
 
     fn eat(&mut self, s: &str) -> bool {
@@ -228,8 +236,17 @@ impl<'a> QParser<'a> {
     }
 
     /// Parses `step (("/" | "//") step)*`, returning the index of the *last*
-    /// step (the path's end point).
-    fn parse_path(&mut self, parent: Option<usize>, axis: Axis) -> Result<usize, QueryParseError> {
+    /// step (the path's end point). `depth` is the first step's depth in the
+    /// query tree (the root is 1).
+    fn parse_path(
+        &mut self,
+        parent: Option<usize>,
+        axis: Axis,
+        depth: usize,
+    ) -> Result<usize, QueryParseError> {
+        if depth > MAX_DEPTH {
+            return Err(self.error(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
         let name = self.parse_name()?;
         let idx = self.add_node(parent, name, axis);
         // Optional weight annotation on the edge into this step.
@@ -245,7 +262,7 @@ impl<'a> QParser<'a> {
         loop {
             self.skip_ws();
             if self.eat("[") {
-                self.parse_qualifier(idx)?;
+                self.parse_qualifier(idx, depth)?;
             } else {
                 break;
             }
@@ -253,19 +270,20 @@ impl<'a> QParser<'a> {
         // Path continuation.
         if self.rest().starts_with("//") {
             self.pos += 2;
-            return self.parse_path(Some(idx), Axis::Descendant);
+            return self.parse_path(Some(idx), Axis::Descendant, depth + 1);
         }
         if self.rest().starts_with('/') {
             self.pos += 1;
-            return self.parse_path(Some(idx), Axis::Child);
+            return self.parse_path(Some(idx), Axis::Child, depth + 1);
         }
         Ok(idx)
     }
 
-    fn parse_qualifier(&mut self, node: usize) -> Result<(), QueryParseError> {
+    /// Parses the conjuncts of one `[...]` on `node`, which is `depth` deep.
+    fn parse_qualifier(&mut self, node: usize, depth: usize) -> Result<(), QueryParseError> {
         loop {
             self.skip_ws();
-            self.parse_conjunct(node)?;
+            self.parse_conjunct(node, depth)?;
             self.skip_ws();
             if self.eat_keyword("and") {
                 continue;
@@ -279,7 +297,11 @@ impl<'a> QParser<'a> {
 
     fn eat_keyword(&mut self, kw: &str) -> bool {
         let rest = self.rest();
-        if rest.len() >= kw.len() && rest[..kw.len()].eq_ignore_ascii_case(kw) {
+        // `get`: a multi-byte character may straddle `kw.len()`.
+        if rest
+            .get(..kw.len())
+            .is_some_and(|head| head.eq_ignore_ascii_case(kw))
+        {
             let after = rest[kw.len()..].chars().next();
             if after.is_none_or(|c| !c.is_alphanumeric()) {
                 self.pos += kw.len();
@@ -289,7 +311,7 @@ impl<'a> QParser<'a> {
         false
     }
 
-    fn parse_conjunct(&mut self, node: usize) -> Result<(), QueryParseError> {
+    fn parse_conjunct(&mut self, node: usize, depth: usize) -> Result<(), QueryParseError> {
         self.skip_ws();
         if self.rest().starts_with(".contains(") {
             self.pos += ".contains(".len();
@@ -307,14 +329,12 @@ impl<'a> QParser<'a> {
         }
         if self.rest().starts_with(".//") {
             self.pos += 3;
-            let end = self.parse_path(Some(node), Axis::Descendant)?;
-            let _ = end;
+            self.parse_path(Some(node), Axis::Descendant, depth + 1)?;
             return Ok(());
         }
         if self.rest().starts_with("./") {
             self.pos += 2;
-            let end = self.parse_path(Some(node), Axis::Child)?;
-            let _ = end;
+            self.parse_path(Some(node), Axis::Child, depth + 1)?;
             return Ok(());
         }
         if self.eat("@") {
@@ -551,6 +571,60 @@ mod tests {
         let q = parse_query("//a[ ./b  and  .contains( \"gold\" ) ]").unwrap();
         assert_eq!(q.node_count(), 2);
         assert_eq!(q.node(0).contains.len(), 1);
+    }
+
+    #[test]
+    fn multi_byte_whitespace_is_whitespace() {
+        let plain = parse_query("//a[./b and .contains(\"x1\" and \"y1\")]").unwrap();
+        for ws in ['\u{a0}', '\u{2003}', '\u{3000}'] {
+            for input in [
+                format!("{ws}//a[{ws}./b and .contains(\"x1\" and \"y1\")]"),
+                format!("//a[./b{ws}and{ws}.contains(\"x1\" and{ws}\"y1\")]"),
+                format!("//a[./b and .contains(\"x1\" and \"y1\"{ws}){ws}]{ws}"),
+            ] {
+                let q = parse_query(&input).unwrap_or_else(|e| panic!("{input:?}: {e}"));
+                assert_eq!(q.logical(), plain.logical(), "{input:?}");
+            }
+        }
+        // A keyword probe that would end inside a character is not a keyword.
+        let e = parse_query("//a[./b an\u{a0}./c]").unwrap_err();
+        assert_eq!((e.offset, e.message.as_str()), (8, "expected 'and' or ']'"));
+    }
+
+    #[test]
+    fn nesting_is_capped_not_recursed() {
+        let brackets = |n: usize| format!("//a{}{}", "[./a".repeat(n), "]".repeat(n));
+        let steps = |n: usize| format!("/{}", "/a".repeat(n));
+        let parens = |n: usize| format!("//a[.contains({}\"a1\"{})]", "(".repeat(n), ")".repeat(n));
+        assert_eq!(
+            parse_query(&brackets(MAX_DEPTH - 1)).unwrap().node_count(),
+            MAX_DEPTH
+        );
+        assert_eq!(
+            parse_query(&steps(MAX_DEPTH)).unwrap().node_count(),
+            MAX_DEPTH
+        );
+        let e = parse_query(&brackets(MAX_DEPTH)).unwrap_err();
+        assert_eq!(e.message, format!("nesting deeper than {MAX_DEPTH}"));
+        assert_eq!(e.offset, "//a".len() + 4 * MAX_DEPTH - 1);
+        assert!(parse_query(&steps(MAX_DEPTH + 1)).is_err());
+        // The full-text cap surfaces through `contains(`, at its own offset.
+        let e = parse_query(&parens(65)).unwrap_err();
+        assert!(e.message.contains("nesting deeper than 64"), "{e}");
+        assert_eq!(e.offset, "//a[.contains(".len() + 64);
+        // Far past the caps, on the stack a server worker has.
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                for input in [brackets(100_000), steps(100_000), parens(100_000)] {
+                    let e = parse_query(&input).unwrap_err();
+                    assert!(e.message.contains("nesting deeper"), "{e}");
+                    assert!(input.is_char_boundary(e.offset));
+                }
+            })
+            .unwrap()
+            .join()
+            .unwrap();
     }
 
     #[test]

@@ -491,8 +491,8 @@ fn a_postings_trip_inside_a_schedule_penalty_stops_the_build_and_caches_nothing(
     let whole = ctx.index().evaluate(ctx.doc(), expr);
     assert!(whole.len() > 1);
     assert_eq!(
-        ctx.ft_eval(expr, &Budget::unlimited()).matches(),
-        whole.matches()
+        ctx.ft_eval(expr, &Budget::unlimited()).ranked(),
+        whole.ranked()
     );
     let unbudgeted = flex.query(QUERY).unwrap().top(10).execute();
     assert!(unbudgeted.is_complete());

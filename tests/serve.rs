@@ -248,6 +248,78 @@ fn malformed_http_maps_to_typed_statuses() {
     assert_eq!(h.post_query("").status, 200);
 }
 
+/// Posts `query` (JSON-escaping its quotes) against the test catalog.
+fn post_text(h: &Harness, query: &str) -> flexpath_serve::ClientResponse {
+    let body = format!(
+        r#"{{"catalog":"doc","query":"{}","k":5}}"#,
+        query.replace('"', "\\\"")
+    );
+    http_call(h.addr, "POST", "/query", body.as_bytes(), TIMEOUT).expect("the server replies")
+}
+
+#[test]
+fn multi_byte_whitespace_in_a_query_is_whitespace() {
+    // Both parsers used to step one *byte* over a multi-byte space and
+    // slice inside it: the worker thread panicked with the connection open,
+    // and one such request per worker left a server that accepts and never
+    // answers. More requests than workers, then a plain one.
+    let policy = ServePolicy {
+        workers: 2,
+        ..ServePolicy::for_tests()
+    };
+    let h = Harness::start("nbsp", policy);
+    let plain = post_text(&h, "//item[./name and .contains(\"gold\" and \"silver\")]");
+    assert_eq!(plain.status, 200, "{}", plain.body_text());
+    for ws in ['\u{a0}', '\u{2003}', '\u{3000}'] {
+        let spaced = post_text(
+            &h,
+            &format!("//item[{ws}./name and{ws}.contains(\"gold\" and{ws}\"silver\"{ws})]"),
+        );
+        assert_eq!(spaced.status, 200, "{ws:?}: {}", spaced.body_text());
+        assert_eq!(hits_of(&spaced.body_text()), hits_of(&plain.body_text()));
+    }
+    assert_eq!(h.post_query("").status, 200);
+}
+
+/// The `"hits":[…]` part of a query response body.
+fn hits_of(body: &str) -> String {
+    let from = body.find(r#""hits":["#).expect("hits present");
+    body[from..].to_string()
+}
+
+#[test]
+fn over_deep_queries_are_rejected_not_recursed() {
+    // A recursive-descent frame per `(`, `not` and `[` overflowed the worker's
+    // stack — not a panic but an abort of the whole process — from a 12 KB
+    // request. Both parsers now cap nesting and answer 400.
+    let policy = ServePolicy {
+        workers: 2,
+        ..ServePolicy::for_tests()
+    };
+    let h = Harness::start("deep", policy);
+    for deep in [
+        format!(
+            "//item[.contains({}\"a\"{})]",
+            "(".repeat(6_000),
+            ")".repeat(6_000)
+        ),
+        format!(
+            "//item[.contains(\"a\" and {}\"b\")]",
+            "not ".repeat(200_000)
+        ),
+        format!("//item{}{}", "[./a".repeat(20_000), "]".repeat(20_000)),
+    ] {
+        let resp = post_text(&h, &deep);
+        assert_eq!(resp.status, 400);
+        assert!(
+            resp.body_text().contains("nesting deeper than 64"),
+            "positioned, typed: {}",
+            resp.body_text()
+        );
+    }
+    assert_eq!(h.post_query("").status, 200);
+}
+
 #[test]
 fn flight_recorder_and_metrics_endpoints_e2e() {
     let log_dir = ScratchDir::new("serve-slowlog");
