@@ -1,5 +1,6 @@
 //! Micro-benchmarks for the substrates the paper's system is built on:
-//! XML parsing, statistics collection, inverted-index construction,
+//! XML parsing, statistics collection, inverted-index construction, a
+//! store's first-touch work (section CRC, document and index decode),
 //! structural joins, full-text evaluation, closure computation, and
 //! relaxation-schedule construction.
 
@@ -9,8 +10,10 @@ use flexpath_engine::{
     build_schedule, stack_tree_desc, EngineContext, PenaltyModel, WeightAssignment,
 };
 use flexpath_ftsearch::{FtExpr, InvertedIndex, ScoringModel};
+use flexpath_store::{crc32, StoreBuilder};
 use flexpath_tpq::parse_query;
 use flexpath_xmark::generate;
+use flexpath_xmldom::codec::{decode_document, encode_nodes, encode_symbols};
 use flexpath_xmldom::{
     parse, parse_events, to_xml_string, DocStats, FnSink, ParseOptions, XmlEvent,
 };
@@ -40,6 +43,26 @@ fn micro(c: &mut Criterion) {
     group.bench_function("doc_stats_1mb", |b| b.iter(|| DocStats::compute(&doc)));
     group.bench_function("inverted_index_1mb", |b| {
         b.iter(|| InvertedIndex::build(&doc).term_count())
+    });
+
+    // A store's three first touches, one piece each: the CRC every touch
+    // runs over its sections (here over the whole ~3 MB image), then the
+    // document and the index decode.
+    let index = InvertedIndex::build(&doc);
+    let image =
+        StoreBuilder::from_parts("micro", &doc, &DocStats::compute(&doc), &index).to_bytes();
+    group.bench_function("crc32_3mb", |b| b.iter(|| crc32(&image)));
+    let (tags, elems) = (encode_symbols(doc.symbols()), encode_nodes(&doc));
+    group.bench_function("decode_document_1mb", |b| {
+        b.iter(|| decode_document(&tags, &elems).unwrap().node_count())
+    });
+    let (terms, postings) = index.encode();
+    group.bench_function("index_decode_1mb", |b| {
+        b.iter(|| {
+            InvertedIndex::decode(&terms, &postings, doc.node_count())
+                .unwrap()
+                .term_count()
+        })
     });
 
     let items = doc.nodes_with_tag_name("item").to_vec();

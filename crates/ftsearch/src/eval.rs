@@ -358,7 +358,7 @@ impl InvertedIndex {
             FtExpr::Term(t) => {
                 let holders = self
                     .posting(t)
-                    .map(|p| p.entries.iter().map(|e| (e.node, e.tf())).collect())
+                    .map(|p| p.entries.iter().map(|e| (e.node, e.tf)).collect())
                     .unwrap_or_default();
                 atoms.push(Atom {
                     holders,
@@ -491,12 +491,12 @@ fn for_each_common<'p>(postings: &[&'p Posting], mut visit: impl FnMut(NodeId, &
         // skips entries of a list no shorter than the driver's, in O(log).
         for (k, posting) in postings.iter().enumerate() {
             if k == driver {
-                positions.push(&entry.positions);
+                positions.push(posting.positions_of(entry));
                 continue;
             }
             cursors[k] += gallop_to(&posting.entries[cursors[k]..], entry.node);
             match posting.entries.get(cursors[k]) {
-                Some(e) if e.node == entry.node => positions.push(&e.positions),
+                Some(e) if e.node == entry.node => positions.push(posting.positions_of(e)),
                 Some(_) => continue 'entries,
                 None => return, // this list is spent: nothing further is common
             }

@@ -10,6 +10,15 @@
 //! Positions are global token offsets (document order), so phrase and
 //! window predicates compare positions *within one posting entry* only —
 //! tokens from different elements can never form a phrase.
+//!
+//! A term's [`Posting`] is two arrays: its entries `(node, tf, pos)` in
+//! node order, and one `positions` arena holding every entry's positions
+//! back to back, `tf` of them from offset `pos`
+//! ([`Posting::positions_of`]). That is one allocation per term, not one
+//! per entry. [`InvertedIndex::decode`] checks each field where it reads
+//! it: the term order and the entry count in the term loop; node range,
+//! node order and `tf` per entry; and the strictly ascending positions
+//! while it copies each entry's run into the arena.
 
 use crate::stem::stem;
 use crate::tokenize::for_each_token;
@@ -17,33 +26,44 @@ use flexpath_xmldom::wire::{ByteReader, ByteWriter, WireError};
 use flexpath_xmldom::{CodecError, Document, NodeId};
 use std::collections::HashMap;
 
-/// One element's occurrences of a term.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One element's occurrences of a term. The positions themselves live in
+/// the owning [`Posting`]'s arena: [`Posting::positions_of`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PostingEntry {
     /// The element whose *direct* text contains the term.
     pub node: NodeId,
-    /// Global token positions of each occurrence, ascending.
-    pub positions: Vec<u32>,
+    /// Term frequency within this element's direct text (≥ 1).
+    pub tf: u32,
+    /// Offset of this entry's first position in [`Posting::positions`].
+    pub pos: u32,
 }
 
-impl PostingEntry {
-    /// Term frequency within this element's direct text.
-    pub fn tf(&self) -> u32 {
-        self.positions.len() as u32
-    }
-}
-
-/// The posting list of one term: entries sorted by element id.
+/// The posting list of one term: entries sorted by element id, and every
+/// entry's positions in one arena, entry after entry.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Posting {
     /// Entries in ascending [`NodeId`] order.
     pub entries: Vec<PostingEntry>,
+    /// Global token positions, `tf` per entry in entry order, each entry's
+    /// run ascending.
+    pub positions: Vec<u32>,
 }
 
 impl Posting {
     /// Document frequency: number of elements directly containing the term.
     pub fn df(&self) -> u64 {
         self.entries.len() as u64
+    }
+
+    /// Global token positions of `entry`'s occurrences, ascending. `entry`
+    /// must come from this posting; any other yields an arbitrary slice of
+    /// this arena, or an empty one.
+    #[inline]
+    pub fn positions_of(&self, entry: &PostingEntry) -> &[u32] {
+        let start = entry.pos as usize;
+        self.positions
+            .get(start..start + entry.tf as usize)
+            .unwrap_or(&[])
     }
 
     /// Index of the first entry with `node >= id`.
@@ -55,6 +75,47 @@ impl Posting {
     pub fn any_in_range(&self, from: NodeId, to: NodeId) -> bool {
         let lo = self.lower_bound(from);
         lo < self.entries.len() && self.entries[lo].node <= to
+    }
+
+    /// Records one occurrence at `position` in `node` during a build, where
+    /// positions arrive ascending. Extends the last entry when it is the
+    /// same node; otherwise starts a new one.
+    fn push_occurrence(&mut self, node: NodeId, position: u32) {
+        match self.entries.last_mut() {
+            Some(last) if last.node == node => last.tf += 1,
+            _ => self.entries.push(PostingEntry {
+                node,
+                tf: 1,
+                pos: self.positions.len() as u32,
+            }),
+        }
+        self.positions.push(position);
+    }
+
+    /// Restores node order after a build. A parent's text can resume after
+    /// a child's subtree (mixed content), so one element may own several
+    /// runs, out of id order. Stable-sorting the runs by node and
+    /// concatenating each node's runs keeps its positions ascending.
+    fn normalize(&mut self) {
+        if self.entries.windows(2).all(|w| w[0].node < w[1].node) {
+            return;
+        }
+        let mut runs = std::mem::take(&mut self.entries);
+        runs.sort_by_key(|e| e.node);
+        let arena = std::mem::take(&mut self.positions);
+        self.positions.reserve_exact(arena.len());
+        for run in runs {
+            let start = run.pos as usize;
+            self.positions
+                .extend_from_slice(&arena[start..start + run.tf as usize]);
+            match self.entries.last_mut() {
+                Some(last) if last.node == run.node => last.tf += run.tf,
+                _ => self.entries.push(PostingEntry {
+                    pos: (self.positions.len() - run.tf as usize) as u32,
+                    ..run
+                }),
+            }
+        }
     }
 }
 
@@ -95,14 +156,10 @@ impl InvertedIndex {
             scoring[parent.index()] = true;
             for_each_token(text, |tok| {
                 let stemmed = stem(tok);
-                let posting = postings.entry(stemmed.into_boxed_str()).or_default();
-                match posting.entries.last_mut() {
-                    Some(last) if last.node == parent => last.positions.push(position),
-                    _ => posting.entries.push(PostingEntry {
-                        node: parent,
-                        positions: vec![position],
-                    }),
-                }
+                postings
+                    .entry(stemmed.into_boxed_str())
+                    .or_default()
+                    .push_occurrence(parent, position);
                 position += 1;
                 total_tokens += 1;
                 direct_tokens[parent.index()] += 1;
@@ -115,21 +172,8 @@ impl InvertedIndex {
             acc += c;
             token_prefix.push(acc);
         }
-        // Text-node scan order is document order, but a *parent* can receive
-        // trailing text after a child element's subtree (mixed content), so
-        // entries may arrive out of element-id order and an element may have
-        // several runs. Sort stably and merge runs; within one element,
-        // stable order keeps positions ascending.
         for posting in postings.values_mut() {
-            posting.entries.sort_by_key(|e| e.node);
-            let mut merged: Vec<PostingEntry> = Vec::with_capacity(posting.entries.len());
-            for entry in posting.entries.drain(..) {
-                match merged.last_mut() {
-                    Some(last) if last.node == entry.node => last.positions.extend(entry.positions),
-                    _ => merged.push(entry),
-                }
-            }
-            posting.entries = merged;
+            posting.normalize();
         }
         InvertedIndex {
             postings,
@@ -209,23 +253,23 @@ impl InvertedIndex {
     /// entries are already node-sorted, so the output is deterministic —
     /// a requirement of the store's golden-file drift check.
     pub fn encode(&self) -> (Vec<u8>, Vec<u8>) {
-        let mut terms: Vec<&str> = self.postings.keys().map(|k| k.as_ref()).collect();
-        terms.sort_unstable();
+        let mut terms: Vec<(&Box<str>, &Posting)> = self
+            .postings
+            .keys()
+            .filter_map(|term| self.postings.get_key_value(term))
+            .collect();
+        terms.sort_unstable_by(|a, b| a.0.cmp(b.0));
         let mut tw = ByteWriter::with_capacity(24 + terms.len() * 16);
         tw.u64(self.scoring_elements);
         tw.u64(terms.len() as u64);
         let mut pw = ByteWriter::new();
-        for term in terms {
-            // `term` is a key of `postings`, so the lookup cannot miss;
-            // an empty default keeps this branch panic-free regardless.
-            let posting = self.postings.get(term);
-            let entries: &[PostingEntry] = posting.map(|p| p.entries.as_slice()).unwrap_or(&[]);
+        for (term, posting) in terms {
             tw.str(term);
-            tw.u64(entries.len() as u64);
-            for e in entries {
+            tw.u64(posting.entries.len() as u64);
+            for e in &posting.entries {
                 pw.u32(e.node.0);
-                pw.u32(e.positions.len() as u32);
-                for &p in &e.positions {
+                pw.u32(e.tf);
+                for &p in posting.positions_of(e) {
                     pw.u32(p);
                 }
             }
@@ -240,7 +284,9 @@ impl InvertedIndex {
     /// Validates the canonical form end to end — terms strictly ascending,
     /// entry nodes strictly ascending and in range, positions strictly
     /// ascending and non-empty — so lookups and binary searches on the
-    /// decoded index behave identically to a freshly built one.
+    /// decoded index behave identically to a freshly built one. Each
+    /// entry's positions are one length-checked byte run, appended to its
+    /// term's arena as they are checked.
     pub fn decode(
         term_bytes: &[u8],
         posting_bytes: &[u8],
@@ -255,21 +301,20 @@ impl InvertedIndex {
         let mut postings: HashMap<Box<str>, Posting> = HashMap::with_capacity(term_count);
         let mut direct_tokens: Vec<u64> = vec![0; node_count];
         let mut total_tokens = 0u64;
-        let mut prev_term: Option<Box<str>> = None;
+        let mut prev_term: Option<&str> = None;
         for i in 0..term_count {
             let idx = i as u64;
-            let term: Box<str> = tr.str()?.into();
-            if let Some(prev) = &prev_term {
-                if term <= *prev {
-                    return Err(CodecError::Invalid {
-                        what: "terms not strictly sorted",
-                        index: idx,
-                    });
-                }
+            let term = tr.str()?;
+            if prev_term.is_some_and(|prev| term <= prev) {
+                return Err(CodecError::Invalid {
+                    what: "terms not strictly sorted",
+                    index: idx,
+                });
             }
+            prev_term = Some(term);
             let entry_count = {
                 // Each entry is ≥ 12 bytes in the postings stream.
-                let at = pr.position();
+                let at = tr.position();
                 let n = tr.u64()?;
                 if n > (pr.remaining() as u64) / 12 {
                     return Err(CodecError::Wire(WireError::ImplausibleLength {
@@ -285,22 +330,27 @@ impl InvertedIndex {
                     index: idx,
                 });
             }
-            let mut entries: Vec<PostingEntry> = Vec::with_capacity(entry_count);
+            let mut posting = Posting {
+                entries: Vec::with_capacity(entry_count),
+                positions: Vec::with_capacity(entry_count),
+            };
             for _ in 0..entry_count {
                 let node = pr.u32()?;
-                if node as usize >= node_count {
+                let Some(node_tokens) = direct_tokens.get_mut(node as usize) else {
                     return Err(CodecError::Invalid {
                         what: "posting node id out of range",
                         index: node as u64,
                     });
-                }
-                if let Some(last) = entries.last() {
-                    if NodeId(node) <= last.node {
-                        return Err(CodecError::Invalid {
-                            what: "posting entries not node-sorted",
-                            index: node as u64,
-                        });
-                    }
+                };
+                if posting
+                    .entries
+                    .last()
+                    .is_some_and(|last| NodeId(node) <= last.node)
+                {
+                    return Err(CodecError::Invalid {
+                        what: "posting entries not node-sorted",
+                        index: node as u64,
+                    });
                 }
                 let tf = {
                     let at = pr.position();
@@ -311,30 +361,36 @@ impl InvertedIndex {
                             len: tf as u64,
                         }));
                     }
-                    tf as usize
+                    tf
                 };
-                let mut positions: Vec<u32> = Vec::with_capacity(tf);
-                for _ in 0..tf {
-                    let p = pr.u32()?;
-                    if let Some(&last) = positions.last() {
-                        if p <= last {
-                            return Err(CodecError::Invalid {
-                                what: "positions not strictly ascending",
-                                index: p as u64,
-                            });
-                        }
+                let pos =
+                    u32::try_from(posting.positions.len()).map_err(|_| CodecError::Invalid {
+                        what: "posting positions exceed the u32 arena",
+                        index: idx,
+                    })?;
+                // `tf * 4` fits: it was bounded by the bytes remaining.
+                let (run, _) = pr.bytes(tf as usize * 4)?.as_chunks::<4>();
+                let mut last: Option<u32> = None;
+                for bytes in run {
+                    let p = u32::from_le_bytes(*bytes);
+                    if last.is_some_and(|last| p <= last) {
+                        return Err(CodecError::Invalid {
+                            what: "positions not strictly ascending",
+                            index: p as u64,
+                        });
                     }
-                    positions.push(p);
+                    last = Some(p);
+                    posting.positions.push(p);
                 }
-                direct_tokens[node as usize] += tf as u64;
-                total_tokens += tf as u64;
-                entries.push(PostingEntry {
+                *node_tokens += u64::from(tf);
+                total_tokens += u64::from(tf);
+                posting.entries.push(PostingEntry {
                     node: NodeId(node),
-                    positions,
+                    tf,
+                    pos,
                 });
             }
-            postings.insert(term.clone(), Posting { entries });
-            prev_term = Some(term);
+            postings.insert(term.into(), posting);
         }
         tr.expect_exhausted()?;
         pr.expect_exhausted()?;
@@ -380,7 +436,10 @@ mod tests {
     #[test]
     fn positions_are_global_and_increasing() {
         let (_, idx) = index_of("<a>alpha beta <b>gamma</b> delta</a>");
-        let pos = |t: &str| idx.posting(t).unwrap().entries[0].positions[0];
+        let pos = |t: &str| {
+            let p = idx.posting(t).unwrap();
+            p.positions_of(&p.entries[0])[0]
+        };
         assert!(pos("alpha") < pos("beta"));
         assert!(pos("beta") < pos("gamma"));
         assert!(pos("gamma") < pos("delta"));
@@ -391,7 +450,8 @@ mod tests {
         let (_, idx) = index_of("<a>gold gold gold</a>");
         let p = idx.posting("gold").unwrap();
         assert_eq!(p.entries.len(), 1);
-        assert_eq!(p.entries[0].tf(), 3);
+        assert_eq!(p.entries[0].tf, 3);
+        assert_eq!(p.positions_of(&p.entries[0]), &[0, 1, 2]);
     }
 
     #[test]
@@ -494,6 +554,28 @@ mod tests {
         for cut in 0..postings.len() {
             assert!(InvertedIndex::decode(&terms, &postings[..cut], doc.node_count()).is_err());
         }
+    }
+
+    #[test]
+    fn implausible_entry_count_names_its_offset_in_the_terms_payload() {
+        let (doc, idx) = index_of("<r><a>gold silver</a><b>gold</b></r>");
+        let (terms, postings) = idx.encode();
+        // Terms payload: scoring u64, term count u64, then per term a
+        // u32-length-prefixed name and its u64 entry count.
+        let mut at = 16;
+        for name in ["gold", "silver"] {
+            at += 4 + name.len();
+            let mut bad = terms.clone();
+            bad[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+            match InvertedIndex::decode(&bad, &postings, doc.node_count()) {
+                Err(CodecError::Wire(WireError::ImplausibleLength { at: got, len })) => {
+                    assert_eq!((got, len), (at, u64::MAX), "count of {name}");
+                }
+                other => panic!("count of {name}: expected ImplausibleLength, got {other:?}"),
+            }
+            at += 8;
+        }
+        assert_eq!(at, terms.len());
     }
 
     #[test]

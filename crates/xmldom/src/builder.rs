@@ -4,9 +4,8 @@
 //! and the XMark generator both drive it, so interval labels, levels,
 //! sibling links, and tag indexes are assigned in exactly one place.
 
-use crate::document::{Document, NodeData, NodeId, NodeKind};
+use crate::document::{Document, NodeData, NodeId, NodeKind, TextArena};
 use crate::symbols::{Sym, SymbolTable};
-use std::collections::HashMap;
 
 /// Streaming builder: call [`start_element`](Self::start_element) /
 /// [`end_element`](Self::end_element) / [`text`](Self::text) in document
@@ -28,10 +27,10 @@ use std::collections::HashMap;
 #[derive(Debug)]
 pub struct DocumentBuilder {
     nodes: Vec<NodeData>,
-    texts: Vec<Box<str>>,
+    texts: TextArena,
     attrs: Vec<(Sym, Box<str>)>,
     symbols: SymbolTable,
-    tag_index: HashMap<Sym, Vec<NodeId>>,
+    tag_index: Vec<Vec<NodeId>>,
     /// Stack of open elements; for each: (node id, last child added so far).
     open: Vec<(NodeId, Option<NodeId>)>,
     counter: u32,
@@ -48,6 +47,8 @@ pub enum BuildError {
     OutsideRoot,
     /// `finish` with elements still open or no root at all.
     Incomplete,
+    /// `text` would grow the text arena past `u32::MAX` bytes (or texts).
+    TextArenaFull,
 }
 
 impl std::fmt::Display for BuildError {
@@ -56,6 +57,7 @@ impl std::fmt::Display for BuildError {
             BuildError::UnmatchedEnd => write!(f, "end_element without open element"),
             BuildError::OutsideRoot => write!(f, "content outside the root element"),
             BuildError::Incomplete => write!(f, "document incomplete at finish"),
+            BuildError::TextArenaFull => write!(f, "text arena would pass 4 GiB"),
         }
     }
 }
@@ -79,10 +81,10 @@ impl DocumentBuilder {
     pub fn with_symbols(symbols: SymbolTable) -> Self {
         DocumentBuilder {
             nodes: Vec::new(),
-            texts: Vec::new(),
+            texts: TextArena::default(),
             attrs: Vec::new(),
             symbols,
-            tag_index: HashMap::new(),
+            tag_index: Vec::new(),
             open: Vec::new(),
             counter: 0,
             root: None,
@@ -149,7 +151,10 @@ impl DocumentBuilder {
         if self.root.is_none() {
             self.root = Some(id);
         }
-        self.tag_index.entry(sym).or_default().push(id);
+        if self.tag_index.len() <= sym.index() {
+            self.tag_index.resize_with(sym.index() + 1, Vec::new);
+        }
+        self.tag_index[sym.index()].push(id);
         self.open.push((id, None));
         Ok(id)
     }
@@ -187,12 +192,12 @@ impl DocumentBuilder {
     /// Empty strings are ignored (no empty text nodes are materialized).
     ///
     /// # Panics
-    /// If no element is open; use [`try_text`](Self::try_text) to handle
-    /// that case.
+    /// If no element is open, or if the document's text would pass 4 GiB;
+    /// use [`try_text`](Self::try_text) to handle those cases.
     #[allow(clippy::expect_used)] // documented contract of the infallible API
     pub fn text(&mut self, content: &str) {
         self.try_text(content)
-            .expect("text outside an open element")
+            .expect("text outside an open element or past the 4 GiB text arena")
     }
 
     /// Fallible variant of [`text`](Self::text).
@@ -203,8 +208,7 @@ impl DocumentBuilder {
         if self.open.is_empty() {
             return Err(BuildError::OutsideRoot);
         }
-        let text_idx = self.texts.len() as u32;
-        self.texts.push(content.into());
+        let text_idx = self.texts.push(content).ok_or(BuildError::TextArenaFull)?;
         let id = self.push_node(NodeKind::Text { text: text_idx })?;
         // Text nodes are leaves: close their interval immediately.
         self.nodes[id.index()].end = self.counter;
@@ -240,12 +244,14 @@ impl DocumentBuilder {
             return Err(BuildError::Incomplete);
         };
         let subtree_last = crate::document::compute_subtree_last(&self.nodes);
+        let mut tag_index = self.tag_index;
+        tag_index.resize_with(self.symbols.len(), Vec::new);
         Ok(Document {
             nodes: self.nodes,
             texts: self.texts,
             attrs: self.attrs,
             symbols: self.symbols,
-            tag_index: self.tag_index,
+            tag_index,
             root,
             subtree_last,
         })

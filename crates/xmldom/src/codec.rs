@@ -13,8 +13,25 @@
 //! indexing without risking a panic on a corrupted store. Structural
 //! invariants that algorithms rely on (region `start < end`, document-
 //! order-monotonic starts) are validated too.
+//!
+//! [`decode_document`] reads in **one pass** over `ELEMS`. The node records
+//! are one length-checked byte run of fixed-size records; each record is
+//! validated as it is read (kind, tag-symbol range, link ranges,
+//! `start < end`, document order) and each element goes straight into its
+//! tag's list. Texts go into one arena (a `String` plus an offset column),
+//! UTF-8-checked per string. The two checks that need counts written
+//! *after* the records — text ordinals against the text count, attribute
+//! ranges against the attribute count — are done on the largest reference
+//! seen, once that count is read; only on failure are the records
+//! rescanned, so the error still names the first offending node.
+//!
+//! The set of rejected inputs is the same as a check-everything-in-order
+//! decoder's. For an input with several defects, which one is reported
+//! can differ: record-local defects are found before the text and
+//! attribute payloads are read, and the text check runs before the
+//! attribute payload is read.
 
-use crate::document::{Document, NodeData, NodeId, NodeKind};
+use crate::document::{Document, NodeData, NodeId, NodeKind, TextArena};
 use crate::stats::{DocStats, TagPair};
 use crate::symbols::{Sym, SymbolTable};
 use crate::wire::{ByteReader, ByteWriter, WireError};
@@ -144,7 +161,7 @@ pub fn encode_nodes(doc: &Document) -> Vec<u8> {
         w.u16(n.attrs_len);
     }
     w.u64(doc.texts.len() as u64);
-    for t in &doc.texts {
+    for t in doc.texts.iter() {
         w.str(t);
     }
     w.u64(doc.attrs.len() as u64);
@@ -155,20 +172,89 @@ pub fn encode_nodes(doc: &Document) -> Vec<u8> {
     w.into_bytes()
 }
 
+/// One node record's fields, in wire order.
+struct Record {
+    kind: u8,
+    payload: u32,
+    parent: u32,
+    first_child: u32,
+    next_sibling: u32,
+    start: u32,
+    end: u32,
+    level: u32,
+    attrs_start: u32,
+    attrs_len: u16,
+}
+
+impl Record {
+    // Panic-free by construction: `b` is a `[u8; NODE_WIRE_BYTES]` and
+    // every offset below is a constant at most `NODE_WIRE_BYTES - 2`.
+    #[allow(clippy::indexing_slicing)]
+    #[inline]
+    fn read(b: &[u8; NODE_WIRE_BYTES]) -> Record {
+        let u32_at = |at: usize| u32::from_le_bytes([b[at], b[at + 1], b[at + 2], b[at + 3]]);
+        Record {
+            kind: b[0],
+            payload: u32_at(1),
+            parent: u32_at(5),
+            first_child: u32_at(9),
+            next_sibling: u32_at(13),
+            start: u32_at(17),
+            end: u32_at(21),
+            level: u32_at(25),
+            attrs_start: u32_at(29),
+            attrs_len: u16::from_le_bytes([b[33], b[34]]),
+        }
+    }
+
+    /// One past the last attribute slot this record references.
+    fn attrs_end(&self) -> u64 {
+        u64::from(self.attrs_start) + u64::from(self.attrs_len)
+    }
+}
+
 /// Decodes `TAGS` + `ELEMS` payloads into a fully validated [`Document`].
+///
+/// One pass over the node records validates each as it is read — kind,
+/// tag-symbol range, link ranges, `start < end`, starts in document order
+/// — and files each element in its tag's list. The text-index and
+/// attribute-range checks need counts that follow the records, so the pass
+/// tracks the largest reference of each and checks it once the count is
+/// known (see the module doc for what that does to error order).
 pub fn decode_document(tag_bytes: &[u8], elem_bytes: &[u8]) -> Result<Document, CodecError> {
     let symbols = decode_symbols(tag_bytes)?;
     let mut r = ByteReader::new(elem_bytes);
     let root_raw = r.u32()?;
     let node_count = r.count(NODE_WIRE_BYTES)?;
+    // `count` bounded node_count * NODE_WIRE_BYTES by the bytes remaining.
+    let (records, _) = r
+        .bytes(node_count * NODE_WIRE_BYTES)?
+        .as_chunks::<NODE_WIRE_BYTES>();
     let mut nodes: Vec<NodeData> = Vec::with_capacity(node_count);
-    for i in 0..node_count {
+    let mut tag_index: Vec<Vec<NodeId>> = vec![Vec::new(); symbols.len()];
+    // One past the largest text ordinal / attribute slot referenced.
+    let mut texts_needed = 0u64;
+    let mut attrs_needed = 0u64;
+    let mut prev_start: Option<u32> = None;
+    for (i, bytes) in records.iter().enumerate() {
         let idx = i as u64;
-        let kind_tag = r.u8()?;
-        let payload = r.u32()?;
-        let kind = match kind_tag {
-            0 => NodeKind::Element { tag: Sym(payload) },
-            1 => NodeKind::Text { text: payload },
+        let rec = Record::read(bytes);
+        let kind = match rec.kind {
+            0 => {
+                let tag = Sym(rec.payload);
+                let Some(list) = tag_index.get_mut(tag.index()) else {
+                    return Err(CodecError::Invalid {
+                        what: "tag symbol out of range",
+                        index: idx,
+                    });
+                };
+                list.push(NodeId(i as u32));
+                NodeKind::Element { tag }
+            }
+            1 => {
+                texts_needed = texts_needed.max(u64::from(rec.payload) + 1);
+                NodeKind::Text { text: rec.payload }
+            }
             _ => {
                 return Err(CodecError::Invalid {
                     what: "unknown node kind",
@@ -176,35 +262,62 @@ pub fn decode_document(tag_bytes: &[u8], elem_bytes: &[u8]) -> Result<Document, 
                 })
             }
         };
-        let parent = r.u32()?;
-        let first_child = r.u32()?;
-        let next_sibling = r.u32()?;
-        let start = r.u32()?;
-        let end = r.u32()?;
-        let level = r.u32()?;
-        let attrs_start = r.u32()?;
-        let attrs_len = r.u16()?;
+        let parent = node_opt(rec.parent, node_count, "parent id out of range", idx)?;
+        let first_child = node_opt(
+            rec.first_child,
+            node_count,
+            "first-child id out of range",
+            idx,
+        )?;
+        let next_sibling = node_opt(
+            rec.next_sibling,
+            node_count,
+            "next-sibling id out of range",
+            idx,
+        )?;
+        if rec.start >= rec.end {
+            return Err(CodecError::Invalid {
+                what: "region label start >= end",
+                index: idx,
+            });
+        }
+        if prev_start.is_some_and(|p| rec.start <= p) {
+            return Err(CodecError::Invalid {
+                what: "node starts not in document order",
+                index: idx,
+            });
+        }
+        prev_start = Some(rec.start);
+        attrs_needed = attrs_needed.max(rec.attrs_end());
         nodes.push(NodeData {
             kind,
-            parent: node_opt(parent, node_count, "parent id out of range", idx)?,
-            first_child: node_opt(first_child, node_count, "first-child id out of range", idx)?,
-            next_sibling: node_opt(
-                next_sibling,
-                node_count,
-                "next-sibling id out of range",
-                idx,
-            )?,
-            start,
-            end,
-            level,
-            attrs_start,
-            attrs_len,
+            parent,
+            first_child,
+            next_sibling,
+            start: rec.start,
+            end: rec.end,
+            level: rec.level,
+            attrs_start: rec.attrs_start,
+            attrs_len: rec.attrs_len,
         });
     }
+
     let text_count = r.count(4)?;
-    let mut texts: Vec<Box<str>> = Vec::with_capacity(text_count);
-    for _ in 0..text_count {
-        texts.push(r.str()?.into());
+    // Each text is a 4-byte length and its bytes, so what follows the
+    // length prefixes bounds the arena (attributes come after the texts).
+    let mut texts = TextArena::with_capacity(r.remaining() - 4 * text_count, text_count);
+    for i in 0..text_count {
+        if texts.push(r.str()?).is_none() {
+            return Err(CodecError::Invalid {
+                what: "text arena exceeds 4 GiB",
+                index: i as u64,
+            });
+        }
+    }
+    if texts_needed > text_count as u64 {
+        return Err(first_invalid(records, "text index out of range", |rec| {
+            rec.kind == 1 && u64::from(rec.payload) >= text_count as u64
+        }));
     }
     let attr_count = r.count(8)?;
     let mut attrs: Vec<(Sym, Box<str>)> = Vec::with_capacity(attr_count);
@@ -219,75 +332,29 @@ pub fn decode_document(tag_bytes: &[u8], elem_bytes: &[u8]) -> Result<Document, 
         attrs.push((sym, r.str()?.into()));
     }
     r.expect_exhausted()?;
+    if attrs_needed > attr_count as u64 {
+        return Err(first_invalid(
+            records,
+            "attribute range out of bounds",
+            |rec| rec.attrs_end() > attr_count as u64,
+        ));
+    }
 
-    // Cross-reference validation: after this loop, every index stored in
-    // `nodes` is safe to use for direct slice indexing.
-    let mut prev_start: Option<u32> = None;
-    for (i, n) in nodes.iter().enumerate() {
-        let idx = i as u64;
-        match n.kind {
-            NodeKind::Element { tag } => {
-                if tag.index() >= symbols.len() {
-                    return Err(CodecError::Invalid {
-                        what: "tag symbol out of range",
-                        index: idx,
-                    });
-                }
-            }
-            NodeKind::Text { text } => {
-                if text as usize >= texts.len() {
-                    return Err(CodecError::Invalid {
-                        what: "text index out of range",
-                        index: idx,
-                    });
-                }
-            }
-        }
-        if n.start >= n.end {
-            return Err(CodecError::Invalid {
-                what: "region label start >= end",
-                index: idx,
-            });
-        }
-        if let Some(p) = prev_start {
-            if n.start <= p {
-                return Err(CodecError::Invalid {
-                    what: "node starts not in document order",
-                    index: idx,
-                });
-            }
-        }
-        prev_start = Some(n.start);
-        let attrs_end = n.attrs_start as usize + n.attrs_len as usize;
-        if attrs_end > attrs.len() {
-            return Err(CodecError::Invalid {
-                what: "attribute range out of bounds",
-                index: idx,
-            });
-        }
-    }
-    if root_raw as usize >= nodes.len() {
-        return Err(CodecError::Invalid {
-            what: "root id out of range",
-            index: root_raw as u64,
-        });
-    }
     let root = NodeId(root_raw);
-    // lint:allow(panic): root_raw was range-checked directly above.
-    if !matches!(nodes[root.index()].kind, NodeKind::Element { .. }) {
-        return Err(CodecError::Invalid {
-            what: "root is not an element",
-            index: root_raw as u64,
-        });
-    }
-
-    // Rebuild the per-tag index; the arena is in document order, so pushing
-    // in arena order yields the sorted lists structural joins require.
-    let mut tag_index: HashMap<Sym, Vec<NodeId>> = HashMap::new();
-    for (i, n) in nodes.iter().enumerate() {
-        if let NodeKind::Element { tag } = n.kind {
-            tag_index.entry(tag).or_default().push(NodeId(i as u32));
+    match nodes.get(root.index()).map(|n| n.kind) {
+        None => {
+            return Err(CodecError::Invalid {
+                what: "root id out of range",
+                index: root_raw as u64,
+            })
         }
+        Some(NodeKind::Text { .. }) => {
+            return Err(CodecError::Invalid {
+                what: "root is not an element",
+                index: root_raw as u64,
+            })
+        }
+        Some(NodeKind::Element { .. }) => {}
     }
 
     let subtree_last = crate::document::compute_subtree_last(&nodes);
@@ -300,6 +367,20 @@ pub fn decode_document(tag_bytes: &[u8], elem_bytes: &[u8]) -> Result<Document, 
         root,
         subtree_last,
     })
+}
+
+/// The error path of a check deferred past the record pass: rescans the
+/// records so the error names the first node that fails `bad`.
+fn first_invalid(
+    records: &[[u8; NODE_WIRE_BYTES]],
+    what: &'static str,
+    bad: impl Fn(&Record) -> bool,
+) -> CodecError {
+    let index = records
+        .iter()
+        .position(|b| bad(&Record::read(b)))
+        .unwrap_or(records.len()) as u64;
+    CodecError::Invalid { what, index }
 }
 
 /// Encodes document statistics (the `STATS` section payload), maps in

@@ -11,7 +11,6 @@
 //! evaluate and the `#pc`/`#ad` statistics cheap to collect.
 
 use crate::symbols::{Sym, SymbolTable};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Index of a node in the document arena. Ids are dense and assigned in
@@ -43,7 +42,8 @@ pub enum NodeKind {
     },
     /// A text node; `text` indexes the document's text arena.
     Text {
-        /// Index into [`Document::text_content`]'s backing store.
+        /// Ordinal of this text among the document's text nodes (the
+        /// arena slot [`Document::text_content`] reads).
         text: u32,
     },
 }
@@ -68,16 +68,78 @@ pub(crate) struct NodeData {
 #[derive(Debug, Clone)]
 pub struct Document {
     pub(crate) nodes: Vec<NodeData>,
-    pub(crate) texts: Vec<Box<str>>,
+    pub(crate) texts: TextArena,
     pub(crate) attrs: Vec<(Sym, Box<str>)>,
     pub(crate) symbols: SymbolTable,
-    pub(crate) tag_index: HashMap<Sym, Vec<NodeId>>,
+    /// Per tag, indexed by [`Sym::index`]: its elements in document order.
+    /// Symbols that name no element (attribute names) hold an empty list.
+    pub(crate) tag_index: Vec<Vec<NodeId>>,
     pub(crate) root: NodeId,
     /// Per node: id of the last node in its subtree (itself for leaves),
     /// precomputed at construction so [`Document::subtree_last`] — on the
     /// hot path of every subtree range computation — is a single array
     /// load instead of a binary search. See [`compute_subtree_last`].
     pub(crate) subtree_last: Vec<NodeId>,
+}
+
+/// Every text node's content in one `String`, in text-ordinal order, with
+/// an offset column: text `i` is `bytes[offsets[i]..offsets[i + 1]]`. One
+/// allocation for all texts instead of one per text node.
+///
+/// Offsets are `u32`, so the arena holds at most `u32::MAX` bytes;
+/// [`TextArena::push`] refuses to grow past that rather than wrap.
+#[derive(Debug, Clone)]
+pub(crate) struct TextArena {
+    bytes: String,
+    /// `len() + 1` entries, starting at 0; each a char boundary of `bytes`.
+    offsets: Vec<u32>,
+}
+
+impl TextArena {
+    /// An empty arena with room for `bytes` bytes of text in `texts` texts.
+    pub(crate) fn with_capacity(bytes: usize, texts: usize) -> Self {
+        let mut offsets = Vec::with_capacity(texts + 1);
+        offsets.push(0);
+        TextArena {
+            bytes: String::with_capacity(bytes),
+            offsets,
+        }
+    }
+
+    /// Appends `text`, returning its ordinal, or `None` (arena unchanged)
+    /// if the arena would pass `u32::MAX` bytes.
+    pub(crate) fn push(&mut self, text: &str) -> Option<u32> {
+        let ordinal = u32::try_from(self.len()).ok()?;
+        let end = u32::try_from(self.bytes.len() + text.len()).ok()?;
+        self.bytes.push_str(text);
+        self.offsets.push(end);
+        Some(ordinal)
+    }
+
+    /// Number of texts.
+    pub(crate) fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Text `i`, or `None` past the end.
+    pub(crate) fn get(&self, i: usize) -> Option<&str> {
+        let start = *self.offsets.get(i)? as usize;
+        let end = *self.offsets.get(i + 1)? as usize;
+        self.bytes.get(start..end)
+    }
+
+    /// Every text in ordinal order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &str> {
+        self.offsets
+            .windows(2)
+            .map(|w| self.bytes.get(w[0] as usize..w[1] as usize).unwrap_or(""))
+    }
+}
+
+impl Default for TextArena {
+    fn default() -> Self {
+        TextArena::with_capacity(0, 0)
+    }
 }
 
 /// Last-descendant table for an arena in document order: children carry
@@ -196,10 +258,7 @@ impl Document {
     ///
     /// This is the input list shape required by structural joins.
     pub fn nodes_with_tag(&self, tag: Sym) -> &[NodeId] {
-        self.tag_index
-            .get(&tag)
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
+        self.tag_index.get(tag.index()).map_or(&[], Vec::as_slice)
     }
 
     /// Convenience: `nodes_with_tag` via a tag *name* (no-op on unknown names).
@@ -213,7 +272,7 @@ impl Document {
     /// Content of a text node; `None` for elements.
     pub fn text_content(&self, n: NodeId) -> Option<&str> {
         match self.nodes[n.index()].kind {
-            NodeKind::Text { text } => Some(&self.texts[text as usize]),
+            NodeKind::Text { text } => self.texts.get(text as usize),
             NodeKind::Element { .. } => None,
         }
     }
