@@ -5,7 +5,10 @@
 //!
 //! Both variants take two document-ordered node lists and emit all
 //! (ancestor, descendant) — or (parent, child) — pairs in a single merge
-//! pass with an explicit stack, O(|A| + |D| + |output|).
+//! pass with an explicit stack, O(|A| + |D| + |output|). Node ids are
+//! document order, so the merge compares ids where the region-label
+//! formulation compares `start`s, and "`a` ended before `x` starts" is
+//! `subtree_last(a) < x`: one load per test.
 //!
 //! The query path does not enumerate pairs — [`crate::exec`] scores each
 //! answer with a best-embedding DP — but it asks the same lists the
@@ -25,7 +28,7 @@ use std::borrow::Cow;
 /// Descendants that provably produce no pairs are skipped by **galloping**
 /// (exponential probe + binary search) rather than visited one at a time:
 /// whenever the stack is empty, every descendant before the next
-/// ancestor's start position is output-free, so the merge jumps straight
+/// ancestor is output-free, so the merge jumps straight
 /// to the first viable descendant in `O(log gap)`. Skipped counts surface
 /// as `engine.join.skipped`; the emitted pair stream is identical.
 ///
@@ -50,9 +53,9 @@ pub fn stack_tree_desc(
                 skipped += (descendants.len() - di) as u64;
                 break;
             }
-            let next_start = doc.start(ancestors[ai]);
-            if doc.start(descendants[di]) < next_start {
-                let jump = gallop(&descendants[di..], |&n| doc.start(n) < next_start);
+            let next = ancestors[ai];
+            if descendants[di] < next {
+                let jump = gallop(&descendants[di..], |&n| n < next);
                 skipped += jump as u64;
                 di += jump;
                 if di >= descendants.len() {
@@ -64,27 +67,15 @@ pub fn stack_tree_desc(
         // Push every ancestor-candidate that starts before `d` (`ai` is a
         // monotone cursor — this loop visits each ancestor once across the
         // whole join).
-        while ai < ancestors.len() && doc.start(ancestors[ai]) < doc.start(d) {
+        while ai < ancestors.len() && ancestors[ai] < d {
             let a = ancestors[ai];
             // Pop candidates that ended before this one starts.
-            while let Some(&top) = stack.last() {
-                if doc.end(top) < doc.start(a) {
-                    stack.pop();
-                } else {
-                    break;
-                }
-            }
+            while stack.pop_if(|top| doc.subtree_last(*top) < a).is_some() {}
             stack.push(a);
             ai += 1;
         }
         // Pop candidates that ended before `d` starts.
-        while let Some(&top) = stack.last() {
-            if doc.end(top) < doc.start(d) {
-                stack.pop();
-            } else {
-                break;
-            }
-        }
+        while stack.pop_if(|top| doc.subtree_last(*top) < d).is_some() {}
         // Everything left on the stack contains `d`.
         for &a in stack.iter() {
             debug_assert!(doc.is_ancestor(a, d));
@@ -196,7 +187,7 @@ pub(crate) fn retain_parents_of(
 }
 
 /// All pairs `(p, c)` with `p ∈ parents`, `c ∈ children`, and `p` the
-/// *parent* of `c` — the pc variant (level filter on top of the stack join).
+/// *parent* of `c` — the pc variant (parent filter on top of the stack join).
 pub fn stack_tree_anc(
     doc: &Document,
     parents: &[NodeId],
@@ -204,7 +195,7 @@ pub fn stack_tree_anc(
 ) -> Vec<(NodeId, NodeId)> {
     stack_tree_desc(doc, parents, children)
         .into_iter()
-        .filter(|&(p, c)| doc.level(c) == doc.level(p) + 1)
+        .filter(|&(p, c)| doc.is_parent(p, c))
         .collect()
 }
 
@@ -229,6 +220,13 @@ mod tests {
 
     fn sorted(mut v: Vec<(NodeId, NodeId)>) -> Vec<(NodeId, NodeId)> {
         v.sort();
+        v
+    }
+
+    /// The join's documented emission order: by descendant, then outermost
+    /// ancestor first.
+    fn in_join_order(mut v: Vec<(NodeId, NodeId)>) -> Vec<(NodeId, NodeId)> {
+        v.sort_by_key(|&(a, d)| (d, a));
         v
     }
 
@@ -310,9 +308,18 @@ mod tests {
             let a_list = doc.nodes_with_tag_name(anc).to_vec();
             let d_list = doc.nodes_with_tag_name(desc).to_vec();
             assert_eq!(
-                sorted(stack_tree_desc(&doc, &a_list, &d_list)),
-                naive_ad(&doc, &a_list, &d_list),
+                stack_tree_desc(&doc, &a_list, &d_list),
+                in_join_order(naive_ad(&doc, &a_list, &d_list)),
                 "mismatch for ({anc}, {desc})"
+            );
+            let naive_pc: Vec<_> = naive_ad(&doc, &a_list, &d_list)
+                .into_iter()
+                .filter(|&(a, d)| doc.level(d) == doc.level(a) + 1)
+                .collect();
+            assert_eq!(
+                stack_tree_anc(&doc, &a_list, &d_list),
+                in_join_order(naive_pc),
+                "pc mismatch for ({anc}, {desc})"
             );
         }
     }

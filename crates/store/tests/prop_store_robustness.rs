@@ -18,6 +18,13 @@
 //!   posting entries and positions strictly ascending) — each checked here
 //!   by walking the public accessors, so no decoder code checks itself.
 //!
+//! A payload can also be well formed field by field and still describe a
+//! tree whose parts disagree — a parent link to a node that is not an
+//! ancestor, a level off by one, overlapping attribute ranges. The document
+//! derives its links and region labels from its columns, so such a payload
+//! cannot decode into what its bytes say; each is a named mutation below
+//! that must be rejected.
+//!
 //! Inputs: the small XML of `tests/store_corruption.rs`, a 30 KB XMark
 //! corpus, and the committed golden `tests/golden/tiny_v2.fxs`.
 
@@ -642,5 +649,172 @@ fn random_flips_and_splices() {
                 &format!("{name} section {id} case {case}"),
             );
         }
+    });
+}
+
+// ------------------------------------------------- inconsistent trees
+
+/// Offsets of the fields of a node record.
+const PARENT: usize = 5;
+const FIRST_CHILD: usize = 9;
+const NEXT_SIBLING: usize = 13;
+const LEVEL: usize = 25;
+const ATTRS_START: usize = 29;
+const ATTRS_LEN: usize = 33;
+const NO_NODE: u32 = u32::MAX;
+
+/// The tree fields of one `elems` record, as written.
+#[derive(Clone, Copy)]
+struct Rec {
+    at: usize,
+    id: u32,
+    text: bool,
+    parent: u32,
+    first_child: u32,
+    next_sibling: u32,
+    level: u32,
+    attrs_start: u32,
+    attrs_len: u16,
+}
+
+fn records(elems: &[u8]) -> Vec<Rec> {
+    layout(ELEMS, elems)
+        .records
+        .iter()
+        .enumerate()
+        .map(|(id, &at)| Rec {
+            at,
+            id: id as u32,
+            text: elems[at] == 1,
+            parent: le32(elems, at + PARENT),
+            first_child: le32(elems, at + FIRST_CHILD),
+            next_sibling: le32(elems, at + NEXT_SIBLING),
+            level: le32(elems, at + LEVEL),
+            attrs_start: le32(elems, at + ATTRS_START),
+            attrs_len: u16::from_le_bytes([elems[at + ATTRS_LEN], elems[at + ATTRS_LEN + 1]]),
+        })
+        .collect()
+}
+
+/// Applies `mutate` to sampled records of every image's `elems` payload;
+/// each mutated image must be rejected with a typed error. `mutate` edits
+/// a copy of the payload and says whether the record had the shape it
+/// needs; some record of some image must.
+fn rejected_tree(what: &str, mutate: impl Fn(&[Rec], Rec, &mut [u8]) -> bool) {
+    let mut applied = 0;
+    for (name, image) in images() {
+        let elems = payload(&image, ELEMS);
+        let recs = records(elems);
+        for rec in sample(&recs) {
+            let mut bad = elems.to_vec();
+            if !mutate(&recs, rec, &mut bad) {
+                continue;
+            }
+            let label = format!("{name} {what} at the record of node {}", rec.id);
+            assert!(
+                !check(&with_payload(&image, ELEMS, &bad), &label),
+                "{label}: accepted"
+            );
+            applied += 1;
+        }
+    }
+    assert!(applied > 0, "{what}: no record had the shape");
+}
+
+#[test]
+#[cfg_attr(miri, ignore = "hundreds of full decodes")]
+fn parent_link_to_a_non_ancestor() {
+    // The previous sibling precedes the node but does not contain it.
+    rejected_tree("parent link to the previous sibling", |recs, rec, bad| {
+        let Some(prev) = recs.iter().find(|r| r.next_sibling == rec.id) else {
+            return false;
+        };
+        set32(bad, rec.at + PARENT, prev.id);
+        true
+    });
+}
+
+#[test]
+#[cfg_attr(miri, ignore = "hundreds of full decodes")]
+fn sibling_link_pointing_elsewhere() {
+    rejected_tree("next-sibling link to the parent", |_, rec, bad| {
+        if rec.next_sibling == NO_NODE {
+            return false;
+        }
+        set32(bad, rec.at + NEXT_SIBLING, rec.parent);
+        true
+    });
+}
+
+#[test]
+#[cfg_attr(miri, ignore = "hundreds of full decodes")]
+fn first_child_link_pointing_elsewhere() {
+    rejected_tree("first-child link one node too far", |recs, rec, bad| {
+        if rec.first_child == NO_NODE || rec.first_child as usize + 1 >= recs.len() {
+            return false;
+        }
+        set32(bad, rec.at + FIRST_CHILD, rec.first_child + 1);
+        true
+    });
+}
+
+#[test]
+#[cfg_attr(miri, ignore = "hundreds of full decodes")]
+fn level_off_by_one() {
+    rejected_tree("level one deeper", |_, rec, bad| {
+        set32(bad, rec.at + LEVEL, rec.level + 1);
+        true
+    });
+}
+
+#[test]
+#[cfg_attr(miri, ignore = "hundreds of full decodes")]
+fn overlapping_attribute_ranges() {
+    // An element with attributes starts its range at another's: the total
+    // still matches the attribute count.
+    rejected_tree("attribute range moved onto another's", |recs, rec, bad| {
+        let other = recs
+            .iter()
+            .find(|r| r.attrs_len > 0 && r.attrs_start != rec.attrs_start);
+        let Some(other) = other.filter(|_| rec.attrs_len > 0) else {
+            return false;
+        };
+        set32(bad, rec.at + ATTRS_START, other.attrs_start);
+        true
+    });
+    // An element without attributes claims the first attribute of another.
+    rejected_tree("attribute range over another's", |recs, rec, bad| {
+        let owner = recs.iter().find(|r| r.attrs_len > 0 && r.id != rec.id);
+        let Some(owner) = owner.filter(|_| !rec.text && rec.attrs_len == 0) else {
+            return false;
+        };
+        set32(bad, rec.at + ATTRS_START, owner.attrs_start);
+        bad[rec.at + ATTRS_LEN..rec.at + ATTRS_LEN + 2].copy_from_slice(&1u16.to_le_bytes());
+        true
+    });
+}
+
+#[test]
+#[cfg_attr(miri, ignore = "hundreds of full decodes")]
+fn root_other_than_node_0() {
+    rejected_tree("root id on another element", |_, rec, bad| {
+        if rec.id == 0 || rec.text {
+            return false;
+        }
+        set32(bad, 0, rec.id);
+        true
+    });
+}
+
+#[test]
+#[cfg_attr(miri, ignore = "hundreds of full decodes")]
+fn text_node_with_children() {
+    // The node after a text claims the text as its parent.
+    rejected_tree("text node as the next node's parent", |recs, rec, bad| {
+        let Some(next) = recs.get(rec.id as usize + 1).filter(|_| rec.text) else {
+            return false;
+        };
+        set32(bad, next.at + PARENT, rec.id);
+        true
     });
 }

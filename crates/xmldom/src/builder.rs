@@ -1,10 +1,12 @@
 //! Programmatic document construction.
 //!
 //! The builder is the single construction path for [`Document`]s: the parser
-//! and the XMark generator both drive it, so interval labels, levels,
-//! sibling links, and tag indexes are assigned in exactly one place.
+//! and the XMark generator both drive it, so labels, parents, levels,
+//! subtree ends, and tag indexes are assigned in exactly one place. It fills
+//! the document's columns through its stack of open elements; links and
+//! region labels are derived from them (see [`crate::document`]).
 
-use crate::document::{Document, NodeData, NodeId, NodeKind, TextArena};
+use crate::document::{Document, NodeId, NodeKind, NO_NODE};
 use crate::symbols::{Sym, SymbolTable};
 
 /// Streaming builder: call [`start_element`](Self::start_element) /
@@ -26,16 +28,10 @@ use crate::symbols::{Sym, SymbolTable};
 /// ```
 #[derive(Debug)]
 pub struct DocumentBuilder {
-    nodes: Vec<NodeData>,
-    texts: TextArena,
-    attrs: Vec<(Sym, Box<str>)>,
-    symbols: SymbolTable,
-    tag_index: Vec<Vec<NodeId>>,
-    /// Stack of open elements; for each: (node id, last child added so far).
-    open: Vec<(NodeId, Option<NodeId>)>,
-    counter: u32,
-    root: Option<NodeId>,
-    finished_root: bool,
+    doc: Document,
+    /// The open elements, root first: the path from the root to the parent
+    /// of the next node.
+    open: Vec<NodeId>,
 }
 
 /// Errors surfaced when the build call sequence is malformed.
@@ -47,8 +43,14 @@ pub enum BuildError {
     OutsideRoot,
     /// `finish` with elements still open or no root at all.
     Incomplete,
-    /// `text` would grow the text arena past `u32::MAX` bytes (or texts).
+    /// `text` would grow the text arena past `u32::MAX` bytes, or past
+    /// 2³¹ texts.
     TextArenaFull,
+    /// An element name would be the 2³¹-th distinct name.
+    SymbolTableFull,
+    /// An element would carry more than `u16::MAX` attributes (the store
+    /// format's per-node limit).
+    TooManyAttributes,
 }
 
 impl std::fmt::Display for BuildError {
@@ -57,7 +59,9 @@ impl std::fmt::Display for BuildError {
             BuildError::UnmatchedEnd => write!(f, "end_element without open element"),
             BuildError::OutsideRoot => write!(f, "content outside the root element"),
             BuildError::Incomplete => write!(f, "document incomplete at finish"),
-            BuildError::TextArenaFull => write!(f, "text arena would pass 4 GiB"),
+            BuildError::TextArenaFull => write!(f, "text arena would pass 4 GiB or 2^31 texts"),
+            BuildError::SymbolTableFull => write!(f, "more than 2^31 distinct names"),
+            BuildError::TooManyAttributes => write!(f, "more than 65535 attributes on one element"),
         }
     }
 }
@@ -70,6 +74,21 @@ impl Default for DocumentBuilder {
     }
 }
 
+/// The `labels` entry of an element named `tag`.
+fn element_label(tag: Sym) -> Result<u32, BuildError> {
+    NodeKind::Element { tag }
+        .label()
+        .ok_or(BuildError::SymbolTableFull)
+}
+
+/// The `labels` entry of the text with ordinal `text`.
+fn text_label(text: usize) -> Result<u32, BuildError> {
+    u32::try_from(text)
+        .ok()
+        .and_then(|text| NodeKind::Text { text }.label())
+        .ok_or(BuildError::TextArenaFull)
+}
+
 impl DocumentBuilder {
     /// Creates an empty builder with a fresh symbol table.
     pub fn new() -> Self {
@@ -80,56 +99,24 @@ impl DocumentBuilder {
     /// documents share tag ids).
     pub fn with_symbols(symbols: SymbolTable) -> Self {
         DocumentBuilder {
-            nodes: Vec::new(),
-            texts: TextArena::default(),
-            attrs: Vec::new(),
-            symbols,
-            tag_index: Vec::new(),
+            doc: Document::empty(symbols, 0),
             open: Vec::new(),
-            counter: 0,
-            root: None,
-            finished_root: false,
         }
     }
 
-    fn push_node(&mut self, kind: NodeKind) -> Result<NodeId, BuildError> {
-        if self.finished_root && self.open.is_empty() {
-            return Err(BuildError::OutsideRoot);
-        }
-        let id = NodeId(self.nodes.len() as u32);
-        let (parent, level) = match self.open.last().copied() {
-            Some((p, _)) => (Some(p), self.nodes[p.index()].level + 1),
-            None => {
-                if matches!(kind, NodeKind::Text { .. }) {
-                    return Err(BuildError::OutsideRoot);
-                }
-                (None, 0)
-            }
+    /// Appends a node under the innermost open element; only the first
+    /// node (the root element: `try_text` needs an open element) may have
+    /// no parent.
+    fn push_node(&mut self, label: u32) -> Result<NodeId, BuildError> {
+        let id = NodeId(self.doc.node_count() as u32);
+        let parent = match self.open.last() {
+            Some(p) => p.0,
+            None if id.0 == 0 => NO_NODE,
+            None => return Err(BuildError::OutsideRoot),
         };
-        let start = self.counter;
-        self.counter += 1;
-        self.nodes.push(NodeData {
-            kind,
-            parent,
-            first_child: None,
-            next_sibling: None,
-            start,
-            end: 0,
-            level,
-            attrs_start: self.attrs.len() as u32,
-            attrs_len: 0,
-        });
-        // Wire sibling / first-child links.
-        if let Some((p, last_child)) = self.open.last_mut() {
-            match *last_child {
-                Some(prev) => self.nodes[prev.index()].next_sibling = Some(id),
-                None => {
-                    let p = *p;
-                    self.nodes[p.index()].first_child = Some(id);
-                }
-            }
-            *last_child = Some(id);
-        }
+        let attrs_end = self.doc.attrs.len() as u32;
+        self.doc
+            .push_node(label, parent, self.open.len() as u32, attrs_end);
         Ok(id)
     }
 
@@ -146,16 +133,9 @@ impl DocumentBuilder {
 
     /// Fallible variant of [`start_element`](Self::start_element).
     pub fn try_start_element(&mut self, tag: &str) -> Result<NodeId, BuildError> {
-        let sym = self.symbols.intern(tag);
-        let id = self.push_node(NodeKind::Element { tag: sym })?;
-        if self.root.is_none() {
-            self.root = Some(id);
-        }
-        if self.tag_index.len() <= sym.index() {
-            self.tag_index.resize_with(sym.index() + 1, Vec::new);
-        }
-        self.tag_index[sym.index()].push(id);
-        self.open.push((id, None));
+        let label = element_label(self.doc.symbols.intern(tag))?;
+        let id = self.push_node(label)?;
+        self.open.push(id);
         Ok(id)
     }
 
@@ -175,15 +155,20 @@ impl DocumentBuilder {
 
     /// Fallible variant of [`attribute`](Self::attribute).
     pub fn try_attribute(&mut self, name: &str, value: &str) -> Result<(), BuildError> {
-        let &(cur, last_child) = self.open.last().ok_or(BuildError::OutsideRoot)?;
-        // Attributes must precede children so the flat attr arena stays
-        // contiguous per element.
-        if last_child.is_some() {
+        let &cur = self.open.last().ok_or(BuildError::OutsideRoot)?;
+        // Attributes must precede children so the flat attr list stays
+        // contiguous per element: `cur` must still be the newest node.
+        if cur.index() + 1 != self.doc.node_count() {
             return Err(BuildError::OutsideRoot);
         }
-        let sym = self.symbols.intern(name);
-        self.attrs.push((sym, value.into()));
-        self.nodes[cur.index()].attrs_len += 1;
+        if self.doc.attributes(cur).len() >= usize::from(u16::MAX) {
+            return Err(BuildError::TooManyAttributes);
+        }
+        let sym = self.doc.symbols.intern(name);
+        self.doc.attrs.push((sym, value.into()));
+        if let Some(end) = self.doc.attr_offsets.last_mut() {
+            *end += 1;
+        }
         Ok(())
     }
 
@@ -192,8 +177,8 @@ impl DocumentBuilder {
     /// Empty strings are ignored (no empty text nodes are materialized).
     ///
     /// # Panics
-    /// If no element is open, or if the document's text would pass 4 GiB;
-    /// use [`try_text`](Self::try_text) to handle those cases.
+    /// If no element is open, or if the document's text would pass 4 GiB
+    /// or 2³¹ texts; use [`try_text`](Self::try_text) to handle those cases.
     #[allow(clippy::expect_used)] // documented contract of the infallible API
     pub fn text(&mut self, content: &str) {
         self.try_text(content)
@@ -208,11 +193,13 @@ impl DocumentBuilder {
         if self.open.is_empty() {
             return Err(BuildError::OutsideRoot);
         }
-        let text_idx = self.texts.push(content).ok_or(BuildError::TextArenaFull)?;
-        let id = self.push_node(NodeKind::Text { text: text_idx })?;
-        // Text nodes are leaves: close their interval immediately.
-        self.nodes[id.index()].end = self.counter;
-        self.counter += 1;
+        let label = text_label(self.doc.texts.len())?;
+        self.doc
+            .texts
+            .push(content)
+            .ok_or(BuildError::TextArenaFull)?;
+        // A text node is a leaf: its subtree is already closed.
+        self.push_node(label)?;
         Ok(())
     }
 
@@ -229,32 +216,20 @@ impl DocumentBuilder {
 
     /// Fallible variant of [`end_element`](Self::end_element).
     pub fn try_end_element(&mut self) -> Result<(), BuildError> {
-        let (id, _) = self.open.pop().ok_or(BuildError::UnmatchedEnd)?;
-        self.nodes[id.index()].end = self.counter;
-        self.counter += 1;
-        if self.open.is_empty() {
-            self.finished_root = true;
-        }
+        let id = self.open.pop().ok_or(BuildError::UnmatchedEnd)?;
+        // Every node since `id` lies in its subtree.
+        self.doc.subtree_last[id.index()] = NodeId(self.doc.node_count() as u32 - 1);
         Ok(())
     }
 
     /// Finalizes the document.
     pub fn finish(self) -> Result<Document, BuildError> {
-        let (Some(root), true) = (self.root, self.open.is_empty()) else {
+        if self.doc.node_count() == 0 || !self.open.is_empty() {
             return Err(BuildError::Incomplete);
-        };
-        let subtree_last = crate::document::compute_subtree_last(&self.nodes);
-        let mut tag_index = self.tag_index;
-        tag_index.resize_with(self.symbols.len(), Vec::new);
-        Ok(Document {
-            nodes: self.nodes,
-            texts: self.texts,
-            attrs: self.attrs,
-            symbols: self.symbols,
-            tag_index,
-            root,
-            subtree_last,
-        })
+        }
+        let mut doc = self.doc;
+        doc.tag_index.resize_with(doc.symbols.len(), Vec::new);
+        Ok(doc)
     }
 }
 
@@ -316,6 +291,44 @@ mod tests {
         b.end_element();
         assert_eq!(b.try_attribute("x", "1"), Err(BuildError::OutsideRoot));
         b.end_element();
+    }
+
+    #[test]
+    fn labels_past_two_to_the_31_are_typed_errors() {
+        let bound = 1u32 << 31;
+        assert_eq!(element_label(Sym(bound - 1)), Ok(bound - 1));
+        assert_eq!(element_label(Sym(bound)), Err(BuildError::SymbolTableFull));
+        assert_eq!(text_label(bound as usize - 1), Ok(u32::MAX));
+        assert_eq!(text_label(bound as usize), Err(BuildError::TextArenaFull));
+        assert_eq!(text_label(usize::MAX), Err(BuildError::TextArenaFull));
+    }
+
+    #[test]
+    fn attributes_per_element_stop_at_the_wire_width() {
+        let mut b = DocumentBuilder::new();
+        b.start_element("a");
+        for _ in 0..u16::MAX {
+            b.attribute("x", "");
+        }
+        assert_eq!(b.try_attribute("x", ""), Err(BuildError::TooManyAttributes));
+        b.start_element("b");
+        b.attribute("y", "1");
+        b.end_element();
+        b.end_element();
+        let doc = b.finish().unwrap();
+        assert_eq!(doc.attributes(doc.root_element()).len(), 65_535);
+        let y = doc.symbols().lookup("y").unwrap();
+        assert_eq!(doc.attribute(NodeId(1), y), Some("1"));
+    }
+
+    #[test]
+    fn text_outside_the_root_is_an_error() {
+        let mut b = DocumentBuilder::new();
+        assert_eq!(b.try_text("x"), Err(BuildError::OutsideRoot));
+        b.start_element("a");
+        b.end_element();
+        assert_eq!(b.try_text("x"), Err(BuildError::OutsideRoot));
+        assert_eq!(b.try_attribute("x", "1"), Err(BuildError::OutsideRoot));
     }
 
     #[test]

@@ -7,39 +7,52 @@
 //! store's golden-file drift check depends on this.
 //!
 //! Decoding is **total and validating**: every cross-reference a decoded
-//! [`Document`] could later index with — parent/child/sibling ids, tag
-//! and attribute symbols, text-arena indices, attribute ranges, the root
-//! id — is bounds-checked here, so downstream code may keep using plain
-//! indexing without risking a panic on a corrupted store. Structural
-//! invariants that algorithms rely on (region `start < end`, document-
-//! order-monotonic starts) are validated too.
+//! [`Document`] could later index with — tag and attribute symbols,
+//! text-arena indices, attribute ranges — is bounds-checked here, so
+//! downstream code may keep using plain indexing without risking a panic on
+//! a corrupted store. And because the document keeps only labels, parents,
+//! levels, subtree ends and attribute offsets and *derives* every other
+//! link and region label from them, every stored link and label must equal
+//! its derived value: a record set whose parts disagree about the tree is
+//! rejected rather than decoded into a document whose `parent()` and
+//! `is_parent()` would answer differently.
 //!
 //! [`decode_document`] reads in **one pass** over `ELEMS`. The node records
 //! are one length-checked byte run of fixed-size records; each record is
-//! validated as it is read (kind, tag-symbol range, link ranges,
-//! `start < end`, document order) and each element goes straight into its
-//! tag's list. Texts go into one arena (a `String` plus an offset column),
-//! UTF-8-checked per string. The two checks that need counts written
-//! *after* the records — text ordinals against the text count, attribute
-//! ranges against the attribute count — are done on the largest reference
-//! seen, once that count is read; only on failure are the records
-//! rescanned, so the error still names the first offending node.
+//! checked as it is read against a stack holding the path from the root to
+//! it (the open nodes):
+//! * on the record itself: kind, tag-symbol range, the 2³¹ bound of the
+//!   label column, that the parent is on the path (node 0 is the root and
+//!   the only node without a parent; a text node has no children), `level`
+//!   (the path's length), `start` (`2·id − level`), and that its attributes
+//!   start where the previous node's end (contiguous and in order; a text
+//!   node has none);
+//! * on the next record: the first-child claim (`id + 1` iff that record's
+//!   parent is this node);
+//! * when the node's subtree closes (a later record's parent is above it on
+//!   the path, or the records end): the next-sibling claim and `end`, and
+//!   the node's subtree end is filled in.
 //!
-//! The set of rejected inputs is the same as a check-everything-in-order
-//! decoder's. For an input with several defects, which one is reported
-//! can differ: record-local defects are found before the text and
-//! attribute payloads are read, and the text check runs before the
-//! attribute payload is read.
+//! Each element goes straight into its tag's list. Texts go into one arena
+//! (a `String` plus an offset column), UTF-8-checked per string. The two
+//! checks that need counts written *after* the records — text ordinals
+//! against the text count, the attribute offsets against the attribute
+//! count — are done on the largest reference seen, once that count is
+//! read; only on failure is the label or offset column rescanned, so the
+//! error still names the first offending node.
+//!
+//! For an input with several defects, which one is reported follows the
+//! pass: record-local and path defects are found before the text and
+//! attribute payloads are read, a closing claim when its subtree closes,
+//! and the text check runs before the attribute payload is read.
 
-use crate::document::{Document, NodeData, NodeId, NodeKind, TextArena};
+use crate::document::{Document, NodeId, NodeKind, TextArena, NO_NODE, TEXT_BIT};
 use crate::stats::{DocStats, TagPair};
 use crate::symbols::{Sym, SymbolTable};
 use crate::wire::{ByteReader, ByteWriter, WireError};
 use std::collections::HashMap;
 use std::fmt;
 
-/// Sentinel for `Option<NodeId>::None` on the wire.
-const NO_NODE: u32 = u32::MAX;
 /// Fixed wire size of one node record (used for count plausibility).
 const NODE_WIRE_BYTES: usize = 1 + 4 * 8 + 2;
 
@@ -83,23 +96,12 @@ impl From<WireError> for CodecError {
     }
 }
 
-fn opt_node(v: Option<NodeId>) -> u32 {
-    v.map(|n| n.0).unwrap_or(NO_NODE)
+fn invalid(what: &'static str, index: u64) -> CodecError {
+    CodecError::Invalid { what, index }
 }
 
-fn node_opt(
-    v: u32,
-    node_count: usize,
-    what: &'static str,
-    index: u64,
-) -> Result<Option<NodeId>, CodecError> {
-    if v == NO_NODE {
-        Ok(None)
-    } else if (v as usize) < node_count {
-        Ok(Some(NodeId(v)))
-    } else {
-        Err(CodecError::Invalid { what, index })
-    }
+fn opt_node(v: Option<NodeId>) -> u32 {
+    v.map(|n| n.0).unwrap_or(NO_NODE)
 }
 
 /// Encodes a document's interned-name table (the `TAGS` section payload).
@@ -133,15 +135,17 @@ pub fn decode_symbols(bytes: &[u8]) -> Result<SymbolTable, CodecError> {
     Ok(table)
 }
 
-/// Encodes a document's node arena, text arena, and attributes (the
-/// `ELEMS` section payload). The per-tag index is not written — it is
-/// rebuilt on decode from the (document-ordered) node arena.
+/// Encodes a document's nodes, text arena, and attributes (the `ELEMS`
+/// section payload). Each node record carries its links and region label as
+/// derived from the document's columns. The per-tag index is not written —
+/// it is rebuilt on decode from the (document-ordered) records.
 pub fn encode_nodes(doc: &Document) -> Vec<u8> {
-    let mut w = ByteWriter::with_capacity(32 + doc.nodes.len() * NODE_WIRE_BYTES);
-    w.u32(doc.root.0);
-    w.u64(doc.nodes.len() as u64);
-    for n in &doc.nodes {
-        match n.kind {
+    let mut w = ByteWriter::with_capacity(32 + doc.node_count() * NODE_WIRE_BYTES);
+    w.u32(doc.root_element().0);
+    w.u64(doc.node_count() as u64);
+    let mut attrs_start = 0u32;
+    for n in doc.all_nodes() {
+        match doc.kind(n) {
             NodeKind::Element { tag } => {
                 w.u8(0);
                 w.u32(tag.0);
@@ -151,14 +155,18 @@ pub fn encode_nodes(doc: &Document) -> Vec<u8> {
                 w.u32(text);
             }
         }
-        w.u32(opt_node(n.parent));
-        w.u32(opt_node(n.first_child));
-        w.u32(opt_node(n.next_sibling));
-        w.u32(n.start);
-        w.u32(n.end);
-        w.u32(n.level);
-        w.u32(n.attrs_start);
-        w.u16(n.attrs_len);
+        w.u32(opt_node(doc.parent(n)));
+        w.u32(opt_node(doc.first_child(n)));
+        w.u32(opt_node(doc.next_sibling(n)));
+        w.u32(doc.start(n));
+        w.u32(doc.end(n));
+        w.u32(doc.level(n));
+        // At most `u16::MAX` per node: the builder and the decoder both
+        // refuse more.
+        let attrs_len = doc.attributes(n).len() as u16;
+        w.u32(attrs_start);
+        w.u16(attrs_len);
+        attrs_start += u32::from(attrs_len);
     }
     w.u64(doc.texts.len() as u64);
     for t in doc.texts.iter() {
@@ -206,21 +214,46 @@ impl Record {
             attrs_len: u16::from_le_bytes([b[33], b[34]]),
         }
     }
+}
 
-    /// One past the last attribute slot this record references.
-    fn attrs_end(&self) -> u64 {
-        u64::from(self.attrs_start) + u64::from(self.attrs_len)
+/// A node on the decoder's root path, with the claims of its record that
+/// can only be checked once its subtree closes.
+struct Open {
+    id: u32,
+    parent: u32,
+    level: u32,
+    text: bool,
+    next_sibling: u32,
+    end: u32,
+}
+
+impl Open {
+    /// Closes this node's subtree at `last`: checks the record's `end` and
+    /// its next-sibling claim against `next_sibling` (the node after `last`
+    /// if that is a child of this node's parent, else [`NO_NODE`]), and
+    /// records the subtree end.
+    fn close(&self, last: u32, next_sibling: u32, doc: &mut Document) -> Result<(), CodecError> {
+        let index = u64::from(self.id);
+        if self.next_sibling != next_sibling {
+            return Err(invalid("next-sibling link disagrees with the tree", index));
+        }
+        if u64::from(self.end) != 2 * u64::from(last) + 1 - u64::from(self.level) {
+            return Err(invalid("region label end disagrees with the tree", index));
+        }
+        if let Some(slot) = doc.subtree_last.get_mut(self.id as usize) {
+            *slot = NodeId(last);
+        }
+        Ok(())
     }
 }
 
 /// Decodes `TAGS` + `ELEMS` payloads into a fully validated [`Document`].
 ///
-/// One pass over the node records validates each as it is read — kind,
-/// tag-symbol range, link ranges, `start < end`, starts in document order
-/// — and files each element in its tag's list. The text-index and
-/// attribute-range checks need counts that follow the records, so the pass
-/// tracks the largest reference of each and checks it once the count is
-/// known (see the module doc for what that does to error order).
+/// One pass over the node records checks each as it is read, against the
+/// path from the root to it, and fills the document's columns; see the
+/// module doc for where each check sits. The text-index and attribute
+/// checks need counts that follow the records, so the pass tracks the
+/// largest reference of each and checks it once the count is known.
 pub fn decode_document(tag_bytes: &[u8], elem_bytes: &[u8]) -> Result<Document, CodecError> {
     let symbols = decode_symbols(tag_bytes)?;
     let mut r = ByteReader::new(elem_bytes);
@@ -230,76 +263,105 @@ pub fn decode_document(tag_bytes: &[u8], elem_bytes: &[u8]) -> Result<Document, 
     let (records, _) = r
         .bytes(node_count * NODE_WIRE_BYTES)?
         .as_chunks::<NODE_WIRE_BYTES>();
-    let mut nodes: Vec<NodeData> = Vec::with_capacity(node_count);
-    let mut tag_index: Vec<Vec<NodeId>> = vec![Vec::new(); symbols.len()];
-    // One past the largest text ordinal / attribute slot referenced.
+    if node_count == 0 {
+        return Err(invalid("root id out of range", u64::from(root_raw)));
+    }
+    if root_raw != 0 {
+        return Err(invalid("root is not node 0", u64::from(root_raw)));
+    }
+    let mut doc = Document::empty(symbols, node_count);
+    // The open nodes, root first; each entry's parent is the one below it.
+    let mut path: Vec<Open> = Vec::new();
+    // One past the largest text ordinal referenced.
     let mut texts_needed = 0u64;
-    let mut attrs_needed = 0u64;
-    let mut prev_start: Option<u32> = None;
+    // The previous record's first-child claim.
+    let mut first_child = NO_NODE;
     for (i, bytes) in records.iter().enumerate() {
-        let idx = i as u64;
+        let (id, idx) = (i as u32, i as u64);
         let rec = Record::read(bytes);
         let kind = match rec.kind {
-            0 => {
-                let tag = Sym(rec.payload);
-                let Some(list) = tag_index.get_mut(tag.index()) else {
-                    return Err(CodecError::Invalid {
-                        what: "tag symbol out of range",
-                        index: idx,
-                    });
-                };
-                list.push(NodeId(i as u32));
-                NodeKind::Element { tag }
-            }
-            1 => {
-                texts_needed = texts_needed.max(u64::from(rec.payload) + 1);
-                NodeKind::Text { text: rec.payload }
-            }
-            _ => {
-                return Err(CodecError::Invalid {
-                    what: "unknown node kind",
-                    index: idx,
-                })
-            }
+            0 => NodeKind::Element {
+                tag: Sym(rec.payload),
+            },
+            1 => NodeKind::Text { text: rec.payload },
+            _ => return Err(invalid("unknown node kind", idx)),
         };
-        let parent = node_opt(rec.parent, node_count, "parent id out of range", idx)?;
-        let first_child = node_opt(
-            rec.first_child,
-            node_count,
-            "first-child id out of range",
-            idx,
-        )?;
-        let next_sibling = node_opt(
-            rec.next_sibling,
-            node_count,
-            "next-sibling id out of range",
-            idx,
-        )?;
-        if rec.start >= rec.end {
-            return Err(CodecError::Invalid {
-                what: "region label start >= end",
-                index: idx,
-            });
+        let Some(label) = kind.label() else {
+            return Err(invalid("symbol id or text ordinal past 2^31", idx));
+        };
+        let text = label & TEXT_BIT != 0;
+        if text {
+            texts_needed = texts_needed.max(u64::from(rec.payload) + 1);
+            if rec.attrs_len != 0 {
+                return Err(invalid("text node has attributes", idx));
+            }
+        } else if rec.payload as usize >= doc.symbols.len() {
+            return Err(invalid("tag symbol out of range", idx));
         }
-        if prev_start.is_some_and(|p| rec.start <= p) {
-            return Err(CodecError::Invalid {
-                what: "node starts not in document order",
-                index: idx,
-            });
+
+        let parent = rec.parent;
+        if id == 0 {
+            if parent != NO_NODE {
+                return Err(invalid("root has a parent", idx));
+            }
+            if text {
+                return Err(invalid("root is not an element", idx));
+            }
+        } else {
+            if parent == NO_NODE {
+                return Err(invalid("node other than the root without a parent", idx));
+            }
+            // Every open node below the parent closes before this one.
+            while let Some(top) = path.pop_if(|top| top.id > parent) {
+                let sibling = if top.parent == parent { id } else { NO_NODE };
+                top.close(id - 1, sibling, &mut doc)?;
+            }
+            match path.last() {
+                Some(top) if top.id == parent && top.text => {
+                    return Err(invalid("text node has children", idx));
+                }
+                Some(top) if top.id == parent => {}
+                _ => return Err(invalid("parent is not an open ancestor", idx)),
+            }
+            let claimed = if parent == id - 1 { id } else { NO_NODE };
+            if first_child != claimed {
+                return Err(invalid("first-child link disagrees with the tree", idx - 1));
+            }
         }
-        prev_start = Some(rec.start);
-        attrs_needed = attrs_needed.max(rec.attrs_end());
-        nodes.push(NodeData {
-            kind,
+        let level = path.len() as u32;
+        if rec.level != level {
+            return Err(invalid("level disagrees with the tree", idx));
+        }
+        if u64::from(rec.start) != 2 * idx - u64::from(level) {
+            return Err(invalid("region label start disagrees with the tree", idx));
+        }
+        let attrs_start = doc.attr_offsets.last().copied().unwrap_or(0);
+        if rec.attrs_start != attrs_start {
+            return Err(invalid("attributes not contiguous and in order", idx));
+        }
+        let Some(attrs_end) = attrs_start.checked_add(u32::from(rec.attrs_len)) else {
+            return Err(invalid("attribute range out of bounds", idx));
+        };
+        doc.push_node(label, parent, level, attrs_end);
+        path.push(Open {
+            id,
             parent,
-            first_child,
-            next_sibling,
-            start: rec.start,
+            level,
+            text,
+            next_sibling: rec.next_sibling,
             end: rec.end,
-            level: rec.level,
-            attrs_start: rec.attrs_start,
-            attrs_len: rec.attrs_len,
         });
+        first_child = rec.first_child;
+    }
+    let last = node_count as u32 - 1;
+    if first_child != NO_NODE {
+        return Err(invalid(
+            "first-child link disagrees with the tree",
+            u64::from(last),
+        ));
+    }
+    while let Some(top) = path.pop() {
+        top.close(last, NO_NODE, &mut doc)?;
     }
 
     let text_count = r.count(4)?;
@@ -308,79 +370,47 @@ pub fn decode_document(tag_bytes: &[u8], elem_bytes: &[u8]) -> Result<Document, 
     let mut texts = TextArena::with_capacity(r.remaining() - 4 * text_count, text_count);
     for i in 0..text_count {
         if texts.push(r.str()?).is_none() {
-            return Err(CodecError::Invalid {
-                what: "text arena exceeds 4 GiB",
-                index: i as u64,
-            });
+            return Err(invalid("text arena exceeds 4 GiB", i as u64));
         }
     }
     if texts_needed > text_count as u64 {
-        return Err(first_invalid(records, "text index out of range", |rec| {
-            rec.kind == 1 && u64::from(rec.payload) >= text_count as u64
-        }));
+        let index = doc
+            .labels
+            .iter()
+            .position(|&l| l & TEXT_BIT != 0 && u64::from(l & !TEXT_BIT) >= text_count as u64);
+        return Err(invalid(
+            "text index out of range",
+            index.unwrap_or(node_count) as u64,
+        ));
     }
+    doc.texts = texts;
     let attr_count = r.count(8)?;
     let mut attrs: Vec<(Sym, Box<str>)> = Vec::with_capacity(attr_count);
     for i in 0..attr_count {
         let sym = Sym(r.u32()?);
-        if sym.index() >= symbols.len() {
-            return Err(CodecError::Invalid {
-                what: "attribute name symbol out of range",
-                index: i as u64,
-            });
+        if sym.index() >= doc.symbols.len() {
+            return Err(invalid("attribute name symbol out of range", i as u64));
         }
         attrs.push((sym, r.str()?.into()));
     }
     r.expect_exhausted()?;
-    if attrs_needed > attr_count as u64 {
-        return Err(first_invalid(
-            records,
-            "attribute range out of bounds",
-            |rec| rec.attrs_end() > attr_count as u64,
-        ));
+    let referenced = u64::from(doc.attr_offsets.last().copied().unwrap_or(0));
+    if referenced != attr_count as u64 {
+        let what = if referenced > attr_count as u64 {
+            "attribute range out of bounds"
+        } else {
+            "attributes held by no node"
+        };
+        // The first node whose range passes the count, else the end.
+        let index = doc
+            .attr_offsets
+            .iter()
+            .skip(1)
+            .position(|&end| u64::from(end) > attr_count as u64);
+        return Err(invalid(what, index.unwrap_or(node_count) as u64));
     }
-
-    let root = NodeId(root_raw);
-    match nodes.get(root.index()).map(|n| n.kind) {
-        None => {
-            return Err(CodecError::Invalid {
-                what: "root id out of range",
-                index: root_raw as u64,
-            })
-        }
-        Some(NodeKind::Text { .. }) => {
-            return Err(CodecError::Invalid {
-                what: "root is not an element",
-                index: root_raw as u64,
-            })
-        }
-        Some(NodeKind::Element { .. }) => {}
-    }
-
-    let subtree_last = crate::document::compute_subtree_last(&nodes);
-    Ok(Document {
-        nodes,
-        texts,
-        attrs,
-        symbols,
-        tag_index,
-        root,
-        subtree_last,
-    })
-}
-
-/// The error path of a check deferred past the record pass: rescans the
-/// records so the error names the first node that fails `bad`.
-fn first_invalid(
-    records: &[[u8; NODE_WIRE_BYTES]],
-    what: &'static str,
-    bad: impl Fn(&Record) -> bool,
-) -> CodecError {
-    let index = records
-        .iter()
-        .position(|b| bad(&Record::read(b)))
-        .unwrap_or(records.len()) as u64;
-    CodecError::Invalid { what, index }
+    doc.attrs = attrs;
+    Ok(doc)
 }
 
 /// Encodes document statistics (the `STATS` section payload), maps in
@@ -569,6 +599,179 @@ mod tests {
             decode_document(&tags, &elems),
             Err(CodecError::Invalid { .. })
         ));
+    }
+
+    /// Field offsets inside a node record.
+    const PARENT: usize = 5;
+    const FIRST_CHILD: usize = 9;
+    const NEXT_SIBLING: usize = 13;
+    const END: usize = 21;
+    const LEVEL: usize = 25;
+    const ATTRS_START: usize = 29;
+    const ATTRS_LEN: usize = 33;
+
+    /// Overwrites `field` of record `node` in an `ELEMS` payload.
+    fn patch(elems: &mut [u8], node: usize, field: usize, bytes: &[u8]) {
+        let at = 12 + node * NODE_WIRE_BYTES + field;
+        elems[at..at + bytes.len()].copy_from_slice(bytes);
+    }
+
+    fn invalid_what(tags: &[u8], elems: &[u8]) -> Option<(&'static str, u64)> {
+        match decode_document(tags, elems) {
+            Err(CodecError::Invalid { what, index }) => Some((what, index)),
+            _ => None,
+        }
+    }
+
+    /// Each way the records can disagree about the tree, one field at a
+    /// time, named by the check that catches it and the node it names.
+    #[test]
+    fn records_that_disagree_about_the_tree_are_invalid() {
+        // Nodes: 0 a, 1 b, 2 c, 3 "t", 4 d, 5 "u".
+        let doc = parse("<a><b x=\"1\"><c/>t</b><d y=\"2\"/>u</a>").unwrap();
+        let tags = encode_symbols(doc.symbols());
+        let elems = encode_nodes(&doc);
+        assert!(decode_document(&tags, &elems).is_ok());
+        let u32s = |v: u32| v.to_le_bytes();
+        // (name, node, field, new bytes, expected error)
+        type Case = (&'static str, usize, usize, Vec<u8>, (&'static str, u64));
+        let cases: [Case; 11] = [
+            (
+                "parent link to a closed node",
+                4,
+                PARENT,
+                u32s(2).into(),
+                ("parent is not an open ancestor", 4),
+            ),
+            (
+                "parent link forward",
+                2,
+                PARENT,
+                u32s(4).into(),
+                ("parent is not an open ancestor", 2),
+            ),
+            (
+                "a second root",
+                4,
+                PARENT,
+                u32s(NO_NODE).into(),
+                ("node other than the root without a parent", 4),
+            ),
+            (
+                "a text node with children",
+                4,
+                PARENT,
+                u32s(3).into(),
+                ("text node has children", 4),
+            ),
+            (
+                "first-child link elsewhere",
+                1,
+                FIRST_CHILD,
+                u32s(3).into(),
+                ("first-child link disagrees with the tree", 1),
+            ),
+            (
+                "first-child link on a leaf",
+                5,
+                FIRST_CHILD,
+                u32s(4).into(),
+                ("first-child link disagrees with the tree", 5),
+            ),
+            (
+                "next-sibling link elsewhere",
+                1,
+                NEXT_SIBLING,
+                u32s(5).into(),
+                ("next-sibling link disagrees with the tree", 1),
+            ),
+            (
+                "level off by one",
+                2,
+                LEVEL,
+                u32s(3).into(),
+                ("level disagrees with the tree", 2),
+            ),
+            (
+                "end off by one",
+                2,
+                END,
+                u32s(doc.end(NodeId(2)) + 1).into(),
+                ("region label end disagrees with the tree", 2),
+            ),
+            (
+                "overlapping attribute ranges",
+                4,
+                ATTRS_START,
+                u32s(0).into(),
+                ("attributes not contiguous and in order", 4),
+            ),
+            (
+                "a text node with attributes",
+                3,
+                ATTRS_LEN,
+                1u16.to_le_bytes().into(),
+                ("text node has attributes", 3),
+            ),
+        ];
+        for (name, node, field, bytes, expect) in cases {
+            let mut bad = elems.clone();
+            patch(&mut bad, node, field, &bytes);
+            assert_eq!(invalid_what(&tags, &bad), Some(expect), "{name}");
+        }
+        let mut bad = elems.clone();
+        bad[..4].copy_from_slice(&u32s(1));
+        assert_eq!(
+            invalid_what(&tags, &bad),
+            Some(("root is not node 0", 1)),
+            "a root other than node 0"
+        );
+    }
+
+    /// The `ELEMS` payload of `<a>` with one child record of `kind` and
+    /// `payload`, and one text `"x"`, written field by field.
+    fn root_and_child(kind: u8, payload: u32) -> Vec<u8> {
+        let mut w = ByteWriter::with_capacity(128);
+        w.u32(0);
+        w.u64(2);
+        // kind, payload, parent, first child, next sibling, start, end, level
+        for rec in [
+            [0, 0, NO_NODE, 1, NO_NODE, 0, 3, 0],
+            [u32::from(kind), payload, 0, NO_NODE, NO_NODE, 1, 2, 1],
+        ] {
+            w.u8(rec[0] as u8);
+            for v in &rec[1..] {
+                w.u32(*v);
+            }
+            w.u32(0);
+            w.u16(0);
+        }
+        w.u64(1);
+        w.str("x");
+        w.u64(0);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn labels_at_two_to_the_31_are_rejected() {
+        let doc = parse("<a>x</a>").unwrap();
+        let tags = encode_symbols(doc.symbols());
+        assert_eq!(root_and_child(1, 0), encode_nodes(&doc));
+        let past = Some(("symbol id or text ordinal past 2^31", 1));
+        for (kind, payload, expect) in [
+            (1, TEXT_BIT, past),
+            (1, u32::MAX, past),
+            (1, TEXT_BIT - 1, Some(("text index out of range", 1))),
+            (0, TEXT_BIT, past),
+            (0, TEXT_BIT - 1, Some(("tag symbol out of range", 1))),
+        ] {
+            let elems = root_and_child(kind, payload);
+            assert_eq!(
+                invalid_what(&tags, &elems),
+                expect,
+                "kind {kind} payload {payload:#x}"
+            );
+        }
     }
 
     #[test]

@@ -1,25 +1,44 @@
-//! The arena [`Document`] with interval-encoded nodes.
+//! The [`Document`]: nodes as five dense `u32` columns.
 //!
-//! Nodes are stored in document (pre-)order, so the arena index *is* the
-//! document-order rank. Each node additionally carries the classic
-//! `(start, end, level)` region label used by structural-join algorithms:
+//! Nodes are stored in document (pre-)order, so a node's id *is* its
+//! document-order rank. Per node the document keeps a label (tag symbol or
+//! text ordinal), the parent id, the level, the id of the last node in its
+//! subtree, and the node's end offset into the attribute list — 20 bytes.
+//! Everything else is derived in O(1) from those columns and the preorder
+//! ids: the first child is `n + 1` when the subtree is not just `n`, the
+//! next sibling is `subtree_last(n) + 1` when the parent's subtree reaches
+//! it, and the classic `(start, end, level)` region label of structural
+//! joins is what a counter ticking at every open and every close would
+//! have stamped:
 //!
-//! * `a` is an **ancestor** of `b`  iff  `start(a) < start(b) && end(b) < end(a)`;
-//! * `a` is the **parent** of `b`   iff  the above and `level(b) == level(a) + 1`.
+//! * `start(n) = 2n − level(n)`, `end(n) = 2·subtree_last(n) + 1 − level(n)`;
+//! * `a` is an **ancestor** of `b`  iff  `start(a) < start(b) && end(b) < end(a)`
+//!   iff  `a < b <= subtree_last(a)`;
+//! * `a` is the **parent** of `b`   iff  the above and `level(b) == level(a) + 1`
+//!   iff  `parent(b) == a`.
 //!
-//! Both tests are O(1), which is what makes the FleXPath join plans cheap to
-//! evaluate and the `#pc`/`#ad` statistics cheap to collect.
+//! Both tests are O(1) and one or two loads, which is what makes the FleXPath
+//! join plans cheap to evaluate and the `#pc`/`#ad` statistics cheap to
+//! collect.
 
 use crate::symbols::{Sym, SymbolTable};
 use std::fmt;
 
-/// Index of a node in the document arena. Ids are dense and assigned in
-/// document order: `a.0 < b.0` iff `a` precedes `b` in document order.
+/// Label bit of a text node: `labels[n]` is an element's tag symbol id, or
+/// `TEXT_BIT | ordinal` for a text node. Symbol ids and text ordinals are
+/// therefore below 2³¹ (see [`NodeKind::label`]).
+pub(crate) const TEXT_BIT: u32 = 1 << 31;
+
+/// The root's parent entry, and `Option<NodeId>::None` on the wire.
+pub(crate) const NO_NODE: u32 = u32::MAX;
+
+/// A node's position in the document's columns. Ids are dense and assigned
+/// in document order: `a.0 < b.0` iff `a` precedes `b` in document order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
-    /// Arena index of this node.
+    /// Column index of this node.
     #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
@@ -48,38 +67,52 @@ pub enum NodeKind {
     },
 }
 
-#[derive(Debug, Clone)]
-pub(crate) struct NodeData {
-    pub(crate) kind: NodeKind,
-    pub(crate) parent: Option<NodeId>,
-    pub(crate) first_child: Option<NodeId>,
-    pub(crate) next_sibling: Option<NodeId>,
-    pub(crate) start: u32,
-    pub(crate) end: u32,
-    pub(crate) level: u32,
-    pub(crate) attrs_start: u32,
-    pub(crate) attrs_len: u16,
+impl NodeKind {
+    /// This kind's `labels` entry, or `None` if its symbol id or text
+    /// ordinal has [`TEXT_BIT`] set and so cannot be told from the other
+    /// kind.
+    pub(crate) fn label(self) -> Option<u32> {
+        match self {
+            NodeKind::Element { tag } => (tag.0 & TEXT_BIT == 0).then_some(tag.0),
+            NodeKind::Text { text } => (text & TEXT_BIT == 0).then_some(text | TEXT_BIT),
+        }
+    }
+
+    fn of_label(label: u32) -> NodeKind {
+        if label & TEXT_BIT == 0 {
+            NodeKind::Element { tag: Sym(label) }
+        } else {
+            NodeKind::Text {
+                text: label & !TEXT_BIT,
+            }
+        }
+    }
 }
 
-/// An immutable XML document: node arena, text arena, attributes, interned
-/// names, and per-tag node lists sorted in document order.
+/// An immutable XML document: the node columns, text arena, attributes,
+/// interned names, and per-tag node lists sorted in document order. Node 0
+/// is the root element.
 ///
 /// Construct one with [`crate::parse`] or [`crate::DocumentBuilder`].
 #[derive(Debug, Clone)]
 pub struct Document {
-    pub(crate) nodes: Vec<NodeData>,
+    /// Per node: its tag symbol id, or `TEXT_BIT | ordinal` for a text.
+    pub(crate) labels: Vec<u32>,
+    /// Per node: the parent's id; [`NO_NODE`] for the root.
+    pub(crate) parents: Vec<u32>,
+    /// Per node: its depth; the root has level 0.
+    pub(crate) levels: Vec<u32>,
+    /// Per node: id of the last node in its subtree (itself for leaves).
+    pub(crate) subtree_last: Vec<NodeId>,
+    /// `node_count() + 1` offsets into `attrs`: node `n`'s attributes are
+    /// `attrs[attr_offsets[n]..attr_offsets[n + 1]]`.
+    pub(crate) attr_offsets: Vec<u32>,
     pub(crate) texts: TextArena,
     pub(crate) attrs: Vec<(Sym, Box<str>)>,
     pub(crate) symbols: SymbolTable,
     /// Per tag, indexed by [`Sym::index`]: its elements in document order.
     /// Symbols that name no element (attribute names) hold an empty list.
     pub(crate) tag_index: Vec<Vec<NodeId>>,
-    pub(crate) root: NodeId,
-    /// Per node: id of the last node in its subtree (itself for leaves),
-    /// precomputed at construction so [`Document::subtree_last`] — on the
-    /// hot path of every subtree range computation — is a single array
-    /// load instead of a binary search. See [`compute_subtree_last`].
-    pub(crate) subtree_last: Vec<NodeId>,
 }
 
 /// Every text node's content in one `String`, in text-ordinal order, with
@@ -142,32 +175,53 @@ impl Default for TextArena {
     }
 }
 
-/// Last-descendant table for an arena in document order: children carry
-/// larger ids than their parent, so one reverse sweep folding each node's
-/// `last` into its parent computes every subtree's last id in O(n).
-pub(crate) fn compute_subtree_last(nodes: &[NodeData]) -> Vec<NodeId> {
-    let mut last: Vec<NodeId> = (0..nodes.len() as u32).map(NodeId).collect();
-    for i in (1..nodes.len()).rev() {
-        if let Some(p) = nodes[i].parent {
-            if last[i] > last[p.index()] {
-                last[p.index()] = last[i];
-            }
+impl Document {
+    /// A document with no nodes yet and room for `nodes` of them: what the
+    /// builder and the decoder fill through [`Document::push_node`].
+    pub(crate) fn empty(symbols: SymbolTable, nodes: usize) -> Document {
+        let mut attr_offsets = Vec::with_capacity(nodes + 1);
+        attr_offsets.push(0);
+        Document {
+            labels: Vec::with_capacity(nodes),
+            parents: Vec::with_capacity(nodes),
+            levels: Vec::with_capacity(nodes),
+            subtree_last: Vec::with_capacity(nodes),
+            attr_offsets,
+            texts: TextArena::default(),
+            attrs: Vec::new(),
+            tag_index: vec![Vec::new(); symbols.len()],
+            symbols,
         }
     }
-    last
-}
 
-impl Document {
-    /// The single root element.
+    /// Appends the next node in document order: its subtree is just itself
+    /// until the caller closes it, and its attributes end at `attrs_end`.
+    /// An element is filed in its tag's list, which grows to reach it.
+    pub(crate) fn push_node(&mut self, label: u32, parent: u32, level: u32, attrs_end: u32) {
+        let id = NodeId(self.labels.len() as u32);
+        if let NodeKind::Element { tag } = NodeKind::of_label(label) {
+            if self.tag_index.len() <= tag.index() {
+                self.tag_index.resize_with(tag.index() + 1, Vec::new);
+            }
+            self.tag_index[tag.index()].push(id);
+        }
+        self.labels.push(label);
+        self.parents.push(parent);
+        self.levels.push(level);
+        self.subtree_last.push(id);
+        self.attr_offsets.push(attrs_end);
+    }
+
+    /// The single root element: node 0.
     #[inline]
     pub fn root_element(&self) -> NodeId {
-        self.root
+        NodeId(0)
     }
 
     /// Total number of nodes (elements + text nodes).
     #[inline]
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.labels.len()
     }
 
     /// The interned-name table for this document.
@@ -179,16 +233,14 @@ impl Document {
     /// Kind of node `n`.
     #[inline]
     pub fn kind(&self, n: NodeId) -> NodeKind {
-        self.nodes[n.index()].kind
+        NodeKind::of_label(self.labels[n.index()])
     }
 
     /// Tag of `n` if it is an element.
     #[inline]
     pub fn tag(&self, n: NodeId) -> Option<Sym> {
-        match self.nodes[n.index()].kind {
-            NodeKind::Element { tag } => Some(tag),
-            NodeKind::Text { .. } => None,
-        }
+        let label = self.labels[n.index()];
+        (label & TEXT_BIT == 0).then_some(Sym(label))
     }
 
     /// Tag name of `n` if it is an element.
@@ -199,59 +251,62 @@ impl Document {
     /// Whether `n` is an element node.
     #[inline]
     pub fn is_element(&self, n: NodeId) -> bool {
-        matches!(self.nodes[n.index()].kind, NodeKind::Element { .. })
+        self.labels[n.index()] & TEXT_BIT == 0
     }
 
     /// Parent of `n`, if any.
     #[inline]
     pub fn parent(&self, n: NodeId) -> Option<NodeId> {
-        self.nodes[n.index()].parent
+        let p = self.parents[n.index()];
+        (p != NO_NODE).then_some(NodeId(p))
     }
 
-    /// First child of `n`, if any.
+    /// First child of `n`, if any: `n + 1` when `n`'s subtree holds more
+    /// than `n`.
     #[inline]
     pub fn first_child(&self, n: NodeId) -> Option<NodeId> {
-        self.nodes[n.index()].first_child
+        let child = NodeId(n.0 + 1);
+        (child <= self.subtree_last(n)).then_some(child)
     }
 
-    /// Next sibling of `n`, if any.
+    /// Next sibling of `n`, if any: the node after `n`'s subtree when it is
+    /// still inside the parent's.
     #[inline]
     pub fn next_sibling(&self, n: NodeId) -> Option<NodeId> {
-        self.nodes[n.index()].next_sibling
+        let parent = self.parent(n)?;
+        let next = NodeId(self.subtree_last(n).0 + 1);
+        (next <= self.subtree_last(parent)).then_some(next)
     }
 
-    /// Region-label start of `n` (document-order entry stamp).
+    /// Region-label start of `n` (document-order entry stamp): `2n − level`.
     #[inline]
     pub fn start(&self, n: NodeId) -> u32 {
-        self.nodes[n.index()].start
+        2 * n.0 - self.level(n)
     }
 
-    /// Region-label end of `n` (document-order exit stamp).
+    /// Region-label end of `n` (document-order exit stamp):
+    /// `2·subtree_last(n) + 1 − level`.
     #[inline]
     pub fn end(&self, n: NodeId) -> u32 {
-        self.nodes[n.index()].end
+        2 * self.subtree_last(n).0 + 1 - self.level(n)
     }
 
     /// Depth of `n`; the root element has level 0.
     #[inline]
     pub fn level(&self, n: NodeId) -> u32 {
-        self.nodes[n.index()].level
+        self.levels[n.index()]
     }
 
     /// O(1) strict-ancestor test: is `a` a proper ancestor of `b`?
     #[inline]
     pub fn is_ancestor(&self, a: NodeId, b: NodeId) -> bool {
-        let na = &self.nodes[a.index()];
-        let nb = &self.nodes[b.index()];
-        na.start < nb.start && nb.end < na.end
+        a < b && b <= self.subtree_last(a)
     }
 
     /// O(1) parent test: is `a` the parent of `b`?
     #[inline]
     pub fn is_parent(&self, a: NodeId, b: NodeId) -> bool {
-        let na = &self.nodes[a.index()];
-        let nb = &self.nodes[b.index()];
-        na.start < nb.start && nb.end < na.end && nb.level == na.level + 1
+        self.parents[b.index()] == a.0
     }
 
     /// All element nodes with tag `tag`, sorted in document order.
@@ -271,7 +326,7 @@ impl Document {
 
     /// Content of a text node; `None` for elements.
     pub fn text_content(&self, n: NodeId) -> Option<&str> {
-        match self.nodes[n.index()].kind {
+        match self.kind(n) {
             NodeKind::Text { text } => self.texts.get(text as usize),
             NodeKind::Element { .. } => None,
         }
@@ -290,9 +345,9 @@ impl Document {
 
     /// Attributes of `n` as `(name, value)` pairs, in source order.
     pub fn attributes(&self, n: NodeId) -> &[(Sym, Box<str>)] {
-        let d = &self.nodes[n.index()];
-        let s = d.attrs_start as usize;
-        &self.attrs[s..s + d.attrs_len as usize]
+        let start = self.attr_offsets[n.index()] as usize;
+        let end = self.attr_offsets[n.index() + 1] as usize;
+        &self.attrs[start..end]
     }
 
     /// Value of attribute `name` on `n`, if present.
@@ -305,7 +360,7 @@ impl Document {
 
     /// All node ids in document order.
     pub fn all_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.nodes.len() as u32).map(NodeId)
+        (0..self.labels.len() as u32).map(NodeId)
     }
 
     /// All element node ids in document order.
@@ -316,9 +371,10 @@ impl Document {
     /// Id of the last node in the subtree of `n` (i.e. descendants of `n` are
     /// exactly the ids `n+1 ..= subtree_last(n)`). Returns `n` for leaves.
     ///
-    /// O(1): served from the table precomputed at construction — this sits
-    /// on the hot path of candidate-range computation (every anchored
-    /// candidate loop derives its id range from it).
+    /// O(1), one load from a stored column — this sits on the hot path of
+    /// candidate-range computation (every anchored candidate loop derives
+    /// its id range from it), and every other link and region label is
+    /// derived from it.
     #[inline]
     pub fn subtree_last(&self, n: NodeId) -> NodeId {
         self.subtree_last[n.index()]
@@ -440,6 +496,24 @@ mod tests {
         assert_eq!(doc.node_path(c), "/a/b[1]/c");
         let text = doc.first_child(c).unwrap();
         assert_eq!(doc.node_path(text), "/a/b[1]/c/text()");
+    }
+
+    #[test]
+    fn labels_stop_below_the_text_bit() {
+        use super::{NodeKind, TEXT_BIT};
+        use crate::Sym;
+        let below = TEXT_BIT - 1;
+        for (kind, label) in [
+            (NodeKind::Text { text: below }, Some(u32::MAX)),
+            (NodeKind::Text { text: TEXT_BIT }, None),
+            (NodeKind::Element { tag: Sym(below) }, Some(below)),
+            (NodeKind::Element { tag: Sym(TEXT_BIT) }, None),
+        ] {
+            assert_eq!(kind.label(), label, "{kind:?}");
+            if let Some(label) = label {
+                assert_eq!(NodeKind::of_label(label), kind);
+            }
+        }
     }
 
     #[test]

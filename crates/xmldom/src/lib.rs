@@ -1,6 +1,6 @@
 //! # flexpath-xmldom
 //!
-//! Arena-based XML document model used by every layer of the FleXPath
+//! Columnar XML document model used by every layer of the FleXPath
 //! reproduction (SIGMOD 2004). The paper's query processor is built on
 //! *structural joins* over node lists sorted in document order
 //! (Al-Khalifa et al., ICDE 2002), which require each node to carry an
@@ -8,9 +8,11 @@
 //!
 //! * a from-scratch, dependency-free XML **parser** ([`parse`]) and
 //!   **serializer** ([`serialize::write_xml`]);
-//! * an arena [`Document`] whose nodes carry `(start, end, level)` interval
-//!   labels assigned in document order, so ancestor/descendant tests are
-//!   O(1) and per-tag node lists come out sorted;
+//! * a [`Document`] that stores five dense `u32` columns per node (label,
+//!   parent, level, subtree end, attribute offset) in document order and
+//!   derives links and `(start, end, level)` interval labels from them, so
+//!   ancestor/descendant tests are O(1) and per-tag node lists come out
+//!   sorted;
 //! * a programmatic [`DocumentBuilder`] (used by the XMark generator and by
 //!   tests);
 //! * [`DocStats`] — the `#(t)`, `#pc(t1,t2)`, `#ad(t1,t2)` occurrence counts

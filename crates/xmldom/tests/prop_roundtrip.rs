@@ -1,8 +1,9 @@
 //! Randomized (seeded, deterministic) tests for the document substrate:
-//! parse/serialize round trips, interval-encoding invariants, and
-//! statistics consistency against naive recomputation.
+//! parse/serialize round trips, interval-encoding invariants, statistics
+//! consistency against naive recomputation, and every derived link and
+//! region label against an independent reference built from the tree.
 
-use flexpath_xmldom::{parse, to_xml_string, DocStats, Document, DocumentBuilder};
+use flexpath_xmldom::{parse, to_xml_string, DocStats, Document, DocumentBuilder, NodeId};
 
 /// Tiny deterministic PRNG (splitmix64) so cases reproduce without any
 /// property-testing dependency.
@@ -63,11 +64,21 @@ fn random_tree(rng: &mut Rng, depth: u32) -> Node {
     }
 }
 
+/// Attributes an element with tag index `tag` gets: `tag % 3` of them.
+fn attributes_of(tag: usize) -> Vec<(String, String)> {
+    (0..tag % 3)
+        .map(|i| (format!("k{i}"), format!("v{tag}{i}")))
+        .collect()
+}
+
 fn build(node: &Node, b: &mut DocumentBuilder) {
     match node {
         Node::Text(t) => b.text(t),
         Node::Element { tag, children } => {
             b.start_element(TAGS[*tag]);
+            for (name, value) in attributes_of(*tag) {
+                b.attribute(&name, &value);
+            }
             for c in children {
                 build(c, b);
             }
@@ -76,24 +87,34 @@ fn build(node: &Node, b: &mut DocumentBuilder) {
     }
 }
 
+/// `tree` as the root of a document: a text is wrapped in an element.
+fn rooted(tree: Node) -> Node {
+    match tree {
+        Node::Element { .. } => tree,
+        Node::Text(_) => Node::Element {
+            tag: 0,
+            children: vec![tree],
+        },
+    }
+}
+
 fn doc_from(root: &Node) -> Document {
     let mut b = DocumentBuilder::new();
-    match root {
-        Node::Element { .. } => build(root, &mut b),
-        Node::Text(_) => {
-            b.start_element("root");
-            build(root, &mut b);
-            b.end_element();
-        }
-    }
+    build(root, &mut b);
     b.finish().unwrap()
+}
+
+/// 96 deterministic random trees.
+fn random_trees(seed: u64) -> impl Iterator<Item = Node> {
+    (0..96u64).map(move |case| {
+        let mut rng = Rng(seed ^ case.wrapping_mul(0x0101_0101_0101_0101));
+        rooted(random_tree(&mut rng, 0))
+    })
 }
 
 /// Runs `body` over 96 deterministic random documents.
 fn for_docs(seed: u64, mut body: impl FnMut(&Document)) {
-    for case in 0..96u64 {
-        let mut rng = Rng(seed ^ case.wrapping_mul(0x0101_0101_0101_0101));
-        let tree = random_tree(&mut rng, 0);
+    for tree in random_trees(seed) {
         body(&doc_from(&tree));
     }
 }
@@ -211,4 +232,151 @@ fn subtree_last_is_the_maximal_descendant() {
             assert_eq!(last, max_desc);
         }
     });
+}
+
+// ------------------------------------------------------------- referee
+
+/// What the tree says about each node, in preorder, computed without the
+/// document: `start`/`end` from a counter ticking at every open and every
+/// close, parents, child lists and levels from the recursion.
+#[derive(Default)]
+struct Reference {
+    start: Vec<u32>,
+    end: Vec<u32>,
+    level: Vec<u32>,
+    parent: Vec<Option<usize>>,
+    children: Vec<Vec<usize>>,
+    attrs: Vec<Vec<(String, String)>>,
+    text: Vec<Option<String>>,
+}
+
+impl Reference {
+    fn of(root: &Node) -> Reference {
+        let mut r = Reference::default();
+        let mut counter = 0;
+        r.visit(root, None, 0, &mut counter);
+        r
+    }
+
+    fn visit(&mut self, node: &Node, parent: Option<usize>, level: u32, counter: &mut u32) {
+        let id = self.start.len();
+        self.start.push(*counter);
+        *counter += 1;
+        self.end.push(0);
+        self.level.push(level);
+        self.parent.push(parent);
+        self.children.push(Vec::new());
+        if let Some(p) = parent {
+            self.children[p].push(id);
+        }
+        match node {
+            Node::Text(t) => {
+                self.attrs.push(Vec::new());
+                self.text.push(Some(t.clone()));
+            }
+            Node::Element { tag, children } => {
+                self.attrs.push(attributes_of(*tag));
+                self.text.push(None);
+                for c in children {
+                    self.visit(c, Some(id), level + 1, counter);
+                }
+            }
+        }
+        self.end[id] = *counter;
+        *counter += 1;
+    }
+}
+
+/// Every accessor of the document built from `tree` against the reference,
+/// and the two O(1) tests over all pairs against the region-label
+/// definitions.
+fn referee(tree: &Node) {
+    let doc = doc_from(tree);
+    let r = Reference::of(tree);
+    assert_eq!(doc.node_count(), r.start.len());
+    let id = |i: usize| NodeId(i as u32);
+    for n in 0..r.start.len() {
+        let node = id(n);
+        assert_eq!(doc.start(node), r.start[n], "start of {node}");
+        assert_eq!(doc.end(node), r.end[n], "end of {node}");
+        assert_eq!(doc.level(node), r.level[n], "level of {node}");
+        assert_eq!(doc.parent(node), r.parent[n].map(id), "parent of {node}");
+        assert_eq!(
+            doc.first_child(node),
+            r.children[n].first().map(|&c| id(c)),
+            "first child of {node}"
+        );
+        let next_sibling = r.parent[n].and_then(|p| {
+            let siblings = &r.children[p];
+            let at = siblings.iter().position(|&s| s == n).unwrap();
+            siblings.get(at + 1).map(|&s| id(s))
+        });
+        assert_eq!(
+            doc.next_sibling(node),
+            next_sibling,
+            "next sibling of {node}"
+        );
+        assert_eq!(doc.text_content(node), r.text[n].as_deref());
+        let attrs: Vec<(String, String)> = doc
+            .attributes(node)
+            .iter()
+            .map(|(name, value)| (doc.symbols().name(*name).to_string(), value.to_string()))
+            .collect();
+        assert_eq!(attrs, r.attrs[n], "attributes of {node}");
+    }
+    for a in 0..r.start.len() {
+        for b in 0..r.start.len() {
+            let contains = r.start[a] < r.start[b] && r.end[b] < r.end[a];
+            assert_eq!(
+                doc.is_ancestor(id(a), id(b)),
+                contains,
+                "is_ancestor({a}, {b})"
+            );
+            let parent = contains && r.level[b] == r.level[a] + 1;
+            assert_eq!(doc.is_parent(id(a), id(b)), parent, "is_parent({a}, {b})");
+        }
+    }
+}
+
+#[test]
+fn derived_links_and_labels_match_the_reference() {
+    for tree in random_trees(7) {
+        referee(&tree);
+    }
+}
+
+#[test]
+fn derived_links_and_labels_match_the_reference_on_extreme_shapes() {
+    let text = |t: &str| Node::Text(t.to_string());
+    let leaf = |tag| Node::Element {
+        tag,
+        children: vec![],
+    };
+    // One tag nested 12 deep, a text beside every level and at the bottom.
+    let mut deep = text("bottom");
+    for level in 0..12 {
+        deep = Node::Element {
+            tag: 2,
+            children: vec![text(&format!("t{level}")), deep, leaf(1)],
+        };
+    }
+    referee(&deep);
+    // 200 children under one root: elements with and without children and
+    // attributes, and text leaves, adjacent texts included.
+    let fan = Node::Element {
+        tag: 5,
+        children: (0..200)
+            .map(|i| match i % 4 {
+                0 | 1 => text(&format!("w{i}")),
+                2 => leaf(i % TAGS.len()),
+                _ => Node::Element {
+                    tag: i % TAGS.len(),
+                    children: vec![text("x"), leaf(4)],
+                },
+            })
+            .collect(),
+    };
+    referee(&fan);
+    // A root alone.
+    referee(&leaf(0));
 }
