@@ -15,10 +15,13 @@
 //! node order, and one `positions` arena holding every entry's positions
 //! back to back, `tf` of them from offset `pos`
 //! ([`Posting::positions_of`]). That is one allocation per term, not one
-//! per entry. [`InvertedIndex::decode`] checks each field where it reads
-//! it: the term order and the entry count in the term loop; node range,
-//! node order and `tf` per entry; and the strictly ascending positions
-//! while it copies each entry's run into the arena.
+//! per entry. On disk (store format v3) the index is columns instead: the
+//! sorted term names with their entry ranges, and one `node`, one `tf` and
+//! one positions column over every entry ([`InvertedIndex::encode`]).
+//! [`InvertedIndex::decode`] is the one validator: it reads the columns in
+//! place, checks the canonical form, and copies each term's positions out
+//! of the shared column in one piece. [`InvertedIndex::decode_v2`] turns
+//! the v1/v2 per-term lists into the same columns first.
 
 use crate::stem::stem;
 use crate::tokenize::for_each_token;
@@ -165,13 +168,7 @@ impl InvertedIndex {
                 direct_tokens[parent.index()] += 1;
             });
         }
-        let mut token_prefix = Vec::with_capacity(doc.node_count() + 1);
-        token_prefix.push(0);
-        let mut acc = 0u64;
-        for &c in &direct_tokens {
-            acc += c;
-            token_prefix.push(acc);
-        }
+        let token_prefix = prefix_sums(&direct_tokens);
         for posting in postings.values_mut() {
             posting.normalize();
         }
@@ -246,12 +243,26 @@ impl InvertedIndex {
         self.postings.values().map(Posting::df).sum()
     }
 
-    /// Encodes the index as two byte payloads: the term dictionary
-    /// (`TERMS` store section) and the posting lists (`POSTINGS` section).
+    /// Encodes the index as two byte payloads of columns (store format
+    /// v3): the term dictionary (`TERMS` section) and the posting lists
+    /// (`POSTINGS` section).
     ///
-    /// Terms are emitted in lexicographic byte order and each posting's
-    /// entries are already node-sorted, so the output is deterministic —
-    /// a requirement of the store's golden-file drift check.
+    /// ```text
+    /// TERMS     scoring elements  u64
+    ///           name_ends         T x u32   term i is names[name_ends[i-1]..name_ends[i]]
+    ///           entry_ends        T x u32   term i owns entries entry_ends[i-1]..entry_ends[i]
+    ///           names             blob
+    /// POSTINGS  nodes             E x u32
+    ///           tfs               E x u32
+    ///           positions         P x u32   each entry's tf positions, entry after entry
+    /// ```
+    ///
+    /// Each column is a `u32` count and its little-endian `u32`s, the blob a
+    /// byte length, the bytes and zero padding to four (see
+    /// [`ByteWriter::u32s`] and [`ByteWriter::padded_str`]). Terms are
+    /// emitted in lexicographic byte order and each posting's entries are
+    /// already node-sorted, so the output is deterministic — a requirement
+    /// of the store's golden-file drift check.
     pub fn encode(&self) -> (Vec<u8>, Vec<u8>) {
         let mut terms: Vec<(&Box<str>, &Posting)> = self
             .postings
@@ -259,21 +270,30 @@ impl InvertedIndex {
             .filter_map(|term| self.postings.get_key_value(term))
             .collect();
         terms.sort_unstable_by(|a, b| a.0.cmp(b.0));
-        let mut tw = ByteWriter::with_capacity(24 + terms.len() * 16);
+        let names = terms.iter().map(|(term, _)| term.as_ref());
+        // The writers grow as they go: presizing them measured no faster,
+        // and left more of the heap resident after a save.
+        let mut tw = ByteWriter::new();
         tw.u64(self.scoring_elements);
-        tw.u64(terms.len() as u64);
+        tw.u32s(names.clone().scan(0u32, |end, name| {
+            *end += name.len() as u32;
+            Some(*end)
+        }));
+        tw.u32s(terms.iter().scan(0u32, |end, (_, posting)| {
+            *end += posting.entries.len() as u32;
+            Some(*end)
+        }));
+        tw.padded_str(names);
+        let entries = || terms.iter().flat_map(|(_, posting)| &posting.entries);
         let mut pw = ByteWriter::new();
-        for (term, posting) in terms {
-            tw.str(term);
-            tw.u64(posting.entries.len() as u64);
-            for e in &posting.entries {
-                pw.u32(e.node.0);
-                pw.u32(e.tf);
-                for &p in posting.positions_of(e) {
-                    pw.u32(p);
-                }
-            }
-        }
+        pw.u32s(entries().map(|e| e.node.0));
+        pw.u32s(entries().map(|e| e.tf));
+        pw.u32s(terms.iter().flat_map(|(_, posting)| {
+            posting
+                .entries
+                .iter()
+                .flat_map(|e| posting.positions_of(e).iter().copied())
+        }));
         (tw.into_bytes(), pw.into_bytes())
     }
 
@@ -281,13 +301,144 @@ impl InvertedIndex {
     /// [`InvertedIndex::encode`]. `node_count` is the owning document's
     /// node count and bounds every element reference.
     ///
-    /// Validates the canonical form end to end — terms strictly ascending,
-    /// entry nodes strictly ascending and in range, positions strictly
-    /// ascending and non-empty — so lookups and binary searches on the
-    /// decoded index behave identically to a freshly built one. Each
-    /// entry's positions are one length-checked byte run, appended to its
-    /// term's arena as they are checked.
+    /// This is the one index validator. It reads the columns in place and
+    /// checks the canonical form end to end, so lookups and binary searches
+    /// on the decoded index behave identically to a freshly built one. Per
+    /// term: its name ends at a char boundary after the previous one and
+    /// sorts strictly after the previous name; its entry range is non-empty
+    /// and follows the previous one; its nodes are in range and strictly
+    /// ascending, each `tf > 0`; its positions are the run the `tf` prefix
+    /// sums give, copied into the term's arena in one piece and strictly
+    /// ascending within each entry. Every name byte, entry and position
+    /// belongs to some term. Direct token counts (for `token_prefix`) are
+    /// summed on the way.
     pub fn decode(
+        term_bytes: &[u8],
+        posting_bytes: &[u8],
+        node_count: usize,
+    ) -> Result<Self, CodecError> {
+        let mut tr = ByteReader::new(term_bytes);
+        let scoring_elements = tr.u64()?;
+        let name_ends = tr.u32s()?;
+        let entry_ends = tr.u32s()?;
+        let names = tr.padded_str()?;
+        tr.expect_exhausted()?;
+        let mut pr = ByteReader::new(posting_bytes);
+        let nodes = pr.u32s()?;
+        let tfs = pr.u32s()?;
+        let positions = pr.u32s()?;
+        pr.expect_exhausted()?;
+
+        if entry_ends.len() != name_ends.len() {
+            return Err(invalid(
+                "entry ends disagree with the term count",
+                entry_ends.len() as u64,
+            ));
+        }
+        if tfs.len() != nodes.len() {
+            return Err(invalid(
+                "tf column length disagrees with the nodes",
+                tfs.len() as u64,
+            ));
+        }
+        // lint:allow(determinism): decode-path map, keyed lookups only; the
+        // serialized form it came from is already sorted.
+        let mut postings: HashMap<Box<str>, Posting> = HashMap::with_capacity(name_ends.len());
+        let mut direct_tokens: Vec<u64> = vec![0; node_count];
+        let mut total_tokens = 0u64;
+        let (mut name_start, mut entry_start, mut pos_start) = (0usize, 0usize, 0usize);
+        let mut prev_name: Option<&str> = None;
+        for (i, (name_end, entry_end)) in name_ends.iter().zip(entry_ends.iter()).enumerate() {
+            let idx = i as u64;
+            let Some(name) = names.get(name_start..name_end as usize) else {
+                return Err(invalid("term name ends not ascending char boundaries", idx));
+            };
+            if prev_name.is_some_and(|prev| name <= prev) {
+                return Err(invalid("terms not strictly sorted", idx));
+            }
+            prev_name = Some(name);
+            name_start = name_end as usize;
+            let range = entry_start..entry_end as usize;
+            let (Some(term_nodes), Some(term_tfs)) = (nodes.get(range.clone()), tfs.get(range))
+            else {
+                return Err(invalid("entry ends not ascending", idx));
+            };
+            if term_nodes.is_empty() {
+                return Err(invalid("term with empty posting list", idx));
+            }
+            entry_start = entry_end as usize;
+            let mut entries: Vec<PostingEntry> = Vec::with_capacity(term_nodes.len());
+            let mut pos = 0u32;
+            for (node, tf) in term_nodes.iter().zip(term_tfs.iter()) {
+                let Some(node_tokens) = direct_tokens.get_mut(node as usize) else {
+                    return Err(invalid("posting node id out of range", u64::from(node)));
+                };
+                if entries.last().is_some_and(|last| NodeId(node) <= last.node) {
+                    return Err(invalid("posting entries not node-sorted", u64::from(node)));
+                }
+                if tf == 0 {
+                    return Err(invalid("term frequency of zero", u64::from(node)));
+                }
+                entries.push(PostingEntry {
+                    node: NodeId(node),
+                    tf,
+                    pos,
+                });
+                pos = pos
+                    .checked_add(tf)
+                    .ok_or(invalid("posting positions exceed the u32 arena", idx))?;
+                *node_tokens += u64::from(tf);
+                total_tokens += u64::from(tf);
+            }
+            let Some(run) = positions.get(pos_start..pos_start + pos as usize) else {
+                return Err(invalid("term frequencies sum past the positions", idx));
+            };
+            pos_start += pos as usize;
+            let positions = run.to_vec();
+            // Strictly ascending within each entry: a position may be at or
+            // below the one before it only where the next entry starts.
+            let (mut tfs_left, mut left, mut prev) = (term_tfs.iter(), 0, 0);
+            for &p in &positions {
+                if left == 0 {
+                    left = tfs_left.next().unwrap_or(1);
+                } else if p <= prev {
+                    return Err(invalid("positions not strictly ascending", u64::from(p)));
+                }
+                prev = p;
+                left -= 1;
+            }
+            postings.insert(name.into(), Posting { entries, positions });
+        }
+        if name_start != names.len() {
+            return Err(invalid(
+                "term name bytes past the last end",
+                name_ends.len() as u64,
+            ));
+        }
+        if entry_start != nodes.len() {
+            return Err(invalid(
+                "posting entries held by no term",
+                entry_start as u64,
+            ));
+        }
+        if pos_start != positions.len() {
+            return Err(invalid("positions held by no entry", pos_start as u64));
+        }
+        Ok(InvertedIndex {
+            postings,
+            scoring_elements,
+            total_tokens,
+            token_prefix: prefix_sums(&direct_tokens),
+        })
+    }
+
+    /// Decodes format v1/v2 `TERMS` + `POSTINGS` payloads — per term a
+    /// length-prefixed name and a `u64` entry count; per entry its node, tf
+    /// and positions inline — by turning them into the v3 columns and
+    /// handing those to [`InvertedIndex::decode`]. Counts are checked
+    /// against the bytes left where they are read, before anything is sized
+    /// by them.
+    pub fn decode_v2(
         term_bytes: &[u8],
         posting_bytes: &[u8],
         node_count: usize,
@@ -296,118 +447,71 @@ impl InvertedIndex {
         let scoring_elements = tr.u64()?;
         let term_count = tr.count(12)?;
         let mut pr = ByteReader::new(posting_bytes);
-        // lint:allow(determinism): decode-path map, keyed lookups only; the
-        // serialized form it came from is already sorted.
-        let mut postings: HashMap<Box<str>, Posting> = HashMap::with_capacity(term_count);
-        let mut direct_tokens: Vec<u64> = vec![0; node_count];
-        let mut total_tokens = 0u64;
-        let mut prev_term: Option<&str> = None;
+        let mut names = String::new();
+        let mut name_ends = Vec::with_capacity(term_count);
+        let mut entry_ends = Vec::with_capacity(term_count);
+        let (mut nodes, mut tfs, mut positions) = (Vec::new(), Vec::new(), Vec::new());
         for i in 0..term_count {
-            let idx = i as u64;
-            let term = tr.str()?;
-            if prev_term.is_some_and(|prev| term <= prev) {
-                return Err(CodecError::Invalid {
-                    what: "terms not strictly sorted",
-                    index: idx,
-                });
+            names.push_str(tr.str()?);
+            let end = u32::try_from(names.len());
+            name_ends.push(end.map_err(|_| invalid("term names exceed 4 GiB", i as u64))?);
+            // Each entry is ≥ 12 bytes in the postings stream.
+            let at = tr.position();
+            let entry_count = tr.u64()?;
+            if entry_count > (pr.remaining() as u64) / 12 {
+                return Err(CodecError::Wire(WireError::ImplausibleLength {
+                    at,
+                    len: entry_count,
+                }));
             }
-            prev_term = Some(term);
-            let entry_count = {
-                // Each entry is ≥ 12 bytes in the postings stream.
-                let at = tr.position();
-                let n = tr.u64()?;
-                if n > (pr.remaining() as u64) / 12 {
+            for _ in 0..entry_count {
+                nodes.push(pr.u32()?);
+                let at = pr.position();
+                let tf = pr.u32()?;
+                if tf as usize > pr.remaining() / 4 {
                     return Err(CodecError::Wire(WireError::ImplausibleLength {
                         at,
-                        len: n,
+                        len: u64::from(tf),
                     }));
                 }
-                n as usize
-            };
-            if entry_count == 0 {
-                return Err(CodecError::Invalid {
-                    what: "term with empty posting list",
-                    index: idx,
-                });
-            }
-            let mut posting = Posting {
-                entries: Vec::with_capacity(entry_count),
-                positions: Vec::with_capacity(entry_count),
-            };
-            for _ in 0..entry_count {
-                let node = pr.u32()?;
-                let Some(node_tokens) = direct_tokens.get_mut(node as usize) else {
-                    return Err(CodecError::Invalid {
-                        what: "posting node id out of range",
-                        index: node as u64,
-                    });
-                };
-                if posting
-                    .entries
-                    .last()
-                    .is_some_and(|last| NodeId(node) <= last.node)
-                {
-                    return Err(CodecError::Invalid {
-                        what: "posting entries not node-sorted",
-                        index: node as u64,
-                    });
-                }
-                let tf = {
-                    let at = pr.position();
-                    let tf = pr.u32()?;
-                    if tf == 0 || tf as usize > pr.remaining() / 4 {
-                        return Err(CodecError::Wire(WireError::ImplausibleLength {
-                            at,
-                            len: tf as u64,
-                        }));
-                    }
-                    tf
-                };
-                let pos =
-                    u32::try_from(posting.positions.len()).map_err(|_| CodecError::Invalid {
-                        what: "posting positions exceed the u32 arena",
-                        index: idx,
-                    })?;
+                tfs.push(tf);
                 // `tf * 4` fits: it was bounded by the bytes remaining.
                 let (run, _) = pr.bytes(tf as usize * 4)?.as_chunks::<4>();
-                let mut last: Option<u32> = None;
-                for bytes in run {
-                    let p = u32::from_le_bytes(*bytes);
-                    if last.is_some_and(|last| p <= last) {
-                        return Err(CodecError::Invalid {
-                            what: "positions not strictly ascending",
-                            index: p as u64,
-                        });
-                    }
-                    last = Some(p);
-                    posting.positions.push(p);
-                }
-                *node_tokens += u64::from(tf);
-                total_tokens += u64::from(tf);
-                posting.entries.push(PostingEntry {
-                    node: NodeId(node),
-                    tf,
-                    pos,
-                });
+                positions.extend(run.iter().map(|b| u32::from_le_bytes(*b)));
             }
-            postings.insert(term.into(), posting);
+            entry_ends.push(nodes.len() as u32);
         }
         tr.expect_exhausted()?;
         pr.expect_exhausted()?;
-        let mut token_prefix = Vec::with_capacity(node_count + 1);
-        token_prefix.push(0);
-        let mut acc = 0u64;
-        for &c in &direct_tokens {
-            acc += c;
-            token_prefix.push(acc);
-        }
-        Ok(InvertedIndex {
-            postings,
-            scoring_elements,
-            total_tokens,
-            token_prefix,
-        })
+        // The columns in `encode`'s layout.
+        let mut tw = ByteWriter::with_capacity(term_bytes.len());
+        tw.u64(scoring_elements);
+        tw.u32s(name_ends);
+        tw.u32s(entry_ends);
+        tw.padded_str([names.as_str()]);
+        let mut pw = ByteWriter::with_capacity(posting_bytes.len());
+        pw.u32s(nodes);
+        pw.u32s(tfs);
+        pw.u32s(positions);
+        Self::decode(&tw.into_bytes(), &pw.into_bytes(), node_count)
     }
+}
+
+fn invalid(what: &'static str, index: u64) -> CodecError {
+    CodecError::Invalid { what, index }
+}
+
+/// `0` and then the running sums of `counts`: entry `i` is the sum of the
+/// first `i` counts.
+fn prefix_sums(counts: &[u64]) -> Vec<u64> {
+    let mut out = Vec::with_capacity(counts.len() + 1);
+    out.push(0);
+    let mut acc = 0u64;
+    for &c in counts {
+        acc += c;
+        out.push(acc);
+    }
+    out
 }
 
 #[cfg(test)]
@@ -499,26 +603,64 @@ mod tests {
         assert_eq!(idx.total_tokens(), 0);
     }
 
+    /// The v1/v2 `TERMS` + `POSTINGS` payloads of `idx`: what builds
+    /// before format v3 wrote, kept here as the input of the adapter's
+    /// tests.
+    fn encode_v2(idx: &InvertedIndex) -> (Vec<u8>, Vec<u8>) {
+        let mut terms: Vec<&str> = idx.postings.keys().map(|t| t.as_ref()).collect();
+        terms.sort_unstable();
+        let mut tw = ByteWriter::new();
+        tw.u64(idx.scoring_elements);
+        tw.u64(terms.len() as u64);
+        let mut pw = ByteWriter::new();
+        for term in terms {
+            let posting = &idx.postings[term];
+            tw.str(term);
+            tw.u64(posting.entries.len() as u64);
+            for e in &posting.entries {
+                pw.u32(e.node.0);
+                pw.u32(e.tf);
+                for &p in posting.positions_of(e) {
+                    pw.u32(p);
+                }
+            }
+        }
+        (tw.into_bytes(), pw.into_bytes())
+    }
+
+    type Decode = fn(&[u8], &[u8], usize) -> Result<InvertedIndex, CodecError>;
+    type Payloads = (Vec<u8>, Vec<u8>);
+
+    /// Both layouts of `idx`, each with its decoder.
+    fn layouts(idx: &InvertedIndex) -> [(Decode, Payloads); 2] {
+        [
+            (InvertedIndex::decode, idx.encode()),
+            (InvertedIndex::decode_v2, encode_v2(idx)),
+        ]
+    }
+
     #[test]
     fn codec_roundtrip_is_lossless() {
         let (doc, idx) = index_of(
             "<r><a>gold silver gold</a><b>gold <c>copper</c> tail</b><d>streaming</d></r>",
         );
-        let (terms, postings) = idx.encode();
-        let back = InvertedIndex::decode(&terms, &postings, doc.node_count()).unwrap();
-        assert_eq!(back.term_count(), idx.term_count());
-        assert_eq!(back.scoring_elements(), idx.scoring_elements());
-        assert_eq!(back.total_tokens(), idx.total_tokens());
-        for t in ["gold", "silver", "copper", "tail", "stream"] {
-            assert_eq!(back.posting(t), idx.posting(t), "posting for {t}");
-            assert!((back.idf(t) - idx.idf(t)).abs() < 1e-15);
-        }
-        for n in doc.all_nodes() {
-            assert_eq!(back.direct_token_count(n), idx.direct_token_count(n));
-            assert_eq!(
-                back.subtree_token_count(&doc, n),
-                idx.subtree_token_count(&doc, n)
-            );
+        for (decode, (terms, postings)) in layouts(&idx) {
+            let back = decode(&terms, &postings, doc.node_count()).unwrap();
+            assert_eq!(back.term_count(), idx.term_count());
+            assert_eq!(back.scoring_elements(), idx.scoring_elements());
+            assert_eq!(back.total_tokens(), idx.total_tokens());
+            for t in ["gold", "silver", "copper", "tail", "stream"] {
+                assert_eq!(back.posting(t), idx.posting(t), "posting for {t}");
+                assert!((back.idf(t) - idx.idf(t)).abs() < 1e-15);
+            }
+            for n in doc.all_nodes() {
+                assert_eq!(back.direct_token_count(n), idx.direct_token_count(n));
+                assert_eq!(
+                    back.subtree_token_count(&doc, n),
+                    idx.subtree_token_count(&doc, n)
+                );
+            }
+            assert_eq!(back.encode(), idx.encode());
         }
     }
 
@@ -531,43 +673,45 @@ mod tests {
     #[test]
     fn codec_rejects_any_single_byte_flip_or_decodes_validly() {
         let (doc, idx) = index_of("<r><a>gold silver</a><b>gold</b></r>");
-        let (terms, postings) = idx.encode();
-        for i in 0..terms.len() {
-            let mut bad = terms.clone();
-            bad[i] ^= 0xff;
-            let _ = InvertedIndex::decode(&bad, &postings, doc.node_count());
-        }
-        for i in 0..postings.len() {
-            let mut bad = postings.clone();
-            bad[i] ^= 0xff;
-            let _ = InvertedIndex::decode(&terms, &bad, doc.node_count());
+        for (decode, (terms, postings)) in layouts(&idx) {
+            for i in 0..terms.len() {
+                let mut bad = terms.clone();
+                bad[i] ^= 0xff;
+                let _ = decode(&bad, &postings, doc.node_count());
+            }
+            for i in 0..postings.len() {
+                let mut bad = postings.clone();
+                bad[i] ^= 0xff;
+                let _ = decode(&terms, &bad, doc.node_count());
+            }
         }
     }
 
     #[test]
     fn codec_rejects_truncation() {
         let (doc, idx) = index_of("<r><a>gold silver</a></r>");
-        let (terms, postings) = idx.encode();
-        for cut in 0..terms.len() {
-            assert!(InvertedIndex::decode(&terms[..cut], &postings, doc.node_count()).is_err());
-        }
-        for cut in 0..postings.len() {
-            assert!(InvertedIndex::decode(&terms, &postings[..cut], doc.node_count()).is_err());
+        for (decode, (terms, postings)) in layouts(&idx) {
+            for cut in 0..terms.len() {
+                assert!(decode(&terms[..cut], &postings, doc.node_count()).is_err());
+            }
+            for cut in 0..postings.len() {
+                assert!(decode(&terms, &postings[..cut], doc.node_count()).is_err());
+            }
         }
     }
 
     #[test]
     fn implausible_entry_count_names_its_offset_in_the_terms_payload() {
         let (doc, idx) = index_of("<r><a>gold silver</a><b>gold</b></r>");
-        let (terms, postings) = idx.encode();
-        // Terms payload: scoring u64, term count u64, then per term a
+        let (terms, postings) = encode_v2(&idx);
+        // v2 terms payload: scoring u64, term count u64, then per term a
         // u32-length-prefixed name and its u64 entry count.
         let mut at = 16;
         for name in ["gold", "silver"] {
             at += 4 + name.len();
             let mut bad = terms.clone();
             bad[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-            match InvertedIndex::decode(&bad, &postings, doc.node_count()) {
+            match InvertedIndex::decode_v2(&bad, &postings, doc.node_count()) {
                 Err(CodecError::Wire(WireError::ImplausibleLength { at: got, len })) => {
                     assert_eq!((got, len), (at, u64::MAX), "count of {name}");
                 }
@@ -576,6 +720,166 @@ mod tests {
             at += 8;
         }
         assert_eq!(at, terms.len());
+    }
+
+    /// An index's v3 columns, owned, for a test to edit and re-encode.
+    struct Cols {
+        scoring: u64,
+        name_ends: Vec<u32>,
+        entry_ends: Vec<u32>,
+        names: String,
+        nodes: Vec<u32>,
+        tfs: Vec<u32>,
+        positions: Vec<u32>,
+    }
+
+    impl Cols {
+        fn of(idx: &InvertedIndex) -> Cols {
+            let (terms, postings) = idx.encode();
+            let (mut tr, mut pr) = (ByteReader::new(&terms), ByteReader::new(&postings));
+            Cols {
+                scoring: tr.u64().unwrap(),
+                name_ends: tr.u32s().unwrap().to_vec(),
+                entry_ends: tr.u32s().unwrap().to_vec(),
+                names: tr.padded_str().unwrap().into(),
+                nodes: pr.u32s().unwrap().to_vec(),
+                tfs: pr.u32s().unwrap().to_vec(),
+                positions: pr.u32s().unwrap().to_vec(),
+            }
+        }
+
+        fn decode(&self, node_count: usize) -> Result<InvertedIndex, CodecError> {
+            let (mut tw, mut pw) = (ByteWriter::new(), ByteWriter::new());
+            tw.u64(self.scoring);
+            tw.u32s(self.name_ends.iter().copied());
+            tw.u32s(self.entry_ends.iter().copied());
+            tw.padded_str([self.names.as_str()]);
+            pw.u32s(self.nodes.iter().copied());
+            pw.u32s(self.tfs.iter().copied());
+            pw.u32s(self.positions.iter().copied());
+            InvertedIndex::decode(&tw.into_bytes(), &pw.into_bytes(), node_count)
+        }
+    }
+
+    /// Each check of the index validator, one edited column at a time,
+    /// named by the check that catches it and the item it names.
+    #[test]
+    fn columns_that_break_a_check_are_invalid() {
+        // Terms "gold" (nodes 1 and 3, tf 2 and 1) and "silver" (node 1).
+        let (doc, idx) = index_of("<r><a>gold silver gold</a><b>gold</b></r>");
+        let n = doc.node_count();
+        let good = Cols::of(&idx);
+        assert_eq!(
+            (&good.names[..], &good.name_ends[..], &good.entry_ends[..]),
+            ("goldsilver", &[4, 10][..], &[2, 3][..])
+        );
+        assert_eq!(
+            (&good.nodes[..], &good.tfs[..]),
+            (&[1, 3, 1][..], &[2, 1, 1][..])
+        );
+        assert_eq!(good.positions, [0, 2, 3, 1]);
+        assert!(good.decode(n).is_ok());
+        type Case = (&'static str, fn(&mut Cols), (&'static str, u64));
+        let cases: [Case; 15] = [
+            (
+                "entry ends short",
+                |c| {
+                    c.entry_ends.pop();
+                },
+                ("entry ends disagree with the term count", 1),
+            ),
+            (
+                "tfs short",
+                |c| {
+                    c.tfs.pop();
+                },
+                ("tf column length disagrees with the nodes", 2),
+            ),
+            (
+                "name end inside the previous name",
+                |c| c.name_ends[1] = 3,
+                ("term name ends not ascending char boundaries", 1),
+            ),
+            (
+                "names unsorted",
+                |c| {
+                    c.names = "silvergold".into();
+                    c.name_ends = vec![6, 10];
+                },
+                ("terms not strictly sorted", 1),
+            ),
+            (
+                "a name repeated",
+                |c| {
+                    c.names = "goldgold".into();
+                    c.name_ends = vec![4, 8];
+                },
+                ("terms not strictly sorted", 1),
+            ),
+            (
+                "name bytes past the last end",
+                |c| c.names.push('z'),
+                ("term name bytes past the last end", 2),
+            ),
+            (
+                "entry ends descending",
+                |c| c.entry_ends = vec![2, 1],
+                ("entry ends not ascending", 1),
+            ),
+            (
+                "a term with no entries",
+                |c| c.entry_ends = vec![0, 3],
+                ("term with empty posting list", 0),
+            ),
+            (
+                "entries held by no term",
+                |c| c.entry_ends = vec![1, 2],
+                ("posting entries held by no term", 2),
+            ),
+            (
+                "node at its bound",
+                |c| c.nodes[1] = 5,
+                ("posting node id out of range", 5),
+            ),
+            (
+                "nodes repeated",
+                |c| c.nodes[1] = 1,
+                ("posting entries not node-sorted", 1),
+            ),
+            (
+                "tf of zero",
+                |c| {
+                    c.tfs[1] = 0;
+                    c.positions.remove(2);
+                },
+                ("term frequency of zero", 3),
+            ),
+            (
+                "tf sum past the positions",
+                |c| c.tfs[2] = 2,
+                ("term frequencies sum past the positions", 1),
+            ),
+            (
+                "positions held by no entry",
+                |c| c.positions.push(9),
+                ("positions held by no entry", 4),
+            ),
+            (
+                "a position repeated",
+                |c| c.positions[1] = 0,
+                ("positions not strictly ascending", 0),
+            ),
+        ];
+        for (name, edit, expect) in cases {
+            let mut bad = Cols::of(&idx);
+            edit(&mut bad);
+            match bad.decode(n) {
+                Err(CodecError::Invalid { what, index }) => {
+                    assert_eq!((what, index), expect, "{name}")
+                }
+                other => panic!("{name}: expected {expect:?}, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -651,11 +651,11 @@ fn a_holder_that_closes_an_ancestors_subtree_leaves_the_ancestor_on_the_path() {
     let doc = parse("<r><x><a>gold</a><b/></x><c>gold</c><d>gold</d></r>").unwrap();
     let (terms, mut postings) = InvertedIndex::build(&doc).encode();
     assert_eq!(
-        postings[12..16],
+        postings[8..12],
         5u32.to_le_bytes(),
-        "entry = node, tf, position"
+        "the node column: its count, then one node per entry"
     );
-    postings[12..16].copy_from_slice(&4u32.to_le_bytes());
+    postings[8..12].copy_from_slice(&4u32.to_le_bytes());
     let index = InvertedIndex::decode(&terms, &postings, doc.node_count()).unwrap();
     let eval = index.evaluate(&doc, &FtExpr::term("gold"));
     assert_eq!(eval.nodes(), [NodeId(2), NodeId(4), NodeId(7)]);

@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 
 /// Maximum nesting depth the parser accepts. Query payloads are depth ≤ 2;
 /// the cap only exists to bound recursion on adversarial input.
-const MAX_DEPTH: usize = 16;
+pub const MAX_DEPTH: usize = 16;
 
 /// A parsed JSON value. Object keys are ordered (BTreeMap) so rendering
 /// and error messages are deterministic.

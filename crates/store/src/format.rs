@@ -10,7 +10,7 @@
 //! ...        section payloads, byte-addressed by the table
 //! ```
 //!
-//! Two versions share this container shape:
+//! Three versions share this container shape and its six sections:
 //!
 //! * **v1** packs payloads back to back immediately after the header CRC.
 //!   No build writes it any more; it is read only, and every section is
@@ -21,7 +21,15 @@
 //!   memory-mapped file, which is what the lazy open path
 //!   ([`crate::LazyStore`]) relies on: the header CRC is verified at open,
 //!   but each *section* CRC is deferred until that section is first
-//!   touched.
+//!   touched. Read only since v3 (`tests/golden/tiny_v2.fxs`).
+//! * **v3** keeps the v2 container and writes `elems`, `terms` and
+//!   `postings` as little-endian `u32` columns, each 4-byte aligned with
+//!   its count up front: the document's `labels` and `parents` with its
+//!   texts and attributes, and the index's term table with one `node`, one
+//!   `tf` and one positions column over every posting entry (layouts in
+//!   `flexpath_xmldom::codec` and `flexpath_ftsearch::InvertedIndex::encode`).
+//!   v1 and v2 payloads (node records, per-term lists) are read by one
+//!   adapter per part that feeds the same column validators.
 //!
 //! Every section carries its own CRC-32, and the header (including the
 //! table itself) carries one too, so corruption anywhere in the file maps
@@ -42,18 +50,23 @@ pub const MAGIC: [u8; 8] = *b"FXPSTORE";
 pub const FORMAT_V1: u32 = 1;
 
 /// The aligned, mmap-friendly format: payloads at 8-byte-aligned offsets,
-/// section CRCs validated lazily on first touch.
+/// section CRCs validated lazily on first touch; node records and per-term
+/// posting lists. Still fully readable; no longer written.
 pub const FORMAT_V2: u32 = 2;
+
+/// The v2 container with column payloads: `elems`, `terms` and `postings`
+/// are runs of little-endian `u32`s.
+pub const FORMAT_V3: u32 = 3;
 
 /// The format version this build *writes* (it reads `1..=FORMAT_VERSION`).
 /// Bump it on any byte-level change to the container or section payloads —
 /// the committed golden files under `tests/golden/` enforce this.
-pub const FORMAT_VERSION: u32 = FORMAT_V2;
+pub const FORMAT_VERSION: u32 = FORMAT_V3;
 
 /// Extension used by [`crate::Catalog`] files.
 pub const FILE_EXTENSION: &str = "fxs";
 
-/// Section payload alignment in v2 files.
+/// Section payload alignment in v2 and v3 files.
 pub(crate) const SECTION_ALIGN: u64 = 8;
 
 /// Section identifiers (the `id` field of a table entry).
@@ -64,7 +77,7 @@ pub enum SectionId {
     Meta = 1,
     /// Interned tag/attribute name dictionary.
     Tags = 2,
-    /// Node arena with structural labels, text arena, attributes.
+    /// Document columns (v3) or node records (v1/v2), texts, attributes.
     Elems = 3,
     /// `#(t)`, `#pc`, `#ad` occurrence statistics.
     Stats = 4,
@@ -252,13 +265,13 @@ mod tests {
     use super::*;
     use crate::GOLDEN_V1;
 
-    /// One image per readable container version.
+    /// One image per readable container layout (v2 and v3 share one).
     fn images() -> [(u32, Vec<u8>); 2] {
-        let v2 = assemble(&[
+        let v3 = assemble(&[
             (SectionId::Meta, vec![9; 16]),
             (SectionId::Tags, vec![4, 5]),
         ]);
-        [(FORMAT_V1, GOLDEN_V1.to_vec()), (FORMAT_V2, v2)]
+        [(FORMAT_V1, GOLDEN_V1.to_vec()), (FORMAT_V3, v3)]
     }
 
     fn known_id(e: &SectionEntry) -> SectionId {
@@ -272,7 +285,7 @@ mod tests {
             (SectionId::Tags, vec![4, 5]),
         ]);
         let hdr = parse_header(&file).unwrap();
-        assert_eq!(hdr.version, FORMAT_V2);
+        assert_eq!(hdr.version, FORMAT_V3);
         assert_eq!(hdr.entries.len(), 2);
         assert_eq!(
             section(&file, &hdr.entries, SectionId::Meta).unwrap(),
@@ -289,7 +302,7 @@ mod tests {
     }
 
     #[test]
-    fn v2_sections_are_aligned_and_padded_with_zeros() {
+    fn sections_are_aligned_and_padded_with_zeros() {
         let file = assemble(&[
             (SectionId::Meta, vec![1, 2, 3]),
             (SectionId::Tags, vec![4, 5, 6, 7, 8]),

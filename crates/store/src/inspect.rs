@@ -34,7 +34,8 @@ pub struct SectionReport {
 /// Everything `store inspect` shows about one file.
 #[derive(Debug, Clone)]
 pub struct StoreInspection {
-    /// Container format version (1 = dense/eager, 2 = aligned/lazy).
+    /// Container format version (1 = dense/eager, 2 = aligned/lazy with
+    /// node records, 3 = aligned/lazy with columns).
     pub version: u32,
     /// Total file size in bytes.
     pub file_bytes: u64,
@@ -90,7 +91,7 @@ pub fn inspect_file(path: &Path) -> Result<StoreInspection, StoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::format::{FORMAT_V1, FORMAT_V2};
+    use crate::format::{FORMAT_V1, FORMAT_V3};
     use crate::store::StoreBuilder;
     use crate::GOLDEN_V1;
     use flexpath_ftsearch::InvertedIndex;
@@ -104,10 +105,10 @@ mod tests {
     }
 
     #[test]
-    fn inspects_both_versions() {
+    fn inspects_the_v1_golden_and_a_current_image() {
         for (version, bytes, name) in [
             (FORMAT_V1, GOLDEN_V1.to_vec(), "tiny"),
-            (FORMAT_V2, image(), "doc"),
+            (FORMAT_V3, image(), "doc"),
         ] {
             let report = inspect_bytes(&bytes).unwrap();
             assert_eq!(report.version, version);

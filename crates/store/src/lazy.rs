@@ -23,10 +23,13 @@
 //! open-time validation over open-time speed opens and then touches all
 //! three parts; [`CorpusStore::open`] is exactly that.
 //!
-//! **v1 compatibility.** v1 files (dense layout, written by older builds)
-//! are decoded *inside* open — every part is touched before the open
-//! returns, so corruption anywhere fails the open, as it always did for
-//! v1. Only v2 files get lazy semantics.
+//! **v1 and v2 compatibility.** v1 files (dense layout, written by older
+//! builds) are decoded *inside* open — every part is touched before the
+//! open returns, so corruption anywhere fails the open, as it always did
+//! for v1. v2 and v3 files get lazy semantics. v1 and v2 payloads go
+//! through the document's and the index's v2 adapters
+//! ([`decode_document_v2`], [`InvertedIndex::decode_v2`]), which feed the
+//! same column validators the v3 decoders use.
 //!
 //! [`LazyStore`] implements [`ContextSource`], so an
 //! [`EngineContext`](flexpath_engine::EngineContext) sits directly on top
@@ -34,13 +37,13 @@
 //! fallible surface through which first-touch errors reach callers.
 
 use crate::error::StoreError;
-use crate::format::{self, SectionId, FORMAT_V1};
+use crate::format::{self, SectionId, FORMAT_V1, FORMAT_V3};
 use crate::mmap::StoreBytes;
 use crate::store::StoreMeta;
 use flexpath_engine::metrics::{self, TraceSpan};
 use flexpath_engine::{Budget, ContextSource, SourceError, SourceErrorKind, SourceResidency};
 use flexpath_ftsearch::InvertedIndex;
-use flexpath_xmldom::codec::{decode_document, decode_stats};
+use flexpath_xmldom::codec::{decode_document, decode_document_v2, decode_stats};
 use flexpath_xmldom::{CodecError, DocStats, Document};
 use std::path::Path;
 use std::sync::{Mutex, OnceLock};
@@ -141,7 +144,7 @@ impl LazyStore {
     }
 
     /// The in-memory open path: wraps already-obtained bytes (mapped or
-    /// owned). v1 images are decoded in full here; v2 images defer.
+    /// owned). v1 images are decoded in full here; v2 and v3 images defer.
     ///
     /// This is the governed open: `budget` is charged the image's size
     /// against the memory cap and the meta-declared posting entry count
@@ -236,7 +239,11 @@ impl LazyStore {
         self.doc.first_touch(|| {
             let tags = self.section(SectionId::Tags)?;
             let elems = self.section(SectionId::Elems)?;
-            let doc = decode_document(tags, elems)?;
+            let doc = if self.version >= FORMAT_V3 {
+                decode_document(tags, elems)
+            } else {
+                decode_document_v2(tags, elems)
+            }?;
             if doc.node_count() as u64 != self.meta.nodes {
                 return Err(StoreError::Corrupt(CodecError::Invalid {
                     what: "meta node count disagrees with element table",
@@ -265,7 +272,11 @@ impl LazyStore {
         self.index.first_touch(|| {
             let terms = self.section(SectionId::Terms)?;
             let postings = self.section(SectionId::Postings)?;
-            let index = InvertedIndex::decode(terms, postings, node_count)?;
+            let index = if self.version >= FORMAT_V3 {
+                InvertedIndex::decode(terms, postings, node_count)
+            } else {
+                InvertedIndex::decode_v2(terms, postings, node_count)
+            }?;
             if index.posting_entry_count() != self.meta.posting_entries
                 || index.term_count() as u64 != self.meta.terms
             {
@@ -353,7 +364,7 @@ mod tests {
     }
 
     #[test]
-    fn v2_open_decodes_nothing_until_touched() {
+    fn open_decodes_nothing_until_touched() {
         let store = lazy(image("<a><b>gold coin</b></a>")).unwrap();
         let r = store.residency();
         assert!(!r.document && !r.stats && !r.index, "open stayed lazy");

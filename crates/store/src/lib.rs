@@ -2,10 +2,10 @@
 //!
 //! Persistent corpus store for the FleXPath reproduction: a versioned,
 //! checksummed binary format holding everything a query session needs —
-//! the arena document with its structural `(start, end, level)` labels,
-//! the tag dictionary, the `#(t)`/`#pc`/`#ad` statistics behind predicate
-//! penalties, and the positional inverted index with its collection
-//! stats. Opening a store ([`LazyStore::open`]) replaces the parse +
+//! the document's node columns (its `(start, end, level)` labels derive
+//! from them), the tag dictionary, the `#(t)`/`#pc`/`#ad` statistics
+//! behind predicate penalties, and the positional inverted index with its
+//! collection stats. Opening a store ([`LazyStore::open`]) replaces the parse +
 //! stats + index cold-start with an O(header) validated open; each part
 //! is CRC-verified and decoded the first time something touches it. The
 //! store *is* lazy — there is one decoder — and an eager open is a usage:
@@ -78,7 +78,9 @@ const GOLDEN_V1: &[u8] = include_bytes!("../../../tests/golden/tiny.fxs");
 pub use catalog::{Catalog, CatalogEntry, CatalogListing, QuarantinedEntry};
 pub use crc::crc32;
 pub use error::StoreError;
-pub use format::{SectionId, FILE_EXTENSION, FORMAT_V1, FORMAT_V2, FORMAT_VERSION, MAGIC};
+pub use format::{
+    SectionId, FILE_EXTENSION, FORMAT_V1, FORMAT_V2, FORMAT_V3, FORMAT_VERSION, MAGIC,
+};
 pub use inspect::{inspect_bytes, inspect_file, SectionReport, StoreInspection};
 pub use lazy::{CorpusStore, LazyStore};
 pub use mmap::StoreBytes;

@@ -70,7 +70,7 @@ pub struct StoreBuilder {
 
 impl StoreBuilder {
     /// Encodes `doc`, `stats`, and `index` under the logical name `name`,
-    /// in the current [`format::FORMAT_VERSION`] (v2, aligned).
+    /// in the current [`format::FORMAT_VERSION`] (v3: aligned, columns).
     pub fn from_parts(name: &str, doc: &Document, stats: &DocStats, index: &InvertedIndex) -> Self {
         let (terms, postings) = index.encode();
         let meta = StoreMeta {

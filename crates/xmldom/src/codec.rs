@@ -6,55 +6,58 @@
 //! is written, so the same document always produces the same bytes. The
 //! store's golden-file drift check depends on this.
 //!
-//! Decoding is **total and validating**: every cross-reference a decoded
-//! [`Document`] could later index with — tag and attribute symbols,
-//! text-arena indices, attribute ranges — is bounds-checked here, so
-//! downstream code may keep using plain indexing without risking a panic on
-//! a corrupted store. And because the document keeps only labels, parents,
-//! levels, subtree ends and attribute offsets and *derives* every other
-//! link and region label from them, every stored link and label must equal
-//! its derived value: a record set whose parts disagree about the tree is
-//! rejected rather than decoded into a document whose `parent()` and
-//! `is_parent()` would answer differently.
+//! `ELEMS` holds **columns** (store format v3): the document's own `labels`
+//! and `parents`, then its texts and attributes. Each column is a `u32`
+//! count followed by that many little-endian `u32`s; each string blob is a
+//! `u32` byte length, the UTF-8 bytes, and zero padding to a multiple of
+//! four, so every column starts 4-byte aligned:
 //!
-//! [`decode_document`] reads in **one pass** over `ELEMS`. The node records
-//! are one length-checked byte run of fixed-size records; each record is
-//! checked as it is read against a stack holding the path from the root to
-//! it (the open nodes):
-//! * on the record itself: kind, tag-symbol range, the 2³¹ bound of the
-//!   label column, that the parent is on the path (node 0 is the root and
-//!   the only node without a parent; a text node has no children), `level`
-//!   (the path's length), `start` (`2·id − level`), and that its attributes
-//!   start where the previous node's end (contiguous and in order; a text
-//!   node has none);
-//! * on the next record: the first-child claim (`id + 1` iff that record's
-//!   parent is this node);
-//! * when the node's subtree closes (a later record's parent is above it on
-//!   the path, or the records end): the next-sibling claim and `end`, and
-//!   the node's subtree end is filled in.
+//! ```text
+//! labels       n x u32   tag symbol, or TEXT_BIT | text ordinal
+//! parents      n x u32   parent id; NO_NODE for node 0
+//! text_ends    t x u32   text i is texts[text_ends[i-1]..text_ends[i]]
+//! texts        blob
+//! attr_owners  a x u32   the node of each attribute, in node order
+//! attr_names   a x u32   symbol of each attribute's name
+//! value_ends   a x u32   as text_ends, over values
+//! values       blob
+//! ```
 //!
-//! Each element goes straight into its tag's list. Texts go into one arena
-//! (a `String` plus an offset column), UTF-8-checked per string. The two
-//! checks that need counts written *after* the records — text ordinals
-//! against the text count, the attribute offsets against the attribute
-//! count — are done on the largest reference seen, once that count is
-//! read; only on failure is the label or offset column rescanned, so the
-//! error still names the first offending node.
+//! Levels, subtree ends, the per-tag lists, links and `(start, end, level)`
+//! labels are **not stored**: the document derives them.
 //!
-//! For an input with several defects, which one is reported follows the
-//! pass: record-local and path defects are found before the text and
-//! attribute payloads are read, a closing claim when its subtree closes,
-//! and the text check runs before the attribute payload is read.
+//! Decoding is **total and validating**. [`decode_document`] reads each
+//! column in place and copies it once, into its in-memory shape. Its body,
+//! `decode_columns`, is the one column validator: it runs every check
+//! before any accessor may index with a column, and derives levels, subtree
+//! ends, attribute offsets and the per-tag lists in the same pass over the
+//! nodes, against a stack holding the path from the root (the open nodes):
+//! * node 0 is the only node without a parent, and is an element;
+//! * each parent is on the path (so `parents[i] < i`) and is not a text;
+//!   the level is the path's length, and a node's subtree closes when a
+//!   later node's parent is above it on the path (or the nodes end);
+//! * tag symbols are below the symbol count; text ordinals are in range
+//!   and run `0, 1, 2, …` in node order, one per text;
+//! * attribute owners ascend in node order, are nodes, and are elements;
+//! * text and value ends ascend, are char boundaries of their blob, and
+//!   end at its end; each blob is UTF-8, checked once; attribute name
+//!   symbols are in range.
+//!
+//! Format v1/v2 `ELEMS` — one 35-byte record per node with its links and
+//! region label — is read by [`decode_document_v2`], an adapter: it turns
+//! the records into the same columns, writes them as a v3 payload for the
+//! same validator, and then compares every stored link and label with the
+//! derived one, so a record
+//! set whose parts disagree about the tree is rejected rather than decoded
+//! into a document whose `parent()` and `is_parent()` would answer
+//! differently.
 
 use crate::document::{Document, NodeId, NodeKind, TextArena, NO_NODE, TEXT_BIT};
 use crate::stats::{DocStats, TagPair};
 use crate::symbols::{Sym, SymbolTable};
-use crate::wire::{ByteReader, ByteWriter, WireError};
+use crate::wire::{ByteReader, ByteWriter, U32s, WireError};
 use std::collections::HashMap;
 use std::fmt;
-
-/// Fixed wire size of one node record (used for count plausibility).
-const NODE_WIRE_BYTES: usize = 1 + 4 * 8 + 2;
 
 /// A failure while decoding a document or statistics section.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -100,10 +103,6 @@ fn invalid(what: &'static str, index: u64) -> CodecError {
     CodecError::Invalid { what, index }
 }
 
-fn opt_node(v: Option<NodeId>) -> u32 {
-    v.map(|n| n.0).unwrap_or(NO_NODE)
-}
-
 /// Encodes a document's interned-name table (the `TAGS` section payload).
 pub fn encode_symbols(symbols: &SymbolTable) -> Vec<u8> {
     let mut w = ByteWriter::with_capacity(16 + symbols.len() * 12);
@@ -135,52 +134,238 @@ pub fn decode_symbols(bytes: &[u8]) -> Result<SymbolTable, CodecError> {
     Ok(table)
 }
 
-/// Encodes a document's nodes, text arena, and attributes (the `ELEMS`
-/// section payload). Each node record carries its links and region label as
-/// derived from the document's columns. The per-tag index is not written —
-/// it is rebuilt on decode from the (document-ordered) records.
+/// Encodes a document's columns, texts and attributes (the `ELEMS` section
+/// payload; see the module doc for the layout), straight from the
+/// document: no column is collected first.
 pub fn encode_nodes(doc: &Document) -> Vec<u8> {
-    let mut w = ByteWriter::with_capacity(32 + doc.node_count() * NODE_WIRE_BYTES);
-    w.u32(doc.root_element().0);
-    w.u64(doc.node_count() as u64);
-    let mut attrs_start = 0u32;
-    for n in doc.all_nodes() {
-        match doc.kind(n) {
-            NodeKind::Element { tag } => {
-                w.u8(0);
-                w.u32(tag.0);
-            }
-            NodeKind::Text { text } => {
-                w.u8(1);
-                w.u32(text);
-            }
-        }
-        w.u32(opt_node(doc.parent(n)));
-        w.u32(opt_node(doc.first_child(n)));
-        w.u32(opt_node(doc.next_sibling(n)));
-        w.u32(doc.start(n));
-        w.u32(doc.end(n));
-        w.u32(doc.level(n));
-        // At most `u16::MAX` per node: the builder and the decoder both
-        // refuse more.
-        let attrs_len = doc.attributes(n).len() as u16;
-        w.u32(attrs_start);
-        w.u16(attrs_len);
-        attrs_start += u32::from(attrs_len);
-    }
-    w.u64(doc.texts.len() as u64);
-    for t in doc.texts.iter() {
-        w.str(t);
-    }
-    w.u64(doc.attrs.len() as u64);
-    for (sym, val) in &doc.attrs {
-        w.u32(sym.0);
-        w.str(val);
-    }
+    let (texts, text_ends) = doc.texts.parts();
+    let values = doc.attrs.iter().map(|(_, v)| v.as_ref());
+    // Grown as it goes, like the index's writers (`InvertedIndex::encode`).
+    let mut w = ByteWriter::new();
+    w.u32s(doc.labels.iter().copied());
+    w.u32s(doc.parents.iter().copied());
+    w.u32s(text_ends.iter().copied());
+    w.padded_str([texts]);
+    w.u32s(
+        doc.all_nodes()
+            .flat_map(|n| std::iter::repeat_n(n.0, doc.attributes(n).len())),
+    );
+    w.u32s(doc.attrs.iter().map(|(name, _)| name.0));
+    w.u32s(values.clone().scan(0u32, |end, v| {
+        *end += v.len() as u32;
+        Some(*end)
+    }));
+    w.padded_str(values);
     w.into_bytes()
 }
 
-/// One node record's fields, in wire order.
+/// Decodes `TAGS` + `ELEMS` (format v3) payloads into a fully validated
+/// [`Document`].
+pub fn decode_document(tag_bytes: &[u8], elem_bytes: &[u8]) -> Result<Document, CodecError> {
+    decode_columns(decode_symbols(tag_bytes)?, elem_bytes)
+}
+
+/// The one column validator (see the module doc for its checks): reads the
+/// columns in place, copies `labels` and `parents` into the document, and
+/// derives levels, subtree ends, the attribute offsets and the per-tag
+/// lists in its pass over the nodes.
+fn decode_columns(symbols: SymbolTable, elem_bytes: &[u8]) -> Result<Document, CodecError> {
+    let mut r = ByteReader::new(elem_bytes);
+    let labels = r.u32s()?.to_vec();
+    let parents = r.u32s()?.to_vec();
+    let text_ends = r.u32s()?;
+    let texts = r.padded_str()?;
+    let attr_owners = r.u32s()?;
+    let attr_names = r.u32s()?;
+    let value_ends = r.u32s()?;
+    let values = r.padded_str()?;
+    r.expect_exhausted()?;
+
+    let n = labels.len();
+    if parents.len() != n {
+        return Err(invalid(
+            "parent column length disagrees with the labels",
+            parents.len() as u64,
+        ));
+    }
+    if n == 0 {
+        return Err(invalid("document has no nodes", 0));
+    }
+    let texts = text_arena(texts, text_ends)?;
+    let text_count = texts.len();
+    let attrs = attributes(&symbols, attr_names, value_ends, values)?;
+    if attr_owners.len() != attrs.len() {
+        let what = if attr_owners.len() > attrs.len() {
+            "attribute range out of bounds"
+        } else {
+            "attributes held by no node"
+        };
+        return Err(invalid(what, attrs.len() as u64));
+    }
+
+    let mut levels = Vec::with_capacity(n);
+    let mut subtree_last = Vec::with_capacity(n);
+    let mut attr_offsets = Vec::with_capacity(n + 1);
+    attr_offsets.push(0);
+    let mut tag_index = vec![Vec::new(); symbols.len()];
+    // The open nodes, root first, each with whether it is a text; each
+    // entry's parent is the one below it.
+    let mut path: Vec<(u32, bool)> = Vec::new();
+    let mut next_text = 0u32;
+    let mut owners = attr_owners.iter().peekable();
+    let mut attrs_end = 0u32;
+    for (id, (&label, &parent)) in (0u32..).zip(labels.iter().zip(&parents)) {
+        let idx = u64::from(id);
+        let text = label & TEXT_BIT != 0;
+        if text {
+            let ordinal = label & !TEXT_BIT;
+            if ordinal as usize >= text_count {
+                return Err(invalid("text index out of range", idx));
+            }
+            if ordinal != next_text {
+                return Err(invalid("text ordinals not in node order", idx));
+            }
+            next_text += 1;
+        } else {
+            match tag_index.get_mut(label as usize) {
+                Some(list) => list.push(NodeId(id)),
+                None => return Err(invalid("tag symbol out of range", idx)),
+            }
+        }
+
+        if id == 0 {
+            if parent != NO_NODE {
+                return Err(invalid("root has a parent", idx));
+            }
+            if text {
+                return Err(invalid("root is not an element", idx));
+            }
+        } else {
+            if parent == NO_NODE {
+                return Err(invalid("node other than the root without a parent", idx));
+            }
+            // Every open node below the parent closes before this one.
+            while let Some((top, _)) = path.pop_if(|(top, _)| *top > parent) {
+                if let Some(slot) = subtree_last.get_mut(top as usize) {
+                    *slot = NodeId(id - 1);
+                }
+            }
+            match path.last() {
+                Some(&(top, true)) if top == parent => {
+                    return Err(invalid("text node has children", idx));
+                }
+                Some(&(top, false)) if top == parent => {}
+                _ => return Err(invalid("parent is not an open ancestor", idx)),
+            }
+        }
+        levels.push(path.len() as u32);
+        subtree_last.push(NodeId(id));
+        path.push((id, text));
+
+        let attrs_start = attrs_end;
+        while owners.next_if_eq(&id).is_some() {
+            attrs_end += 1;
+        }
+        if text && attrs_end != attrs_start {
+            return Err(invalid("text node has attributes", idx));
+        }
+        attr_offsets.push(attrs_end);
+    }
+    let last = NodeId(n as u32 - 1);
+    for (top, _) in path {
+        if let Some(slot) = subtree_last.get_mut(top as usize) {
+            *slot = last;
+        }
+    }
+    if next_text as usize != text_count {
+        return Err(invalid("texts held by no node", u64::from(next_text)));
+    }
+    if let Some(owner) = owners.next() {
+        let what = if (owner as usize) < n {
+            "attribute owners not in node order"
+        } else {
+            "attribute owner out of range"
+        };
+        return Err(invalid(what, u64::from(attrs_end)));
+    }
+    Ok(Document {
+        labels,
+        parents,
+        levels,
+        subtree_last,
+        attr_offsets,
+        texts,
+        attrs,
+        symbols,
+        tag_index,
+    })
+}
+
+/// The text arena of `blob` cut at `ends`: each end a char boundary at or
+/// after the one before, the last one the blob's end.
+fn text_arena(blob: &str, ends: U32s<'_>) -> Result<TextArena, CodecError> {
+    let mut offsets = Vec::with_capacity(ends.len() + 1);
+    offsets.push(0);
+    let mut start = 0;
+    for (i, end) in ends.iter().enumerate() {
+        if (end as usize) < start || !blob.is_char_boundary(end as usize) {
+            return Err(invalid("text ends not ascending char boundaries", i as u64));
+        }
+        start = end as usize;
+        offsets.push(end);
+    }
+    if start != blob.len() {
+        return Err(invalid(
+            "text bytes past the last text end",
+            ends.len() as u64,
+        ));
+    }
+    Ok(TextArena::from_parts(blob.to_owned(), offsets))
+}
+
+/// The attribute list: each name symbol in range, each value cut from
+/// `blob` at `ends` under the rules of [`text_arena`].
+fn attributes(
+    symbols: &SymbolTable,
+    names: U32s<'_>,
+    ends: U32s<'_>,
+    blob: &str,
+) -> Result<Vec<(Sym, Box<str>)>, CodecError> {
+    if ends.len() != names.len() {
+        return Err(invalid(
+            "attribute value ends disagree with the names",
+            ends.len() as u64,
+        ));
+    }
+    let mut attrs = Vec::with_capacity(names.len());
+    let mut start = 0;
+    for (i, (name, end)) in names.iter().zip(ends.iter()).enumerate() {
+        if name as usize >= symbols.len() {
+            return Err(invalid("attribute name symbol out of range", i as u64));
+        }
+        let Some(value) = blob.get(start..end as usize) else {
+            return Err(invalid(
+                "attribute value ends not ascending char boundaries",
+                i as u64,
+            ));
+        };
+        attrs.push((Sym(name), value.into()));
+        start = end as usize;
+    }
+    if start != blob.len() {
+        return Err(invalid(
+            "attribute value bytes past the last end",
+            ends.len() as u64,
+        ));
+    }
+    Ok(attrs)
+}
+
+/// Wire size of one v1/v2 node record: kind, payload, parent, first child,
+/// next sibling, start, end, level, attributes start, attributes length.
+const NODE_WIRE_BYTES: usize = 1 + 4 * 8 + 2;
+
+/// One v1/v2 node record's fields, in wire order.
 struct Record {
     kind: u8,
     payload: u32,
@@ -216,69 +401,35 @@ impl Record {
     }
 }
 
-/// A node on the decoder's root path, with the claims of its record that
-/// can only be checked once its subtree closes.
-struct Open {
-    id: u32,
-    parent: u32,
-    level: u32,
-    text: bool,
-    next_sibling: u32,
-    end: u32,
-}
-
-impl Open {
-    /// Closes this node's subtree at `last`: checks the record's `end` and
-    /// its next-sibling claim against `next_sibling` (the node after `last`
-    /// if that is a child of this node's parent, else [`NO_NODE`]), and
-    /// records the subtree end.
-    fn close(&self, last: u32, next_sibling: u32, doc: &mut Document) -> Result<(), CodecError> {
-        let index = u64::from(self.id);
-        if self.next_sibling != next_sibling {
-            return Err(invalid("next-sibling link disagrees with the tree", index));
-        }
-        if u64::from(self.end) != 2 * u64::from(last) + 1 - u64::from(self.level) {
-            return Err(invalid("region label end disagrees with the tree", index));
-        }
-        if let Some(slot) = doc.subtree_last.get_mut(self.id as usize) {
-            *slot = NodeId(last);
-        }
-        Ok(())
-    }
-}
-
-/// Decodes `TAGS` + `ELEMS` payloads into a fully validated [`Document`].
-///
-/// One pass over the node records checks each as it is read, against the
-/// path from the root to it, and fills the document's columns; see the
-/// module doc for where each check sits. The text-index and attribute
-/// checks need counts that follow the records, so the pass tracks the
-/// largest reference of each and checks it once the count is known.
-pub fn decode_document(tag_bytes: &[u8], elem_bytes: &[u8]) -> Result<Document, CodecError> {
+/// Decodes `TAGS` + a format v1/v2 `ELEMS` payload (a root id, one
+/// [`NODE_WIRE_BYTES`]-byte record per node, then length-prefixed texts and
+/// attributes). The adapter of the module doc: each record's own fields —
+/// its kind, the 2³¹ bound of the label column, a contiguous attribute
+/// range — are checked as it becomes a column entry; the columns are
+/// written as a v3 payload and decoded by the v3 decoder; then every stored
+/// link and label must equal the derived one.
+pub fn decode_document_v2(tag_bytes: &[u8], elem_bytes: &[u8]) -> Result<Document, CodecError> {
     let symbols = decode_symbols(tag_bytes)?;
     let mut r = ByteReader::new(elem_bytes);
-    let root_raw = r.u32()?;
+    let root = r.u32()?;
     let node_count = r.count(NODE_WIRE_BYTES)?;
     // `count` bounded node_count * NODE_WIRE_BYTES by the bytes remaining.
     let (records, _) = r
         .bytes(node_count * NODE_WIRE_BYTES)?
         .as_chunks::<NODE_WIRE_BYTES>();
     if node_count == 0 {
-        return Err(invalid("root id out of range", u64::from(root_raw)));
+        return Err(invalid("root id out of range", u64::from(root)));
     }
-    if root_raw != 0 {
-        return Err(invalid("root is not node 0", u64::from(root_raw)));
+    if root != 0 {
+        return Err(invalid("root is not node 0", u64::from(root)));
     }
-    let mut doc = Document::empty(symbols, node_count);
-    // The open nodes, root first; each entry's parent is the one below it.
-    let mut path: Vec<Open> = Vec::new();
-    // One past the largest text ordinal referenced.
-    let mut texts_needed = 0u64;
-    // The previous record's first-child claim.
-    let mut first_child = NO_NODE;
-    for (i, bytes) in records.iter().enumerate() {
-        let (id, idx) = (i as u32, i as u64);
-        let rec = Record::read(bytes);
+    let mut labels = Vec::with_capacity(node_count);
+    let mut parents = Vec::with_capacity(node_count);
+    let mut attr_owners = Vec::new();
+    // Each attribute takes at least 8 of the bytes after the records.
+    let attrs_max = r.remaining() / 8;
+    for (id, rec) in (0u32..).zip(records.iter().map(Record::read)) {
+        let idx = u64::from(id);
         let kind = match rec.kind {
             0 => NodeKind::Element {
                 tag: Sym(rec.payload),
@@ -289,127 +440,71 @@ pub fn decode_document(tag_bytes: &[u8], elem_bytes: &[u8]) -> Result<Document, 
         let Some(label) = kind.label() else {
             return Err(invalid("symbol id or text ordinal past 2^31", idx));
         };
-        let text = label & TEXT_BIT != 0;
-        if text {
-            texts_needed = texts_needed.max(u64::from(rec.payload) + 1);
-            if rec.attrs_len != 0 {
-                return Err(invalid("text node has attributes", idx));
-            }
-        } else if rec.payload as usize >= doc.symbols.len() {
-            return Err(invalid("tag symbol out of range", idx));
+        if label & TEXT_BIT != 0 && rec.attrs_len != 0 {
+            return Err(invalid("text node has attributes", idx));
         }
-
-        let parent = rec.parent;
-        if id == 0 {
-            if parent != NO_NODE {
-                return Err(invalid("root has a parent", idx));
-            }
-            if text {
-                return Err(invalid("root is not an element", idx));
-            }
-        } else {
-            if parent == NO_NODE {
-                return Err(invalid("node other than the root without a parent", idx));
-            }
-            // Every open node below the parent closes before this one.
-            while let Some(top) = path.pop_if(|top| top.id > parent) {
-                let sibling = if top.parent == parent { id } else { NO_NODE };
-                top.close(id - 1, sibling, &mut doc)?;
-            }
-            match path.last() {
-                Some(top) if top.id == parent && top.text => {
-                    return Err(invalid("text node has children", idx));
-                }
-                Some(top) if top.id == parent => {}
-                _ => return Err(invalid("parent is not an open ancestor", idx)),
-            }
-            let claimed = if parent == id - 1 { id } else { NO_NODE };
-            if first_child != claimed {
-                return Err(invalid("first-child link disagrees with the tree", idx - 1));
-            }
-        }
-        let level = path.len() as u32;
-        if rec.level != level {
-            return Err(invalid("level disagrees with the tree", idx));
-        }
-        if u64::from(rec.start) != 2 * idx - u64::from(level) {
-            return Err(invalid("region label start disagrees with the tree", idx));
-        }
-        let attrs_start = doc.attr_offsets.last().copied().unwrap_or(0);
-        if rec.attrs_start != attrs_start {
+        if rec.attrs_start as usize != attr_owners.len() {
             return Err(invalid("attributes not contiguous and in order", idx));
         }
-        let Some(attrs_end) = attrs_start.checked_add(u32::from(rec.attrs_len)) else {
+        if attr_owners.len() + usize::from(rec.attrs_len) > attrs_max {
             return Err(invalid("attribute range out of bounds", idx));
-        };
-        doc.push_node(label, parent, level, attrs_end);
-        path.push(Open {
-            id,
-            parent,
-            level,
-            text,
-            next_sibling: rec.next_sibling,
-            end: rec.end,
-        });
-        first_child = rec.first_child;
-    }
-    let last = node_count as u32 - 1;
-    if first_child != NO_NODE {
-        return Err(invalid(
-            "first-child link disagrees with the tree",
-            u64::from(last),
-        ));
-    }
-    while let Some(top) = path.pop() {
-        top.close(last, NO_NODE, &mut doc)?;
+        }
+        attr_owners.extend(std::iter::repeat_n(id, rec.attrs_len.into()));
+        labels.push(label);
+        parents.push(rec.parent);
     }
 
     let text_count = r.count(4)?;
     // Each text is a 4-byte length and its bytes, so what follows the
-    // length prefixes bounds the arena (attributes come after the texts).
-    let mut texts = TextArena::with_capacity(r.remaining() - 4 * text_count, text_count);
+    // length prefixes bounds the blob (attributes come after the texts).
+    let mut texts = String::with_capacity(r.remaining() - 4 * text_count);
+    let mut text_ends = Vec::with_capacity(text_count);
     for i in 0..text_count {
-        if texts.push(r.str()?).is_none() {
-            return Err(invalid("text arena exceeds 4 GiB", i as u64));
-        }
+        texts.push_str(r.str()?);
+        let end = u32::try_from(texts.len());
+        text_ends.push(end.map_err(|_| invalid("text arena exceeds 4 GiB", i as u64))?);
     }
-    if texts_needed > text_count as u64 {
-        let index = doc
-            .labels
-            .iter()
-            .position(|&l| l & TEXT_BIT != 0 && u64::from(l & !TEXT_BIT) >= text_count as u64);
-        return Err(invalid(
-            "text index out of range",
-            index.unwrap_or(node_count) as u64,
-        ));
-    }
-    doc.texts = texts;
     let attr_count = r.count(8)?;
-    let mut attrs: Vec<(Sym, Box<str>)> = Vec::with_capacity(attr_count);
+    let mut attr_names = Vec::with_capacity(attr_count);
+    let mut values = String::new();
+    let mut value_ends = Vec::with_capacity(attr_count);
     for i in 0..attr_count {
-        let sym = Sym(r.u32()?);
-        if sym.index() >= doc.symbols.len() {
-            return Err(invalid("attribute name symbol out of range", i as u64));
-        }
-        attrs.push((sym, r.str()?.into()));
+        attr_names.push(r.u32()?);
+        values.push_str(r.str()?);
+        let end = u32::try_from(values.len());
+        value_ends.push(end.map_err(|_| invalid("attribute values exceed 4 GiB", i as u64))?);
     }
     r.expect_exhausted()?;
-    let referenced = u64::from(doc.attr_offsets.last().copied().unwrap_or(0));
-    if referenced != attr_count as u64 {
-        let what = if referenced > attr_count as u64 {
-            "attribute range out of bounds"
+
+    // The columns in `encode_nodes`' layout.
+    let mut w = ByteWriter::with_capacity(elem_bytes.len());
+    w.u32s(labels);
+    w.u32s(parents);
+    w.u32s(text_ends);
+    w.padded_str([texts.as_str()]);
+    w.u32s(attr_owners);
+    w.u32s(attr_names);
+    w.u32s(value_ends);
+    w.padded_str([values.as_str()]);
+    let doc = decode_columns(symbols, &w.into_bytes())?;
+    let link = |n: Option<NodeId>| n.map_or(NO_NODE, |n| n.0);
+    for (id, rec) in (0u32..).zip(records.iter().map(Record::read)) {
+        let n = NodeId(id);
+        let what = if rec.level != doc.level(n) {
+            "level disagrees with the tree"
+        } else if rec.start != doc.start(n) {
+            "region label start disagrees with the tree"
+        } else if rec.first_child != link(doc.first_child(n)) {
+            "first-child link disagrees with the tree"
+        } else if rec.next_sibling != link(doc.next_sibling(n)) {
+            "next-sibling link disagrees with the tree"
+        } else if rec.end != doc.end(n) {
+            "region label end disagrees with the tree"
         } else {
-            "attributes held by no node"
+            continue;
         };
-        // The first node whose range passes the count, else the end.
-        let index = doc
-            .attr_offsets
-            .iter()
-            .skip(1)
-            .position(|&end| u64::from(end) > attr_count as u64);
-        return Err(invalid(what, index.unwrap_or(node_count) as u64));
+        return Err(invalid(what, u64::from(id)));
     }
-    doc.attrs = attrs;
     Ok(doc)
 }
 
@@ -502,17 +597,8 @@ mod tests {
     const DOC: &str =
         "<a x=\"1\"><b><c>hi there</c></b><b y=\"2\">more text</b><d/><c>tail</c></a>";
 
-    fn roundtrip(xml: &str) -> (Document, Document) {
-        let doc = parse(xml).unwrap();
-        let tags = encode_symbols(doc.symbols());
-        let elems = encode_nodes(&doc);
-        let back = decode_document(&tags, &elems).unwrap();
-        (doc, back)
-    }
-
-    #[test]
-    fn document_roundtrip_preserves_everything() {
-        let (doc, back) = roundtrip(DOC);
+    /// Every accessor of `back` answers as `doc`'s does.
+    fn assert_same(doc: &Document, back: &Document) {
         assert_eq!(doc.node_count(), back.node_count());
         assert_eq!(doc.root_element(), back.root_element());
         for n in doc.all_nodes() {
@@ -529,6 +615,18 @@ mod tests {
         for (sym, name) in doc.symbols().iter() {
             assert_eq!(back.symbols().name(sym), name);
             assert_eq!(doc.nodes_with_tag(sym), back.nodes_with_tag(sym));
+        }
+    }
+
+    #[test]
+    fn document_roundtrip_preserves_everything() {
+        for xml in [DOC, "<a>é<b k=\"ü\"/>ß</a>", "<a/>"] {
+            let doc = parse(xml).unwrap();
+            let (tags, elems) = (encode_symbols(doc.symbols()), encode_nodes(&doc));
+            assert_eq!(elems.len() % 4, 0, "{xml}: every column 4-byte aligned");
+            assert_same(&doc, &decode_document(&tags, &elems).unwrap());
+            let records = encode_records(&doc);
+            assert_same(&doc, &decode_document_v2(&tags, &records).unwrap());
         }
     }
 
@@ -560,21 +658,27 @@ mod tests {
     #[test]
     fn every_single_byte_flip_is_rejected_or_equivalent() {
         // Exhaustively flip one byte at a time in a small document's ELEMS
-        // payload: decode must return Err or a structurally valid document
-        // (it must never panic). This is the codec-level version of the
-        // store corruption suite.
-        let doc = parse("<a><b>hi</b></a>").unwrap();
+        // payload, in both layouts: decode must return Err or a
+        // structurally valid document (it must never panic). This is the
+        // codec-level version of the store corruption suite.
+        let doc = parse("<a k=\"v\"><b>hi</b></a>").unwrap();
         let tags = encode_symbols(doc.symbols());
-        let elems = encode_nodes(&doc);
-        for i in 0..elems.len() {
-            let mut bad = elems.clone();
-            bad[i] ^= 0xff;
-            let _ = decode_document(&tags, &bad);
-        }
-        for i in 0..tags.len() {
-            let mut bad = tags.clone();
-            bad[i] ^= 0xff;
-            let _ = decode_document(&bad, &elems);
+        type Decode = fn(&[u8], &[u8]) -> Result<Document, CodecError>;
+        let layouts: [(Decode, Vec<u8>); 2] = [
+            (decode_document, encode_nodes(&doc)),
+            (decode_document_v2, encode_records(&doc)),
+        ];
+        for (decode, elems) in layouts {
+            for i in 0..elems.len() {
+                let mut bad = elems.clone();
+                bad[i] ^= 0xff;
+                let _ = decode(&tags, &bad);
+            }
+            for i in 0..tags.len() {
+                let mut bad = tags.clone();
+                bad[i] ^= 0xff;
+                let _ = decode(&bad, &elems);
+            }
         }
     }
 
@@ -586,17 +690,294 @@ mod tests {
         for cut in 0..elems.len() {
             assert!(decode_document(&tags, &elems[..cut]).is_err());
         }
+        let records = encode_records(&doc);
+        for cut in 0..records.len() {
+            assert!(decode_document_v2(&tags, &records[..cut]).is_err());
+        }
+    }
+
+    /// A document's v3 columns, owned, for a test to edit and re-encode.
+    struct Cols {
+        labels: Vec<u32>,
+        parents: Vec<u32>,
+        text_ends: Vec<u32>,
+        texts: Vec<u8>,
+        attr_owners: Vec<u32>,
+        attr_names: Vec<u32>,
+        value_ends: Vec<u32>,
+        values: Vec<u8>,
+    }
+
+    impl Cols {
+        fn of(doc: &Document) -> Cols {
+            let elems = encode_nodes(doc);
+            let mut r = ByteReader::new(&elems);
+            Cols {
+                labels: r.u32s().unwrap().to_vec(),
+                parents: r.u32s().unwrap().to_vec(),
+                text_ends: r.u32s().unwrap().to_vec(),
+                texts: r.padded_str().unwrap().into(),
+                attr_owners: r.u32s().unwrap().to_vec(),
+                attr_names: r.u32s().unwrap().to_vec(),
+                value_ends: r.u32s().unwrap().to_vec(),
+                values: r.padded_str().unwrap().into(),
+            }
+        }
+
+        fn encode(&self) -> Vec<u8> {
+            let blob = |w: &mut ByteWriter, bytes: &[u8]| {
+                w.u32(bytes.len() as u32);
+                w.bytes(bytes);
+                w.bytes(&[0; 3][..bytes.len().next_multiple_of(4) - bytes.len()]);
+            };
+            let mut w = ByteWriter::new();
+            w.u32s(self.labels.iter().copied());
+            w.u32s(self.parents.iter().copied());
+            w.u32s(self.text_ends.iter().copied());
+            blob(&mut w, &self.texts);
+            w.u32s(self.attr_owners.iter().copied());
+            w.u32s(self.attr_names.iter().copied());
+            w.u32s(self.value_ends.iter().copied());
+            blob(&mut w, &self.values);
+            w.into_bytes()
+        }
+    }
+
+    fn invalid_what(tags: &[u8], elems: &[u8]) -> Option<(&'static str, u64)> {
+        match decode_document(tags, elems) {
+            Err(CodecError::Invalid { what, index }) => Some((what, index)),
+            _ => None,
+        }
+    }
+
+    /// Each check of the column validator, one edited column at a time,
+    /// named by the check that catches it and the item it names.
+    #[test]
+    fn columns_that_break_a_check_are_invalid() {
+        // Nodes: 0 a, 1 b, 2 c, 3 "é", 4 d, 5 "u"; b owns x, d owns y.
+        let doc = parse("<a><b x=\"1\"><c/>é</b><d y=\"ü\"/>u</a>").unwrap();
+        let tags = encode_symbols(doc.symbols());
+        let good = Cols::of(&doc);
+        assert_eq!(good.text_ends, [2, 3]);
+        assert_eq!(good.attr_owners, [1, 4]);
+        assert!(decode_document(&tags, &good.encode()).is_ok());
+        let symbols = doc.symbols().len() as u32;
+        type Case = (&'static str, fn(&mut Cols, u32), (&'static str, u64));
+        let cases: [Case; 24] = [
+            (
+                "no nodes",
+                |c, _| {
+                    c.labels.clear();
+                    c.parents.clear();
+                },
+                ("document has no nodes", 0),
+            ),
+            (
+                "parents short",
+                |c, _| {
+                    c.parents.pop();
+                },
+                ("parent column length disagrees with the labels", 5),
+            ),
+            (
+                "root with a parent",
+                |c, _| c.parents[0] = 0,
+                ("root has a parent", 0),
+            ),
+            (
+                "root a text",
+                |c, _| {
+                    c.labels[0] = TEXT_BIT;
+                    c.labels[3] = TEXT_BIT | 1;
+                    c.labels[5] = TEXT_BIT | 2;
+                    c.text_ends.push(3);
+                },
+                ("root is not an element", 0),
+            ),
+            (
+                "a second root",
+                |c, _| c.parents[4] = NO_NODE,
+                ("node other than the root without a parent", 4),
+            ),
+            (
+                "parent forward",
+                |c, _| c.parents[2] = 4,
+                ("parent is not an open ancestor", 2),
+            ),
+            (
+                "parent closed",
+                |c, _| c.parents[4] = 2,
+                ("parent is not an open ancestor", 4),
+            ),
+            (
+                "parent a text",
+                |c, _| c.parents[4] = 3,
+                ("text node has children", 4),
+            ),
+            (
+                "tag symbol at its bound",
+                |c, s| c.labels[2] = s,
+                ("tag symbol out of range", 2),
+            ),
+            (
+                "text ordinal at its bound",
+                |c, _| c.labels[5] = TEXT_BIT | 2,
+                ("text index out of range", 5),
+            ),
+            (
+                "text ordinals swapped",
+                |c, _| {
+                    c.labels[3] = TEXT_BIT | 1;
+                    c.labels[5] = TEXT_BIT;
+                },
+                ("text ordinals not in node order", 3),
+            ),
+            (
+                "a text held by no node",
+                |c, _| {
+                    c.text_ends.push(3);
+                },
+                ("texts held by no node", 2),
+            ),
+            (
+                "attribute owners descending",
+                |c, _| c.attr_owners = vec![4, 1],
+                ("attribute owners not in node order", 1),
+            ),
+            (
+                "attribute owner at its bound",
+                |c, _| c.attr_owners[1] = 6,
+                ("attribute owner out of range", 1),
+            ),
+            (
+                "attribute on a text",
+                |c, _| c.attr_owners[1] = 3,
+                ("text node has attributes", 3),
+            ),
+            (
+                "attribute owners short",
+                |c, _| {
+                    c.attr_owners.pop();
+                },
+                ("attributes held by no node", 2),
+            ),
+            (
+                "attribute owners long",
+                |c, _| c.attr_owners.push(5),
+                ("attribute range out of bounds", 2),
+            ),
+            (
+                "text ends descending",
+                |c, _| c.text_ends = vec![3, 2],
+                ("text ends not ascending char boundaries", 1),
+            ),
+            (
+                "text end inside a char",
+                |c, _| c.text_ends[0] = 1,
+                ("text ends not ascending char boundaries", 0),
+            ),
+            (
+                "text bytes past the last end",
+                |c, _| c.text_ends[1] = 2,
+                ("text bytes past the last text end", 2),
+            ),
+            (
+                "attribute name at its bound",
+                |c, s| c.attr_names[1] = s,
+                ("attribute name symbol out of range", 1),
+            ),
+            (
+                "value end inside a char",
+                |c, _| c.value_ends[1] = 2,
+                ("attribute value ends not ascending char boundaries", 1),
+            ),
+            (
+                "value ends short",
+                |c, _| {
+                    c.value_ends.pop();
+                },
+                ("attribute value ends disagree with the names", 1),
+            ),
+            (
+                "value bytes past the last end",
+                |c, _| c.value_ends[1] = 1,
+                ("attribute value bytes past the last end", 2),
+            ),
+        ];
+        for (name, edit, expect) in cases {
+            let mut bad = Cols::of(&doc);
+            edit(&mut bad, symbols);
+            assert_eq!(invalid_what(&tags, &bad.encode()), Some(expect), "{name}");
+        }
+        // Blobs are UTF-8, checked once each, and padded with zeros.
+        let mut bad = Cols::of(&doc);
+        bad.texts[0] = 0xff;
+        assert!(matches!(
+            decode_document(&tags, &bad.encode()),
+            Err(CodecError::Wire(WireError::InvalidUtf8 { .. }))
+        ));
+        let mut elems = good.encode();
+        let last = elems.len() - 1;
+        elems[last] = 1;
+        assert!(matches!(
+            decode_document(&tags, &elems),
+            Err(CodecError::Wire(WireError::NonZeroPadding { .. }))
+        ));
+    }
+
+    // ------------------------------------------------ v1/v2 records
+
+    /// The v1/v2 `ELEMS` payload of `doc`: what builds before format v3
+    /// wrote, kept here as the input of the adapter's tests.
+    fn encode_records(doc: &Document) -> Vec<u8> {
+        let link = |n: Option<NodeId>| n.map_or(NO_NODE, |n| n.0);
+        let mut w = ByteWriter::new();
+        w.u32(0);
+        w.u64(doc.node_count() as u64);
+        let mut attrs_start = 0u32;
+        for n in doc.all_nodes() {
+            let (kind, payload) = match doc.kind(n) {
+                NodeKind::Element { tag } => (0, tag.0),
+                NodeKind::Text { text } => (1, text),
+            };
+            w.u8(kind);
+            for v in [
+                payload,
+                link(doc.parent(n)),
+                link(doc.first_child(n)),
+                link(doc.next_sibling(n)),
+                doc.start(n),
+                doc.end(n),
+                doc.level(n),
+                attrs_start,
+            ] {
+                w.u32(v);
+            }
+            let attrs_len = doc.attributes(n).len() as u16;
+            w.u16(attrs_len);
+            attrs_start += u32::from(attrs_len);
+        }
+        w.u64(doc.texts.len() as u64);
+        for i in 0..doc.texts.len() {
+            w.str(doc.texts.get(i).unwrap());
+        }
+        w.u64(doc.attrs.len() as u64);
+        for (sym, val) in &doc.attrs {
+            w.u32(sym.0);
+            w.str(val);
+        }
+        w.into_bytes()
     }
 
     #[test]
     fn dangling_references_are_invalid() {
         let doc = parse("<a><b/></a>").unwrap();
         let tags = encode_symbols(doc.symbols());
-        let mut elems = encode_nodes(&doc);
+        let mut elems = encode_records(&doc);
         // Corrupt the root id field (first 4 bytes) to an out-of-range node.
         elems[0] = 0x7f;
         assert!(matches!(
-            decode_document(&tags, &elems),
+            decode_document_v2(&tags, &elems),
             Err(CodecError::Invalid { .. })
         ));
     }
@@ -616,8 +997,8 @@ mod tests {
         elems[at..at + bytes.len()].copy_from_slice(bytes);
     }
 
-    fn invalid_what(tags: &[u8], elems: &[u8]) -> Option<(&'static str, u64)> {
-        match decode_document(tags, elems) {
+    fn invalid_what_v2(tags: &[u8], elems: &[u8]) -> Option<(&'static str, u64)> {
+        match decode_document_v2(tags, elems) {
             Err(CodecError::Invalid { what, index }) => Some((what, index)),
             _ => None,
         }
@@ -630,8 +1011,8 @@ mod tests {
         // Nodes: 0 a, 1 b, 2 c, 3 "t", 4 d, 5 "u".
         let doc = parse("<a><b x=\"1\"><c/>t</b><d y=\"2\"/>u</a>").unwrap();
         let tags = encode_symbols(doc.symbols());
-        let elems = encode_nodes(&doc);
-        assert!(decode_document(&tags, &elems).is_ok());
+        let elems = encode_records(&doc);
+        assert!(decode_document_v2(&tags, &elems).is_ok());
         let u32s = |v: u32| v.to_le_bytes();
         // (name, node, field, new bytes, expected error)
         type Case = (&'static str, usize, usize, Vec<u8>, (&'static str, u64));
@@ -717,12 +1098,12 @@ mod tests {
         for (name, node, field, bytes, expect) in cases {
             let mut bad = elems.clone();
             patch(&mut bad, node, field, &bytes);
-            assert_eq!(invalid_what(&tags, &bad), Some(expect), "{name}");
+            assert_eq!(invalid_what_v2(&tags, &bad), Some(expect), "{name}");
         }
         let mut bad = elems.clone();
         bad[..4].copy_from_slice(&u32s(1));
         assert_eq!(
-            invalid_what(&tags, &bad),
+            invalid_what_v2(&tags, &bad),
             Some(("root is not node 0", 1)),
             "a root other than node 0"
         );
@@ -756,7 +1137,7 @@ mod tests {
     fn labels_at_two_to_the_31_are_rejected() {
         let doc = parse("<a>x</a>").unwrap();
         let tags = encode_symbols(doc.symbols());
-        assert_eq!(root_and_child(1, 0), encode_nodes(&doc));
+        assert_eq!(root_and_child(1, 0), encode_records(&doc));
         let past = Some(("symbol id or text ordinal past 2^31", 1));
         for (kind, payload, expect) in [
             (1, TEXT_BIT, past),
@@ -767,7 +1148,7 @@ mod tests {
         ] {
             let elems = root_and_child(kind, payload);
             assert_eq!(
-                invalid_what(&tags, &elems),
+                invalid_what_v2(&tags, &elems),
                 expect,
                 "kind {kind} payload {payload:#x}"
             );

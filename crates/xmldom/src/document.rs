@@ -139,6 +139,17 @@ impl TextArena {
         }
     }
 
+    /// An arena over `bytes` cut at `offsets`, which the caller has checked:
+    /// `0` first, then ascending char boundaries, the last `bytes.len()`.
+    pub(crate) fn from_parts(bytes: String, offsets: Vec<u32>) -> Self {
+        TextArena { bytes, offsets }
+    }
+
+    /// Every text back to back, and each text's end offset in it.
+    pub(crate) fn parts(&self) -> (&str, &[u32]) {
+        (&self.bytes, self.offsets.get(1..).unwrap_or(&[]))
+    }
+
     /// Appends `text`, returning its ordinal, or `None` (arena unchanged)
     /// if the arena would pass `u32::MAX` bytes.
     pub(crate) fn push(&mut self, text: &str) -> Option<u32> {
@@ -159,13 +170,6 @@ impl TextArena {
         let start = *self.offsets.get(i)? as usize;
         let end = *self.offsets.get(i + 1)? as usize;
         self.bytes.get(start..end)
-    }
-
-    /// Every text in ordinal order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &str> {
-        self.offsets
-            .windows(2)
-            .map(|w| self.bytes.get(w[0] as usize..w[1] as usize).unwrap_or(""))
     }
 }
 

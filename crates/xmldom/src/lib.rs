@@ -61,4 +61,4 @@ pub use parser::{parse, parse_events, parse_with_options, ParseOptions};
 pub use serialize::{to_xml_pretty, to_xml_string, write_xml};
 pub use stats::{DocStats, TagPair};
 pub use symbols::{Sym, SymbolTable};
-pub use wire::{ByteReader, ByteWriter, WireError};
+pub use wire::{ByteReader, ByteWriter, U32s, WireError};

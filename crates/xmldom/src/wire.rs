@@ -1,9 +1,11 @@
 //! Minimal binary wire helpers shared by every persistent-store codec.
 //!
 //! The persistent corpus format (see the `flexpath-store` crate) is
-//! deliberately dependency-free: fixed-width little-endian integers and
-//! length-prefixed UTF-8 strings, written by [`ByteWriter`] and read back
-//! by [`ByteReader`]. The reader is *total*: every method returns a typed
+//! deliberately dependency-free: fixed-width little-endian integers,
+//! length-prefixed UTF-8 strings, and the two pieces of a columnar payload
+//! — a `u32` column with its count up front, and a string blob padded to a
+//! multiple of four — written by [`ByteWriter`] and read back by
+//! [`ByteReader`]. The reader is *total*: every method returns a typed
 //! [`WireError`] instead of panicking, no matter how truncated or
 //! malformed the input bytes are — the store's corruption contract ("no
 //! panic on any byte flip") bottoms out here.
@@ -37,6 +39,11 @@ pub enum WireError {
         /// Byte offset of the first unconsumed byte.
         at: usize,
     },
+    /// The padding after a string blob was not all zero bytes.
+    NonZeroPadding {
+        /// Byte offset of the padding.
+        at: usize,
+    },
 }
 
 impl fmt::Display for WireError {
@@ -53,11 +60,17 @@ impl fmt::Display for WireError {
                 write!(f, "implausible length {len} at byte {at}")
             }
             WireError::TrailingBytes { at } => write!(f, "trailing bytes at offset {at}"),
+            WireError::NonZeroPadding { at } => write!(f, "nonzero padding at byte {at}"),
         }
     }
 }
 
 impl std::error::Error for WireError {}
+
+/// Zero bytes that follow a string blob of `len` bytes.
+fn padding(len: usize) -> usize {
+    len.next_multiple_of(4) - len
+}
 
 /// Append-only little-endian encoder.
 #[derive(Debug, Default)]
@@ -109,6 +122,41 @@ impl ByteWriter {
         self.buf.extend_from_slice(s.as_bytes());
     }
 
+    /// Appends one column: a `u32` count, then the little-endian `u32`s.
+    /// The values are written as they come, with no copy collected first,
+    /// and the count is the number written.
+    pub fn u32s(&mut self, values: impl IntoIterator<Item = u32>) {
+        let at = self.buf.len();
+        self.u32(0);
+        let mut n = 0u32;
+        for v in values {
+            self.u32(v);
+            n += 1;
+        }
+        self.patch_u32(at, n);
+    }
+
+    /// Appends a string blob: a `u32` byte length, the bytes of `pieces`
+    /// back to back, then zero bytes up to a multiple of four, so a column
+    /// written after it stays 4-byte aligned.
+    pub fn padded_str<'s>(&mut self, pieces: impl IntoIterator<Item = &'s str>) {
+        let at = self.buf.len();
+        self.u32(0);
+        for s in pieces {
+            self.buf.extend_from_slice(s.as_bytes());
+        }
+        let len = self.buf.len() - at - 4;
+        self.patch_u32(at, len as u32);
+        self.buf.resize(self.buf.len() + padding(len), 0);
+    }
+
+    /// Overwrites the `u32` written at byte `at`.
+    fn patch_u32(&mut self, at: usize, v: u32) {
+        if let Some(slot) = self.buf.get_mut(at..at + 4) {
+            slot.copy_from_slice(&v.to_le_bytes());
+        }
+    }
+
     /// Number of bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -122,6 +170,39 @@ impl ByteWriter {
     /// Consumes the writer, returning the encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
+    }
+}
+
+/// A column of little-endian `u32`s inside a payload, as
+/// [`ByteReader::u32s`] finds it: read in place, copied only by
+/// [`U32s::to_vec`] into whatever in-memory shape the decoder builds.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct U32s<'a>(&'a [[u8; 4]]);
+
+impl<'a> U32s<'a> {
+    /// Number of values.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether the column is empty.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The values `range`, or `None` if it is reversed or runs past the end.
+    pub fn get(&self, range: std::ops::Range<usize>) -> Option<U32s<'a>> {
+        self.0.get(range).map(U32s)
+    }
+
+    /// The values in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = u32> + 'a {
+        self.0.iter().map(|b| u32::from_le_bytes(*b))
+    }
+
+    /// The values, copied into a `Vec` of exactly their length.
+    pub fn to_vec(&self) -> Vec<u32> {
+        self.iter().collect()
     }
 }
 
@@ -230,6 +311,31 @@ impl<'a> ByteReader<'a> {
         std::str::from_utf8(bytes).map_err(|_| WireError::InvalidUtf8 { at: start })
     }
 
+    /// Reads a column written by [`ByteWriter::u32s`], borrowed: nothing is
+    /// copied or allocated, and a count past the bytes remaining is an
+    /// error.
+    pub fn u32s(&mut self) -> Result<U32s<'a>, WireError> {
+        let at = self.pos;
+        let n = self.u32()? as usize;
+        if n > self.remaining() / 4 {
+            self.pos = at;
+            return Err(WireError::ImplausibleLength { at, len: n as u64 });
+        }
+        let (run, _) = self.take(4 * n)?.as_chunks::<4>();
+        Ok(U32s(run))
+    }
+
+    /// Reads a string blob written by [`ByteWriter::padded_str`]: one UTF-8
+    /// check over the whole string, and padding that must be zero.
+    pub fn padded_str(&mut self) -> Result<&'a str, WireError> {
+        let s = self.str()?;
+        let at = self.pos;
+        if self.take(padding(s.len()))?.iter().any(|&b| b != 0) {
+            return Err(WireError::NonZeroPadding { at });
+        }
+        Ok(s)
+    }
+
     /// Reads a `u64` count field and sanity-checks it against the bytes
     /// remaining: each counted item occupies at least `min_item_bytes`, so
     /// a count that could not possibly fit is rejected *before* any
@@ -321,6 +427,51 @@ mod tests {
         // Zero-byte items accept any count.
         let mut r = ByteReader::new(&bytes);
         assert!(r.count(0).is_ok());
+    }
+
+    #[test]
+    fn columns_and_blobs_roundtrip_four_byte_aligned() {
+        let mut w = ByteWriter::new();
+        w.u32s([7, u32::MAX, 0]);
+        for s in ["", "é", "abc", "abcd", "abcde"] {
+            w.padded_str([s]);
+            assert_eq!(w.len() % 4, 0, "{s:?}");
+        }
+        w.padded_str(["ab", "", "cd", "e"]);
+        w.u32s([]);
+        let bytes = w.into_bytes();
+        let mut r = ByteReader::new(&bytes);
+        let column = r.u32s().unwrap();
+        assert_eq!(column.to_vec(), [7, u32::MAX, 0]);
+        assert_eq!(column.get(1..3).unwrap().to_vec(), [u32::MAX, 0]);
+        assert!(column.get(2..4).is_none());
+        for s in ["", "é", "abc", "abcd", "abcde", "abcde"] {
+            assert_eq!(r.padded_str().unwrap(), s);
+        }
+        assert!(r.u32s().unwrap().is_empty());
+        assert!(r.expect_exhausted().is_ok());
+    }
+
+    #[test]
+    fn column_counts_past_the_input_and_dirty_padding_are_typed() {
+        let mut w = ByteWriter::new();
+        w.u32s([1, 2]);
+        let mut bytes = w.into_bytes();
+        bytes[0] = 3;
+        let mut r = ByteReader::new(&bytes);
+        assert_eq!(
+            r.u32s().unwrap_err(),
+            WireError::ImplausibleLength { at: 0, len: 3 }
+        );
+        assert_eq!(r.position(), 0, "cursor rewound to the count");
+        let mut w = ByteWriter::new();
+        w.padded_str(["ab"]);
+        let mut bytes = w.into_bytes();
+        bytes[7] = 1;
+        assert_eq!(
+            ByteReader::new(&bytes).padded_str(),
+            Err(WireError::NonZeroPadding { at: 6 })
+        );
     }
 
     #[test]

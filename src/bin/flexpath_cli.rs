@@ -487,8 +487,9 @@ fn run_store_inspect(path: &str) -> ExitCode {
         report.version,
         report.file_bytes,
         match report.version {
-            1 => "dense layout, eager decode",
-            _ => "aligned layout, lazy decode",
+            1 => "dense layout, node records, eager decode",
+            2 => "aligned layout, node records, lazy decode",
+            _ => "aligned layout, columns, lazy decode",
         }
     );
     match &report.meta {

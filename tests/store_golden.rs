@@ -1,8 +1,8 @@
-//! Golden-file drift check: the committed `tests/golden/tiny_v2.fxs` is
+//! Golden-file drift check: the committed `tests/golden/tiny_v3.fxs` is
 //! the byte-exact serialization of a fixed tiny corpus in the container
-//! version this build writes (v2, aligned layout). Any change to the wire
-//! layout — container, section payloads, encoding order — flips these
-//! bytes and fails this test.
+//! version this build writes (v3: aligned layout, column payloads). Any
+//! change to the wire layout — container, section payloads, encoding
+//! order — flips these bytes and fails this test.
 //!
 //! That failure is the prompt: either revert the accidental layout change,
 //! or (for a deliberate format change) add a new container version and
@@ -13,13 +13,15 @@
 //! ```
 //!
 //! `tests/golden/tiny.fxs` is the same corpus as a v1 build wrote it
-//! (dense layout). Nothing writes v1 any more, so that file is the
-//! backward-compatibility fixture and is never regenerated: the current
-//! reader must keep opening it (eagerly — v1 has no lazy path) and must
-//! produce answers identical to the v2 image of the same corpus.
+//! (dense layout), and `tests/golden/tiny_v2.fxs` as a v2 build wrote it
+//! (aligned layout, node records). Nothing writes v1 or v2 any more, so
+//! those files are the backward-compatibility fixtures and are never
+//! regenerated: the current reader must keep opening them (v1 eagerly — it
+//! has no lazy path) and must produce answers identical to the v3 image of
+//! the same corpus.
 
 use flexpath::FleXPath;
-use flexpath_store::{StoreBuilder, FORMAT_V1, FORMAT_V2};
+use flexpath_store::{StoreBuilder, FORMAT_V1, FORMAT_V2, FORMAT_V3};
 use std::path::PathBuf;
 
 /// The fixed corpus. Never edit: the golden bytes encode exactly this.
@@ -34,10 +36,14 @@ const TINY_XML: &str = r#"<site>
 </site>"#;
 
 /// (container version, committed file name) for each golden image.
-const GOLDENS: &[(u32, &str)] = &[(FORMAT_V1, "tiny.fxs"), (FORMAT_V2, "tiny_v2.fxs")];
+const GOLDENS: &[(u32, &str)] = &[
+    (FORMAT_V1, "tiny.fxs"),
+    (FORMAT_V2, "tiny_v2.fxs"),
+    (FORMAT_V3, "tiny_v3.fxs"),
+];
 
 /// The golden this build can still write (and therefore drift-check).
-const WRITTEN_GOLDEN: &str = "tiny_v2.fxs";
+const WRITTEN_GOLDEN: &str = "tiny_v3.fxs";
 
 fn golden_path(file: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -63,8 +69,8 @@ fn format_matches_committed_golden_files() {
     let current = current_bytes();
     assert_eq!(
         u32::from_le_bytes(current[8..12].try_into().expect("version field")),
-        FORMAT_V2,
-        "the builder writes container version {FORMAT_V2}"
+        FORMAT_V3,
+        "the builder writes container version {FORMAT_V3}"
     );
     assert_eq!(
         current,
@@ -84,13 +90,15 @@ fn format_matches_committed_golden_files() {
 
 #[test]
 fn golden_files_still_open_and_answer_identically() {
-    // Drift aside, the committed bytes of BOTH versions must decode with
+    // Drift aside, the committed bytes of EVERY version must decode with
     // the current reader and answer a query with identical results — the
-    // backward-compatibility contract: a v1 file written by an old build
-    // keeps working, byte-identical in its answers to a v2 rewrite.
+    // backward-compatibility contract: a v1 or v2 file written by an old
+    // build keeps working, byte-identical in its answers to a v3 rewrite.
     let mut all_hits = Vec::new();
     for &(version, file) in GOLDENS {
         let flex = FleXPath::open(&golden_path(file)).expect("golden file opens");
+        let header = std::fs::read(golden_path(file)).expect("golden file reads");
+        assert_eq!(header[8..12], version.to_le_bytes(), "{file} version");
         if version == FORMAT_V1 {
             // v1 has no lazy representation: the open decodes everything.
             assert!(
@@ -111,18 +119,20 @@ fn golden_files_still_open_and_answer_identically() {
                 .collect::<Vec<_>>(),
         );
     }
-    assert_eq!(
-        all_hits[0], all_hits[1],
-        "v1 and v2 images of the same corpus must answer identically"
-    );
+    for (hits, &(version, _)) in all_hits.iter().zip(GOLDENS) {
+        assert_eq!(
+            hits, &all_hits[0],
+            "v{version} and v1 images of the same corpus must answer identically"
+        );
+    }
 }
 
-/// Regenerates the v2 golden file (the v1 golden cannot be rewritten —
-/// it is kept as committed). Run explicitly after a deliberate format
+/// Regenerates the v3 golden file (the v1 and v2 goldens cannot be
+/// rewritten — they are kept as committed). Run explicitly after a deliberate format
 /// change (with the version bump already in place):
 /// `cargo test -q --test store_golden -- --ignored regenerate`.
 #[test]
-#[ignore = "writes tests/golden/tiny_v2.fxs; run explicitly after a format bump"]
+#[ignore = "writes tests/golden/tiny_v3.fxs; run explicitly after a format bump"]
 fn regenerate() {
     let path = golden_path(WRITTEN_GOLDEN);
     std::fs::create_dir_all(path.parent().expect("parent")).expect("golden dir");
