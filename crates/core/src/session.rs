@@ -83,9 +83,8 @@ impl FleXPath {
     /// Restores a session from the persistent store file at `path`
     /// (written by [`FleXPath::save`] or the `flexpath index` command),
     /// skipping XML parsing, statistics collection, and index
-    /// construction. The open is *lazy* for v2 files: O(header) work up
-    /// front, sections validated and decoded on first touch (v1 files
-    /// decode eagerly, as they always have). Queries on the restored
+    /// construction. The open is *lazy*: O(header) work up front, sections
+    /// validated and decoded on first touch. Queries on the restored
     /// session return byte-identical answers and trace fingerprints to a
     /// freshly built one.
     pub fn open(path: &Path) -> Result<Self, StoreError> {
@@ -94,8 +93,8 @@ impl FleXPath {
 
     /// Wraps an opened [`LazyStore`] (e.g. from
     /// [`flexpath_store::Catalog::open_lazy`]) in a session — the one way
-    /// a store-backed session is built. Nothing is decoded yet for v2
-    /// stores; use [`FleXPath::materialize`] or the fallible query path
+    /// a store-backed session is built. Nothing is decoded yet; use
+    /// [`FleXPath::materialize`] or the fallible query path
     /// ([`TopKQuery::try_execute`]) to surface first-touch corruption as
     /// typed errors instead of panics. A caller that prefers open-time
     /// validation over open-time speed calls `materialize(true)` right

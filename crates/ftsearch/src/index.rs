@@ -20,12 +20,11 @@
 //! one positions column over every entry ([`InvertedIndex::encode`]).
 //! [`InvertedIndex::decode`] is the one validator: it reads the columns in
 //! place, checks the canonical form, and copies each term's positions out
-//! of the shared column in one piece. [`InvertedIndex::decode_v2`] turns
-//! the v1/v2 per-term lists into the same columns first.
+//! of the shared column in one piece.
 
 use crate::stem::stem;
 use crate::tokenize::for_each_token;
-use flexpath_xmldom::wire::{ByteReader, ByteWriter, WireError};
+use flexpath_xmldom::wire::{ByteReader, ByteWriter};
 use flexpath_xmldom::{CodecError, Document, NodeId};
 use std::collections::HashMap;
 
@@ -431,70 +430,6 @@ impl InvertedIndex {
             token_prefix: prefix_sums(&direct_tokens),
         })
     }
-
-    /// Decodes format v1/v2 `TERMS` + `POSTINGS` payloads — per term a
-    /// length-prefixed name and a `u64` entry count; per entry its node, tf
-    /// and positions inline — by turning them into the v3 columns and
-    /// handing those to [`InvertedIndex::decode`]. Counts are checked
-    /// against the bytes left where they are read, before anything is sized
-    /// by them.
-    pub fn decode_v2(
-        term_bytes: &[u8],
-        posting_bytes: &[u8],
-        node_count: usize,
-    ) -> Result<Self, CodecError> {
-        let mut tr = ByteReader::new(term_bytes);
-        let scoring_elements = tr.u64()?;
-        let term_count = tr.count(12)?;
-        let mut pr = ByteReader::new(posting_bytes);
-        let mut names = String::new();
-        let mut name_ends = Vec::with_capacity(term_count);
-        let mut entry_ends = Vec::with_capacity(term_count);
-        let (mut nodes, mut tfs, mut positions) = (Vec::new(), Vec::new(), Vec::new());
-        for i in 0..term_count {
-            names.push_str(tr.str()?);
-            let end = u32::try_from(names.len());
-            name_ends.push(end.map_err(|_| invalid("term names exceed 4 GiB", i as u64))?);
-            // Each entry is ≥ 12 bytes in the postings stream.
-            let at = tr.position();
-            let entry_count = tr.u64()?;
-            if entry_count > (pr.remaining() as u64) / 12 {
-                return Err(CodecError::Wire(WireError::ImplausibleLength {
-                    at,
-                    len: entry_count,
-                }));
-            }
-            for _ in 0..entry_count {
-                nodes.push(pr.u32()?);
-                let at = pr.position();
-                let tf = pr.u32()?;
-                if tf as usize > pr.remaining() / 4 {
-                    return Err(CodecError::Wire(WireError::ImplausibleLength {
-                        at,
-                        len: u64::from(tf),
-                    }));
-                }
-                tfs.push(tf);
-                // `tf * 4` fits: it was bounded by the bytes remaining.
-                let (run, _) = pr.bytes(tf as usize * 4)?.as_chunks::<4>();
-                positions.extend(run.iter().map(|b| u32::from_le_bytes(*b)));
-            }
-            entry_ends.push(nodes.len() as u32);
-        }
-        tr.expect_exhausted()?;
-        pr.expect_exhausted()?;
-        // The columns in `encode`'s layout.
-        let mut tw = ByteWriter::with_capacity(term_bytes.len());
-        tw.u64(scoring_elements);
-        tw.u32s(name_ends);
-        tw.u32s(entry_ends);
-        tw.padded_str([names.as_str()]);
-        let mut pw = ByteWriter::with_capacity(posting_bytes.len());
-        pw.u32s(nodes);
-        pw.u32s(tfs);
-        pw.u32s(positions);
-        Self::decode(&tw.into_bytes(), &pw.into_bytes(), node_count)
-    }
 }
 
 fn invalid(what: &'static str, index: u64) -> CodecError {
@@ -603,65 +538,28 @@ mod tests {
         assert_eq!(idx.total_tokens(), 0);
     }
 
-    /// The v1/v2 `TERMS` + `POSTINGS` payloads of `idx`: what builds
-    /// before format v3 wrote, kept here as the input of the adapter's
-    /// tests.
-    fn encode_v2(idx: &InvertedIndex) -> (Vec<u8>, Vec<u8>) {
-        let mut terms: Vec<&str> = idx.postings.keys().map(|t| t.as_ref()).collect();
-        terms.sort_unstable();
-        let mut tw = ByteWriter::new();
-        tw.u64(idx.scoring_elements);
-        tw.u64(terms.len() as u64);
-        let mut pw = ByteWriter::new();
-        for term in terms {
-            let posting = &idx.postings[term];
-            tw.str(term);
-            tw.u64(posting.entries.len() as u64);
-            for e in &posting.entries {
-                pw.u32(e.node.0);
-                pw.u32(e.tf);
-                for &p in posting.positions_of(e) {
-                    pw.u32(p);
-                }
-            }
-        }
-        (tw.into_bytes(), pw.into_bytes())
-    }
-
-    type Decode = fn(&[u8], &[u8], usize) -> Result<InvertedIndex, CodecError>;
-    type Payloads = (Vec<u8>, Vec<u8>);
-
-    /// Both layouts of `idx`, each with its decoder.
-    fn layouts(idx: &InvertedIndex) -> [(Decode, Payloads); 2] {
-        [
-            (InvertedIndex::decode, idx.encode()),
-            (InvertedIndex::decode_v2, encode_v2(idx)),
-        ]
-    }
-
     #[test]
     fn codec_roundtrip_is_lossless() {
         let (doc, idx) = index_of(
             "<r><a>gold silver gold</a><b>gold <c>copper</c> tail</b><d>streaming</d></r>",
         );
-        for (decode, (terms, postings)) in layouts(&idx) {
-            let back = decode(&terms, &postings, doc.node_count()).unwrap();
-            assert_eq!(back.term_count(), idx.term_count());
-            assert_eq!(back.scoring_elements(), idx.scoring_elements());
-            assert_eq!(back.total_tokens(), idx.total_tokens());
-            for t in ["gold", "silver", "copper", "tail", "stream"] {
-                assert_eq!(back.posting(t), idx.posting(t), "posting for {t}");
-                assert!((back.idf(t) - idx.idf(t)).abs() < 1e-15);
-            }
-            for n in doc.all_nodes() {
-                assert_eq!(back.direct_token_count(n), idx.direct_token_count(n));
-                assert_eq!(
-                    back.subtree_token_count(&doc, n),
-                    idx.subtree_token_count(&doc, n)
-                );
-            }
-            assert_eq!(back.encode(), idx.encode());
+        let (terms, postings) = idx.encode();
+        let back = InvertedIndex::decode(&terms, &postings, doc.node_count()).unwrap();
+        assert_eq!(back.term_count(), idx.term_count());
+        assert_eq!(back.scoring_elements(), idx.scoring_elements());
+        assert_eq!(back.total_tokens(), idx.total_tokens());
+        for t in ["gold", "silver", "copper", "tail", "stream"] {
+            assert_eq!(back.posting(t), idx.posting(t), "posting for {t}");
+            assert!((back.idf(t) - idx.idf(t)).abs() < 1e-15);
         }
+        for n in doc.all_nodes() {
+            assert_eq!(back.direct_token_count(n), idx.direct_token_count(n));
+            assert_eq!(
+                back.subtree_token_count(&doc, n),
+                idx.subtree_token_count(&doc, n)
+            );
+        }
+        assert_eq!(back.encode(), idx.encode());
     }
 
     #[test]
@@ -673,53 +571,29 @@ mod tests {
     #[test]
     fn codec_rejects_any_single_byte_flip_or_decodes_validly() {
         let (doc, idx) = index_of("<r><a>gold silver</a><b>gold</b></r>");
-        for (decode, (terms, postings)) in layouts(&idx) {
-            for i in 0..terms.len() {
-                let mut bad = terms.clone();
-                bad[i] ^= 0xff;
-                let _ = decode(&bad, &postings, doc.node_count());
-            }
-            for i in 0..postings.len() {
-                let mut bad = postings.clone();
-                bad[i] ^= 0xff;
-                let _ = decode(&terms, &bad, doc.node_count());
-            }
+        let (terms, postings) = idx.encode();
+        for i in 0..terms.len() {
+            let mut bad = terms.clone();
+            bad[i] ^= 0xff;
+            let _ = InvertedIndex::decode(&bad, &postings, doc.node_count());
+        }
+        for i in 0..postings.len() {
+            let mut bad = postings.clone();
+            bad[i] ^= 0xff;
+            let _ = InvertedIndex::decode(&terms, &bad, doc.node_count());
         }
     }
 
     #[test]
     fn codec_rejects_truncation() {
         let (doc, idx) = index_of("<r><a>gold silver</a></r>");
-        for (decode, (terms, postings)) in layouts(&idx) {
-            for cut in 0..terms.len() {
-                assert!(decode(&terms[..cut], &postings, doc.node_count()).is_err());
-            }
-            for cut in 0..postings.len() {
-                assert!(decode(&terms, &postings[..cut], doc.node_count()).is_err());
-            }
+        let (terms, postings) = idx.encode();
+        for cut in 0..terms.len() {
+            assert!(InvertedIndex::decode(&terms[..cut], &postings, doc.node_count()).is_err());
         }
-    }
-
-    #[test]
-    fn implausible_entry_count_names_its_offset_in_the_terms_payload() {
-        let (doc, idx) = index_of("<r><a>gold silver</a><b>gold</b></r>");
-        let (terms, postings) = encode_v2(&idx);
-        // v2 terms payload: scoring u64, term count u64, then per term a
-        // u32-length-prefixed name and its u64 entry count.
-        let mut at = 16;
-        for name in ["gold", "silver"] {
-            at += 4 + name.len();
-            let mut bad = terms.clone();
-            bad[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-            match InvertedIndex::decode_v2(&bad, &postings, doc.node_count()) {
-                Err(CodecError::Wire(WireError::ImplausibleLength { at: got, len })) => {
-                    assert_eq!((got, len), (at, u64::MAX), "count of {name}");
-                }
-                other => panic!("count of {name}: expected ImplausibleLength, got {other:?}"),
-            }
-            at += 8;
+        for cut in 0..postings.len() {
+            assert!(InvertedIndex::decode(&terms, &postings[..cut], doc.node_count()).is_err());
         }
-        assert_eq!(at, terms.len());
     }
 
     /// An index's v3 columns, owned, for a test to edit and re-encode.

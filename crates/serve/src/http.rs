@@ -116,7 +116,8 @@ pub enum HttpError {
         /// The configured cap in bytes.
         limit: usize,
     },
-    /// `Content-Length` is not a decimal number.
+    /// `Content-Length` is not a decimal number, or is repeated with
+    /// differing values.
     BadContentLength,
     /// The declared body exceeds the size cap.
     BodyTooLarge {
@@ -159,7 +160,7 @@ impl std::fmt::Display for HttpError {
             HttpError::HeadTooLarge { limit } => {
                 write!(f, "request head exceeds {limit} bytes")
             }
-            HttpError::BadContentLength => write!(f, "unparseable Content-Length"),
+            HttpError::BadContentLength => write!(f, "unparseable or conflicting Content-Length"),
             HttpError::BodyTooLarge { declared, limit } => {
                 write!(f, "body of {declared} bytes exceeds cap of {limit}")
             }
@@ -218,8 +219,18 @@ pub fn read_request(stream: &mut impl Read, limits: &HttpLimits) -> Result<Reque
     if find("transfer-encoding").is_some() {
         return Err(HttpError::UnsupportedTransferEncoding);
     }
-    let content_length: u64 = match find("content-length") {
-        Some(v) => v.parse().map_err(|_| HttpError::BadContentLength)?,
+    // Repeated `Content-Length` headers must agree: with differing values
+    // the body's end is ambiguous, and a proxy that reads the other one
+    // would frame the connection differently.
+    let mut lengths = headers
+        .iter()
+        .filter(|(name, _)| name == "content-length")
+        .map(|(_, v)| v.as_str());
+    let content_length: u64 = match lengths.next() {
+        Some(v) if lengths.all(|other| other == v) => {
+            v.parse().map_err(|_| HttpError::BadContentLength)?
+        }
+        Some(_) => return Err(HttpError::BadContentLength),
         None => 0,
     };
     if content_length > limits.max_body_bytes {
@@ -263,19 +274,27 @@ pub fn read_request(stream: &mut impl Read, limits: &HttpLimits) -> Result<Reque
 }
 
 /// Reads bytes until the `\r\n\r\n` head terminator, returning the head
-/// and any body bytes read past it.
+/// and any body bytes read past it. A head longer than `max_head_bytes`,
+/// terminator included, is refused however the bytes arrive.
 fn read_head(stream: &mut impl Read, limits: &HttpLimits) -> Result<(Vec<u8>, Vec<u8>), HttpError> {
+    let too_large = || HttpError::HeadTooLarge {
+        limit: limits.max_head_bytes,
+    };
     let mut buf: Vec<u8> = Vec::with_capacity(512);
+    // No terminator starts before `searched`, so a head trickled in byte by
+    // byte is scanned once, not once per read.
+    let mut searched = 0;
     loop {
-        if let Some(end) = find_head_end(&buf) {
+        if let Some(end) = find_head_end(&buf, searched) {
+            if end + 4 > limits.max_head_bytes {
+                return Err(too_large());
+            }
             let leftover = buf.split_off(end + 4);
             buf.truncate(end);
             return Ok((buf, leftover));
         }
         if buf.len() >= limits.max_head_bytes {
-            return Err(HttpError::HeadTooLarge {
-                limit: limits.max_head_bytes,
-            });
+            return Err(too_large());
         }
         let mut chunk = [0u8; 1024];
         let n = stream.read(&mut chunk)?;
@@ -285,13 +304,20 @@ fn read_head(stream: &mut impl Read, limits: &HttpLimits) -> Result<(Vec<u8>, Ve
             }
             return Err(HttpError::BadRequestLine);
         }
+        // A terminator completed by the new bytes starts at most three
+        // bytes before them.
+        searched = buf.len().saturating_sub(3);
         buf.extend_from_slice(chunk.get(..n).unwrap_or(&[]));
     }
 }
 
-/// Index of the `\r\n\r\n` terminator in `buf`, if present.
-fn find_head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n")
+/// Index of the first `\r\n\r\n` terminator in `buf` that starts at or
+/// after `from`, if present.
+fn find_head_end(buf: &[u8], from: usize) -> Option<usize> {
+    let tail = buf.get(from..)?;
+    tail.windows(4)
+        .position(|w| w == b"\r\n\r\n")
+        .map(|i| from + i)
 }
 
 /// Splits `METHOD SP TARGET SP HTTP/1.x` into its typed parts.

@@ -290,18 +290,32 @@ impl Parser<'_> {
         Ok(v)
     }
 
+    /// Skips a run of ASCII digits, returning how many there were.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        self.pos - start
+    }
+
+    /// A number in RFC 8259's grammar,
+    /// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`: no leading zeros,
+    /// and digits on both sides of a `.` and after an exponent mark.
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
+        let leading_zero = self.peek() == Some(b'0');
+        let int_digits = self.digits();
+        if int_digits == 0 || (leading_zero && int_digits > 1) {
+            return Err(self.err("bad number"));
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
+            if self.digits() == 0 {
+                return Err(self.err("bad number"));
             }
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
@@ -309,8 +323,8 @@ impl Parser<'_> {
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
+            if self.digits() == 0 {
+                return Err(self.err("bad number"));
             }
         }
         let text = self

@@ -256,8 +256,30 @@ fn number_edges() {
     ] {
         assert!(check(input.as_bytes()).is_none(), "{input}");
     }
-    // Lenient where Rust's float parser is: `1.` is 1, not an error.
-    assert_eq!(check(b"1.").and_then(|v| v.as_f64()), Some(1.0));
+}
+
+/// RFC 8259's number grammar, `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`,
+/// at the places Rust's float parser is more lenient than it.
+#[test]
+fn numbers_follow_the_rfc_grammar() {
+    for (input, want) in [
+        ("0", 0.0_f64),
+        ("-0", -0.0),
+        ("0.5", 0.5),
+        ("1E+5", 1e5),
+        ("-0.0e-0", -0.0),
+    ] {
+        let v = check(input.as_bytes()).unwrap_or_else(|| panic!("{input} rejected"));
+        assert_eq!(
+            v.as_f64().map(f64::to_bits),
+            Some(want.to_bits()),
+            "{input}"
+        );
+    }
+    // A fraction or exponent without digits, and leading zeros.
+    for input in ["1.", "01", "-01", "00", "1.e5", "-.5"] {
+        assert_eq!(error(input.as_bytes()), "bad number", "{input}");
+    }
 }
 
 #[test]

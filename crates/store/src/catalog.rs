@@ -125,9 +125,8 @@ impl Catalog {
     /// Lists the catalog's documents, sorted by name. Each file is mapped
     /// and only its header and meta section are read (and CRC-verified) —
     /// payloads are neither read nor decoded, so listing stays cheap for
-    /// large catalogs. (v1 files have no lazy representation: listing one
-    /// decodes it, as every open of a v1 file does.) Files that are not
-    /// valid stores are quarantined out of the listing; use
+    /// large catalogs. Files that are not valid stores of this build's
+    /// format version are quarantined out of the listing; use
     /// [`Catalog::list_report`] to see them with their typed errors.
     pub fn list(&self) -> Result<Vec<CatalogEntry>, StoreError> {
         Ok(self.list_report()?.entries)

@@ -16,7 +16,8 @@ pub enum StoreError {
     Io(std::io::Error),
     /// The file does not start with the store magic — not a store file.
     BadMagic,
-    /// The file's format version is not the one this build reads.
+    /// The file's format version is not the one this build reads; the
+    /// store has to be rebuilt from its XML.
     UnsupportedVersion {
         /// Version number found in the file.
         found: u32,
@@ -62,7 +63,8 @@ impl fmt::Display for StoreError {
             StoreError::BadMagic => write!(f, "not a FleXPath store file (bad magic)"),
             StoreError::UnsupportedVersion { found, supported } => write!(
                 f,
-                "unsupported store format version {found} (this build reads version {supported})"
+                "unsupported store format version {found} (this build reads only version \
+                 {supported}); rebuild the store from its XML with `flexpath-cli index`"
             ),
             StoreError::Truncated { what } => write!(f, "store file truncated at {what}"),
             StoreError::ChecksumMismatch { section } => {

@@ -10,33 +10,29 @@
 //! ...        section payloads, byte-addressed by the table
 //! ```
 //!
-//! Three versions share this container shape and its six sections:
-//!
-//! * **v1** packs payloads back to back immediately after the header CRC.
-//!   No build writes it any more; it is read only, and every section is
-//!   CRC-verified and decoded inside the open. The committed
-//!   `tests/golden/tiny.fxs` is the reference v1 image.
-//! * **v2** places each payload at an 8-byte-aligned offset (gap bytes are
-//!   zero). Alignment makes every section directly addressable inside a
-//!   memory-mapped file, which is what the lazy open path
-//!   ([`crate::LazyStore`]) relies on: the header CRC is verified at open,
-//!   but each *section* CRC is deferred until that section is first
-//!   touched. Read only since v3 (`tests/golden/tiny_v2.fxs`).
-//! * **v3** keeps the v2 container and writes `elems`, `terms` and
-//!   `postings` as little-endian `u32` columns, each 4-byte aligned with
-//!   its count up front: the document's `labels` and `parents` with its
-//!   texts and attributes, and the index's term table with one `node`, one
-//!   `tf` and one positions column over every posting entry (layouts in
-//!   `flexpath_xmldom::codec` and `flexpath_ftsearch::InvertedIndex::encode`).
-//!   v1 and v2 payloads (node records, per-term lists) are read by one
-//!   adapter per part that feeds the same column validators.
+//! Each payload sits at an 8-byte-aligned offset (gap bytes are zero).
+//! Alignment makes every section directly addressable inside a
+//! memory-mapped file, which is what the lazy open path
+//! ([`crate::LazyStore`]) relies on: the header CRC is verified at open,
+//! but each *section* CRC is deferred until that section is first touched.
+//! `elems`, `terms` and `postings` are little-endian `u32` columns, each
+//! 4-byte aligned with its count up front: the document's `labels` and
+//! `parents` with its texts and attributes, and the index's term table with
+//! one `node`, one `tf` and one positions column over every posting entry
+//! (layouts in `flexpath_xmldom::codec` and
+//! `flexpath_ftsearch::InvertedIndex::encode`).
 //!
 //! Every section carries its own CRC-32, and the header (including the
 //! table itself) carries one too, so corruption anywhere in the file maps
-//! to a *typed* [`StoreError`] — never an out-of-bounds slice. The version
-//! check runs before the header CRC check so that files written by a
-//! future format (whose header may be laid out differently) report
-//! [`StoreError::UnsupportedVersion`] rather than a checksum failure.
+//! to a *typed* [`StoreError`] — never an out-of-bounds slice.
+//!
+//! **One readable version.** A build reads exactly the version it writes,
+//! [`FORMAT_VERSION`]. A store is derived entirely from its XML, so a
+//! format bump retires the previous reader: an older (or newer) file is
+//! refused with [`StoreError::UnsupportedVersion`], whose message names
+//! the rebuild command. The version check runs before the header CRC check
+//! so that a file of another version (whose header may be laid out
+//! differently) reports that error rather than a checksum failure.
 
 use crate::crc::crc32;
 use crate::error::StoreError;
@@ -45,28 +41,15 @@ use flexpath_xmldom::wire::{ByteReader, ByteWriter};
 /// First eight bytes of every store file.
 pub const MAGIC: [u8; 8] = *b"FXPSTORE";
 
-/// The original, unaligned format: payloads packed back to back, decoded
-/// eagerly at open. Still fully readable; no longer written.
-pub const FORMAT_V1: u32 = 1;
-
-/// The aligned, mmap-friendly format: payloads at 8-byte-aligned offsets,
-/// section CRCs validated lazily on first touch; node records and per-term
-/// posting lists. Still fully readable; no longer written.
-pub const FORMAT_V2: u32 = 2;
-
-/// The v2 container with column payloads: `elems`, `terms` and `postings`
-/// are runs of little-endian `u32`s.
-pub const FORMAT_V3: u32 = 3;
-
-/// The format version this build *writes* (it reads `1..=FORMAT_VERSION`).
-/// Bump it on any byte-level change to the container or section payloads —
-/// the committed golden files under `tests/golden/` enforce this.
-pub const FORMAT_VERSION: u32 = FORMAT_V3;
+/// The format version this build writes, and the only one it reads. Bump
+/// it on any byte-level change to the container or section payloads — the
+/// committed golden file under `tests/golden/` enforces this.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Extension used by [`crate::Catalog`] files.
 pub const FILE_EXTENSION: &str = "fxs";
 
-/// Section payload alignment in v2 and v3 files.
+/// Section payload alignment.
 pub(crate) const SECTION_ALIGN: u64 = 8;
 
 /// Section identifiers (the `id` field of a table entry).
@@ -77,7 +60,7 @@ pub enum SectionId {
     Meta = 1,
     /// Interned tag/attribute name dictionary.
     Tags = 2,
-    /// Document columns (v3) or node records (v1/v2), texts, attributes.
+    /// Document columns, texts, attributes.
     Elems = 3,
     /// `#(t)`, `#pc`, `#ad` occurrence statistics.
     Stats = 4,
@@ -123,13 +106,6 @@ pub(crate) struct SectionEntry {
     pub(crate) crc: u32,
 }
 
-/// A parsed-and-verified header: the file's version plus its section table.
-#[derive(Debug, Clone)]
-pub(crate) struct ParsedHeader {
-    pub(crate) version: u32,
-    pub(crate) entries: Vec<SectionEntry>,
-}
-
 const ENTRY_BYTES: usize = 24;
 const FIXED_HEADER_BYTES: usize = 16;
 
@@ -172,8 +148,8 @@ pub(crate) fn assemble(sections: &[(SectionId, Vec<u8>)]) -> Vec<u8> {
     bytes
 }
 
-/// Parses and verifies the header, returning the version and section table.
-pub(crate) fn parse_header(bytes: &[u8]) -> Result<ParsedHeader, StoreError> {
+/// Parses and verifies the header, returning the section table.
+pub(crate) fn parse_header(bytes: &[u8]) -> Result<Vec<SectionEntry>, StoreError> {
     if bytes.len() < MAGIC.len() {
         return Err(StoreError::Truncated { what: "magic" });
     }
@@ -186,7 +162,7 @@ pub(crate) fn parse_header(bytes: &[u8]) -> Result<ParsedHeader, StoreError> {
     let version = r
         .u32()
         .map_err(|_| StoreError::Truncated { what: "version" })?;
-    if !(FORMAT_V1..=FORMAT_VERSION).contains(&version) {
+    if version != FORMAT_VERSION {
         return Err(StoreError::UnsupportedVersion {
             found: version,
             supported: FORMAT_VERSION,
@@ -229,7 +205,7 @@ pub(crate) fn parse_header(bytes: &[u8]) -> Result<ParsedHeader, StoreError> {
     if crc32(&bytes[..table_end]) != stored_crc {
         return Err(StoreError::ChecksumMismatch { section: "header" });
     }
-    Ok(ParsedHeader { version, entries })
+    Ok(entries)
 }
 
 /// Borrows a section's payload after verifying its bounds and its CRC —
@@ -263,15 +239,12 @@ pub(crate) fn section<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::GOLDEN_V1;
 
-    /// One image per readable container layout (v2 and v3 share one).
-    fn images() -> [(u32, Vec<u8>); 2] {
-        let v3 = assemble(&[
+    fn image() -> Vec<u8> {
+        assemble(&[
             (SectionId::Meta, vec![9; 16]),
             (SectionId::Tags, vec![4, 5]),
-        ]);
-        [(FORMAT_V1, GOLDEN_V1.to_vec()), (FORMAT_V3, v3)]
+        ])
     }
 
     fn known_id(e: &SectionEntry) -> SectionId {
@@ -284,19 +257,15 @@ mod tests {
             (SectionId::Meta, vec![1, 2, 3]),
             (SectionId::Tags, vec![4, 5]),
         ]);
-        let hdr = parse_header(&file).unwrap();
-        assert_eq!(hdr.version, FORMAT_V3);
-        assert_eq!(hdr.entries.len(), 2);
+        let entries = parse_header(&file).unwrap();
+        assert_eq!(entries.len(), 2);
         assert_eq!(
-            section(&file, &hdr.entries, SectionId::Meta).unwrap(),
+            section(&file, &entries, SectionId::Meta).unwrap(),
             &[1, 2, 3]
         );
-        assert_eq!(
-            section(&file, &hdr.entries, SectionId::Tags).unwrap(),
-            &[4, 5]
-        );
+        assert_eq!(section(&file, &entries, SectionId::Tags).unwrap(), &[4, 5]);
         assert!(matches!(
-            section(&file, &hdr.entries, SectionId::Stats),
+            section(&file, &entries, SectionId::Stats),
             Err(StoreError::MissingSection { section: "stats" })
         ));
     }
@@ -308,13 +277,13 @@ mod tests {
             (SectionId::Tags, vec![4, 5, 6, 7, 8]),
             (SectionId::Stats, vec![9]),
         ]);
-        let hdr = parse_header(&file).unwrap();
+        let entries = parse_header(&file).unwrap();
         let mut covered = vec![false; file.len()];
-        let table_end = FIXED_HEADER_BYTES + hdr.entries.len() * ENTRY_BYTES + 4;
+        let table_end = FIXED_HEADER_BYTES + entries.len() * ENTRY_BYTES + 4;
         for c in covered.iter_mut().take(table_end) {
             *c = true;
         }
-        for e in &hdr.entries {
+        for e in &entries {
             assert_eq!(e.offset % SECTION_ALIGN, 0, "unaligned section {}", e.id);
             for i in e.offset..e.offset + e.len {
                 covered[i as usize] = true;
@@ -329,82 +298,64 @@ mod tests {
     }
 
     #[test]
-    fn v1_golden_parses_and_its_layout_is_dense() {
-        let hdr = parse_header(GOLDEN_V1).unwrap();
-        assert_eq!(hdr.version, FORMAT_V1);
-        assert_eq!(hdr.entries.len(), 6);
-        let mut next = (FIXED_HEADER_BYTES + hdr.entries.len() * ENTRY_BYTES + 4) as u64;
-        for e in &hdr.entries {
-            assert_eq!(e.offset, next, "section {} is not packed", e.id);
-            section(GOLDEN_V1, &hdr.entries, known_id(e)).unwrap();
-            next = e.offset + e.len;
-        }
-        assert_eq!(GOLDEN_V1.len() as u64, next);
-    }
-
-    #[test]
-    fn bad_magic_and_future_version_are_typed() {
+    fn bad_magic_and_other_versions_are_typed() {
         let mut file = assemble(&[(SectionId::Meta, vec![])]);
         file[0] ^= 0xff;
         assert!(matches!(parse_header(&file), Err(StoreError::BadMagic)));
-        let mut file = assemble(&[(SectionId::Meta, vec![])]);
-        file[8] = 0x7f; // version low byte
-        assert!(matches!(
-            parse_header(&file),
-            Err(StoreError::UnsupportedVersion { found: 0x7f, .. })
-        ));
-        let mut file = assemble(&[(SectionId::Meta, vec![])]);
-        file[8] = 0; // version zero is below the supported floor
-        assert!(matches!(
-            parse_header(&file),
-            Err(StoreError::UnsupportedVersion { found: 0, .. })
-        ));
+        // Every version but this build's, older or newer, is refused
+        // before the (now stale) header CRC is checked.
+        for found in [0, 1, 2, 4, 0x7f] {
+            let mut file = assemble(&[(SectionId::Meta, vec![])]);
+            file[8] = found as u8; // version low byte
+            assert!(
+                matches!(
+                    parse_header(&file),
+                    Err(StoreError::UnsupportedVersion {
+                        found: f,
+                        supported: FORMAT_VERSION
+                    }) if f == found
+                ),
+                "version {found}"
+            );
+        }
     }
 
     #[test]
     fn header_and_section_corruption_hit_their_crcs() {
-        for (version, file) in images() {
-            // Corrupt a table byte: header CRC must catch it.
-            let mut bad = file.clone();
-            bad[20] ^= 0xff;
-            assert!(
-                matches!(
-                    parse_header(&bad),
-                    Err(StoreError::ChecksumMismatch { section: "header" })
-                ),
-                "v{version}"
-            );
-            // Corrupt the last byte — inside the last section's payload:
-            // that section's CRC must catch it.
-            let mut bad = file.clone();
-            let last = bad.len() - 1;
-            bad[last] ^= 0xff;
-            let hdr = parse_header(&bad).unwrap();
-            let id = known_id(hdr.entries.last().unwrap());
-            assert!(
-                matches!(
-                    section(&bad, &hdr.entries, id),
-                    Err(StoreError::ChecksumMismatch { section }) if section == id.name()
-                ),
-                "v{version}"
-            );
-        }
+        let file = image();
+        // Corrupt a table byte: header CRC must catch it.
+        let mut bad = file.clone();
+        bad[20] ^= 0xff;
+        assert!(matches!(
+            parse_header(&bad),
+            Err(StoreError::ChecksumMismatch { section: "header" })
+        ));
+        // Corrupt the last byte — inside the last section's payload: that
+        // section's CRC must catch it.
+        let mut bad = file.clone();
+        let last = bad.len() - 1;
+        bad[last] ^= 0xff;
+        let entries = parse_header(&bad).unwrap();
+        let id = known_id(entries.last().unwrap());
+        assert!(matches!(
+            section(&bad, &entries, id),
+            Err(StoreError::ChecksumMismatch { section }) if section == id.name()
+        ));
     }
 
     #[test]
     fn every_truncation_point_is_typed() {
-        for (version, file) in images() {
-            for cut in 0..file.len() {
-                let head = &file[..cut];
-                if let Ok(hdr) = parse_header(head) {
-                    // Header happens to fit; a payload must then fail.
-                    assert!(
-                        hdr.entries
-                            .iter()
-                            .any(|e| section(head, &hdr.entries, known_id(e)).is_err()),
-                        "v{version} cut at {cut}"
-                    );
-                }
+        let file = image();
+        for cut in 0..file.len() {
+            let head = &file[..cut];
+            if let Ok(entries) = parse_header(head) {
+                // Header happens to fit; a payload must then fail.
+                assert!(
+                    entries
+                        .iter()
+                        .any(|e| section(head, &entries, known_id(e)).is_err()),
+                    "cut at {cut}"
+                );
             }
         }
     }

@@ -1,11 +1,11 @@
 //! Operator-facing store inspection: the section table, CRC state, and
 //! meta summary of a store file, without decoding any payload.
 //!
-//! Backs `flexpath-cli store inspect <file>`. Works on both container
-//! versions; payload corruption is *reported* (`crc_ok = false`) rather
-//! than failing the inspection — the point is debuggability of damaged
-//! files. Only an unreadable or unparseable *header* is an error, since
-//! without a valid table there is nothing to report.
+//! Backs `flexpath-cli store inspect <file>`. Payload corruption is
+//! *reported* (`crc_ok = false`) rather than failing the inspection — the
+//! point is debuggability of damaged files. Only an unreadable or
+//! unparseable *header* is an error (a file of another format version
+//! included), since without a valid table there is nothing to report.
 
 use crate::crc::crc32;
 use crate::error::StoreError;
@@ -34,9 +34,6 @@ pub struct SectionReport {
 /// Everything `store inspect` shows about one file.
 #[derive(Debug, Clone)]
 pub struct StoreInspection {
-    /// Container format version (1 = dense/eager, 2 = aligned/lazy with
-    /// node records, 3 = aligned/lazy with columns).
-    pub version: u32,
     /// Total file size in bytes.
     pub file_bytes: u64,
     /// Decoded meta summary, if the meta section is intact.
@@ -54,9 +51,9 @@ impl StoreInspection {
 
 /// Inspects the store image in `bytes`.
 pub fn inspect_bytes(bytes: &[u8]) -> Result<StoreInspection, StoreError> {
-    let header = format::parse_header(bytes)?;
-    let mut sections = Vec::with_capacity(header.entries.len());
-    for e in &header.entries {
+    let entries = format::parse_header(bytes)?;
+    let mut sections = Vec::with_capacity(entries.len());
+    for e in &entries {
         let payload = usize::try_from(e.offset).ok().and_then(|start| {
             let len = usize::try_from(e.len).ok()?;
             bytes.get(start..start.checked_add(len)?)
@@ -71,11 +68,10 @@ pub fn inspect_bytes(bytes: &[u8]) -> Result<StoreInspection, StoreError> {
             crc_ok,
         });
     }
-    let meta = format::section(bytes, &header.entries, SectionId::Meta)
+    let meta = format::section(bytes, &entries, SectionId::Meta)
         .ok()
         .and_then(|p| StoreMeta::decode(p).ok());
     Ok(StoreInspection {
-        version: header.version,
         file_bytes: bytes.len() as u64,
         meta,
         sections,
@@ -91,9 +87,7 @@ pub fn inspect_file(path: &Path) -> Result<StoreInspection, StoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::format::{FORMAT_V1, FORMAT_V3};
     use crate::store::StoreBuilder;
-    use crate::GOLDEN_V1;
     use flexpath_ftsearch::InvertedIndex;
     use flexpath_xmldom::{parse, DocStats};
 
@@ -105,22 +99,18 @@ mod tests {
     }
 
     #[test]
-    fn inspects_the_v1_golden_and_a_current_image() {
-        for (version, bytes, name) in [
-            (FORMAT_V1, GOLDEN_V1.to_vec(), "tiny"),
-            (FORMAT_V3, image(), "doc"),
-        ] {
-            let report = inspect_bytes(&bytes).unwrap();
-            assert_eq!(report.version, version);
-            assert_eq!(report.sections.len(), 6);
-            assert!(report.all_crc_ok());
-            assert_eq!(report.meta.as_ref().unwrap().name, name);
-            let names: Vec<_> = report.sections.iter().map(|s| s.name).collect();
-            assert_eq!(
-                names,
-                ["meta", "tags", "elems", "stats", "terms", "postings"]
-            );
-        }
+    fn inspects_a_current_image() {
+        let bytes = image();
+        let report = inspect_bytes(&bytes).unwrap();
+        assert_eq!(report.file_bytes, bytes.len() as u64);
+        assert_eq!(report.sections.len(), 6);
+        assert!(report.all_crc_ok());
+        assert_eq!(report.meta.as_ref().unwrap().name, "doc");
+        let names: Vec<_> = report.sections.iter().map(|s| s.name).collect();
+        assert_eq!(
+            names,
+            ["meta", "tags", "elems", "stats", "terms", "postings"]
+        );
     }
 
     #[test]

@@ -23,27 +23,19 @@
 //! open-time validation over open-time speed opens and then touches all
 //! three parts; [`CorpusStore::open`] is exactly that.
 //!
-//! **v1 and v2 compatibility.** v1 files (dense layout, written by older
-//! builds) are decoded *inside* open — every part is touched before the
-//! open returns, so corruption anywhere fails the open, as it always did
-//! for v1. v2 and v3 files get lazy semantics. v1 and v2 payloads go
-//! through the document's and the index's v2 adapters
-//! ([`decode_document_v2`], [`InvertedIndex::decode_v2`]), which feed the
-//! same column validators the v3 decoders use.
-//!
 //! [`LazyStore`] implements [`ContextSource`], so an
 //! [`EngineContext`](flexpath_engine::EngineContext) sits directly on top
 //! of it; the engine's `ensure_ready` / `try_*` accessors are the
 //! fallible surface through which first-touch errors reach callers.
 
 use crate::error::StoreError;
-use crate::format::{self, SectionId, FORMAT_V1, FORMAT_V3};
+use crate::format::{self, SectionId, FORMAT_VERSION};
 use crate::mmap::StoreBytes;
 use crate::store::StoreMeta;
 use flexpath_engine::metrics::{self, TraceSpan};
 use flexpath_engine::{Budget, ContextSource, SourceError, SourceErrorKind, SourceResidency};
 use flexpath_ftsearch::InvertedIndex;
-use flexpath_xmldom::codec::{decode_document, decode_document_v2, decode_stats};
+use flexpath_xmldom::codec::{decode_document, decode_stats};
 use flexpath_xmldom::{CodecError, DocStats, Document};
 use std::path::Path;
 use std::sync::{Mutex, OnceLock};
@@ -109,7 +101,6 @@ impl<T> Part<T> {
 #[derive(Debug)]
 pub struct LazyStore {
     bytes: StoreBytes,
-    version: u32,
     entries: Vec<format::SectionEntry>,
     meta: StoreMeta,
     open_span: TraceSpan,
@@ -144,7 +135,8 @@ impl LazyStore {
     }
 
     /// The in-memory open path: wraps already-obtained bytes (mapped or
-    /// owned). v1 images are decoded in full here; v2 and v3 images defer.
+    /// owned); header and meta are verified now, the payload sections on
+    /// first touch.
     ///
     /// This is the governed open: `budget` is charged the image's size
     /// against the memory cap and the meta-declared posting entry count
@@ -152,8 +144,8 @@ impl LazyStore {
     /// — the caps bound what the session may eventually materialize. A
     /// tripped budget aborts the open with [`StoreError::Budget`].
     pub fn from_store_bytes(bytes: StoreBytes, budget: &Budget) -> Result<Self, StoreError> {
-        let header = format::parse_header(&bytes)?;
-        let meta = StoreMeta::decode(format::section(&bytes, &header.entries, SectionId::Meta)?)?;
+        let entries = format::parse_header(&bytes)?;
+        let meta = StoreMeta::decode(format::section(&bytes, &entries, SectionId::Meta)?)?;
         if budget.charge_memory(bytes.len() as u64) || budget.charge_postings(meta.posting_entries)
         {
             let reason = budget
@@ -163,28 +155,20 @@ impl LazyStore {
         }
         let mut open_span = TraceSpan::new("store.open");
         open_span.add("store.bytes", bytes.len() as u64);
-        open_span.add("store.version", u64::from(header.version));
-        open_span.add("store.lazy", u64::from(header.version > FORMAT_V1));
+        open_span.add("store.version", u64::from(FORMAT_VERSION));
         open_span.add("store.mapped", u64::from(bytes.is_mapped()));
         open_span.add("store.nodes", meta.nodes);
         open_span.add("store.terms", meta.terms);
         open_span.add("store.posting_entries", meta.posting_entries);
-        let store = LazyStore {
+        Ok(LazyStore {
             bytes,
-            version: header.version,
-            entries: header.entries,
+            entries,
             meta,
             open_span,
             doc: Part::new(),
             stats: Part::new(),
             index: Part::new(),
-        };
-        if store.version == FORMAT_V1 {
-            // v1 predates lazy validation: decode everything now so that
-            // corruption anywhere still fails the *open*.
-            store.touch_all()?;
-        }
-        Ok(store)
+        })
     }
 
     /// Touches all three parts, reporting the first failure.
@@ -205,11 +189,6 @@ impl LazyStore {
         &self.meta.name
     }
 
-    /// The container format version of the underlying file.
-    pub fn version(&self) -> u32 {
-        self.version
-    }
-
     /// Whether the file is memory-mapped (false ⇒ owned buffer fallback).
     pub fn is_mapped(&self) -> bool {
         self.bytes.is_mapped()
@@ -220,7 +199,7 @@ impl LazyStore {
         self.bytes.len() as u64
     }
 
-    /// The `store.open` trace span (bytes/version/lazy/mapped counters and
+    /// The `store.open` trace span (bytes/version/mapped counters and
     /// the wall-clock open time for [`LazyStore::open`]). Kept *separate*
     /// from query traces on purpose: query `counter_fingerprint()`s must
     /// be identical whether a session was parsed or opened from a store.
@@ -239,11 +218,7 @@ impl LazyStore {
         self.doc.first_touch(|| {
             let tags = self.section(SectionId::Tags)?;
             let elems = self.section(SectionId::Elems)?;
-            let doc = if self.version >= FORMAT_V3 {
-                decode_document(tags, elems)
-            } else {
-                decode_document_v2(tags, elems)
-            }?;
+            let doc = decode_document(tags, elems)?;
             if doc.node_count() as u64 != self.meta.nodes {
                 return Err(StoreError::Corrupt(CodecError::Invalid {
                     what: "meta node count disagrees with element table",
@@ -272,11 +247,7 @@ impl LazyStore {
         self.index.first_touch(|| {
             let terms = self.section(SectionId::Terms)?;
             let postings = self.section(SectionId::Postings)?;
-            let index = if self.version >= FORMAT_V3 {
-                InvertedIndex::decode(terms, postings, node_count)
-            } else {
-                InvertedIndex::decode_v2(terms, postings, node_count)
-            }?;
+            let index = InvertedIndex::decode(terms, postings, node_count)?;
             if index.posting_entry_count() != self.meta.posting_entries
                 || index.term_count() as u64 != self.meta.terms
             {
@@ -349,7 +320,6 @@ impl ContextSource for LazyStore {
 mod tests {
     use super::*;
     use crate::store::StoreBuilder;
-    use crate::GOLDEN_V1;
     use flexpath_xmldom::parse;
 
     fn image(xml: &str) -> Vec<u8> {
@@ -375,14 +345,6 @@ mod tests {
         assert!(!store.residency().index, "index still cold");
         assert_eq!(store.index().unwrap().df("gold"), 1);
         assert!(store.residency().index);
-    }
-
-    #[test]
-    fn v1_open_is_eager() {
-        let store = lazy(GOLDEN_V1.to_vec()).unwrap();
-        let r = store.residency();
-        assert!(r.document && r.stats && r.index, "v1 decodes at open");
-        assert_eq!(store.version(), FORMAT_V1);
     }
 
     #[test]

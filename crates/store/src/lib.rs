@@ -15,10 +15,10 @@
 //!
 //! Design rules:
 //!
-//! * **Typed failure, never panic.** Truncation, bad magic, a future
-//!   format version, a flipped bit anywhere — each maps to a
-//!   [`StoreError`] variant. Per-section CRC-32s (plus one over the
-//!   header) catch corruption before decoding; the decoders underneath
+//! * **Typed failure, never panic.** Truncation, bad magic, any format
+//!   version but the one this build writes, a flipped bit anywhere — each
+//!   maps to a [`StoreError`] variant. Per-section CRC-32s (plus one over
+//!   the header) catch corruption before decoding; the decoders underneath
 //!   validate every cross-reference anyway.
 //! * **Deterministic bytes.** Identical inputs produce identical files
 //!   (dictionaries sorted, no timestamps), so a committed golden file
@@ -70,17 +70,10 @@ pub mod store;
 #[path = "../../../tests/common/mod.rs"]
 mod scratch;
 
-/// The committed v1 golden (document name `tiny`): the only v1 image
-/// there is, now that nothing writes the format.
-#[cfg(test)]
-const GOLDEN_V1: &[u8] = include_bytes!("../../../tests/golden/tiny.fxs");
-
 pub use catalog::{Catalog, CatalogEntry, CatalogListing, QuarantinedEntry};
 pub use crc::crc32;
 pub use error::StoreError;
-pub use format::{
-    SectionId, FILE_EXTENSION, FORMAT_V1, FORMAT_V2, FORMAT_V3, FORMAT_VERSION, MAGIC,
-};
+pub use format::{SectionId, FILE_EXTENSION, FORMAT_VERSION, MAGIC};
 pub use inspect::{inspect_bytes, inspect_file, SectionReport, StoreInspection};
 pub use lazy::{CorpusStore, LazyStore};
 pub use mmap::StoreBytes;

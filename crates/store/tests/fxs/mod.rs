@@ -9,12 +9,10 @@
 //! section CRC and the header CRC, and the bytes reach the decoders.
 //!
 //! Inputs: the small XML of `tests/store_corruption.rs` and a 30 KB XMark
-//! corpus, written by this build (format v3: column payloads), and the
-//! committed golden `tests/golden/tiny_v2.fxs` (format v2: node records,
-//! per-term posting lists). Each family mutates the layout its image has.
+//! corpus, written by this build (format v3: column payloads).
 
 use flexpath_ftsearch::InvertedIndex;
-use flexpath_store::{crc32, StoreBuilder, FORMAT_V3};
+use flexpath_store::{crc32, StoreBuilder};
 use flexpath_xmark::{generate, XmarkConfig};
 use flexpath_xmldom::{parse, ByteWriter, DocStats, Document};
 use std::ops::Range;
@@ -53,8 +51,8 @@ impl Rng {
 /// Random flips and splices per image and section.
 const RANDOM_CASES: u64 = 48;
 
-/// Upper bound on the sampled per-item sweeps (records, column values,
-/// positions, boundary references) per image and section.
+/// Upper bound on the sampled per-item sweeps (column values, positions,
+/// boundary references) per image and section.
 const SAMPLED: usize = 48;
 
 const TINY_XML: &str = r#"<site>
@@ -65,8 +63,6 @@ const TINY_XML: &str = r#"<site>
   <item><name>silver ring</name><description>plain silver ring, no list
     </description></item>
 </site>"#;
-
-const GOLDEN_V2: &[u8] = include_bytes!("../../../../tests/golden/tiny_v2.fxs");
 
 pub const META: u32 = 1;
 pub const TAGS: u32 = 2;
@@ -84,7 +80,7 @@ fn image_of(doc: &Document) -> Vec<u8> {
     StoreBuilder::from_parts("doc", doc, &DocStats::compute(doc), &index).to_bytes()
 }
 
-/// The three valid images every mutation starts from.
+/// The two valid images every mutation starts from.
 pub fn images() -> Vec<(&'static str, Vec<u8>)> {
     vec![
         ("tiny", image_of(&parse(TINY_XML).unwrap())),
@@ -92,7 +88,6 @@ pub fn images() -> Vec<(&'static str, Vec<u8>)> {
             "xmark30k",
             image_of(&generate(&XmarkConfig::sized(30_000, 7))),
         ),
-        ("golden_v2", GOLDEN_V2.to_vec()),
     ]
 }
 
@@ -108,11 +103,6 @@ fn le64(b: &[u8], at: usize) -> u64 {
 
 fn set32(bytes: &mut [u8], at: usize, v: u32) {
     bytes[at..at + 4].copy_from_slice(&v.to_le_bytes());
-}
-
-/// Whether `image` has column payloads (format v3) rather than records.
-pub fn columnar(image: &[u8]) -> bool {
-    le32(image, 8) >= FORMAT_V3
 }
 
 /// Offset of the table entry of section `id`, and that section's range.
@@ -282,17 +272,12 @@ pub struct Layout {
     cuts: Vec<usize>,
     /// Count and length fields: (offset, width in bytes).
     lengths: Vec<(usize, usize)>,
-    /// v2 `elems`: offset of each node record.
-    records: Vec<usize>,
     /// `postings`: offset of each entry's node id.
     posting_nodes: Vec<usize>,
     /// `postings`: offset of each entry's first position, and its tf.
     positions: Vec<(usize, usize)>,
-    /// `tags` / v2 `terms`: the byte range of each name, with its prefix.
+    /// `tags`: the byte range of each name, with its prefix.
     names: Vec<Range<usize>>,
-    /// v2 `elems`: the text and attribute counts.
-    text_count: u64,
-    attr_count: u64,
 }
 
 struct Walk<'a> {
@@ -332,13 +317,10 @@ impl Walk<'_> {
     }
 }
 
-/// v1/v2 node record size: kind u8, eight `u32`s, attrs_len u16.
-const RECORD: usize = 35;
-
 /// The layout of section `id` of `image`.
 pub fn layout(image: &[u8], id: u32) -> Layout {
     let bytes = payload(image, id);
-    if columnar(image) && matches!(id, ELEMS | TERMS | POSTINGS) {
+    if matches!(id, ELEMS | TERMS | POSTINGS) {
         return column_layout(id, bytes);
     }
     let mut w = Walk {
@@ -353,26 +335,6 @@ pub fn layout(image: &[u8], id: u32) -> Layout {
                 w.cut();
             }
         }
-        ELEMS => {
-            w.u32();
-            w.cut();
-            for _ in 0..w.count() {
-                w.l.records.push(w.at);
-                w.at += RECORD;
-                w.cut();
-            }
-            w.l.text_count = w.count();
-            for _ in 0..w.l.text_count {
-                w.str();
-                w.cut();
-            }
-            w.l.attr_count = w.count();
-            for _ in 0..w.l.attr_count {
-                w.u32();
-                w.str();
-                w.cut();
-            }
-        }
         STATS => {
             w.u64();
             w.cut();
@@ -381,25 +343,6 @@ pub fn layout(image: &[u8], id: u32) -> Layout {
                     w.at += item;
                     w.cut();
                 }
-            }
-        }
-        TERMS => {
-            w.u64();
-            w.cut();
-            for _ in 0..w.count() {
-                w.str();
-                w.count();
-            }
-        }
-        POSTINGS => {
-            while w.at < bytes.len() {
-                w.l.posting_nodes.push(w.at);
-                w.u32();
-                w.l.lengths.push((w.at, 4));
-                let tf = w.u32() as usize;
-                w.l.positions.push((w.at, tf));
-                w.at += 4 * tf;
-                w.cut();
             }
         }
         _ => {
@@ -457,15 +400,7 @@ fn column_layout(id: u32, bytes: &[u8]) -> Layout {
 /// The term names of `image`, in payload order.
 #[allow(dead_code)] // read by the fuzzer's property, not by the allocation bound
 pub fn term_names(image: &[u8]) -> Vec<String> {
-    let terms = payload(image, TERMS);
-    if !columnar(image) {
-        return layout(image, TERMS)
-            .names
-            .iter()
-            .map(|r| String::from_utf8(terms[r.start + 4..r.end].to_vec()).unwrap())
-            .collect();
-    }
-    let mut p = pieces(TERMS, terms);
+    let mut p = pieces(TERMS, payload(image, TERMS));
     let names = String::from_utf8(blob(&mut p, NAMES).clone()).unwrap();
     let mut start = 0;
     col(&mut p, NAME_ENDS)
@@ -538,35 +473,6 @@ pub fn inflated_counts_and_lengths(visit: Visit) {
     });
 }
 
-/// v2 records only: v3 stores no region labels.
-pub fn swapped_region_labels(visit: Visit) {
-    for_each_section(|name, image, id, bytes, l| {
-        for at in sample(&l.records) {
-            // One record's start and end swapped.
-            let (start, end) = (at + 17, at + 21);
-            let mut bad = bytes.to_vec();
-            let (s, e) = (le32(&bad, start), le32(&bad, end));
-            set32(&mut bad, start, e);
-            set32(&mut bad, end, s);
-            let label = format!("{name} start/end swapped in the record at {at}");
-            visit(&label, &with_payload(image, id, &bad), Expect::Either);
-            // Its (start, end) swapped with the next record's: each label
-            // still well formed, document order broken.
-            if at + 2 * RECORD <= l.records.last().map_or(0, |&r| r + RECORD) {
-                let mut bad = bytes.to_vec();
-                let next = (start + RECORD, end + RECORD);
-                let (s2, e2) = (le32(&bad, next.0), le32(&bad, next.1));
-                set32(&mut bad, start, s2);
-                set32(&mut bad, end, e2);
-                set32(&mut bad, next.0, s);
-                set32(&mut bad, next.1, e);
-                let label = format!("{name} labels of the records at {at} and the next swapped");
-                visit(&label, &with_payload(image, id, &bad), Expect::Either);
-            }
-        }
-    });
-}
-
 pub fn non_ascending_positions(visit: Visit) {
     for_each_section(|name, image, id, bytes, l| {
         let runs: Vec<(usize, usize)> = l.positions.iter().copied().filter(|e| e.1 >= 2).collect();
@@ -610,68 +516,36 @@ pub fn references_at_their_bound(visit: Visit) {
         let elems = payload(&image, ELEMS);
         let symbols = layout(&image, TAGS).names.len() as u32;
         let mut cases: Vec<(u32, Vec<u8>, String)> = Vec::new();
-        let node_count;
-        if columnar(&image) {
-            let p = pieces_at(ELEMS, elems);
-            let column = |i: usize| match &p[i].1 {
-                Piece::U32s(values) => (p[i].0 + 4, values.clone()),
-                _ => unreachable!("piece {i} is a column"),
+        let p = pieces_at(ELEMS, elems);
+        let column = |i: usize| match &p[i].1 {
+            Piece::U32s(values) => (p[i].0 + 4, values.clone()),
+            _ => unreachable!("piece {i} is a column"),
+        };
+        let (labels_at, labels) = column(LABELS);
+        let texts = column(TEXT_ENDS).1.len() as u32;
+        let node_count = labels.len() as u32;
+        let samples: Vec<usize> = (0..labels.len()).collect();
+        for i in sample(&samples) {
+            let bound = if labels[i] & TEXT_BIT != 0 {
+                TEXT_BIT | texts
+            } else {
+                symbols
             };
-            let (labels_at, labels) = column(LABELS);
-            let texts = column(TEXT_ENDS).1.len() as u32;
-            node_count = labels.len() as u32;
-            let samples: Vec<usize> = (0..labels.len()).collect();
-            for i in sample(&samples) {
-                let bound = if labels[i] & TEXT_BIT != 0 {
-                    TEXT_BIT | texts
-                } else {
-                    symbols
-                };
-                let mut bad = elems.to_vec();
-                set32(&mut bad, labels_at + 4 * i, bound);
-                cases.push((ELEMS, bad, format!("label of node {i}")));
-            }
-            for (piece, bound) in [
-                (PARENTS, node_count),
-                (OWNERS, node_count),
-                (ATTR_NAMES, symbols),
-            ] {
-                let (at, values) = column(piece);
-                let samples: Vec<usize> = (0..values.len()).collect();
-                for i in sample(&samples) {
-                    let mut bad = elems.to_vec();
-                    set32(&mut bad, at + 4 * i, bound);
-                    cases.push((ELEMS, bad, format!("piece {piece} value {i}")));
-                }
-            }
-        } else {
-            let l = layout(&image, ELEMS);
-            node_count = l.records.len() as u32;
-            let attrs = l.attr_count as u32;
             let mut bad = elems.to_vec();
-            set32(&mut bad, 0, node_count);
-            cases.push((ELEMS, bad, "root id".into()));
-            for at in sample(&l.records) {
-                let text = elems[at] == 1;
-                let bound = if text { l.text_count as u32 } else { symbols };
-                for (field, v) in [
-                    (1, bound),
-                    (5, node_count),
-                    (9, node_count),
-                    (13, node_count),
-                ] {
-                    let mut bad = elems.to_vec();
-                    set32(&mut bad, at + field, v);
-                    cases.push((ELEMS, bad, format!("record at {at} field {field}")));
-                }
-                // attrs_start + attrs_len one past the attribute count.
+            set32(&mut bad, labels_at + 4 * i, bound);
+            cases.push((ELEMS, bad, format!("label of node {i}")));
+        }
+        for (piece, bound) in [
+            (PARENTS, node_count),
+            (OWNERS, node_count),
+            (ATTR_NAMES, symbols),
+        ] {
+            let (at, values) = column(piece);
+            let samples: Vec<usize> = (0..values.len()).collect();
+            for i in sample(&samples) {
                 let mut bad = elems.to_vec();
-                let len = u32::from(u16::from_le_bytes([elems[at + 33], elems[at + 34]]));
-                set32(&mut bad, at + 29, (attrs + 1).saturating_sub(len.max(1)));
-                if len == 0 {
-                    bad[at + 33..at + 35].copy_from_slice(&1u16.to_le_bytes());
-                }
-                cases.push((ELEMS, bad, format!("record at {at} attribute range")));
+                set32(&mut bad, at + 4 * i, bound);
+                cases.push((ELEMS, bad, format!("piece {piece} value {i}")));
             }
         }
         let postings = payload(&image, POSTINGS);
@@ -753,147 +627,6 @@ pub fn random_flips_and_splices(visit: Visit) {
             visit(&label, &with_payload(image, id, &bad), Expect::Either);
         }
     });
-}
-
-// ------------------------------------------- v2: inconsistent trees
-
-/// Offsets of the fields of a node record.
-const PARENT: usize = 5;
-const FIRST_CHILD: usize = 9;
-const NEXT_SIBLING: usize = 13;
-const LEVEL: usize = 25;
-const ATTRS_START: usize = 29;
-const ATTRS_LEN: usize = 33;
-
-/// The tree fields of one v2 `elems` record, as written.
-#[derive(Clone, Copy)]
-pub struct Rec {
-    at: usize,
-    id: u32,
-    text: bool,
-    parent: u32,
-    first_child: u32,
-    next_sibling: u32,
-    level: u32,
-    attrs_start: u32,
-    attrs_len: u16,
-}
-
-fn records(image: &[u8]) -> Vec<Rec> {
-    let elems = payload(image, ELEMS);
-    layout(image, ELEMS)
-        .records
-        .iter()
-        .enumerate()
-        .map(|(id, &at)| Rec {
-            at,
-            id: id as u32,
-            text: elems[at] == 1,
-            parent: le32(elems, at + PARENT),
-            first_child: le32(elems, at + FIRST_CHILD),
-            next_sibling: le32(elems, at + NEXT_SIBLING),
-            level: le32(elems, at + LEVEL),
-            attrs_start: le32(elems, at + ATTRS_START),
-            attrs_len: u16::from_le_bytes([elems[at + ATTRS_LEN], elems[at + ATTRS_LEN + 1]]),
-        })
-        .collect()
-}
-
-/// A v2 record mutation: edits a copy of the payload, and says whether the
-/// record had the shape it needs.
-pub type RecordMutation = fn(&[Rec], Rec, &mut [u8]) -> bool;
-
-/// The named v2 mutations of a tree whose records disagree about it: each
-/// applied to sampled records of every v2 image, each rejected; some
-/// record of some image must have the shape each needs.
-pub const V2_TREE_MUTATIONS: &[(&str, RecordMutation)] = &[
-    // The previous sibling precedes the node but does not contain it.
-    ("parent link to the previous sibling", |recs, rec, bad| {
-        let Some(prev) = recs.iter().find(|r| r.next_sibling == rec.id) else {
-            return false;
-        };
-        set32(bad, rec.at + PARENT, prev.id);
-        true
-    }),
-    ("next-sibling link to the parent", |_, rec, bad| {
-        if rec.next_sibling == NO_NODE {
-            return false;
-        }
-        set32(bad, rec.at + NEXT_SIBLING, rec.parent);
-        true
-    }),
-    ("first-child link one node too far", |recs, rec, bad| {
-        if rec.first_child == NO_NODE || rec.first_child as usize + 1 >= recs.len() {
-            return false;
-        }
-        set32(bad, rec.at + FIRST_CHILD, rec.first_child + 1);
-        true
-    }),
-    ("level one deeper", |_, rec, bad| {
-        set32(bad, rec.at + LEVEL, rec.level + 1);
-        true
-    }),
-    // An element with attributes starts its range at another's: the total
-    // still matches the attribute count.
-    ("attribute range moved onto another's", |recs, rec, bad| {
-        let other = recs
-            .iter()
-            .find(|r| r.attrs_len > 0 && r.attrs_start != rec.attrs_start);
-        let Some(other) = other.filter(|_| rec.attrs_len > 0) else {
-            return false;
-        };
-        set32(bad, rec.at + ATTRS_START, other.attrs_start);
-        true
-    }),
-    // An element without attributes claims the first attribute of another.
-    ("attribute range over another's", |recs, rec, bad| {
-        let owner = recs.iter().find(|r| r.attrs_len > 0 && r.id != rec.id);
-        let Some(owner) = owner.filter(|_| !rec.text && rec.attrs_len == 0) else {
-            return false;
-        };
-        set32(bad, rec.at + ATTRS_START, owner.attrs_start);
-        bad[rec.at + ATTRS_LEN..rec.at + ATTRS_LEN + 2].copy_from_slice(&1u16.to_le_bytes());
-        true
-    }),
-    ("root id on another element", |_, rec, bad| {
-        if rec.id == 0 || rec.text {
-            return false;
-        }
-        set32(bad, 0, rec.id);
-        true
-    }),
-    // The node after a text claims the text as its parent.
-    ("text node as the next node's parent", |recs, rec, bad| {
-        let Some(next) = recs.get(rec.id as usize + 1).filter(|_| rec.text) else {
-            return false;
-        };
-        set32(bad, next.at + PARENT, rec.id);
-        true
-    }),
-];
-
-/// Applies the v2 mutation named `what` to sampled records of every v2
-/// image.
-pub fn v2_tree_mutation(what: &str, visit: Visit) {
-    let (_, mutate) = V2_TREE_MUTATIONS
-        .iter()
-        .find(|(name, _)| *name == what)
-        .unwrap_or_else(|| panic!("no v2 mutation {what:?}"));
-    let mut applied = 0;
-    for (name, image) in images().into_iter().filter(|(_, i)| !columnar(i)) {
-        let elems = payload(&image, ELEMS);
-        let recs = records(&image);
-        for rec in sample(&recs) {
-            let mut bad = elems.to_vec();
-            if !mutate(&recs, rec, &mut bad) {
-                continue;
-            }
-            let label = format!("{name} {what} at the record of node {}", rec.id);
-            visit(&label, &with_payload(&image, ELEMS, &bad), Expect::Rejected);
-            applied += 1;
-        }
-    }
-    assert!(applied > 0, "{what}: no record had the shape");
 }
 
 // --------------------------------------- v3: one mutation per check
@@ -1228,14 +961,14 @@ pub const V3_INDEX_MUTATIONS: &[(&str, ColumnMutation)] = &[
     }),
 ];
 
-/// Applies the v3 mutation named `what` to every v3 image.
+/// Applies the v3 mutation named `what` to every image.
 pub fn v3_column_mutation(what: &str, visit: Visit) {
     let index = V3_INDEX_MUTATIONS.iter().find(|(name, _)| *name == what);
     let (_, mutate) = index
         .or_else(|| V3_ELEMS_MUTATIONS.iter().find(|(name, _)| *name == what))
         .unwrap_or_else(|| panic!("no v3 mutation {what:?}"));
     let mut applied = 0;
-    for (name, image) in images().into_iter().filter(|(_, i)| columnar(i)) {
+    for (name, image) in images() {
         let ctx = Ctx {
             symbols: layout(&image, TAGS).names.len() as u32,
             nodes: col(&mut pieces(ELEMS, payload(&image, ELEMS)), LABELS).len() as u32,
@@ -1288,7 +1021,7 @@ fn meta_with(image: &[u8], nodes: u64, terms: u64, entries: u64) -> Vec<u8> {
 /// counting its nodes and no terms, and empty `terms` and `postings`.
 pub fn rebuilt_documents(visit: Visit) {
     let none = || Piece::U32s(Vec::new());
-    for (name, image) in images().into_iter().filter(|(_, i)| columnar(i)) {
+    for (name, image) in images() {
         for (what, nodes) in [
             ("a root that is a text", 1),
             ("a document without nodes", 0),

@@ -7,14 +7,12 @@
 //! The mutation families live in `fxs/mod.rs` (shared with
 //! `alloc_bound.rs`); every mutation re-seals the section and header CRCs,
 //! so the bytes reach the three decoders (`decode_document`,
-//! `decode_stats`, `InvertedIndex::decode`, or their v2 adapters for the
-//! v2 golden).
+//! `decode_stats`, `InvertedIndex::decode`).
 //!
 //! The property, for each mutated image:
 //! * the open or a touch returns `Err` (its `Display` must work), or
 //! * all three touches succeed, re-encoding `tags` / `elems` / `terms` /
-//!   `postings` in the image's layout reproduces the payloads byte for
-//!   byte, and the decoded values keep every invariant the decoders promise
+//!   `postings` reproduces the payloads byte for byte, and the decoded values keep every invariant the decoders promise
 //!   (region labels, document order, links and tag lists in range, every
 //!   text present, posting entries and positions strictly ascending) — each
 //!   checked here by walking the public accessors, so no decoder code
@@ -22,8 +20,7 @@
 //!
 //! A payload can also be well formed field by field and still break a
 //! check of the column validators — a parent that is a closed node, a text
-//! ordinal out of node order, a zero `tf` — or, in v2, describe a tree
-//! whose records disagree with each other. Each check has a named mutation
+//! ordinal out of node order, a zero `tf`. Each check has a named mutation
 //! that must be rejected.
 
 mod fxs;
@@ -32,8 +29,8 @@ use flexpath_engine::Budget;
 use flexpath_ftsearch::{FtExpr, InvertedIndex};
 use flexpath_store::{LazyStore, StoreBytes, StoreError};
 use flexpath_xmldom::codec::{encode_nodes, encode_symbols};
-use flexpath_xmldom::{ByteWriter, Document, NodeId, NodeKind};
-use fxs::{columnar, payload, term_names, Expect, Visit, ELEMS, POSTINGS, TAGS, TERMS};
+use flexpath_xmldom::{Document, NodeId, NodeKind};
+use fxs::{payload, term_names, Expect, Visit, ELEMS, POSTINGS, TAGS, TERMS};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// The property of the module doc, with a label naming the mutation when
@@ -57,92 +54,20 @@ fn property(image: &[u8]) -> bool {
         (Ok(doc), Ok(_), Ok(index)) => (doc, index),
         (Err(e), ..) | (_, Err(e), _) | (.., Err(e)) => return typed(e),
     };
-    let names = term_names(image);
-    let (elems, (terms, postings)) = if columnar(image) {
-        (encode_nodes(doc), index.encode())
-    } else {
-        (v2_elems(doc), v2_index(index, &names))
-    };
+    let (terms, postings) = index.encode();
     assert!(
         encode_symbols(doc.symbols()) == payload(image, TAGS),
         "tags re-encode"
     );
-    assert!(elems == payload(image, ELEMS), "elems re-encode");
+    assert!(
+        encode_nodes(doc) == payload(image, ELEMS),
+        "elems re-encode"
+    );
     assert!(terms == payload(image, TERMS), "terms re-encode");
     assert!(postings == payload(image, POSTINGS), "postings re-encode");
     walk_document(doc);
-    walk_index(doc, index, &names);
+    walk_index(doc, index, &term_names(image));
     true
-}
-
-/// `doc` as a v2 `elems` payload, from its public accessors: what a v2
-/// image that decoded to `doc` must hold byte for byte.
-fn v2_elems(doc: &Document) -> Vec<u8> {
-    const NO_NODE: u32 = u32::MAX;
-    let link = |n: Option<NodeId>| n.map_or(NO_NODE, |n| n.0);
-    let mut w = ByteWriter::new();
-    w.u32(0);
-    w.u64(doc.node_count() as u64);
-    let mut attrs_start = 0u32;
-    let mut texts = Vec::new();
-    for n in doc.all_nodes() {
-        let (kind, payload) = match doc.kind(n) {
-            NodeKind::Element { tag } => (0, tag.0),
-            NodeKind::Text { text } => {
-                texts.push(doc.text_content(n).unwrap());
-                (1, text)
-            }
-        };
-        w.u8(kind);
-        for v in [
-            payload,
-            link(doc.parent(n)),
-            link(doc.first_child(n)),
-            link(doc.next_sibling(n)),
-            doc.start(n),
-            doc.end(n),
-            doc.level(n),
-            attrs_start,
-        ] {
-            w.u32(v);
-        }
-        let attrs = doc.attributes(n).len() as u16;
-        w.u16(attrs);
-        attrs_start += u32::from(attrs);
-    }
-    // Text ordinals run 0, 1, 2, … in node order: node order is arena order.
-    w.u64(texts.len() as u64);
-    for t in texts {
-        w.str(t);
-    }
-    w.u64(u64::from(attrs_start));
-    for n in doc.all_nodes() {
-        for (name, value) in doc.attributes(n) {
-            w.u32(name.0);
-            w.str(value);
-        }
-    }
-    w.into_bytes()
-}
-
-/// `index` as v2 `terms` + `postings` payloads, over `names` in order.
-fn v2_index(index: &InvertedIndex, names: &[String]) -> (Vec<u8>, Vec<u8>) {
-    let (mut tw, mut pw) = (ByteWriter::new(), ByteWriter::new());
-    tw.u64(index.scoring_elements());
-    tw.u64(names.len() as u64);
-    for name in names {
-        let posting = index.posting(name).unwrap();
-        tw.str(name);
-        tw.u64(posting.entries.len() as u64);
-        for e in &posting.entries {
-            pw.u32(e.node.0);
-            pw.u32(e.tf);
-            for &p in posting.positions_of(e) {
-                pw.u32(p);
-            }
-        }
-    }
-    (tw.into_bytes(), pw.into_bytes())
 }
 
 fn typed(e: StoreError) -> bool {
@@ -247,12 +172,6 @@ fn inflated_counts_and_lengths() {
 
 #[test]
 #[cfg_attr(miri, ignore = "thousands of full decodes")]
-fn swapped_region_labels() {
-    run(fxs::swapped_region_labels);
-}
-
-#[test]
-#[cfg_attr(miri, ignore = "thousands of full decodes")]
 fn non_ascending_positions() {
     run(fxs::non_ascending_positions);
 }
@@ -279,51 +198,6 @@ fn overlapping_section_table_entries() {
 #[cfg_attr(miri, ignore = "thousands of full decodes")]
 fn random_flips_and_splices() {
     run(fxs::random_flips_and_splices);
-}
-
-// ------------------------------------- v2: records that disagree
-
-#[test]
-#[cfg_attr(miri, ignore = "hundreds of full decodes")]
-fn parent_link_to_a_non_ancestor() {
-    run(|v| fxs::v2_tree_mutation("parent link to the previous sibling", v));
-}
-
-#[test]
-#[cfg_attr(miri, ignore = "hundreds of full decodes")]
-fn sibling_link_pointing_elsewhere() {
-    run(|v| fxs::v2_tree_mutation("next-sibling link to the parent", v));
-}
-
-#[test]
-#[cfg_attr(miri, ignore = "hundreds of full decodes")]
-fn first_child_link_pointing_elsewhere() {
-    run(|v| fxs::v2_tree_mutation("first-child link one node too far", v));
-}
-
-#[test]
-#[cfg_attr(miri, ignore = "hundreds of full decodes")]
-fn level_off_by_one() {
-    run(|v| fxs::v2_tree_mutation("level one deeper", v));
-}
-
-#[test]
-#[cfg_attr(miri, ignore = "hundreds of full decodes")]
-fn overlapping_attribute_ranges() {
-    run(|v| fxs::v2_tree_mutation("attribute range moved onto another's", v));
-    run(|v| fxs::v2_tree_mutation("attribute range over another's", v));
-}
-
-#[test]
-#[cfg_attr(miri, ignore = "hundreds of full decodes")]
-fn root_other_than_node_0() {
-    run(|v| fxs::v2_tree_mutation("root id on another element", v));
-}
-
-#[test]
-#[cfg_attr(miri, ignore = "hundreds of full decodes")]
-fn text_node_with_children() {
-    run(|v| fxs::v2_tree_mutation("text node as the next node's parent", v));
 }
 
 // --------------------------------- v3: one mutation per column check

@@ -42,17 +42,8 @@
 //! * text and value ends ascend, are char boundaries of their blob, and
 //!   end at its end; each blob is UTF-8, checked once; attribute name
 //!   symbols are in range.
-//!
-//! Format v1/v2 `ELEMS` — one 35-byte record per node with its links and
-//! region label — is read by [`decode_document_v2`], an adapter: it turns
-//! the records into the same columns, writes them as a v3 payload for the
-//! same validator, and then compares every stored link and label with the
-//! derived one, so a record
-//! set whose parts disagree about the tree is rejected rather than decoded
-//! into a document whose `parent()` and `is_parent()` would answer
-//! differently.
 
-use crate::document::{Document, NodeId, NodeKind, TextArena, NO_NODE, TEXT_BIT};
+use crate::document::{Document, NodeId, TextArena, NO_NODE, TEXT_BIT};
 use crate::stats::{DocStats, TagPair};
 use crate::symbols::{Sym, SymbolTable};
 use crate::wire::{ByteReader, ByteWriter, U32s, WireError};
@@ -361,153 +352,6 @@ fn attributes(
     Ok(attrs)
 }
 
-/// Wire size of one v1/v2 node record: kind, payload, parent, first child,
-/// next sibling, start, end, level, attributes start, attributes length.
-const NODE_WIRE_BYTES: usize = 1 + 4 * 8 + 2;
-
-/// One v1/v2 node record's fields, in wire order.
-struct Record {
-    kind: u8,
-    payload: u32,
-    parent: u32,
-    first_child: u32,
-    next_sibling: u32,
-    start: u32,
-    end: u32,
-    level: u32,
-    attrs_start: u32,
-    attrs_len: u16,
-}
-
-impl Record {
-    // Panic-free by construction: `b` is a `[u8; NODE_WIRE_BYTES]` and
-    // every offset below is a constant at most `NODE_WIRE_BYTES - 2`.
-    #[allow(clippy::indexing_slicing)]
-    #[inline]
-    fn read(b: &[u8; NODE_WIRE_BYTES]) -> Record {
-        let u32_at = |at: usize| u32::from_le_bytes([b[at], b[at + 1], b[at + 2], b[at + 3]]);
-        Record {
-            kind: b[0],
-            payload: u32_at(1),
-            parent: u32_at(5),
-            first_child: u32_at(9),
-            next_sibling: u32_at(13),
-            start: u32_at(17),
-            end: u32_at(21),
-            level: u32_at(25),
-            attrs_start: u32_at(29),
-            attrs_len: u16::from_le_bytes([b[33], b[34]]),
-        }
-    }
-}
-
-/// Decodes `TAGS` + a format v1/v2 `ELEMS` payload (a root id, one
-/// [`NODE_WIRE_BYTES`]-byte record per node, then length-prefixed texts and
-/// attributes). The adapter of the module doc: each record's own fields —
-/// its kind, the 2³¹ bound of the label column, a contiguous attribute
-/// range — are checked as it becomes a column entry; the columns are
-/// written as a v3 payload and decoded by the v3 decoder; then every stored
-/// link and label must equal the derived one.
-pub fn decode_document_v2(tag_bytes: &[u8], elem_bytes: &[u8]) -> Result<Document, CodecError> {
-    let symbols = decode_symbols(tag_bytes)?;
-    let mut r = ByteReader::new(elem_bytes);
-    let root = r.u32()?;
-    let node_count = r.count(NODE_WIRE_BYTES)?;
-    // `count` bounded node_count * NODE_WIRE_BYTES by the bytes remaining.
-    let (records, _) = r
-        .bytes(node_count * NODE_WIRE_BYTES)?
-        .as_chunks::<NODE_WIRE_BYTES>();
-    if node_count == 0 {
-        return Err(invalid("root id out of range", u64::from(root)));
-    }
-    if root != 0 {
-        return Err(invalid("root is not node 0", u64::from(root)));
-    }
-    let mut labels = Vec::with_capacity(node_count);
-    let mut parents = Vec::with_capacity(node_count);
-    let mut attr_owners = Vec::new();
-    // Each attribute takes at least 8 of the bytes after the records.
-    let attrs_max = r.remaining() / 8;
-    for (id, rec) in (0u32..).zip(records.iter().map(Record::read)) {
-        let idx = u64::from(id);
-        let kind = match rec.kind {
-            0 => NodeKind::Element {
-                tag: Sym(rec.payload),
-            },
-            1 => NodeKind::Text { text: rec.payload },
-            _ => return Err(invalid("unknown node kind", idx)),
-        };
-        let Some(label) = kind.label() else {
-            return Err(invalid("symbol id or text ordinal past 2^31", idx));
-        };
-        if label & TEXT_BIT != 0 && rec.attrs_len != 0 {
-            return Err(invalid("text node has attributes", idx));
-        }
-        if rec.attrs_start as usize != attr_owners.len() {
-            return Err(invalid("attributes not contiguous and in order", idx));
-        }
-        if attr_owners.len() + usize::from(rec.attrs_len) > attrs_max {
-            return Err(invalid("attribute range out of bounds", idx));
-        }
-        attr_owners.extend(std::iter::repeat_n(id, rec.attrs_len.into()));
-        labels.push(label);
-        parents.push(rec.parent);
-    }
-
-    let text_count = r.count(4)?;
-    // Each text is a 4-byte length and its bytes, so what follows the
-    // length prefixes bounds the blob (attributes come after the texts).
-    let mut texts = String::with_capacity(r.remaining() - 4 * text_count);
-    let mut text_ends = Vec::with_capacity(text_count);
-    for i in 0..text_count {
-        texts.push_str(r.str()?);
-        let end = u32::try_from(texts.len());
-        text_ends.push(end.map_err(|_| invalid("text arena exceeds 4 GiB", i as u64))?);
-    }
-    let attr_count = r.count(8)?;
-    let mut attr_names = Vec::with_capacity(attr_count);
-    let mut values = String::new();
-    let mut value_ends = Vec::with_capacity(attr_count);
-    for i in 0..attr_count {
-        attr_names.push(r.u32()?);
-        values.push_str(r.str()?);
-        let end = u32::try_from(values.len());
-        value_ends.push(end.map_err(|_| invalid("attribute values exceed 4 GiB", i as u64))?);
-    }
-    r.expect_exhausted()?;
-
-    // The columns in `encode_nodes`' layout.
-    let mut w = ByteWriter::with_capacity(elem_bytes.len());
-    w.u32s(labels);
-    w.u32s(parents);
-    w.u32s(text_ends);
-    w.padded_str([texts.as_str()]);
-    w.u32s(attr_owners);
-    w.u32s(attr_names);
-    w.u32s(value_ends);
-    w.padded_str([values.as_str()]);
-    let doc = decode_columns(symbols, &w.into_bytes())?;
-    let link = |n: Option<NodeId>| n.map_or(NO_NODE, |n| n.0);
-    for (id, rec) in (0u32..).zip(records.iter().map(Record::read)) {
-        let n = NodeId(id);
-        let what = if rec.level != doc.level(n) {
-            "level disagrees with the tree"
-        } else if rec.start != doc.start(n) {
-            "region label start disagrees with the tree"
-        } else if rec.first_child != link(doc.first_child(n)) {
-            "first-child link disagrees with the tree"
-        } else if rec.next_sibling != link(doc.next_sibling(n)) {
-            "next-sibling link disagrees with the tree"
-        } else if rec.end != doc.end(n) {
-            "region label end disagrees with the tree"
-        } else {
-            continue;
-        };
-        return Err(invalid(what, u64::from(id)));
-    }
-    Ok(doc)
-}
-
 /// Encodes document statistics (the `STATS` section payload), maps in
 /// sorted key order for byte determinism.
 pub fn encode_stats(stats: &DocStats) -> Vec<u8> {
@@ -625,8 +469,6 @@ mod tests {
             let (tags, elems) = (encode_symbols(doc.symbols()), encode_nodes(&doc));
             assert_eq!(elems.len() % 4, 0, "{xml}: every column 4-byte aligned");
             assert_same(&doc, &decode_document(&tags, &elems).unwrap());
-            let records = encode_records(&doc);
-            assert_same(&doc, &decode_document_v2(&tags, &records).unwrap());
         }
     }
 
@@ -658,27 +500,21 @@ mod tests {
     #[test]
     fn every_single_byte_flip_is_rejected_or_equivalent() {
         // Exhaustively flip one byte at a time in a small document's ELEMS
-        // payload, in both layouts: decode must return Err or a
-        // structurally valid document (it must never panic). This is the
-        // codec-level version of the store corruption suite.
+        // payload: decode must return Err or a structurally valid document
+        // (it must never panic). This is the codec-level version of the
+        // store corruption suite.
         let doc = parse("<a k=\"v\"><b>hi</b></a>").unwrap();
         let tags = encode_symbols(doc.symbols());
-        type Decode = fn(&[u8], &[u8]) -> Result<Document, CodecError>;
-        let layouts: [(Decode, Vec<u8>); 2] = [
-            (decode_document, encode_nodes(&doc)),
-            (decode_document_v2, encode_records(&doc)),
-        ];
-        for (decode, elems) in layouts {
-            for i in 0..elems.len() {
-                let mut bad = elems.clone();
-                bad[i] ^= 0xff;
-                let _ = decode(&tags, &bad);
-            }
-            for i in 0..tags.len() {
-                let mut bad = tags.clone();
-                bad[i] ^= 0xff;
-                let _ = decode(&bad, &elems);
-            }
+        let elems = encode_nodes(&doc);
+        for i in 0..elems.len() {
+            let mut bad = elems.clone();
+            bad[i] ^= 0xff;
+            let _ = decode_document(&tags, &bad);
+        }
+        for i in 0..tags.len() {
+            let mut bad = tags.clone();
+            bad[i] ^= 0xff;
+            let _ = decode_document(&bad, &elems);
         }
     }
 
@@ -689,10 +525,6 @@ mod tests {
         let elems = encode_nodes(&doc);
         for cut in 0..elems.len() {
             assert!(decode_document(&tags, &elems[..cut]).is_err());
-        }
-        let records = encode_records(&doc);
-        for cut in 0..records.len() {
-            assert!(decode_document_v2(&tags, &records[..cut]).is_err());
         }
     }
 
@@ -923,236 +755,6 @@ mod tests {
             decode_document(&tags, &elems),
             Err(CodecError::Wire(WireError::NonZeroPadding { .. }))
         ));
-    }
-
-    // ------------------------------------------------ v1/v2 records
-
-    /// The v1/v2 `ELEMS` payload of `doc`: what builds before format v3
-    /// wrote, kept here as the input of the adapter's tests.
-    fn encode_records(doc: &Document) -> Vec<u8> {
-        let link = |n: Option<NodeId>| n.map_or(NO_NODE, |n| n.0);
-        let mut w = ByteWriter::new();
-        w.u32(0);
-        w.u64(doc.node_count() as u64);
-        let mut attrs_start = 0u32;
-        for n in doc.all_nodes() {
-            let (kind, payload) = match doc.kind(n) {
-                NodeKind::Element { tag } => (0, tag.0),
-                NodeKind::Text { text } => (1, text),
-            };
-            w.u8(kind);
-            for v in [
-                payload,
-                link(doc.parent(n)),
-                link(doc.first_child(n)),
-                link(doc.next_sibling(n)),
-                doc.start(n),
-                doc.end(n),
-                doc.level(n),
-                attrs_start,
-            ] {
-                w.u32(v);
-            }
-            let attrs_len = doc.attributes(n).len() as u16;
-            w.u16(attrs_len);
-            attrs_start += u32::from(attrs_len);
-        }
-        w.u64(doc.texts.len() as u64);
-        for i in 0..doc.texts.len() {
-            w.str(doc.texts.get(i).unwrap());
-        }
-        w.u64(doc.attrs.len() as u64);
-        for (sym, val) in &doc.attrs {
-            w.u32(sym.0);
-            w.str(val);
-        }
-        w.into_bytes()
-    }
-
-    #[test]
-    fn dangling_references_are_invalid() {
-        let doc = parse("<a><b/></a>").unwrap();
-        let tags = encode_symbols(doc.symbols());
-        let mut elems = encode_records(&doc);
-        // Corrupt the root id field (first 4 bytes) to an out-of-range node.
-        elems[0] = 0x7f;
-        assert!(matches!(
-            decode_document_v2(&tags, &elems),
-            Err(CodecError::Invalid { .. })
-        ));
-    }
-
-    /// Field offsets inside a node record.
-    const PARENT: usize = 5;
-    const FIRST_CHILD: usize = 9;
-    const NEXT_SIBLING: usize = 13;
-    const END: usize = 21;
-    const LEVEL: usize = 25;
-    const ATTRS_START: usize = 29;
-    const ATTRS_LEN: usize = 33;
-
-    /// Overwrites `field` of record `node` in an `ELEMS` payload.
-    fn patch(elems: &mut [u8], node: usize, field: usize, bytes: &[u8]) {
-        let at = 12 + node * NODE_WIRE_BYTES + field;
-        elems[at..at + bytes.len()].copy_from_slice(bytes);
-    }
-
-    fn invalid_what_v2(tags: &[u8], elems: &[u8]) -> Option<(&'static str, u64)> {
-        match decode_document_v2(tags, elems) {
-            Err(CodecError::Invalid { what, index }) => Some((what, index)),
-            _ => None,
-        }
-    }
-
-    /// Each way the records can disagree about the tree, one field at a
-    /// time, named by the check that catches it and the node it names.
-    #[test]
-    fn records_that_disagree_about_the_tree_are_invalid() {
-        // Nodes: 0 a, 1 b, 2 c, 3 "t", 4 d, 5 "u".
-        let doc = parse("<a><b x=\"1\"><c/>t</b><d y=\"2\"/>u</a>").unwrap();
-        let tags = encode_symbols(doc.symbols());
-        let elems = encode_records(&doc);
-        assert!(decode_document_v2(&tags, &elems).is_ok());
-        let u32s = |v: u32| v.to_le_bytes();
-        // (name, node, field, new bytes, expected error)
-        type Case = (&'static str, usize, usize, Vec<u8>, (&'static str, u64));
-        let cases: [Case; 11] = [
-            (
-                "parent link to a closed node",
-                4,
-                PARENT,
-                u32s(2).into(),
-                ("parent is not an open ancestor", 4),
-            ),
-            (
-                "parent link forward",
-                2,
-                PARENT,
-                u32s(4).into(),
-                ("parent is not an open ancestor", 2),
-            ),
-            (
-                "a second root",
-                4,
-                PARENT,
-                u32s(NO_NODE).into(),
-                ("node other than the root without a parent", 4),
-            ),
-            (
-                "a text node with children",
-                4,
-                PARENT,
-                u32s(3).into(),
-                ("text node has children", 4),
-            ),
-            (
-                "first-child link elsewhere",
-                1,
-                FIRST_CHILD,
-                u32s(3).into(),
-                ("first-child link disagrees with the tree", 1),
-            ),
-            (
-                "first-child link on a leaf",
-                5,
-                FIRST_CHILD,
-                u32s(4).into(),
-                ("first-child link disagrees with the tree", 5),
-            ),
-            (
-                "next-sibling link elsewhere",
-                1,
-                NEXT_SIBLING,
-                u32s(5).into(),
-                ("next-sibling link disagrees with the tree", 1),
-            ),
-            (
-                "level off by one",
-                2,
-                LEVEL,
-                u32s(3).into(),
-                ("level disagrees with the tree", 2),
-            ),
-            (
-                "end off by one",
-                2,
-                END,
-                u32s(doc.end(NodeId(2)) + 1).into(),
-                ("region label end disagrees with the tree", 2),
-            ),
-            (
-                "overlapping attribute ranges",
-                4,
-                ATTRS_START,
-                u32s(0).into(),
-                ("attributes not contiguous and in order", 4),
-            ),
-            (
-                "a text node with attributes",
-                3,
-                ATTRS_LEN,
-                1u16.to_le_bytes().into(),
-                ("text node has attributes", 3),
-            ),
-        ];
-        for (name, node, field, bytes, expect) in cases {
-            let mut bad = elems.clone();
-            patch(&mut bad, node, field, &bytes);
-            assert_eq!(invalid_what_v2(&tags, &bad), Some(expect), "{name}");
-        }
-        let mut bad = elems.clone();
-        bad[..4].copy_from_slice(&u32s(1));
-        assert_eq!(
-            invalid_what_v2(&tags, &bad),
-            Some(("root is not node 0", 1)),
-            "a root other than node 0"
-        );
-    }
-
-    /// The `ELEMS` payload of `<a>` with one child record of `kind` and
-    /// `payload`, and one text `"x"`, written field by field.
-    fn root_and_child(kind: u8, payload: u32) -> Vec<u8> {
-        let mut w = ByteWriter::with_capacity(128);
-        w.u32(0);
-        w.u64(2);
-        // kind, payload, parent, first child, next sibling, start, end, level
-        for rec in [
-            [0, 0, NO_NODE, 1, NO_NODE, 0, 3, 0],
-            [u32::from(kind), payload, 0, NO_NODE, NO_NODE, 1, 2, 1],
-        ] {
-            w.u8(rec[0] as u8);
-            for v in &rec[1..] {
-                w.u32(*v);
-            }
-            w.u32(0);
-            w.u16(0);
-        }
-        w.u64(1);
-        w.str("x");
-        w.u64(0);
-        w.into_bytes()
-    }
-
-    #[test]
-    fn labels_at_two_to_the_31_are_rejected() {
-        let doc = parse("<a>x</a>").unwrap();
-        let tags = encode_symbols(doc.symbols());
-        assert_eq!(root_and_child(1, 0), encode_records(&doc));
-        let past = Some(("symbol id or text ordinal past 2^31", 1));
-        for (kind, payload, expect) in [
-            (1, TEXT_BIT, past),
-            (1, u32::MAX, past),
-            (1, TEXT_BIT - 1, Some(("text index out of range", 1))),
-            (0, TEXT_BIT, past),
-            (0, TEXT_BIT - 1, Some(("tag symbol out of range", 1))),
-        ] {
-            let elems = root_and_child(kind, payload);
-            assert_eq!(
-                invalid_what_v2(&tags, &elems),
-                expect,
-                "kind {kind} payload {payload:#x}"
-            );
-        }
     }
 
     #[test]

@@ -91,16 +91,6 @@ impl ByteWriter {
         }
     }
 
-    /// Appends one byte.
-    pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Appends a little-endian `u16`.
-    pub fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Appends a little-endian `u32`.
     pub fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -155,16 +145,6 @@ impl ByteWriter {
         if let Some(slot) = self.buf.get_mut(at..at + 4) {
             slot.copy_from_slice(&v.to_le_bytes());
         }
-    }
-
-    /// Number of bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
     }
 
     /// Consumes the writer, returning the encoded bytes.
@@ -222,24 +202,14 @@ impl<'a> ByteReader<'a> {
         ByteReader { data, pos: 0 }
     }
 
-    /// Current cursor offset.
-    pub fn position(&self) -> usize {
-        self.pos
-    }
-
     /// Bytes left to read.
-    pub fn remaining(&self) -> usize {
+    fn remaining(&self) -> usize {
         self.data.len() - self.pos
-    }
-
-    /// Whether the cursor has consumed every byte.
-    pub fn is_exhausted(&self) -> bool {
-        self.pos == self.data.len()
     }
 
     /// Errors unless every byte was consumed.
     pub fn expect_exhausted(&self) -> Result<(), WireError> {
-        if self.is_exhausted() {
+        if self.pos == self.data.len() {
             Ok(())
         } else {
             Err(WireError::TrailingBytes { at: self.pos })
@@ -261,19 +231,6 @@ impl<'a> ByteReader<'a> {
         Ok(out)
     }
 
-    /// Reads one byte.
-    pub fn u8(&mut self) -> Result<u8, WireError> {
-        // lint:allow(panic): take(1) guarantees exactly one byte.
-        Ok(self.take(1)?[0])
-    }
-
-    /// Reads a little-endian `u16`.
-    pub fn u16(&mut self) -> Result<u16, WireError> {
-        let b = self.take(2)?;
-        // lint:allow(panic): take(2) guarantees two bytes.
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
     /// Reads a little-endian `u32`.
     pub fn u32(&mut self) -> Result<u32, WireError> {
         let b = self.take(4)?;
@@ -287,11 +244,6 @@ impl<'a> ByteReader<'a> {
         let mut a = [0u8; 8];
         a.copy_from_slice(b); // take(8) guarantees eight bytes
         Ok(u64::from_le_bytes(a))
-    }
-
-    /// Reads `n` raw bytes.
-    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        self.take(n)
     }
 
     /// Reads a `u32`-length-prefixed UTF-8 string.
@@ -363,20 +315,16 @@ mod tests {
     #[test]
     fn roundtrip_all_primitives() {
         let mut w = ByteWriter::new();
-        w.u8(7);
-        w.u16(300);
         w.u32(70_000);
         w.u64(1 << 40);
         w.str("héllo");
-        w.bytes(&[1, 2, 3]);
+        w.bytes(&[1, 2, 3, 4]);
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
-        assert_eq!(r.u8().unwrap(), 7);
-        assert_eq!(r.u16().unwrap(), 300);
         assert_eq!(r.u32().unwrap(), 70_000);
         assert_eq!(r.u64().unwrap(), 1 << 40);
         assert_eq!(r.str().unwrap(), "héllo");
-        assert_eq!(r.bytes(3).unwrap(), &[1, 2, 3]);
+        assert_eq!(r.u32().unwrap(), u32::from_le_bytes([1, 2, 3, 4]));
         assert!(r.expect_exhausted().is_ok());
     }
 
@@ -387,8 +335,11 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes[..2]);
         assert!(matches!(r.u32(), Err(WireError::UnexpectedEof { .. })));
-        // Cursor unchanged: a shorter read still works.
-        assert_eq!(r.u16().unwrap(), 5);
+        // Cursor unchanged: nothing was consumed.
+        assert_eq!(
+            r.expect_exhausted(),
+            Err(WireError::TrailingBytes { at: 0 })
+        );
     }
 
     #[test]
@@ -431,11 +382,15 @@ mod tests {
 
     #[test]
     fn columns_and_blobs_roundtrip_four_byte_aligned() {
+        for s in ["", "é", "abc", "abcd", "abcde"] {
+            let mut w = ByteWriter::new();
+            w.padded_str([s]);
+            assert_eq!(w.into_bytes().len() % 4, 0, "{s:?}");
+        }
         let mut w = ByteWriter::new();
         w.u32s([7, u32::MAX, 0]);
         for s in ["", "é", "abc", "abcd", "abcde"] {
             w.padded_str([s]);
-            assert_eq!(w.len() % 4, 0, "{s:?}");
         }
         w.padded_str(["ab", "", "cd", "e"]);
         w.u32s([]);
@@ -463,7 +418,7 @@ mod tests {
             r.u32s().unwrap_err(),
             WireError::ImplausibleLength { at: 0, len: 3 }
         );
-        assert_eq!(r.position(), 0, "cursor rewound to the count");
+        assert_eq!(r.u32(), Ok(3), "cursor rewound to the count");
         let mut w = ByteWriter::new();
         w.padded_str(["ab"]);
         let mut bytes = w.into_bytes();
@@ -476,12 +431,12 @@ mod tests {
 
     #[test]
     fn trailing_bytes_are_reported() {
-        let bytes = [1u8, 2, 3];
+        let bytes = [1u8, 2, 3, 4, 5];
         let mut r = ByteReader::new(&bytes);
-        let _ = r.u8();
+        let _ = r.u32();
         assert_eq!(
             r.expect_exhausted(),
-            Err(WireError::TrailingBytes { at: 1 })
+            Err(WireError::TrailingBytes { at: 4 })
         );
     }
 }

@@ -104,7 +104,7 @@ fn main() {
     let (tags, elems) = (section("tags"), section("elems"));
     let nodes = decode_document(tags, elems).expect("decodes").node_count();
 
-    println!("format_version {}", report.version);
+    println!("format_version {}", flexpath_store::FORMAT_VERSION);
     println!("xml_bytes {}", xml.len());
     println!("file_bytes {file_bytes}");
     println!(

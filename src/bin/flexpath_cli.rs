@@ -483,14 +483,9 @@ fn run_store_inspect(path: &str) -> ExitCode {
         }
     };
     println!(
-        "{path}: FXPSTORE v{} ({} bytes, {})",
-        report.version,
+        "{path}: FXPSTORE v{} ({} bytes, aligned layout, columns, lazy decode)",
+        flexpath_store::FORMAT_VERSION,
         report.file_bytes,
-        match report.version {
-            1 => "dense layout, node records, eager decode",
-            2 => "aligned layout, node records, lazy decode",
-            _ => "aligned layout, columns, lazy decode",
-        }
     );
     match &report.meta {
         Some(meta) => println!(

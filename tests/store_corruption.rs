@@ -63,7 +63,7 @@ fn lazy_decode_errors() -> u64 {
 
 /// The byte ranges of a store image that are semantically live: the
 /// header (fixed fields + section table + header CRC) and every section
-/// payload. v2 images additionally contain zero padding between payloads
+/// payload. The image also contains zero padding between payloads
 /// (for 8-byte alignment) that no CRC covers — flipping those bytes must
 /// NOT break decoding, which is exactly what the sweep below asserts.
 fn covered_ranges(bytes: &[u8]) -> Vec<Range<usize>> {
@@ -116,7 +116,7 @@ fn every_single_byte_flip_is_detected() {
     // The header is covered by the header CRC (and the magic/version
     // checks before it); every payload byte is covered by its section
     // CRC — so no flip in a *live* byte may decode successfully. The only
-    // bytes outside those ranges are the v2 alignment padding: zeroes
+    // bytes outside those ranges are the alignment padding: zeroes
     // that no reader ever interprets, whose flips must decode to the same
     // store (robustness against e.g. a tool that rewrites dead bytes).
     let bytes = store_bytes();
@@ -281,8 +281,8 @@ fn lazy_first_structural_touch_surfaces_document_damage() {
 
 #[test]
 fn eager_open_still_rejects_any_section_damage_up_front() {
-    // The eager open keeps the v1 contract on v2 files: everything
-    // decodes (and therefore verifies) before the open returns.
+    // The eager open: everything decodes (and therefore verifies) before
+    // the open returns.
     let bytes = store_bytes();
     let postings = section_range(&bytes, 6);
     let mut bad = bytes.clone();

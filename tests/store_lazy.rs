@@ -130,44 +130,6 @@ fn residency_progresses_with_what_queries_touch() {
 }
 
 #[test]
-fn v1_files_open_eagerly_and_answer_like_v2() {
-    // The committed goldens are one corpus in every container version
-    // (nothing writes v1 or v2 any more, so `tiny.fxs` and `tiny_v2.fxs`
-    // are *the* v1 and v2 files). v1 must open through the same
-    // `FleXPath::open` entry point, decode everything up front, and answer
-    // byte-identically to the v2 image and to the v3 image this build
-    // writes.
-    let golden = |file: &str| {
-        PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .join("tests/golden")
-            .join(file)
-    };
-    let v1 = FleXPath::open(&golden("tiny.fxs")).expect("v1 file opens");
-    let r = v1.residency();
-    assert!(
-        r.document && r.stats && r.index,
-        "v1 has no lazy representation — everything decodes at open"
-    );
-    let v2 = FleXPath::open(&golden("tiny_v2.fxs")).expect("v2 file opens");
-    assert!(!v2.residency().document, "the v2 image opens lazily");
-    let v3 = FleXPath::open(&golden("tiny_v3.fxs")).expect("v3 file opens");
-    assert!(!v3.residency().document, "the v3 image opens lazily");
-    for query in QUERIES {
-        for threads in [1, 2, 4, 8] {
-            let v1_run = run(&v1, query, threads);
-            assert!(!v1_run.0.is_empty(), "query {query:?} must match");
-            for (label, flex) in [("v2", &v2), ("v3", &v3)] {
-                assert_eq!(
-                    v1_run,
-                    run(flex, query, threads),
-                    "v1/{label} diverged for {query:?} at {threads} threads"
-                );
-            }
-        }
-    }
-}
-
-#[test]
 fn open_sessions_survive_atomic_replace() {
     // The catalog replaces documents with a temp-file write + rename. A
     // session opened before the replace holds the *old* bytes (via the
