@@ -3,9 +3,15 @@
 //! store's first-touch work (section CRC, document and index decode),
 //! structural joins, full-text evaluation, closure computation, and
 //! relaxation-schedule construction.
+//!
+//! ```text
+//! cargo bench -p flexpath-bench --bench micro_substrates
+//! ```
+//!
+//! Each line is the minimum of [`SAMPLES`] timed calls after one warm-up
+//! call. The figures of the paper are regenerated by the `repro` binary.
 
 use flexpath_bench::bench_config;
-use flexpath_bench::minibench::{criterion_group, criterion_main, Criterion};
 use flexpath_engine::{
     build_schedule, stack_tree_desc, EngineContext, PenaltyModel, WeightAssignment,
 };
@@ -17,32 +23,50 @@ use flexpath_xmldom::codec::{decode_document, encode_nodes, encode_symbols};
 use flexpath_xmldom::{
     parse, parse_events, to_xml_string, DocStats, FnSink, ParseOptions, XmlEvent,
 };
+use std::hint::black_box;
+use std::time::{Duration, Instant};
 
-fn micro(c: &mut Criterion) {
+/// Timed calls per benchmark.
+const SAMPLES: usize = 10;
+
+/// Prints the minimum wall-clock time of `SAMPLES` calls of `f`, after
+/// one untimed warm-up call.
+fn bench<O>(name: &str, mut f: impl FnMut() -> O) {
+    black_box(f());
+    let best = (0..SAMPLES)
+        .map(|_| {
+            let t = Instant::now();
+            black_box(f());
+            t.elapsed()
+        })
+        .min()
+        .unwrap_or(Duration::ZERO);
+    println!(
+        "  micro_substrates/{name:<40} {:>12.3} ms",
+        best.as_secs_f64() * 1e3
+    );
+}
+
+fn main() {
     let doc = generate(&bench_config(1 << 20));
     let xml = to_xml_string(&doc);
-    let mut group = c.benchmark_group("micro_substrates");
-    group.sample_size(10);
+    println!("group micro_substrates (min of {SAMPLES})");
 
-    group.bench_function("xml_parse_1mb", |b| {
-        b.iter(|| parse(&xml).unwrap().node_count())
+    bench("xml_parse_1mb", || parse(&xml).unwrap().node_count());
+    bench("xml_parse_events_1mb", || {
+        let mut elements = 0usize;
+        let mut sink = FnSink(|ev: XmlEvent<'_>| {
+            if matches!(ev, XmlEvent::StartElement { .. }) {
+                elements += 1;
+            }
+        });
+        parse_events(&xml, ParseOptions::default(), &mut sink).unwrap();
+        let FnSink(_) = sink;
+        elements
     });
-    group.bench_function("xml_parse_events_1mb", |b| {
-        b.iter(|| {
-            let mut elements = 0usize;
-            let mut sink = FnSink(|ev: XmlEvent<'_>| {
-                if matches!(ev, XmlEvent::StartElement { .. }) {
-                    elements += 1;
-                }
-            });
-            parse_events(&xml, ParseOptions::default(), &mut sink).unwrap();
-            let FnSink(_) = sink;
-            elements
-        })
-    });
-    group.bench_function("doc_stats_1mb", |b| b.iter(|| DocStats::compute(&doc)));
-    group.bench_function("inverted_index_1mb", |b| {
-        b.iter(|| InvertedIndex::build(&doc).term_count())
+    bench("doc_stats_1mb", || DocStats::compute(&doc));
+    bench("inverted_index_1mb", || {
+        InvertedIndex::build(&doc).term_count()
     });
 
     // A store's three first touches, one piece each: the CRC every touch
@@ -51,24 +75,22 @@ fn micro(c: &mut Criterion) {
     let index = InvertedIndex::build(&doc);
     let image =
         StoreBuilder::from_parts("micro", &doc, &DocStats::compute(&doc), &index).to_bytes();
-    group.bench_function("crc32_store_1mb", |b| b.iter(|| crc32(&image)));
+    bench("crc32_store_1mb", || crc32(&image));
     let (tags, elems) = (encode_symbols(doc.symbols()), encode_nodes(&doc));
-    group.bench_function("decode_document_1mb", |b| {
-        b.iter(|| decode_document(&tags, &elems).unwrap().node_count())
+    bench("decode_document_1mb", || {
+        decode_document(&tags, &elems).unwrap().node_count()
     });
     let (terms, postings) = index.encode();
-    group.bench_function("index_decode_1mb", |b| {
-        b.iter(|| {
-            InvertedIndex::decode(&terms, &postings, doc.node_count())
-                .unwrap()
-                .term_count()
-        })
+    bench("index_decode_1mb", || {
+        InvertedIndex::decode(&terms, &postings, doc.node_count())
+            .unwrap()
+            .term_count()
     });
 
     let items = doc.nodes_with_tag_name("item").to_vec();
     let texts = doc.nodes_with_tag_name("text").to_vec();
-    group.bench_function("structural_join_item_text", |b| {
-        b.iter(|| stack_tree_desc(&doc, &items, &texts).len())
+    bench("structural_join_item_text", || {
+        stack_tree_desc(&doc, &items, &texts).len()
     });
 
     let ctx = EngineContext::new(doc.clone());
@@ -82,16 +104,12 @@ fn micro(c: &mut Criterion) {
         ("ft_eval_and", gold.clone()),
         ("ft_eval_phrase", FtExpr::term("gold ivory")),
     ] {
-        group.bench_function(name, |b| {
-            b.iter(|| ctx.index().evaluate(ctx.doc(), &expr).len())
-        });
+        bench(name, || ctx.index().evaluate(ctx.doc(), &expr).len());
     }
-    group.bench_function("ft_eval_and_bm25", |b| {
-        b.iter(|| {
-            ctx.index()
-                .evaluate_with(ctx.doc(), &gold, ScoringModel::bm25())
-                .len()
-        })
+    bench("ft_eval_and_bm25", || {
+        ctx.index()
+            .evaluate_with(ctx.doc(), &gold, ScoringModel::bm25())
+            .len()
     });
     // What a `contains` penalty and a selectivity estimate ask of a cached
     // evaluation: how many nodes of a tag satisfy it.
@@ -101,15 +119,13 @@ fn micro(c: &mut Criterion) {
         .symbols()
         .lookup("name")
         .expect("XMark has <name>");
-    group.bench_function("count_for_tag", |b| {
-        b.iter(|| eval.count_for_tag(ctx.doc(), name))
-    });
+    bench("count_for_tag", || eval.count_for_tag(ctx.doc(), name));
 
     let q3 = parse_query(flexpath_bench::XQ3).unwrap();
-    group.bench_function("closure_q3", |b| b.iter(|| q3.closure().len()));
+    bench("closure_q3", || q3.closure().len());
     let model = PenaltyModel::new(&q3, WeightAssignment::uniform());
-    group.bench_function("schedule_q3", |b| {
-        b.iter(|| build_schedule(&ctx, &model, &q3, 64).len())
+    bench("schedule_q3", || {
+        build_schedule(&ctx, &model, &q3, 64).len()
     });
     // The other half of a build's cost: `contains` penalties. The first
     // build evaluates the expression; the timed ones find it in the FT
@@ -117,11 +133,7 @@ fn micro(c: &mut Criterion) {
     let leaf = parse_query("//mail[./text/keyword[.contains(\"vintage\" and \"gold\")]]").unwrap();
     let model = PenaltyModel::new(&leaf, WeightAssignment::uniform());
     build_schedule(&ctx, &model, &leaf, 64);
-    group.bench_function("schedule_contains", |b| {
-        b.iter(|| build_schedule(&ctx, &model, &leaf, 64).len())
+    bench("schedule_contains", || {
+        build_schedule(&ctx, &model, &leaf, 64).len()
     });
-    group.finish();
 }
-
-criterion_group!(benches, micro);
-criterion_main!(benches);

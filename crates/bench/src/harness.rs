@@ -5,7 +5,7 @@
 //! (`scale = 1.0`, up to 100 MB).
 
 use crate::workload::{bench_session, QUERIES, XQ2, XQ3};
-use flexpath::{Algorithm, ExecStats, FleXPath, ParallelConfig};
+use flexpath::{Algorithm, ExecStats, FleXPath};
 use std::time::Instant;
 
 /// One timed execution.
@@ -63,7 +63,7 @@ pub struct FigureSpec {
 }
 
 /// All reproducible figures and ablations.
-pub const FIGURES: [FigureSpec; 13] = [
+pub const FIGURES: [FigureSpec; 12] = [
     FigureSpec {
         id: "fig09",
         title: "Varying number of relaxations (1MB, K=50): DPO vs SSO",
@@ -112,22 +112,17 @@ pub const FIGURES: [FigureSpec; 13] = [
         id: "baselines",
         title: "Related-work baselines vs DPO/SSO/Hybrid (Section 7 strategies)",
     },
-    FigureSpec {
-        id: "threads_scaling",
-        title: "Thread scaling (fig09/fig10 workloads): each distinct effective width of 1/2/4/8, identical ranking",
-    },
 ];
 
 const MB: usize = 1 << 20;
 
-/// Executes one `(query, k, algorithm)` cell `repeats` times at `threads`
-/// workers; the record carries the median wall-clock time.
-fn run_cell(
+/// Runs one `(query, k, algorithm)` cell against a prepared session,
+/// reporting the median time over `repeats` executions.
+pub fn run_once(
     flex: &FleXPath,
     query: &str,
     k: usize,
     algorithm: Algorithm,
-    threads: usize,
     repeats: usize,
 ) -> RunRecord {
     let mut times = Vec::with_capacity(repeats.max(1));
@@ -140,7 +135,6 @@ fn run_cell(
             .expect("benchmark query parses")
             .top(k)
             .algorithm(algorithm)
-            .parallel(ParallelConfig::with_threads(threads))
             .execute();
         times.push(t.elapsed().as_secs_f64() * 1e3);
         answers = r.hits.len();
@@ -156,102 +150,6 @@ fn run_cell(
         intermediates: stats.intermediate_answers,
         buckets: stats.buckets,
         note: String::new(),
-    }
-}
-
-/// Runs one `(query, k, algorithm)` cell against a prepared session on the
-/// calling thread, reporting the median time over `repeats` executions.
-pub fn run_once(
-    flex: &FleXPath,
-    query: &str,
-    k: usize,
-    algorithm: Algorithm,
-    repeats: usize,
-) -> RunRecord {
-    run_cell(flex, query, k, algorithm, 1, repeats)
-}
-
-/// Like [`run_once`] but with an explicit worker-thread count. The ranking
-/// is identical at every count (see `flexpath_engine::parallel`), so this
-/// measures wall-clock only; the record's note carries the thread count.
-pub fn run_once_threads(
-    flex: &FleXPath,
-    query: &str,
-    k: usize,
-    algorithm: Algorithm,
-    threads: usize,
-    repeats: usize,
-) -> RunRecord {
-    let mut record = run_cell(flex, query, k, algorithm, threads, repeats);
-    record.note = format!("{threads} thread(s)");
-    record
-}
-
-/// Thread-scaling series on the fig09 and fig10 workloads: the same query
-/// for each algorithm at every **distinct effective width** among 1/2/4/8
-/// requested threads. Requests that clamp to the same width
-/// (`ParallelConfig::effective_threads`) run the identical code path, so
-/// each width is swept once — every row is a different configuration
-/// measured from the same number of samples. Every cell returns the same
-/// answers in the same order; only wall-clock varies. `millis` is the
-/// median over the repeats, the note carries the minimum.
-fn threads_scaling(scale: f64, repeats: usize) -> Series {
-    use Algorithm::{Dpo, Hybrid, Sso};
-    let mut widths = [1usize, 2, 4, 8]
-        .map(|t| ParallelConfig::with_threads(t).effective_threads())
-        .to_vec();
-    widths.dedup();
-    let algs = [Dpo, Sso, Hybrid];
-    let workloads = [
-        ("fig09 wl (1MB, K=50, Q3)", scaled(1.0, scale), 50usize),
-        ("fig10 wl (10MB, K=500, Q3)", scaled(10.0, scale), 500),
-    ];
-    let mut rows = Vec::new();
-    for (label, bytes, k) in workloads {
-        let flex = bench_session(bytes);
-        // One cell per (width, algorithm), width-major.
-        let mut cells: Vec<(usize, Algorithm, Vec<f64>, Option<RunRecord>)> = widths
-            .iter()
-            .flat_map(|&t| algs.map(|alg| (t, alg, Vec::new(), None)))
-            .collect();
-        // Repeats are interleaved round-robin across cells (rep 1 of every
-        // cell, then rep 2, ...): background machine drift during the
-        // sweep then shifts every width equally instead of biasing
-        // whichever rows happen to run last.
-        for _rep in 0..repeats.max(1) {
-            for (t, alg, times, record) in &mut cells {
-                let rec = run_cell(&flex, XQ3, k, *alg, *t, 1);
-                times.push(rec.millis);
-                *record = Some(rec);
-            }
-        }
-        for row in cells.chunks_mut(algs.len()) {
-            let t = row[0].0;
-            let records = row
-                .iter_mut()
-                .map(|(_, _, times, record)| {
-                    let mut record = record.take().expect("repeats >= 1 fills every cell");
-                    times.sort_by(f64::total_cmp);
-                    record.millis = times[times.len() / 2];
-                    record.note =
-                        format!("{t} thread(s), min {:.4} ms of {}", times[0], times.len());
-                    record
-                })
-                .collect();
-            rows.push(SeriesRow {
-                x: format!("{label}, T={t}"),
-                records,
-            });
-        }
-    }
-    Series {
-        id: "threads_scaling".into(),
-        title:
-            "Thread scaling — distinct effective widths, fig09/fig10 workloads (ranking identical)"
-                .into(),
-        x_label: "workload, worker threads".into(),
-        algorithms: vec!["DPO".into(), "SSO".into(), "Hybrid".into()],
-        rows,
     }
 }
 
@@ -435,7 +333,6 @@ pub fn run_figure(id: &str, scale: f64, repeats: usize) -> Option<Series> {
             &[Sso, Hybrid],
             repeats,
         ),
-        "threads_scaling" => threads_scaling(scale, repeats),
         "baselines" => crate::harness::ablations::baselines(scale, repeats),
         "ablation_buckets" => crate::harness::ablations::buckets(scale, repeats),
         "ablation_pruning" => crate::harness::ablations::pruning(scale, repeats),
@@ -612,7 +509,6 @@ pub mod ablations {
                         &enc,
                         flexpath::RankingScheme::StructureFirst,
                         &flexpath::Budget::unlimited(),
-                        &flexpath::ParallelConfig::sequential(),
                         |a| {
                             if seen.insert(a.node) {
                                 fresh += 1;
@@ -687,7 +583,6 @@ pub mod ablations {
                     &enc,
                     flexpath::RankingScheme::StructureFirst,
                     &flexpath::Budget::unlimited(),
-                    &flexpath::ParallelConfig::sequential(),
                     |a| {
                         if seen.insert(a.node) && admitted.len() < k {
                             admitted.push(a.node);

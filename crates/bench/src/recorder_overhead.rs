@@ -151,7 +151,6 @@ fn feed(recorder: &FlightRecorder, k: usize, results: &QueryResults, elapsed: Du
         algorithm: results.algorithm.to_string().to_ascii_lowercase(),
         scheme: "structure_first".to_string(),
         k: k as u64,
-        threads: 1,
         limits: QueryLimits::default().with_deadline(Duration::from_secs(2)),
         duration: elapsed,
         complete: results.is_complete(),

@@ -60,8 +60,9 @@ pub fn explain_plan(ctx: &EngineContext, query: &Tpq, max_steps: usize) -> Strin
 /// counters and wall-clock durations), a per-operation estimate-vs-actual
 /// table (the static selectivity estimate next to the observed answer
 /// count, with the log₂-ratio skew in bits), and the deterministic
-/// counter fingerprint (the digest that is byte-identical across
-/// `--threads` values; see `flexpath_engine::metrics`).
+/// counter fingerprint (the digest that is byte-identical across runs,
+/// however many threads share the session; see
+/// `flexpath_engine::metrics`).
 pub fn explain_profile(
     flex: &FleXPath,
     xpath: &str,

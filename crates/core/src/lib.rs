@@ -70,11 +70,11 @@ pub use session::{FleXPath, QueryResults, TopKQuery};
 
 // Re-exports for downstream users.
 pub use flexpath_engine::{
-    hardware_threads, prometheus_name, skew_millibits, Algorithm, Answer, AnswerScore,
-    AttrRelaxation, Budget, CancelToken, Completeness, EngineError, ExecStats, ExhaustReason,
-    MetricsRegistry, MetricsSnapshot, Offer, ParallelConfig, PruneFloor, QueryLimits, QueryTrace,
-    RankingScheme, ScoreKey, SourceError, SourceErrorKind, SourceResidency, TagHierarchy,
-    TopKBuckets, TraceSpan, WeightAssignment,
+    prometheus_name, skew_millibits, Algorithm, Answer, AnswerScore, AttrRelaxation, Budget,
+    CancelToken, Completeness, EngineError, ExecStats, ExhaustReason, MetricsRegistry,
+    MetricsSnapshot, Offer, PruneFloor, QueryLimits, QueryTrace, RankingScheme, ScoreKey,
+    SourceError, SourceErrorKind, SourceResidency, TagHierarchy, TopKBuckets, TraceSpan,
+    WeightAssignment,
 };
 pub use flexpath_store::{
     Catalog, CatalogEntry, CatalogListing, CorpusStore, LazyStore, QuarantinedEntry, StoreBuilder,

@@ -2,8 +2,8 @@
 
 use flexpath_engine::{
     dpo_topk, hybrid_topk, sso_topk, Algorithm, Answer, AttrRelaxation, CancelToken, Completeness,
-    EngineContext, EngineError, ExecStats, ParallelConfig, QueryLimits, QueryTrace, RankingScheme,
-    SourceResidency, TagHierarchy, TopKRequest, TopKResult, TraceSpan, WeightAssignment,
+    EngineContext, EngineError, ExecStats, QueryLimits, QueryTrace, RankingScheme, SourceResidency,
+    TagHierarchy, TopKRequest, TopKResult, TraceSpan, WeightAssignment,
 };
 use flexpath_ftsearch::{highlight, HighlightStyle, Thesaurus};
 use flexpath_store::{LazyStore, StoreBuilder, StoreError};
@@ -343,18 +343,11 @@ impl TopKQuery<'_> {
         self
     }
 
-    /// Runs the query on `threads` worker threads (default 1 = sequential).
-    /// The ranking is identical at every thread count; see
-    /// [`ParallelConfig`] for the determinism contract.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.request.parallel = ParallelConfig::with_threads(threads);
-        self
-    }
-
-    /// Sets the full worker-thread configuration (thread count plus the
-    /// minimum candidate-set size worth fanning out).
-    pub fn parallel(mut self, parallel: ParallelConfig) -> Self {
-        self.request.parallel = parallel;
+    /// Does nothing: a query always runs on the calling thread, and
+    /// concurrency comes from running queries on several threads against
+    /// one shared session. Kept only so existing callers still compile;
+    /// ROADMAP.md item 4(i) removes it.
+    pub fn threads(self, _threads: usize) -> Self {
         self
     }
 

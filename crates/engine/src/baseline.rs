@@ -20,11 +20,13 @@
 //!   The paper notes it "was shown to quickly fail with large databases";
 //!   [`ExecStats::shortcut_pairs`] exposes the materialization volume that
 //!   causes exactly that failure mode.
+//!
+//! The baselines are reference implementations: they run the shared
+//! evaluator without resource limits.
 
 use crate::context::EngineContext;
 use crate::encode::EncodedQuery;
 use crate::exec::evaluate_encoded;
-use crate::parallel::ParallelConfig;
 use crate::schedule::build_schedule;
 use crate::score::{AnswerScore, PenaltyModel};
 use crate::structural_join::stack_tree_desc;
@@ -32,12 +34,6 @@ use crate::topk::{sort_answers, Answer, ExecStats, TopKRequest, TopKResult};
 use flexpath_ftsearch::Budget;
 use flexpath_tpq::enumerate_space;
 use std::collections::HashSet;
-
-/// The baselines are reference implementations: they run the shared
-/// evaluator without resource limits and on the calling thread.
-fn reference_settings() -> (Budget, ParallelConfig) {
-    (Budget::unlimited(), ParallelConfig::sequential())
-}
 
 /// Rewriting-enumeration baseline: materialize the relaxation space, order
 /// the relaxed queries by the structural score of their answers, evaluate
@@ -51,7 +47,7 @@ pub fn rewrite_enumeration_topk(
     max_space: usize,
 ) -> TopKResult {
     let model = PenaltyModel::new(&request.query, request.weights.clone());
-    let (unbudgeted, inline) = reference_settings();
+    let unbudgeted = Budget::unlimited();
     let mut stats = ExecStats::default();
     let space = enumerate_space(&request.query, max_space);
     stats.relaxations_used = space.len() - 1;
@@ -82,7 +78,7 @@ pub fn rewrite_enumeration_topk(
         let entry = &space.entries[idx];
         let enc = EncodedQuery::exact(ctx, &model, &entry.tpq);
         stats.evaluations += 1;
-        evaluate_encoded(ctx, &enc, request.scheme, &unbudgeted, &inline, |a| {
+        evaluate_encoded(ctx, &enc, request.scheme, &unbudgeted, |a| {
             stats.intermediate_answers += 1;
             if seen.insert(a.node) {
                 answers.push(Answer {
@@ -104,7 +100,7 @@ pub fn rewrite_enumeration_topk(
 /// from stopping earlier.
 pub fn full_encoding_topk(ctx: &EngineContext, request: &TopKRequest) -> TopKResult {
     let model = PenaltyModel::new(&request.query, request.weights.clone());
-    let (unbudgeted, inline) = reference_settings();
+    let unbudgeted = Budget::unlimited();
     let schedule = build_schedule(ctx, &model, &request.query, request.max_relaxation_steps);
     let mut stats = ExecStats {
         relaxations_used: schedule.len(),
@@ -113,7 +109,7 @@ pub fn full_encoding_topk(ctx: &EngineContext, request: &TopKRequest) -> TopKRes
     };
     let enc = EncodedQuery::build(ctx, &model, &request.query, &schedule);
     let mut answers: Vec<Answer> = Vec::new();
-    evaluate_encoded(ctx, &enc, request.scheme, &unbudgeted, &inline, |a| {
+    evaluate_encoded(ctx, &enc, request.scheme, &unbudgeted, |a| {
         stats.intermediate_answers += 1;
         answers.push(a);
     });
@@ -129,7 +125,7 @@ pub fn full_encoding_topk(ctx: &EngineContext, request: &TopKRequest) -> TopKRes
 /// scaling hazard and is reported in [`ExecStats::shortcut_pairs`].
 pub fn data_relaxation_topk(ctx: &EngineContext, request: &TopKRequest) -> TopKResult {
     let model = PenaltyModel::new(&request.query, request.weights.clone());
-    let (unbudgeted, inline) = reference_settings();
+    let unbudgeted = Budget::unlimited();
     let mut stats = ExecStats::default();
 
     // Materialize shortcut edges between every pair of query tags related
@@ -163,7 +159,7 @@ pub fn data_relaxation_topk(ctx: &EngineContext, request: &TopKRequest) -> TopKR
     stats.evaluations = 1;
     let enc = EncodedQuery::build(ctx, &model, &request.query, &schedule);
     let mut answers: Vec<Answer> = Vec::new();
-    evaluate_encoded(ctx, &enc, request.scheme, &unbudgeted, &inline, |a| {
+    evaluate_encoded(ctx, &enc, request.scheme, &unbudgeted, |a| {
         stats.intermediate_answers += 1;
         answers.push(a);
     });

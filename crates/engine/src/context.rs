@@ -143,8 +143,8 @@ pub struct EngineContext {
     /// on the same store the context reads from.
     source: Arc<dyn ContextSource>,
     /// Memoized full-text evaluations, keyed by expression. Sharded and
-    /// lock-striped so the parallel top-K workers — and concurrent queries
-    /// sharing one session — probe it without serializing on a single lock.
+    /// lock-striped so concurrent queries sharing one session probe it
+    /// without serializing on a single lock.
     ft_cache: ShardedCache<FtExpr, FtEval>,
 }
 

@@ -11,35 +11,18 @@
 //! Recomputation avoidance (Section 5.2.2): answers found in earlier rounds
 //! are remembered and skipped, so each round only surfaces the *delta* its
 //! relaxation admitted.
-//!
-//! ## Parallel rounds
-//!
-//! With more than one thread configured, DPO evaluates the next
-//! `threads` rounds *speculatively* as one batch, one worker per round —
-//! Theorem 3 makes round deltas independent of each other, so evaluating
-//! round `r+1` before round `r` has committed changes nothing. The merge
-//! then replays the batch strictly in round order: per-round stop conditions
-//! are re-applied against the committed state, cross-round duplicates are
-//! filtered exactly as the sequential loop would, and rounds past a stop
-//! point are discarded as wasted speculation. Committed state is therefore
-//! identical at every thread count; only the `evaluations`-style *work*
-//! counters remain those of the committed rounds. If the shared budget trips
-//! anywhere in a batch, the whole batch is discarded — the committed
-//! answers stay an exact per-round prefix of the unbounded run, the same
-//! guarantee the sequential path gives for its single aborted round.
 
 use crate::context::EngineContext;
 use crate::encode::EncodedQuery;
-use crate::exec::{evaluate_encoded, EvalStats};
+use crate::exec::evaluate_encoded;
 use crate::metrics::{self, TraceSpan};
-use crate::parallel::{fan_out, ParallelConfig};
 use crate::run::Run;
 use crate::score::RankingScheme;
 use crate::selectivity::estimate_cardinality;
 use crate::topk::{sort_answers, Algorithm, Answer, ExecStats, TopKRequest, TopKResult};
 use flexpath_ftsearch::Budget;
 use std::collections::HashSet;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Runs the DPO top-K algorithm under the request's resource limits.
 ///
@@ -61,12 +44,8 @@ pub fn dpo_topk(ctx: &EngineContext, request: &TopKRequest) -> TopKResult {
     let mut ss_at_k: Option<f64> = None;
     // Rounds whose deltas were fully committed (round 0 = the exact query).
     let mut completed_rounds = 0usize;
-    // Speculatively evaluated rounds thrown away (batch-size dependent,
-    // hence scheduling-dependent — traced under the `nd.` namespace).
-    let mut discarded_rounds = 0usize;
 
-    // Stop before evaluating (or committing) a round that cannot contribute
-    // to the top K.
+    // Stop before evaluating a round that cannot contribute to the top K.
     let should_stop = |answers: &[Answer], ss_at_k: Option<f64>, round_ss: f64| -> bool {
         if answers.len() < request.k {
             return false;
@@ -91,179 +70,114 @@ pub fn dpo_topk(ctx: &EngineContext, request: &TopKRequest) -> TopKResult {
             }
         }
     };
-    let round_ss_of = |r: usize| {
-        if r == 0 {
-            base_ss
-        } else {
-            schedule[r - 1].ss_after
-        }
-    };
+
     // Round 0 evaluates the exact query, round `r` the schedule's `r`-th
     // (cumulatively relaxed) query.
-    let round_query_of = |r: usize| {
-        if r == 0 {
-            &request.query
+    for round in 0..=schedule.len() {
+        let (round_query, round_ss) = if round == 0 {
+            (&request.query, base_ss)
         } else {
-            &schedule[r - 1].query
-        }
-    };
-
-    let total_rounds = schedule.len() + 1;
-    let mut next_round = 0usize;
-    'rounds: while next_round < total_rounds {
-        if budget.check_now() {
-            break;
-        }
-        if should_stop(&answers, ss_at_k, round_ss_of(next_round)) {
-            break;
-        }
-        // Speculative batch: the next `threads` rounds, one worker each
-        // (one round evaluated inline when sequential). A batch of one
-        // instead parallelizes *within* the round, over its candidates.
-        let batch = request
-            .parallel
-            .workers_for_rounds(total_rounds - next_round)
-            .min(total_rounds - next_round);
-        let within_round = if batch == 1 {
-            request.parallel
-        } else {
-            ParallelConfig::sequential()
+            (&schedule[round - 1].query, schedule[round - 1].ss_after)
         };
-        // Evaluate each round of the batch against the ORIGINAL `seen` set:
-        // workers dedup only within their own round; the cross-round filter
-        // happens at merge time, in round order, exactly as the sequential
-        // loop interleaves it.
-        let evaluated: Vec<(Vec<Answer>, u64, EvalStats, Duration)> = fan_out(batch, batch, |bi| {
-            // lint:allow(determinism): per-round duration only; durations
-            // are excluded from the counter fingerprint.
-            let round_started = Instant::now();
-            let round = next_round + bi;
-            let round_ss = round_ss_of(round);
-            // Evaluate this round's query exactly (the off-the-shelf-engine
-            // path).
-            let enc = EncodedQuery::build_full(
-                ctx,
-                model,
-                round_query_of(round),
-                &[],
-                request.hierarchy.as_ref(),
-                request.attr_relaxation,
-                budget,
-            );
-            let mut round_delta: Vec<Answer> = Vec::new();
-            // lint:allow(determinism): membership-only dedup set — never
-            // iterated; cross-round merge applies `seen` in round order.
-            let mut round_seen: HashSet<flexpath_xmldom::NodeId> = HashSet::new();
-            let mut intermediates = 0u64;
-            let on_answer = |a: Answer| {
-                intermediates += 1;
-                if round_seen.insert(a.node) {
-                    // With the hierarchy extension the per-answer score
-                    // already reflects unsatisfied exact-tag predicates;
-                    // carry that deficit over to the round's compile-time
-                    // score.
-                    let tag_deficit = enc.base_ss - a.score.ss;
-                    round_delta.push(Answer {
-                        node: a.node,
-                        score: crate::score::AnswerScore {
-                            ss: round_ss - tag_deficit,
-                            ks: a.score.ks,
-                        },
-                        satisfied: a.satisfied,
-                        relaxation_level: round,
-                    });
-                }
-            };
-            let scanned =
-                evaluate_encoded(ctx, &enc, request.scheme, budget, &within_round, on_answer);
-            (round_delta, intermediates, scanned, round_started.elapsed())
-        });
-        if budget.tripped().is_some() {
-            // Partial batch: discard its deltas entirely (Theorem 3 prefix
-            // correctness — committed rounds depend only on their endpoint
-            // queries, not on how far the aborted rounds got). Account the
-            // aborted evaluation the way the sequential loop does.
-            stats.evaluations += 1;
-            stats.relaxations_used = next_round;
-            discarded_rounds += batch;
+        if budget.check_now() || should_stop(&answers, ss_at_k, round_ss) {
             break;
         }
-        // Commit the batch strictly in round order, re-applying the stop
-        // conditions against the growing committed state.
-        for (bi, (mut round_delta, intermediates, scanned, round_time)) in
-            evaluated.into_iter().enumerate()
-        {
-            let candidates = scanned.candidates_examined;
-            let round = next_round + bi;
-            let round_ss = round_ss_of(round);
-            if bi > 0 && should_stop(&answers, ss_at_k, round_ss) {
-                // Wasted speculation: this round (and everything after it)
-                // would never have been evaluated sequentially.
-                discarded_rounds += batch - bi;
-                break 'rounds;
+        // lint:allow(determinism): per-round duration only; durations are
+        // excluded from the counter fingerprint.
+        let round_started = Instant::now();
+        // Evaluate this round's query exactly (the off-the-shelf-engine
+        // path).
+        let enc = EncodedQuery::build_full(
+            ctx,
+            model,
+            round_query,
+            &[],
+            request.hierarchy.as_ref(),
+            request.attr_relaxation,
+            budget,
+        );
+        let mut round_delta: Vec<Answer> = Vec::new();
+        // lint:allow(determinism): membership-only dedup set — never
+        // iterated; the cross-round filter against `seen` runs below.
+        let mut round_seen: HashSet<flexpath_xmldom::NodeId> = HashSet::new();
+        let mut intermediates = 0u64;
+        let scanned = evaluate_encoded(ctx, &enc, request.scheme, budget, |a| {
+            intermediates += 1;
+            if round_seen.insert(a.node) {
+                // With the hierarchy extension the per-answer score
+                // already reflects unsatisfied exact-tag predicates;
+                // carry that deficit over to the round's compile-time
+                // score.
+                let tag_deficit = enc.base_ss - a.score.ss;
+                round_delta.push(Answer {
+                    node: a.node,
+                    score: crate::score::AnswerScore {
+                        ss: round_ss - tag_deficit,
+                        ks: a.score.ks,
+                    },
+                    satisfied: a.satisfied,
+                    relaxation_level: round,
+                });
             }
+        });
+        let round_time = round_started.elapsed();
+        if budget.tripped().is_some() {
+            // Partial round: discard its delta entirely (Theorem 3 prefix
+            // correctness — committed rounds depend only on their endpoint
+            // queries, not on how far the aborted round got).
             stats.evaluations += 1;
             stats.relaxations_used = round;
-            stats.intermediate_answers += intermediates as usize;
-            let before_dedup = round_delta.len();
-            round_delta.retain(|a| !seen.contains(&a.node));
-            // Estimate-vs-actual skew for this round: the static estimator's
-            // prediction for the round's (cumulatively relaxed) query against
-            // the distinct answers the full evaluation just materialized.
-            // Computed here on the driver thread with an *unbudgeted*
-            // estimate — a pure function of document statistics and the round
-            // query — so neither governor counters nor the deterministic
-            // fingerprint can see a difference.
-            let round_est = estimate_cardinality(ctx, round_query_of(round), &Budget::unlimited());
-            metrics::global().record_skew("dpo", round_est, before_dedup as u64);
-            stats.estimated_answers = round_est;
-            stats.observed_answers = before_dedup as u64;
-            if run.tracer.is_enabled() {
-                // Span attachment happens only here, at commit time and in
-                // round order, so the span tree (and every non-`nd.`
-                // counter) is identical at every thread count.
-                let mut span = TraceSpan::new(if round == 0 {
-                    "round[0] op=exact".to_string()
-                } else {
-                    format!("round[{round}] op={}", schedule[round - 1].op)
-                });
-                span.duration = round_time;
-                span.add("round.roots", scanned.roots);
-                span.add("round.candidates", candidates);
-                span.add("round.intermediates", intermediates);
-                span.add("round.estimated", round_est.max(0.0) as u64);
-                span.add("round.observed", before_dedup as u64);
-                span.add("round.admitted", round_delta.len() as u64);
-                span.add(
-                    "round.duplicates_pruned",
-                    (before_dedup - round_delta.len()) as u64,
-                );
-                if round > 0 {
-                    span.add(
-                        "round.dropped_preds",
-                        schedule[round - 1].new_dropped.len() as u64,
-                    );
-                }
-                span.add("governor.checkpoint.dpo_round", 1);
-                span.add("governor.checkpoint.candidate_loop", candidates);
-                run.tracer.attach(span);
-            }
-            seen.extend(round_delta.iter().map(|a| a.node));
-            answers.append(&mut round_delta);
-            completed_rounds = round + 1;
-
-            if answers.len() >= request.k && ss_at_k.is_none() {
-                ss_at_k = Some(round_ss);
-                if request.scheme == RankingScheme::StructureFirst {
-                    // Answers of strictly later rounds score strictly lower
-                    // (or tie — handled by the stop check above).
-                    if round == schedule.len() {
-                        break 'rounds;
-                    }
-                }
-            }
+            break;
         }
-        next_round += batch;
+        let candidates = scanned.candidates_examined;
+        stats.evaluations += 1;
+        stats.relaxations_used = round;
+        stats.intermediate_answers += intermediates as usize;
+        let before_dedup = round_delta.len();
+        round_delta.retain(|a| !seen.contains(&a.node));
+        // Estimate-vs-actual skew for this round: the static estimator's
+        // prediction for the round's (cumulatively relaxed) query against
+        // the distinct answers the full evaluation just materialized, with
+        // an *unbudgeted* estimate — a pure function of document statistics
+        // and the round query — so neither governor counters nor the
+        // deterministic fingerprint can see a difference.
+        let round_est = estimate_cardinality(ctx, round_query, &Budget::unlimited());
+        metrics::global().record_skew("dpo", round_est, before_dedup as u64);
+        stats.estimated_answers = round_est;
+        stats.observed_answers = before_dedup as u64;
+        if run.tracer.is_enabled() {
+            let mut span = TraceSpan::new(if round == 0 {
+                "round[0] op=exact".to_string()
+            } else {
+                format!("round[{round}] op={}", schedule[round - 1].op)
+            });
+            span.duration = round_time;
+            span.add("round.roots", scanned.roots);
+            span.add("round.candidates", candidates);
+            span.add("round.intermediates", intermediates);
+            span.add("round.estimated", round_est.max(0.0) as u64);
+            span.add("round.observed", before_dedup as u64);
+            span.add("round.admitted", round_delta.len() as u64);
+            span.add(
+                "round.duplicates_pruned",
+                (before_dedup - round_delta.len()) as u64,
+            );
+            if round > 0 {
+                span.add(
+                    "round.dropped_preds",
+                    schedule[round - 1].new_dropped.len() as u64,
+                );
+            }
+            span.add("governor.checkpoint.dpo_round", 1);
+            span.add("governor.checkpoint.candidate_loop", candidates);
+            run.tracer.attach(span);
+        }
+        seen.extend(round_delta.iter().map(|a| a.node));
+        answers.append(&mut round_delta);
+        completed_rounds = round + 1;
+        if answers.len() >= request.k && ss_at_k.is_none() {
+            ss_at_k = Some(round_ss);
+        }
     }
 
     sort_answers(&mut answers, request.scheme);
@@ -272,10 +186,6 @@ pub fn dpo_topk(ctx: &EngineContext, request: &TopKRequest) -> TopKResult {
         .add_root("dpo.rounds_total", (schedule.len() + 1) as u64);
     run.tracer
         .add_root("dpo.rounds_committed", completed_rounds as u64);
-    if discarded_rounds > 0 {
-        run.tracer
-            .add_root("nd.dpo.rounds_discarded", discarded_rounds as u64);
-    }
     run.finish(answers, stats, completed_rounds.saturating_sub(1))
 }
 

@@ -32,7 +32,6 @@
 
 use crate::context::EngineContext;
 use crate::encode::{BitCheck, ChildIndex, EncodedQuery};
-use crate::parallel::{chunk_ranges, fan_out, ParallelConfig};
 use crate::score::{AnswerScore, RankingScheme};
 use crate::structural_join::{retain_containing, retain_parents_of};
 use crate::topk::Answer;
@@ -102,34 +101,18 @@ const ROOT_SPEC: usize = 0;
 /// The outer candidate list (the root candidates that passed the
 /// required-skeleton prefilter, or all distinguished candidates when the
 /// distinguished node sits below the root) is scanned by the one
-/// candidate loop (`Evaluator::scan`), either inline — streaming straight
-/// into `on_answer` — or, when `parallel` admits more than one worker for
-/// its size
-/// ([`ParallelConfig::workers_for_candidates`]), split into **contiguous**
-/// document-order chunks with one evaluator per worker. The per-chunk
-/// answers are then replayed through `on_answer` on the calling thread in
-/// chunk order, which reproduces the sequential answer stream exactly —
-/// same answers, same order, same scores (each answer's embedding search is
-/// confined to its own subtree, so per-answer results are independent of
-/// chunk boundaries; see Theorem 3 / the [`crate::parallel`] module doc).
-///
-/// When the shared budget trips mid-fan-out every worker stops at its next
-/// checkpoint and the partial answer set is best-effort (callers that need
-/// an exact-prefix guarantee, like DPO's batched rounds, discard tripped
-/// batches instead).
+/// candidate loop (`Evaluator::scan`), streaming straight into
+/// `on_answer`. The pinned scan (distinguished node below the root) tries
+/// every prefiltered root per distinguished candidate.
 pub fn evaluate_encoded(
     ctx: &EngineContext,
     enc: &EncodedQuery,
     scheme: RankingScheme,
     budget: &Budget,
-    parallel: &ParallelConfig,
     mut on_answer: impl FnMut(Answer),
 ) -> EvalStats {
     let doc = ctx.doc();
     let dist = enc.distinguished_spec();
-    // Computed once, before any chunking, so every worker count scans the
-    // same lists. The pinned scan (distinguished node below the root) tries
-    // every root per distinguished candidate; workers share that list.
     let roots = required_roots(doc, enc, budget);
     let root_count = roots.len() as u64;
     let (outer, roots) = if dist == ROOT_SPEC {
@@ -137,29 +120,7 @@ pub fn evaluate_encoded(
     } else {
         (spec_candidates(doc, enc, dist), roots)
     };
-    let workers = parallel.workers_for_candidates(outer.len());
-    let mut stats = if workers <= 1 {
-        Evaluator::new(ctx, enc, scheme, budget).scan(&outer, &roots, &mut on_answer)
-    } else {
-        let ranges = chunk_ranges(outer.len(), workers);
-        let per_chunk = fan_out(ranges.len(), workers, |wi| {
-            let mut answers = Vec::new();
-            let stats = Evaluator::new(ctx, enc, scheme, budget).scan(
-                &outer[ranges[wi].clone()],
-                &roots,
-                &mut |a| answers.push(a),
-            );
-            (answers, stats)
-        });
-        let mut stats = EvalStats::default();
-        for (answers, s) in per_chunk {
-            answers.into_iter().for_each(&mut on_answer);
-            stats.candidates_examined += s.candidates_examined;
-            stats.answers += s.answers;
-            stats.saturated_breaks += s.saturated_breaks;
-        }
-        stats
-    };
+    let mut stats = Evaluator::new(ctx, enc, scheme, budget).scan(&outer, &roots, &mut on_answer);
     stats.roots = root_count;
     let reg = crate::metrics::global();
     reg.add("engine.exec.evaluations", 1);
@@ -752,19 +713,16 @@ mod tests {
     use flexpath_tpq::{Predicate, TpqBuilder, Var};
 
     fn collect(ctx: &EngineContext, enc: &EncodedQuery, scheme: RankingScheme) -> Vec<Answer> {
-        collect_with(ctx, enc, scheme, &ParallelConfig::sequential()).0
+        collect_with(ctx, enc, scheme).0
     }
 
     fn collect_with(
         ctx: &EngineContext,
         enc: &EncodedQuery,
         scheme: RankingScheme,
-        parallel: &ParallelConfig,
     ) -> (Vec<Answer>, EvalStats) {
         let mut out = Vec::new();
-        let stats = evaluate_encoded(ctx, enc, scheme, &Budget::unlimited(), parallel, |a| {
-            out.push(a)
-        });
+        let stats = evaluate_encoded(ctx, enc, scheme, &Budget::unlimited(), |a| out.push(a));
         (out, stats)
     }
 
@@ -973,54 +931,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_evaluation_matches_sequential_exactly() {
-        let q = q1();
-        let (ctx, model) = setup(ARTICLES, &q);
-        let steps = build_schedule(&ctx, &model, &q, 64);
-        let enc = EncodedQuery::build(&ctx, &model, &q, &steps);
-        for scheme in [
-            RankingScheme::StructureFirst,
-            RankingScheme::KeywordFirst,
-            RankingScheme::Combined,
-        ] {
-            let seq = collect(&ctx, &enc, scheme);
-            for threads in [2, 4, 8] {
-                let mut cfg = ParallelConfig::with_threads(threads);
-                cfg.min_round_size = 1; // force the fan-out even on tiny inputs
-                let (par, stats) = collect_with(&ctx, &enc, scheme, &cfg);
-                assert_eq!(seq.len(), par.len());
-                for (a, b) in seq.iter().zip(&par) {
-                    assert_eq!(a.node, b.node);
-                    assert_eq!(a.score.ss, b.score.ss);
-                    assert_eq!(a.score.ks, b.score.ks);
-                    assert_eq!(a.satisfied, b.satisfied);
-                    assert_eq!(a.relaxation_level, b.relaxation_level);
-                }
-                assert_eq!(stats.answers as usize, par.len());
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_evaluation_matches_sequential_with_projected_distinguished() {
-        // Distinguished node below the root exercises the pinned driver.
-        let mut b = TpqBuilder::new("article");
-        let s = b.child(0, "section");
-        b.set_distinguished(s);
-        let q = b.build();
-        let (ctx, model) = setup(ARTICLES, &q);
-        let enc = EncodedQuery::exact(&ctx, &model, &q);
-        let seq = collect(&ctx, &enc, RankingScheme::StructureFirst);
-        let mut cfg = ParallelConfig::with_threads(4);
-        cfg.min_round_size = 1;
-        let (par, _) = collect_with(&ctx, &enc, RankingScheme::StructureFirst, &cfg);
-        assert_eq!(
-            seq.iter().map(|a| a.node).collect::<Vec<_>>(),
-            par.iter().map(|a| a.node).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
     fn ghost_bits_checked_between_two_ghosts() {
         // Query a/b/c where both b and c get deleted: an answer whose
         // document has the b/c chain should still satisfy the pc(b,c) bit.
@@ -1125,12 +1035,7 @@ mod tests {
         enc: &EncodedQuery,
         what: &str,
     ) -> EvalStats {
-        let (filtered, stats) = collect_with(
-            ctx,
-            enc,
-            RankingScheme::Combined,
-            &ParallelConfig::sequential(),
-        );
+        let (filtered, stats) = collect_with(ctx, enc, RankingScheme::Combined);
         let key = |a: &Answer| {
             let (ss, ks) = (a.score.ss.to_bits(), a.score.ks.to_bits());
             (a.node, ss, ks, a.satisfied, a.relaxation_level)

@@ -33,16 +33,14 @@
 //!   threshold, or satisfied-bitset buckets with a `maxScoreGrowth`
 //!   floor). Both share one prologue/epilogue and one evaluator entry
 //!   point, [`exec::evaluate_encoded`], which takes the run's [`Budget`]
-//!   and [`ParallelConfig`] — an unlimited budget and a width-1 config are
-//!   the unbudgeted, sequential evaluation, not separate functions.
+//!   — an unlimited budget is the unbudgeted evaluation, not a separate
+//!   function.
 //! * [`structural_join`] is the Stack-Tree structural join primitive
 //!   (Al-Khalifa et al.) the paper's implementation builds on; it is used
 //!   by the micro-benchmarks and as a cross-validation oracle in tests.
-//! * [`parallel`] is the threading model: a [`ParallelConfig`] threaded
-//!   through every algorithm plus a deterministic fan-out primitive that
-//!   exploits Theorem 3's order-invariance (equal-penalty relaxations are
-//!   rank-independent) to evaluate rounds and candidate chunks on worker
-//!   threads while reproducing the sequential ranking exactly.
+//! * One query runs on the calling thread. Concurrency is across queries:
+//!   an [`EngineContext`] is `Sync`, so any number of threads may run
+//!   queries against one context and share its full-text cache.
 //!
 //! [`DocStats`]: flexpath_xmldom::DocStats
 
@@ -61,7 +59,6 @@ pub mod governor;
 pub mod hierarchy;
 pub mod metrics;
 pub mod order;
-pub mod parallel;
 pub mod schedule;
 pub mod score;
 pub mod selectivity;
@@ -96,7 +93,6 @@ pub use metrics::{
     Tracer,
 };
 pub use order::{Offer, PruneFloor, ScoreKey, TopKBuckets};
-pub use parallel::{hardware_threads, ParallelConfig};
 pub use schedule::{build_schedule, ScheduleBuildReport, ScheduledStep};
 pub use score::{AnswerScore, PenaltyModel, RankingScheme, WeightAssignment};
 pub use selectivity::estimate_cardinality;

@@ -16,25 +16,25 @@
 //!
 //! ## Determinism of counters
 //!
-//! Trace *counters* double as a regression tripwire for the parallel
-//! determinism contract: wherever the engine guarantees thread-count
-//! invariant work (index-ordered fan-out merge, round-ordered DPO commits),
-//! the corresponding counters are byte-identical across `--threads` values.
-//! Quantities that legitimately vary with scheduling — cache hit/miss
-//! splits (two racing threads may both miss the same key), postings scanned
-//! through that cache, per-worker attribution — are namespaced under the
-//! [`ND_PREFIX`] (`nd.`) and excluded, together with all wall-clock
-//! durations, from [`QueryTrace::counter_fingerprint`]. A fingerprint
-//! comparison across thread counts therefore checks exactly the
-//! deterministic contract, nothing weaker and nothing flaky.
+//! Trace *counters* double as a regression tripwire for the determinism
+//! contract: a query's work is a function of the document, the query and
+//! its limits, so its counters are byte-identical from run to run, however
+//! many other queries share the session. Quantities that legitimately vary
+//! with what those other queries did — cache hit/miss splits (two racing
+//! threads may both miss the same key) and postings scanned through that
+//! cache — are namespaced under the [`ND_PREFIX`] (`nd.`) and excluded,
+//! together with all wall-clock durations, from
+//! [`QueryTrace::counter_fingerprint`]. A fingerprint comparison across
+//! runs therefore checks exactly the deterministic contract, nothing
+//! weaker and nothing flaky.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
-/// Key prefix for counters that legitimately vary with thread scheduling
-/// (cache races, per-worker attribution). Excluded from
+/// Key prefix for counters that legitimately vary with concurrent queries
+/// on the same session (cache races). Excluded from
 /// [`QueryTrace::counter_fingerprint`].
 pub const ND_PREFIX: &str = "nd.";
 
@@ -480,8 +480,8 @@ impl QueryTrace {
 
     /// Deterministic digest of the trace: span tree shape plus every
     /// counter, *excluding* wall-clock durations and counters under
-    /// [`ND_PREFIX`]. Byte-identical across `--threads` values wherever the
-    /// engine guarantees deterministic work.
+    /// [`ND_PREFIX`]. Byte-identical across runs of the same query on the
+    /// same document.
     pub fn counter_fingerprint(&self) -> String {
         let mut out = String::new();
         self.root.fingerprint_into("", &mut out);
@@ -503,11 +503,9 @@ impl QueryTrace {
 /// untraced queries) makes every call a no-op, so instrumentation costs
 /// nothing unless the caller opted in.
 ///
-/// The tracer is deliberately `!Sync`-by-use: all spans are opened and
-/// closed on the thread driving the algorithm. Worker threads measure
-/// their own work into plain [`TraceSpan`] values (or counter structs) and
-/// the driver [`attach`es](Tracer::attach) them at commit time — which is
-/// also what keeps the span tree identical at every thread count.
+/// All spans are opened and closed on the thread running the query. A
+/// stage measured into a plain [`TraceSpan`] value (a DPO round) is
+/// [`attach`ed](Tracer::attach) when it commits.
 #[derive(Debug)]
 pub struct Tracer {
     /// Open spans, root first. Empty means tracing is disabled.
@@ -582,8 +580,8 @@ impl Tracer {
         }
     }
 
-    /// Attaches a prebuilt span (e.g. measured on a worker thread) as a
-    /// child of the current span.
+    /// Attaches a prebuilt span (e.g. a committed DPO round) as a child of
+    /// the current span.
     pub fn attach(&mut self, span: TraceSpan) {
         if let Some(frame) = self.frames.last_mut() {
             frame.span.children.push(span);
@@ -810,8 +808,8 @@ mod tests {
     fn prometheus_name_sanitizes_outside_charset() {
         assert_eq!(prometheus_name("engine.query.count"), "engine_query_count");
         assert_eq!(
-            prometheus_name("engine.parallel.worker[3].items"),
-            "engine_parallel_worker_3__items"
+            prometheus_name("engine.shard[3].items"),
+            "engine_shard_3__items"
         );
         assert_eq!(prometheus_name("9lives"), "_9lives");
         assert_eq!(prometheus_name(""), "_");

@@ -147,7 +147,7 @@ fn single_pass_topk(
         stats.relaxations_used = prefix;
         stats.evaluations += 1;
         held.clear();
-        let scanned = evaluate_encoded(ctx, &enc, request.scheme, budget, &request.parallel, |a| {
+        let scanned = evaluate_encoded(ctx, &enc, request.scheme, budget, |a| {
             stats.intermediate_answers += 1;
             // Pruning (cannot enter the top K → discard) and bucket
             // placement happen inside the policy; no element is ever

@@ -4,7 +4,6 @@ use crate::attr_relax::AttrRelaxation;
 use crate::governor::{CancelToken, CheckpointSite, Completeness, QueryLimits};
 use crate::hierarchy::TagHierarchy;
 use crate::metrics::QueryTrace;
-use crate::parallel::ParallelConfig;
 use crate::score::{AnswerScore, RankingScheme, WeightAssignment};
 use flexpath_tpq::Tpq;
 use flexpath_xmldom::NodeId;
@@ -75,9 +74,6 @@ pub struct TopKRequest {
     pub limits: QueryLimits,
     /// External cancellation handle (default: none).
     pub cancel: Option<CancelToken>,
-    /// Worker-thread configuration (default: sequential; the ranking is
-    /// identical at every thread count — see [`crate::parallel`]).
-    pub parallel: ParallelConfig,
     /// Whether to record a [`QueryTrace`] of this execution (default: off;
     /// untraced runs pay nothing).
     pub collect_trace: bool,
@@ -97,7 +93,6 @@ impl TopKRequest {
             attr_relaxation: None,
             limits: QueryLimits::default(),
             cancel: None,
-            parallel: ParallelConfig::default(),
             collect_trace: false,
         }
     }
@@ -135,19 +130,6 @@ impl TopKRequest {
     /// Attaches an external cancellation token.
     pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
         self.cancel = Some(cancel);
-        self
-    }
-
-    /// Sets the worker-thread configuration.
-    pub fn with_parallel(mut self, parallel: ParallelConfig) -> Self {
-        self.parallel = parallel;
-        self
-    }
-
-    /// Shorthand for [`with_parallel`](Self::with_parallel) with `threads`
-    /// workers and the default candidate floor.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.parallel = ParallelConfig::with_threads(threads);
         self
     }
 

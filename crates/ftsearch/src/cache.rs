@@ -4,9 +4,9 @@
 //! `contains` expression — appearing at several query nodes, across
 //! relaxation rounds, or across *queries* sharing one session — is
 //! evaluated once (the "optimize repeated computation" goal of the paper's
-//! Section 1). With the parallel top-K execution path, many worker threads
-//! hit that cache at once: a single map behind one lock would serialize
-//! them on every probe.
+//! Section 1). A server runs many queries against one session at once,
+//! each on its own worker thread, and they all hit that cache: a single
+//! map behind one lock would serialize them on every probe.
 //!
 //! [`ShardedCache`] stripes the key space over `N` independently locked
 //! shards (key → shard by hash). Readers on different shards never contend;
@@ -41,8 +41,8 @@ use std::hash::{BuildHasher, Hash, RandomState};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-/// Default shard count — enough stripes that 8–16 worker threads rarely
-/// collide, small enough that an empty cache stays cheap.
+/// Default shard count — enough stripes that 8–16 concurrent queries
+/// rarely collide, small enough that an empty cache stays cheap.
 pub const DEFAULT_SHARDS: usize = 16;
 
 /// Default per-shard entry cap (so a default cache holds at most

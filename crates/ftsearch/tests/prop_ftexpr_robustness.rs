@@ -4,10 +4,15 @@
 //! expression it returns evaluates. Fuzz-lite, seeded and dependency-free
 //! like `crates/xmldom/tests/prop_parser_robustness.rs`: noise over the
 //! grammar's own tokens, and mutations of valid expressions.
+//!
+//! One check here measures time and is `#[ignore]`d, so the default test
+//! run stays timing-free: parse time against the length of a repeated
+//! span, run with `--ignored`.
 
 use flexpath_ftsearch::ftexpr::MAX_NESTING;
 use flexpath_ftsearch::{FtExpr, InvertedIndex};
 use flexpath_xmldom::{parse, Document};
+use std::time::Instant;
 
 /// Tiny deterministic PRNG (splitmix64) for reproducible fuzzing.
 struct Rng(u64);
@@ -285,4 +290,50 @@ fn mutations_of_valid_expressions_never_panic() {
             check(&c, &s);
         }
     });
+}
+
+/// `prefix`, then `span` repeated until the input is about `bytes` long,
+/// then `suffix`: the mutation family's span repetition, kept valid.
+fn repeated(prefix: &str, span: &str, suffix: &str, bytes: usize) -> String {
+    let times = bytes.saturating_sub(prefix.len() + suffix.len()) / span.len();
+    format!("{prefix}{}{suffix}", span.repeat(times))
+}
+
+/// Minimum wall-clock seconds of five calls of `parse`.
+fn min_of_5<T>(mut parse: impl FnMut() -> T) -> f64 {
+    (0..5)
+        .map(|_| {
+            let start = Instant::now();
+            let _ = std::hint::black_box(parse());
+            start.elapsed().as_secs_f64()
+        })
+        .fold(f64::MAX, f64::min)
+}
+
+/// Parsing is linear in the length of a repeated span: an expression 8×
+/// longer parses in at most 24× the time (quadratic would be 64×). The
+/// spans are `and` and `or` atoms, and the words of one phrase.
+#[test]
+#[ignore = "wall-clock growth check; run with --ignored in an optimised build"]
+fn parse_time_is_linear_in_repeated_spans() {
+    for (prefix, span, suffix) in [
+        ("\"gold\"", " and \"silver\"", ""),
+        ("\"jade\"", " or \"ivory\"", ""),
+        ("\"limited", " edition", "\""),
+    ] {
+        let time = |bytes: usize| {
+            let input = repeated(prefix, span, suffix, bytes);
+            assert!(FtExpr::parse(&input).is_ok(), "{input:.80}…");
+            min_of_5(|| FtExpr::parse(std::hint::black_box(&input)))
+        };
+        let (small, large) = (time(8 << 10), time(64 << 10));
+        let ratio = large / small;
+        assert!(
+            ratio <= 24.0,
+            "expression repeating {span:?}: 64 KiB took {ratio:.1}x the 8 KiB one \
+             ({:.3} ms vs {:.3} ms)",
+            large * 1e3,
+            small * 1e3
+        );
+    }
 }

@@ -62,8 +62,6 @@ pub struct QueryRecord {
     pub scheme: String,
     /// Requested K.
     pub k: u64,
-    /// Worker threads the query ran with.
-    pub threads: u64,
     /// The *effective* limits the query executed under (after
     /// [`ServePolicy::clamp`](crate::ServePolicy::clamp)).
     pub limits: QueryLimits,
@@ -89,8 +87,8 @@ pub struct QueryRecord {
     /// in millibits ([`flexpath::skew_millibits`]).
     pub skew_millibits: i64,
     /// FNV-1a hash of the deterministic counter fingerprint, when the
-    /// request was traced. Two records of the same query at different
-    /// thread counts must carry the same hash.
+    /// request was traced. Two records of the same query on the same
+    /// document must carry the same hash.
     pub fingerprint_hash: Option<u64>,
 }
 
@@ -114,8 +112,6 @@ impl QueryRecord {
         b.string(&self.scheme);
         b.key("k");
         b.u64(self.k);
-        b.key("threads");
-        b.u64(self.threads);
         b.key("limits");
         b.raw("{");
         if let Some(d) = self.limits.deadline {
@@ -340,7 +336,6 @@ mod tests {
             algorithm: "hybrid".into(),
             scheme: "structure_first".into(),
             k: 10,
-            threads: 1,
             limits: QueryLimits::default().with_deadline(Duration::from_secs(2)),
             duration: Duration::from_millis(duration_ms),
             complete: true,

@@ -254,7 +254,6 @@ struct QueryRequest {
     algorithm: Algorithm,
     scheme: RankingScheme,
     limits: QueryLimits,
-    threads: usize,
     trace: bool,
     snippet_chars: usize,
     test_delay: Duration,
@@ -342,6 +341,9 @@ impl QueryRequest {
         limits.max_candidate_answers = uint("max_candidates")?;
         limits.max_ft_postings_scanned = uint("max_postings")?;
         limits.max_memory_hint = uint("max_memory")?;
+        // A query runs on one thread. `threads` is still accepted, so
+        // existing clients keep working: validated, then ignored.
+        uint("threads")?;
         let test_delay_ms = uint("test_delay_ms")?.unwrap_or(0);
         if test_delay_ms > 0 && !policy.allow_test_delay {
             return Err(bad(
@@ -355,7 +357,6 @@ impl QueryRequest {
             algorithm,
             scheme,
             limits,
-            threads: uint("threads")?.unwrap_or(1).clamp(1, 64) as usize,
             trace,
             snippet_chars: uint("snippet_chars")?.unwrap_or(0).min(10_000) as usize,
             test_delay: Duration::from_millis(test_delay_ms.min(60_000)),
@@ -379,8 +380,7 @@ fn query(ctx: &RouteContext<'_>, req: &Request) -> Result<Response, ServeError> 
         .algorithm(parsed.algorithm)
         .scheme(parsed.scheme)
         .limits(effective_limits.clone())
-        .cancel(ctx.drain_cancel.clone())
-        .threads(parsed.threads);
+        .cancel(ctx.drain_cancel.clone());
     if parsed.trace {
         q = q.trace();
     }
@@ -459,7 +459,6 @@ fn record_completed(
         algorithm: results.algorithm.to_string().to_ascii_lowercase(),
         scheme: scheme_key(parsed.scheme).to_string(),
         k: parsed.k as u64,
-        threads: parsed.threads as u64,
         limits: effective_limits,
         duration: elapsed,
         complete,
@@ -590,7 +589,6 @@ fn explain(ctx: &RouteContext<'_>, req: &Request) -> Result<Response, ServeError
         algorithm: parsed.algorithm.to_string().to_ascii_lowercase(),
         scheme: scheme_key(parsed.scheme).to_string(),
         k: parsed.k as u64,
-        threads: parsed.threads as u64,
         limits: effective_limits,
         duration: elapsed,
         complete,
@@ -657,7 +655,7 @@ mod tests {
         };
         let req = post(
             "/query",
-            r#"{"catalog":"doc","query":"//article[.contains(\"XML\")]","k":3,"snippet_chars":20}"#,
+            r#"{"catalog":"doc","query":"//article[.contains(\"XML\")]","k":3,"snippet_chars":20,"threads":4}"#,
         );
         let resp = dispatch(&ctx, &req);
         assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
@@ -718,6 +716,8 @@ mod tests {
             r#"{"catalog":"doc"}"#,
             r#"{"catalog":"doc","query":"//a","deadine_ms":5}"#,
             r#"{"catalog":"doc","query":"//a","k":"ten"}"#,
+            r#"{"catalog":"doc","query":"//a","threads":"two"}"#,
+            r#"{"catalog":"doc","query":"//a","threads":-1}"#,
             r#"{"catalog":"doc","query":"//a","algorithm":"magic"}"#,
             r#"{"catalog":"doc","query":"not an xpath"}"#,
         ] {

@@ -7,8 +7,13 @@
 //! escapes, numbers), truncation of valid bodies at every byte, noise over
 //! the grammar's tokens, and mutations of valid bodies, span repetition up
 //! to 64 KiB included.
+//!
+//! One check here measures time and is `#[ignore]`d, so the default test
+//! run stays timing-free: parse time against the length of a repeated
+//! span, run with `--ignored`.
 
 use flexpath_serve::json::{self, Json, JsonBuf, JsonError, MAX_DEPTH};
+use std::time::Instant;
 
 /// Tiny deterministic PRNG (splitmix64) for reproducible fuzzing.
 struct Rng(u64);
@@ -355,4 +360,51 @@ fn mutations_of_valid_bodies() {
             check(&body);
         }
     });
+}
+
+/// `prefix`, then `span` repeated until the input is about `bytes` long,
+/// then `suffix`: the mutation family's span repetition, kept valid.
+fn repeated(prefix: &str, span: &str, suffix: &str, bytes: usize) -> String {
+    let times = bytes.saturating_sub(prefix.len() + suffix.len()) / span.len();
+    format!("{prefix}{}{suffix}", span.repeat(times))
+}
+
+/// Minimum wall-clock seconds of five calls of `parse`.
+fn min_of_5<T>(mut parse: impl FnMut() -> T) -> f64 {
+    (0..5)
+        .map(|_| {
+            let start = Instant::now();
+            let _ = std::hint::black_box(parse());
+            start.elapsed().as_secs_f64()
+        })
+        .fold(f64::MAX, f64::min)
+}
+
+/// Parsing is linear in the length of a repeated span: a body 8× longer
+/// parses in at most 24× the time (quadratic would be 64×). The spans are
+/// array elements, object members (the same key again), and escapes
+/// inside one string.
+#[test]
+#[ignore = "wall-clock growth check; run with --ignored in an optimised build"]
+fn parse_time_is_linear_in_repeated_spans() {
+    for (prefix, span, suffix) in [
+        ("[null", ",1.5e3,\"s\",{},[]", "]"),
+        (r#"{"weights":{"b":2"#, r#","b":2,"c":0.25"#, "}}"),
+        (r#"{"q":""#, r#"a\"b\\c\n\té😀\/"#, r#""}"#),
+    ] {
+        let time = |bytes: usize| {
+            let input = repeated(prefix, span, suffix, bytes);
+            assert!(json::parse(input.as_bytes()).is_ok(), "{input:.80}…");
+            min_of_5(|| json::parse(std::hint::black_box(input.as_bytes())))
+        };
+        let (small, large) = (time(8 << 10), time(64 << 10));
+        let ratio = large / small;
+        assert!(
+            ratio <= 24.0,
+            "body repeating {span:?}: 64 KiB took {ratio:.1}x the 8 KiB one \
+             ({:.3} ms vs {:.3} ms)",
+            large * 1e3,
+            small * 1e3
+        );
+    }
 }

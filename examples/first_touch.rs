@@ -63,7 +63,6 @@ fn op(path: &std::path::Path) -> usize {
                 .algorithm(Algorithm::Hybrid)
                 .scheme(RankingScheme::StructureFirst)
                 .limits(QueryLimits::unlimited())
-                .threads(1)
                 .try_execute()
                 .expect("query runs")
                 .hits

@@ -28,8 +28,6 @@
 //!   --metrics             print the process-wide engine metrics registry
 //!   --deadline-ms N       stop after N milliseconds with the best answers
 //!                         found so far
-//!   --threads N           worker threads (default: available parallelism;
-//!                         1 = sequential; results are identical either way)
 //!   --addr HOST:PORT      serve: listen address (default 127.0.0.1:7171)
 //!   --workers N           serve: connection worker threads
 //!   --queue N             serve: accepted-connection queue depth
@@ -62,7 +60,7 @@
 
 use flexpath::{
     explain_answer, explain_plan, explain_schedule, Algorithm, CancelToken, Catalog, FleXPath,
-    ParallelConfig, RankingScheme, StoreBuilder,
+    RankingScheme, StoreBuilder,
 };
 use flexpath_serve::{ServePolicy, Server, ServerState};
 use std::path::Path;
@@ -144,7 +142,6 @@ struct Options {
     trace_json: bool,
     metrics: bool,
     deadline_ms: Option<u64>,
-    threads: Option<usize>,
     addr: String,
     workers: Option<usize>,
     queue: Option<usize>,
@@ -184,7 +181,6 @@ const FLAGS: &[(&str, bool, &str)] = &[
         true,
         "stop after N ms with best answers so far",
     ),
-    ("--threads", true, "worker threads (default: all cores)"),
     (
         "--store",
         true,
@@ -281,7 +277,6 @@ fn parse_args_from(mut args: Vec<String>) -> Result<Options, ExitCode> {
         trace_json: false,
         metrics: false,
         deadline_ms: None,
-        threads: None,
         addr: "127.0.0.1:7171".to_string(),
         workers: None,
         queue: None,
@@ -323,10 +318,6 @@ fn parse_args_from(mut args: Vec<String>) -> Result<Options, ExitCode> {
                 i += 1;
                 opts.deadline_ms =
                     Some(args.get(i).and_then(|s| s.parse().ok()).ok_or_else(usage)?);
-            }
-            "--threads" => {
-                i += 1;
-                opts.threads = Some(args.get(i).and_then(|s| s.parse().ok()).ok_or_else(usage)?);
             }
             "--store" => {
                 i += 1;
@@ -692,13 +683,7 @@ fn main() -> ExitCode {
         .top(opts.k)
         .algorithm(opts.algorithm)
         .scheme(opts.scheme)
-        .cancel(cancel)
-        // Default: one worker per hardware thread. The ranking is identical
-        // at every thread count, so this only changes wall-clock time.
-        .parallel(match opts.threads {
-            Some(n) => ParallelConfig::with_threads(n),
-            None => ParallelConfig::auto(),
-        });
+        .cancel(cancel);
     if let Some(ms) = opts.deadline_ms {
         query = query.deadline(Duration::from_millis(ms));
     }
@@ -829,7 +814,6 @@ mod tests {
         assert!(opts.paths && opts.stats && opts.trace && opts.trace_json);
         assert!(opts.metrics);
         assert_eq!(opts.deadline_ms, Some(3));
-        assert_eq!(opts.threads, Some(3));
         assert_eq!(opts.snippet, 3);
         assert_eq!(opts.store.as_deref(), Some("3"));
         assert_eq!(opts.name.as_deref(), Some("3"));

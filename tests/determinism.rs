@@ -1,20 +1,25 @@
-//! Parallel-execution determinism contract: a query run on N worker
-//! threads returns **byte-identical** top-K output to the sequential run —
-//! same answer ids, same scores, same Completeness — for every algorithm
-//! and ranking scheme. This is the engine-level consequence of Theorem 3
-//! (order-invariance) plus the deterministic chunk/merge discipline in
-//! `flexpath_engine::parallel` (see ARCHITECTURE.md, "Threading model").
+//! Determinism contract: a query's observable output — answer ids, both
+//! scores, satisfied-predicate bitsets, Completeness, and the trace's
+//! deterministic counter fingerprint — depends only on the document, the
+//! query and its limits. It is **byte-identical** whether the query runs
+//! alone or while other threads run queries on the same session, for every
+//! algorithm and ranking scheme, and feeding the results to the flight
+//! recorder changes none of it. A query runs on the thread that executes
+//! it; concurrency is across queries sharing one session (see
+//! ARCHITECTURE.md, "Concurrency").
 //!
-//! Also covered: cancelling a parallel run mid-flight stops every worker,
-//! and a cancelled DPO run still returns an exact rank prefix of the
-//! unbounded ranking (whole speculative batches are discarded, never split).
+//! Also covered: a DPO run cancelled from another thread still returns an
+//! exact rank prefix of the unbounded ranking (the interrupted round is
+//! discarded whole, never torn).
 
-use flexpath::{Algorithm, CancelToken, FleXPath, ParallelConfig, QueryResults, RankingScheme};
+use flexpath::{Algorithm, CancelToken, FleXPath, QueryResults, RankingScheme};
+use flexpath_serve::recorder::{fnv1a, FlightRecorder, QueryRecord};
 use flexpath_xmark::{generate, XmarkConfig};
 use std::sync::OnceLock;
+use std::time::Duration;
 
-/// A ~2MB XMark document: large enough that every algorithm's candidate
-/// sets clear the fan-out floor, small enough to keep the matrix fast.
+/// A ~2MB XMark document: enough relaxation rounds and candidates that
+/// concurrent queries overlap, small enough to keep the matrix fast.
 fn session() -> &'static FleXPath {
     static SESSION: OnceLock<FleXPath> = OnceLock::new();
     SESSION.get_or_init(|| FleXPath::new(generate(&XmarkConfig::sized(2 * 1024 * 1024, 42))))
@@ -25,8 +30,18 @@ const QUERIES: &[&str] = &[
     "//item[./description/parlist and ./mailbox/mail/text[./bold and ./keyword]]",
 ];
 
+const ALGORITHMS: [Algorithm; 3] = [Algorithm::Dpo, Algorithm::Sso, Algorithm::Hybrid];
+const SCHEMES: [RankingScheme; 3] = [
+    RankingScheme::StructureFirst,
+    RankingScheme::KeywordFirst,
+    RankingScheme::Combined,
+];
+
+/// Threads sharing the session in the concurrent half of each check.
+const READERS: usize = 4;
+
 /// The full serialized observable state of a result — if any byte of this
-/// differs across thread counts, the determinism contract is broken.
+/// differs between a lone and a concurrent run, the contract is broken.
 fn render(r: &QueryResults) -> String {
     use std::fmt::Write;
     let mut out = String::new();
@@ -41,218 +56,151 @@ fn render(r: &QueryResults) -> String {
     out
 }
 
-#[test]
-fn threads_8_output_is_byte_identical_to_threads_1() {
-    let flex = session();
-    // min_round_size = 1 forces the candidate fan-out even where the
-    // default floor would keep small rounds sequential — the stronger test.
-    let mut eight = ParallelConfig::with_threads(8);
-    eight.min_round_size = 1;
+/// One `(query, algorithm, scheme)` cell of the matrix.
+#[derive(Clone, Copy)]
+struct Cell {
+    query: &'static str,
+    algorithm: Algorithm,
+    scheme: RankingScheme,
+}
+
+fn cells() -> Vec<Cell> {
+    let mut cells = Vec::new();
     for &query in QUERIES {
-        for algorithm in [Algorithm::Dpo, Algorithm::Sso, Algorithm::Hybrid] {
-            for scheme in [
-                RankingScheme::StructureFirst,
-                RankingScheme::KeywordFirst,
-                RankingScheme::Combined,
-            ] {
-                let run = |parallel: ParallelConfig| {
-                    flex.query(query)
-                        .unwrap()
-                        .top(25)
-                        .algorithm(algorithm)
-                        .scheme(scheme)
-                        .parallel(parallel)
-                        .execute()
-                };
-                let seq = run(ParallelConfig::with_threads(1));
-                let par = run(eight);
-                assert_eq!(
-                    render(&seq),
-                    render(&par),
-                    "{algorithm} / {scheme:?} / {query}: threads=8 diverged from threads=1"
-                );
-                assert!(!seq.hits.is_empty(), "matrix cell must exercise answers");
+        for algorithm in ALGORITHMS {
+            for scheme in SCHEMES {
+                cells.push(Cell {
+                    query,
+                    algorithm,
+                    scheme,
+                });
             }
         }
     }
+    cells
 }
 
-#[test]
-fn intermediate_thread_counts_agree_too() {
-    let flex = session();
-    let baseline = flex
-        .query(QUERIES[0])
+/// Runs `cell` traced and returns the results with their fingerprint.
+fn run(flex: &FleXPath, cell: Cell) -> (QueryResults, String) {
+    let results = flex
+        .query(cell.query)
         .unwrap()
-        .top(40)
-        .algorithm(Algorithm::Dpo)
-        .threads(1)
+        .top(25)
+        .algorithm(cell.algorithm)
+        .scheme(cell.scheme)
+        .trace()
         .execute();
-    for threads in [2, 3, 4] {
-        let mut cfg = ParallelConfig::with_threads(threads);
-        cfg.min_round_size = 1;
-        let r = flex
-            .query(QUERIES[0])
-            .unwrap()
-            .top(40)
-            .algorithm(Algorithm::Dpo)
-            .parallel(cfg)
-            .execute();
-        assert_eq!(render(&baseline), render(&r), "threads={threads}");
-    }
+    let fp = results
+        .trace
+        .as_ref()
+        .expect("trace requested")
+        .counter_fingerprint();
+    (results, fp)
+}
+
+/// Feeds one completed run into `recorder`, the way the server's `/query`
+/// route does after execution.
+fn record(recorder: &FlightRecorder, cell: Cell, results: &QueryResults, fp: &str) {
+    recorder.record(QueryRecord {
+        id: 0,
+        endpoint: "query",
+        corpus: "xmark".into(),
+        query: QueryRecord::clip_query(cell.query),
+        algorithm: results.algorithm.to_string().to_ascii_lowercase(),
+        scheme: format!("{:?}", cell.scheme),
+        k: 25,
+        limits: flexpath::QueryLimits::default(),
+        duration: Duration::ZERO,
+        complete: results.is_complete(),
+        exhaust_reason: None,
+        trip_site: None,
+        answers: results.hits.len() as u64,
+        estimated_answers: results.stats.estimated_answers,
+        observed_answers: results.stats.observed_answers,
+        skew_millibits: flexpath::skew_millibits(
+            results.stats.estimated_answers,
+            results.stats.observed_answers,
+        ),
+        fingerprint_hash: Some(fnv1a(fp.as_bytes())),
+    });
 }
 
 #[test]
-fn dpo_work_counters_match_across_thread_counts() {
-    // Speculative rounds that get discarded must not leak into the
-    // committed work counters: evaluations/relaxations_used reflect the
-    // committed rounds only, which are the same at every thread count.
+fn shared_session_parallel_queries_from_many_threads_agree() {
+    // Reference: every cell run alone. Then READERS threads share the
+    // session and each runs the whole matrix, starting at a different cell
+    // so that different algorithms and schemes overlap in time, all feeding
+    // one flight recorder. Every concurrent run must reproduce its cell's
+    // lone run byte for byte: rendering, fingerprint and recorded hash.
     let flex = session();
-    let run = |threads: usize| {
-        flex.query(QUERIES[0])
-            .unwrap()
-            .top(25)
-            .algorithm(Algorithm::Dpo)
-            .threads(threads)
-            .execute()
-    };
-    let seq = run(1);
-    let par = run(8);
-    assert_eq!(seq.stats.evaluations, par.stats.evaluations);
-    assert_eq!(seq.stats.relaxations_used, par.stats.relaxations_used);
-    assert_eq!(
-        seq.stats.intermediate_answers,
-        par.stats.intermediate_answers
-    );
-}
-
-#[test]
-fn trace_counter_fingerprints_are_identical_across_thread_counts() {
-    // The observability contract on top of the output contract: the
-    // deterministic counter fingerprint (span tree + all counters except
-    // durations and the nd.* namespace) is byte-identical at every thread
-    // count, for every algorithm and ranking scheme.
-    let flex = session();
-    for algorithm in [Algorithm::Dpo, Algorithm::Sso, Algorithm::Hybrid] {
-        for scheme in [
-            RankingScheme::StructureFirst,
-            RankingScheme::KeywordFirst,
-            RankingScheme::Combined,
-        ] {
-            let run = |threads: usize| {
-                let mut cfg = ParallelConfig::with_threads(threads);
-                cfg.min_round_size = 1;
-                flex.query(QUERIES[0])
-                    .unwrap()
-                    .top(25)
-                    .algorithm(algorithm)
-                    .scheme(scheme)
-                    .parallel(cfg)
-                    .trace()
-                    .execute()
-                    .trace
-                    .expect("trace requested")
-                    .counter_fingerprint()
-            };
-            let baseline = run(1);
+    let cells = cells();
+    let lone: Vec<(String, String)> = cells
+        .iter()
+        .map(|&cell| {
+            let (results, fp) = run(flex, cell);
+            let label = format!("{} / {:?} / {}", cell.algorithm, cell.scheme, cell.query);
             assert!(
-                baseline.contains("governor.checkpoint."),
-                "{algorithm} / {scheme:?}: fingerprint must carry checkpoint counters"
+                !results.hits.is_empty(),
+                "{label}: cell must exercise answers"
             );
-            // The estimate-vs-actual skew counters are span counters and
-            // therefore part of the fingerprint — they must be present
-            // (the estimator runs unbudgeted on the driver thread) and,
-            // below, identical at every thread count.
-            let skew_key = match algorithm {
+            assert!(
+                fp.contains("governor.checkpoint."),
+                "{label}: fingerprint must carry checkpoint counters"
+            );
+            // The estimate-vs-actual counters are span counters and so part
+            // of the fingerprint.
+            let skew_key = match cell.algorithm {
                 Algorithm::Dpo => "round.estimated",
                 Algorithm::Sso | Algorithm::Hybrid => "pass.estimated",
             };
             assert!(
-                baseline.contains(skew_key),
-                "{algorithm} / {scheme:?}: fingerprint must carry {skew_key}"
+                fp.contains(skew_key),
+                "{label}: fingerprint must carry {skew_key}"
             );
-            for threads in [2, 4, 8] {
-                assert_eq!(
-                    baseline,
-                    run(threads),
-                    "{algorithm} / {scheme:?}: fingerprint diverged at threads={threads}"
-                );
-            }
-        }
-    }
-}
+            (render(&results), fp)
+        })
+        .collect();
 
-#[test]
-fn fingerprints_survive_flight_recording_at_every_thread_count() {
-    // The serve-side flight recorder hashes the committed fingerprint and
-    // pushes a record after execution; all of that is read-only over the
-    // trace, so running with the recorder fed at threads 1/2/4/8 must
-    // leave fingerprints (and their FNV-1a hashes) byte-identical.
-    use flexpath_serve::recorder::{fnv1a, FlightRecorder, QueryRecord};
-    let flex = session();
-    for algorithm in [Algorithm::Dpo, Algorithm::Sso, Algorithm::Hybrid] {
-        let recorder = FlightRecorder::new(32, std::time::Duration::ZERO);
-        let run = |threads: usize| {
-            let mut cfg = ParallelConfig::with_threads(threads);
-            cfg.min_round_size = 1;
-            let results = flex
-                .query(QUERIES[1])
-                .unwrap()
-                .top(25)
-                .algorithm(algorithm)
-                .parallel(cfg)
-                .trace()
-                .execute();
-            let fp = results
-                .trace
-                .as_ref()
-                .expect("trace requested")
-                .counter_fingerprint();
-            recorder.record(QueryRecord {
-                id: 0,
-                endpoint: "query",
-                corpus: "xmark".into(),
-                query: QueryRecord::clip_query(QUERIES[1]),
-                algorithm: results.algorithm.to_string().to_ascii_lowercase(),
-                scheme: "structure_first".into(),
-                k: 25,
-                threads: threads as u64,
-                limits: flexpath::QueryLimits::default(),
-                duration: std::time::Duration::ZERO,
-                complete: results.is_complete(),
-                exhaust_reason: None,
-                trip_site: None,
-                answers: results.hits.len() as u64,
-                estimated_answers: results.stats.estimated_answers,
-                observed_answers: results.stats.observed_answers,
-                skew_millibits: flexpath::skew_millibits(
-                    results.stats.estimated_answers,
-                    results.stats.observed_answers,
-                ),
-                fingerprint_hash: Some(fnv1a(fp.as_bytes())),
+    let recorder = FlightRecorder::new(cells.len() * READERS, Duration::ZERO);
+    std::thread::scope(|scope| {
+        for reader in 0..READERS {
+            let (cells, lone, recorder) = (&cells, &lone, &recorder);
+            scope.spawn(move || {
+                for i in 0..cells.len() {
+                    let at = (i + reader * cells.len() / READERS) % cells.len();
+                    let cell = cells[at];
+                    let (results, fp) = run(flex, cell);
+                    record(recorder, cell, &results, &fp);
+                    let label = format!("{} / {:?} / {}", cell.algorithm, cell.scheme, cell.query);
+                    assert_eq!(
+                        render(&results),
+                        lone[at].0,
+                        "{label}: answers diverged with {READERS} threads on the session"
+                    );
+                    assert_eq!(
+                        fp, lone[at].1,
+                        "{label}: fingerprint diverged with {READERS} threads on the session"
+                    );
+                }
             });
-            fp
-        };
-        let baseline = run(1);
-        for threads in [2, 4, 8] {
-            assert_eq!(
-                baseline,
-                run(threads),
-                "{algorithm}: fingerprint diverged at threads={threads} with recorder on"
-            );
         }
-        let records = recorder.recent(8);
-        assert_eq!(records.len(), 4, "{algorithm}: one record per thread count");
-        assert!(
-            records
-                .windows(2)
-                .all(|w| w[0].fingerprint_hash == w[1].fingerprint_hash),
-            "{algorithm}: recorded fingerprint hashes diverged across thread counts"
-        );
-        assert!(
-            records
-                .windows(2)
-                .all(|w| w[0].skew_millibits == w[1].skew_millibits),
-            "{algorithm}: recorded skew diverged across thread counts"
+    });
+
+    let records = recorder.recent(cells.len() * READERS);
+    assert_eq!(records.len(), cells.len() * READERS, "one record per run");
+    for record in &records {
+        let at = cells
+            .iter()
+            .position(|c| {
+                c.query == record.query
+                    && c.algorithm.to_string().to_ascii_lowercase() == record.algorithm
+                    && format!("{:?}", c.scheme) == record.scheme
+            })
+            .expect("every record names a cell");
+        assert_eq!(
+            record.fingerprint_hash,
+            Some(fnv1a(lone[at].1.as_bytes())),
+            "recorded fingerprint hash diverged from the lone run"
         );
     }
 }
@@ -265,86 +213,42 @@ fn concurrent_cancel_stops_all_workers_and_keeps_exact_rank_prefix() {
         .unwrap()
         .top(60)
         .algorithm(Algorithm::Dpo)
-        .threads(8)
         .execute();
     assert!(unbounded.is_complete());
 
-    // Cancel from another thread while the 8-worker run is mid-round. The
-    // cancel token is shared by every worker through the budget's atomics,
-    // so one store stops all of them at their next checkpoint.
+    // READERS threads run the same DPO query on the shared session under
+    // one cancel token; another thread cancels it mid-run. Every run stops
+    // at its next checkpoint, and each returns whole rounds only.
     for delay_us in [50u64, 200, 1_000, 5_000] {
         let cancel = CancelToken::new();
-        let canceller = {
-            let token = cancel.clone();
-            std::thread::spawn(move || {
-                std::thread::sleep(std::time::Duration::from_micros(delay_us));
-                token.cancel();
-            })
-        };
-        let start = std::time::Instant::now();
-        let bounded = flex
-            .query(QUERIES[0])
-            .unwrap()
-            .top(60)
-            .algorithm(Algorithm::Dpo)
-            .threads(8)
-            .cancel(cancel)
-            .execute();
-        let elapsed = start.elapsed();
-        canceller.join().expect("canceller thread");
-        // All workers observed the trip: execute() returned promptly (the
-        // scoped fan-out joins every worker before returning, so merely
-        // returning proves no worker kept running).
-        assert!(
-            elapsed < std::time::Duration::from_secs(10),
-            "cancelled run took {elapsed:?}"
-        );
-        // Exact rank prefix: whole speculative batches are discarded on a
-        // trip, so the committed answers are a prefix of the unbounded
-        // ranking — never a torn round.
-        assert!(
-            bounded.hits.len() <= unbounded.hits.len(),
-            "cancelled run returned more answers than the complete run"
-        );
-        assert_eq!(
-            bounded.nodes(),
-            unbounded.nodes()[..bounded.hits.len()].to_vec(),
-            "cancelled parallel DPO must return an exact rank prefix (delay={delay_us}µs)"
-        );
-        if !bounded.is_complete() {
-            // Tripped runs must say so; complete runs (cancel arrived too
-            // late) are fine and already covered by the prefix check.
-            assert!(bounded.hits.len() <= unbounded.hits.len());
-        }
+        std::thread::scope(|scope| {
+            let runs: Vec<_> = (0..READERS)
+                .map(|_| {
+                    let cancel = cancel.clone();
+                    scope.spawn(move || {
+                        flex.query(QUERIES[0])
+                            .unwrap()
+                            .top(60)
+                            .algorithm(Algorithm::Dpo)
+                            .cancel(cancel)
+                            .execute()
+                    })
+                })
+                .collect();
+            std::thread::sleep(Duration::from_micros(delay_us));
+            cancel.cancel();
+            for run in runs {
+                let bounded = run.join().expect("query thread");
+                assert!(
+                    bounded.hits.len() <= unbounded.hits.len(),
+                    "cancelled run returned more answers than the complete run"
+                );
+                assert_eq!(
+                    bounded.nodes(),
+                    unbounded.nodes()[..bounded.hits.len()].to_vec(),
+                    "cancelled DPO must return an exact rank prefix (delay={delay_us}µs)"
+                );
+            }
+        });
     }
-}
-
-#[test]
-fn shared_session_parallel_queries_from_many_threads_agree() {
-    // The sharded FT cache makes one session safe to share across query
-    // threads, each of which is itself running a multi-threaded query.
-    let flex = session();
-    let expected = render(
-        &flex
-            .query(QUERIES[1])
-            .unwrap()
-            .top(20)
-            .algorithm(Algorithm::Hybrid)
-            .threads(1)
-            .execute(),
-    );
-    std::thread::scope(|scope| {
-        for _ in 0..4 {
-            scope.spawn(|| {
-                let r = flex
-                    .query(QUERIES[1])
-                    .unwrap()
-                    .top(20)
-                    .algorithm(Algorithm::Hybrid)
-                    .threads(4)
-                    .execute();
-                assert_eq!(expected, render(&r));
-            });
-        }
-    });
 }

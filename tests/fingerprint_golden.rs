@@ -1,25 +1,30 @@
 //! Cross-commit fingerprint golden: `tests/determinism.rs` proves a build
-//! agrees with *itself* across thread counts; this file proves a build
-//! agrees with the *previous* build. `tests/golden/fingerprints.txt` holds
-//! one line per (query × algorithm × scheme × threads) cell on a fixed-seed
+//! agrees with *itself* when threads share a session; this file proves a
+//! build agrees with the *previous* build. `tests/golden/fingerprints.txt`
+//! holds one line per (query × algorithm × scheme) cell on a fixed-seed
 //! XMark corpus: an FNV-1a digest of the ranked answers (node, score bits,
 //! satisfied set, relaxation level), an FNV-1a digest of the trace's
 //! deterministic counter fingerprint, and the work counters of
 //! [`ExecStats`]. A refactor that claims to be behaviour-preserving must
 //! leave the file byte-identical.
 //!
+//! Every line carries a `t1` token: the file once held a second, identical
+//! `t4` line per cell, run with in-query worker threads. That mode is gone
+//! and its 63 lines with it; the token stays so the remaining lines did not
+//! change by a byte.
+//!
 //! The answers it pins are checked against `tests/relaxation_oracle.rs`
 //! (encoded plan ≡ exact evaluation of the relaxed query ≡ brute force),
 //! not merely carried over from the previous build. Every regeneration is
-//! accounted for (two, both in PR 16):
+//! accounted for (two so far):
 //!
-//! 1. *`ghost_skip` propagates every `None`* (DESIGN.md §6.8) changed 12 of
-//!    the 126 lines: `q3` × {SSO, Hybrid} × {StructureFirst, Combined} ×
-//!    {t1, t4} in counters only (`intermediates` 133 → 103 — the plan no
-//!    longer admits items the relaxed query rejects; the top 50 are the
-//!    same), and `restart` × {SSO, Hybrid} × Combined × {t1, t4} in answers,
-//!    `restarts` 3 → 4 and `relaxations_used` 9 → 14 (the old run stopped at
-//!    prefix 9 with 11 hits that do not match it).
+//! 1. *`ghost_skip` propagates every `None`* (DESIGN.md §6.8) changed `q3`
+//!    × {SSO, Hybrid} × {StructureFirst, Combined} in counters only
+//!    (`intermediates` 133 → 103 — the plan no longer admits items the
+//!    relaxed query rejects; the top 50 are the same), and `restart` ×
+//!    {SSO, Hybrid} × Combined in answers, `restarts` 3 → 4 and
+//!    `relaxations_used` 9 → 14 (the old run stopped at prefix 9 with 11
+//!    hits that do not match it).
 //! 2. *The required-skeleton prefilter* (DESIGN.md §6.6) changed **only**
 //!    `trace=` digests (new `roots` counters, fewer candidates): every
 //!    `answers=` digest and every work counter is byte-identical to (1).
@@ -32,7 +37,7 @@
 //! cargo test -q --test fingerprint_golden -- --ignored regenerate
 //! ```
 
-use flexpath::{Algorithm, FleXPath, ParallelConfig, QueryResults, RankingScheme};
+use flexpath::{Algorithm, FleXPath, QueryResults, RankingScheme};
 use flexpath_serve::recorder::fnv1a;
 use flexpath_xmark::{generate, XmarkConfig};
 use std::fmt::Write;
@@ -81,7 +86,6 @@ const SCHEMES: [RankingScheme; 3] = [
     RankingScheme::KeywordFirst,
     RankingScheme::Combined,
 ];
-const THREADS: [usize; 2] = [1, 4];
 
 fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/fingerprints.txt")
@@ -105,18 +109,12 @@ fn run(
     k: usize,
     algorithm: Algorithm,
     scheme: RankingScheme,
-    threads: usize,
 ) -> QueryResults {
-    // min_round_size = 1 forces the candidate fan-out wherever the hardware
-    // allows it; the digests are the same at every effective width.
-    let mut parallel = ParallelConfig::with_threads(threads);
-    parallel.min_round_size = 1;
     flex.query(query)
         .expect("golden query parses")
         .top(k)
         .algorithm(algorithm)
         .scheme(scheme)
-        .parallel(parallel)
         .trace()
         .execute()
 }
@@ -131,26 +129,24 @@ fn current_lines() -> String {
     for &(label, query, k) in QUERIES {
         for algorithm in ALGORITHMS {
             for scheme in SCHEMES {
-                for threads in THREADS {
-                    let r = run(&flex, query, k, algorithm, scheme, threads);
-                    let trace = r.trace.as_ref().expect("trace requested");
-                    let s = &r.stats;
-                    let _ = writeln!(
-                        out,
-                        "{label} {algorithm} {scheme:?} t{threads} hits={} answers={:016x} \
-                         trace={:016x} evaluations={} intermediates={} pruned={} buckets={} \
-                         restarts={} relaxations_used={}",
-                        r.hits.len(),
-                        answers_digest(&r),
-                        fnv1a(trace.counter_fingerprint().as_bytes()),
-                        s.evaluations,
-                        s.intermediate_answers,
-                        s.pruned,
-                        s.buckets,
-                        s.restarts,
-                        s.relaxations_used,
-                    );
-                }
+                let r = run(&flex, query, k, algorithm, scheme);
+                let trace = r.trace.as_ref().expect("trace requested");
+                let s = &r.stats;
+                let _ = writeln!(
+                    out,
+                    "{label} {algorithm} {scheme:?} t1 hits={} answers={:016x} \
+                     trace={:016x} evaluations={} intermediates={} pruned={} buckets={} \
+                     restarts={} relaxations_used={}",
+                    r.hits.len(),
+                    answers_digest(&r),
+                    fnv1a(trace.counter_fingerprint().as_bytes()),
+                    s.evaluations,
+                    s.intermediate_answers,
+                    s.pruned,
+                    s.buckets,
+                    s.restarts,
+                    s.relaxations_used,
+                );
             }
         }
     }
@@ -195,7 +191,6 @@ fn the_matrix_covers_what_it_claims() {
             k,
             Algorithm::Sso,
             RankingScheme::StructureFirst,
-            1,
         );
         assert!(!r.hits.is_empty(), "{label}: cell must produce answers");
         if label == "restart" {
@@ -206,7 +201,6 @@ fn the_matrix_covers_what_it_claims() {
                 k,
                 Algorithm::Hybrid,
                 RankingScheme::StructureFirst,
-                1,
             );
             assert!(h.stats.restarts > 0, "{label}: Hybrid must restart");
         }

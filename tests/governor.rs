@@ -120,7 +120,7 @@ fn cross_thread_cancellation_stops_within_50ms() {
 #[test]
 fn cancel_inside_the_prefilter_admits_nothing_and_dpo_keeps_a_rank_prefix() {
     use flexpath_engine::exec::evaluate_encoded;
-    use flexpath_engine::{EncodedQuery, ParallelConfig, PenaltyModel, WeightAssignment};
+    use flexpath_engine::{EncodedQuery, PenaltyModel, WeightAssignment};
     use flexpath_ftsearch::Budget;
 
     let flex = big_session();
@@ -140,7 +140,6 @@ fn cancel_inside_the_prefilter_admits_nothing_and_dpo_keeps_a_rank_prefix() {
         &enc,
         flexpath::RankingScheme::StructureFirst,
         &budget,
-        &ParallelConfig::sequential(),
         |_| emitted += 1,
     );
     assert_eq!(budget.tripped(), Some(ExhaustReason::Cancelled));

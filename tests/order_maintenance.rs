@@ -228,9 +228,9 @@ fn prune_floor_matches_sort_oracle() {
     }
 }
 
-/// Fig. 13 workload (XQ3 over XMark, the thread-scaling query): every
-/// algorithm answers it, and SSO and Hybrid do so through their bucket
-/// structures — the `buckets` column of `results/threads_scaling.json`.
+/// Fig. 13 workload (XQ3 over XMark): every algorithm answers it, and SSO
+/// and Hybrid do so through their bucket structures — the `bk` column of
+/// `repro fig13`.
 #[test]
 fn fig13_workload_answers_through_the_bucketized_path() {
     const XQ3: &str = "//item[./description/parlist/listitem and ./mailbox/mail/text[./bold and ./keyword and ./emph] and ./name and ./incategory]";
@@ -246,7 +246,7 @@ fn fig13_workload_answers_through_the_bucketized_path() {
             !r.hits.is_empty(),
             "{algorithm}: workload must produce answers"
         );
-        // DPO ranks each speculative batch wholesale and never maintains a
+        // DPO ranks each round's delta wholesale and never maintains a
         // cross-relaxation intermediate, so only SSO/Hybrid report buckets.
         if algorithm != Algorithm::Dpo {
             assert!(

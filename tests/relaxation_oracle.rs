@@ -37,8 +37,8 @@ use brute_force::naive_exact_answers;
 use flexpath_engine::encode::BitCheck;
 use flexpath_engine::exec::evaluate_encoded;
 use flexpath_engine::{
-    build_schedule, Answer, EncodedQuery, EngineContext, ParallelConfig, PenaltyModel,
-    RankingScheme, WeightAssignment,
+    build_schedule, Answer, EncodedQuery, EngineContext, PenaltyModel, RankingScheme,
+    WeightAssignment,
 };
 use flexpath_ftsearch::Budget;
 use flexpath_xmldom::NodeId;
@@ -51,7 +51,6 @@ fn evaluate(ctx: &EngineContext, enc: &EncodedQuery) -> Vec<Answer> {
         enc,
         RankingScheme::StructureFirst,
         &Budget::unlimited(),
-        &ParallelConfig::sequential(),
         |a| out.push(a),
     );
     out

@@ -2,7 +2,7 @@
 //! [`FleXPath::open`] (header + meta validated, sections decoded on first
 //! touch) must be observationally identical to the session it was saved
 //! from, and to itself materialized up front — same answers, same scores,
-//! same trace counter fingerprints, at every thread count — while only
+//! same trace counter fingerprints — while only
 //! paying for the sections a query actually touches.
 //! A memory-mapped reader must also survive the catalog's atomic
 //! temp-and-rename replace: the old session keeps serving the old bytes.
@@ -44,14 +44,13 @@ fn saved_store(tag: &str) -> (ScratchDir, PathBuf) {
     (dir, path)
 }
 
-/// Runs `query` on `flex` with `threads` workers and returns the ranked
-/// hits (bit-exact scores) plus the trace counter fingerprint.
-fn run(flex: &FleXPath, query: &str, threads: usize) -> (Vec<(u32, u64, u64)>, String) {
+/// Runs `query` on `flex` and returns the ranked hits (bit-exact scores)
+/// plus the trace counter fingerprint.
+fn run(flex: &FleXPath, query: &str) -> (Vec<(u32, u64, u64)>, String) {
     let results = flex
         .query(query)
         .expect("query parses")
         .top(10)
-        .threads(threads)
         .trace()
         .execute();
     let hits = results
@@ -67,7 +66,7 @@ fn run(flex: &FleXPath, query: &str, threads: usize) -> (Vec<(u32, u64, u64)>, S
 }
 
 #[test]
-fn lazy_and_eager_sessions_answer_byte_identically_at_every_thread_count() {
+fn lazy_and_eager_sessions_answer_byte_identically() {
     // The reference is the session parsed from XML (no store involved);
     // `eager` is the same store opened and materialized up front.
     let (_dir, path) = saved_store("lazy-equiv");
@@ -77,21 +76,16 @@ fn lazy_and_eager_sessions_answer_byte_identically_at_every_thread_count() {
     eager.materialize(true).expect("every section decodes");
     assert!(eager.residency().index && !lazy.residency().document);
     for query in QUERIES {
-        for threads in [1, 2, 4, 8] {
-            let (parsed_hits, parsed_fp) = run(&parsed, query, threads);
-            for (label, flex) in [("lazy", &lazy), ("eager", &eager)] {
-                let (hits, fp) = run(flex, query, threads);
-                assert_eq!(
-                    hits, parsed_hits,
-                    "{label} hits diverged for {query:?} at {threads} threads"
-                );
-                assert_eq!(
-                    fp, parsed_fp,
-                    "{label} trace fingerprints diverged for {query:?} at {threads} threads"
-                );
-            }
-            assert!(!parsed_hits.is_empty(), "query {query:?} must match");
+        let (parsed_hits, parsed_fp) = run(&parsed, query);
+        for (label, flex) in [("lazy", &lazy), ("eager", &eager)] {
+            let (hits, fp) = run(flex, query);
+            assert_eq!(hits, parsed_hits, "{label} hits diverged for {query:?}");
+            assert_eq!(
+                fp, parsed_fp,
+                "{label} trace fingerprints diverged for {query:?}"
+            );
         }
+        assert!(!parsed_hits.is_empty(), "query {query:?} must match");
     }
 }
 

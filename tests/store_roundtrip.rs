@@ -1,8 +1,7 @@
 //! Round-trip property: a session restored with [`FleXPath::open`] must be
 //! observationally identical to the freshly built session it was saved
 //! from — same top-K nodes, same scores, same trace counter fingerprints —
-//! across every algorithm, every ranking scheme, and both serial and
-//! parallel execution.
+//! across every algorithm and every ranking scheme.
 
 mod common;
 
@@ -18,7 +17,6 @@ const SCHEMES: [RankingScheme; 3] = [
     RankingScheme::KeywordFirst,
     RankingScheme::Combined,
 ];
-const THREADS: [usize; 2] = [1, 4];
 
 /// `(nodes, scores-debug, fingerprint)` of one run — everything a caller
 /// can observe about the ranking.
@@ -26,7 +24,6 @@ fn observe(
     flex: &FleXPath,
     algorithm: Algorithm,
     scheme: RankingScheme,
-    threads: usize,
 ) -> (Vec<flexpath::NodeId>, String, String) {
     let r = flex
         .query(QUERY)
@@ -34,7 +31,6 @@ fn observe(
         .top(25)
         .algorithm(algorithm)
         .scheme(scheme)
-        .threads(threads)
         .trace()
         .execute();
     let nodes = r.hits.iter().map(|h| h.node).collect();
@@ -55,19 +51,16 @@ fn saved_and_loaded_sessions_are_observationally_identical() {
 
         for algorithm in ALGORITHMS {
             for scheme in SCHEMES {
-                for threads in THREADS {
-                    let a = observe(&built, algorithm, scheme, threads);
-                    let b = observe(&loaded, algorithm, scheme, threads);
-                    assert!(
-                        !a.0.is_empty(),
-                        "workload must produce answers ({bytes} B, {algorithm:?})"
-                    );
-                    assert_eq!(
-                        a, b,
-                        "restored session diverged: {bytes} B, {algorithm:?}, \
-                         {scheme:?}, {threads} thread(s)"
-                    );
-                }
+                let a = observe(&built, algorithm, scheme);
+                let b = observe(&loaded, algorithm, scheme);
+                assert!(
+                    !a.0.is_empty(),
+                    "workload must produce answers ({bytes} B, {algorithm:?})"
+                );
+                assert_eq!(
+                    a, b,
+                    "restored session diverged: {bytes} B, {algorithm:?}, {scheme:?}"
+                );
             }
         }
     }
