@@ -5,8 +5,8 @@
 //! on the Fig 10 workload (XMark document, Q3, a K sweep). The feed path
 //! timed here is exactly what `flexpath-serve` runs after every `/query`:
 //! clip the query text, scan the trace root for the governor trip site,
-//! hash the deterministic counter fingerprint (FNV-1a), compute the skew
-//! summary, and push the record into its ring stripe.
+//! hash the deterministic counter fingerprint (FNV-1a), and push the record
+//! into its ring stripe.
 //!
 //! Driven by `repro --recorder-overhead results/recorder_overhead.json`.
 //! The acceptance bar is overhead < 2% of query execution time; in
@@ -15,7 +15,7 @@
 //! the bar.
 
 use crate::workload::{bench_session, XQ3};
-use flexpath::{skew_millibits, Algorithm, FleXPath, QueryLimits, QueryResults};
+use flexpath::{Algorithm, FleXPath, QueryLimits, QueryResults};
 use flexpath_serve::json::JsonBuf;
 use flexpath_serve::recorder::{fnv1a, FlightRecorder, QueryRecord};
 use std::time::{Duration, Instant};
@@ -157,12 +157,6 @@ fn feed(recorder: &FlightRecorder, k: usize, results: &QueryResults, elapsed: Du
         exhaust_reason: None,
         trip_site,
         answers: results.hits.len() as u64,
-        estimated_answers: results.stats.estimated_answers,
-        observed_answers: results.stats.observed_answers,
-        skew_millibits: skew_millibits(
-            results.stats.estimated_answers,
-            results.stats.observed_answers,
-        ),
         fingerprint_hash,
     });
 }

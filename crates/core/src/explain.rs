@@ -6,8 +6,8 @@
 
 use crate::session::FleXPath;
 use flexpath_engine::{
-    build_schedule, skew_millibits, Algorithm, Answer, CancelToken, EncodedQuery, EngineContext,
-    PenaltyModel, QueryLimits, TraceSpan, WeightAssignment,
+    build_schedule, Algorithm, Answer, CancelToken, EncodedQuery, EngineContext, PenaltyModel,
+    QueryLimits, WeightAssignment,
 };
 use flexpath_tpq::{QueryParseError, Tpq};
 use std::fmt::Write as _;
@@ -57,33 +57,13 @@ pub fn explain_plan(ctx: &EngineContext, query: &Tpq, max_steps: usize) -> Strin
 /// EXPLAIN ANALYZE: *runs* `xpath` with tracing enabled and renders what
 /// actually happened — the span tree (parse, schedule, every relaxation
 /// round / evaluation pass, with candidate / prune / cache / governor
-/// counters and wall-clock durations), a per-operation estimate-vs-actual
-/// table (the static selectivity estimate next to the observed answer
-/// count, with the log₂-ratio skew in bits), and the deterministic
-/// counter fingerprint (the digest that is byte-identical across runs,
-/// however many threads share the session; see
-/// `flexpath_engine::metrics`).
+/// counters and wall-clock durations) and the deterministic counter
+/// fingerprint (the digest that is byte-identical across runs, however many
+/// threads share the session; see `flexpath_engine::metrics`). The run
+/// executes under `limits` and stops at `cancel` like any other query, so a
+/// caller that must bound work (e.g. a server clamping per-request budgets)
+/// never grants an unlimited, uncancellable execution.
 pub fn explain_profile(
-    flex: &FleXPath,
-    xpath: &str,
-    k: usize,
-    algorithm: Algorithm,
-) -> Result<String, QueryParseError> {
-    explain_profile_with(
-        flex,
-        xpath,
-        k,
-        algorithm,
-        QueryLimits::default(),
-        CancelToken::new(),
-    )
-}
-
-/// [`explain_profile`] under governor control: the profiled run executes
-/// with `limits` and stops at `cancel` like any other query, so callers
-/// that must bound work (e.g. a server clamping per-request budgets) can
-/// profile without granting an unlimited, uncancellable execution.
-pub fn explain_profile_with(
     flex: &FleXPath,
     xpath: &str,
     k: usize,
@@ -107,49 +87,10 @@ pub fn explain_profile_with(
     if let Some(trace) = &results.trace {
         let _ = writeln!(out, "--- span tree ---");
         out.push_str(&trace.render_text());
-        let rows = collect_skew_rows(&trace.root);
-        if !rows.is_empty() {
-            let _ = writeln!(out, "--- estimate vs actual ---");
-            let _ = writeln!(
-                out,
-                "{:<32} {:>10} {:>10} {:>11}",
-                "span", "estimated", "observed", "skew(bits)"
-            );
-            for (name, est, obs) in rows {
-                let bits = skew_millibits(est as f64, obs) as f64 / 1000.0;
-                let _ = writeln!(out, "{name:<32} {est:>10} {obs:>10} {bits:>+11.2}");
-            }
-        }
         let _ = writeln!(out, "--- deterministic counter fingerprint ---");
         out.push_str(&trace.counter_fingerprint());
     }
     Ok(out)
-}
-
-/// Walks the span tree collecting per-operation estimate-vs-observed pairs:
-/// DPO rounds carry `round.estimated` / `round.observed`, SSO and Hybrid
-/// passes carry `pass.estimated` / `pass.intermediates` (the answers the
-/// encoded prefix actually streamed). Returns `(span name, estimated,
-/// observed)` rows in execution order.
-fn collect_skew_rows(span: &TraceSpan) -> Vec<(String, u64, u64)> {
-    fn walk(span: &TraceSpan, out: &mut Vec<(String, u64, u64)>) {
-        const PAIRS: [(&str, &str); 2] = [
-            ("round.estimated", "round.observed"),
-            ("pass.estimated", "pass.intermediates"),
-        ];
-        for (est_key, obs_key) in PAIRS {
-            if let Some(est) = span.counters.get(est_key) {
-                let obs = span.counters.get(obs_key).copied().unwrap_or(0);
-                out.push((span.name.clone(), *est, obs));
-            }
-        }
-        for c in &span.children {
-            walk(c, out);
-        }
-    }
-    let mut rows = Vec::new();
-    walk(span, &mut rows);
-    rows
 }
 
 /// Renders one answer: its node, scores, and relaxation level.
@@ -236,7 +177,15 @@ mod tests {
     #[test]
     fn profile_renders_spans_and_fingerprint() {
         let flex = FleXPath::from_xml(CORPUS).unwrap();
-        let text = explain_profile(&flex, Q1, 2, crate::Algorithm::Dpo).unwrap();
+        let text = explain_profile(
+            &flex,
+            Q1,
+            2,
+            crate::Algorithm::Dpo,
+            QueryLimits::default(),
+            CancelToken::new(),
+        )
+        .unwrap();
         assert!(text.contains("EXPLAIN ANALYZE"), "{text}");
         assert!(text.contains("span tree"), "{text}");
         assert!(text.contains("round[0] op=exact"), "{text}");
@@ -247,37 +196,11 @@ mod tests {
     }
 
     #[test]
-    fn profile_renders_estimate_vs_actual_table() {
-        let flex = FleXPath::from_xml(CORPUS).unwrap();
-        for algo in [
-            crate::Algorithm::Dpo,
-            crate::Algorithm::Sso,
-            crate::Algorithm::Hybrid,
-        ] {
-            let text = explain_profile(&flex, Q1, 2, algo).unwrap();
-            assert!(
-                text.contains("--- estimate vs actual ---"),
-                "{algo:?}: {text}"
-            );
-            assert!(text.contains("skew(bits)"), "{algo:?}: {text}");
-            // Every skew row is a round or pass span with a signed skew.
-            let has_row = text
-                .lines()
-                .skip_while(|l| !l.contains("estimate vs actual"))
-                .any(|l| {
-                    (l.contains("round[") || l.contains("pass["))
-                        && (l.contains('+') || l.contains('-'))
-                });
-            assert!(has_row, "{algo:?}: {text}");
-        }
-    }
-
-    #[test]
-    fn profile_with_honors_limits_and_cancel() {
+    fn profile_honors_limits_and_cancel() {
         let flex = FleXPath::from_xml(CORPUS).unwrap();
         // A zero answer budget trips before completion — the profile must
         // report a partial run, not ignore the limits.
-        let limited = explain_profile_with(
+        let limited = explain_profile(
             &flex,
             Q1,
             2,
@@ -290,7 +213,7 @@ mod tests {
         // A pre-cancelled token stops the run at its first checkpoint.
         let cancel = CancelToken::new();
         cancel.cancel();
-        let cancelled = explain_profile_with(
+        let cancelled = explain_profile(
             &flex,
             Q1,
             2,

@@ -63,18 +63,15 @@ pub mod session;
 #[path = "../../../tests/common/mod.rs"]
 mod scratch;
 
-pub use explain::{
-    explain_answer, explain_plan, explain_profile, explain_profile_with, explain_schedule,
-};
+pub use explain::{explain_answer, explain_plan, explain_profile, explain_schedule};
 pub use session::{FleXPath, QueryResults, TopKQuery};
 
 // Re-exports for downstream users.
 pub use flexpath_engine::{
-    prometheus_name, skew_millibits, Algorithm, Answer, AnswerScore, AttrRelaxation, Budget,
-    CancelToken, Completeness, EngineError, ExecStats, ExhaustReason, MetricsRegistry,
-    MetricsSnapshot, Offer, PruneFloor, QueryLimits, QueryTrace, RankingScheme, ScoreKey,
-    SourceError, SourceErrorKind, SourceResidency, TagHierarchy, TopKBuckets, TraceSpan,
-    WeightAssignment,
+    prometheus_name, Algorithm, Answer, AnswerScore, AttrRelaxation, Budget, CancelToken,
+    Completeness, EngineError, ExecStats, ExhaustReason, MetricsRegistry, MetricsSnapshot, Offer,
+    PruneFloor, QueryLimits, QueryTrace, RankingScheme, ScoreKey, SourceError, SourceErrorKind,
+    SourceResidency, TagHierarchy, TopKBuckets, TraceSpan, WeightAssignment,
 };
 pub use flexpath_store::{
     Catalog, CatalogEntry, CatalogListing, CorpusStore, LazyStore, QuarantinedEntry, StoreBuilder,

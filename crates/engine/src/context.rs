@@ -17,9 +17,7 @@
 //! infallible accessors are guaranteed to succeed. The evaluator resolves
 //! the document once per run, so no candidate loop calls into the source.
 
-use flexpath_ftsearch::{
-    Budget, CacheStats, FtEval, FtExpr, InvertedIndex, ScoringModel, ShardedCache,
-};
+use flexpath_ftsearch::{Budget, CacheStats, FtEval, FtExpr, InvertedIndex, ShardedCache};
 use flexpath_xmldom::{DocStats, Document, NodeId, Sym};
 use std::sync::Arc;
 
@@ -243,12 +241,7 @@ impl EngineContext {
         if let Some(hit) = self.ft_cache.get(expr) {
             return hit;
         }
-        let eval = Arc::new(self.index().evaluate_budgeted(
-            self.doc(),
-            expr,
-            ScoringModel::default(),
-            budget,
-        ));
+        let eval = Arc::new(self.index().evaluate_budgeted(self.doc(), expr, budget));
         if budget.tripped().is_some() {
             return eval;
         }

@@ -15,12 +15,10 @@
 use crate::context::EngineContext;
 use crate::encode::EncodedQuery;
 use crate::exec::evaluate_encoded;
-use crate::metrics::{self, TraceSpan};
+use crate::metrics::TraceSpan;
 use crate::run::Run;
 use crate::score::RankingScheme;
-use crate::selectivity::estimate_cardinality;
 use crate::topk::{sort_answers, Algorithm, Answer, ExecStats, TopKRequest, TopKResult};
-use flexpath_ftsearch::Budget;
 use std::collections::HashSet;
 use std::time::Instant;
 
@@ -135,16 +133,6 @@ pub fn dpo_topk(ctx: &EngineContext, request: &TopKRequest) -> TopKResult {
         stats.intermediate_answers += intermediates as usize;
         let before_dedup = round_delta.len();
         round_delta.retain(|a| !seen.contains(&a.node));
-        // Estimate-vs-actual skew for this round: the static estimator's
-        // prediction for the round's (cumulatively relaxed) query against
-        // the distinct answers the full evaluation just materialized, with
-        // an *unbudgeted* estimate — a pure function of document statistics
-        // and the round query — so neither governor counters nor the
-        // deterministic fingerprint can see a difference.
-        let round_est = estimate_cardinality(ctx, round_query, &Budget::unlimited());
-        metrics::global().record_skew("dpo", round_est, before_dedup as u64);
-        stats.estimated_answers = round_est;
-        stats.observed_answers = before_dedup as u64;
         if run.tracer.is_enabled() {
             let mut span = TraceSpan::new(if round == 0 {
                 "round[0] op=exact".to_string()
@@ -155,8 +143,6 @@ pub fn dpo_topk(ctx: &EngineContext, request: &TopKRequest) -> TopKResult {
             span.add("round.roots", scanned.roots);
             span.add("round.candidates", candidates);
             span.add("round.intermediates", intermediates);
-            span.add("round.estimated", round_est.max(0.0) as u64);
-            span.add("round.observed", before_dedup as u64);
             span.add("round.admitted", round_delta.len() as u64);
             span.add(
                 "round.duplicates_pruned",

@@ -89,8 +89,7 @@ pub use governor::{
 };
 pub use hierarchy::TagHierarchy;
 pub use metrics::{
-    prometheus_name, skew_millibits, MetricsRegistry, MetricsSnapshot, QueryTrace, TraceSpan,
-    Tracer,
+    prometheus_name, MetricsRegistry, MetricsSnapshot, QueryTrace, TraceSpan, Tracer,
 };
 pub use order::{Offer, PruneFloor, ScoreKey, TopKBuckets};
 pub use schedule::{build_schedule, ScheduleBuildReport, ScheduledStep};

@@ -66,13 +66,7 @@ impl Histogram {
 
     /// Records one duration.
     pub fn observe(&self, d: Duration) {
-        self.observe_value(d.as_micros().min(u128::from(u64::MAX)) as u64);
-    }
-
-    /// Records one raw integer observation. Durations land here as
-    /// microseconds; dimensionless series (e.g. `engine.skew.*` millibit
-    /// ratios) use the same log₂ bucketing over their own unit.
-    pub fn observe_value(&self, v: u64) {
+        let v = d.as_micros().min(u128::from(u64::MAX)) as u64;
         let bucket = (64 - v.leading_zeros() as usize).min(HISTOGRAM_BUCKETS - 1);
         self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
@@ -177,26 +171,6 @@ impl MetricsRegistry {
         self.histogram(name).observe(d);
     }
 
-    /// Records a raw integer observation into the histogram named `name`.
-    pub fn observe_value(&self, name: &str, v: u64) {
-        self.histogram(name).observe_value(v);
-    }
-
-    /// Records one estimate-vs-actual observation for `algo` (e.g. `"dpo"`)
-    /// under the `engine.skew.*` namespace: the absolute log₂-ratio skew in
-    /// millibits goes into a histogram, and the sign of the divergence bumps
-    /// an `over` / `under` / `exact` counter. See [`skew_millibits`].
-    pub fn record_skew(&self, algo: &str, estimated: f64, observed: u64) {
-        let mb = skew_millibits(estimated, observed);
-        self.observe_value(&format!("engine.skew.{algo}.millibits"), mb.unsigned_abs());
-        let sign = match mb.cmp(&0) {
-            std::cmp::Ordering::Greater => "over",
-            std::cmp::Ordering::Less => "under",
-            std::cmp::Ordering::Equal => "exact",
-        };
-        self.add(&format!("engine.skew.{algo}.{sign}"), 1);
-    }
-
     /// Point-in-time copy of every counter and histogram.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
@@ -289,9 +263,8 @@ impl MetricsSnapshot {
     /// (version 0.0.4): counters as `# TYPE <name> counter` plus one sample
     /// line, histograms as cumulative `<name>_bucket{le="..."}` series
     /// ending in `le="+Inf"`, followed by `<name>_sum` and `<name>_count`.
-    /// Names are passed through [`prometheus_name`]; histogram units stay
-    /// whatever the series records (microseconds for durations, millibits
-    /// for `engine.skew.*`).
+    /// Names are passed through [`prometheus_name`]; histograms are in
+    /// microseconds.
     pub fn render_prometheus(&self) -> String {
         let mut out = String::new();
         for (name, v) in &self.counters {
@@ -337,18 +310,6 @@ pub fn prometheus_name(name: &str) -> String {
         out.push('_');
     }
     out
-}
-
-/// Signed log₂ ratio of `estimated` to `observed` cardinality, in
-/// *millibits* (thousandths of a doubling): positive when the estimator
-/// overshot, negative when it undershot, `0` on exact agreement. Both sides
-/// are shifted by `+1` so empty results and zero estimates stay finite.
-/// This is the aggregation unit for the `engine.skew.*` histograms and the
-/// per-op skew column in EXPLAIN ANALYZE.
-pub fn skew_millibits(estimated: f64, observed: u64) -> i64 {
-    let est = estimated.max(0.0) + 1.0;
-    let obs = observed as f64 + 1.0;
-    ((est / obs).log2() * 1000.0).round() as i64
 }
 
 // ---------------------------------------------------------------------------
@@ -764,44 +725,6 @@ mod tests {
             .root
             .counters
             .contains_key("governor.trip.site.ft_eval"));
-    }
-
-    #[test]
-    fn observe_value_shares_bucketing_with_durations() {
-        let reg = MetricsRegistry::new();
-        reg.observe_value("engine.skew.dpo.millibits", 0);
-        reg.observe_value("engine.skew.dpo.millibits", 3);
-        reg.observe_value("engine.skew.dpo.millibits", 1000);
-        let snap = reg.snapshot();
-        let h = snap.histograms.get("engine.skew.dpo.millibits").unwrap();
-        assert_eq!(h.count, 3);
-        assert_eq!(h.sum_micros, 1003);
-        assert_eq!(h.buckets, vec![(0, 1), (3, 1), (1023, 1)]);
-    }
-
-    #[test]
-    fn skew_millibits_sign_and_magnitude() {
-        assert_eq!(skew_millibits(0.0, 0), 0); // 1/1
-        assert_eq!(skew_millibits(7.0, 7), 0); // exact agreement
-        assert_eq!(skew_millibits(3.0, 1), 1000); // 4/2 = one doubling over
-        assert_eq!(skew_millibits(1.0, 3), -1000); // one doubling under
-        assert_eq!(skew_millibits(1023.0, 0), 10_000); // 1024/1
-        assert!(skew_millibits(-5.0, 0) == 0); // negative estimates clamp
-    }
-
-    #[test]
-    fn record_skew_feeds_histogram_and_sign_counters() {
-        let reg = MetricsRegistry::new();
-        reg.record_skew("sso", 3.0, 1);
-        reg.record_skew("sso", 1.0, 3);
-        reg.record_skew("sso", 4.0, 4);
-        let snap = reg.snapshot();
-        assert_eq!(snap.counters.get("engine.skew.sso.over"), Some(&1));
-        assert_eq!(snap.counters.get("engine.skew.sso.under"), Some(&1));
-        assert_eq!(snap.counters.get("engine.skew.sso.exact"), Some(&1));
-        let h = snap.histograms.get("engine.skew.sso.millibits").unwrap();
-        assert_eq!(h.count, 3);
-        assert_eq!(h.sum_micros, 2000); // |±1000| twice, 0 once
     }
 
     #[test]

@@ -23,7 +23,6 @@
 use crate::context::EngineContext;
 use crate::encode::EncodedQuery;
 use crate::exec::evaluate_encoded;
-use crate::metrics;
 use crate::order::{IntermediateAnswers, Offer, SatisfiedBuckets, TopKBuckets};
 use crate::run::Run;
 use crate::schedule::ScheduledStep;
@@ -111,7 +110,6 @@ fn single_pass_topk(
     let mut stats = ExecStats::default();
     run.tracer.begin("choose_prefix");
     let (mut prefix, est) = choose_prefix(ctx, request, schedule, run.base_ss, budget);
-    stats.estimated_answers = est;
     run.tracer.add("prefix.steps", prefix as u64);
     run.tracer
         .add("prefix.estimated_answers", est.max(0.0) as u64);
@@ -124,17 +122,6 @@ fn single_pass_topk(
         run.tracer.begin(&format!("pass[{}]", stats.restarts));
         let pass_intermediates = stats.intermediate_answers;
         let pass_pruned = stats.pruned;
-        // The static estimator's prediction for this pass's encoded prefix
-        // endpoint — the quantity the pass's observed intermediates are
-        // checked against for skew telemetry. Unbudgeted: a pure function of
-        // document statistics, so it neither charges the governor nor
-        // perturbs the deterministic counter fingerprint.
-        let pass_query = if prefix == 0 {
-            &request.query
-        } else {
-            &schedule[prefix - 1].query
-        };
-        let pass_est = estimate_cardinality(ctx, pass_query, &Budget::unlimited());
         let enc = EncodedQuery::build_full(
             ctx,
             &run.model,
@@ -157,14 +144,15 @@ fn single_pass_topk(
             }
         });
         let candidates = scanned.candidates_examined;
-        let pass_observed = (stats.intermediate_answers - pass_intermediates) as u64;
         if run.tracer.is_enabled() {
             let t = &mut run.tracer;
             t.add("pass.prefix", prefix as u64);
             t.add("pass.roots", scanned.roots);
             t.add("pass.candidates", candidates);
-            t.add("pass.estimated", pass_est.max(0.0) as u64);
-            t.add("pass.intermediates", pass_observed);
+            t.add(
+                "pass.intermediates",
+                (stats.intermediate_answers - pass_intermediates) as u64,
+            );
             t.add("pass.pruned", (stats.pruned - pass_pruned) as u64);
             t.add("pass.buckets", held.bucket_count() as u64);
             if let Some(evicted) = held.evicted() {
@@ -175,15 +163,10 @@ fn single_pass_topk(
             t.add("governor.checkpoint.candidate_loop", candidates);
         }
         run.tracer.end();
-        stats.estimated_answers = pass_est;
-        stats.observed_answers = pass_observed;
         if budget.tripped().is_some() {
-            // Keep the best-effort answers scanned so far; no restart. A
-            // partial scan's intermediate count is not the query's answer
-            // universe, so it is not fed to the skew histograms either.
+            // Keep the best-effort answers scanned so far; no restart.
             break;
         }
-        metrics::global().record_skew(algorithm.key(), pass_est, pass_observed);
         // Estimate miss: relax further and restart ("we would need to
         // restart SSO", Section 6). The restart extends the prefix until
         // the *additional* estimated answers cover twice the observed

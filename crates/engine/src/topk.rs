@@ -21,8 +21,8 @@ pub enum Algorithm {
 }
 
 impl Algorithm {
-    /// Stable lowercase key: the trace root's name, the
-    /// `engine.query.<key>` counter and the `engine.skew.<key>` label.
+    /// Stable lowercase key: the trace root's name and the
+    /// `engine.query.<key>` counter.
     pub(crate) fn key(self) -> &'static str {
         match self {
             Algorithm::Dpo => "dpo",
@@ -171,16 +171,6 @@ pub struct ExecStats {
     pub buckets: usize,
     /// Answers pruned by the score threshold (maxScoreGrowth pruning).
     pub pruned: usize,
-    /// Estimated cardinality of the query the final evaluation ran
-    /// (SSO/Hybrid: the chosen prefix endpoint; DPO: the last committed
-    /// round). Paired with [`ExecStats::observed_answers`] this is the
-    /// per-query estimate-vs-actual skew summary.
-    pub estimated_answers: f64,
-    /// Observed counterpart of [`ExecStats::estimated_answers`]: distinct
-    /// answers the final evaluation materialized before top-K truncation
-    /// (DPO: the last committed round's pre-dedup delta; SSO/Hybrid: answers
-    /// streamed by the last evaluation pass).
-    pub observed_answers: u64,
     /// Ancestor-descendant shortcut pairs materialized (data-relaxation
     /// baseline only).
     pub shortcut_pairs: u64,

@@ -63,43 +63,6 @@ use flexpath_xmldom::{Document, NodeId, Sym};
 /// the element being scored (XRANK's hyperlink-style dampening).
 const LEVEL_DECAY: f64 = 0.8;
 
-/// How match scores are computed before normalization.
-///
-/// The paper treats the IR engine's scoring as a black box returning
-/// normalized `(node, score)` pairs, so any model respecting that contract
-/// plugs in. Two classics are provided.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ScoringModel {
-    /// `Σ idf · (1 + ln tf) · decay^depth` — the XRANK-flavoured default
-    /// (deeper witnesses contribute less to an ancestor's score).
-    TfIdfDecay {
-        /// Per-level dampening factor in `(0, 1]`.
-        decay: f64,
-    },
-    /// Okapi BM25 over element subtrees: term frequency saturates with `k1`
-    /// and is normalized by subtree length against the average element
-    /// length with `b`.
-    Bm25 {
-        /// Saturation parameter (classic default 1.2).
-        k1: f64,
-        /// Length-normalization strength in `[0, 1]` (classic default 0.75).
-        b: f64,
-    },
-}
-
-impl Default for ScoringModel {
-    fn default() -> Self {
-        ScoringModel::TfIdfDecay { decay: LEVEL_DECAY }
-    }
-}
-
-impl ScoringModel {
-    /// The classic BM25 parameterization.
-    pub fn bm25() -> Self {
-        ScoringModel::Bm25 { k1: 1.2, b: 0.75 }
-    }
-}
-
 impl FtExpr {
     /// Whether negation only occurs beneath a conjunction that also has a
     /// positive conjunct (the fragment [`InvertedIndex::evaluate`] computes
@@ -218,6 +181,46 @@ impl FtEval {
     }
 }
 
+/// Raw scores of `matches` (most-specific: ascending, subtrees disjoint), in
+/// order: `Σ idf · (1 + ln tf) · decay^depth` over the scoring atoms'
+/// holders inside each match. Shorter than `matches` when the budget trips.
+fn score_matches(doc: &Document, atoms: &[Atom], matches: &[NodeId], budget: &Budget) -> Vec<f64> {
+    // Per atom: its first holder not yet passed. Matches ascend and do not
+    // nest, so each cursor walks its holders once.
+    let mut cursors = vec![0usize; atoms.len()];
+    let mut scores = Vec::with_capacity(matches.len());
+    for &e in matches {
+        if budget.checkpoint() {
+            break;
+        }
+        let last = doc.subtree_last(e);
+        let elevel = doc.level(e) as i64;
+        let mut score = 0.0;
+        // lint:allow(governor): per-query atom count; the enclosing
+        // per-match loop checkpoints the budget.
+        for (atom, at) in atoms.iter().zip(&mut cursors) {
+            if !atom.scoring {
+                continue;
+            }
+            while atom.holders.get(*at).is_some_and(|&(h, _)| h < e) {
+                *at += 1;
+            }
+            let lo = *at;
+            while atom.holders.get(*at).is_some_and(|&(h, _)| h <= last) {
+                *at += 1;
+            }
+            // lint:allow(governor): holders were charged to the postings
+            // meter at the compile boundary.
+            for &(holder, tf) in &atom.holders[lo..*at] {
+                let depth = (doc.level(holder) as i64 - elevel).max(0) as i32;
+                score += atom.idf * (1.0 + f64::from(tf).ln()) * LEVEL_DECAY.powi(depth);
+            }
+        }
+        scores.push(score);
+    }
+    scores
+}
+
 /// A positive atom (term / phrase / window) compiled against the index.
 struct Atom {
     /// Elements whose direct text satisfies the atom, ascending id, with
@@ -238,20 +241,13 @@ enum Compiled {
 
 impl InvertedIndex {
     /// Evaluates `expr`, returning the most-specific satisfying elements
-    /// with normalized scores under the default scoring model. Returns
-    /// [`FtEval::empty`] for expressions without positive terms.
+    /// with normalized scores. Returns [`FtEval::empty`] for expressions
+    /// without positive terms.
     pub fn evaluate(&self, doc: &Document, expr: &FtExpr) -> FtEval {
-        self.evaluate_with(doc, expr, ScoringModel::default())
+        self.evaluate_budgeted(doc, expr, &Budget::unlimited())
     }
 
-    /// [`evaluate`](Self::evaluate) with an explicit [`ScoringModel`].
-    /// Satisfaction (which elements match) is model-independent; only the
-    /// scores differ.
-    pub fn evaluate_with(&self, doc: &Document, expr: &FtExpr, model: ScoringModel) -> FtEval {
-        self.evaluate_budgeted(doc, expr, model, &Budget::unlimited())
-    }
-
-    /// [`evaluate_with`](Self::evaluate_with) under a resource [`Budget`].
+    /// [`evaluate`](Self::evaluate) under a resource [`Budget`].
     ///
     /// Charges the postings each compiled atom scans and checkpoints the
     /// sweep and the scoring loop (see the module doc). When the budget
@@ -259,13 +255,7 @@ impl InvertedIndex {
     /// evaluation — a document-order prefix of the most-specific matches
     /// (possibly empty), normalized over what was scored. Callers must not
     /// cache a tripped evaluation: check [`Budget::tripped`] afterwards.
-    pub fn evaluate_budgeted(
-        &self,
-        doc: &Document,
-        expr: &FtExpr,
-        model: ScoringModel,
-        budget: &Budget,
-    ) -> FtEval {
+    pub fn evaluate_budgeted(&self, doc: &Document, expr: &FtExpr, budget: &Budget) -> FtEval {
         if !expr.has_positive_term() {
             return FtEval::empty();
         }
@@ -279,7 +269,7 @@ impl InvertedIndex {
         let Some(mut nodes) = most_specific(doc, &compiled, &atoms, budget) else {
             return FtEval::empty();
         };
-        let mut scores = self.score_matches(doc, &atoms, &nodes, model, budget);
+        let mut scores = score_matches(doc, &atoms, &nodes, budget);
         // A trip while scoring keeps the scored document-order prefix; the
         // caller sees the trip via the budget.
         nodes.truncate(scores.len());
@@ -290,67 +280,6 @@ impl InvertedIndex {
             *s = if max > 0.0 { *s / max } else { 1.0 };
         }
         FtEval { nodes, scores }
-    }
-
-    /// Model-dependent raw scores of `matches` (most-specific: ascending,
-    /// subtrees disjoint), in order; shorter than `matches` when the budget
-    /// trips.
-    fn score_matches(
-        &self,
-        doc: &Document,
-        atoms: &[Atom],
-        matches: &[NodeId],
-        model: ScoringModel,
-        budget: &Budget,
-    ) -> Vec<f64> {
-        let avgdl = self.avg_element_length().max(1.0);
-        // Per atom: its first holder not yet passed. Matches ascend and do
-        // not nest, so each cursor walks its holders once.
-        let mut cursors = vec![0usize; atoms.len()];
-        let mut scores = Vec::with_capacity(matches.len());
-        for &e in matches {
-            if budget.checkpoint() {
-                break;
-            }
-            let last = doc.subtree_last(e);
-            let elevel = doc.level(e) as i64;
-            let mut score = 0.0;
-            // lint:allow(governor): per-query atom count; the enclosing
-            // per-match loop checkpoints the budget.
-            for (atom, at) in atoms.iter().zip(&mut cursors) {
-                if !atom.scoring {
-                    continue;
-                }
-                while atom.holders.get(*at).is_some_and(|&(h, _)| h < e) {
-                    *at += 1;
-                }
-                let lo = *at;
-                while atom.holders.get(*at).is_some_and(|&(h, _)| h <= last) {
-                    *at += 1;
-                }
-                let inside = &atom.holders[lo..*at];
-                match model {
-                    ScoringModel::TfIdfDecay { decay } => {
-                        // lint:allow(governor): holders were charged to the
-                        // postings meter at the compile boundary.
-                        for &(holder, tf) in inside {
-                            let depth = (doc.level(holder) as i64 - elevel).max(0) as i32;
-                            score += atom.idf * (1.0 + f64::from(tf).ln()) * decay.powi(depth);
-                        }
-                    }
-                    ScoringModel::Bm25 { k1, b } => {
-                        let tf: f64 = inside.iter().map(|&(_, tf)| f64::from(tf)).sum();
-                        if tf > 0.0 {
-                            let dl = self.subtree_token_count(doc, e) as f64;
-                            let norm = k1 * (1.0 - b + b * dl / avgdl);
-                            score += atom.idf * (tf * (k1 + 1.0)) / (tf + norm);
-                        }
-                    }
-                }
-            }
-            scores.push(score);
-        }
-        scores
     }
 
     fn compile(&self, expr: &FtExpr, scoring: bool, atoms: &mut Vec<Atom>) -> Compiled {
@@ -806,73 +735,6 @@ mod tests {
         assert!(!not_only.is_safe());
         let or_with_not = FtExpr::Or(vec![FtExpr::term("a1"), not_only.clone()]);
         assert!(!or_with_not.is_safe());
-    }
-
-    #[test]
-    fn bm25_and_tfidf_agree_on_satisfaction() {
-        let doc =
-            parse("<r><a>gold gold gold</a><b>gold</b><c><d>gold coin</d>filler filler</c></r>")
-                .unwrap();
-        let idx = InvertedIndex::build(&doc);
-        let expr = FtExpr::term("gold");
-        let tfidf = idx.evaluate_with(&doc, &expr, ScoringModel::default());
-        let bm25 = idx.evaluate_with(&doc, &expr, ScoringModel::bm25());
-        let nodes = |e: &FtEval| pairs(e).iter().map(|(n, _)| *n).collect::<Vec<_>>();
-        assert_eq!(nodes(&tfidf), nodes(&bm25));
-        for n in doc.elements() {
-            assert_eq!(tfidf.satisfies(&doc, n), bm25.satisfies(&doc, n));
-        }
-    }
-
-    #[test]
-    fn bm25_saturates_term_frequency() {
-        // Under BM25, tf 100 vs tf 1 differs far less than 100×.
-        let many = "gold ".repeat(100);
-        let xml = format!("<r><a>{many}</a><b>gold</b></r>");
-        let doc = parse(&xml).unwrap();
-        let idx = InvertedIndex::build(&doc);
-        let ev = idx.evaluate_with(&doc, &FtExpr::term("gold"), ScoringModel::bm25());
-        let a = doc.nodes_with_tag_name("a")[0];
-        let b = doc.nodes_with_tag_name("b")[0];
-        let score = |n| pairs(&ev).iter().find(|(m, _)| *m == n).unwrap().1;
-        assert_eq!(score(a), 1.0);
-        assert!(
-            score(b) > 0.3,
-            "BM25 saturation keeps tf=1 competitive: {}",
-            score(b)
-        );
-    }
-
-    #[test]
-    fn bm25_penalizes_long_elements() {
-        // Same tf, different lengths: the shorter element scores higher.
-        let filler = "filler ".repeat(60);
-        let xml = format!("<r><short>gold coin</short><long>gold {filler}</long></r>");
-        let doc = parse(&xml).unwrap();
-        let idx = InvertedIndex::build(&doc);
-        let ev = idx.evaluate_with(&doc, &FtExpr::term("gold"), ScoringModel::bm25());
-        let short = doc.nodes_with_tag_name("short")[0];
-        let long = doc.nodes_with_tag_name("long")[0];
-        let score = |n| pairs(&ev).iter().find(|(m, _)| *m == n).unwrap().1;
-        assert!(
-            score(short) > score(long),
-            "length normalization must favour the short element"
-        );
-    }
-
-    #[test]
-    fn token_counts_back_bm25_lengths() {
-        let doc = parse("<r><a>one two <b>three</b></a>four</r>").unwrap();
-        let idx = InvertedIndex::build(&doc);
-        let r = doc.root_element();
-        let a = doc.nodes_with_tag_name("a")[0];
-        let b = doc.nodes_with_tag_name("b")[0];
-        assert_eq!(idx.direct_token_count(r), 1); // "four"
-        assert_eq!(idx.direct_token_count(a), 2);
-        assert_eq!(idx.direct_token_count(b), 1);
-        assert_eq!(idx.subtree_token_count(&doc, r), 4);
-        assert_eq!(idx.subtree_token_count(&doc, a), 3);
-        assert!(idx.avg_element_length() > 0.0);
     }
 
     #[test]

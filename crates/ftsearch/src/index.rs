@@ -129,11 +129,6 @@ pub struct InvertedIndex {
     postings: HashMap<Box<str>, Posting>,
     /// Elements with at least one direct text token (the `N` of idf).
     scoring_elements: u64,
-    /// Total token count (all elements).
-    total_tokens: u64,
-    /// Prefix sums of per-node direct token counts (index i = tokens of
-    /// nodes `0..i`), enabling O(1) subtree-length lookups for BM25.
-    token_prefix: Vec<u64>,
 }
 
 impl InvertedIndex {
@@ -143,9 +138,7 @@ impl InvertedIndex {
         // no iteration order reaches scores or serialized bytes.
         let mut postings: HashMap<Box<str>, Posting> = HashMap::new();
         let mut scoring: Vec<bool> = vec![false; doc.node_count()];
-        let mut direct_tokens: Vec<u64> = vec![0; doc.node_count()];
         let mut position = 0u32;
-        let mut total_tokens = 0u64;
         for n in doc.all_nodes() {
             let Some(text) = doc.text_content(n) else {
                 continue;
@@ -163,39 +156,14 @@ impl InvertedIndex {
                     .or_default()
                     .push_occurrence(parent, position);
                 position += 1;
-                total_tokens += 1;
-                direct_tokens[parent.index()] += 1;
             });
         }
-        let token_prefix = prefix_sums(&direct_tokens);
         for posting in postings.values_mut() {
             posting.normalize();
         }
         InvertedIndex {
             postings,
             scoring_elements: scoring.iter().filter(|s| **s).count() as u64,
-            total_tokens,
-            token_prefix,
-        }
-    }
-
-    /// Number of tokens directly inside element `n` (not its descendants).
-    pub fn direct_token_count(&self, n: NodeId) -> u64 {
-        self.token_prefix[n.index() + 1] - self.token_prefix[n.index()]
-    }
-
-    /// Number of tokens in the whole subtree of `n` (O(1) via prefix sums).
-    pub fn subtree_token_count(&self, doc: &Document, n: NodeId) -> u64 {
-        let last = doc.subtree_last(n);
-        self.token_prefix[last.index() + 1] - self.token_prefix[n.index()]
-    }
-
-    /// Average direct token count over scoring elements (BM25's `avgdl`).
-    pub fn avg_element_length(&self) -> f64 {
-        if self.scoring_elements == 0 {
-            0.0
-        } else {
-            self.total_tokens as f64 / self.scoring_elements as f64
         }
     }
 
@@ -223,11 +191,6 @@ impl InvertedIndex {
     /// Number of elements with direct text (the idf denominator base).
     pub fn scoring_elements(&self) -> u64 {
         self.scoring_elements
-    }
-
-    /// Total number of indexed tokens.
-    pub fn total_tokens(&self) -> u64 {
-        self.total_tokens
     }
 
     /// Number of distinct terms.
@@ -309,8 +272,7 @@ impl InvertedIndex {
     /// ascending, each `tf > 0`; its positions are the run the `tf` prefix
     /// sums give, copied into the term's arena in one piece and strictly
     /// ascending within each entry. Every name byte, entry and position
-    /// belongs to some term. Direct token counts (for `token_prefix`) are
-    /// summed on the way.
+    /// belongs to some term.
     pub fn decode(
         term_bytes: &[u8],
         posting_bytes: &[u8],
@@ -343,8 +305,6 @@ impl InvertedIndex {
         // lint:allow(determinism): decode-path map, keyed lookups only; the
         // serialized form it came from is already sorted.
         let mut postings: HashMap<Box<str>, Posting> = HashMap::with_capacity(name_ends.len());
-        let mut direct_tokens: Vec<u64> = vec![0; node_count];
-        let mut total_tokens = 0u64;
         let (mut name_start, mut entry_start, mut pos_start) = (0usize, 0usize, 0usize);
         let mut prev_name: Option<&str> = None;
         for (i, (name_end, entry_end)) in name_ends.iter().zip(entry_ends.iter()).enumerate() {
@@ -369,9 +329,9 @@ impl InvertedIndex {
             let mut entries: Vec<PostingEntry> = Vec::with_capacity(term_nodes.len());
             let mut pos = 0u32;
             for (node, tf) in term_nodes.iter().zip(term_tfs.iter()) {
-                let Some(node_tokens) = direct_tokens.get_mut(node as usize) else {
+                if node as usize >= node_count {
                     return Err(invalid("posting node id out of range", u64::from(node)));
-                };
+                }
                 if entries.last().is_some_and(|last| NodeId(node) <= last.node) {
                     return Err(invalid("posting entries not node-sorted", u64::from(node)));
                 }
@@ -386,8 +346,6 @@ impl InvertedIndex {
                 pos = pos
                     .checked_add(tf)
                     .ok_or(invalid("posting positions exceed the u32 arena", idx))?;
-                *node_tokens += u64::from(tf);
-                total_tokens += u64::from(tf);
             }
             let Some(run) = positions.get(pos_start..pos_start + pos as usize) else {
                 return Err(invalid("term frequencies sum past the positions", idx));
@@ -426,27 +384,12 @@ impl InvertedIndex {
         Ok(InvertedIndex {
             postings,
             scoring_elements,
-            total_tokens,
-            token_prefix: prefix_sums(&direct_tokens),
         })
     }
 }
 
 fn invalid(what: &'static str, index: u64) -> CodecError {
     CodecError::Invalid { what, index }
-}
-
-/// `0` and then the running sums of `counts`: entry `i` is the sum of the
-/// first `i` counts.
-fn prefix_sums(counts: &[u64]) -> Vec<u64> {
-    let mut out = Vec::with_capacity(counts.len() + 1);
-    out.push(0);
-    let mut acc = 0u64;
-    for &c in counts {
-        acc += c;
-        out.push(acc);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -535,7 +478,6 @@ mod tests {
         let (_, idx) = index_of("<a/>");
         assert_eq!(idx.term_count(), 0);
         assert_eq!(idx.scoring_elements(), 0);
-        assert_eq!(idx.total_tokens(), 0);
     }
 
     #[test]
@@ -547,17 +489,9 @@ mod tests {
         let back = InvertedIndex::decode(&terms, &postings, doc.node_count()).unwrap();
         assert_eq!(back.term_count(), idx.term_count());
         assert_eq!(back.scoring_elements(), idx.scoring_elements());
-        assert_eq!(back.total_tokens(), idx.total_tokens());
         for t in ["gold", "silver", "copper", "tail", "stream"] {
             assert_eq!(back.posting(t), idx.posting(t), "posting for {t}");
             assert!((back.idf(t) - idx.idf(t)).abs() < 1e-15);
-        }
-        for n in doc.all_nodes() {
-            assert_eq!(back.direct_token_count(n), idx.direct_token_count(n));
-            assert_eq!(
-                back.subtree_token_count(&doc, n),
-                idx.subtree_token_count(&doc, n)
-            );
         }
         assert_eq!(back.encode(), idx.encode());
     }

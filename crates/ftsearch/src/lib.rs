@@ -46,7 +46,7 @@ pub mod tokenize;
 
 pub use budget::{Budget, CancelToken, ExhaustReason};
 pub use cache::{CacheStats, ShardedCache};
-pub use eval::{FtEval, ScoringModel};
+pub use eval::FtEval;
 pub use ftexpr::{FtExpr, FtParseError};
 pub use highlight::{highlight, HighlightStyle};
 pub use index::{InvertedIndex, Posting, PostingEntry};

@@ -3,7 +3,7 @@
 //! most-specific-set invariants, and score sanity.
 
 use flexpath_ftsearch::{
-    stem, tokenize, Budget, CancelToken, ExhaustReason, FtExpr, InvertedIndex, ScoringModel,
+    stem, tokenize, Budget, CancelToken, ExhaustReason, FtExpr, InvertedIndex,
 };
 use flexpath_xmldom::{parse, Document, NodeId};
 
@@ -432,13 +432,13 @@ impl<'d> Reference<'d> {
     }
 }
 
-/// `evaluate`, `satisfies` under both models and `count_for_tag` against
+/// `evaluate`, `satisfies` and `count_for_tag` against
 /// the reference, plus the postings meter, for one expression.
 fn assert_matches_reference(xml: &str, doc: &Document, index: &InvertedIndex, expr: &FtExpr) {
     let reference = Reference::new(doc);
     let expected = reference.evaluate(expr, 0.8);
     let budget = Budget::unlimited();
-    let eval = index.evaluate_budgeted(doc, expr, ScoringModel::default(), &budget);
+    let eval = index.evaluate_budgeted(doc, expr, &budget);
     let expected_ids: Vec<NodeId> = expected.iter().map(|(n, _)| *n).collect();
     assert_eq!(eval.nodes(), expected_ids, "match ids of {expr} on {xml}");
     let mut got = eval.ranked();
@@ -451,16 +451,9 @@ fn assert_matches_reference(xml: &str, doc: &Document, index: &InvertedIndex, ex
         );
         assert_eq!(eval.score(doc, *n).to_bits(), want.to_bits());
     }
-    let bm25 = index.evaluate_with(doc, expr, ScoringModel::bm25());
-    assert_eq!(
-        bm25.nodes(),
-        expected_ids,
-        "BM25 match ids of {expr} on {xml}"
-    );
     for n in doc.elements() {
         let below = expected_ids.iter().any(|&m| reference.within(n, m));
         assert_eq!(eval.satisfies(doc, n), below, "{n} for {expr} on {xml}");
-        assert_eq!(bm25.satisfies(doc, n), below);
         let best = expected
             .iter()
             .filter(|(m, _)| reference.within(n, *m))
@@ -677,7 +670,7 @@ fn a_cancelled_evaluation_is_empty() {
     let token = CancelToken::new();
     token.cancel();
     let budget = Budget::new(None, Some(token), u64::MAX, u64::MAX, u64::MAX);
-    let eval = index.evaluate_budgeted(&doc, &expr, ScoringModel::default(), &budget);
+    let eval = index.evaluate_budgeted(&doc, &expr, &budget);
     assert!(eval.is_empty());
     assert_eq!(budget.tripped(), Some(ExhaustReason::Cancelled));
     // The postings were charged before the first checkpoint.
@@ -708,7 +701,7 @@ fn a_deadline_that_trips_while_scoring_keeps_a_document_order_prefix() {
         }
     };
     std::thread::sleep(Duration::from_millis(25));
-    let partial = index.evaluate_budgeted(&doc, &expr, ScoringModel::default(), &budget);
+    let partial = index.evaluate_budgeted(&doc, &expr, &budget);
     assert_eq!(budget.tripped(), Some(ExhaustReason::Deadline));
     assert_eq!(partial.nodes(), &whole.nodes()[..54]);
     assert!(partial.ranked().iter().all(|(_, s)| *s == 1.0));

@@ -6,7 +6,6 @@ pub struct MetricsRegistry;
 impl MetricsRegistry {
     pub fn add(&self, _name: &str, _v: u64) {}
     pub fn observe(&self, _name: &str, _v: f64) {}
-    pub fn observe_value(&self, _name: &str, _v: u64) {}
 }
 
 pub struct Tracer;
@@ -26,7 +25,6 @@ pub fn documented_namespaces() {
     reg.observe("nd.rank_entropy", 0.5);
     reg.add("serve.requests", 1);
     reg.observe("serve.query.duration", 1.5);
-    reg.observe_value("engine.skew.dpo.millibits", 541);
     reg.add("serve.debug.recorded", 1);
 }
 

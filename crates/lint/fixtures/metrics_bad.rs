@@ -9,7 +9,6 @@ impl MetricsRegistry {
         0
     }
     pub fn observe(&self, _name: &str, _v: f64) {}
-    pub fn observe_value(&self, _name: &str, _v: u64) {}
 }
 
 pub fn global() -> &'static MetricsRegistry {
@@ -32,10 +31,6 @@ pub fn typed_param(metrics: &MetricsRegistry) -> u64 {
 pub fn near_miss_of_the_serve_namespace() {
     // "serve." is a documented namespace; "server." is not.
     global().add("server.requests", 1);
-}
-
-pub fn observe_value_is_checked_too() {
-    global().observe_value("skew.millibits", 42);
 }
 
 pub fn in_namespace_but_out_of_charset() {

@@ -1,8 +1,7 @@
 //! Rule family 4: metrics naming discipline.
 //!
 //! Every counter/histogram name handed to the global [`MetricsRegistry`]
-//! must live in a documented namespace (`engine.*` — including the
-//! `engine.skew.*` estimate-vs-actual family, `governor.*`, `nd.*`,
+//! must live in a documented namespace (`engine.*`, `governor.*`, `nd.*`,
 //! `serve.*` — including the `serve.debug.*` flight-recorder family) —
 //! the observability docs and the `nd.`-prefix determinism carve-out both
 //! key off these prefixes. Literal names must also stay inside the
@@ -27,14 +26,7 @@ pub const RULE: &str = "metrics-name";
 pub const NAMESPACES: &[&str] = &["engine.", "governor.", "nd.", "serve."];
 
 /// Registry methods whose first argument is a metric name.
-const METHODS: &[&str] = &[
-    "counter",
-    "add",
-    "histogram",
-    "observe",
-    "observe_duration",
-    "observe_value",
-];
+const METHODS: &[&str] = &["counter", "add", "histogram", "observe", "observe_duration"];
 
 /// Runs the metrics-naming rule over one file.
 pub fn check(m: &FileModel, out: &mut Vec<Violation>) {

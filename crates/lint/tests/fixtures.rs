@@ -146,13 +146,12 @@ fn metrics_rule_fires_on_out_of_namespace_names() {
     let src = include_str!("../fixtures/metrics_bad.rs");
     let found = lint("fixtures/metrics_bad.rs", src, METRICS_CLASS);
     assert!(found.iter().all(|v| v.rule == "metrics-name"), "{found:?}");
-    assert_eq!(found.len(), 6, "{found:?}");
+    assert_eq!(found.len(), 5, "{found:?}");
     for name in [
         "cache.hits",
         "latency.ms",
         "rows_emitted",
         "server.requests",
-        "skew.millibits",
         "serve.debug.Recorded",
     ] {
         assert!(

@@ -46,9 +46,9 @@
 //!
 //! Every executed `/query` and `/explain` leaves a [`QueryRecord`] in the
 //! process-wide [`FlightRecorder`] — effective limits, duration,
-//! completeness, governor trip site, estimate-vs-actual skew, and an
-//! FNV-1a hash of the deterministic counter fingerprint. Records at or
-//! above [`ServePolicy::slow_query_threshold`] also land in the slow ring
+//! completeness, governor trip site, answer count, and an FNV-1a hash of
+//! the deterministic counter fingerprint. Records at or above
+//! [`ServePolicy::slow_query_threshold`] also land in the slow ring
 //! and (with [`ServePolicy::slow_log`]) a JSON-lines slow-query log. The
 //! recorder reads *completed* results only, so enabling it never perturbs
 //! engine counters or fingerprints.

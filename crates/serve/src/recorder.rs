@@ -3,13 +3,12 @@
 //!
 //! Every `/query` and `/explain` request that reaches execution leaves one
 //! [`QueryRecord`] behind — what ran, under which effective limits, how
-//! long it took, how complete it finished, where the governor tripped, a
-//! hash of the deterministic counter fingerprint, and the per-query
-//! estimate-vs-actual skew summary. Records live in a fixed-capacity,
-//! lock-striped ring ([`FlightRecorder`]) served by `/debug/queries`;
-//! records at or above the slow threshold are additionally kept in a
-//! separate ring (`/debug/slow`) and appended as one JSON line each to the
-//! optional slow-query log file.
+//! long it took, how complete it finished, where the governor tripped and
+//! a hash of the deterministic counter fingerprint. Records live in a
+//! fixed-capacity, lock-striped ring ([`FlightRecorder`]) served by
+//! `/debug/queries`; records at or above the slow threshold are additionally
+//! kept in a separate ring (`/debug/slow`) and appended as one JSON line
+//! each to the optional slow-query log file.
 //!
 //! ## Determinism
 //!
@@ -77,15 +76,6 @@ pub struct QueryRecord {
     pub trip_site: Option<String>,
     /// Answers returned to the client.
     pub answers: u64,
-    /// The estimator's prediction for the final evaluation (see
-    /// `ExecStats::estimated_answers`).
-    pub estimated_answers: f64,
-    /// Observed counterpart of the estimate (see
-    /// `ExecStats::observed_answers`).
-    pub observed_answers: u64,
-    /// Per-query skew summary: signed log₂-ratio of estimate to observed,
-    /// in millibits ([`flexpath::skew_millibits`]).
-    pub skew_millibits: i64,
     /// FNV-1a hash of the deterministic counter fingerprint, when the
     /// request was traced. Two records of the same query on the same
     /// document must carry the same hash.
@@ -149,19 +139,6 @@ impl QueryRecord {
         }
         b.key("answers");
         b.u64(self.answers);
-        b.key("skew");
-        b.raw("{");
-        b.key("estimated");
-        b.f64(self.estimated_answers);
-        b.key("observed");
-        b.u64(self.observed_answers);
-        b.key("millibits");
-        if self.skew_millibits < 0 {
-            b.raw(&format!("-{}", self.skew_millibits.unsigned_abs()));
-        } else {
-            b.u64(self.skew_millibits.unsigned_abs());
-        }
-        b.raw("}");
         if let Some(h) = self.fingerprint_hash {
             b.key("fingerprint_fnv1a");
             b.string(&format!("{h:016x}"));
@@ -342,9 +319,6 @@ mod tests {
             exhaust_reason: None,
             trip_site: None,
             answers: 10,
-            estimated_answers: 15.0,
-            observed_answers: 10,
-            skew_millibits: 541,
             fingerprint_hash: Some(0xdead_beef),
         }
     }
@@ -394,7 +368,7 @@ mod tests {
         for line in lines {
             let v = crate::json::parse(line.as_bytes()).unwrap();
             assert_eq!(v.get("endpoint").and_then(|e| e.as_str()), Some("query"));
-            assert!(v.get("skew").is_some());
+            assert_eq!(v.get("answers").and_then(|a| a.as_u64()), Some(10));
         }
     }
 
@@ -403,7 +377,6 @@ mod tests {
         let mut record = rec(3);
         record.exhaust_reason = Some("deadline");
         record.trip_site = Some("dpo_round".into());
-        record.skew_millibits = -1234;
         record.complete = false;
         let json = record.render_json();
         let v = crate::json::parse(json.as_bytes()).unwrap();
@@ -417,12 +390,7 @@ mod tests {
             v.get("trip_site").and_then(|c| c.as_str()),
             Some("dpo_round")
         );
-        let skew = v.get("skew").unwrap();
-        assert_eq!(
-            skew.get("millibits").and_then(|m| m.as_f64()),
-            Some(-1234.0)
-        );
-        assert_eq!(skew.get("observed").and_then(|m| m.as_u64()), Some(10));
+        assert_eq!(v.get("answers").and_then(|a| a.as_u64()), Some(10));
         let limits = v.get("limits").unwrap();
         assert_eq!(
             limits.get("deadline_ms").and_then(|d| d.as_u64()),

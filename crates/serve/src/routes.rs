@@ -15,7 +15,7 @@ use crate::json::{self, Json, JsonBuf};
 use crate::policy::ServePolicy;
 use crate::recorder::{fnv1a, FlightRecorder, QueryRecord};
 use crate::state::ServerState;
-use flexpath::{skew_millibits, Algorithm, CancelToken, QueryLimits, QueryResults, RankingScheme};
+use flexpath::{Algorithm, CancelToken, QueryLimits, QueryResults, RankingScheme};
 use flexpath_engine::metrics;
 use flexpath_engine::reason_key;
 use std::sync::Arc;
@@ -465,12 +465,6 @@ fn record_completed(
         exhaust_reason,
         trip_site,
         answers: results.hits.len() as u64,
-        estimated_answers: results.stats.estimated_answers,
-        observed_answers: results.stats.observed_answers,
-        skew_millibits: skew_millibits(
-            results.stats.estimated_answers,
-            results.stats.observed_answers,
-        ),
         fingerprint_hash,
     });
 }
@@ -561,7 +555,7 @@ fn explain(ctx: &RouteContext<'_>, req: &Request) -> Result<Response, ServeError
     // section becomes a typed 500 here instead of a fault mid-render.
     flex.materialize(true)?;
     let started = Instant::now();
-    let text = flexpath::explain_profile_with(
+    let text = flexpath::explain_profile(
         &flex,
         &parsed.query,
         parsed.k,
@@ -574,7 +568,7 @@ fn explain(ctx: &RouteContext<'_>, req: &Request) -> Result<Response, ServeError
     // EXPLAIN returns rendered text, not a results struct; the record is
     // recovered from the report's own header lines (best effort — an
     // explain record documents that a profiled run happened and how long
-    // it held its slot, not the full skew summary).
+    // it held its slot, not the results themselves).
     let complete = text.lines().any(|l| l == "completeness: complete");
     let answers = text
         .lines()
@@ -595,9 +589,6 @@ fn explain(ctx: &RouteContext<'_>, req: &Request) -> Result<Response, ServeError
         exhaust_reason: None,
         trip_site: None,
         answers,
-        estimated_answers: 0.0,
-        observed_answers: 0,
-        skew_millibits: 0,
         fingerprint_hash: None,
     });
     Ok(Response::text(200, text))
@@ -888,10 +879,7 @@ mod tests {
             query_rec.get("scheme").and_then(Json::as_str),
             Some("structure_first")
         );
-        assert!(query_rec
-            .get("skew")
-            .and_then(|s| s.get("millibits"))
-            .is_some());
+        assert!(query_rec.get("answers").and_then(Json::as_u64).is_some());
         assert!(
             query_rec.get("fingerprint_fnv1a").is_some(),
             "traced query carries a fingerprint hash"

@@ -9,8 +9,11 @@
 //! The arguments are the corpus size in bytes and the repeat count. Each
 //! timing is the best of the repeats, dropped result included; the op line
 //! is the median of `FleXPath::open` + the workload's structural and
-//! full-text query + drop. One `key value` pair per line, so two builds can
-//! be diffed line by line.
+//! full-text query + drop. The two `first_structural_*` lines time `open` +
+//! the structural query + drop, once as opened (lazy: the index sections
+//! are never touched) and once with every section decoded first (`open` +
+//! `materialize(true)`), alternating which goes first. One `key value` pair
+//! per line, so two builds can be diffed line by line.
 
 use flexpath::{Algorithm, FleXPath, QueryLimits, RankingScheme};
 use flexpath_ftsearch::InvertedIndex;
@@ -52,23 +55,37 @@ fn best<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
         .fold(f64::MAX, f64::min)
 }
 
+/// Answers `query` returns on `flex`, as one `cold_start` query runs.
+fn answers(flex: &FleXPath, query: &str) -> usize {
+    flex.query(query)
+        .expect("query parses")
+        .top(10)
+        .algorithm(Algorithm::Hybrid)
+        .scheme(RankingScheme::StructureFirst)
+        .limits(QueryLimits::unlimited())
+        .try_execute()
+        .expect("query runs")
+        .hits
+        .len()
+}
+
 fn op(path: &std::path::Path) -> usize {
     let flex = FleXPath::open(path).expect("store opens");
-    QUERIES
-        .iter()
-        .map(|q| {
-            flex.query(q)
-                .expect("query parses")
-                .top(10)
-                .algorithm(Algorithm::Hybrid)
-                .scheme(RankingScheme::StructureFirst)
-                .limits(QueryLimits::unlimited())
-                .try_execute()
-                .expect("query runs")
-                .hits
-                .len()
-        })
-        .sum()
+    QUERIES.iter().map(|q| answers(&flex, q)).sum()
+}
+
+/// `open`, with every section decoded first when `eager`, then the
+/// structural query.
+fn first_structural(path: &std::path::Path, eager: bool) -> FleXPath {
+    let flex = FleXPath::open(path).expect("store opens");
+    if eager {
+        flex.materialize(true).expect("every section decodes");
+    }
+    assert!(
+        answers(&flex, QUERIES[0]) > 0,
+        "the structural query answers"
+    );
+    flex
 }
 
 fn main() {
@@ -138,6 +155,25 @@ fn main() {
         flex
     });
     println!("eager_open_ms {eager:.3}");
+    let (mut lazy_first, mut eager_first) = (f64::MAX, f64::MAX);
+    for rep in 0..reps.max(1) {
+        let order = if rep % 2 == 0 {
+            [false, true]
+        } else {
+            [true, false]
+        };
+        for eager in order {
+            let ms = best(1, || first_structural(&path, eager));
+            let slot = if eager {
+                &mut eager_first
+            } else {
+                &mut lazy_first
+            };
+            *slot = slot.min(ms);
+        }
+    }
+    println!("first_structural_lazy_ms {lazy_first:.3}");
+    println!("first_structural_eager_ms {eager_first:.3}");
     let mut ops: Vec<f64> = (0..reps.max(1))
         .map(|_| {
             let start = Instant::now();

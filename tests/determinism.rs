@@ -173,18 +173,8 @@ fn record(recorder: &FlightRecorder, cell: Cell, results: &QueryResults, fp: &st
         exhaust_reason: None,
         trip_site: None,
         answers: results.hits.len() as u64,
-        estimated_answers: results.stats.estimated_answers,
-        observed_answers: results.stats.observed_answers,
-        skew_millibits: skew(results),
         fingerprint_hash: Some(fnv1a(fp.as_bytes())),
     });
-}
-
-fn skew(results: &QueryResults) -> i64 {
-    flexpath::skew_millibits(
-        results.stats.estimated_answers,
-        results.stats.observed_answers,
-    )
 }
 
 /// The cell a flight record was made from.
@@ -260,17 +250,6 @@ fn trace_counter_fingerprints_are_identical_across_thread_counts() {
             fp.contains("governor.checkpoint."),
             "{label}: fingerprint must carry checkpoint counters"
         );
-        // The estimate-vs-actual skew counters are span counters and
-        // therefore part of the fingerprint — they must be present and,
-        // below, identical at every thread count.
-        let skew_key = match cell.algorithm {
-            Algorithm::Dpo => "round.estimated",
-            Algorithm::Sso | Algorithm::Hybrid => "pass.estimated",
-        };
-        assert!(
-            fp.contains(skew_key),
-            "{label}: fingerprint must carry {skew_key}"
-        );
     }
     for threads in [2, 4, 8] {
         for (at, _, fp) in concurrently(flex, &cells, threads, None) {
@@ -289,8 +268,8 @@ fn fingerprints_survive_flight_recording_at_every_thread_count() {
     // The serve-side flight recorder hashes the committed fingerprint and
     // pushes a record after execution; all of that is read-only over the
     // trace, so feeding one recorder from 1, 2, 4 or 8 threads sharing the
-    // session leaves every recorded fingerprint hash and skew equal to the
-    // lone run's.
+    // session leaves every recorded fingerprint hash and answer count equal
+    // to the lone run's.
     let flex = session();
     let cells = cells(&QUERIES[1..]);
     let alone = lone(flex, &cells);
@@ -319,9 +298,9 @@ fn fingerprints_survive_flight_recording_at_every_thread_count() {
                 cells[at].label()
             );
             assert_eq!(
-                record.skew_millibits,
-                skew(&alone[at].0),
-                "{}: recorded skew diverged at threads={threads}",
+                record.answers,
+                alone[at].0.hits.len() as u64,
+                "{}: recorded answer count diverged at threads={threads}",
                 cells[at].label()
             );
         }

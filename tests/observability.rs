@@ -3,7 +3,7 @@
 //! cache / governor-checkpoint counters), the trace JSON is well-formed,
 //! and the process-wide metrics registry accumulates across queries.
 
-use flexpath::{explain_profile, Algorithm, FleXPath};
+use flexpath::{explain_profile, Algorithm, CancelToken, FleXPath, QueryLimits};
 use flexpath_xmark::{generate, XmarkConfig};
 use std::sync::OnceLock;
 
@@ -19,7 +19,15 @@ const RELAXED: &str =
 
 #[test]
 fn explain_profile_renders_rounds_counters_and_fingerprint() {
-    let text = explain_profile(session(), RELAXED, 500, Algorithm::Dpo).unwrap();
+    let text = explain_profile(
+        session(),
+        RELAXED,
+        500,
+        Algorithm::Dpo,
+        QueryLimits::default(),
+        CancelToken::new(),
+    )
+    .unwrap();
     // Header and outcome.
     assert!(text.contains("EXPLAIN ANALYZE"), "{text}");
     assert!(text.contains("completeness: complete"), "{text}");
@@ -31,15 +39,10 @@ fn explain_profile_renders_rounds_counters_and_fingerprint() {
         text.contains("round[1] op="),
         "relaxation must have run: {text}"
     );
-    // Per-round counters, including the estimate-vs-actual pair.
+    // Per-round counters.
     assert!(text.contains("round.candidates="), "{text}");
     assert!(text.contains("round.duplicates_pruned="), "{text}");
     assert!(text.contains("round.admitted="), "{text}");
-    assert!(text.contains("round.estimated="), "{text}");
-    assert!(text.contains("round.observed="), "{text}");
-    // The rendered estimate-vs-actual table with log2-ratio skew.
-    assert!(text.contains("--- estimate vs actual ---"), "{text}");
-    assert!(text.contains("skew(bits)"), "{text}");
     // Cache delta (nd.* namespace) and governor checkpoint counters.
     assert!(text.contains("nd.cache.hits="), "{text}");
     assert!(text.contains("nd.cache.misses="), "{text}");
@@ -119,49 +122,7 @@ fn registry_accumulates_queries_and_their_durations() {
 }
 
 #[test]
-fn skew_telemetry_accumulates_per_algorithm_histograms() {
-    let flex = session();
-    let before = flexpath::engine_metrics();
-    for algorithm in [Algorithm::Dpo, Algorithm::Sso, Algorithm::Hybrid] {
-        let r = flex
-            .query(RELAXED)
-            .unwrap()
-            .top(25)
-            .algorithm(algorithm)
-            .execute();
-        assert!(!r.hits.is_empty());
-        // Per-query skew summary is surfaced on the stats, and its sign
-        // convention matches the registry encoding.
-        let _ = flexpath::skew_millibits(r.stats.estimated_answers, r.stats.observed_answers);
-    }
-    let after = flexpath::engine_metrics();
-    for algo in ["dpo", "sso", "hybrid"] {
-        let name = format!("engine.skew.{algo}.millibits");
-        let count = |snap: &flexpath::MetricsSnapshot| {
-            snap.histograms.get(&name).map(|h| h.count).unwrap_or(0)
-        };
-        assert!(
-            count(&after) > count(&before),
-            "{name} histogram saw no observations"
-        );
-        // Observations land in the sign counters too. (Exact equality with
-        // the histogram delta is checked in the engine's unit tests; here
-        // other tests may run queries concurrently, so only monotonicity
-        // is asserted.)
-        let signs: u64 = ["over", "under", "exact"]
-            .iter()
-            .map(|s| {
-                let key = format!("engine.skew.{algo}.{s}");
-                after.counters.get(&key).copied().unwrap_or(0)
-                    - before.counters.get(&key).copied().unwrap_or(0)
-            })
-            .sum();
-        assert!(signs >= 1, "engine.skew.{algo} sign counters did not move");
-    }
-}
-
-#[test]
-fn prometheus_exposition_parses_and_carries_skew_histograms() {
+fn prometheus_exposition_parses_and_carries_duration_histograms() {
     let flex = session();
     let _ = flex
         .query(RELAXED)
@@ -170,13 +131,13 @@ fn prometheus_exposition_parses_and_carries_skew_histograms() {
         .algorithm(Algorithm::Dpo)
         .execute();
     let text = flexpath::engine_metrics().render_prometheus();
-    // Sanitized skew histogram series with the full Prometheus triplet.
+    // Sanitized duration histogram series with the full Prometheus triplet.
     assert!(
-        text.contains("engine_skew_dpo_millibits_bucket{le=\""),
+        text.contains("engine_query_duration_bucket{le=\""),
         "{text}"
     );
-    assert!(text.contains("engine_skew_dpo_millibits_sum"), "{text}");
-    assert!(text.contains("engine_skew_dpo_millibits_count"), "{text}");
+    assert!(text.contains("engine_query_duration_sum"), "{text}");
+    assert!(text.contains("engine_query_duration_count"), "{text}");
     assert!(text.contains("le=\"+Inf\""), "{text}");
     assert_prometheus_parses(&text);
 }

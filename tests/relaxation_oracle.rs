@@ -1,5 +1,5 @@
 //! An independent reference for the encoded evaluator (first slice of
-//! ROADMAP item 1).
+//! ROADMAP item 2).
 //!
 //! `tests/properties.rs` makes DPO, SSO and Hybrid agree with each other,
 //! but all three evaluate through `exec.rs`, so a bug there passes. Here,
@@ -84,7 +84,7 @@ fn encoded_plan_admits_exactly_the_relaxed_querys_answers_at_every_prefix() {
             if relaxed.distinguished_var() != q.distinguished_var() {
                 // λ deleted the distinguished node and its parent took
                 // over; the encoded plan keeps projecting the original
-                // node. Out of this test's reach — see ROADMAP item 1.
+                // node. Out of this test's reach — see ROADMAP item 2.
                 break;
             }
             let at = || format!("case {case}, prefix {p}: {} over {xml}", relaxed.to_xpath());

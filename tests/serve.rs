@@ -336,15 +336,15 @@ fn flight_recorder_and_metrics_endpoints_e2e() {
     assert_eq!(partial.status, 200);
     assert!(partial.body_text().contains(r#""complete":false"#));
 
-    // /debug/queries: both records, with skew summaries, the effective
+    // /debug/queries: both records, with answer counts, the effective
     // limits, and the partial's typed exhaust reason.
     let resp = http_call(h.addr, "GET", "/debug/queries?n=10", b"", TIMEOUT).expect("debug");
     assert_eq!(resp.status, 200);
     let body = resp.body_text();
     assert!(body.contains(r#""recorded":2"#), "{body}");
     assert!(body.contains(r#""endpoint":"query""#), "{body}");
-    assert!(body.contains(r#""skew":{"estimated":"#), "{body}");
-    assert!(body.contains(r#""millibits":"#), "{body}");
+    assert!(body.contains(r#""answers":"#), "{body}");
+    assert!(!body.contains(r#""skew":"#), "{body}");
     assert!(body.contains(r#""limits":{"#), "{body}");
     assert!(
         body.contains(r#""exhaust_reason":"answer_budget""#),
