@@ -135,7 +135,8 @@ pub fn run_once(
             .expect("benchmark query parses")
             .top(k)
             .algorithm(algorithm)
-            .execute();
+            .execute()
+            .unwrap();
         times.push(t.elapsed().as_secs_f64() * 1e3);
         answers = r.hits.len();
         stats = r.stats;
@@ -561,6 +562,7 @@ pub mod ablations {
             .top(k)
             .algorithm(Algorithm::Hybrid)
             .execute()
+            .unwrap()
             .hits
             .iter()
             .map(|h| h.node)

@@ -128,6 +128,7 @@ fn run_query(flex: &FleXPath, k: usize) -> QueryResults {
         .algorithm(Algorithm::Hybrid)
         .trace()
         .execute()
+        .unwrap()
 }
 
 /// Builds and records one flight record from completed results — the same

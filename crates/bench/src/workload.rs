@@ -122,6 +122,7 @@ mod tests {
                 .top(100_000)
                 .max_relaxations(0)
                 .execute()
+                .unwrap()
                 .hits
                 .len()
         };
@@ -143,7 +144,7 @@ mod tests {
             "second call must come from the store"
         );
         let run = |f: &FleXPath| {
-            let r = f.query(XQ2).unwrap().top(20).trace().execute();
+            let r = f.query(XQ2).unwrap().top(20).trace().execute().unwrap();
             let nodes: Vec<_> = r.hits.iter().map(|h| h.node).collect();
             (nodes, r.trace.unwrap().counter_fingerprint())
         };
@@ -161,6 +162,7 @@ mod tests {
                 .top(50)
                 .algorithm(flexpath::Algorithm::Dpo)
                 .execute()
+                .unwrap()
                 .stats
                 .relaxations_used
         };

@@ -4,12 +4,11 @@
 //! explainable*: each one corresponds to a specific set of dropped closure
 //! predicates with data-derived penalties. These helpers render that story.
 
-use crate::session::FleXPath;
+use crate::session::QueryResults;
 use flexpath_engine::{
-    build_schedule, Algorithm, Answer, CancelToken, EncodedQuery, EngineContext, PenaltyModel,
-    QueryLimits, WeightAssignment,
+    build_schedule, Answer, EncodedQuery, EngineContext, PenaltyModel, WeightAssignment,
 };
-use flexpath_tpq::{QueryParseError, Tpq};
+use flexpath_tpq::Tpq;
 use std::fmt::Write as _;
 
 /// Renders the penalty-ordered relaxation schedule of `query` against the
@@ -54,33 +53,22 @@ pub fn explain_plan(ctx: &EngineContext, query: &Tpq, max_steps: usize) -> Strin
     enc.describe(ctx)
 }
 
-/// EXPLAIN ANALYZE: *runs* `xpath` with tracing enabled and renders what
-/// actually happened — the span tree (parse, schedule, every relaxation
-/// round / evaluation pass, with candidate / prune / cache / governor
-/// counters and wall-clock durations) and the deterministic counter
-/// fingerprint (the digest that is byte-identical across runs, however many
-/// threads share the session; see `flexpath_engine::metrics`). The run
-/// executes under `limits` and stops at `cancel` like any other query, so a
-/// caller that must bound work (e.g. a server clamping per-request budgets)
-/// never grants an unlimited, uncancellable execution.
-pub fn explain_profile(
-    flex: &FleXPath,
-    xpath: &str,
-    k: usize,
-    algorithm: Algorithm,
-    limits: QueryLimits,
-    cancel: CancelToken,
-) -> Result<String, QueryParseError> {
-    let results = flex
-        .query(xpath)?
-        .top(k)
-        .algorithm(algorithm)
-        .limits(limits)
-        .cancel(cancel)
-        .trace()
-        .execute();
+/// EXPLAIN ANALYZE: renders what a traced run actually did — the span
+/// tree (parse, schedule, every relaxation round / evaluation pass, with
+/// candidate / prune / cache / governor counters and wall-clock durations)
+/// and the deterministic counter fingerprint (the digest that is
+/// byte-identical across runs, however many threads share the session; see
+/// `flexpath_engine::metrics`). `results` comes from
+/// [`TopKQuery::execute`](crate::TopKQuery::execute) with
+/// [`trace`](crate::TopKQuery::trace) set; `xpath` and `k` are the query
+/// text and K it ran with, for the header.
+pub fn explain_profile(results: &QueryResults, xpath: &str, k: usize) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "EXPLAIN ANALYZE  algorithm={algorithm} k={k}");
+    let _ = writeln!(
+        out,
+        "EXPLAIN ANALYZE  algorithm={} k={k}",
+        results.algorithm
+    );
     let _ = writeln!(out, "query: {xpath}");
     let _ = writeln!(out, "completeness: {}", results.completeness);
     let _ = writeln!(out, "answers returned: {}", results.hits.len());
@@ -90,7 +78,7 @@ pub fn explain_profile(
         let _ = writeln!(out, "--- deterministic counter fingerprint ---");
         out.push_str(&trace.counter_fingerprint());
     }
-    Ok(out)
+    out
 }
 
 /// Renders one answer: its node, scores, and relaxation level.
@@ -152,7 +140,7 @@ mod tests {
     #[test]
     fn answer_explanation_distinguishes_exact_and_relaxed() {
         let flex = FleXPath::from_xml(CORPUS).unwrap();
-        let r = flex.query(Q1).unwrap().top(2).execute();
+        let r = flex.query(Q1).unwrap().top(2).execute().unwrap();
         let exact = explain_answer(flex.context(), &r.hits[0]);
         assert!(exact.contains("exact match"), "{exact}");
         let relaxed = explain_answer(flex.context(), &r.hits[1]);
@@ -174,19 +162,28 @@ mod tests {
         assert!(text.contains("requires contains#0"), "{text}");
     }
 
+    /// A traced DPO run of `Q1` under `limits`, rendered.
+    fn profile(flex: &FleXPath, limits: crate::QueryLimits) -> String {
+        let results = flex
+            .query(Q1)
+            .unwrap()
+            .top(2)
+            .algorithm(crate::Algorithm::Dpo)
+            .limits(limits)
+            .trace()
+            .execute()
+            .unwrap();
+        explain_profile(&results, Q1, 2)
+    }
+
     #[test]
     fn profile_renders_spans_and_fingerprint() {
         let flex = FleXPath::from_xml(CORPUS).unwrap();
-        let text = explain_profile(
-            &flex,
-            Q1,
-            2,
-            crate::Algorithm::Dpo,
-            QueryLimits::default(),
-            CancelToken::new(),
-        )
-        .unwrap();
-        assert!(text.contains("EXPLAIN ANALYZE"), "{text}");
+        let text = profile(&flex, crate::QueryLimits::default());
+        assert!(
+            text.contains("EXPLAIN ANALYZE  algorithm=DPO k=2"),
+            "{text}"
+        );
         assert!(text.contains("span tree"), "{text}");
         assert!(text.contains("round[0] op=exact"), "{text}");
         assert!(text.contains("round.candidates="), "{text}");
@@ -196,33 +193,15 @@ mod tests {
     }
 
     #[test]
-    fn profile_honors_limits_and_cancel() {
+    fn profile_reports_a_tripped_run() {
         let flex = FleXPath::from_xml(CORPUS).unwrap();
-        // A zero answer budget trips before completion — the profile must
-        // report a partial run, not ignore the limits.
-        let limited = explain_profile(
+        // A zero answer budget trips before completion — the profile shows
+        // the partial run it was handed.
+        let limited = profile(
             &flex,
-            Q1,
-            2,
-            crate::Algorithm::Dpo,
-            QueryLimits::default().with_max_candidate_answers(0),
-            CancelToken::new(),
-        )
-        .unwrap();
+            crate::QueryLimits::default().with_max_candidate_answers(0),
+        );
         assert!(limited.contains("completeness: exhausted"), "{limited}");
-        // A pre-cancelled token stops the run at its first checkpoint.
-        let cancel = CancelToken::new();
-        cancel.cancel();
-        let cancelled = explain_profile(
-            &flex,
-            Q1,
-            2,
-            crate::Algorithm::Dpo,
-            QueryLimits::default(),
-            cancel,
-        )
-        .unwrap();
-        assert!(cancelled.contains("completeness: exhausted"), "{cancelled}");
     }
 
     #[test]

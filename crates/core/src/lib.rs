@@ -28,7 +28,8 @@
 //!     .query("//article[./section[./algorithm and ./paragraph[.contains(\"XML\" and \"streaming\")]]]")
 //!     .unwrap()
 //!     .top(3)
-//!     .execute();
+//!     .execute()
+//!     .unwrap();
 //!
 //! // All three articles are returned, ranked by how faithfully they match
 //! // the structural template — the exact match first.

@@ -93,12 +93,11 @@ impl FleXPath {
 
     /// Wraps an opened [`LazyStore`] (e.g. from
     /// [`flexpath_store::Catalog::open_lazy`]) in a session — the one way
-    /// a store-backed session is built. Nothing is decoded yet; use
-    /// [`FleXPath::materialize`] or the fallible query path
-    /// ([`TopKQuery::try_execute`]) to surface first-touch corruption as
-    /// typed errors instead of panics. A caller that prefers open-time
-    /// validation over open-time speed calls `materialize(true)` right
-    /// after opening.
+    /// a store-backed session is built. Nothing is decoded yet; the first
+    /// [`TopKQuery::execute`] (or [`FleXPath::materialize`]) reports
+    /// first-touch corruption as a typed error. A caller that prefers
+    /// open-time validation over open-time speed calls `materialize(true)`
+    /// right after opening.
     pub fn from_lazy_store(store: LazyStore) -> Self {
         let store = Arc::new(store);
         FleXPath {
@@ -120,9 +119,9 @@ impl FleXPath {
 
     /// Forces materialization of the document and statistics — plus the
     /// inverted index when `with_index` — reporting the first failure as
-    /// a typed error. After `Ok(())`, infallible accessors like
-    /// [`FleXPath::document`] and [`TopKQuery::execute`] cannot hit a
-    /// store fault (full-text queries also need `with_index`).
+    /// a typed error. After `Ok(())`, the rendering helpers
+    /// ([`FleXPath::snippet`], [`FleXPath::xml_of`], …) cannot hit a store
+    /// fault.
     pub fn materialize(&self, with_index: bool) -> Result<(), EngineError> {
         self.ctx.ensure_ready(with_index).map_err(EngineError::from)
     }
@@ -156,19 +155,9 @@ impl FleXPath {
         &self.ctx
     }
 
-    /// The document.
-    ///
-    /// For lazy sessions this materializes the document arena on first
-    /// call; a store fault at that point is a contract violation (panic) —
-    /// store-backed callers that have not run [`FleXPath::materialize`]
-    /// should use [`FleXPath::try_document`].
-    pub fn document(&self) -> &Document {
-        self.ctx.doc()
-    }
-
-    /// [`FleXPath::document`] with first-touch store faults surfaced as
-    /// typed errors instead of panics.
-    pub fn try_document(&self) -> Result<&Document, EngineError> {
+    /// The document. For lazy sessions this materializes the document
+    /// arena on first call and reports a store fault as a typed error.
+    pub fn document(&self) -> Result<&Document, EngineError> {
         self.ctx.try_doc().map_err(EngineError::from)
     }
 
@@ -376,21 +365,22 @@ impl TopKQuery<'_> {
             .any(|n| !n.contains.is_empty())
     }
 
-    /// Runs the query, materializing exactly the parts it needs first —
-    /// the document and statistics always, the inverted index only when
-    /// the query carries `contains` predicates — and surfacing first-touch
-    /// store faults (checksum mismatch, corrupt section, I/O) as typed
-    /// errors. This is the canonical path for store-backed sessions; for
-    /// in-memory sessions it never fails.
+    /// Does what [`TopKQuery::execute`] does. Kept only so existing
+    /// callers still compile; ROADMAP.md item 4(i) removes it.
+    #[doc(hidden)]
     pub fn try_execute(&self) -> Result<QueryResults, EngineError> {
-        self.flex.ctx.ensure_ready(self.needs_index())?;
-        Ok(self.execute())
+        self.execute()
     }
 
-    /// Runs the query. Infallible: on a lazy session whose store turns
-    /// out to be corrupt at first touch, this panics — use
-    /// [`TopKQuery::try_execute`] when the store is untrusted.
-    pub fn execute(&self) -> QueryResults {
+    /// Runs the query, materializing exactly the parts it needs first —
+    /// the document and statistics always, the inverted index only when
+    /// the query carries `contains` predicates. A first-touch store fault
+    /// (checksum mismatch, corrupt section, I/O) is a typed error; for
+    /// in-memory sessions this never fails. A resource limit or
+    /// cancellation is not an error: it ends the run early, and
+    /// [`QueryResults::completeness`] says why.
+    pub fn execute(&self) -> Result<QueryResults, EngineError> {
+        self.flex.ctx.ensure_ready(self.needs_index())?;
         let mut request = self.request.clone();
         if let Some(t) = &self.thesaurus {
             request.query = request.query.map_contains(|e| t.expand(e));
@@ -409,13 +399,13 @@ impl TopKQuery<'_> {
             parse_span.duration = parse_time;
             t.root.children.insert(0, parse_span);
         }
-        QueryResults {
+        Ok(QueryResults {
             hits: result.answers,
             stats: result.stats,
             completeness: result.completeness,
             algorithm: self.algorithm,
             trace,
-        }
+        })
     }
 }
 
@@ -476,11 +466,11 @@ mod tests {
     #[test]
     fn session_end_to_end() {
         let flex = FleXPath::from_xml(CORPUS).unwrap();
-        let results = flex.query(Q1).unwrap().top(3).execute();
+        let results = flex.query(Q1).unwrap().top(3).execute().unwrap();
         assert_eq!(results.hits.len(), 3);
-        let id = flex.document().symbols().lookup("id").unwrap();
+        let id = flex.document().unwrap().symbols().lookup("id").unwrap();
         assert_eq!(
-            flex.document().attribute(results.hits[0].node, id),
+            flex.document().unwrap().attribute(results.hits[0].node, id),
             Some("exact")
         );
         assert!(results.used_relaxation());
@@ -491,7 +481,13 @@ mod tests {
         let flex = FleXPath::from_xml(CORPUS).unwrap();
         let mut sets = Vec::new();
         for alg in [Algorithm::Dpo, Algorithm::Sso, Algorithm::Hybrid] {
-            let r = flex.query(Q1).unwrap().top(3).algorithm(alg).execute();
+            let r = flex
+                .query(Q1)
+                .unwrap()
+                .top(3)
+                .algorithm(alg)
+                .execute()
+                .unwrap();
             let mut nodes = r.nodes();
             nodes.sort();
             sets.push(nodes);
@@ -503,7 +499,7 @@ mod tests {
     #[test]
     fn exact_query_needs_no_relaxation() {
         let flex = FleXPath::from_xml(CORPUS).unwrap();
-        let r = flex.query(Q1).unwrap().top(1).execute();
+        let r = flex.query(Q1).unwrap().top(1).execute().unwrap();
         assert_eq!(r.hits.len(), 1);
         assert_eq!(r.hits[0].relaxation_level, 0);
         assert!(!r.used_relaxation());
@@ -512,7 +508,7 @@ mod tests {
     #[test]
     fn snippets_and_xml_render() {
         let flex = FleXPath::from_xml(CORPUS).unwrap();
-        let r = flex.query(Q1).unwrap().top(1).execute();
+        let r = flex.query(Q1).unwrap().top(1).execute().unwrap();
         let node = r.hits[0].node;
         assert!(flex.xml_of(node).starts_with("<article"));
         let short = flex.snippet(node, 5);
@@ -532,7 +528,7 @@ mod tests {
         assert_eq!(q.request().k, 2);
         assert_eq!(q.request().scheme, RankingScheme::Combined);
         assert_eq!(q.request().max_relaxation_steps, 8);
-        let r = q.execute();
+        let r = q.execute().unwrap();
         assert_eq!(r.algorithm, Algorithm::Sso);
         assert_eq!(r.hits.len(), 2);
     }
@@ -545,14 +541,17 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(
-            flex.document().tag_name(flex.document().root_element()),
+            flex.document()
+                .unwrap()
+                .tag_name(flex.document().unwrap().root_element()),
             Some("collection")
         );
         let r = flex
             .query("//article[.contains(\"XML\")]")
             .unwrap()
             .top(5)
-            .execute();
+            .execute()
+            .unwrap();
         assert_eq!(r.hits.len(), 2);
     }
 
@@ -560,7 +559,7 @@ mod tests {
     fn highlighting_marks_query_keywords() {
         let flex = FleXPath::from_xml(CORPUS).unwrap();
         let q = flexpath_tpq::parse_query(Q1).unwrap();
-        let r = flex.query(Q1).unwrap().top(1).execute();
+        let r = flex.query(Q1).unwrap().top(1).execute().unwrap();
         let hl = flex.highlight(r.hits[0].node, &q);
         assert!(hl.contains("**XML**"), "{hl}");
         assert!(hl.contains("**streaming**"), "{hl}");
@@ -602,7 +601,7 @@ mod tests {
         assert_eq!(q.request().limits.deadline, Some(Duration::from_millis(50)));
         assert_eq!(q.request().limits.max_candidate_answers, Some(7));
         assert!(q.request().cancel.is_some());
-        let r = q.execute();
+        let r = q.execute().unwrap();
         assert!(r.is_complete(), "tiny corpus finishes well within limits");
     }
 
@@ -616,7 +615,8 @@ mod tests {
                 .top(3)
                 .algorithm(alg)
                 .limits(QueryLimits::default().with_max_candidate_answers(0))
-                .execute();
+                .execute()
+                .unwrap();
             assert!(r.hits.is_empty(), "{alg}: no budget, no answers");
             assert!(!r.is_complete(), "{alg}: must report exhaustion");
         }
@@ -625,7 +625,7 @@ mod tests {
     #[test]
     fn trace_opt_in_yields_span_tree_with_parse_span() {
         let flex = FleXPath::from_xml(CORPUS).unwrap();
-        let untraced = flex.query(Q1).unwrap().top(3).execute();
+        let untraced = flex.query(Q1).unwrap().top(3).execute().unwrap();
         assert!(untraced.trace.is_none(), "tracing must be opt-in");
         for alg in [Algorithm::Dpo, Algorithm::Sso, Algorithm::Hybrid] {
             let r = flex
@@ -634,7 +634,8 @@ mod tests {
                 .top(3)
                 .algorithm(alg)
                 .trace()
-                .execute();
+                .execute()
+                .unwrap();
             let trace = r.trace.expect("trace requested");
             assert_eq!(
                 trace.root.children.first().map(|s| s.name.as_str()),
@@ -677,14 +678,16 @@ mod tests {
                 .top(3)
                 .algorithm(alg)
                 .trace()
-                .execute();
+                .execute()
+                .unwrap();
             let b = loaded
                 .query(Q1)
                 .unwrap()
                 .top(3)
                 .algorithm(alg)
                 .trace()
-                .execute();
+                .execute()
+                .unwrap();
             assert_eq!(a.nodes(), b.nodes(), "{alg}");
             for (x, y) in a.hits.iter().zip(&b.hits) {
                 assert_eq!(x.score, y.score, "{alg}");

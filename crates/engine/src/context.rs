@@ -33,8 +33,6 @@ pub enum SourceErrorKind {
     Corrupt,
     /// The underlying file or mapping failed at the I/O level.
     Io,
-    /// The governor budget tripped while charging the load.
-    Budget(crate::governor::ExhaustReason),
 }
 
 /// A typed failure while materializing a context part from its source.
@@ -55,7 +53,6 @@ impl std::fmt::Display for SourceError {
             SourceErrorKind::Checksum => "checksum mismatch",
             SourceErrorKind::Corrupt => "corrupt data",
             SourceErrorKind::Io => "I/O failure",
-            SourceErrorKind::Budget(_) => "budget exhausted",
         };
         write!(
             f,

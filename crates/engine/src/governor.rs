@@ -46,9 +46,6 @@ pub struct QueryLimits {
     pub max_candidate_answers: Option<u64>,
     /// Cap on full-text postings scanned by `contains` evaluation.
     pub max_ft_postings_scanned: Option<u64>,
-    /// Advisory cap, in bytes, on working memory charged by the engine's
-    /// allocation-heavy sites.
-    pub max_memory_hint: Option<u64>,
 }
 
 impl QueryLimits {
@@ -78,12 +75,6 @@ impl QueryLimits {
     /// Caps the number of full-text postings scanned.
     pub fn with_max_ft_postings_scanned(mut self, n: u64) -> Self {
         self.max_ft_postings_scanned = Some(n);
-        self
-    }
-
-    /// Sets the advisory memory cap in bytes.
-    pub fn with_max_memory_hint(mut self, bytes: u64) -> Self {
-        self.max_memory_hint = Some(bytes);
         self
     }
 
@@ -134,7 +125,6 @@ impl QueryLimits {
                 self.max_ft_postings_scanned,
                 ceiling.max_ft_postings_scanned,
             ),
-            max_memory_hint: min_axis(self.max_memory_hint, ceiling.max_memory_hint),
         }
     }
 
@@ -146,7 +136,6 @@ impl QueryLimits {
             cancel,
             self.max_ft_postings_scanned.unwrap_or(u64::MAX),
             self.max_candidate_answers.unwrap_or(u64::MAX),
-            self.max_memory_hint.unwrap_or(u64::MAX),
         )
     }
 }
@@ -188,17 +177,14 @@ impl CheckpointSite {
     /// site whose charge can trip them (postings charges happen inside FT
     /// evaluation, answer charges inside the candidate loop, the
     /// relaxation-enumeration cap during scheduling); time-based reasons
-    /// (deadline, cancellation, the advisory memory cap) are attributed to
-    /// `observed`, the checkpoint at which the driving loop noticed the
-    /// stop.
+    /// (deadline, cancellation) are attributed to `observed`, the
+    /// checkpoint at which the driving loop noticed the stop.
     pub fn for_reason(reason: ExhaustReason, observed: CheckpointSite) -> CheckpointSite {
         match reason {
             ExhaustReason::PostingsBudget => CheckpointSite::FtEval,
             ExhaustReason::AnswerBudget => CheckpointSite::CandidateLoop,
             ExhaustReason::RelaxationBudget => CheckpointSite::Schedule,
-            ExhaustReason::Deadline | ExhaustReason::Cancelled | ExhaustReason::MemoryBudget => {
-                observed
-            }
+            ExhaustReason::Deadline | ExhaustReason::Cancelled => observed,
         }
     }
 
@@ -230,7 +216,6 @@ pub fn reason_key(reason: ExhaustReason) -> &'static str {
         ExhaustReason::RelaxationBudget => "relaxation_budget",
         ExhaustReason::AnswerBudget => "answer_budget",
         ExhaustReason::PostingsBudget => "postings_budget",
-        ExhaustReason::MemoryBudget => "memory_budget",
     }
 }
 
@@ -294,8 +279,7 @@ mod tests {
     fn clamp_to_takes_the_per_axis_minimum() {
         let ceiling = QueryLimits::default()
             .with_deadline(Duration::from_secs(2))
-            .with_max_candidate_answers(100)
-            .with_max_memory_hint(1 << 20);
+            .with_max_candidate_answers(100);
         // Unlimited request inherits the ceiling wholesale.
         assert_eq!(QueryLimits::default().clamp_to(&ceiling), ceiling);
         // A greedy request is capped; a modest one passes through;
@@ -308,7 +292,6 @@ mod tests {
         assert_eq!(clamped.deadline, Some(Duration::from_secs(2)));
         assert_eq!(clamped.max_candidate_answers, Some(5));
         assert_eq!(clamped.max_ft_postings_scanned, Some(77));
-        assert_eq!(clamped.max_memory_hint, Some(1 << 20));
         assert_eq!(clamped.max_relaxations_enumerated, None);
         // Unlimited ceiling is the identity.
         assert_eq!(req.clamp_to(&QueryLimits::default()), req);
@@ -327,8 +310,7 @@ mod tests {
             .with_deadline(Duration::from_secs(1))
             .with_max_relaxations_enumerated(4)
             .with_max_candidate_answers(1000)
-            .with_max_ft_postings_scanned(50_000)
-            .with_max_memory_hint(1 << 20);
+            .with_max_ft_postings_scanned(50_000);
         assert!(l.is_limited());
         assert_eq!(l.max_relaxations_enumerated, Some(4));
         assert!(l.budget(None).is_limited());

@@ -511,7 +511,7 @@ mod tests {
         let ctx = xmark_context();
         let q = parse_query(LEAF_AND).unwrap();
         let model = PenaltyModel::new(&q, WeightAssignment::uniform());
-        let one_posting = || Budget::new(None, None, 1, u64::MAX, u64::MAX);
+        let one_posting = || Budget::new(None, None, 1, u64::MAX);
         let (got_budget, want_budget) = (one_posting(), one_posting());
         let (got, got_report) = build_schedule_reported(&ctx, &model, &q, 64, &got_budget);
         let (want, want_report) = reference_schedule(&ctx, &model, &q, 64, &want_budget);

@@ -393,7 +393,7 @@ mod tests {
         let (a, b) = (doc.nodes_with_tag_name("a"), doc.nodes_with_tag_name("b"));
         let cancel = flexpath_ftsearch::CancelToken::new();
         cancel.cancel();
-        let budget = Budget::new(None, Some(cancel), u64::MAX, u64::MAX, u64::MAX);
+        let budget = Budget::new(None, Some(cancel), u64::MAX, u64::MAX);
         // |b| < |a|: child-driven; |a| ≥ |b| reversed: parent-driven.
         for (parents, children) in [(a, b), (b, a)] {
             let mut set = Cow::Borrowed(parents);

@@ -44,8 +44,6 @@ pub enum ExhaustReason {
     AnswerBudget,
     /// The cap on full-text postings scanned was reached.
     PostingsBudget,
-    /// The advisory memory cap was reached.
-    MemoryBudget,
 }
 
 impl std::fmt::Display for ExhaustReason {
@@ -56,7 +54,6 @@ impl std::fmt::Display for ExhaustReason {
             ExhaustReason::RelaxationBudget => "relaxation budget",
             ExhaustReason::AnswerBudget => "answer budget",
             ExhaustReason::PostingsBudget => "postings budget",
-            ExhaustReason::MemoryBudget => "memory budget",
         };
         f.write_str(s)
     }
@@ -70,7 +67,6 @@ impl ExhaustReason {
             ExhaustReason::RelaxationBudget => 3,
             ExhaustReason::AnswerBudget => 4,
             ExhaustReason::PostingsBudget => 5,
-            ExhaustReason::MemoryBudget => 6,
         }
     }
 
@@ -81,7 +77,6 @@ impl ExhaustReason {
             3 => ExhaustReason::RelaxationBudget,
             4 => ExhaustReason::AnswerBudget,
             5 => ExhaustReason::PostingsBudget,
-            6 => ExhaustReason::MemoryBudget,
             _ => return None,
         })
     }
@@ -130,10 +125,8 @@ pub struct Budget {
     cancel: Option<CancelToken>,
     max_postings: u64,
     max_answers: u64,
-    max_memory: u64,
     postings: AtomicU64,
     answers: AtomicU64,
-    memory: AtomicU64,
     ticks: AtomicU64,
     tripped: AtomicU8,
 }
@@ -152,10 +145,8 @@ impl Budget {
             cancel: None,
             max_postings: u64::MAX,
             max_answers: u64::MAX,
-            max_memory: u64::MAX,
             postings: AtomicU64::new(0),
             answers: AtomicU64::new(0),
-            memory: AtomicU64::new(0),
             ticks: AtomicU64::new(0),
             tripped: AtomicU8::new(0),
         }
@@ -168,14 +159,12 @@ impl Budget {
         cancel: Option<CancelToken>,
         max_postings: u64,
         max_answers: u64,
-        max_memory: u64,
     ) -> Self {
         Budget {
             deadline,
             cancel,
             max_postings,
             max_answers,
-            max_memory,
             ..Budget::unlimited()
         }
     }
@@ -187,7 +176,6 @@ impl Budget {
             || self.cancel.is_some()
             || self.max_postings != u64::MAX
             || self.max_answers != u64::MAX
-            || self.max_memory != u64::MAX
     }
 
     /// The first reason this budget tripped, if any.
@@ -275,23 +263,6 @@ impl Budget {
         false
     }
 
-    /// Records `bytes` of working memory retained; `true` means stop. The
-    /// cap is advisory (checked at allocation-heavy sites, not a hard
-    /// allocator limit). Counts even when unlimited.
-    pub fn charge_memory(&self, bytes: u64) -> bool {
-        let before = self.memory.fetch_add(bytes, Ordering::Relaxed);
-        if self.tripped.load(Ordering::Relaxed) != 0 {
-            return true;
-        }
-        if self.max_memory == u64::MAX {
-            return false;
-        }
-        if before.saturating_add(bytes) > self.max_memory {
-            return self.trip(ExhaustReason::MemoryBudget);
-        }
-        false
-    }
-
     /// Postings scanned so far (for stats reporting).
     pub fn postings_scanned(&self) -> u64 {
         self.postings.load(Ordering::Relaxed)
@@ -312,14 +283,13 @@ mod tests {
         }
         assert!(!b.charge_postings(1 << 40));
         assert!(!b.charge_answer());
-        assert!(!b.charge_memory(1 << 40));
         assert_eq!(b.tripped(), None);
     }
 
     #[test]
     fn cancel_token_trips_within_tick_interval() {
         let tok = CancelToken::new();
-        let b = Budget::new(None, Some(tok.clone()), u64::MAX, u64::MAX, u64::MAX);
+        let b = Budget::new(None, Some(tok.clone()), u64::MAX, u64::MAX);
         assert!(!b.check_now());
         tok.cancel();
         let mut stopped = false;
@@ -343,7 +313,6 @@ mod tests {
             None,
             u64::MAX,
             u64::MAX,
-            u64::MAX,
         );
         assert!(b.check_now());
         assert_eq!(b.tripped(), Some(ExhaustReason::Deadline));
@@ -351,7 +320,7 @@ mod tests {
 
     #[test]
     fn first_trip_reason_is_latched() {
-        let b = Budget::new(None, None, 10, 0, u64::MAX);
+        let b = Budget::new(None, None, 10, 0);
         assert!(b.charge_answer());
         assert_eq!(b.tripped(), Some(ExhaustReason::AnswerBudget));
         assert!(b.charge_postings(100));
@@ -360,7 +329,7 @@ mod tests {
 
     #[test]
     fn postings_cap_allows_exactly_the_budget() {
-        let b = Budget::new(None, None, 10, u64::MAX, u64::MAX);
+        let b = Budget::new(None, None, 10, u64::MAX);
         assert!(!b.charge_postings(10));
         assert!(b.charge_postings(1));
         assert_eq!(b.tripped(), Some(ExhaustReason::PostingsBudget));

@@ -669,7 +669,7 @@ fn a_cancelled_evaluation_is_empty() {
     let index = InvertedIndex::build(&doc);
     let token = CancelToken::new();
     token.cancel();
-    let budget = Budget::new(None, Some(token), u64::MAX, u64::MAX, u64::MAX);
+    let budget = Budget::new(None, Some(token), u64::MAX, u64::MAX);
     let eval = index.evaluate_budgeted(&doc, &expr, &budget);
     assert!(eval.is_empty());
     assert_eq!(budget.tripped(), Some(ExhaustReason::Cancelled));
@@ -692,7 +692,6 @@ fn a_deadline_that_trips_while_scoring_keeps_a_document_order_prefix() {
         let budget = Budget::new(
             Some(Instant::now() + Duration::from_millis(20)),
             None,
-            u64::MAX,
             u64::MAX,
             u64::MAX,
         );

@@ -12,11 +12,11 @@
 //! "Provably" is a name-based approximation in the accepting direction:
 //!
 //! * a function that calls an **establisher** (`ensure_ready`,
-//!   `materialize`, `try_execute`, or a `try_*` part accessor) is guarded
-//!   *after* that call — accessor sites textually before it still fire;
+//!   `materialize`, or a `try_*` part accessor) is guarded *after* that
+//!   call — accessor sites textually before it still fire;
 //! * every function called after the establisher — and, transitively,
 //!   everything those functions call — is treated as guarded (the
-//!   engine's whole executor runs under `TopKQuery::try_execute`'s
+//!   engine's whole executor runs after `TopKQuery::execute`'s own
 //!   `ensure_ready`, which this closure captures).
 //!
 //! Receivers are matched by shape: a field/variable chain ending in the
@@ -41,11 +41,9 @@ const ACCESSORS: &[&str] = &["doc", "stats", "index"];
 const ESTABLISHERS: &[&str] = &[
     "ensure_ready",
     "materialize",
-    "try_execute",
     "try_doc",
     "try_stats",
     "try_index",
-    "try_document",
 ];
 
 /// Computes the workspace-wide set of function names reachable only from

@@ -28,7 +28,6 @@ pub const BUDGET_METHODS: &[&str] = &[
     "check_now",
     "charge_postings",
     "charge_answer",
-    "charge_memory",
     "tripped",
     "is_cancelled",
 ];

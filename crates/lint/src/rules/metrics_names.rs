@@ -1,6 +1,6 @@
 //! Rule family 4: metrics naming discipline.
 //!
-//! Every counter/histogram name handed to the global [`MetricsRegistry`]
+//! Every counter/histogram name handed to the global `MetricsRegistry`
 //! must live in a documented namespace (`engine.*`, `governor.*`, `nd.*`,
 //! `serve.*` — including the `serve.debug.*` flight-recorder family) —
 //! the observability docs and the `nd.`-prefix determinism carve-out both

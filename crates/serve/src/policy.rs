@@ -93,8 +93,7 @@ impl Default for ServePolicy {
             limit_ceiling: QueryLimits::default()
                 .with_deadline(Duration::from_secs(10))
                 .with_max_candidate_answers(5_000_000)
-                .with_max_ft_postings_scanned(500_000_000)
-                .with_max_memory_hint(1 << 32),
+                .with_max_ft_postings_scanned(500_000_000),
             read_timeout: Duration::from_secs(5),
             write_timeout: Duration::from_secs(5),
             http: HttpLimits::default(),

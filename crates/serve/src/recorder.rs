@@ -120,10 +120,6 @@ impl QueryRecord {
             b.key("max_postings");
             b.u64(n);
         }
-        if let Some(n) = self.limits.max_memory_hint {
-            b.key("max_memory");
-            b.u64(n);
-        }
         b.raw("}");
         b.key("duration_us");
         b.u64(self.duration.as_micros().min(u128::from(u64::MAX)) as u64);

@@ -6,7 +6,8 @@
 //! admission control first (shed with `429`/`503` *before* any work),
 //! then server-clamped limits, then execution under the drain token —
 //! so a budget trip degrades into a `200` partial with `Retry-After`
-//! rather than an error.
+//! rather than an error. `/explain` is the same run with the trace forced
+//! on, rendered as EXPLAIN ANALYZE text instead of JSON.
 
 use crate::admission::{AdmissionController, AdmissionError};
 use crate::error::ServeError;
@@ -52,27 +53,34 @@ pub fn dispatch(ctx: &RouteContext<'_>, req: &Request) -> Response {
         (Method::Get | Method::Head, "/catalogs") => catalogs(ctx),
         (Method::Get | Method::Head, "/debug/queries") => debug_ring(ctx, req, false),
         (Method::Get | Method::Head, "/debug/slow") => debug_ring(ctx, req, true),
-        (Method::Post, "/query") => query(ctx, req).unwrap_or_else(|e| error_response(ctx, &e)),
-        (Method::Post, "/explain") => explain(ctx, req).unwrap_or_else(|e| error_response(ctx, &e)),
+        (Method::Post, "/query") => {
+            query(ctx, req, Endpoint::Query).unwrap_or_else(|e| error_response(ctx, &e))
+        }
+        (Method::Post, "/explain") => {
+            query(ctx, req, Endpoint::Explain).unwrap_or_else(|e| error_response(ctx, &e))
+        }
         (_, "/query" | "/explain") => error_response(
             ctx,
             &ServeError::Http(crate::http::HttpError::MethodUnknown),
         ),
         _ => err_json(404, "not_found", &format!("no route for {}", req.path)),
     };
-    metrics::global().add(status_metric(resp.status), 1);
+    count_response(resp.status);
     resp
 }
 
-/// The metric key for a response status class.
-fn status_metric(status: u16) -> &'static str {
-    match status {
+/// Counts one response in its `serve.responses.*` status class. Every
+/// response the server writes passes through here once: [`dispatch`]'s,
+/// and the ones the connection loop writes without routing a request.
+pub(crate) fn count_response(status: u16) {
+    let key = match status {
         200..=299 => "serve.responses.2xx",
         429 => "serve.responses.429",
         503 => "serve.responses.503",
         400..=499 => "serve.responses.4xx",
         _ => "serve.responses.5xx",
-    }
+    };
+    metrics::global().add(key, 1);
 }
 
 /// Renders a `ServeError` as its JSON error response, attaching
@@ -279,7 +287,6 @@ impl QueryRequest {
             "max_relaxations",
             "max_candidates",
             "max_postings",
-            "max_memory",
             "threads",
             "trace",
             "snippet_chars",
@@ -340,7 +347,6 @@ impl QueryRequest {
         }
         limits.max_candidate_answers = uint("max_candidates")?;
         limits.max_ft_postings_scanned = uint("max_postings")?;
-        limits.max_memory_hint = uint("max_memory")?;
         // A query runs on one thread. `threads` is still accepted, so
         // existing clients keep working: validated, then ignored.
         uint("threads")?;
@@ -364,7 +370,31 @@ impl QueryRequest {
     }
 }
 
-fn query(ctx: &RouteContext<'_>, req: &Request) -> Result<Response, ServeError> {
+/// The two routes that run a query. They differ only in how the result is
+/// rendered.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Endpoint {
+    /// `/query`: JSON hits (plus the trace when the request asks for it).
+    Query,
+    /// `/explain`: the traced run as EXPLAIN ANALYZE text.
+    Explain,
+}
+
+impl Endpoint {
+    fn name(self) -> &'static str {
+        match self {
+            Endpoint::Query => "query",
+            Endpoint::Explain => "explain",
+        }
+    }
+}
+
+/// Runs one query for `/query` or `/explain`.
+fn query(
+    ctx: &RouteContext<'_>,
+    req: &Request,
+    endpoint: Endpoint,
+) -> Result<Response, ServeError> {
     let parsed = QueryRequest::parse(&req.body, ctx.policy)?;
     // Admission *before* session load: an overloaded server must shed
     // without doing per-request work.
@@ -381,13 +411,12 @@ fn query(ctx: &RouteContext<'_>, req: &Request) -> Result<Response, ServeError> 
         .scheme(parsed.scheme)
         .limits(effective_limits.clone())
         .cancel(ctx.drain_cancel.clone());
-    if parsed.trace {
+    if parsed.trace || endpoint == Endpoint::Explain {
         q = q.trace();
     }
-    // Fallible execute: a lazy session's first touch of a corrupt or
-    // unreadable section surfaces here as a typed 500 (`session`), never
-    // a worker panic.
-    let results = q.try_execute()?;
+    // A lazy session's first touch of a corrupt or unreadable section
+    // surfaces here as a typed 500 (`session`), never a worker panic.
+    let results = q.execute()?;
     let elapsed = started.elapsed();
     metrics::global().observe_duration("serve.query.duration", elapsed);
     metrics::global().add(
@@ -398,10 +427,15 @@ fn query(ctx: &RouteContext<'_>, req: &Request) -> Result<Response, ServeError> 
         },
         1,
     );
-    record_completed(ctx, "query", &parsed, effective_limits, &results, elapsed);
+    record_completed(ctx, endpoint, &parsed, effective_limits, &results, elapsed);
 
-    let body = render_results(&flex, &parsed, &results, elapsed);
-    let resp = Response::json(200, body);
+    let resp = match endpoint {
+        Endpoint::Query => Response::json(200, render_results(&flex, &parsed, &results, elapsed)),
+        Endpoint::Explain => Response::text(
+            200,
+            flexpath::explain_profile(&results, &parsed.query, parsed.k),
+        ),
+    };
     // Graceful degradation: a budget trip is not an error — the client
     // gets the best answers found plus a hint to retry for the rest.
     if results.is_complete() {
@@ -428,7 +462,7 @@ fn scheme_key(scheme: RankingScheme) -> &'static str {
 /// record carries when the request was traced).
 fn record_completed(
     ctx: &RouteContext<'_>,
-    endpoint: &'static str,
+    endpoint: Endpoint,
     parsed: &QueryRequest,
     effective_limits: QueryLimits,
     results: &QueryResults,
@@ -453,7 +487,7 @@ fn record_completed(
         .map(|t| fnv1a(t.counter_fingerprint().as_bytes()));
     ctx.recorder.record(QueryRecord {
         id: 0, // assigned by the recorder
-        endpoint,
+        endpoint: endpoint.name(),
         corpus: parsed.catalog.clone(),
         query: QueryRecord::clip_query(&parsed.query),
         algorithm: results.algorithm.to_string().to_ascii_lowercase(),
@@ -540,58 +574,6 @@ fn render_results(
     }
     b.raw("}");
     b.finish()
-}
-
-fn explain(ctx: &RouteContext<'_>, req: &Request) -> Result<Response, ServeError> {
-    let parsed = QueryRequest::parse(&req.body, ctx.policy)?;
-    let _permit = ctx.admission.admit()?;
-    let flex = ctx.state.session(&parsed.catalog)?;
-    // Same governor contract as /query: clamped limits and the drain
-    // token — an explain run must not outlive the drain deadline or
-    // escape the operator's budget ceilings.
-    let effective_limits = ctx.policy.clamp(&parsed.limits);
-    // The explain renderer runs the query through the infallible
-    // `execute()`; materialize every part up front so a corrupt lazy
-    // section becomes a typed 500 here instead of a fault mid-render.
-    flex.materialize(true)?;
-    let started = Instant::now();
-    let text = flexpath::explain_profile(
-        &flex,
-        &parsed.query,
-        parsed.k,
-        parsed.algorithm,
-        effective_limits.clone(),
-        ctx.drain_cancel.clone(),
-    )
-    .map_err(|e| ServeError::BadRequest(e.to_string()))?;
-    let elapsed = started.elapsed();
-    // EXPLAIN returns rendered text, not a results struct; the record is
-    // recovered from the report's own header lines (best effort — an
-    // explain record documents that a profiled run happened and how long
-    // it held its slot, not the results themselves).
-    let complete = text.lines().any(|l| l == "completeness: complete");
-    let answers = text
-        .lines()
-        .find_map(|l| l.strip_prefix("answers returned: "))
-        .and_then(|n| n.trim().parse::<u64>().ok())
-        .unwrap_or(0);
-    ctx.recorder.record(QueryRecord {
-        id: 0, // assigned by the recorder
-        endpoint: "explain",
-        corpus: parsed.catalog.clone(),
-        query: QueryRecord::clip_query(&parsed.query),
-        algorithm: parsed.algorithm.to_string().to_ascii_lowercase(),
-        scheme: scheme_key(parsed.scheme).to_string(),
-        k: parsed.k as u64,
-        limits: effective_limits,
-        duration: elapsed,
-        complete,
-        exhaust_reason: None,
-        trip_site: None,
-        answers,
-        fingerprint_hash: None,
-    });
-    Ok(Response::text(200, text))
 }
 
 #[cfg(test)]

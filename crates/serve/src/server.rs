@@ -244,6 +244,7 @@ fn shed_connection(stream: TcpStream, policy: &ServePolicy) {
     metrics::global().add("serve.shed.at_door", 1);
     let resp = routes::err_json(503, "overloaded", "connection queue full; retry later")
         .retry_after(policy.retry_after_secs);
+    routes::count_response(resp.status);
     let mut buf = Vec::with_capacity(256);
     let _ = resp.write_to(&mut buf, false, true);
     if stream.set_nonblocking(true).is_ok() {
@@ -344,6 +345,7 @@ fn serve_requests(
         if shared.is_shutdown() {
             let resp = routes::err_json(503, "draining", "server is draining")
                 .retry_after(policy.retry_after_secs);
+            routes::count_response(resp.status);
             let _ = resp.write_to(stream, false, true);
             return;
         }
@@ -354,6 +356,7 @@ fn serve_requests(
                 metrics::global().add("serve.http.errors", 1);
                 let err = ServeError::Http(e);
                 let resp = routes::error_response(&ctx, &err);
+                routes::count_response(resp.status);
                 let _ = resp.write_to(stream, false, true);
                 return;
             }

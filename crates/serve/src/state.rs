@@ -287,7 +287,7 @@ mod tests {
 
         // A query forces the structural sections resident; /version's
         // residency report tracks it.
-        let results = s.query("//b").unwrap().top(1).execute();
+        let results = s.query("//b").unwrap().top(1).execute().unwrap();
         assert_eq!(results.hits.len(), 1);
         assert!(state.sessions_info()[0].residency.document);
 

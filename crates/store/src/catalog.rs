@@ -11,7 +11,6 @@ use crate::format::FILE_EXTENSION;
 use crate::lazy::LazyStore;
 use crate::mmap::StoreBytes;
 use crate::store::{StoreBuilder, StoreMeta};
-use flexpath_engine::Budget;
 use std::path::{Path, PathBuf};
 
 /// A named document visible in a catalog directory.
@@ -152,7 +151,7 @@ impl Catalog {
             // `engine.store.opens` / `open_errors`.
             let opened = StoreBytes::open(&path)
                 .map_err(StoreError::from)
-                .and_then(|bytes| LazyStore::from_store_bytes(bytes, &Budget::unlimited()));
+                .and_then(LazyStore::from_store_bytes);
             match opened {
                 Ok(store) => listing.entries.push(CatalogEntry {
                     meta: store.meta().clone(),

@@ -5,7 +5,6 @@
 //! future version — may cause a panic. Every failure surfaces as one of
 //! these variants.
 
-use flexpath_engine::ExhaustReason;
 use flexpath_xmldom::{CodecError, WireError};
 use std::fmt;
 
@@ -42,8 +41,6 @@ pub enum StoreError {
     /// Section bytes passed CRC but decode to an inconsistent structure
     /// (only possible for hand-crafted files, since CRC catches flips).
     Corrupt(CodecError),
-    /// The governor budget tripped while charging the load.
-    Budget(ExhaustReason),
     /// The catalog has no document with the requested name.
     DocumentNotFound {
         /// The name that was looked up.
@@ -74,9 +71,6 @@ impl fmt::Display for StoreError {
                 write!(f, "required section {section} missing")
             }
             StoreError::Corrupt(e) => write!(f, "corrupt store payload: {e}"),
-            StoreError::Budget(reason) => {
-                write!(f, "budget exhausted while loading store: {reason}")
-            }
             StoreError::DocumentNotFound { name } => {
                 write!(f, "no document named {name:?} in catalog")
             }

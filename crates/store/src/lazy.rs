@@ -33,7 +33,7 @@ use crate::format::{self, SectionId, FORMAT_VERSION};
 use crate::mmap::StoreBytes;
 use crate::store::StoreMeta;
 use flexpath_engine::metrics::{self, TraceSpan};
-use flexpath_engine::{Budget, ContextSource, SourceError, SourceErrorKind, SourceResidency};
+use flexpath_engine::{ContextSource, SourceError, SourceErrorKind, SourceResidency};
 use flexpath_ftsearch::InvertedIndex;
 use flexpath_xmldom::codec::{decode_document, decode_stats};
 use flexpath_xmldom::{CodecError, DocStats, Document};
@@ -117,7 +117,7 @@ impl LazyStore {
         let m = metrics::global();
         let result = StoreBytes::open(path)
             .map_err(StoreError::Io)
-            .and_then(|bytes| Self::from_store_bytes(bytes, &Budget::unlimited()));
+            .and_then(Self::from_store_bytes);
         match result {
             Ok(mut store) => {
                 let elapsed = start.elapsed();
@@ -137,22 +137,9 @@ impl LazyStore {
     /// The in-memory open path: wraps already-obtained bytes (mapped or
     /// owned); header and meta are verified now, the payload sections on
     /// first touch.
-    ///
-    /// This is the governed open: `budget` is charged the image's size
-    /// against the memory cap and the meta-declared posting entry count
-    /// against the postings cap, both *before* anything expensive happens
-    /// — the caps bound what the session may eventually materialize. A
-    /// tripped budget aborts the open with [`StoreError::Budget`].
-    pub fn from_store_bytes(bytes: StoreBytes, budget: &Budget) -> Result<Self, StoreError> {
+    pub fn from_store_bytes(bytes: StoreBytes) -> Result<Self, StoreError> {
         let entries = format::parse_header(&bytes)?;
         let meta = StoreMeta::decode(format::section(&bytes, &entries, SectionId::Meta)?)?;
-        if budget.charge_memory(bytes.len() as u64) || budget.charge_postings(meta.posting_entries)
-        {
-            let reason = budget
-                .tripped()
-                .unwrap_or(flexpath_engine::ExhaustReason::MemoryBudget);
-            return Err(StoreError::Budget(reason));
-        }
         let mut open_span = TraceSpan::new("store.open");
         open_span.add("store.bytes", bytes.len() as u64);
         open_span.add("store.version", u64::from(FORMAT_VERSION));
@@ -284,7 +271,6 @@ fn source_error(part: &'static str, e: &StoreError) -> SourceError {
     let kind = match e {
         StoreError::ChecksumMismatch { .. } => SourceErrorKind::Checksum,
         StoreError::Io(_) => SourceErrorKind::Io,
-        StoreError::Budget(reason) => SourceErrorKind::Budget(*reason),
         _ => SourceErrorKind::Corrupt,
     };
     SourceError {
@@ -330,7 +316,7 @@ mod tests {
     }
 
     fn lazy(bytes: Vec<u8>) -> Result<LazyStore, StoreError> {
-        LazyStore::from_store_bytes(StoreBytes::from_vec(bytes), &Budget::unlimited())
+        LazyStore::from_store_bytes(StoreBytes::from_vec(bytes))
     }
 
     #[test]
@@ -362,16 +348,6 @@ mod tests {
         assert!(matches!(
             store.index(),
             Err(StoreError::ChecksumMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn budget_is_charged_at_open() {
-        let bytes = image("<a><b>gold</b></a>");
-        let budget = Budget::new(None, None, u64::MAX, u64::MAX, 16);
-        assert!(matches!(
-            LazyStore::from_store_bytes(StoreBytes::from_vec(bytes), &budget),
-            Err(StoreError::Budget(_))
         ));
     }
 

@@ -23,10 +23,8 @@
 //! * **Deterministic bytes.** Identical inputs produce identical files
 //!   (dictionaries sorted, no timestamps), so a committed golden file
 //!   can detect format drift that lacks a version bump.
-//! * **Governed loads.** [`LazyStore::from_store_bytes`] charges a
-//!   [`Budget`](flexpath_engine::Budget) for file bytes and posting
-//!   entries before anything is decoded; opens, first-touch decodes and
-//!   their failures emit `engine.store.*` metrics.
+//! * **Observable loads.** Opens, first-touch decodes and their failures
+//!   emit `engine.store.*` metrics.
 //! * **Byte-identical answers.** A loaded session must reproduce the
 //!   exact top-K results and `counter_fingerprint()`s of an in-memory
 //!   build; the load trace span is therefore kept out of query traces.

@@ -26,7 +26,8 @@ pub struct StoreMeta {
     pub nodes: u64,
     /// Distinct indexed terms.
     pub terms: u64,
-    /// Total posting entries (what the budget charges at load).
+    /// Total posting entries (checked against the decoded index on its
+    /// first touch).
     pub posting_entries: u64,
 }
 
@@ -131,7 +132,6 @@ mod tests {
     use super::*;
     use crate::lazy::LazyStore;
     use crate::mmap::StoreBytes;
-    use flexpath_engine::Budget;
     use flexpath_xmldom::parse;
 
     fn build(xml: &str) -> StoreBuilder {
@@ -141,9 +141,9 @@ mod tests {
         StoreBuilder::from_parts("t", &doc, &stats, &index)
     }
 
-    /// The production decode: open under `budget`, then touch every part.
-    fn decode(bytes: Vec<u8>, budget: &Budget) -> Result<LazyStore, StoreError> {
-        let store = LazyStore::from_store_bytes(StoreBytes::from_vec(bytes), budget)?;
+    /// The production decode: open, then touch every part.
+    fn decode(bytes: Vec<u8>) -> Result<LazyStore, StoreError> {
+        let store = LazyStore::from_store_bytes(StoreBytes::from_vec(bytes))?;
         store.touch_all()?;
         Ok(store)
     }
@@ -151,7 +151,7 @@ mod tests {
     #[test]
     fn memory_roundtrip_preserves_counts() {
         let b = build("<a><b>gold silver</b><c>gold</c></a>");
-        let store = decode(b.to_bytes(), &Budget::unlimited()).unwrap();
+        let store = decode(b.to_bytes()).unwrap();
         assert_eq!(store.name(), "t");
         let doc = store.document().unwrap();
         assert_eq!(store.meta().nodes, doc.node_count() as u64);
@@ -167,28 +167,6 @@ mod tests {
     }
 
     #[test]
-    fn postings_budget_blocks_load() {
-        let b = build("<a><b>gold silver</b></a>");
-        let budget = Budget::new(None, None, 0, u64::MAX, u64::MAX);
-        match decode(b.to_bytes(), &budget) {
-            Err(StoreError::Budget(reason)) => {
-                assert_eq!(reason, flexpath_engine::ExhaustReason::PostingsBudget)
-            }
-            other => panic!("expected budget error, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn memory_budget_blocks_load() {
-        let b = build("<a><b>gold</b></a>");
-        let budget = Budget::new(None, None, u64::MAX, u64::MAX, 16);
-        assert!(matches!(
-            decode(b.to_bytes(), &budget),
-            Err(StoreError::Budget(_))
-        ));
-    }
-
-    #[test]
     fn meta_disagreement_is_corrupt() {
         // Hand-assemble a file whose meta claims the wrong node count but
         // whose CRCs are all valid.
@@ -200,7 +178,7 @@ mod tests {
         };
         sections[0].1 = meta.encode();
         assert!(matches!(
-            decode(format::assemble(&sections), &Budget::unlimited()),
+            decode(format::assemble(&sections)),
             Err(StoreError::Corrupt(_))
         ));
     }

@@ -13,7 +13,6 @@
 
 mod fxs;
 
-use flexpath_engine::Budget;
 use flexpath_store::{LazyStore, StoreBytes};
 use fxs::Visit;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -64,7 +63,7 @@ static GLOBAL: Counting = Counting;
 fn largest_allocation(image: &[u8]) -> usize {
     let bytes = StoreBytes::from_vec(image.to_vec());
     LARGEST.store(0, Ordering::Relaxed);
-    if let Ok(store) = LazyStore::from_store_bytes(bytes, &Budget::unlimited()) {
+    if let Ok(store) = LazyStore::from_store_bytes(bytes) {
         let _ = (store.document(), store.stats(), store.index());
     }
     LARGEST.load(Ordering::Relaxed)

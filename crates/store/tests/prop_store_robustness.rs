@@ -25,7 +25,6 @@
 
 mod fxs;
 
-use flexpath_engine::Budget;
 use flexpath_ftsearch::{FtExpr, InvertedIndex};
 use flexpath_store::{LazyStore, StoreBytes, StoreError};
 use flexpath_xmldom::codec::{encode_nodes, encode_symbols};
@@ -43,10 +42,7 @@ fn check(image: &[u8], label: &str) -> bool {
 }
 
 fn property(image: &[u8]) -> bool {
-    let store = match LazyStore::from_store_bytes(
-        StoreBytes::from_vec(image.to_vec()),
-        &Budget::unlimited(),
-    ) {
+    let store = match LazyStore::from_store_bytes(StoreBytes::from_vec(image.to_vec())) {
         Ok(store) => store,
         Err(e) => return typed(e),
     };

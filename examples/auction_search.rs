@@ -47,7 +47,8 @@ fn main() {
                 .top(k)
                 .algorithm(alg)
                 .scheme(RankingScheme::StructureFirst)
-                .execute();
+                .execute()
+                .expect("query runs");
             let dt = t.elapsed();
             println!(
                 "   {alg:<6} {:>6.2?}  answers={:<4} relaxations={:<2} evals={:<2} \
@@ -64,7 +65,12 @@ fn main() {
     }
 
     // Show what relaxation actually surfaced for XQ3.
-    let r = flex.query(QUERIES[2].1).unwrap().top(k).execute();
+    let r = flex
+        .query(QUERIES[2].1)
+        .unwrap()
+        .top(k)
+        .execute()
+        .expect("query runs");
     if let (Some(best), Some(worst)) = (r.hits.first(), r.hits.last()) {
         println!(
             "XQ3 score range: best ss={:.3} … worst ss={:.3}",

@@ -92,13 +92,19 @@ fn main() {
 
     // 3. Run Q1 flexibly: every on-topic article surfaces, ranked.
     let flex = FleXPath::from_xml(COLLECTION).unwrap();
-    let results = flex.query(FIGURE_1[0].1).unwrap().top(6).execute();
+    let results = flex
+        .query(FIGURE_1[0].1)
+        .unwrap()
+        .top(6)
+        .execute()
+        .expect("query runs");
     println!("\ntop answers for Q1 as a template:");
-    let id = flex.document().symbols().lookup("id").unwrap();
+    let doc = flex.document().expect("document reads");
+    let id = doc.symbols().lookup("id").unwrap();
     for hit in &results.hits {
         println!(
             "  article {}  ss={:.3} ks={:.3} (level {})",
-            flex.document().attribute(hit.node, id).unwrap_or("?"),
+            doc.attribute(hit.node, id).unwrap_or("?"),
             hit.score.ss,
             hit.score.ks,
             hit.relaxation_level

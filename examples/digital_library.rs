@@ -30,7 +30,12 @@ fn main() {
 
     // 1. Plain FleXPath: structural relaxation only — other element types
     //    can never match a tag predicate.
-    let plain = flex.query(QUERY).unwrap().top(10).execute();
+    let plain = flex
+        .query(QUERY)
+        .unwrap()
+        .top(10)
+        .execute()
+        .expect("query runs");
     println!("without a type hierarchy ({} answers):", plain.hits.len());
     print_hits(&flex, &plain);
 
@@ -43,7 +48,8 @@ fn main() {
         .unwrap()
         .top(10)
         .hierarchy(hierarchy)
-        .execute();
+        .execute()
+        .expect("query runs");
     println!(
         "\nwith article ⊑ publication ⊒ {{book, thesis, techreport}} ({} answers):",
         with.hits.len()
@@ -57,12 +63,13 @@ fn main() {
 }
 
 fn print_hits(flex: &FleXPath, results: &flexpath::QueryResults) {
-    let id = flex.document().symbols().lookup("id").unwrap();
+    let doc = flex.document().expect("document reads");
+    let id = doc.symbols().lookup("id").unwrap();
     for hit in &results.hits {
         println!(
             "  [{}] <{}> ss={:.3} ks={:.3} level={}",
-            flex.document().attribute(hit.node, id).unwrap_or("?"),
-            flex.document().tag_name(hit.node).unwrap_or("?"),
+            doc.attribute(hit.node, id).unwrap_or("?"),
+            doc.tag_name(hit.node).unwrap_or("?"),
             hit.score.ss,
             hit.score.ks,
             hit.relaxation_level

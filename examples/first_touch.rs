@@ -63,7 +63,7 @@ fn answers(flex: &FleXPath, query: &str) -> usize {
         .algorithm(Algorithm::Hybrid)
         .scheme(RankingScheme::StructureFirst)
         .limits(QueryLimits::unlimited())
-        .try_execute()
+        .execute()
         .expect("query runs")
         .hits
         .len()

@@ -33,7 +33,12 @@ fn main() {
 
     // A strict XPath engine would return exactly one article. FleXPath
     // treats the structure as a template and ranks near-misses below it.
-    let results = flex.query(QUERY).expect("query parses").top(4).execute();
+    let results = flex
+        .query(QUERY)
+        .expect("query parses")
+        .top(4)
+        .execute()
+        .expect("query runs");
 
     println!(
         "{} answers (algorithm: {}, {} relaxation steps encoded)\n",
@@ -41,9 +46,10 @@ fn main() {
         results.algorithm,
         results.stats.relaxations_used
     );
-    let id = flex.document().symbols().lookup("id").unwrap();
+    let doc = flex.document().expect("document reads");
+    let id = doc.symbols().lookup("id").unwrap();
     for (rank, hit) in results.hits.iter().enumerate() {
-        let label = flex.document().attribute(hit.node, id).unwrap_or("?");
+        let label = doc.attribute(hit.node, id).unwrap_or("?");
         println!(
             "#{:<2} [{}] {}",
             rank + 1,

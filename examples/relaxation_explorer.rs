@@ -103,7 +103,12 @@ fn main() {
     }
 
     println!("\n— and the ranked answers —");
-    let results = flex.query(&query_str).unwrap().top(10).execute();
+    let results = flex
+        .query(&query_str)
+        .unwrap()
+        .top(10)
+        .execute()
+        .expect("query runs");
     for (i, hit) in results.hits.iter().enumerate() {
         println!(
             "  #{:<2} {} ss={:.3} ks={:.3} level={}",

@@ -38,7 +38,8 @@ fn main() {
             .top(10)
             .algorithm(alg)
             .trace()
-            .execute();
+            .execute()
+            .expect("query runs");
         let nodes: Vec<_> = r.hits.iter().map(|h| h.node).collect();
         let scores = format!("{:?}", r.hits.iter().map(|h| h.score).collect::<Vec<_>>());
         let fp = r.trace.expect("trace requested").counter_fingerprint();

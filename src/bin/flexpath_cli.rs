@@ -619,7 +619,7 @@ fn main() -> ExitCode {
             };
             // Lazy open: header + meta validate in O(ms); sections decode
             // on first touch, so a structure-only query never pays for the
-            // postings. `try_execute` below turns first-touch corruption
+            // postings. `execute` below turns first-touch corruption
             // into a typed failure instead of a panic.
             match catalog.open_lazy(&opts.corpus) {
                 Ok(store) => FleXPath::from_lazy_store(store),
@@ -690,7 +690,7 @@ fn main() -> ExitCode {
     if opts.trace || opts.trace_json {
         query = query.trace();
     }
-    let results = match query.try_execute() {
+    let results = match query.execute() {
         Ok(r) => r,
         Err(e) => {
             eprintln!("query failed: {e}");

@@ -13,8 +13,9 @@ const SHOP: &str = r#"<shop>
 const QUERY: &str = "//item[@price <= 98 and .contains(\"gold\")]";
 
 fn label(flex: &FleXPath, node: flexpath::NodeId) -> String {
-    let id = flex.document().symbols().lookup("id").unwrap();
+    let id = flex.document().unwrap().symbols().lookup("id").unwrap();
     flex.document()
+        .unwrap()
         .attribute(node, id)
         .unwrap_or("?")
         .to_string()
@@ -23,7 +24,7 @@ fn label(flex: &FleXPath, node: flexpath::NodeId) -> String {
 #[test]
 fn strict_bounds_by_default() {
     let flex = FleXPath::from_xml(SHOP).unwrap();
-    let r = flex.query(QUERY).unwrap().top(10).execute();
+    let r = flex.query(QUERY).unwrap().top(10).execute().unwrap();
     let mut labels: Vec<String> = r.hits.iter().map(|h| label(&flex, h.node)).collect();
     labels.sort();
     assert_eq!(labels, ["cheap", "edge"]);
@@ -40,7 +41,8 @@ fn slack_admits_near_misses_at_a_penalty() {
             slack: 0.1,
             weight: 1.0,
         })
-        .execute();
+        .execute()
+        .unwrap();
     let labels: Vec<String> = r.hits.iter().map(|h| label(&flex, h.node)).collect();
     // 98 × 1.1 ≈ 107.8: the 105 item enters, the 500 item stays out.
     assert_eq!(labels.len(), 3, "{labels:?}");
@@ -74,7 +76,8 @@ fn string_attributes_are_never_slackened() {
         .unwrap()
         .top(10)
         .attr_relaxation(AttrRelaxation::default())
-        .execute();
+        .execute()
+        .unwrap();
     let labels: Vec<String> = r.hits.iter().map(|h| label(&flex, h.node)).collect();
     assert_eq!(labels, ["t"]);
 }
@@ -90,7 +93,8 @@ fn composes_across_algorithms() {
             .top(10)
             .algorithm(alg)
             .attr_relaxation(AttrRelaxation::default())
-            .execute();
+            .execute()
+            .unwrap();
         let mut nodes = r.nodes();
         nodes.sort();
         match &expected {
@@ -115,7 +119,8 @@ fn composes_with_structural_relaxation() {
             slack: 0.1,
             weight: 1.0,
         })
-        .execute();
+        .execute()
+        .unwrap();
     let labels: Vec<String> = r.hits.iter().map(|h| label(&flex, h.node)).collect();
     assert_eq!(labels, ["flat", "deep"], "both relaxation kinds stack");
 }

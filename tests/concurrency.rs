@@ -21,7 +21,7 @@ fn session_is_send_and_sync() {
 #[test]
 fn parallel_queries_agree_with_serial_execution() {
     let flex = Arc::new(FleXPath::new(generate(&XmarkConfig::sized(128 * 1024, 33))));
-    let serial = flex.query(QUERY).unwrap().top(25).execute();
+    let serial = flex.query(QUERY).unwrap().top(25).execute().unwrap();
 
     let mut handles = Vec::new();
     for t in 0..8 {
@@ -32,7 +32,13 @@ fn parallel_queries_agree_with_serial_execution() {
                 1 => Algorithm::Sso,
                 _ => Algorithm::Hybrid,
             };
-            let r = flex.query(QUERY).unwrap().top(25).algorithm(alg).execute();
+            let r = flex
+                .query(QUERY)
+                .unwrap()
+                .top(25)
+                .algorithm(alg)
+                .execute()
+                .unwrap();
             (alg, r.nodes())
         }));
     }
@@ -66,7 +72,8 @@ fn cancellation_on_one_thread_never_perturbs_another() {
             .top(25)
             .algorithm(Algorithm::Hybrid)
             .trace()
-            .execute();
+            .execute()
+            .unwrap();
         assert!(r.completeness.is_complete(), "reference run is complete");
         (
             r.nodes(),
@@ -88,7 +95,8 @@ fn cancellation_on_one_thread_never_perturbs_another() {
                     .top(25)
                     .algorithm(Algorithm::Hybrid)
                     .trace()
-                    .execute();
+                    .execute()
+                    .unwrap();
                 Some((
                     r.nodes(),
                     format!("{:?}", r.hits.iter().map(|h| h.score).collect::<Vec<_>>()),
@@ -100,7 +108,13 @@ fn cancellation_on_one_thread_never_perturbs_another() {
             1 => {
                 let token = CancelToken::new();
                 token.cancel();
-                let r = flex.query(QUERY).unwrap().top(25).cancel(token).execute();
+                let r = flex
+                    .query(QUERY)
+                    .unwrap()
+                    .top(25)
+                    .cancel(token)
+                    .execute()
+                    .unwrap();
                 assert!(!r.completeness.is_complete(), "cancelled run is partial");
                 None
             }
@@ -111,7 +125,8 @@ fn cancellation_on_one_thread_never_perturbs_another() {
                     .unwrap()
                     .top(25)
                     .limits(QueryLimits::default().with_deadline(Duration::from_nanos(1)))
-                    .execute();
+                    .execute()
+                    .unwrap();
                 assert!(!r.completeness.is_complete(), "deadline run is partial");
                 None
             }
@@ -138,7 +153,13 @@ fn ft_cache_is_shared_across_threads() {
     for _ in 0..4 {
         let flex = Arc::clone(&flex);
         handles.push(std::thread::spawn(move || {
-            flex.query(QUERY).unwrap().top(5).execute().hits.len()
+            flex.query(QUERY)
+                .unwrap()
+                .top(5)
+                .execute()
+                .unwrap()
+                .hits
+                .len()
         }));
     }
     for h in handles {

@@ -96,7 +96,8 @@ fn run(flex: &FleXPath, cell: Cell) -> (QueryResults, String) {
         .algorithm(cell.algorithm)
         .scheme(cell.scheme)
         .trace()
-        .execute();
+        .execute()
+        .unwrap();
     let fp = results
         .trace
         .as_ref()
@@ -349,7 +350,8 @@ fn concurrent_cancel_stops_all_workers_and_keeps_exact_rank_prefix() {
         .unwrap()
         .top(60)
         .algorithm(Algorithm::Dpo)
-        .execute();
+        .execute()
+        .unwrap();
     assert!(unbounded.is_complete());
 
     // READERS threads run the same DPO query on the shared session under
@@ -368,6 +370,7 @@ fn concurrent_cancel_stops_all_workers_and_keeps_exact_rank_prefix() {
                             .algorithm(Algorithm::Dpo)
                             .cancel(cancel)
                             .execute()
+                            .unwrap()
                     })
                 })
                 .collect();

@@ -117,6 +117,7 @@ fn run(
         .scheme(scheme)
         .trace()
         .execute()
+        .unwrap()
 }
 
 fn session() -> FleXPath {
@@ -205,7 +206,7 @@ fn the_matrix_covers_what_it_claims() {
             assert!(h.stats.restarts > 0, "{label}: Hybrid must restart");
         }
         if label == "below_root" {
-            let doc = flex.document();
+            let doc = flex.document().unwrap();
             assert_eq!(doc.tag_name(r.hits[0].node), Some("parlist"));
         }
     }

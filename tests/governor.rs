@@ -26,7 +26,8 @@ fn one_ms_deadline_returns_exhausted_prefix_of_unbounded_dpo_run() {
         .unwrap()
         .top(100)
         .algorithm(Algorithm::Dpo)
-        .execute();
+        .execute()
+        .unwrap();
     assert!(unbounded.is_complete());
     assert!(!unbounded.hits.is_empty());
 
@@ -36,7 +37,8 @@ fn one_ms_deadline_returns_exhausted_prefix_of_unbounded_dpo_run() {
         .top(100)
         .algorithm(Algorithm::Dpo)
         .deadline(Duration::from_millis(1))
-        .execute();
+        .execute()
+        .unwrap();
     // 1ms is not enough to finish a 100-answer search over 10MB: the run
     // must report exhaustion, not hang or panic.
     match bounded.completeness {
@@ -63,7 +65,8 @@ fn deadline_partial_results_are_prefixes_at_every_cutoff() {
         .unwrap()
         .top(60)
         .algorithm(Algorithm::Dpo)
-        .execute();
+        .execute()
+        .unwrap();
     // Sample several deadlines: every partial result, wherever the clock
     // happened to cut the round loop, must be a prefix.
     for us in [200, 1_000, 5_000, 20_000] {
@@ -73,7 +76,8 @@ fn deadline_partial_results_are_prefixes_at_every_cutoff() {
             .top(60)
             .algorithm(Algorithm::Dpo)
             .deadline(Duration::from_micros(us))
-            .execute();
+            .execute()
+            .unwrap();
         assert!(
             bounded.hits.len() <= unbounded.hits.len(),
             "deadline={us}µs produced more answers than the unbounded run"
@@ -99,6 +103,7 @@ fn cross_thread_cancellation_stops_within_50ms() {
             .algorithm(Algorithm::Dpo)
             .cancel(token)
             .execute()
+            .unwrap()
     });
     // Let the query get properly underway before pulling the plug.
     std::thread::sleep(Duration::from_millis(20));
@@ -133,7 +138,7 @@ fn cancel_inside_the_prefilter_admits_nothing_and_dpo_keeps_a_rank_prefix() {
     let enc = EncodedQuery::exact(flex.context(), &model, &q);
     let token = CancelToken::new();
     token.cancel();
-    let budget = Budget::new(None, Some(token), u64::MAX, u64::MAX, u64::MAX);
+    let budget = Budget::new(None, Some(token), u64::MAX, u64::MAX);
     let mut emitted = 0;
     let stats = evaluate_encoded(
         flex.context(),
@@ -153,8 +158,8 @@ fn cancel_inside_the_prefilter_admits_nothing_and_dpo_keeps_a_rank_prefix() {
     let run = |cancel: Option<CancelToken>| {
         let query = flex.query(XQ3).unwrap().top(500).algorithm(Algorithm::Dpo);
         match cancel {
-            Some(token) => query.cancel(token).execute(),
-            None => query.execute(),
+            Some(token) => query.cancel(token).execute().unwrap(),
+            None => query.execute().unwrap(),
         }
     };
     let unbounded = run(None);
@@ -192,7 +197,8 @@ fn zero_budgets_return_exhausted_without_panicking() {
             .top(10)
             .algorithm(alg)
             .limits(QueryLimits::default().with_max_candidate_answers(0))
-            .execute();
+            .execute()
+            .unwrap();
         assert!(
             r.hits.is_empty(),
             "{alg}: zero answer budget admits nothing"
@@ -220,7 +226,8 @@ fn postings_budget_trips_with_the_right_reason() {
         .top(10)
         .algorithm(Algorithm::Dpo)
         .limits(QueryLimits::default().with_max_ft_postings_scanned(1))
-        .execute();
+        .execute()
+        .unwrap();
     match r.completeness {
         Completeness::Exhausted { reason, .. } => {
             assert_eq!(reason, ExhaustReason::PostingsBudget)
@@ -243,7 +250,8 @@ fn relaxation_enumeration_cap_reports_remaining_work() {
         .top(1_000_000)
         .algorithm(Algorithm::Dpo)
         .limits(QueryLimits::default().with_max_relaxations_enumerated(0))
-        .execute();
+        .execute()
+        .unwrap();
     match r.completeness {
         Completeness::Exhausted {
             reason,
@@ -271,7 +279,8 @@ fn unlimited_limits_report_complete_across_algorithms() {
             .unwrap()
             .top(5)
             .algorithm(alg)
-            .execute();
+            .execute()
+            .unwrap();
         assert!(r.is_complete(), "{alg}");
         assert_eq!(r.hits.len(), 5, "{alg}");
     }
@@ -294,7 +303,8 @@ fn tripped_traces_cover_every_checkpoint_site_and_match_completeness() {
                 .algorithm(Algorithm::Dpo)
                 .limits(QueryLimits::default().with_max_relaxations_enumerated(0))
                 .trace()
-                .execute(),
+                .execute()
+                .unwrap(),
         ),
         (
             "ft_eval",
@@ -304,7 +314,8 @@ fn tripped_traces_cover_every_checkpoint_site_and_match_completeness() {
                 .algorithm(Algorithm::Dpo)
                 .limits(QueryLimits::default().with_max_ft_postings_scanned(1))
                 .trace()
-                .execute(),
+                .execute()
+                .unwrap(),
         ),
         (
             "candidate_loop",
@@ -314,7 +325,8 @@ fn tripped_traces_cover_every_checkpoint_site_and_match_completeness() {
                 .algorithm(Algorithm::Dpo)
                 .limits(QueryLimits::default().with_max_candidate_answers(0))
                 .trace()
-                .execute(),
+                .execute()
+                .unwrap(),
         ),
         (
             "dpo_round",
@@ -324,7 +336,8 @@ fn tripped_traces_cover_every_checkpoint_site_and_match_completeness() {
                 .algorithm(Algorithm::Dpo)
                 .deadline(Duration::from_micros(1))
                 .trace()
-                .execute(),
+                .execute()
+                .unwrap(),
         ),
         (
             "sso_pass",
@@ -334,7 +347,8 @@ fn tripped_traces_cover_every_checkpoint_site_and_match_completeness() {
                 .algorithm(Algorithm::Sso)
                 .deadline(Duration::from_micros(1))
                 .trace()
-                .execute(),
+                .execute()
+                .unwrap(),
         ),
         (
             "hybrid_pass",
@@ -344,7 +358,8 @@ fn tripped_traces_cover_every_checkpoint_site_and_match_completeness() {
                 .algorithm(Algorithm::Hybrid)
                 .deadline(Duration::from_micros(1))
                 .trace()
-                .execute(),
+                .execute()
+                .unwrap(),
         ),
     ];
 
@@ -397,7 +412,8 @@ fn checkpoint_counters_appear_in_traced_spans() {
         .top(20)
         .algorithm(Algorithm::Dpo)
         .trace()
-        .execute();
+        .execute()
+        .unwrap();
     let trace = r.trace.expect("trace requested");
     assert!(trace.total("governor.checkpoint.schedule") > 0);
     assert!(trace.total("governor.checkpoint.dpo_round") > 0);
@@ -407,13 +423,14 @@ fn checkpoint_counters_appear_in_traced_spans() {
 #[test]
 fn generous_deadline_matches_the_unbounded_run_exactly() {
     let flex = big_session();
-    let unbounded = flex.query(XQ3).unwrap().top(20).execute();
+    let unbounded = flex.query(XQ3).unwrap().top(20).execute().unwrap();
     let bounded = flex
         .query(XQ3)
         .unwrap()
         .top(20)
         .deadline(Duration::from_secs(600))
-        .execute();
+        .execute()
+        .unwrap();
     assert!(bounded.is_complete());
     assert_eq!(bounded.nodes(), unbounded.nodes());
 }
@@ -429,7 +446,7 @@ fn a_cancelled_schedule_build_scores_nothing() {
     let model = PenaltyModel::new(&q, WeightAssignment::uniform());
     let token = CancelToken::new();
     token.cancel();
-    let budget = Budget::new(None, Some(token), u64::MAX, u64::MAX, u64::MAX);
+    let budget = Budget::new(None, Some(token), u64::MAX, u64::MAX);
     let (steps, report) = build_schedule_reported(flex.context(), &model, &q, 64, &budget);
     assert!(steps.is_empty());
     assert_eq!(
@@ -460,7 +477,7 @@ fn a_postings_trip_inside_a_schedule_penalty_stops_the_build_and_caches_nothing(
     // step is completed from what the truncated evaluation returned (never
     // used to rank), and the next step's checkpoint ends the build. The
     // reference build does the same (`schedule::tests`).
-    let budget = Budget::new(None, None, 1, u64::MAX, u64::MAX);
+    let budget = Budget::new(None, None, 1, u64::MAX);
     let (steps, report) = build_schedule_reported(ctx, &model, &q, 64, &budget);
     assert_eq!(budget.tripped(), Some(ExhaustReason::PostingsBudget));
     assert_eq!(steps.len(), 1);
@@ -478,7 +495,8 @@ fn a_postings_trip_inside_a_schedule_penalty_stops_the_build_and_caches_nothing(
         .unwrap()
         .top(10)
         .limits(QueryLimits::default().with_max_ft_postings_scanned(1))
-        .execute();
+        .execute()
+        .unwrap();
     assert_eq!(
         tripped.completeness.exhaust_reason(),
         Some(ExhaustReason::PostingsBudget)
@@ -493,7 +511,60 @@ fn a_postings_trip_inside_a_schedule_penalty_stops_the_build_and_caches_nothing(
         ctx.ft_eval(expr, &Budget::unlimited()).ranked(),
         whole.ranked()
     );
-    let unbudgeted = flex.query(QUERY).unwrap().top(10).execute();
+    let unbudgeted = flex.query(QUERY).unwrap().top(10).execute().unwrap();
     assert!(unbudgeted.is_complete());
     assert_eq!(unbudgeted.hits.len(), 10);
+}
+
+#[test]
+fn every_exhaust_reason_is_reachable() {
+    // The match has no wildcard arm: a new `ExhaustReason` does not compile
+    // here until it names the limits that trip it.
+    const REASONS: [ExhaustReason; 5] = [
+        ExhaustReason::Deadline,
+        ExhaustReason::Cancelled,
+        ExhaustReason::RelaxationBudget,
+        ExhaustReason::AnswerBudget,
+        ExhaustReason::PostingsBudget,
+    ];
+    let flex = big_session();
+    for reason in REASONS {
+        let cancel = CancelToken::new();
+        let (query, k, limits) = match reason {
+            ExhaustReason::Deadline => (
+                XQ3,
+                100,
+                QueryLimits::default().with_deadline(Duration::ZERO),
+            ),
+            ExhaustReason::Cancelled => {
+                cancel.cancel();
+                (XQ3, 100, QueryLimits::default())
+            }
+            ExhaustReason::RelaxationBudget => (
+                XQ3,
+                1_000_000,
+                QueryLimits::default().with_max_relaxations_enumerated(0),
+            ),
+            ExhaustReason::AnswerBudget => (
+                XQ3,
+                10,
+                QueryLimits::default().with_max_candidate_answers(0),
+            ),
+            ExhaustReason::PostingsBudget => (
+                "//item[./description[.contains(\"gold\")]]",
+                10,
+                QueryLimits::default().with_max_ft_postings_scanned(1),
+            ),
+        };
+        let r = flex
+            .query(query)
+            .unwrap()
+            .top(k)
+            .algorithm(Algorithm::Dpo)
+            .limits(limits)
+            .cancel(cancel)
+            .execute()
+            .unwrap();
+        assert_eq!(r.exhaust_reason(), Some(reason), "{reason}");
+    }
 }

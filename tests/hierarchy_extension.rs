@@ -21,8 +21,9 @@ fn publication_hierarchy() -> TagHierarchy {
 }
 
 fn label(flex: &FleXPath, node: flexpath::NodeId) -> String {
-    let id = flex.document().symbols().lookup("id").unwrap();
+    let id = flex.document().unwrap().symbols().lookup("id").unwrap();
     flex.document()
+        .unwrap()
         .attribute(node, id)
         .unwrap_or("?")
         .to_string()
@@ -31,7 +32,7 @@ fn label(flex: &FleXPath, node: flexpath::NodeId) -> String {
 #[test]
 fn without_hierarchy_only_articles_answer() {
     let flex = FleXPath::from_xml(LIBRARY).unwrap();
-    let r = flex.query(QUERY).unwrap().top(10).execute();
+    let r = flex.query(QUERY).unwrap().top(10).execute().unwrap();
     let labels: Vec<String> = r.hits.iter().map(|h| label(&flex, h.node)).collect();
     assert_eq!(labels, ["art"]);
 }
@@ -44,7 +45,8 @@ fn hierarchy_admits_sibling_subtypes_with_lower_scores() {
         .unwrap()
         .top(10)
         .hierarchy(publication_hierarchy())
-        .execute();
+        .execute()
+        .unwrap();
     let labels: Vec<String> = r.hits.iter().map(|h| label(&flex, h.node)).collect();
     // The exact article first; book and thesis admitted via the hierarchy;
     // advert is not a publication and stays excluded.
@@ -80,7 +82,8 @@ fn hierarchy_penalty_reflects_subtype_dominance() {
         .unwrap()
         .top(5)
         .hierarchy(h.clone())
-        .execute();
+        .execute()
+        .unwrap();
     assert_eq!(r.hits.len(), 2);
     let relaxed = &r.hits[1];
     assert!(
@@ -96,7 +99,8 @@ fn hierarchy_penalty_reflects_subtype_dominance() {
         .unwrap()
         .top(5)
         .hierarchy(h)
-        .execute();
+        .execute()
+        .unwrap();
     assert_eq!(r.hits.len(), 2);
     assert!((r.hits[0].score.ss - r.hits[1].score.ss - 0.25).abs() < 1e-9);
 }
@@ -116,11 +120,12 @@ fn hierarchy_composes_with_structural_relaxation() {
         .unwrap()
         .top(5)
         .hierarchy(h)
-        .execute();
+        .execute()
+        .unwrap();
     let tags: Vec<&str> = r
         .hits
         .iter()
-        .filter_map(|hit| flex.document().tag_name(hit.node))
+        .filter_map(|hit| flex.document().unwrap().tag_name(hit.node))
         .collect();
     // Article exact, book via hierarchy + axis relaxation; the note is not
     // a publication and never matches.
@@ -141,7 +146,8 @@ fn all_algorithms_support_the_hierarchy() {
             .top(10)
             .algorithm(alg)
             .hierarchy(publication_hierarchy())
-            .execute();
+            .execute()
+            .unwrap();
         let mut nodes = r.nodes();
         nodes.sort();
         match &expected {
@@ -159,7 +165,8 @@ fn hierarchy_answers_do_not_claim_exact_tag_bits() {
         .unwrap()
         .top(10)
         .hierarchy(publication_hierarchy())
-        .execute();
+        .execute()
+        .unwrap();
     let exact = &r.hits[0];
     let relaxed = &r.hits[1];
     // The relaxed answer fails at least one bit the exact one satisfies.

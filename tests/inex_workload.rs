@@ -37,7 +37,8 @@ fn strict_interpretation_finds_only_exact_articles() {
         .unwrap()
         .top(10_000)
         .max_relaxations(0)
-        .execute();
+        .execute()
+        .unwrap();
     assert!(!r.hits.is_empty());
     for h in &r.hits {
         assert_eq!(
@@ -51,7 +52,7 @@ fn strict_interpretation_finds_only_exact_articles() {
 #[test]
 fn flexible_interpretation_recovers_every_scenario_class() {
     let (flex, scenarios) = corpus(12);
-    let r = flex.query(Q1).unwrap().top(10_000).execute();
+    let r = flex.query(Q1).unwrap().top(10_000).execute().unwrap();
     let mut found: Vec<Scenario> = Vec::new();
     for h in &r.hits {
         if let Some(s) = scenarios[&h.node] {
@@ -81,7 +82,7 @@ fn flexible_interpretation_recovers_every_scenario_class() {
 #[test]
 fn scenario_classes_rank_in_structural_fidelity_order() {
     let (flex, scenarios) = corpus(13);
-    let r = flex.query(Q1).unwrap().top(10_000).execute();
+    let r = flex.query(Q1).unwrap().top(10_000).execute().unwrap();
     // Mean rank position per scenario.
     let mut sums: HashMap<Scenario, (usize, usize)> = HashMap::new();
     for (rank, h) in r.hits.iter().enumerate() {
@@ -122,7 +123,7 @@ fn precision_at_k_improves_with_structure() {
         .count();
     assert!(exact_count > 3);
 
-    let structured = flex.query(Q1).unwrap().top(exact_count).execute();
+    let structured = flex.query(Q1).unwrap().top(exact_count).execute().unwrap();
     let hits_exact = structured
         .hits
         .iter()
@@ -137,7 +138,8 @@ fn precision_at_k_improves_with_structure() {
         .query("//article[.contains(\"XML\" and \"streaming\")]")
         .unwrap()
         .top(exact_count)
-        .execute();
+        .execute()
+        .unwrap();
     let keyword_exact = keyword_only
         .hits
         .iter()
@@ -158,13 +160,15 @@ fn algorithms_agree_on_the_article_workload() {
             .unwrap()
             .top(k)
             .algorithm(Algorithm::Sso)
-            .execute();
+            .execute()
+            .unwrap();
         let h = flex
             .query(Q1)
             .unwrap()
             .top(k)
             .algorithm(Algorithm::Hybrid)
-            .execute();
+            .execute()
+            .unwrap();
         assert_eq!(s.nodes(), h.nodes(), "k={k}");
     }
 }

@@ -3,7 +3,7 @@
 //! cache / governor-checkpoint counters), the trace JSON is well-formed,
 //! and the process-wide metrics registry accumulates across queries.
 
-use flexpath::{explain_profile, Algorithm, CancelToken, FleXPath, QueryLimits};
+use flexpath::{explain_profile, Algorithm, FleXPath};
 use flexpath_xmark::{generate, XmarkConfig};
 use std::sync::OnceLock;
 
@@ -19,15 +19,15 @@ const RELAXED: &str =
 
 #[test]
 fn explain_profile_renders_rounds_counters_and_fingerprint() {
-    let text = explain_profile(
-        session(),
-        RELAXED,
-        500,
-        Algorithm::Dpo,
-        QueryLimits::default(),
-        CancelToken::new(),
-    )
-    .unwrap();
+    let results = session()
+        .query(RELAXED)
+        .unwrap()
+        .top(500)
+        .algorithm(Algorithm::Dpo)
+        .trace()
+        .execute()
+        .unwrap();
+    let text = explain_profile(&results, RELAXED, 500);
     // Header and outcome.
     assert!(text.contains("EXPLAIN ANALYZE"), "{text}");
     assert!(text.contains("completeness: complete"), "{text}");
@@ -70,7 +70,8 @@ fn trace_json_is_balanced_and_carries_spans() {
         .top(10)
         .algorithm(Algorithm::Hybrid)
         .trace()
-        .execute();
+        .execute()
+        .unwrap();
     let json = r.trace.expect("trace requested").render_json();
     assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
     assert_eq!(
@@ -93,7 +94,8 @@ fn registry_accumulates_queries_and_their_durations() {
             .unwrap()
             .top(25)
             .algorithm(Algorithm::Dpo)
-            .execute();
+            .execute()
+            .unwrap();
         assert!(!r.hits.is_empty());
     }
     let after = flexpath::engine_metrics();
@@ -129,7 +131,8 @@ fn prometheus_exposition_parses_and_carries_duration_histograms() {
         .unwrap()
         .top(25)
         .algorithm(Algorithm::Dpo)
-        .execute();
+        .execute()
+        .unwrap();
     let text = flexpath::engine_metrics().render_prometheus();
     // Sanitized duration histogram series with the full Prometheus triplet.
     assert!(

@@ -241,7 +241,8 @@ fn fig13_workload_answers_through_the_bucketized_path() {
             .unwrap()
             .top(500)
             .algorithm(algorithm)
-            .execute();
+            .execute()
+            .unwrap();
         assert!(
             !r.hits.is_empty(),
             "{algorithm}: workload must produce answers"

@@ -37,8 +37,9 @@ const COLLECTION: &str = r#"<collection>
 </collection>"#;
 
 fn label(flex: &FleXPath, node: flexpath::NodeId) -> String {
-    let id = flex.document().symbols().lookup("id").unwrap();
+    let id = flex.document().unwrap().symbols().lookup("id").unwrap();
     flex.document()
+        .unwrap()
         .attribute(node, id)
         .unwrap_or("?")
         .to_string()
@@ -62,13 +63,13 @@ fn figure_1_lattice_is_exactly_as_printed() {
 fn strict_q1_misses_what_flexpath_recovers() {
     let flex = FleXPath::from_xml(COLLECTION).unwrap();
     // Strict interpretation: only the exact article answers.
-    let strict = flex.query(Q1).unwrap().top(1).execute();
+    let strict = flex.query(Q1).unwrap().top(1).execute().unwrap();
     assert_eq!(label(&flex, strict.hits[0].node), "exactQ1");
     assert_eq!(strict.hits[0].relaxation_level, 0);
 
     // Flexible interpretation: the Section 1 scenarios appear, correctly
     // ordered by structural fidelity, and the off-topic article never does.
-    let flexed = flex.query(Q1).unwrap().top(10).execute();
+    let flexed = flex.query(Q1).unwrap().top(10).execute().unwrap();
     let labels: Vec<String> = flexed.hits.iter().map(|h| label(&flex, h.node)).collect();
     assert_eq!(
         labels.len(),
@@ -99,7 +100,13 @@ fn each_figure_1_query_answers_its_scenario_exactly() {
         (Q6, "keywordsAnywhere"),
     ];
     for (q, newly_visible) in cases {
-        let r = flex.query(q).unwrap().top(10).max_relaxations(0).execute();
+        let r = flex
+            .query(q)
+            .unwrap()
+            .top(10)
+            .max_relaxations(0)
+            .execute()
+            .unwrap();
         let labels: Vec<String> = r.hits.iter().map(|h| label(&flex, h.node)).collect();
         assert!(
             labels.contains(&newly_visible.to_string()),
@@ -139,7 +146,7 @@ fn example_1_score_arithmetic() {
     // The noAlgorithm article is a Q5-but-not-Q4 answer: its reported score
     // must equal base − (sum of penalties of exactly the predicates it
     // fails), which is ≥ the Example-1 lower bound 3 − Σπ.
-    let r = flex.query(Q1).unwrap().top(10).execute();
+    let r = flex.query(Q1).unwrap().top(10).execute().unwrap();
     let no_alg = r
         .hits
         .iter()
@@ -181,7 +188,8 @@ fn all_algorithms_and_schemes_agree_on_the_collection() {
                 .top(5)
                 .scheme(scheme)
                 .algorithm(alg)
-                .execute();
+                .execute()
+                .unwrap();
             let mut nodes = r.nodes();
             nodes.sort();
             per_alg.push(nodes);

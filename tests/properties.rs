@@ -76,6 +76,7 @@ fn exact_answers(flex: &FleXPath, q: &Tpq) -> Vec<flexpath::NodeId> {
         .top(usize::MAX / 2)
         .max_relaxations(0)
         .execute()
+        .unwrap()
         .nodes();
     r.sort();
     r
@@ -117,7 +118,7 @@ fn relaxation_only_adds_answers_along_the_schedule() {
         // Run with generous K and full relaxation: the result must contain
         // every exact answer, all carrying the maximal score.
         let exact = exact_answers(&flex, q);
-        let full = flex.query_tpq(q.clone()).top(10_000).execute();
+        let full = flex.query_tpq(q.clone()).top(10_000).execute().unwrap();
         let full_nodes: Vec<_> = full.nodes();
         for n in &exact {
             assert!(full_nodes.contains(n), "exact answer {n:?} missing");
@@ -145,12 +146,14 @@ fn sso_and_hybrid_agree() {
             .query_tpq(q.clone())
             .top(k)
             .algorithm(Algorithm::Sso)
-            .execute();
+            .execute()
+            .unwrap();
         let h = flex
             .query_tpq(q.clone())
             .top(k)
             .algorithm(Algorithm::Hybrid)
-            .execute();
+            .execute()
+            .unwrap();
         assert_eq!(s.nodes(), h.nodes());
         for (a, b) in s.hits.iter().zip(h.hits.iter()) {
             assert!((a.score.ss - b.score.ss).abs() < 1e-9);
@@ -168,12 +171,14 @@ fn dpo_answer_sets_match_encoded_algorithms() {
             .query_tpq(q.clone())
             .top(k)
             .algorithm(Algorithm::Dpo)
-            .execute();
+            .execute()
+            .unwrap();
         let h = flex
             .query_tpq(q.clone())
             .top(k)
             .algorithm(Algorithm::Hybrid)
-            .execute();
+            .execute()
+            .unwrap();
         // DPO's coarser per-round scores can reorder ties, but the sets of
         // structural scores attainable must agree in size.
         assert_eq!(d.hits.len(), h.hits.len());
@@ -184,7 +189,7 @@ fn dpo_answer_sets_match_encoded_algorithms() {
 fn relevance_exact_answers_never_outscored() {
     for_cases(0xFACE, |_, xml, q| {
         let flex = FleXPath::from_xml(xml).unwrap();
-        let r = flex.query_tpq(q.clone()).top(10_000).execute();
+        let r = flex.query_tpq(q.clone()).top(10_000).execute().unwrap();
         let exact = exact_answers(&flex, q);
         let best_exact = r
             .hits
@@ -238,6 +243,7 @@ fn scheme_results_are_permutations_of_each_other_at_full_k() {
                 .top(10_000)
                 .scheme(scheme)
                 .execute()
+                .unwrap()
                 .nodes();
             nodes.sort();
             sets.push(nodes);

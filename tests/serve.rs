@@ -9,6 +9,7 @@ mod common;
 
 use common::ScratchDir;
 use flexpath::FleXPath;
+use flexpath_serve::json::{self, Json};
 use flexpath_serve::{http_call, Client, ServePolicy, Server, ServerHandle, ServerState};
 use flexpath_xmark::{generate, XmarkConfig};
 use std::io::{Read, Write};
@@ -452,6 +453,83 @@ fn assert_prometheus_parses(text: &str) {
         samples += 1;
     }
     assert!(samples > 0, "exposition was empty");
+}
+
+/// The flight-recorder records, newest first.
+fn recorded(h: &Harness) -> Vec<Json> {
+    let resp = http_call(h.addr, "GET", "/debug/queries?n=10", b"", TIMEOUT).expect("debug");
+    match json::parse(&resp.body).expect("debug JSON").get("queries") {
+        Some(Json::Array(records)) => records.clone(),
+        other => panic!("queries array: {other:?}"),
+    }
+}
+
+fn field<'a>(record: &'a Json, name: &str) -> Option<&'a str> {
+    record.get(name).and_then(Json::as_str)
+}
+
+#[test]
+fn explain_records_the_run_it_renders() {
+    let h = Harness::start("explain", ServePolicy::for_tests());
+    let body = |extra: &str| {
+        format!(
+            r#"{{"catalog":"doc","query":"//item[./name and .contains(\"gold\")]","k":5,"algorithm":"sso","scheme":"keyword_first"{extra}}}"#
+        )
+    };
+    for extra in ["", r#","max_candidates":0"#] {
+        let query = body(&format!(r#"{extra},"trace":true"#));
+        let resp = http_call(h.addr, "POST", "/query", query.as_bytes(), TIMEOUT).unwrap();
+        assert_eq!(resp.status, 200, "{}", resp.body_text());
+        let resp = http_call(h.addr, "POST", "/explain", body(extra).as_bytes(), TIMEOUT).unwrap();
+        assert_eq!(resp.status, 200, "{}", resp.body_text());
+        assert!(resp
+            .body_text()
+            .starts_with("EXPLAIN ANALYZE  algorithm=SSO k=5"));
+
+        let records = recorded(&h);
+        let (explain, query) = (&records[0], &records[1]);
+        assert_eq!(field(explain, "endpoint"), Some("explain"));
+        assert_eq!(field(query, "endpoint"), Some("query"));
+        for record in [explain, query] {
+            assert_eq!(field(record, "scheme"), Some("keyword_first"));
+            assert_eq!(field(record, "algorithm"), Some("sso"));
+        }
+        let hash = field(query, "fingerprint_fnv1a");
+        assert!(hash.is_some(), "traced query records a fingerprint");
+        assert_eq!(field(explain, "fingerprint_fnv1a"), hash);
+        if !extra.is_empty() {
+            assert_eq!(field(explain, "exhaust_reason"), Some("answer_budget"));
+            assert!(field(explain, "trip_site").is_some(), "{explain:?}");
+        }
+    }
+}
+
+#[test]
+fn max_memory_is_an_unknown_field() {
+    let h = Harness::start("max-memory", ServePolicy::for_tests());
+    let resp = h.post_query(r#","max_memory":1"#);
+    assert_eq!(resp.status, 400);
+    assert!(
+        resp.body_text().contains("max_memory"),
+        "{}",
+        resp.body_text()
+    );
+}
+
+#[test]
+fn responses_written_outside_dispatch_are_counted() {
+    let h = Harness::start("counted", ServePolicy::for_tests());
+    let count = || {
+        flexpath::engine_metrics()
+            .counters
+            .get("serve.responses.4xx")
+            .copied()
+            .unwrap_or(0)
+    };
+    let before = count();
+    // A malformed head is answered by the connection loop, not by a route.
+    assert_eq!(raw_status(h.addr, b"not http at all\r\n\r\n"), 400);
+    assert!(count() > before);
 }
 
 #[test]

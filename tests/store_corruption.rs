@@ -8,14 +8,14 @@
 //! discipline is exercised on top: [`FleXPath::open`] verifies the
 //! header + meta at open and each section on first touch, so damage in
 //! an untouched section must NOT fail the open, and the first touch must
-//! surface a typed checksum error through `try_execute` — never a panic
+//! surface a typed checksum error through `execute` — never a panic
 //! — and count in `engine.store.lazy_decode_errors`.
 
 mod common;
 
 use common::ScratchDir;
 use flexpath::{
-    Budget, Catalog, CorpusStore, EngineError, FleXPath, LazyStore, SourceErrorKind, StoreError,
+    Catalog, CorpusStore, EngineError, FleXPath, LazyStore, SourceErrorKind, StoreError,
 };
 use flexpath_store::{StoreBytes, FORMAT_VERSION, MAGIC};
 use std::ops::Range;
@@ -44,8 +44,7 @@ fn store_bytes() -> Vec<u8> {
 /// The production decode, driven eagerly: open the image, then touch
 /// all three parts.
 fn decode(bytes: &[u8]) -> Result<LazyStore, StoreError> {
-    let store =
-        LazyStore::from_store_bytes(StoreBytes::from_vec(bytes.to_vec()), &Budget::unlimited())?;
+    let store = LazyStore::from_store_bytes(StoreBytes::from_vec(bytes.to_vec()))?;
     store.document()?;
     store.stats()?;
     store.index()?;
@@ -211,7 +210,7 @@ fn lazy_open_tolerates_corruption_in_untouched_sections() {
         .query("//item[./name]")
         .expect("query parses")
         .top(5)
-        .try_execute()
+        .execute()
         .expect("structure-only query never touches the damaged index")
         .hits;
     assert_eq!(hits.len(), 2);
@@ -222,7 +221,7 @@ fn lazy_open_tolerates_corruption_in_untouched_sections() {
         .query(r#"//item[.contains("gold")]"#)
         .expect("query parses")
         .top(5)
-        .try_execute()
+        .execute()
         .expect_err("full-text query touches the damaged postings");
     match err {
         EngineError::Store(src) => {
@@ -237,7 +236,7 @@ fn lazy_open_tolerates_corruption_in_untouched_sections() {
         .query(r#"//item[.contains("gold")]"#)
         .expect("query parses")
         .top(5)
-        .try_execute()
+        .execute()
         .is_err());
 
     // Both failed touches are visible to an operator: the open succeeded
@@ -266,7 +265,7 @@ fn lazy_first_structural_touch_surfaces_document_damage() {
         .query("//item[./name]")
         .expect("query parses")
         .top(5)
-        .try_execute()
+        .execute()
         .expect_err("structural query touches the damaged document");
     match err {
         EngineError::Store(src) => {
@@ -276,7 +275,7 @@ fn lazy_first_structural_touch_surfaces_document_damage() {
         other => panic!("expected EngineError::Store, got {other:?}"),
     }
     // The fallible document accessor reports the same typed failure.
-    assert!(flex.try_document().is_err());
+    assert!(flex.document().is_err());
 }
 
 #[test]

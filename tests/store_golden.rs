@@ -19,7 +19,7 @@
 mod common;
 
 use common::ScratchDir;
-use flexpath::{Budget, Catalog, FleXPath, LazyStore, StoreError};
+use flexpath::{Catalog, FleXPath, LazyStore, StoreError};
 use flexpath_store::{inspect_bytes, StoreBuilder, StoreBytes, FORMAT_VERSION};
 use std::path::PathBuf;
 
@@ -54,7 +54,7 @@ fn hits(flex: &FleXPath) -> Vec<(u32, u64, u64)> {
     flex.query("//item[./mailbox/mail/text]")
         .expect("query parses")
         .top(5)
-        .try_execute()
+        .execute()
         .expect("query runs")
         .hits
         .iter()
@@ -127,9 +127,8 @@ fn other_format_versions_are_refused_with_the_rebuild_command() {
             .err()
             .expect("FleXPath::open refuses it");
         assert!(refused(&e, found), "FleXPath::open, v{found}: {e}");
-        let e =
-            LazyStore::from_store_bytes(StoreBytes::from_vec(bytes.clone()), &Budget::unlimited())
-                .expect_err("from_store_bytes refuses it");
+        let e = LazyStore::from_store_bytes(StoreBytes::from_vec(bytes.clone()))
+            .expect_err("from_store_bytes refuses it");
         assert!(refused(&e, found), "from_store_bytes, v{found}: {e}");
         let e = inspect_bytes(&bytes).expect_err("inspect_bytes refuses it");
         assert!(refused(&e, found), "inspect_bytes, v{found}: {e}");

@@ -52,7 +52,8 @@ fn run(flex: &FleXPath, query: &str) -> (Vec<(u32, u64, u64)>, String) {
         .expect("query parses")
         .top(10)
         .trace()
-        .execute();
+        .execute()
+        .unwrap();
     let hits = results
         .hits
         .iter()
@@ -106,6 +107,7 @@ fn residency_progresses_with_what_queries_touch() {
         .expect("query parses")
         .top(10)
         .execute()
+        .unwrap()
         .hits;
     assert_eq!(hits.len(), 3);
     let r = flex.residency();
@@ -118,6 +120,7 @@ fn residency_progresses_with_what_queries_touch() {
         .expect("query parses")
         .top(10)
         .execute()
+        .unwrap()
         .hits;
     assert!(!hits.is_empty());
     assert!(flex.residency().index, "full-text touch decodes the index");
@@ -162,7 +165,7 @@ fn open_sessions_survive_atomic_replace() {
         .query(r#"//item[.contains("gold")]"#)
         .expect("query parses")
         .top(10)
-        .try_execute()
+        .execute()
         .expect("pre-replace session reads its original bytes")
         .hits;
     assert!(!hits.is_empty(), "old corpus still answers");
@@ -172,6 +175,7 @@ fn open_sessions_survive_atomic_replace() {
             .expect("query parses")
             .top(10)
             .execute()
+            .unwrap()
             .hits
             .len(),
         3,
@@ -185,6 +189,7 @@ fn open_sessions_survive_atomic_replace() {
             .expect("query parses")
             .top(10)
             .execute()
+            .unwrap()
             .hits
             .len(),
         1,

@@ -32,7 +32,8 @@ fn observe(
         .algorithm(algorithm)
         .scheme(scheme)
         .trace()
-        .execute();
+        .execute()
+        .unwrap();
     let nodes = r.hits.iter().map(|h| h.node).collect();
     let scores = format!("{:?}", r.hits.iter().map(|h| h.score).collect::<Vec<_>>());
     let fingerprint = r.trace.expect("trace requested").counter_fingerprint();

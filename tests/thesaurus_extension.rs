@@ -18,8 +18,9 @@ fn gems() -> Thesaurus {
 }
 
 fn label(flex: &FleXPath, node: flexpath::NodeId) -> String {
-    let id = flex.document().symbols().lookup("id").unwrap();
+    let id = flex.document().unwrap().symbols().lookup("id").unwrap();
     flex.document()
+        .unwrap()
         .attribute(node, id)
         .unwrap_or("?")
         .to_string()
@@ -32,7 +33,8 @@ fn without_thesaurus_only_literal_matches() {
         .query("//item[.contains(\"gold\")]")
         .unwrap()
         .top(10)
-        .execute();
+        .execute()
+        .unwrap();
     let labels: Vec<String> = r.hits.iter().map(|h| label(&flex, h.node)).collect();
     assert_eq!(labels, ["i1"]);
 }
@@ -45,7 +47,8 @@ fn thesaurus_expands_to_the_synonym_ring() {
         .unwrap()
         .top(10)
         .thesaurus(gems())
-        .execute();
+        .execute()
+        .unwrap();
     let mut labels: Vec<String> = r.hits.iter().map(|h| label(&flex, h.node)).collect();
     labels.sort();
     assert_eq!(labels, ["i1", "i2", "i3"]);
@@ -68,7 +71,8 @@ fn expansion_composes_with_structural_relaxation() {
         .unwrap()
         .top(10)
         .thesaurus(gems())
-        .execute();
+        .execute()
+        .unwrap();
     let labels: Vec<String> = r.hits.iter().map(|h| label(&flex, h.node)).collect();
     assert_eq!(labels.len(), 3, "{labels:?}");
     assert_eq!(labels[0], "exact");
@@ -85,13 +89,15 @@ fn thesaurus_is_monotone_under_evaluation() {
         .query("//item[.contains(\"gold\")]")
         .unwrap()
         .top(10)
-        .execute();
+        .execute()
+        .unwrap();
     let expanded = flex
         .query("//item[.contains(\"gold\")]")
         .unwrap()
         .top(10)
         .thesaurus(gems())
-        .execute();
+        .execute()
+        .unwrap();
     for n in strict.nodes() {
         assert!(expanded.nodes().contains(&n), "expansion lost an answer");
     }

@@ -14,15 +14,17 @@ const CORPUS: &str = r#"<site>
 </site>"#;
 
 fn ranked_labels(flex: &FleXPath, query: &str) -> Vec<String> {
-    let id = flex.document().symbols().lookup("id").unwrap();
+    let id = flex.document().unwrap().symbols().lookup("id").unwrap();
     flex.query(query)
         .unwrap()
         .top(10)
         .execute()
+        .unwrap()
         .hits
         .iter()
         .map(|h| {
             flex.document()
+                .unwrap()
                 .attribute(h.node, id)
                 .unwrap_or("?")
                 .to_string()
@@ -74,8 +76,11 @@ fn zero_weight_makes_a_predicate_free_to_drop() {
         .query("//article[./section[./algorithm^0 and ./paragraph[.contains(\"XML\" and \"streaming\")]]]")
         .unwrap()
         .top(10)
-        .execute();
-    let id = flex.document().symbols().lookup("id").unwrap();
-    assert_eq!(flex.document().attribute(r.hits[0].node, id), Some("noAlg"));
+        .execute().unwrap();
+    let id = flex.document().unwrap().symbols().lookup("id").unwrap();
+    assert_eq!(
+        flex.document().unwrap().attribute(r.hits[0].node, id),
+        Some("noAlg")
+    );
     assert!(r.hits[0].score.ss > r.hits[1].score.ss);
 }

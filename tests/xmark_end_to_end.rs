@@ -18,7 +18,7 @@ fn benchmark_queries_produce_answers_at_every_k() {
     let flex = session(256, 1);
     for q in [XQ1, XQ2, XQ3] {
         for k in [1, 10, 50] {
-            let r = flex.query(q).unwrap().top(k).execute();
+            let r = flex.query(q).unwrap().top(k).execute().unwrap();
             assert!(!r.hits.is_empty(), "{q} at k={k}");
             assert!(r.hits.len() <= k);
             for w in r.hits.windows(2) {
@@ -31,8 +31,8 @@ fn benchmark_queries_produce_answers_at_every_k() {
 #[test]
 fn growing_k_forces_relaxation_and_preserves_prefix() {
     let flex = session(256, 2);
-    let small = flex.query(XQ3).unwrap().top(5).execute();
-    let big = flex.query(XQ3).unwrap().top(100).execute();
+    let small = flex.query(XQ3).unwrap().top(5).execute().unwrap();
+    let big = flex.query(XQ3).unwrap().top(100).execute().unwrap();
     assert!(big.hits.len() >= small.hits.len());
     // Structure-first: the top-5 of the big run equals the small run.
     assert_eq!(
@@ -50,7 +50,7 @@ fn growing_k_forces_relaxation_and_preserves_prefix() {
 #[test]
 fn exact_answers_rank_before_relaxed_ones() {
     let flex = session(256, 3);
-    let r = flex.query(XQ3).unwrap().top(200).execute();
+    let r = flex.query(XQ3).unwrap().top(200).execute().unwrap();
     let first_relaxed = r
         .hits
         .iter()
@@ -73,20 +73,23 @@ fn algorithms_agree_on_xmark_across_sizes_and_k() {
                     .unwrap()
                     .top(k)
                     .algorithm(Algorithm::Sso)
-                    .execute();
+                    .execute()
+                    .unwrap();
                 let hyb = flex
                     .query(q)
                     .unwrap()
                     .top(k)
                     .algorithm(Algorithm::Hybrid)
-                    .execute();
+                    .execute()
+                    .unwrap();
                 assert_eq!(sso.nodes(), hyb.nodes(), "{q} k={k} kb={kb}");
                 let dpo = flex
                     .query(q)
                     .unwrap()
                     .top(k)
                     .algorithm(Algorithm::Dpo)
-                    .execute();
+                    .execute()
+                    .unwrap();
                 // DPO scores whole relaxation rounds (compile-time), SSO
                 // scores each answer (Section 5.2.1) — so when relaxation
                 // kicks in, their rankings may resolve boundary cases
@@ -115,11 +118,11 @@ fn algorithms_agree_on_xmark_across_sizes_and_k() {
 fn full_text_queries_combine_with_structure() {
     let flex = session(256, 4);
     let q = "//item[./description/parlist and .contains(\"gold\")]";
-    let r = flex.query(q).unwrap().top(25).execute();
+    let r = flex.query(q).unwrap().top(25).execute().unwrap();
     assert!(!r.hits.is_empty());
     // Every answer's subtree mentions (a stem of) gold.
     for h in &r.hits {
-        let text = flex.document().subtree_text(h.node).to_lowercase();
+        let text = flex.document().unwrap().subtree_text(h.node).to_lowercase();
         assert!(text.contains("gold"), "answer without keyword");
         assert!(h.score.ks > 0.0);
     }
@@ -135,19 +138,22 @@ fn ranking_schemes_reorder_but_do_not_invent_answers() {
         .unwrap()
         .top(k)
         .scheme(RankingScheme::StructureFirst)
-        .execute();
+        .execute()
+        .unwrap();
     let kf = flex
         .query(q)
         .unwrap()
         .top(k)
         .scheme(RankingScheme::KeywordFirst)
-        .execute();
+        .execute()
+        .unwrap();
     let cb = flex
         .query(q)
         .unwrap()
         .top(k)
         .scheme(RankingScheme::Combined)
-        .execute();
+        .execute()
+        .unwrap();
     // Keyword-first is sorted on ks; combined on ss+ks.
     for w in kf.hits.windows(2) {
         assert!(w[0].score.ks >= w[1].score.ks - 1e-12);
@@ -157,7 +163,7 @@ fn ranking_schemes_reorder_but_do_not_invent_answers() {
     }
     // All schemes draw from the same answer universe.
     for h in kf.hits.iter().chain(cb.hits.iter()) {
-        let text = flex.document().subtree_text(h.node).to_lowercase();
+        let text = flex.document().unwrap().subtree_text(h.node).to_lowercase();
         assert!(text.contains("vintag"), "stemmed keyword must occur");
     }
     let _ = sf;
@@ -166,8 +172,8 @@ fn ranking_schemes_reorder_but_do_not_invent_answers() {
 #[test]
 fn deterministic_across_runs() {
     let flex = session(128, 6);
-    let a = flex.query(XQ2).unwrap().top(30).execute();
-    let b = flex.query(XQ2).unwrap().top(30).execute();
+    let a = flex.query(XQ2).unwrap().top(30).execute().unwrap();
+    let b = flex.query(XQ2).unwrap().top(30).execute().unwrap();
     assert_eq!(a.nodes(), b.nodes());
     assert_eq!(a.scores_vec(), b.scores_vec());
 }
