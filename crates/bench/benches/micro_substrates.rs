@@ -20,9 +20,7 @@ use flexpath_store::{crc32, StoreBuilder};
 use flexpath_tpq::parse_query;
 use flexpath_xmark::generate;
 use flexpath_xmldom::codec::{decode_document, encode_nodes, encode_symbols};
-use flexpath_xmldom::{
-    parse, parse_events, to_xml_string, DocStats, FnSink, ParseOptions, XmlEvent,
-};
+use flexpath_xmldom::{parse, to_xml_string, DocStats};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -53,17 +51,6 @@ fn main() {
     println!("group micro_substrates (min of {SAMPLES})");
 
     bench("xml_parse_1mb", || parse(&xml).unwrap().node_count());
-    bench("xml_parse_events_1mb", || {
-        let mut elements = 0usize;
-        let mut sink = FnSink(|ev: XmlEvent<'_>| {
-            if matches!(ev, XmlEvent::StartElement { .. }) {
-                elements += 1;
-            }
-        });
-        parse_events(&xml, ParseOptions::default(), &mut sink).unwrap();
-        let FnSink(_) = sink;
-        elements
-    });
     bench("doc_stats_1mb", || DocStats::compute(&doc));
     bench("inverted_index_1mb", || {
         InvertedIndex::build(&doc).term_count()

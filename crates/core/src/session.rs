@@ -441,11 +441,6 @@ impl QueryResults {
     pub fn exhaust_reason(&self) -> Option<flexpath_engine::ExhaustReason> {
         self.completeness.exhaust_reason()
     }
-
-    /// Whether any answer required relaxation.
-    pub fn used_relaxation(&self) -> bool {
-        self.hits.iter().any(|h| h.relaxation_level > 0) || self.stats.relaxations_used > 0
-    }
 }
 
 #[cfg(test)]
@@ -473,7 +468,7 @@ mod tests {
             flex.document().unwrap().attribute(results.hits[0].node, id),
             Some("exact")
         );
-        assert!(results.used_relaxation());
+        assert!(results.hits.iter().any(|h| h.relaxation_level > 0));
     }
 
     #[test]
@@ -502,7 +497,7 @@ mod tests {
         let r = flex.query(Q1).unwrap().top(1).execute().unwrap();
         assert_eq!(r.hits.len(), 1);
         assert_eq!(r.hits[0].relaxation_level, 0);
-        assert!(!r.used_relaxation());
+        assert_eq!(r.stats.relaxations_used, 0);
     }
 
     #[test]

@@ -247,7 +247,10 @@ mod tests {
         let ctx = EngineContext::new(parse(ARTICLES).unwrap());
         let r = dpo_topk(
             &ctx,
-            &TopKRequest::new(q1(), 3).with_scheme(RankingScheme::Combined),
+            &TopKRequest {
+                scheme: RankingScheme::Combined,
+                ..TopKRequest::new(q1(), 3)
+            },
         );
         assert_eq!(r.answers.len(), 3);
         for w in r.answers.windows(2) {
@@ -262,7 +265,10 @@ mod tests {
         let ctx = EngineContext::new(parse(ARTICLES).unwrap());
         let r = dpo_topk(
             &ctx,
-            &TopKRequest::new(q1(), 2).with_scheme(RankingScheme::KeywordFirst),
+            &TopKRequest {
+                scheme: RankingScheme::KeywordFirst,
+                ..TopKRequest::new(q1(), 2)
+            },
         );
         assert_eq!(r.answers.len(), 2);
         for w in r.answers.windows(2) {

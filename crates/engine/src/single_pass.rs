@@ -289,7 +289,10 @@ mod tests {
         let ctx = EngineContext::new(parse(ARTICLES).unwrap());
         let r = sso_topk(
             &ctx,
-            &TopKRequest::new(q1(), 2).with_scheme(RankingScheme::KeywordFirst),
+            &TopKRequest {
+                scheme: RankingScheme::KeywordFirst,
+                ..TopKRequest::new(q1(), 2)
+            },
         );
         assert_eq!(r.answers.len(), 2);
         for w in r.answers.windows(2) {
@@ -326,7 +329,10 @@ mod tests {
                 RankingScheme::KeywordFirst,
                 RankingScheme::Combined,
             ] {
-                let req = TopKRequest::new(q1(), k).with_scheme(scheme);
+                let req = TopKRequest {
+                    scheme,
+                    ..TopKRequest::new(q1(), k)
+                };
                 let h = hybrid_topk(&ctx, &req);
                 let s = sso_topk(&ctx, &req);
                 assert_eq!(h.nodes(), s.nodes(), "k={k} scheme={scheme:?}");
@@ -368,7 +374,10 @@ mod tests {
     #[test]
     fn combined_scheme_respects_keyword_headroom() {
         let ctx = EngineContext::new(parse(ARTICLES).unwrap());
-        let req = TopKRequest::new(q1(), 2).with_scheme(RankingScheme::Combined);
+        let req = TopKRequest {
+            scheme: RankingScheme::Combined,
+            ..TopKRequest::new(q1(), 2)
+        };
         let h = hybrid_topk(&ctx, &req);
         let s = sso_topk(&ctx, &req);
         assert_eq!(h.nodes(), s.nodes());

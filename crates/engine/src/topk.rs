@@ -96,48 +96,6 @@ impl TopKRequest {
             collect_trace: false,
         }
     }
-
-    /// Sets the ranking scheme.
-    pub fn with_scheme(mut self, scheme: RankingScheme) -> Self {
-        self.scheme = scheme;
-        self
-    }
-
-    /// Sets the weight assignment.
-    pub fn with_weights(mut self, weights: WeightAssignment) -> Self {
-        self.weights = weights;
-        self
-    }
-
-    /// Attaches a type hierarchy, enabling tag relaxation (Section 3.4).
-    pub fn with_hierarchy(mut self, hierarchy: TagHierarchy) -> Self {
-        self.hierarchy = Some(hierarchy);
-        self
-    }
-
-    /// Enables numeric attribute-bound slackening (Section 3.4).
-    pub fn with_attr_relaxation(mut self, relaxation: AttrRelaxation) -> Self {
-        self.attr_relaxation = Some(relaxation);
-        self
-    }
-
-    /// Sets the resource limits for this run.
-    pub fn with_limits(mut self, limits: QueryLimits) -> Self {
-        self.limits = limits;
-        self
-    }
-
-    /// Attaches an external cancellation token.
-    pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
-        self.cancel = Some(cancel);
-        self
-    }
-
-    /// Enables [`QueryTrace`] collection for this run.
-    pub fn with_trace(mut self) -> Self {
-        self.collect_trace = true;
-        self
-    }
 }
 
 /// One ranked answer.
@@ -268,7 +226,5 @@ mod tests {
         let r = TopKRequest::new(q, 10);
         assert_eq!(r.k, 10);
         assert_eq!(r.scheme, RankingScheme::StructureFirst);
-        let r = r.with_scheme(RankingScheme::Combined);
-        assert_eq!(r.scheme, RankingScheme::Combined);
     }
 }

@@ -8,7 +8,7 @@
 //! each on its own worker thread, and they all hit that cache: a single
 //! map behind one lock would serialize them on every probe.
 //!
-//! [`ShardedCache`] stripes the key space over `N` independently locked
+//! [`ShardedCache`] stripes the key space over 16 independently locked
 //! shards (key → shard by hash). Readers on different shards never contend;
 //! writers contend only within a shard. Values are handed out as
 //! [`Arc`]s, so a hit never copies the (potentially large) evaluation.
@@ -19,16 +19,14 @@
 //! session's document is immutable, so entries never need *invalidation* —
 //! but a long-lived session serving many distinct queries would otherwise
 //! grow the cache without bound (every distinct `contains` expression ever
-//! seen stays resident). Each shard therefore holds at most
-//! [`ShardedCache::shard_cap`] entries and evicts its oldest-inserted entry
-//! (FIFO order) to make room; total residency is bounded by
-//! `shards × shard_cap` *values* (an [`Arc`] still held by a running query
-//! keeps its value alive until that query finishes). The default cap
-//! ([`DEFAULT_SHARD_CAP`] per shard) is generous for one document's
-//! plausible expression space; size it down for memory-tight deployments
-//! with [`ShardedCache::with_shards_and_cap`]. A computation raced by two
-//! threads may run twice, but exactly one result wins the insert and both
-//! callers observe the same [`Arc`] thereafter.
+//! seen stays resident). Each of the 16 shards therefore holds at most
+//! 4,096 entries and evicts its oldest-inserted entry (FIFO order) to make
+//! room; total residency is bounded by `16 × 4,096` *values* (an [`Arc`]
+//! still held by a running query keeps its value alive until that query
+//! finishes), which is generous for one document's plausible expression
+//! space. A computation raced by two threads may run twice, but exactly
+//! one result wins the insert and both callers observe the same [`Arc`]
+//! thereafter.
 //!
 //! Hit/miss/insert/eviction totals are kept as relaxed atomics and read
 //! via [`ShardedCache::stats`]. Note that hit/miss splits are inherently
@@ -41,13 +39,13 @@ use std::hash::{BuildHasher, Hash, RandomState};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-/// Default shard count — enough stripes that 8–16 concurrent queries
-/// rarely collide, small enough that an empty cache stays cheap.
-pub const DEFAULT_SHARDS: usize = 16;
+/// Shard count — enough stripes that 8–16 concurrent queries rarely
+/// collide, small enough that an empty cache stays cheap.
+const SHARDS: usize = 16;
 
-/// Default per-shard entry cap (so a default cache holds at most
-/// `16 × 4096` entries before FIFO eviction kicks in).
-pub const DEFAULT_SHARD_CAP: usize = 4096;
+/// Per-shard entry cap (so the cache holds at most `16 × 4096` entries
+/// before FIFO eviction kicks in).
+const SHARD_CAP: usize = 4096;
 
 /// Point-in-time counters for a [`ShardedCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -63,14 +61,10 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Entries currently resident (approximate while writers are active).
     pub entries: usize,
-    /// Number of lock stripes.
-    pub shards: usize,
-    /// Per-shard entry cap.
-    pub shard_cap: usize,
 }
 
-/// A concurrent memoization cache striped over `N` shards, each bounded to
-/// `shard_cap` entries with FIFO eviction.
+/// A concurrent memoization cache striped over 16 shards, each bounded to
+/// 4,096 entries with FIFO eviction.
 ///
 /// ```
 /// use flexpath_ftsearch::ShardedCache;
@@ -110,21 +104,14 @@ type Shard<K, V> = RwLock<ShardState<K, V>>;
 
 impl<K: Hash + Eq + Clone, V> Default for ShardedCache<K, V> {
     fn default() -> Self {
-        Self::with_shards(DEFAULT_SHARDS)
+        Self::sized(SHARDS, SHARD_CAP)
     }
 }
 
 impl<K: Hash + Eq + Clone, V> ShardedCache<K, V> {
-    /// A cache striped over `shards` locks (rounded up to at least 1) with
-    /// the default per-shard cap.
-    pub fn with_shards(shards: usize) -> Self {
-        Self::with_shards_and_cap(shards, DEFAULT_SHARD_CAP)
-    }
-
     /// A cache striped over `shards` locks, each holding at most
-    /// `shard_cap` entries (both rounded up to at least 1).
-    pub fn with_shards_and_cap(shards: usize, shard_cap: usize) -> Self {
-        let shards = shards.max(1);
+    /// `shard_cap` entries (the eviction tests shrink both).
+    fn sized(shards: usize, shard_cap: usize) -> Self {
         ShardedCache {
             shards: (0..shards)
                 .map(|_| {
@@ -136,7 +123,7 @@ impl<K: Hash + Eq + Clone, V> ShardedCache<K, V> {
                 .collect::<Vec<_>>()
                 .into_boxed_slice(),
             hasher: RandomState::new(),
-            shard_cap: shard_cap.max(1),
+            shard_cap,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             inserts: AtomicU64::new(0),
@@ -229,16 +216,6 @@ impl<K: Hash + Eq + Clone, V> ShardedCache<K, V> {
         self.len() == 0
     }
 
-    /// Number of lock stripes.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Per-shard entry cap.
-    pub fn shard_cap(&self) -> usize {
-        self.shard_cap
-    }
-
     /// Point-in-time hit/miss/insert/eviction counters plus residency.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
@@ -247,8 +224,6 @@ impl<K: Hash + Eq + Clone, V> ShardedCache<K, V> {
             inserts: self.inserts.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             entries: self.len(),
-            shards: self.shards.len(),
-            shard_cap: self.shard_cap,
         }
     }
 }
@@ -276,31 +251,23 @@ mod tests {
 
     #[test]
     fn keys_spread_across_shards() {
-        let cache: ShardedCache<u64, u64> = ShardedCache::with_shards(8);
+        let cache: ShardedCache<u64, u64> = ShardedCache::default();
         for k in 0..256u64 {
             cache.get_or_insert_with(&k, || k * 2);
         }
         assert_eq!(cache.len(), 256);
-        assert_eq!(cache.shard_count(), 8);
-        // With 256 keys over 8 shards, more than one shard must be in use —
+        assert_eq!(cache.shards.len(), SHARDS);
+        // With 256 keys over 16 shards, more than one shard must be in use —
         // a same-shard pileup would mean the hash routing is broken.
-        let used = (0..8)
+        let used = (0..SHARDS)
             .filter(|&i| !cache.read_shard(i).map.is_empty())
             .count();
         assert!(used > 1, "all keys landed in one shard");
     }
 
     #[test]
-    fn zero_shards_clamps_to_one() {
-        let cache: ShardedCache<u8, u8> = ShardedCache::with_shards(0);
-        assert_eq!(cache.shard_count(), 1);
-        cache.get_or_insert_with(&1, || 1);
-        assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
     fn shard_cap_evicts_fifo() {
-        let cache: ShardedCache<u32, u32> = ShardedCache::with_shards_and_cap(1, 3);
+        let cache: ShardedCache<u32, u32> = ShardedCache::sized(1, 3);
         for k in 0..5u32 {
             cache.get_or_insert_with(&k, || k);
         }
@@ -313,16 +280,6 @@ mod tests {
         // An evicted key recomputes on next probe.
         let v = cache.get_or_insert_with(&0, || 100);
         assert_eq!(*v, 100);
-    }
-
-    #[test]
-    fn zero_cap_clamps_to_one() {
-        let cache: ShardedCache<u8, u8> = ShardedCache::with_shards_and_cap(1, 0);
-        assert_eq!(cache.shard_cap(), 1);
-        cache.get_or_insert_with(&1, || 1);
-        cache.get_or_insert_with(&2, || 2);
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.stats().evictions, 1);
     }
 
     #[test]

@@ -102,7 +102,7 @@ const GOVERNOR_ENGINE: &[&str] = &[
 ];
 
 /// xmldom modules that decode raw bytes (indexing rule applies).
-const INDEXING_XMLDOM: &[&str] = &["wire.rs", "codec.rs", "parser.rs", "events.rs"];
+const INDEXING_XMLDOM: &[&str] = &["wire.rs", "codec.rs", "parser.rs"];
 
 /// Maps a workspace-relative path (forward slashes) to its rule set.
 pub fn classify(rel: &str) -> FileClass {

@@ -8,7 +8,7 @@
 use crate::rng::{Rng, SeedableRng, StdRng};
 use crate::schema::*;
 use crate::vocab::Vocabulary;
-use flexpath_xmldom::{Document, DocumentBuilder, SymbolTable};
+use flexpath_xmldom::{Document, DocumentBuilder};
 
 /// Generator parameters. `Default` matches the distributions used by the
 /// paper-reproduction benchmarks.
@@ -65,18 +65,12 @@ impl XmarkConfig {
     }
 }
 
-/// Generates a document with a fresh symbol table.
+/// Generates a document.
 pub fn generate(config: &XmarkConfig) -> Document {
-    generate_with_symbols(config, SymbolTable::new())
-}
-
-/// Generates a document interning names into `symbols` (lets several
-/// generated documents share tag ids).
-pub fn generate_with_symbols(config: &XmarkConfig, symbols: SymbolTable) -> Document {
     let mut gen = Generator {
         rng: StdRng::seed_from_u64(config.seed),
         vocab: Vocabulary::new(config.zipf_exponent),
-        builder: DocumentBuilder::with_symbols(symbols),
+        builder: DocumentBuilder::new(),
         bytes: 0,
         config,
         scratch: String::new(),

@@ -34,5 +34,5 @@ pub mod schema;
 pub mod vocab;
 
 pub use articles::{generate_articles, ArticlesConfig, Scenario};
-pub use generator::{generate, generate_with_symbols, XmarkConfig};
+pub use generator::{generate, XmarkConfig};
 pub use vocab::Vocabulary;

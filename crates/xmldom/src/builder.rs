@@ -92,14 +92,8 @@ fn text_label(text: usize) -> Result<u32, BuildError> {
 impl DocumentBuilder {
     /// Creates an empty builder with a fresh symbol table.
     pub fn new() -> Self {
-        Self::with_symbols(SymbolTable::new())
-    }
-
-    /// Creates a builder that interns into an existing table (lets several
-    /// documents share tag ids).
-    pub fn with_symbols(symbols: SymbolTable) -> Self {
         DocumentBuilder {
-            doc: Document::empty(symbols, 0),
+            doc: Document::empty(SymbolTable::new(), 0),
             open: Vec::new(),
         }
     }

@@ -1,5 +1,6 @@
 //! Parser error reporting with line/column positions.
 
+use crate::builder::BuildError;
 use std::fmt;
 
 /// What went wrong while parsing.
@@ -24,21 +25,18 @@ pub enum ParseErrorKind {
     DuplicateAttribute(String),
     /// The document has no root element.
     Empty,
-    /// Element nesting exceeded [`ParseOptions::max_depth`].
-    ///
-    /// [`ParseOptions::max_depth`]: crate::ParseOptions::max_depth
+    /// Element nesting exceeded the parser's depth limit (512).
     TooDeep {
-        /// The configured depth limit.
+        /// The depth limit.
         limit: usize,
     },
-    /// One element carried more attributes than
-    /// [`ParseOptions::max_attributes`].
-    ///
-    /// [`ParseOptions::max_attributes`]: crate::ParseOptions::max_attributes
+    /// One element carried more attributes than the parser's limit (1024).
     TooManyAttributes {
-        /// The configured per-element attribute limit.
+        /// The per-element attribute limit.
         limit: usize,
     },
+    /// The document outgrew the document model (e.g. past 4 GiB of text).
+    Build(BuildError),
 }
 
 /// A parse failure, with the byte offset, line, and column where it occurred.
@@ -97,6 +95,7 @@ impl fmt::Display for ParseError {
             ParseErrorKind::TooManyAttributes { limit } => {
                 write!(f, "element has more than {limit} attributes")
             }
+            ParseErrorKind::Build(e) => write!(f, "cannot build the document: {e}"),
         }
     }
 }
@@ -128,5 +127,7 @@ mod tests {
         );
         let s = e.to_string();
         assert!(s.contains("</a>") && s.contains("</b>"), "{s}");
+        let e = ParseError::at(ParseErrorKind::Build(BuildError::TextArenaFull), "<a>", 3);
+        assert!(e.to_string().ends_with("4 GiB or 2^31 texts"), "{e}");
     }
 }

@@ -44,7 +44,6 @@ pub mod builder;
 pub mod codec;
 pub mod document;
 pub mod error;
-pub mod events;
 pub mod parser;
 pub mod serialize;
 pub mod stats;
@@ -56,9 +55,8 @@ pub use builder::DocumentBuilder;
 pub use codec::CodecError;
 pub use document::{Document, NodeId, NodeKind};
 pub use error::{ParseError, ParseErrorKind};
-pub use events::{FnSink, XmlEvent, XmlSink};
-pub use parser::{parse, parse_events, parse_with_options, ParseOptions};
-pub use serialize::{to_xml_pretty, to_xml_string, write_xml};
+pub use parser::parse;
+pub use serialize::{to_xml_string, write_xml};
 pub use stats::{DocStats, TagPair};
 pub use symbols::{Sym, SymbolTable};
 pub use wire::{ByteReader, ByteWriter, U32s, WireError};

@@ -6,14 +6,14 @@
 //! entities, and decimal/hex character references. Namespaces are treated
 //! literally (a tag `a:b` is just the name `"a:b"`).
 //!
-//! By default, whitespace-only text nodes are dropped — FleXPath's corpora
-//! are data-centric and indentation between elements carries no signal; use
-//! [`ParseOptions::keep_whitespace`] to retain them.
+//! The parser checks well-formedness itself and feeds the decoded content
+//! straight into a [`DocumentBuilder`]. Whitespace-only text nodes are
+//! dropped — FleXPath's corpora are data-centric and indentation between
+//! elements carries no signal.
 
-use crate::builder::DocumentBuilder;
+use crate::builder::{BuildError, DocumentBuilder};
 use crate::document::Document;
 use crate::error::{ParseError, ParseErrorKind};
-use crate::events::XmlSink;
 
 /// Longest entity reference the parser will scan for: the widest legal one
 /// (`&#x10FFFF;`) is 9 characters, so a `;` further away than this marks a
@@ -21,74 +21,38 @@ use crate::events::XmlSink;
 /// every reference scan to the far end of the input.
 const MAX_ENTITY_LEN: usize = 64;
 
-/// Knobs for [`parse_with_options`].
-#[derive(Debug, Clone, Copy)]
-pub struct ParseOptions {
-    /// Keep text nodes that consist solely of XML whitespace.
-    pub keep_whitespace: bool,
-    /// Maximum element nesting depth before the parser rejects the input
-    /// with [`ParseErrorKind::TooDeep`] (default 512). The parser itself is
-    /// iterative, but depth-recursive *consumers* of the resulting tree
-    /// (serializers, visitors) inherit this bound.
-    pub max_depth: usize,
-    /// Maximum number of attributes on a single element before the parser
-    /// rejects the input with [`ParseErrorKind::TooManyAttributes`]
-    /// (default 1024).
-    pub max_attributes: usize,
-}
+/// Deepest element nesting accepted before [`ParseErrorKind::TooDeep`].
+/// The parser itself is iterative, but depth-recursive *consumers* of the
+/// resulting tree (serializers, visitors) inherit this bound.
+const MAX_DEPTH: usize = 512;
 
-impl Default for ParseOptions {
-    fn default() -> Self {
-        ParseOptions {
-            keep_whitespace: false,
-            max_depth: 512,
-            max_attributes: 1024,
-        }
-    }
-}
-
-/// Parses `input` into a [`Document`] with default options.
-pub fn parse(input: &str) -> Result<Document, ParseError> {
-    parse_with_options(input, ParseOptions::default())
-}
+/// Most attributes accepted on one element before
+/// [`ParseErrorKind::TooManyAttributes`].
+const MAX_ATTRIBUTES: usize = 1024;
 
 /// Parses `input` into a [`Document`].
-pub fn parse_with_options(input: &str, options: ParseOptions) -> Result<Document, ParseError> {
-    let mut builder = DocumentBuilder::new();
-    parse_events(input, options, &mut builder)?;
-    builder
-        .finish()
-        .map_err(|_| ParseError::at(ParseErrorKind::Empty, input, input.len()))
-}
-
-/// Streams parse events into `sink` (SAX-style). All well-formedness
-/// checking — balanced tags, single root, duplicate attributes — happens
-/// here; the sink sees only valid sequences (truncated at the first error).
-pub fn parse_events<S: XmlSink>(
-    input: &str,
-    options: ParseOptions,
-    sink: &mut S,
-) -> Result<(), ParseError> {
+pub fn parse(input: &str) -> Result<Document, ParseError> {
     let mut p = Parser {
         input,
         bytes: input.as_bytes(),
         pos: 0,
-        options,
-        sink,
+        builder: DocumentBuilder::new(),
         open: Vec::new(),
         seen_root: false,
     };
-    p.run()
+    p.run()?;
+    p.builder
+        .finish()
+        .map_err(|e| ParseError::at(ParseErrorKind::Build(e), input, input.len()))
 }
 
-struct Parser<'a, 's, S: XmlSink> {
+struct Parser<'a> {
     input: &'a str,
     bytes: &'a [u8],
     pos: usize,
-    options: ParseOptions,
-    sink: &'s mut S,
+    builder: DocumentBuilder,
     /// Names of currently open elements (the parser's own well-formedness
-    /// stack — sinks never have to validate).
+    /// stack — the builder only ever sees valid sequences).
     open: Vec<&'a str>,
     seen_root: bool,
 }
@@ -98,9 +62,15 @@ struct Parser<'a, 's, S: XmlSink> {
 // boundary everywhere in this impl. The robustness suite feeds arbitrary
 // bytes through `parse` to back this up.
 #[allow(clippy::indexing_slicing)]
-impl<'a, S: XmlSink> Parser<'a, '_, S> {
+impl<'a> Parser<'a> {
     fn err(&self, kind: ParseErrorKind) -> ParseError {
         ParseError::at(kind, self.input, self.pos)
+    }
+
+    /// Positions a builder failure (a limit of the document model, such as
+    /// the 4 GiB text arena) at the current cursor.
+    fn build_err(&self, e: BuildError) -> ParseError {
+        self.err(ParseErrorKind::Build(e))
     }
 
     fn eof(&self) -> bool {
@@ -269,10 +239,10 @@ impl<'a, S: XmlSink> Parser<'a, '_, S> {
             if self.open.is_empty() {
                 return Err(self.err(ParseErrorKind::ContentOutsideRoot));
             }
-            if !content.is_empty() {
-                self.sink.text(content);
-            }
-            return Ok(());
+            return self
+                .builder
+                .try_text(content)
+                .map_err(|e| self.build_err(e));
         }
         if self.starts_with("<?") {
             self.pos += 2;
@@ -301,8 +271,9 @@ impl<'a, S: XmlSink> Parser<'a, '_, S> {
             match self.open.last() {
                 Some(&expected) if expected == name => {
                     self.open.pop();
-                    self.sink.end_element();
-                    Ok(())
+                    self.builder
+                        .try_end_element()
+                        .map_err(|e| self.build_err(e))
                 }
                 Some(&expected) => Err(self.err(ParseErrorKind::MismatchedTag {
                     expected: expected.to_string(),
@@ -318,13 +289,13 @@ impl<'a, S: XmlSink> Parser<'a, '_, S> {
                 return Err(self.err(ParseErrorKind::ContentOutsideRoot));
             }
             self.seen_root = true;
-            if self.open.len() >= self.options.max_depth {
-                return Err(self.err(ParseErrorKind::TooDeep {
-                    limit: self.options.max_depth,
-                }));
+            if self.open.len() >= MAX_DEPTH {
+                return Err(self.err(ParseErrorKind::TooDeep { limit: MAX_DEPTH }));
             }
             self.open.push(name);
-            self.sink.start_element(name);
+            self.builder
+                .try_start_element(name)
+                .map_err(|e| self.build_err(e))?;
             let mut seen_attrs: Vec<&str> = Vec::new();
             loop {
                 self.skip_ws();
@@ -337,14 +308,16 @@ impl<'a, S: XmlSink> Parser<'a, '_, S> {
                         self.pos += 1;
                         self.expect_str(">")?;
                         self.open.pop();
-                        self.sink.end_element();
-                        return Ok(());
+                        return self
+                            .builder
+                            .try_end_element()
+                            .map_err(|e| self.build_err(e));
                     }
                     Some(b) if Self::is_name_start(b) => {
                         let attr = self.parse_name()?;
-                        if seen_attrs.len() >= self.options.max_attributes {
+                        if seen_attrs.len() >= MAX_ATTRIBUTES {
                             return Err(self.err(ParseErrorKind::TooManyAttributes {
-                                limit: self.options.max_attributes,
+                                limit: MAX_ATTRIBUTES,
                             }));
                         }
                         if seen_attrs.contains(&attr) {
@@ -354,7 +327,9 @@ impl<'a, S: XmlSink> Parser<'a, '_, S> {
                         self.expect_str("=")?;
                         self.skip_ws();
                         let value = self.parse_attr_value()?;
-                        self.sink.attribute(attr, &value);
+                        self.builder
+                            .try_attribute(attr, &value)
+                            .map_err(|e| self.build_err(e))?;
                         seen_attrs.push(attr);
                     }
                     Some(b) => return Err(self.err(ParseErrorKind::UnexpectedChar(b as char))),
@@ -381,18 +356,13 @@ impl<'a, S: XmlSink> Parser<'a, '_, S> {
                 }
             }
         }
-        let significant = self.options.keep_whitespace
-            || !out.chars().all(|c| matches!(c, ' ' | '\t' | '\r' | '\n'));
-        if !significant {
+        if out.chars().all(|c| matches!(c, ' ' | '\t' | '\r' | '\n')) {
             return Ok(());
         }
         if self.open.is_empty() {
             return Err(self.err(ParseErrorKind::ContentOutsideRoot));
         }
-        if !out.is_empty() {
-            self.sink.text(&out);
-        }
-        Ok(())
+        self.builder.try_text(&out).map_err(|e| self.build_err(e))
     }
 }
 
@@ -441,15 +411,6 @@ mod tests {
     fn whitespace_only_text_dropped_by_default() {
         let doc = parse("<a>\n  <b/>\n</a>").unwrap();
         assert_eq!(doc.node_count(), 2);
-        let kept = parse_with_options(
-            "<a>\n  <b/>\n</a>",
-            ParseOptions {
-                keep_whitespace: true,
-                ..ParseOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(kept.node_count(), 4);
     }
 
     #[test]
@@ -535,32 +496,31 @@ mod tests {
     }
 
     #[test]
-    fn depth_limit_is_configurable() {
-        let doc_at_limit = nested(512);
-        assert!(parse(&doc_at_limit).is_ok(), "512 deep is within default");
-        assert!(parse(&nested(513)).is_err());
-        let opts = ParseOptions {
-            max_depth: 8,
-            ..ParseOptions::default()
-        };
-        assert!(matches!(
-            parse_with_options(&nested(9), opts).unwrap_err().kind,
-            ParseErrorKind::TooDeep { limit: 8 }
-        ));
-        assert!(parse_with_options(&nested(8), opts).is_ok());
+    fn depth_limit_is_512() {
+        assert_eq!(parse(&nested(512)).unwrap().node_count(), 512);
+        assert_eq!(
+            parse(&nested(513)).unwrap_err().kind,
+            ParseErrorKind::TooDeep { limit: 512 }
+        );
     }
 
-    #[test]
-    fn attribute_count_limit_is_enforced() {
+    fn with_attributes(n: usize) -> String {
         let mut doc = String::from("<a");
-        for i in 0..1025 {
+        for i in 0..n {
             doc.push_str(&format!(" x{i}=\"v\""));
         }
         doc.push_str("/>");
-        assert!(matches!(
-            parse(&doc).unwrap_err().kind,
+        doc
+    }
+
+    #[test]
+    fn attribute_count_limit_is_1024() {
+        let doc = parse(&with_attributes(1024)).unwrap();
+        assert_eq!(doc.attributes(doc.root_element()).len(), 1024);
+        assert_eq!(
+            parse(&with_attributes(1025)).unwrap_err().kind,
             ParseErrorKind::TooManyAttributes { limit: 1024 }
-        ));
+        );
     }
 
     #[test]

@@ -10,65 +10,6 @@ pub fn to_xml_string(doc: &Document) -> String {
     out
 }
 
-/// Serializes the whole document with two-space indentation.
-///
-/// Elements with text content keep their content inline (indentation inside
-/// mixed content would change the text); element-only content is broken
-/// across lines.
-pub fn to_xml_pretty(doc: &Document) -> String {
-    let mut out = String::with_capacity(doc.node_count() * 24);
-    write_pretty(doc, doc.root_element(), 0, &mut out);
-    out.push('\n');
-    out
-}
-
-fn write_pretty(doc: &Document, node: NodeId, depth: usize, out: &mut String) {
-    match doc.kind(node) {
-        NodeKind::Text { .. } => {
-            escape_text(doc.text_content(node).unwrap_or_default(), out);
-        }
-        NodeKind::Element { tag } => {
-            let name = doc.symbols().name(tag);
-            out.push('<');
-            out.push_str(name);
-            for (attr, value) in doc.attributes(node) {
-                let _ = write!(out, " {}=\"", doc.symbols().name(*attr));
-                escape_attr(value, out);
-                out.push('"');
-            }
-            if doc.first_child(node).is_none() {
-                out.push_str("/>");
-                return;
-            }
-            out.push('>');
-            let mixed = doc
-                .children(node)
-                .any(|c| matches!(doc.kind(c), NodeKind::Text { .. }));
-            if mixed {
-                // Mixed content: indentation would alter the text; inline.
-                for child in doc.children(node) {
-                    write_xml(doc, child, out);
-                }
-            } else {
-                for child in doc.children(node) {
-                    out.push('\n');
-                    for _ in 0..=depth {
-                        out.push_str("  ");
-                    }
-                    write_pretty(doc, child, depth + 1, out);
-                }
-                out.push('\n');
-                for _ in 0..depth {
-                    out.push_str("  ");
-                }
-            }
-            out.push_str("</");
-            out.push_str(name);
-            out.push('>');
-        }
-    }
-}
-
 /// Serializes the subtree rooted at `node` into `out`.
 pub fn write_xml(doc: &Document, node: NodeId, out: &mut String) {
     match doc.kind(node) {
@@ -149,31 +90,6 @@ mod tests {
     fn empty_elements_self_close() {
         let doc = parse("<a><b></b></a>").unwrap();
         assert_eq!(to_xml_string(&doc), "<a><b/></a>");
-    }
-
-    #[test]
-    fn pretty_printing_indents_element_content() {
-        let doc = parse("<a><b><c/></b><d>text</d></a>").unwrap();
-        let pretty = to_xml_pretty(&doc);
-        assert_eq!(
-            pretty,
-            "<a>\n  <b>\n    <c/>\n  </b>\n  <d>text</d>\n</a>\n"
-        );
-        // Pretty output re-parses to an equivalent document (whitespace-only
-        // text is dropped by default).
-        let reparsed = parse(&pretty).unwrap();
-        assert_eq!(to_xml_string(&reparsed), to_xml_string(&doc));
-    }
-
-    #[test]
-    fn pretty_printing_preserves_mixed_content_exactly() {
-        let doc = parse("<a>pre <b>mid</b> post</a>").unwrap();
-        let pretty = to_xml_pretty(&doc);
-        let reparsed = parse(&pretty).unwrap();
-        assert_eq!(
-            reparsed.subtree_text(reparsed.root_element()),
-            doc.subtree_text(doc.root_element())
-        );
     }
 
     #[test]

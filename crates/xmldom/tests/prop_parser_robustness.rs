@@ -1,8 +1,10 @@
 //! Robustness: the parser must never panic, whatever the input — it either
 //! produces a document or a positioned error. Fuzz-lite via a seeded PRNG
-//! over arbitrary strings and over mutations of valid XML.
+//! over arbitrary strings and over mutations of valid XML, plus a
+//! wall-clock check that parsing stays linear in a repeated span.
 
-use flexpath_xmldom::{parse, parse_with_options, to_xml_string, ParseOptions};
+use flexpath_xmldom::{parse, to_xml_string};
+use std::time::Instant;
 
 /// Tiny deterministic PRNG (splitmix64) for reproducible fuzzing.
 struct Rng(u64);
@@ -32,13 +34,6 @@ fn arbitrary_input_never_panics() {
             .filter_map(|_| char::from_u32(rng.next() as u32 % 0xD800))
             .collect();
         let _ = parse(&input);
-        let _ = parse_with_options(
-            &input,
-            ParseOptions {
-                keep_whitespace: true,
-                ..Default::default()
-            },
-        );
     }
 }
 
@@ -100,5 +95,60 @@ fn successful_parses_round_trip() {
             let reparsed = parse(&xml).expect("serializer output must re-parse");
             assert_eq!(to_xml_string(&reparsed), xml);
         }
+    }
+}
+
+/// `prefix`, then `span` repeated until the input is about `bytes` long,
+/// then `suffix`.
+fn repeated(prefix: &str, span: &str, suffix: &str, bytes: usize) -> String {
+    let times = bytes.saturating_sub(prefix.len() + suffix.len()) / span.len();
+    format!("{prefix}{}{suffix}", span.repeat(times))
+}
+
+/// Minimum wall-clock seconds of five calls of `parse`.
+fn min_of_5<T>(mut parse: impl FnMut() -> T) -> f64 {
+    (0..5)
+        .map(|_| {
+            let start = Instant::now();
+            let _ = std::hint::black_box(parse());
+            start.elapsed().as_secs_f64()
+        })
+        .fold(f64::MAX, f64::min)
+}
+
+/// Parsing is linear in the length of a repeated span: a document 8×
+/// longer parses in at most 24× the time (quadratic would be 64×). The
+/// spans are sibling elements with attributes, entity-dense text, comments
+/// and processing instructions, CDATA, an entity-dense attribute value,
+/// empty elements, three-level nesting, whitespace-only text and prefixed
+/// names.
+#[test]
+#[ignore = "wall-clock growth check; run with --ignored in an optimised build"]
+fn parse_time_is_linear_in_repeated_spans() {
+    for (prefix, span, suffix) in [
+        ("<r>", r#"<e a="1" b='two'>t</e>"#, "</r>"),
+        ("<r>", "&amp;&lt;&#65;&#x42;&quot;x", "</r>"),
+        ("<r>", "<!-- c --><?pi d?>", "</r>"),
+        ("<r>", "<![CDATA[<x>&]]>", "</r>"),
+        (r#"<r a=""#, "&amp;&quot;&#233;y", r#""/>"#),
+        ("<r>", "<e/>", "</r>"),
+        ("<r>", "<a><b><c>t</c></b></a>", "</r>"),
+        ("<r><e/>", " \n\t\r", "<e/></r>"),
+        ("<r>", r#"<x:e x:a="v">t</x:e>"#, "</r>"),
+    ] {
+        let time = |bytes: usize| {
+            let input = repeated(prefix, span, suffix, bytes);
+            assert!(parse(&input).is_ok(), "{input:.80}…");
+            min_of_5(|| parse(std::hint::black_box(&input)))
+        };
+        let (small, large) = (time(8 << 10), time(64 << 10));
+        let ratio = large / small;
+        assert!(
+            ratio <= 24.0,
+            "document repeating {span:?}: 64 KiB took {ratio:.1}x the 8 KiB one \
+             ({:.3} ms vs {:.3} ms)",
+            large * 1e3,
+            small * 1e3
+        );
     }
 }
