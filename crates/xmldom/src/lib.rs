@@ -13,8 +13,8 @@
 //!   derives links and `(start, end, level)` interval labels from them, so
 //!   ancestor/descendant tests are O(1) and per-tag node lists come out
 //!   sorted;
-//! * a programmatic [`DocumentBuilder`] (used by the XMark generator and by
-//!   tests);
+//! * a [`DocumentBuilder`], the one construction path (the parser, the
+//!   XMark generator and tests drive it);
 //! * [`DocStats`] — the `#(t)`, `#pc(t1,t2)`, `#ad(t1,t2)` occurrence counts
 //!   that FleXPath's predicate penalties (Section 4.3.1) and selectivity
 //!   estimates (Section 6) are computed from.
