@@ -128,7 +128,7 @@ impl QueryLimits {
         }
     }
 
-    /// Builds the shared [`Budget`] for one execution, anchoring the
+    /// Builds the [`Budget`] for one execution, anchoring the
     /// deadline at "now" and attaching the external token, if any.
     pub fn budget(&self, cancel: Option<CancelToken>) -> Budget {
         Budget::new(

@@ -11,19 +11,23 @@
 //! caller returns the best answers found so far, labelled with why the
 //! search stopped.
 //!
-//! [`Budget`] is the shared checkpoint object: one instance per query
-//! execution, threaded (by reference) through every hot loop of the
-//! engine and the IR evaluator. All state is atomic, so a [`CancelToken`]
-//! clone held by another thread (a UI, a signal handler) can stop an
-//! evaluation mid-flight.
+//! [`Budget`] is the checkpoint object: one instance per query execution,
+//! threaded (by reference) through every hot loop of the engine and the IR
+//! evaluator. A query runs on one thread, so the budget's meters are plain
+//! [`Cell`]s and the type is `Send` but not `Sync`: it may move to the
+//! thread that runs the query but is never shared with another. The one
+//! cross-thread path is the [`CancelToken`], an atomic flag whose clone
+//! another thread (a UI, a signal handler, a draining server) may set.
 //!
 //! Checkpoints are designed to be cheap enough for inner loops: a
-//! [`Budget::checkpoint`] is one relaxed atomic load plus, every
-//! [`TICK_INTERVAL`] calls, a deadline/cancellation check. At typical
-//! candidate-loop throughput this bounds cancellation latency well below
-//! 50 ms.
+//! [`Budget::checkpoint`] is a few plain loads, one store and a mask test
+//! on the query's own thread (no locked instruction) plus, every
+//! [`TICK_INTERVAL`] calls, a deadline/cancellation check: one clock read
+//! and one atomic load of the token. At typical candidate-loop throughput
+//! this bounds cancellation latency well below 50 ms.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -59,29 +63,6 @@ impl std::fmt::Display for ExhaustReason {
     }
 }
 
-impl ExhaustReason {
-    fn code(self) -> u8 {
-        match self {
-            ExhaustReason::Deadline => 1,
-            ExhaustReason::Cancelled => 2,
-            ExhaustReason::RelaxationBudget => 3,
-            ExhaustReason::AnswerBudget => 4,
-            ExhaustReason::PostingsBudget => 5,
-        }
-    }
-
-    fn from_code(code: u8) -> Option<Self> {
-        Some(match code {
-            1 => ExhaustReason::Deadline,
-            2 => ExhaustReason::Cancelled,
-            3 => ExhaustReason::RelaxationBudget,
-            4 => ExhaustReason::AnswerBudget,
-            5 => ExhaustReason::PostingsBudget,
-            _ => return None,
-        })
-    }
-}
-
 /// A cloneable handle that lets *another* thread stop a running query.
 ///
 /// ```
@@ -114,21 +95,49 @@ impl CancelToken {
     }
 }
 
-/// Shared, atomic resource meter for one query execution.
+/// Resource meter for one query execution, owned by the thread that runs
+/// it.
 ///
 /// `u64::MAX` for any cap means "unlimited". All charging/checkpoint
 /// methods return `true` when the computation should stop; the first
-/// reason to trip is latched and later charges keep reporting it.
+/// reason to trip is latched and later charges keep reporting it. The
+/// postings and answer meters saturate at `u64::MAX` instead of wrapping.
+///
+/// A budget is `Send`, so it can be built on one thread and run on
+/// another:
+///
+/// ```
+/// use flexpath_ftsearch::Budget;
+///
+/// let budget = Budget::unlimited();
+/// let scanned = std::thread::spawn(move || {
+///     budget.charge_postings(3);
+///     budget.postings_scanned()
+/// })
+/// .join()
+/// .unwrap();
+/// assert_eq!(scanned, 3);
+/// ```
+///
+/// It is not `Sync`: two threads cannot charge one budget. Whoever must
+/// stop a query from elsewhere holds a [`CancelToken`] clone instead.
+///
+/// ```compile_fail
+/// use flexpath_ftsearch::Budget;
+///
+/// fn sync<T: Sync>() {}
+/// sync::<Budget>();
+/// ```
 #[derive(Debug)]
 pub struct Budget {
     deadline: Option<Instant>,
     cancel: Option<CancelToken>,
     max_postings: u64,
     max_answers: u64,
-    postings: AtomicU64,
-    answers: AtomicU64,
-    ticks: AtomicU64,
-    tripped: AtomicU8,
+    postings: Cell<u64>,
+    answers: Cell<u64>,
+    ticks: Cell<u64>,
+    tripped: Cell<Option<ExhaustReason>>,
 }
 
 impl Default for Budget {
@@ -145,10 +154,10 @@ impl Budget {
             cancel: None,
             max_postings: u64::MAX,
             max_answers: u64::MAX,
-            postings: AtomicU64::new(0),
-            answers: AtomicU64::new(0),
-            ticks: AtomicU64::new(0),
-            tripped: AtomicU8::new(0),
+            postings: Cell::new(0),
+            answers: Cell::new(0),
+            ticks: Cell::new(0),
+            tripped: Cell::new(None),
         }
     }
 
@@ -180,15 +189,15 @@ impl Budget {
 
     /// The first reason this budget tripped, if any.
     pub fn tripped(&self) -> Option<ExhaustReason> {
-        ExhaustReason::from_code(self.tripped.load(Ordering::Acquire))
+        self.tripped.get()
     }
 
-    /// Latches `reason` as the trip cause (first writer wins) and reports
-    /// that the computation should stop.
+    /// Latches `reason` as the trip cause unless one is already latched
+    /// (the first trip wins) and reports that the computation should stop.
     pub fn trip(&self, reason: ExhaustReason) -> bool {
-        let _ =
-            self.tripped
-                .compare_exchange(0, reason.code(), Ordering::AcqRel, Ordering::Acquire);
+        if self.tripped.get().is_none() {
+            self.tripped.set(Some(reason));
+        }
         true
     }
 
@@ -197,13 +206,16 @@ impl Budget {
     /// performs the (slightly costlier) deadline and cancellation checks.
     #[inline]
     pub fn checkpoint(&self) -> bool {
-        if self.tripped.load(Ordering::Relaxed) != 0 {
+        if self.tripped.get().is_some() {
             return true;
         }
         if self.deadline.is_none() && self.cancel.is_none() {
             return false;
         }
-        let t = self.ticks.fetch_add(1, Ordering::Relaxed);
+        // `ticks` only phases the full check, so it wraps: a saturated
+        // counter would stop reading the clock for good.
+        let t = self.ticks.get();
+        self.ticks.set(t.wrapping_add(1));
         if t.is_multiple_of(TICK_INTERVAL) {
             return self.check_now();
         }
@@ -212,7 +224,7 @@ impl Budget {
 
     /// Unconditional deadline + cancellation check (round boundaries).
     pub fn check_now(&self) -> bool {
-        if self.tripped.load(Ordering::Relaxed) != 0 {
+        if self.tripped.get().is_some() {
             return true;
         }
         if let Some(tok) = &self.cancel {
@@ -234,14 +246,15 @@ impl Budget {
     /// observability layer can report postings totals; only the cap check
     /// is skipped when unlimited.
     pub fn charge_postings(&self, n: u64) -> bool {
-        let before = self.postings.fetch_add(n, Ordering::Relaxed);
-        if self.tripped.load(Ordering::Relaxed) != 0 {
+        let total = self.postings.get().saturating_add(n);
+        self.postings.set(total);
+        if self.tripped.get().is_some() {
             return true;
         }
         if self.max_postings == u64::MAX {
             return false;
         }
-        if before.saturating_add(n) > self.max_postings {
+        if total > self.max_postings {
             return self.trip(ExhaustReason::PostingsBudget);
         }
         false
@@ -250,14 +263,15 @@ impl Budget {
     /// Records one candidate answer produced; `true` means stop. Counts
     /// even when unlimited (see [`charge_postings`](Self::charge_postings)).
     pub fn charge_answer(&self) -> bool {
-        let before = self.answers.fetch_add(1, Ordering::Relaxed);
-        if self.tripped.load(Ordering::Relaxed) != 0 {
+        let total = self.answers.get().saturating_add(1);
+        self.answers.set(total);
+        if self.tripped.get().is_some() {
             return true;
         }
         if self.max_answers == u64::MAX {
             return false;
         }
-        if before + 1 > self.max_answers {
+        if total > self.max_answers {
             return self.trip(ExhaustReason::AnswerBudget);
         }
         false
@@ -265,7 +279,7 @@ impl Budget {
 
     /// Postings scanned so far (for stats reporting).
     pub fn postings_scanned(&self) -> u64 {
-        self.postings.load(Ordering::Relaxed)
+        self.postings.get()
     }
 }
 
@@ -325,6 +339,8 @@ mod tests {
         assert_eq!(b.tripped(), Some(ExhaustReason::AnswerBudget));
         assert!(b.charge_postings(100));
         assert_eq!(b.tripped(), Some(ExhaustReason::AnswerBudget));
+        assert!(b.trip(ExhaustReason::Deadline));
+        assert_eq!(b.tripped(), Some(ExhaustReason::AnswerBudget));
     }
 
     #[test]
@@ -333,5 +349,49 @@ mod tests {
         assert!(!b.charge_postings(10));
         assert!(b.charge_postings(1));
         assert_eq!(b.tripped(), Some(ExhaustReason::PostingsBudget));
+    }
+
+    #[test]
+    fn an_unlimited_postings_meter_saturates_instead_of_wrapping() {
+        let b = Budget::unlimited();
+        assert!(!b.charge_postings(u64::MAX));
+        assert!(!b.charge_postings(u64::MAX));
+        assert_eq!(b.postings_scanned(), u64::MAX);
+        assert!(!b.charge_postings(1));
+        assert_eq!(b.postings_scanned(), u64::MAX);
+        assert_eq!(b.tripped(), None);
+    }
+
+    #[test]
+    fn a_capped_postings_meter_charged_past_u64_max_trips() {
+        let b = Budget::new(None, None, u64::MAX - 1, u64::MAX);
+        assert!(!b.charge_postings(u64::MAX - 1));
+        assert!(b.charge_postings(u64::MAX));
+        assert_eq!(b.postings_scanned(), u64::MAX);
+        assert_eq!(b.tripped(), Some(ExhaustReason::PostingsBudget));
+    }
+
+    #[test]
+    fn the_answer_meter_saturates_and_trips_its_cap() {
+        let b = Budget::new(None, None, u64::MAX, u64::MAX - 1);
+        b.answers.set(u64::MAX - 2);
+        assert!(!b.charge_answer());
+        assert!(b.charge_answer());
+        assert!(b.charge_answer());
+        assert_eq!(b.answers.get(), u64::MAX);
+        assert_eq!(b.tripped(), Some(ExhaustReason::AnswerBudget));
+    }
+
+    #[test]
+    fn the_tick_counter_wraps_and_keeps_checking_the_token() {
+        let tok = CancelToken::new();
+        let b = Budget::new(None, Some(tok.clone()), u64::MAX, u64::MAX);
+        b.ticks.set(u64::MAX);
+        tok.cancel();
+        // u64::MAX is off the tick phase; the wrapped 0 is on it.
+        assert!(!b.checkpoint());
+        assert_eq!(b.ticks.get(), 0);
+        assert!(b.checkpoint());
+        assert_eq!(b.tripped(), Some(ExhaustReason::Cancelled));
     }
 }

@@ -436,6 +436,51 @@ fn generous_deadline_matches_the_unbounded_run_exactly() {
 }
 
 #[test]
+fn an_untripped_governed_run_does_the_same_work_as_a_free_one() {
+    // The benchmark's Q1/Q2/Q3 under every algorithm at both K, once free
+    // and once under limits generous enough never to trip: checkpoints
+    // may only observe the run, so answers, score bits and every traced
+    // counter must agree.
+    const Q1: &str = "//item[./description/parlist]";
+    const Q2: &str = "//item[./description/parlist and ./mailbox/mail/text]";
+    let flex = big_session();
+    let generous = QueryLimits::default()
+        .with_deadline(Duration::from_secs(600))
+        .with_max_candidate_answers(5_000_000)
+        .with_max_ft_postings_scanned(500_000_000);
+    let run = |query: &str, alg: Algorithm, k: usize, limits: QueryLimits| {
+        let r = flex
+            .query(query)
+            .unwrap()
+            .top(k)
+            .algorithm(alg)
+            .limits(limits)
+            .trace()
+            .execute()
+            .unwrap();
+        assert!(r.is_complete(), "{alg} K={k} {query}");
+        let hits: Vec<_> = r
+            .hits
+            .iter()
+            .map(|h| (h.node, h.score.ss.to_bits(), h.score.ks.to_bits()))
+            .collect();
+        let fingerprint = r.trace.expect("trace requested").counter_fingerprint();
+        (hits, fingerprint)
+    };
+    for query in [Q1, Q2, XQ3] {
+        for alg in [Algorithm::Dpo, Algorithm::Sso, Algorithm::Hybrid] {
+            for k in [10, 500] {
+                let free = run(query, alg, k, QueryLimits::unlimited());
+                let governed = run(query, alg, k, generous.clone());
+                assert!(!free.0.is_empty(), "{alg} K={k} {query}");
+                assert_eq!(governed.0, free.0, "hits: {alg} K={k} {query}");
+                assert_eq!(governed.1, free.1, "counters: {alg} K={k} {query}");
+            }
+        }
+    }
+}
+
+#[test]
 fn a_cancelled_schedule_build_scores_nothing() {
     use flexpath_engine::schedule::build_schedule_reported;
     use flexpath_engine::{PenaltyModel, ScheduleBuildReport, WeightAssignment};
