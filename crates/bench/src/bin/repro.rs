@@ -24,6 +24,7 @@
 
 use flexpath_bench::harness::{run_figure, FIGURES};
 use flexpath_bench::report::{render_json, render_table};
+use flexpath_serve::json::JsonBuf;
 use std::sync::Mutex;
 
 // Benchmark workers only push results; a poisoned lock just means another
@@ -152,11 +153,10 @@ fn main() {
     }
     if let Some(path) = metrics_path {
         // The cumulative engine registry over every figure just run — the
-        // same JSON `flexpath-cli --metrics` renders.
-        write_report(
-            &path,
-            &flexpath_engine::metrics::global().snapshot().render_json(),
-        );
+        // same JSON `GET /metrics?format=json` serves.
+        let mut b = JsonBuf::new();
+        b.metrics_snapshot(&flexpath_engine::metrics::global().snapshot());
+        write_report(&path, &b.finish());
     }
 }
 

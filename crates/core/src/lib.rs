@@ -69,10 +69,10 @@ pub use session::{FleXPath, QueryResults, TopKQuery};
 
 // Re-exports for downstream users.
 pub use flexpath_engine::{
-    prometheus_name, Algorithm, Answer, AnswerScore, AttrRelaxation, Budget, CancelToken,
-    Completeness, EngineError, ExecStats, ExhaustReason, MetricsRegistry, MetricsSnapshot, Offer,
-    PruneFloor, QueryLimits, QueryTrace, RankingScheme, ScoreKey, SourceError, SourceErrorKind,
-    SourceResidency, TagHierarchy, TopKBuckets, TraceSpan, WeightAssignment,
+    Algorithm, Answer, AnswerScore, AttrRelaxation, Budget, CancelToken, Completeness, EngineError,
+    ExecStats, ExhaustReason, MetricsRegistry, MetricsSnapshot, Offer, PruneFloor, QueryLimits,
+    QueryTrace, RankingScheme, ScoreKey, SourceError, SourceErrorKind, SourceResidency,
+    TagHierarchy, TopKBuckets, TraceSpan, WeightAssignment,
 };
 pub use flexpath_store::{
     Catalog, CatalogEntry, CatalogListing, CorpusStore, LazyStore, QuarantinedEntry, StoreBuilder,

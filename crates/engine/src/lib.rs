@@ -88,9 +88,7 @@ pub use governor::{
     reason_key, Budget, CancelToken, CheckpointSite, Completeness, ExhaustReason, QueryLimits,
 };
 pub use hierarchy::TagHierarchy;
-pub use metrics::{
-    prometheus_name, MetricsRegistry, MetricsSnapshot, QueryTrace, TraceSpan, Tracer,
-};
+pub use metrics::{MetricsRegistry, MetricsSnapshot, QueryTrace, TraceSpan, Tracer};
 pub use order::{Offer, PruneFloor, ScoreKey, TopKBuckets};
 pub use schedule::{build_schedule, ScheduleBuildReport, ScheduledStep};
 pub use score::{AnswerScore, PenaltyModel, RankingScheme, WeightAssignment};

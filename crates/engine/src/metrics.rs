@@ -14,6 +14,12 @@
 //!   [`Tracer`], carried on `TopKResult` when the caller opts in. Each span
 //!   holds a duration plus named counters.
 //!
+//! The engine counts; it does not choose a wire format. A snapshot's JSON
+//! and Prometheus text and a trace's JSON are rendered by `flexpath-serve`
+//! (`json::JsonBuf`, `routes::render_prometheus`). Only the trace's
+//! indented text ([`QueryTrace::render_text`]) stays here, for EXPLAIN
+//! ANALYZE.
+//!
 //! ## Determinism of counters
 //!
 //! Trace *counters* double as a regression tripwire for the determinism
@@ -195,123 +201,6 @@ pub struct MetricsSnapshot {
     pub histograms: BTreeMap<String, HistogramSnapshot>,
 }
 
-impl MetricsSnapshot {
-    /// Renders the snapshot as aligned `name value` lines, histograms as
-    /// `name count/mean-µs` plus their non-empty buckets.
-    pub fn render_text(&self) -> String {
-        let mut out = String::new();
-        for (name, v) in &self.counters {
-            out.push_str(&format!("{name} {v}\n"));
-        }
-        for (name, h) in &self.histograms {
-            let mean = h.sum_micros.checked_div(h.count).unwrap_or(0);
-            out.push_str(&format!(
-                "{name} count={} sum_us={} mean_us={mean}\n",
-                h.count, h.sum_micros
-            ));
-            for (upper, n) in &h.buckets {
-                out.push_str(&format!("  le_us={upper} {n}\n"));
-            }
-        }
-        out
-    }
-
-    /// Renders the snapshot as a JSON object (hand-rolled; the workspace
-    /// deliberately takes no serialization dependency).
-    ///
-    /// Shape (snapshot schema 2 — the bump is made here and nowhere else):
-    /// the top level gains `"schema"` and `"bucket_scheme"` keys, and each
-    /// histogram carries its bucket *boundaries* explicitly as
-    /// `[upper_inclusive, count]` pairs plus a `"mean"` convenience field,
-    /// so consumers never hardcode the log₂ bucketing. Schema 1 readers
-    /// (which only looked up `counters` / `histograms` / `count` / `sum_us`
-    /// / `buckets`) parse schema 2 unchanged.
-    pub fn render_json(&self) -> String {
-        let mut out =
-            String::from("{\"schema\":2,\"bucket_scheme\":\"log2-upper-inclusive\",\"counters\":{");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{}:{v}", json_string(name)));
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, (name, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let mean = h.sum_micros.checked_div(h.count).unwrap_or(0);
-            out.push_str(&format!(
-                "{}:{{\"count\":{},\"sum_us\":{},\"mean\":{mean},\"buckets\":[",
-                json_string(name),
-                h.count,
-                h.sum_micros
-            ));
-            for (j, (upper, n)) in h.buckets.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("[{upper},{n}]"));
-            }
-            out.push_str("]}");
-        }
-        out.push_str("}}");
-        out
-    }
-
-    /// Renders the snapshot in the Prometheus text exposition format
-    /// (version 0.0.4): counters as `# TYPE <name> counter` plus one sample
-    /// line, histograms as cumulative `<name>_bucket{le="..."}` series
-    /// ending in `le="+Inf"`, followed by `<name>_sum` and `<name>_count`.
-    /// Names are passed through [`prometheus_name`]; histograms are in
-    /// microseconds.
-    pub fn render_prometheus(&self) -> String {
-        let mut out = String::new();
-        for (name, v) in &self.counters {
-            let n = prometheus_name(name);
-            out.push_str(&format!("# TYPE {n} counter\n{n} {v}\n"));
-        }
-        for (name, h) in &self.histograms {
-            let n = prometheus_name(name);
-            out.push_str(&format!("# TYPE {n} histogram\n"));
-            let mut cumulative = 0u64;
-            for (upper, count) in &h.buckets {
-                cumulative += count;
-                out.push_str(&format!("{n}_bucket{{le=\"{upper}\"}} {cumulative}\n"));
-            }
-            // A racing observe() can bump `count` between bucket loads; keep
-            // the +Inf bucket monotone per the exposition-format contract.
-            let total = cumulative.max(h.count);
-            out.push_str(&format!("{n}_bucket{{le=\"+Inf\"}} {total}\n"));
-            out.push_str(&format!("{n}_sum {}\n{n}_count {total}\n", h.sum_micros));
-        }
-        out
-    }
-}
-
-/// Sanitizes `name` for Prometheus exposition: characters outside
-/// `[a-zA-Z0-9_:]` map to `_`, and a leading digit gets a `_` prefix. The
-/// registry's dotted lowercase naming convention (enforced by
-/// `flexpath-lint`'s metrics-name rule) keeps this mapping injective in
-/// practice — distinct registry names never collide after sanitization.
-pub fn prometheus_name(name: &str) -> String {
-    let mut out = String::with_capacity(name.len());
-    for c in name.chars() {
-        if c.is_ascii_alphanumeric() || c == '_' || c == ':' {
-            if out.is_empty() && c.is_ascii_digit() {
-                out.push('_');
-            }
-            out.push(c);
-        } else {
-            out.push('_');
-        }
-    }
-    if out.is_empty() {
-        out.push('_');
-    }
-    out
-}
-
 // ---------------------------------------------------------------------------
 // Per-query trace
 // ---------------------------------------------------------------------------
@@ -375,28 +264,6 @@ impl TraceSpan {
         }
     }
 
-    fn render_json_into(&self, out: &mut String) {
-        out.push_str(&format!(
-            "{{\"name\":{},\"duration_us\":{},\"counters\":{{",
-            json_string(&self.name),
-            self.duration.as_micros()
-        ));
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{}:{v}", json_string(k)));
-        }
-        out.push_str("},\"children\":[");
-        for (i, c) in self.children.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            c.render_json_into(out);
-        }
-        out.push_str("]}");
-    }
-
     fn fingerprint_into(&self, path: &str, out: &mut String) {
         let here = if path.is_empty() {
             self.name.clone()
@@ -429,13 +296,6 @@ impl QueryTrace {
     pub fn render_text(&self) -> String {
         let mut out = String::new();
         self.root.render_text_into(0, &mut out);
-        out
-    }
-
-    /// Renders the span tree as JSON (hand-rolled, no dependencies).
-    pub fn render_json(&self) -> String {
-        let mut out = String::new();
-        self.root.render_json_into(&mut out);
         out
     }
 
@@ -580,29 +440,6 @@ impl Tracer {
     }
 }
 
-// ---------------------------------------------------------------------------
-// JSON helpers
-// ---------------------------------------------------------------------------
-
-/// Quotes and escapes `s` as a JSON string literal.
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -615,8 +452,6 @@ mod tests {
         handle.fetch_add(3, Ordering::Relaxed);
         let snap = reg.snapshot();
         assert_eq!(snap.counters.get("engine.join.calls"), Some(&5));
-        assert!(snap.render_text().contains("engine.join.calls 5"));
-        assert!(snap.render_json().contains("\"engine.join.calls\":5"));
     }
 
     #[test]
@@ -659,7 +494,6 @@ mod tests {
         assert!(trace.find("eval").is_some());
         assert_eq!(trace.total("k"), 1);
         assert!(trace.render_text().contains("schedule.steps=7"));
-        assert!(trace.render_json().contains("\"schedule.steps\":7"));
     }
 
     #[test]
@@ -725,52 +559,5 @@ mod tests {
             .root
             .counters
             .contains_key("governor.trip.site.ft_eval"));
-    }
-
-    #[test]
-    fn prometheus_name_sanitizes_outside_charset() {
-        assert_eq!(prometheus_name("engine.query.count"), "engine_query_count");
-        assert_eq!(
-            prometheus_name("engine.shard[3].items"),
-            "engine_shard_3__items"
-        );
-        assert_eq!(prometheus_name("9lives"), "_9lives");
-        assert_eq!(prometheus_name(""), "_");
-    }
-
-    #[test]
-    fn prometheus_rendering_is_cumulative_and_typed() {
-        let reg = MetricsRegistry::new();
-        reg.add("engine.query.count", 3);
-        reg.observe_duration("engine.query_duration", Duration::from_micros(1));
-        reg.observe_duration("engine.query_duration", Duration::from_micros(3));
-        reg.observe_duration("engine.query_duration", Duration::from_micros(3));
-        let text = reg.snapshot().render_prometheus();
-        assert!(text.contains("# TYPE engine_query_count counter\n"));
-        assert!(text.contains("engine_query_count 3\n"));
-        assert!(text.contains("# TYPE engine_query_duration histogram\n"));
-        // Bucket counts are cumulative: 1 obs ≤ 1µs, then 3 obs ≤ 3µs.
-        assert!(text.contains("engine_query_duration_bucket{le=\"1\"} 1\n"));
-        assert!(text.contains("engine_query_duration_bucket{le=\"3\"} 3\n"));
-        assert!(text.contains("engine_query_duration_bucket{le=\"+Inf\"} 3\n"));
-        assert!(text.contains("engine_query_duration_sum 7\n"));
-        assert!(text.contains("engine_query_duration_count 3\n"));
-    }
-
-    #[test]
-    fn json_snapshot_declares_schema_and_bucket_scheme() {
-        let reg = MetricsRegistry::new();
-        reg.observe_duration("q", Duration::from_micros(6));
-        let json = reg.snapshot().render_json();
-        assert!(json.starts_with("{\"schema\":2,"));
-        assert!(json.contains("\"bucket_scheme\":\"log2-upper-inclusive\""));
-        assert!(json.contains("\"buckets\":[[7,1]]"));
-        assert!(json.contains("\"mean\":6"));
-    }
-
-    #[test]
-    fn json_string_escapes_specials() {
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
     }
 }

@@ -333,6 +333,8 @@ fn collect_rs(dir: &Path, root: &Path, out: &mut Vec<(String, PathBuf)>) -> Resu
 }
 
 /// Minimal JSON string escaping.
+///
+/// Its own copy, not `flexpath_serve::json::quote`: the linter depends on no product crate.
 fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');

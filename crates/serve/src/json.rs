@@ -1,5 +1,6 @@
 //! Hand-rolled JSON: a bounded recursive-descent parser for request
-//! bodies and an escaping writer for responses.
+//! bodies and an escaping writer for responses, metric snapshots and
+//! query traces.
 //!
 //! The workspace deliberately carries no serialization dependency, and the
 //! service's payloads are small and flat, so a few hundred lines of
@@ -8,6 +9,7 @@
 //! size-limited by the HTTP layer, and incapable of panicking on any byte
 //! sequence (typed [`JsonError`]s only).
 
+use flexpath_engine::metrics::{MetricsSnapshot, QueryTrace, TraceSpan};
 use std::collections::BTreeMap;
 
 /// Maximum nesting depth the parser accepts. Query payloads are depth ≤ 2;
@@ -440,6 +442,56 @@ impl JsonBuf {
         self
     }
 
+    /// Appends a metrics snapshot as one object (snapshot schema 2): the
+    /// top level declares `"schema"` and `"bucket_scheme"` beside
+    /// `"counters"` and `"histograms"`, and each histogram carries its
+    /// bucket boundaries explicitly as `[upper_inclusive, count]` pairs plus
+    /// a `"mean"` convenience field, so readers never hardcode the log₂
+    /// bucketing. Schema 1 readers (which looked up only `counters` /
+    /// `histograms` / `count` / `sum_us` / `buckets`) parse it unchanged.
+    pub fn metrics_snapshot(&mut self, snapshot: &MetricsSnapshot) -> &mut Self {
+        self.raw("{\"schema\":2,\"bucket_scheme\":\"log2-upper-inclusive\",\"counters\":{");
+        for (name, v) in &snapshot.counters {
+            self.key(name).u64(*v);
+        }
+        self.raw("},\"histograms\":{");
+        for (name, h) in &snapshot.histograms {
+            self.key(name).raw("{");
+            self.key("count").u64(h.count);
+            self.key("sum_us").u64(h.sum_micros);
+            self.key("mean")
+                .u64(h.sum_micros.checked_div(h.count).unwrap_or(0));
+            self.key("buckets").raw("[");
+            for (upper, n) in &h.buckets {
+                self.comma().raw("[").u64(*upper).comma().u64(*n).raw("]");
+            }
+            self.raw("]}");
+        }
+        self.raw("}}")
+    }
+
+    /// Appends a query trace as nested span objects, each
+    /// `{"name","duration_us","counters","children"}` with children in
+    /// execution order.
+    pub fn trace(&mut self, trace: &QueryTrace) -> &mut Self {
+        self.span(&trace.root)
+    }
+
+    fn span(&mut self, span: &TraceSpan) -> &mut Self {
+        self.raw("{").key("name").string(&span.name);
+        self.key("duration_us")
+            .raw(&span.duration.as_micros().to_string());
+        self.key("counters").raw("{");
+        for (k, v) in &span.counters {
+            self.key(k).u64(*v);
+        }
+        self.raw("}").key("children").raw("[");
+        for child in &span.children {
+            self.comma().span(child);
+        }
+        self.raw("]}")
+    }
+
     /// The serialized JSON.
     pub fn finish(self) -> String {
         self.out
@@ -475,7 +527,9 @@ mod tests {
         let v = parse("\"a\\\"b\\\\c\\ndAé😀\"".as_bytes()).unwrap();
         assert_eq!(v.as_str(), Some("a\"b\\c\ndAé😀"));
         let q = quote("a\"b\\c\nd");
+        assert_eq!(q, "\"a\\\"b\\\\c\\nd\"");
         assert_eq!(parse(q.as_bytes()).unwrap().as_str(), Some("a\"b\\c\nd"));
+        assert_eq!(quote("\u{1}"), "\"\\u0001\"");
     }
 
     #[test]

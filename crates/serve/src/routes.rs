@@ -17,7 +17,7 @@ use crate::policy::ServePolicy;
 use crate::recorder::{fnv1a, FlightRecorder, QueryRecord};
 use crate::state::ServerState;
 use flexpath::{Algorithm, CancelToken, QueryLimits, QueryResults, RankingScheme};
-use flexpath_engine::metrics;
+use flexpath_engine::metrics::{self, MetricsSnapshot};
 use flexpath_engine::reason_key;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -187,10 +187,64 @@ fn version(ctx: &RouteContext<'_>) -> Response {
 fn metrics_endpoint(req: &Request) -> Response {
     let snapshot = metrics::global().snapshot();
     if req.query.split('&').any(|kv| kv == "format=json") {
-        Response::json(200, snapshot.render_json())
+        let mut b = JsonBuf::new();
+        b.metrics_snapshot(&snapshot);
+        Response::json(200, b.finish())
     } else {
-        Response::text(200, snapshot.render_prometheus())
+        Response::text(200, render_prometheus(&snapshot))
     }
+}
+
+/// Renders `snapshot` in the Prometheus text exposition format (version
+/// 0.0.4): counters as `# TYPE <name> counter` plus one sample line,
+/// histograms as cumulative `<name>_bucket{le="..."}` series ending in
+/// `le="+Inf"`, followed by `<name>_sum` and `<name>_count`. Names are
+/// sanitized to `[a-zA-Z0-9_:]` by `prometheus_name`; histograms are in
+/// microseconds.
+pub fn render_prometheus(snapshot: &MetricsSnapshot) -> String {
+    let mut out = String::new();
+    for (name, v) in &snapshot.counters {
+        let n = prometheus_name(name);
+        out.push_str(&format!("# TYPE {n} counter\n{n} {v}\n"));
+    }
+    for (name, h) in &snapshot.histograms {
+        let n = prometheus_name(name);
+        out.push_str(&format!("# TYPE {n} histogram\n"));
+        let mut cumulative = 0u64;
+        for (upper, count) in &h.buckets {
+            cumulative += count;
+            out.push_str(&format!("{n}_bucket{{le=\"{upper}\"}} {cumulative}\n"));
+        }
+        // A racing observe() can bump `count` between bucket loads; keep
+        // the +Inf bucket monotone per the exposition-format contract.
+        let total = cumulative.max(h.count);
+        out.push_str(&format!("{n}_bucket{{le=\"+Inf\"}} {total}\n"));
+        out.push_str(&format!("{n}_sum {}\n{n}_count {total}\n", h.sum_micros));
+    }
+    out
+}
+
+/// Sanitizes `name` for Prometheus exposition: characters outside
+/// `[a-zA-Z0-9_:]` map to `_`, and a leading digit gets a `_` prefix. The
+/// registry's dotted lowercase naming convention (enforced by
+/// `flexpath-lint`'s metrics-name rule) keeps this mapping injective in
+/// practice — distinct registry names never collide after sanitization.
+fn prometheus_name(name: &str) -> String {
+    let mut out = String::with_capacity(name.len());
+    for c in name.chars() {
+        if c.is_ascii_alphanumeric() || c == '_' || c == ':' {
+            if out.is_empty() && c.is_ascii_digit() {
+                out.push('_');
+            }
+            out.push(c);
+        } else {
+            out.push('_');
+        }
+    }
+    if out.is_empty() {
+        out.push('_');
+    }
+    out
 }
 
 /// `/debug/queries` and `/debug/slow`: the flight-recorder rings as JSON,
@@ -570,7 +624,7 @@ fn render_results(
     b.key("pruned").u64(results.stats.pruned as u64);
     b.raw("}");
     if let Some(trace) = &results.trace {
-        b.key("trace").raw(&trace.render_json());
+        b.key("trace").trace(trace);
     }
     b.raw("}");
     b.finish()
@@ -918,5 +972,16 @@ mod tests {
             ),
         );
         assert_eq!(resp.status, 400);
+    }
+
+    #[test]
+    fn prometheus_name_sanitizes_outside_charset() {
+        assert_eq!(prometheus_name("engine.query.count"), "engine_query_count");
+        assert_eq!(
+            prometheus_name("engine.shard[3].items"),
+            "engine_shard_3__items"
+        );
+        assert_eq!(prometheus_name("9lives"), "_9lives");
+        assert_eq!(prometheus_name(""), "_");
     }
 }

@@ -26,6 +26,7 @@
 //!                         per-round counters) after the results
 //!   --trace-json          print the execution trace as JSON
 //!   --metrics             print the process-wide engine metrics registry
+//!                         in Prometheus text exposition (as GET /metrics)
 //!   --deadline-ms N       stop after N milliseconds with the best answers
 //!                         found so far
 //!   --addr HOST:PORT      serve: listen address (default 127.0.0.1:7171)
@@ -62,6 +63,8 @@ use flexpath::{
     explain_answer, explain_plan, explain_schedule, Algorithm, CancelToken, Catalog, FleXPath,
     RankingScheme, StoreBuilder,
 };
+use flexpath_serve::json::JsonBuf;
+use flexpath_serve::routes::render_prometheus;
 use flexpath_serve::{ServePolicy, Server, ServerState};
 use std::path::Path;
 use std::process::ExitCode;
@@ -175,7 +178,11 @@ const FLAGS: &[(&str, bool, &str)] = &[
     ("--stats", false, "print execution statistics"),
     ("--trace", false, "print the execution trace (span tree)"),
     ("--trace-json", false, "print the execution trace as JSON"),
-    ("--metrics", false, "print the engine metrics registry"),
+    (
+        "--metrics",
+        false,
+        "print the engine metrics as Prometheus text",
+    ),
     (
         "--deadline-ms",
         true,
@@ -759,12 +766,14 @@ fn main() -> ExitCode {
             print!("{}", trace.render_text());
         }
         if opts.trace_json {
-            println!("{}", trace.render_json());
+            let mut b = JsonBuf::new();
+            b.trace(trace);
+            println!("{}", b.finish());
         }
     }
     if opts.metrics {
         println!("\n-- engine metrics --");
-        print!("{}", flexpath::engine_metrics().render_text());
+        print!("{}", render_prometheus(&flexpath::engine_metrics()));
     }
     ExitCode::SUCCESS
 }
