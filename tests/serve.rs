@@ -15,7 +15,7 @@ use flexpath_xmark::{generate, XmarkConfig};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const QUERY: &str = "//item[./description/parlist and ./mailbox/mail/text]";
 
@@ -448,20 +448,116 @@ fn max_memory_is_an_unknown_field() {
     );
 }
 
+/// A process-wide counter. Tests run in parallel, so callers compare
+/// with `>`, never with an exact delta.
+fn counter(name: &str) -> u64 {
+    flexpath::engine_metrics()
+        .counters
+        .get(name)
+        .copied()
+        .unwrap_or(0)
+}
+
 #[test]
 fn responses_written_outside_dispatch_are_counted() {
     let h = Harness::start("counted", ServePolicy::for_tests());
-    let count = || {
-        flexpath::engine_metrics()
-            .counters
-            .get("serve.responses.4xx")
-            .copied()
-            .unwrap_or(0)
-    };
-    let before = count();
+    let before = counter("serve.responses.4xx");
     // A malformed head is answered by the connection loop, not by a route.
     assert_eq!(raw_status(h.addr, b"not http at all\r\n\r\n"), 400);
-    assert!(count() > before);
+    assert!(counter("serve.responses.4xx") > before);
+}
+
+#[test]
+fn door_sheds_with_503_when_the_connection_queue_is_full() {
+    let h = Harness::start(
+        "door",
+        ServePolicy {
+            workers: 1,
+            conn_queue_depth: 1,
+            ..ServePolicy::for_tests()
+        },
+    );
+    let before = counter("serve.shed.at_door");
+
+    // A: one kept-alive call parks the only worker on A's next read.
+    let mut a = Client::connect(h.addr, TIMEOUT);
+    let resp = a
+        .call("POST", "/query", Harness::query_body("").as_bytes())
+        .expect("A answers");
+    assert_eq!(resp.status, 200, "A: {}", resp.body_text());
+
+    // B: connects and sends nothing, filling the one-slot queue.
+    let _b = TcpStream::connect_timeout(&h.addr, TIMEOUT).expect("B connects");
+
+    // C: answered at the door without a request being read.
+    let mut c = TcpStream::connect_timeout(&h.addr, TIMEOUT).expect("C connects");
+    c.set_read_timeout(Some(TIMEOUT)).unwrap();
+    let mut reply = String::new();
+    let _ = c.read_to_string(&mut reply);
+    assert_eq!(reply.split(' ').nth(1), Some("503"), "C: {reply}");
+    assert!(
+        reply.to_ascii_lowercase().contains("\r\nretry-after:"),
+        "C: {reply}"
+    );
+    assert!(counter("serve.shed.at_door") > before);
+}
+
+#[test]
+fn drain_deadline_cancels_in_flight_work() {
+    let deadline = Duration::from_millis(200);
+    let mut h = Harness::start(
+        "deadline",
+        ServePolicy {
+            drain_deadline: deadline,
+            ..ServePolicy::for_tests()
+        },
+    );
+    let before = counter("serve.drain.deadline_fired");
+
+    // A query that would hold its slot for 5 s...
+    let addr = h.addr;
+    let slow = std::thread::spawn(move || {
+        http_call(
+            addr,
+            "POST",
+            "/query",
+            Harness::query_body(r#","test_delay_ms":5000"#).as_bytes(),
+            TIMEOUT,
+        )
+        .expect("in-flight request answered")
+    });
+    let asked = Instant::now();
+    while !http_call(h.addr, "GET", "/healthz", b"", TIMEOUT)
+        .expect("healthz answers")
+        .body_text()
+        .contains(r#""in_flight":1"#)
+    {
+        assert!(asked.elapsed() < TIMEOUT, "the slow query never got a slot");
+    }
+
+    // ...is cancelled at the drain deadline, and run() returns with it.
+    let started = Instant::now();
+    h.handle.shutdown();
+    h.join
+        .take()
+        .expect("server running")
+        .join()
+        .expect("server thread exits cleanly");
+    let drained = started.elapsed();
+
+    let resp = slow.join().expect("slow client thread");
+    assert_eq!(resp.status, 200, "cancelled work: {}", resp.body_text());
+    assert!(
+        resp.body_text().contains(r#""reason":"cancelled""#),
+        "{}",
+        resp.body_text()
+    );
+    assert!(resp.header("retry-after").is_some());
+    assert!(counter("serve.drain.deadline_fired") > before);
+    assert!(
+        drained <= deadline + Duration::from_millis(100),
+        "run() returned {drained:?} after shutdown"
+    );
 }
 
 #[test]
