@@ -351,10 +351,8 @@ pub mod ablations {
     /// The three related-work evaluation strategies of Section 7 against
     /// this paper's algorithms, on the same workload.
     pub fn baselines(scale: f64, repeats: usize) -> Series {
-        use flexpath_engine::{
-            data_relaxation_topk, dpo_topk, full_encoding_topk, hybrid_topk,
-            rewrite_enumeration_topk, sso_topk, TopKRequest,
-        };
+        use crate::baseline::{data_relaxation_topk, full_encoding_topk, rewrite_enumeration_topk};
+        use flexpath_engine::{dpo_topk, hybrid_topk, sso_topk, TopKRequest};
         let flex = bench_session(scaled(2.0, scale));
         let ctx = flex.context();
         let k = 200usize;
@@ -362,18 +360,23 @@ pub mod ablations {
         for (name, q) in [("Q2", crate::workload::XQ2), ("Q3", XQ3)] {
             let query = flexpath::parse_query(q).unwrap();
             let mut records = Vec::new();
-            type Runner<'c> = Box<dyn Fn(&TopKRequest) -> flexpath_engine::TopKResult + 'c>;
+            // Each runner returns its result and the shortcut pairs it
+            // materialized (data relaxation only).
+            type Runner<'c> = Box<dyn Fn(&TopKRequest) -> (flexpath_engine::TopKResult, u64) + 'c>;
             let runners: Vec<(&str, Runner)> = vec![
-                ("DPO", Box::new(|r: &TopKRequest| dpo_topk(ctx, r))),
-                ("SSO", Box::new(|r: &TopKRequest| sso_topk(ctx, r))),
-                ("Hybrid", Box::new(|r: &TopKRequest| hybrid_topk(ctx, r))),
+                ("DPO", Box::new(|r: &TopKRequest| (dpo_topk(ctx, r), 0))),
+                ("SSO", Box::new(|r: &TopKRequest| (sso_topk(ctx, r), 0))),
+                (
+                    "Hybrid",
+                    Box::new(|r: &TopKRequest| (hybrid_topk(ctx, r), 0)),
+                ),
                 (
                     "FullEncode",
-                    Box::new(|r: &TopKRequest| full_encoding_topk(ctx, r)),
+                    Box::new(|r: &TopKRequest| (full_encoding_topk(ctx, r), 0)),
                 ),
                 (
                     "RewriteEnum",
-                    Box::new(|r: &TopKRequest| rewrite_enumeration_topk(ctx, r, 2_000)),
+                    Box::new(|r: &TopKRequest| (rewrite_enumeration_topk(ctx, r, 2_000), 0)),
                 ),
                 (
                     "DataRelax",
@@ -391,7 +394,7 @@ pub mod ablations {
                     last = Some(result);
                 }
                 times.sort_by(f64::total_cmp);
-                let result = last.expect("at least one run");
+                let (result, shortcut_pairs) = last.expect("at least one run");
                 records.push(RunRecord {
                     algorithm: label.into(),
                     millis: times[times.len() / 2],
@@ -400,8 +403,8 @@ pub mod ablations {
                     evaluations: result.stats.evaluations,
                     intermediates: result.stats.intermediate_answers,
                     buckets: result.stats.buckets,
-                    note: if result.stats.shortcut_pairs > 0 {
-                        format!("{} shortcut pairs", result.stats.shortcut_pairs)
+                    note: if shortcut_pairs > 0 {
+                        format!("{shortcut_pairs} shortcut pairs")
                     } else {
                         String::new()
                     },

@@ -18,15 +18,11 @@
 
 #![forbid(unsafe_code)]
 
+pub mod baseline;
 pub mod harness;
 pub mod recorder_overhead;
 pub mod report;
 pub mod workload;
-
-/// The workspace's one RAII scratch directory (`tests/common/mod.rs`).
-#[cfg(test)]
-#[path = "../../../tests/common/mod.rs"]
-mod scratch;
 
 pub use harness::{run_figure, run_once, FigureSpec, RunRecord, Series};
 pub use workload::{bench_config, bench_session, QUERIES, XQ1, XQ2, XQ3};

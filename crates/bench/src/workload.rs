@@ -134,7 +134,7 @@ mod tests {
 
     #[test]
     fn store_backed_session_matches_in_memory_build() {
-        let dir = crate::scratch::ScratchDir::new("bench-workload");
+        let dir = flexpath_reference::ScratchDir::new("bench-workload");
         let bytes = 128 * 1024;
         // First call indexes and saves; second call loads from the store.
         let built = store_backed_session(dir.path(), bytes).unwrap();

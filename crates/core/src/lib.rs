@@ -59,11 +59,6 @@
 pub mod explain;
 pub mod session;
 
-/// The workspace's one RAII scratch directory (`tests/common/mod.rs`).
-#[cfg(test)]
-#[path = "../../../tests/common/mod.rs"]
-mod scratch;
-
 pub use explain::{explain_answer, explain_plan, explain_profile, explain_schedule};
 pub use session::{FleXPath, QueryResults, TopKQuery};
 

@@ -650,7 +650,7 @@ mod tests {
 
     #[test]
     fn save_then_open_reproduces_answers_and_fingerprints() {
-        let dir = crate::scratch::ScratchDir::new("session");
+        let dir = flexpath_reference::ScratchDir::new("session");
         let path = dir.path().join("corpus.fxs");
 
         let built = FleXPath::from_xml(CORPUS).unwrap();
@@ -697,7 +697,7 @@ mod tests {
 
     #[test]
     fn open_missing_file_is_a_typed_error() {
-        let dir = crate::scratch::ScratchDir::new("session-missing");
+        let dir = flexpath_reference::ScratchDir::new("session-missing");
         let missing = dir.path().join("missing.fxs");
         assert!(matches!(FleXPath::open(&missing), Err(StoreError::Io(_))));
     }

@@ -705,11 +705,11 @@ impl<'a> Evaluator<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::brute_force::naive_exact_answers;
     use crate::fixtures::{q1, setup, ARTICLES};
     use crate::schedule::build_schedule;
     use crate::score::{PenaltyModel, WeightAssignment};
     use flexpath_ftsearch::FtExpr;
+    use flexpath_reference::{naive_exact_answers, shapes};
     use flexpath_tpq::{Predicate, TpqBuilder, Var};
 
     fn collect(ctx: &EngineContext, enc: &EncodedQuery, scheme: RankingScheme) -> Vec<Answer> {
@@ -1052,8 +1052,8 @@ mod tests {
     #[test]
     fn prefiltered_roots_leave_the_answer_stream_unchanged_at_every_prefix() {
         let mut roots_dropped = 0u64;
-        for case in 0..10 * crate::shapes::SHAPES {
-            let (xml, q) = crate::shapes::case(case);
+        for case in 0..10 * shapes::SHAPES {
+            let (xml, q) = shapes::case(case);
             let (ctx, model) = setup(&xml, &q);
             let steps = build_schedule(&ctx, &model, &q, 64);
             for p in 0..=steps.len() {

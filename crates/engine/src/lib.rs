@@ -36,8 +36,9 @@
 //!   — an unlimited budget is the unbudgeted evaluation, not a separate
 //!   function.
 //! * [`structural_join`] is the Stack-Tree structural join primitive
-//!   (Al-Khalifa et al.) the paper's implementation builds on; it is used
-//!   by the micro-benchmarks and as a cross-validation oracle in tests.
+//!   (Al-Khalifa et al.) the paper's implementation builds on; its
+//!   semijoin halves prefilter every evaluation, and its pair join serves
+//!   `flexpath-bench`'s data-relaxation baseline and micro-benchmark.
 //! * One query runs on the calling thread. Concurrency is across queries:
 //!   an [`EngineContext`] is `Sync`, so any number of threads may run
 //!   queries against one context and share its full-text cache.
@@ -50,7 +51,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod attr_relax;
-pub mod baseline;
 pub mod context;
 pub mod encode;
 pub mod error;
@@ -65,21 +65,12 @@ pub mod selectivity;
 pub mod structural_join;
 pub mod topk;
 
-/// The workspace's independent brute-force matcher and its case generator
-/// (`tests/common/`), shared with `tests/relaxation_oracle.rs`.
-#[cfg(test)]
-#[path = "../../../tests/common/brute_force.rs"]
-mod brute_force;
 mod dpo;
 mod fixtures;
 mod run;
-#[cfg(test)]
-#[path = "../../../tests/common/shapes.rs"]
-mod shapes;
 mod single_pass;
 
 pub use attr_relax::AttrRelaxation;
-pub use baseline::{data_relaxation_topk, full_encoding_topk, rewrite_enumeration_topk};
 pub use context::{ContextSource, EngineContext, SourceError, SourceErrorKind, SourceResidency};
 pub use dpo::dpo_topk;
 pub use encode::EncodedQuery;
@@ -94,5 +85,5 @@ pub use schedule::{build_schedule, ScheduleBuildReport, ScheduledStep};
 pub use score::{AnswerScore, PenaltyModel, RankingScheme, WeightAssignment};
 pub use selectivity::estimate_cardinality;
 pub use single_pass::{hybrid_topk, sso_topk};
-pub use structural_join::{stack_tree_anc, stack_tree_desc};
+pub use structural_join::stack_tree_desc;
 pub use topk::{Algorithm, Answer, ExecStats, TopKRequest, TopKResult};

@@ -388,8 +388,8 @@ mod tests {
     fn matches_the_definition_on_every_oracle_case() {
         // Recursive tags, repeated labels on one path, wildcards, `//`
         // edges, a `contains` anywhere, a distinguished node below the root.
-        for case in 0..20 * crate::shapes::SHAPES {
-            let (xml, q) = crate::shapes::case(case);
+        for case in 0..20 * flexpath_reference::shapes::SHAPES {
+            let (xml, q) = flexpath_reference::shapes::case(case);
             let (ctx, model) = setup(&xml, &q);
             assert_matches_reference(&ctx, &model, &q);
         }

@@ -3,19 +3,20 @@
 //! structural join algorithm given in \[1\]; this algorithm requires input
 //! lists to be sorted on node identifiers").
 //!
-//! Both variants take two document-ordered node lists and emit all
-//! (ancestor, descendant) — or (parent, child) — pairs in a single merge
-//! pass with an explicit stack, O(|A| + |D| + |output|). Node ids are
-//! document order, so the merge compares ids where the region-label
-//! formulation compares `start`s, and "`a` ended before `x` starts" is
-//! `subtree_last(a) < x`: one load per test.
+//! The pair join takes two document-ordered node lists and emits all
+//! (ancestor, descendant) pairs in a single merge pass with an explicit
+//! stack, O(|A| + |D| + |output|). Node ids are document order, so the
+//! merge compares ids where the region-label formulation compares
+//! `start`s, and "`a` ended before `x` starts" is `subtree_last(a) < x`:
+//! one load per test.
 //!
 //! The query path does not enumerate pairs — [`crate::exec`] scores each
 //! answer with a best-embedding DP — but it asks the same lists the
 //! cheaper *existence* question first: `retain_containing` and
-//! `retain_parents_of` are the semijoin halves of the two joins (keep
-//! the ancestors / parents that have at least one partner), budgeted, and
-//! share the galloping cursor (`gallop`) with the pair join.
+//! `retain_parents_of` are the semijoin halves of the ancestor-descendant
+//! and parent-child joins (keep the ancestors / parents that have at least
+//! one partner), budgeted, and share the galloping cursor (`gallop`) with
+//! the pair join.
 
 use flexpath_ftsearch::Budget;
 use flexpath_xmldom::{Document, NodeId};
@@ -33,8 +34,8 @@ use std::borrow::Cow;
 /// as `engine.join.skipped`; the emitted pair stream is identical.
 ///
 /// The pair join takes no [`Budget`]: the query path evaluates through
-/// [`crate::exec`], and this primitive's callers (the reference baseline
-/// and the micro-benchmarks) run unbudgeted.
+/// [`crate::exec`], and this primitive's callers (`flexpath-bench`'s
+/// data-relaxation baseline and micro-benchmark) run unbudgeted.
 pub fn stack_tree_desc(
     doc: &Document,
     ancestors: &[NodeId],
@@ -186,19 +187,6 @@ pub(crate) fn retain_parents_of(
     }
 }
 
-/// All pairs `(p, c)` with `p ∈ parents`, `c ∈ children`, and `p` the
-/// *parent* of `c` — the pc variant (parent filter on top of the stack join).
-pub fn stack_tree_anc(
-    doc: &Document,
-    parents: &[NodeId],
-    children: &[NodeId],
-) -> Vec<(NodeId, NodeId)> {
-    stack_tree_desc(doc, parents, children)
-        .into_iter()
-        .filter(|&(p, c)| doc.is_parent(p, c))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,18 +227,6 @@ mod tests {
             sorted(stack_tree_desc(&doc, &a_list, &b_list)),
             naive_ad(&doc, &a_list, &b_list)
         );
-    }
-
-    #[test]
-    fn pc_variant_filters_to_direct_children() {
-        let doc = parse("<a><b/><c><b/></c></a>").unwrap();
-        let a_list = doc.nodes_with_tag_name("a").to_vec();
-        let b_list = doc.nodes_with_tag_name("b").to_vec();
-        let pc = stack_tree_anc(&doc, &a_list, &b_list);
-        assert_eq!(pc.len(), 1);
-        assert!(doc.is_parent(pc[0].0, pc[0].1));
-        let ad = stack_tree_desc(&doc, &a_list, &b_list);
-        assert_eq!(ad.len(), 2);
     }
 
     #[test]
@@ -311,15 +287,6 @@ mod tests {
                 stack_tree_desc(&doc, &a_list, &d_list),
                 in_join_order(naive_ad(&doc, &a_list, &d_list)),
                 "mismatch for ({anc}, {desc})"
-            );
-            let naive_pc: Vec<_> = naive_ad(&doc, &a_list, &d_list)
-                .into_iter()
-                .filter(|&(a, d)| doc.level(d) == doc.level(a) + 1)
-                .collect();
-            assert_eq!(
-                stack_tree_anc(&doc, &a_list, &d_list),
-                in_join_order(naive_pc),
-                "pc mismatch for ({anc}, {desc})"
             );
         }
     }

@@ -129,9 +129,6 @@ pub struct ExecStats {
     pub buckets: usize,
     /// Answers pruned by the score threshold (maxScoreGrowth pruning).
     pub pruned: usize,
-    /// Ancestor-descendant shortcut pairs materialized (data-relaxation
-    /// baseline only).
-    pub shortcut_pairs: u64,
 }
 
 /// The result of a top-K run.

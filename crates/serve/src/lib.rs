@@ -68,11 +68,6 @@ pub mod routes;
 pub mod server;
 pub mod state;
 
-/// The workspace's one RAII scratch directory (`tests/common/mod.rs`).
-#[cfg(test)]
-#[path = "../../../tests/common/mod.rs"]
-mod scratch;
-
 pub use admission::{AdmissionController, AdmissionError, Permit};
 pub use client::{http_call, Client, ClientError, ClientResponse};
 pub use error::ServeError;

@@ -350,7 +350,7 @@ mod tests {
 
     #[test]
     fn slow_log_appends_one_json_line_per_slow_record() {
-        let dir = crate::scratch::ScratchDir::new("recorder-lines");
+        let dir = flexpath_reference::ScratchDir::new("recorder-lines");
         let path = dir.path().join("slow.jsonl");
         let r = FlightRecorder::new(8, Duration::from_millis(50))
             .with_slow_log(&path)

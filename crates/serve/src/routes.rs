@@ -641,9 +641,9 @@ mod tests {
         AdmissionController,
         CancelToken,
         FlightRecorder,
-        crate::scratch::ScratchDir,
+        flexpath_reference::ScratchDir,
     ) {
-        let dir = crate::scratch::ScratchDir::new("serve-routes");
+        let dir = flexpath_reference::ScratchDir::new("serve-routes");
         let state = ServerState::open(dir.path()).unwrap();
         state.insert_session(
             "doc",

@@ -383,7 +383,7 @@ mod tests {
 
     #[test]
     fn bind_on_port_zero_yields_an_addr_and_handle() {
-        let dir = crate::scratch::ScratchDir::new("serve-bind");
+        let dir = flexpath_reference::ScratchDir::new("serve-bind");
         let state = Arc::new(ServerState::open(dir.path()).unwrap());
         // An unspecified address: shutdown must wake accept() via loopback.
         let server = Server::bind("0.0.0.0:0", state, ServePolicy::for_tests()).unwrap();
@@ -416,7 +416,7 @@ mod tests {
         // Shutdown before run (a SIGINT that beats `serve`'s run call):
         // the wake connection waits in the backlog, never accepted, and
         // run returns at once.
-        let dir = crate::scratch::ScratchDir::new("serve-bind-early");
+        let dir = flexpath_reference::ScratchDir::new("serve-bind-early");
         let state = Arc::new(ServerState::open(dir.path()).unwrap());
         let server = Server::bind("127.0.0.1:0", state, ServePolicy::for_tests()).unwrap();
         server.handle().shutdown();

@@ -205,8 +205,8 @@ fn write_lock<'a, T>(l: &'a RwLock<T>) -> std::sync::RwLockWriteGuard<'a, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scratch::ScratchDir;
     use flexpath::StoreBuilder;
+    use flexpath_reference::ScratchDir;
 
     #[test]
     fn sessions_load_once_and_are_shared() {

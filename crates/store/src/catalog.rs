@@ -172,8 +172,8 @@ impl Catalog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scratch::ScratchDir;
     use flexpath_ftsearch::InvertedIndex;
+    use flexpath_reference::ScratchDir;
     use flexpath_xmldom::{parse, DocStats};
 
     fn builder(name: &str, xml: &str) -> StoreBuilder {

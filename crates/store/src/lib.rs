@@ -63,11 +63,6 @@ pub mod lazy;
 pub mod mmap;
 pub mod store;
 
-/// The workspace's one RAII scratch directory (`tests/common/mod.rs`).
-#[cfg(test)]
-#[path = "../../../tests/common/mod.rs"]
-mod scratch;
-
 pub use catalog::{Catalog, CatalogEntry, CatalogListing, QuarantinedEntry};
 pub use crc::crc32;
 pub use error::StoreError;

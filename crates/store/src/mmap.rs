@@ -192,7 +192,7 @@ mod sys {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scratch::ScratchDir;
+    use flexpath_reference::ScratchDir;
 
     /// `bytes` written to a file in a fresh scratch directory (whose drop
     /// removes it).

@@ -24,8 +24,9 @@ use crate::logical::{Predicate, PredicateSet};
 /// `O(V²·V/64)` bit operations plus a single sort, versus the naive
 /// quadratic re-scan per fixpoint round. A query pays for it once (schedule
 /// construction takes the original closure and then decides each candidate
-/// operator's drops on the relaxed tree); the relaxation-space enumeration
-/// (`space.rs`) and the core computation (`core.rs`) call it repeatedly.
+/// operator's drops on the relaxed tree); the core computation (`core.rs`)
+/// and `flexpath-reference`'s relaxation-space enumeration call it
+/// repeatedly.
 /// Sets mentioning more than 64 distinct variables fall back to the naive
 /// fixpoint (queries are arity-sized; this is a safety hatch, not an
 /// expected path).

@@ -13,15 +13,14 @@
 //! * [`closure`] — the closure under the three inference rules (Figure 3);
 //! * [`core`] — redundant-predicate elimination and the unique minimal core
 //!   (Theorem 1), with TPQ reconstruction from a predicate set;
-//! * [`containment`] — homomorphism-based containment checking (used to
-//!   validate Theorem 2's soundness in tests);
 //! * [`relax`] — the four primitive relaxation operators: axis
 //!   generalization `γ`, leaf deletion `λ`, subtree promotion `σ`, and
 //!   `contains` promotion `κ`, each reporting the closure predicates it
 //!   drops (the operator ↔ predicate-drop correspondence the algorithms
-//!   rely on);
-//! * [`space`] — exhaustive enumeration of the relaxation space with
-//!   canonical-form deduplication.
+//!   rely on).
+//!
+//! Containment checking and relaxation-space enumeration, which only
+//! check or teach the theory, live in `flexpath-reference`.
 //!
 //! ```
 //! use flexpath_tpq::parse_query;
@@ -38,18 +37,14 @@
 
 pub mod ast;
 pub mod closure;
-pub mod containment;
 pub mod core;
 pub mod logical;
 pub mod parser;
 pub mod relax;
-pub mod space;
 
 pub use ast::{AttrOp, AttrPred, Axis, Tpq, TpqBuilder, Var};
 pub use closure::closure_of;
-pub use containment::contains_query;
 pub use core::{core_of, tpq_from_predicates, ReconstructError};
 pub use logical::{Predicate, PredicateSet};
 pub use parser::{parse_query, parse_query_weighted, QueryParseError};
 pub use relax::{applicable_ops, apply_op, relaxation_step, RelaxError, RelaxOp, RelaxationStep};
-pub use space::{enumerate_space, RelaxationSpace, SpaceEntry};

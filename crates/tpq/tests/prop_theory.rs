@@ -1,12 +1,15 @@
 //! Randomized (seeded, deterministic) tests for the relaxation theory
 //! (Sections 3.2–3.5): closure algebra, core uniqueness, operator soundness
 //! via containment, and relaxation-space structure — over randomly
-//! generated tree pattern queries.
+//! generated tree pattern queries, plus the soundness half of Theorem 2 on
+//! Figure 1's Q1. Containment and the space come from
+//! `flexpath-reference`.
 
 use flexpath_ftsearch::FtExpr;
+use flexpath_reference::{contains_query, enumerate_space};
 use flexpath_tpq::{
-    applicable_ops, apply_op, closure_of, contains_query, core_of, enumerate_space,
-    relaxation_step, tpq_from_predicates, Tpq, TpqBuilder,
+    applicable_ops, apply_op, closure_of, core_of, relaxation_step, tpq_from_predicates, Tpq,
+    TpqBuilder,
 };
 
 /// Tiny deterministic PRNG (splitmix64) so cases reproduce without any
@@ -58,6 +61,48 @@ fn for_queries(seed: u64, mut body: impl FnMut(&Tpq)) {
     for case in 0..CASES {
         let mut rng = Rng(seed ^ case.wrapping_mul(0x2545_F491_4F6C_DD1D));
         body(&random_tpq(&mut rng));
+    }
+}
+
+/// Q1 of Figure 1.
+fn q1() -> Tpq {
+    let mut b = TpqBuilder::new("article");
+    let s = b.child(0, "section");
+    let _a = b.child(s, "algorithm");
+    let p = b.child(s, "paragraph");
+    b.add_contains(p, FtExpr::all_of(&["XML", "streaming"]));
+    b.build()
+}
+
+#[test]
+fn every_operator_is_sound() {
+    // Soundness half of Theorem 2: op(Q) contains Q, for every
+    // applicable op.
+    let q = q1();
+    let ops = applicable_ops(&q);
+    assert!(!ops.is_empty());
+    for op in &ops {
+        let relaxed = apply_op(&q, op).unwrap();
+        assert!(
+            contains_query(&q, &relaxed),
+            "{op} must produce a containing query"
+        );
+    }
+}
+
+#[test]
+fn soundness_holds_along_composition_chains() {
+    // Apply operators greedily until exhaustion; containment must hold
+    // at every step, transitively back to the original.
+    let original = q1();
+    let mut cur = original.clone();
+    for _ in 0..32 {
+        let ops = applicable_ops(&cur);
+        let Some(op) = ops.first() else { break };
+        let next = apply_op(&cur, op).unwrap();
+        assert!(contains_query(&cur, &next), "step {op} unsound");
+        assert!(contains_query(&original, &next), "chain unsound at {op}");
+        cur = next;
     }
 }
 

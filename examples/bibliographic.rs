@@ -5,7 +5,8 @@
 //! Run with: `cargo run --example bibliographic`
 
 use flexpath::FleXPath;
-use flexpath_tpq::{contains_query, enumerate_space, parse_query};
+use flexpath_reference::{contains_query, enumerate_space};
+use flexpath_tpq::parse_query;
 
 /// Figure 1's six queries, as XPath strings.
 const FIGURE_1: [(&str, &str); 6] = [

@@ -8,7 +8,8 @@
 
 use flexpath::FleXPath;
 use flexpath_engine::{build_schedule, PenaltyModel, WeightAssignment};
-use flexpath_tpq::{core_of, enumerate_space, parse_query, tpq_from_predicates};
+use flexpath_reference::enumerate_space;
+use flexpath_tpq::{core_of, parse_query, tpq_from_predicates};
 
 const DEFAULT_QUERY: &str =
     "//article[./section[./algorithm and ./paragraph[.contains(\"XML\" and \"streaming\")]]]";

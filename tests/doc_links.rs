@@ -196,6 +196,121 @@ fn markdown_cross_references_resolve() {
     );
 }
 
+/// Docs whose code spans must name paths that exist. ROADMAP.md and
+/// CHANGES.md are history: they name files that have since moved or gone.
+const CURRENT_DOCS: &[&str] = &[
+    "ARCHITECTURE.md",
+    "DESIGN.md",
+    "EXPERIMENTS.md",
+    "PERFORMANCE.md",
+    "README.md",
+];
+
+/// Inline code spans that start with one of these name a repository path.
+const PATH_PREFIXES: &[&str] = &[
+    "crates/",
+    "tests/",
+    "examples/",
+    "src/",
+    "results/",
+    "benchmark/",
+];
+
+/// Inline code spans (`` `…` `` on one line) outside fenced blocks, with
+/// their 1-based line numbers.
+fn code_spans(text: &str) -> Vec<(usize, &str)> {
+    let mut spans = Vec::new();
+    let mut in_fence = false;
+    for (i, line) in text.lines().enumerate() {
+        let trimmed = line.trim_start();
+        if trimmed.starts_with("```") || trimmed.starts_with("~~~") {
+            in_fence = !in_fence;
+            continue;
+        }
+        if !in_fence {
+            spans.extend(line.split('`').skip(1).step_by(2).map(|s| (i + 1, s)));
+        }
+    }
+    spans
+}
+
+/// Why a path-like code span does not resolve under `root`, or `None` if
+/// it does (or is not a path). `file:line`, `file:a–b` and `file#anchor`
+/// name the file; `file.rs::name` also needs `fn name` (the last `::`
+/// segment) in that file. `{a,b}` and `*` forms are patterns, not paths,
+/// and are skipped.
+fn unresolved_path_span(root: &Path, span: &str) -> Option<String> {
+    if !PATH_PREFIXES.iter().any(|p| span.starts_with(p)) || span.contains(['{', '*']) {
+        return None;
+    }
+    let (path, item) = match span.split_once("::") {
+        Some((path, item)) => (path, Some(item.rsplit("::").next().unwrap_or(item))),
+        None => (span.split(['#', ':']).next().unwrap_or(span), None),
+    };
+    let full = root.join(path);
+    if !full.exists() {
+        return Some(format!("`{span}`: {path} does not exist"));
+    }
+    let name = item?;
+    let text = fs::read_to_string(&full).unwrap_or_default();
+    let defined = text.match_indices(&format!("fn {name}")).any(|(at, m)| {
+        !text[at + m.len()..].starts_with(|c: char| c.is_alphanumeric() || c == '_')
+    });
+    (!defined).then(|| format!("`{span}`: no `fn {name}` in {path}"))
+}
+
+#[test]
+fn code_spans_name_existing_paths() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let mut broken = Vec::new();
+    let mut checked = 0usize;
+    for name in CURRENT_DOCS {
+        let text = fs::read_to_string(root.join(name)).expect("doc is readable");
+        for (line, span) in code_spans(&text) {
+            checked += usize::from(PATH_PREFIXES.iter().any(|p| span.starts_with(p)));
+            if let Some(why) = unresolved_path_span(&root, span) {
+                broken.push(format!("{name}:{line}: {why}"));
+            }
+        }
+    }
+    assert!(checked >= 50, "only {checked} path spans found");
+    assert!(
+        broken.is_empty(),
+        "code spans naming missing paths (a file moved or was deleted):\n  {}",
+        broken.join("\n  ")
+    );
+}
+
+#[test]
+fn path_spans_resolve_as_documented() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    for ok in [
+        "tests/doc_links.rs",
+        "tests/doc_links.rs:12",
+        "tests/doc_links.rs:12–40",
+        "tests/doc_links.rs#L12",
+        "tests/doc_links.rs::code_spans",
+        "tests/doc_links.rs::tests::slugify",
+        "crates/{tpq,engine}/src",
+        "results/*.json",
+        "tests",
+        "not/a/path.rs",
+    ] {
+        assert_eq!(unresolved_path_span(&root, ok), None, "{ok}");
+    }
+    for bad in [
+        "tests/no_such_file.rs",
+        "tests/doc_links.rs::no_such_fn",
+        "tests/doc_links.rs::code_span",
+    ] {
+        assert!(unresolved_path_span(&root, bad).is_some(), "{bad}");
+    }
+    assert_eq!(
+        code_spans("a `x` b `y`\n```\n`z`\n```\n`w`"),
+        [(1, "x"), (1, "y"), (5, "w")]
+    );
+}
+
 #[test]
 fn slugify_matches_github_rules() {
     assert_eq!(slugify("Threading model"), "threading-model");

@@ -84,3 +84,117 @@ fn json_report_is_deterministic() {
     sorted.sort();
     assert_eq!(keys, sorted);
 }
+
+/// The names a manifest lists as normal (non-dev) dependencies: the keys of
+/// its `[dependencies]` and `[target.<cfg>.dependencies]` tables, and
+/// `[dependencies.<name>]` headers. `[workspace.dependencies]` only
+/// declares paths, so it is not one of them.
+fn normal_dependencies(manifest: &str) -> Vec<String> {
+    let mut deps = Vec::new();
+    let mut in_table = false;
+    for line in manifest.lines().map(str::trim) {
+        if let Some(header) = line.strip_prefix('[').and_then(|h| h.strip_suffix(']')) {
+            let header = header.trim();
+            let is_dep_table = |h: &str| {
+                h == "dependencies" || (h.starts_with("target.") && h.ends_with(".dependencies"))
+            };
+            in_table = is_dep_table(header);
+            if let Some((table, name)) = header.rsplit_once('.') {
+                if is_dep_table(table) {
+                    deps.push(name.trim().to_string());
+                }
+            }
+            continue;
+        }
+        if in_table && !line.starts_with('#') {
+            if let Some(key) = line.split(['=', '.']).next().map(str::trim) {
+                if !key.is_empty() {
+                    deps.push(key.to_string());
+                }
+            }
+        }
+    }
+    deps
+}
+
+/// `[package] name` of a manifest.
+fn package_name(manifest: &str) -> String {
+    manifest
+        .lines()
+        .skip_while(|l| l.trim() != "[package]")
+        .find_map(|l| {
+            let (key, value) = l.split_once('=')?;
+            (key.trim() == "name").then(|| value.trim().trim_matches('"').to_string())
+        })
+        .expect("manifest has a [package] name")
+}
+
+/// The referees stay out of the product: only `flexpath-bench` (tooling)
+/// may take `flexpath-reference` as a normal dependency, and the reference
+/// never depends on the crates it checks. Every other crate takes it as a
+/// dev-dependency, so a reference that imported the engine, or a product
+/// crate that shipped a referee, is a failure here and not a review note.
+#[test]
+fn reference_crate_stays_out_of_the_product() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut manifests = vec![root.join("Cargo.toml")];
+    let mut crate_dirs: Vec<_> = std::fs::read_dir(root.join("crates"))
+        .expect("crates/ is listable")
+        .map(|e| e.expect("crates/ entry").path().join("Cargo.toml"))
+        .filter(|p| p.is_file())
+        .collect();
+    crate_dirs.sort();
+    manifests.extend(crate_dirs);
+    assert!(
+        manifests.len() >= 11,
+        "only {} manifests found",
+        manifests.len()
+    );
+
+    let mut seen_reference = false;
+    let mut problems = Vec::new();
+    for path in &manifests {
+        let text = std::fs::read_to_string(path).expect("manifest is readable");
+        let name = package_name(&text);
+        let deps = normal_dependencies(&text);
+        if name == "flexpath-reference" {
+            seen_reference = true;
+            for forbidden in [
+                "flexpath-engine",
+                "flexpath-store",
+                "flexpath-serve",
+                "flexpath",
+            ] {
+                if deps.iter().any(|d| d == forbidden) {
+                    problems.push(format!(
+                        "flexpath-reference depends on {forbidden}: a referee must not \
+                         share code with what it checks"
+                    ));
+                }
+            }
+        } else if name != "flexpath-bench" && deps.iter().any(|d| d == "flexpath-reference") {
+            problems.push(format!(
+                "{name} ({}) lists flexpath-reference as a normal dependency; \
+                 take it under [dev-dependencies]",
+                path.display()
+            ));
+        }
+    }
+    assert!(seen_reference, "crates/reference/Cargo.toml not found");
+    assert!(problems.is_empty(), "{}", problems.join("\n"));
+}
+
+#[test]
+fn dependency_tables_are_read_as_cargo_reads_them() {
+    let manifest = "[package]\nname = \"x\"\n\n[dependencies]\n# a comment\n\
+        flexpath-tpq.workspace = true\nflexpath-engine = { path = \"e\" }\n\n\
+        [dev-dependencies]\nflexpath-reference.workspace = true\n\n\
+        [target.'cfg(unix)'.dependencies]\nlibc = \"0.2\"\n\n\
+        [dependencies.flexpath-store]\npath = \"s\"\n\n\
+        [workspace.dependencies]\nflexpath-serve = { path = \"v\" }\n";
+    assert_eq!(package_name(manifest), "x");
+    assert_eq!(
+        normal_dependencies(manifest),
+        ["flexpath-tpq", "flexpath-engine", "libc", "flexpath-store"]
+    );
+}

@@ -4,11 +4,9 @@
 //! the process-wide metrics registry accumulates across queries, and the
 //! wire formats of a snapshot and a trace are pinned byte for byte.
 
-mod common;
-
-use common::assert_prometheus_parses;
 use flexpath::{explain_profile, Algorithm, FleXPath, MetricsSnapshot, QueryTrace, TraceSpan};
 use flexpath_engine::metrics::HistogramSnapshot;
+use flexpath_reference::assert_prometheus_parses;
 use flexpath_serve::json::{self, Json, JsonBuf};
 use flexpath_serve::routes::render_prometheus;
 use flexpath_xmark::{generate, XmarkConfig};

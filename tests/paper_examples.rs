@@ -4,7 +4,8 @@
 
 use flexpath::{Algorithm, FleXPath, RankingScheme};
 use flexpath_engine::{build_schedule, PenaltyModel, WeightAssignment};
-use flexpath_tpq::{contains_query, parse_query, Predicate, Var};
+use flexpath_reference::contains_query;
+use flexpath_tpq::{parse_query, Predicate, Var};
 
 const Q1: &str =
     "//article[./section[./algorithm and ./paragraph[.contains(\"XML\" and \"streaming\")]]]";

@@ -14,7 +14,8 @@
 //! reproduce exactly and no external property-testing framework is needed.
 
 use flexpath::{Algorithm, FleXPath, RankingScheme};
-use flexpath_engine::{full_encoding_topk, rewrite_enumeration_topk, TopKRequest};
+use flexpath_bench::baseline::{full_encoding_topk, rewrite_enumeration_topk};
+use flexpath_engine::TopKRequest;
 use flexpath_tpq::{applicable_ops, apply_op, Tpq, TpqBuilder};
 use flexpath_xmark::rng::{Rng, SeedableRng, StdRng};
 

@@ -10,8 +10,8 @@
 //!   ghosts, relaxable bits and all;
 //! * (b) the exact evaluation of the relaxed query itself —
 //!   `evaluate_encoded(exact(schedule[p-1].query))`;
-//! * (c) the brute-force matcher of `tests/common/brute_force.rs`, which
-//!   shares no code with the engine.
+//! * (c) the brute-force matcher of `crates/reference/src/brute_force.rs`,
+//!   which shares no code with the engine.
 //!
 //! (a) = (b) is the paper's "the encoded plan admits exactly the answers
 //! of the relaxations it encodes" (Section 5.1.1, Theorem 2); (c) anchors
@@ -28,12 +28,6 @@
 //! ghosts included, so the encoded plan must give it the full structural
 //! score and level 0 at every prefix.
 
-#[path = "common/brute_force.rs"]
-mod brute_force;
-#[path = "common/shapes.rs"]
-mod shapes;
-
-use brute_force::naive_exact_answers;
 use flexpath_engine::encode::BitCheck;
 use flexpath_engine::exec::evaluate_encoded;
 use flexpath_engine::{
@@ -41,6 +35,7 @@ use flexpath_engine::{
     WeightAssignment,
 };
 use flexpath_ftsearch::Budget;
+use flexpath_reference::{naive_exact_answers, shapes};
 use flexpath_xmldom::NodeId;
 use std::collections::BTreeSet;
 

@@ -5,10 +5,8 @@
 //! drain that finishes in-flight work while shedding new work — all
 //! without ever poisoning the shared session.
 
-mod common;
-
-use common::{assert_prometheus_parses, ScratchDir};
 use flexpath::FleXPath;
+use flexpath_reference::{assert_prometheus_parses, ScratchDir};
 use flexpath_serve::json::{self, Json};
 use flexpath_serve::{http_call, Client, ServePolicy, Server, ServerHandle, ServerState};
 use flexpath_xmark::{generate, XmarkConfig};

@@ -11,12 +11,10 @@
 //! surface a typed checksum error through `execute` — never a panic
 //! — and count in `engine.store.lazy_decode_errors`.
 
-mod common;
-
-use common::ScratchDir;
 use flexpath::{
     Catalog, CorpusStore, EngineError, FleXPath, LazyStore, SourceErrorKind, StoreError,
 };
+use flexpath_reference::ScratchDir;
 use flexpath_store::{StoreBytes, FORMAT_VERSION, MAGIC};
 use std::ops::Range;
 use std::path::PathBuf;

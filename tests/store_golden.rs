@@ -16,10 +16,8 @@
 //! older or newer — is refused with a typed error that names the rebuild
 //! command, at every entry point that reads a header.
 
-mod common;
-
-use common::ScratchDir;
 use flexpath::{Catalog, FleXPath, LazyStore, StoreError};
+use flexpath_reference::ScratchDir;
 use flexpath_store::{inspect_bytes, StoreBuilder, StoreBytes, FORMAT_VERSION};
 use std::path::PathBuf;
 

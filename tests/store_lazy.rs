@@ -7,10 +7,8 @@
 //! A memory-mapped reader must also survive the catalog's atomic
 //! temp-and-rename replace: the old session keeps serving the old bytes.
 
-mod common;
-
-use common::ScratchDir;
 use flexpath::{Catalog, FleXPath};
+use flexpath_reference::ScratchDir;
 use flexpath_store::StoreBuilder;
 use std::path::PathBuf;
 

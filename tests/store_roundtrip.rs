@@ -3,10 +3,8 @@
 //! from — same top-K nodes, same scores, same trace counter fingerprints —
 //! across every algorithm and every ranking scheme.
 
-mod common;
-
-use common::ScratchDir;
 use flexpath::{Algorithm, FleXPath, RankingScheme};
+use flexpath_reference::ScratchDir;
 use flexpath_xmark::{generate, XmarkConfig};
 
 const QUERY: &str = "//item[./description/parlist and ./mailbox/mail/text]";
