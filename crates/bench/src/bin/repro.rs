@@ -19,19 +19,12 @@
 //! repro --list                   # list figure ids
 //! ```
 //!
-//! Figures run in parallel (one worker per figure, bounded by available
-//! parallelism) since each builds its own documents and sessions.
+//! Figures run one after another: timing figures on a shared machine
+//! would contend with each other.
 
 use flexpath_bench::harness::{run_figure, FIGURES};
 use flexpath_bench::report::{render_json, render_table};
 use flexpath_serve::json::JsonBuf;
-use std::sync::Mutex;
-
-// Benchmark workers only push results; a poisoned lock just means another
-// worker panicked mid-push, and the data already in the vec is still good.
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -41,7 +34,6 @@ fn main() {
     let mut json_path: Option<String> = None;
     let mut metrics_path: Option<String> = None;
     let mut recorder_overhead_path: Option<String> = None;
-    let mut parallel = false;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -87,7 +79,6 @@ fn main() {
                     }
                 }
             }
-            "--parallel" => parallel = true,
             "all" => figures.extend(FIGURES.iter().map(|f| f.id.to_string())),
             other => figures.push(other.to_string()),
         }
@@ -104,7 +95,7 @@ fn main() {
         }
         eprintln!(
             "usage: repro <all|figNN|ablation_*>... [--scale F] [--repeats N] [--json PATH] \
-             [--metrics PATH] [--store DIR] [--recorder-overhead PATH] [--parallel]"
+             [--metrics PATH] [--store DIR] [--recorder-overhead PATH]"
         );
         eprintln!("       repro --list");
         std::process::exit(2);
@@ -117,35 +108,16 @@ fn main() {
         repeats
     );
 
-    let results = Mutex::new(Vec::new());
-    // Serial by default: timing figures on a shared machine contend with
-    // each other; --parallel trades timing fidelity for wall-clock.
-    let workers = if parallel {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(2)
-            .min(figures.len().max(1))
-    } else {
-        1
-    };
-    let queue = Mutex::new(figures.clone());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let next = lock(&queue).pop();
-                let Some(id) = next else { break };
-                match run_figure(&id, scale, repeats) {
-                    Some(series) => {
-                        println!("{}\n", render_table(&series));
-                        lock(&results).push(series);
-                    }
-                    None => eprintln!("unknown figure id: {id} (try --list)"),
-                }
-            });
+    let mut all = Vec::new();
+    for id in &figures {
+        match run_figure(id, scale, repeats) {
+            Some(series) => {
+                println!("{}\n", render_table(&series));
+                all.push(series);
+            }
+            None => eprintln!("unknown figure id: {id} (try --list)"),
         }
-    });
-
-    let mut all = results.into_inner().unwrap_or_else(|e| e.into_inner());
+    }
     all.sort_by(|a, b| a.id.cmp(&b.id));
     if let Some(path) = json_path {
         let body: Vec<String> = all.iter().map(render_json).collect();

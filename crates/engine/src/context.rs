@@ -18,7 +18,7 @@
 //! the document once per run, so no candidate loop calls into the source.
 
 use flexpath_ftsearch::{Budget, CacheStats, FtEval, FtExpr, InvertedIndex, ShardedCache};
-use flexpath_xmldom::{DocStats, Document, NodeId, Sym};
+use flexpath_xmldom::{DocStats, Document, Sym};
 use std::sync::Arc;
 
 /// Why a lazily-backed context part could not be produced. Carried by
@@ -228,13 +228,9 @@ impl EngineContext {
     ///
     /// A tripped evaluation is returned to the caller (best-effort partial
     /// matches) but never inserted into the shared cache — a later query
-    /// must not observe a truncated evaluation.
+    /// must not observe a truncated evaluation. An unlimited budget never
+    /// trips, so its evaluations are always cached.
     pub fn ft_eval(&self, expr: &FtExpr, budget: &Budget) -> Arc<FtEval> {
-        if !budget.is_limited() {
-            return self
-                .ft_cache
-                .get_or_insert_with(expr, || self.index().evaluate(self.doc(), expr));
-        }
         if let Some(hit) = self.ft_cache.get(expr) {
             return hit;
         }
@@ -260,53 +256,6 @@ impl EngineContext {
     /// Resolves a query tag name against the document's symbol table.
     pub fn resolve_tag(&self, name: &str) -> Option<Sym> {
         self.doc().symbols().lookup(name)
-    }
-
-    /// Candidate elements with tag `tag` inside the subtree of `anchor`
-    /// (strict descendants), optionally restricted to direct children.
-    ///
-    /// Cost: one binary search into the document-ordered tag list plus the
-    /// size of the result range.
-    pub fn candidates_under(
-        &self,
-        tag: Option<Sym>,
-        anchor: NodeId,
-        children_only: bool,
-        out: &mut Vec<NodeId>,
-    ) {
-        out.clear();
-        let doc = self.doc();
-        match tag {
-            Some(tag) => {
-                // Both ends of the subtree range by binary search, then one
-                // bulk copy — no per-element bound test on the common
-                // (descendant-axis) path.
-                let list = doc.nodes_with_tag(tag);
-                let last = doc.subtree_last(anchor);
-                let lo = list.partition_point(|&n| n <= anchor);
-                let hi = lo + list[lo..].partition_point(|&n| n <= last);
-                if children_only {
-                    for &n in &list[lo..hi] {
-                        if doc.is_parent(anchor, n) {
-                            out.push(n);
-                        }
-                    }
-                } else {
-                    out.extend_from_slice(&list[lo..hi]);
-                }
-            }
-            None => {
-                // Wildcard: scan the subtree.
-                for n in doc.descendants(anchor) {
-                    if !doc.is_element(n) {
-                        continue;
-                    }
-                    if !children_only || doc.is_parent(anchor, n) {
-                        out.push(n);
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -335,44 +284,6 @@ mod tests {
         let second = c.ft_eval(&e, &Budget::unlimited());
         assert!(std::sync::Arc::ptr_eq(&first, &second));
         assert_eq!(c.ft_cache_size(), 1);
-    }
-
-    #[test]
-    fn candidates_under_descendants_and_children() {
-        let c = ctx("<a><b/><c><b/><b/></c></a>");
-        let root = c.doc().root_element();
-        let b = c.resolve_tag("b");
-        let mut out = Vec::new();
-        c.candidates_under(b, root, false, &mut out);
-        assert_eq!(out.len(), 3);
-        c.candidates_under(b, root, true, &mut out);
-        assert_eq!(out.len(), 1);
-        let c_node = c.doc().nodes_with_tag_name("c")[0];
-        c.candidates_under(b, c_node, true, &mut out);
-        assert_eq!(out.len(), 2);
-    }
-
-    #[test]
-    fn wildcard_candidates_cover_all_elements() {
-        let c = ctx("<a><b/><c><d/></c></a>");
-        let root = c.doc().root_element();
-        let mut out = Vec::new();
-        c.candidates_under(None, root, false, &mut out);
-        assert_eq!(out.len(), 3); // b, c, d — not the anchor itself
-        c.candidates_under(None, root, true, &mut out);
-        assert_eq!(out.len(), 2); // b, c
-    }
-
-    #[test]
-    fn candidates_exclude_anchor_itself() {
-        // Recursive tags: anchor must not match itself.
-        let c = ctx("<p><p/></p>");
-        let p = c.resolve_tag("p");
-        let root = c.doc().root_element();
-        let mut out = Vec::new();
-        c.candidates_under(p, root, false, &mut out);
-        assert_eq!(out.len(), 1);
-        assert_ne!(out[0], root);
     }
 
     #[test]

@@ -95,28 +95,26 @@ pub fn dpo_topk(ctx: &EngineContext, request: &TopKRequest) -> TopKResult {
             budget,
         );
         let mut round_delta: Vec<Answer> = Vec::new();
-        // lint:allow(determinism): membership-only dedup set — never
-        // iterated; the cross-round filter against `seen` runs below.
-        let mut round_seen: HashSet<flexpath_xmldom::NodeId> = HashSet::new();
         let mut intermediates = 0u64;
+        // `evaluate_encoded` emits each binding once, in ascending node
+        // order (`exec::tests::answers_stream_in_strictly_ascending_node_order`),
+        // so a round needs no dedup of its own; the cross-round filter
+        // against `seen` runs below.
         let scanned = evaluate_encoded(ctx, &enc, request.scheme, budget, |a| {
             intermediates += 1;
-            if round_seen.insert(a.node) {
-                // With the hierarchy extension the per-answer score
-                // already reflects unsatisfied exact-tag predicates;
-                // carry that deficit over to the round's compile-time
-                // score.
-                let tag_deficit = enc.base_ss - a.score.ss;
-                round_delta.push(Answer {
-                    node: a.node,
-                    score: crate::score::AnswerScore {
-                        ss: round_ss - tag_deficit,
-                        ks: a.score.ks,
-                    },
-                    satisfied: a.satisfied,
-                    relaxation_level: round,
-                });
-            }
+            // With the hierarchy extension the per-answer score already
+            // reflects unsatisfied exact-tag predicates; carry that
+            // deficit over to the round's compile-time score.
+            let tag_deficit = enc.base_ss - a.score.ss;
+            round_delta.push(Answer {
+                node: a.node,
+                score: crate::score::AnswerScore {
+                    ss: round_ss - tag_deficit,
+                    ks: a.score.ks,
+                },
+                satisfied: a.satisfied,
+                relaxation_level: round,
+            });
         });
         let round_time = round_started.elapsed();
         if budget.tripped().is_some() {

@@ -457,7 +457,7 @@ impl EncodedQuery {
             self.base_ss,
             self.total_penalty
         );
-        let children = self.children_lists();
+        let children = self.child_index();
         let mut stack = vec![(0usize, 0usize)];
         while let Some((idx, depth)) = stack.pop() {
             let spec = &self.specs[idx];
@@ -498,27 +498,17 @@ impl EncodedQuery {
                 let _ = write!(out, "  [bit {bi}: {} π={:.3}]", r.pred, r.penalty);
             }
             let _ = writeln!(out);
-            for &c in children[idx].iter().rev() {
-                stack.push((c, depth + 1));
+            for ci in children.range(idx).rev() {
+                stack.push((children.at(ci), depth + 1));
             }
         }
         out
     }
 
-    /// Children lists of the original query tree (per spec index).
-    pub fn children_lists(&self) -> Vec<Vec<usize>> {
-        let mut lists = vec![Vec::new(); self.specs.len()];
-        for (idx, spec) in self.specs.iter().enumerate() {
-            if let Some(p) = spec.parent {
-                lists[p].push(idx);
-            }
-        }
-        lists
-    }
-
-    /// The same child lists in one contiguous arena ([`ChildIndex`]) — the
-    /// evaluator's hot loops read ranges of it instead of cloning a
-    /// per-spec `Vec` for every candidate visited.
+    /// The child lists of the original query tree, per spec index, in one
+    /// contiguous arena ([`ChildIndex`]) — the evaluator's hot loops read
+    /// ranges of it instead of cloning a per-spec `Vec` for every
+    /// candidate visited.
     pub fn child_index(&self) -> ChildIndex {
         let n = self.specs.len();
         let mut offsets = vec![0usize; n + 1];
@@ -533,7 +523,7 @@ impl EncodedQuery {
         let mut cursor = offsets.clone();
         let mut list = vec![0usize; offsets[n]];
         // Specs are visited in index (= original-tree) order, so each
-        // parent's slice stays in tree order, like `children_lists`.
+        // parent's slice stays in original-tree order.
         for (idx, spec) in self.specs.iter().enumerate() {
             if let Some(p) = spec.parent {
                 list[cursor[p]] = idx;
@@ -674,12 +664,13 @@ mod tests {
     }
 
     #[test]
-    fn children_lists_mirror_original_tree() {
+    fn child_index_mirrors_original_tree() {
         let (ctx, model, q) = setup();
         let enc = EncodedQuery::exact(&ctx, &model, &q);
-        let lists = enc.children_lists();
-        assert_eq!(lists[0], vec![1]);
-        assert_eq!(lists[1], vec![2, 3]);
-        assert!(lists[2].is_empty() && lists[3].is_empty());
+        let index = enc.child_index();
+        let children = |idx: usize| index.range(idx).map(|i| index.at(i)).collect::<Vec<_>>();
+        assert_eq!(children(0), [1]);
+        assert_eq!(children(1), [2, 3]);
+        assert!(children(2).is_empty() && children(3).is_empty());
     }
 }

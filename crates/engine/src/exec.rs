@@ -10,9 +10,14 @@
 //!
 //! ## How matching works
 //!
+//! Every query node draws its candidates from one document-ordered list,
+//! resolved once per evaluation (`spec_list`): its tag's node list, the
+//! merged lists of a hierarchy type's members, or — for a wildcard — no
+//! list at all (any element).
+//!
 //! Evaluation is a **semijoin prefilter** followed by a **best-embedding
-//! DP**. The prefilter (`required_roots`) asks the per-tag sorted lists
-//! the cheap existence question — which root candidates have the relaxed
+//! DP**. The prefilter (`required_roots`) asks those sorted lists the
+//! cheap existence question — which root candidates have the relaxed
 //! query's *required* skeleton below them at all — and hands the DP only
 //! those; it admits nothing, it only spares the DP roots that cannot match.
 //!
@@ -31,13 +36,13 @@
 //! children independently.
 
 use crate::context::EngineContext;
-use crate::encode::{BitCheck, ChildIndex, EncodedQuery};
+use crate::encode::{BitCheck, ChildIndex, EncodedQuery, NodeSpec};
 use crate::score::{AnswerScore, RankingScheme};
 use crate::structural_join::{retain_containing, retain_parents_of};
 use crate::topk::Answer;
 use flexpath_ftsearch::Budget;
 use flexpath_tpq::Axis;
-use flexpath_xmldom::{Document, NodeId};
+use flexpath_xmldom::{Document, NodeId, Sym};
 use std::borrow::Cow;
 
 /// Per-subtree contribution of a (partial) embedding.
@@ -112,15 +117,17 @@ pub fn evaluate_encoded(
     mut on_answer: impl FnMut(Answer),
 ) -> EvalStats {
     let doc = ctx.doc();
+    let lists: Vec<_> = enc.specs.iter().map(|s| spec_list(doc, s)).collect();
     let dist = enc.distinguished_spec();
-    let roots = required_roots(doc, enc, budget);
+    let roots = required_roots(doc, enc, &lists, budget);
     let root_count = roots.len() as u64;
     let (outer, roots) = if dist == ROOT_SPEC {
         (roots, Cow::Borrowed(&[][..]))
     } else {
-        (spec_candidates(doc, enc, dist), roots)
+        (everywhere(doc, &lists[dist]), roots)
     };
-    let mut stats = Evaluator::new(ctx, enc, scheme, budget).scan(&outer, &roots, &mut on_answer);
+    let mut stats =
+        Evaluator::new(doc, enc, &lists, scheme, budget).scan(&outer, &roots, &mut on_answer);
     stats.roots = root_count;
     let reg = crate::metrics::global();
     reg.add("engine.exec.evaluations", 1);
@@ -158,35 +165,33 @@ fn finalize(enc: &EncodedQuery, node: NodeId, c: Contribution) -> Answer {
 }
 
 struct Evaluator<'a> {
-    ctx: &'a EngineContext,
-    /// `ctx.doc()`, resolved once: the candidate loops below run per
-    /// document node and must not call into the context's source.
+    /// The document, resolved once by [`evaluate_encoded`]: the candidate
+    /// loops below run per document node and never call into the
+    /// context's source.
     doc: &'a Document,
     enc: &'a EncodedQuery,
+    /// Per spec, its candidate list ([`spec_list`]; `None` = wildcard).
+    lists: &'a [Option<Cow<'a, [NodeId]>>],
     scheme: RankingScheme,
     /// Flat child-list arena — range reads, no per-candidate allocation.
     children: ChildIndex,
     /// Saturation targets for the candidate-loop shortcut.
     subtree: SubtreeInfo,
     /// Per spec: last `(anchor, lo, hi)` subtree range served by
-    /// [`Self::tag_range`] — a one-entry memo per spec that absorbs the
+    /// [`Self::list_range`] — a one-entry memo per spec that absorbs the
     /// repeated range queries issued by enclosing candidate loops.
     range_memo: Vec<Option<(NodeId, usize, usize)>>,
     env: Vec<Option<NodeId>>,
     pinned: Option<(usize, NodeId)>,
     stats: EvalStats,
-    /// Reusable candidate buffers (one per active recursion level) — the
-    /// evaluator visits millions of candidates on large documents, so
-    /// per-call `Vec` allocations would dominate.
-    buffer_pool: Vec<Vec<NodeId>>,
     /// Cooperative budget checked in the candidate loops.
     budget: &'a Budget,
 }
 
 /// Anchor-subtree size (in node ids) below which candidate enumeration
 /// scans the contiguous id range directly instead of binary-searching the
-/// global tag list. Sized so the sequential scan stays within a couple of
-/// cache lines of the tag array.
+/// spec's candidate list. Sized so the sequential scan stays within a
+/// couple of cache lines of the tag array.
 const SMALL_SUBTREE: u32 = 32;
 
 /// Per-spec saturation info for the candidate-loop shortcut (computed once
@@ -264,65 +269,82 @@ fn subtree_info(enc: &EncodedQuery) -> SubtreeInfo {
     }
 }
 
-/// Document-ordered candidates for an unanchored spec (the query root, or
-/// the distinguished spec in the general driver): every node carrying one
-/// of the spec's tags. A single concrete tag borrows the document's list.
-fn spec_candidates<'d>(
-    doc: &'d Document,
-    enc: &EncodedQuery,
-    spec_idx: usize,
-) -> Cow<'d, [NodeId]> {
-    let spec = &enc.specs[spec_idx];
+/// The document-ordered candidate list of `spec`, resolved once per
+/// evaluation and the only source of its candidates: a concrete tag
+/// borrows the document's tag list, a hierarchy-typed node merges its
+/// members' lists, and a wildcard is `None` (any element). A tag the
+/// document lacks has the empty list.
+fn spec_list<'d>(doc: &'d Document, spec: &NodeSpec) -> Option<Cow<'d, [NodeId]>> {
     if spec.tag_missing {
-        return Cow::Borrowed(&[]);
+        return Some(Cow::Borrowed(&[]));
     }
-    let mut out: Vec<NodeId> = match spec.tag {
-        Some(tag) if spec.alt_tags.is_empty() => return Cow::Borrowed(doc.nodes_with_tag(tag)),
-        Some(tag) => doc.nodes_with_tag(tag).to_vec(),
-        None if spec.alt_tags.is_empty() => return doc.elements().collect(),
-        None => Vec::new(),
+    match (spec.tag, spec.alt_tags.is_empty()) {
+        (Some(tag), true) => Some(Cow::Borrowed(doc.nodes_with_tag(tag))),
+        (None, true) => None,
+        _ => {
+            let mut merged: Vec<NodeId> = (spec.tag.iter().chain(&spec.alt_tags))
+                .flat_map(|&t| doc.nodes_with_tag(t).iter().copied())
+                .collect();
+            // The concatenation is one sorted run per member: the stable
+            // sort finds the runs and merges them (O(M log members)),
+            // where an unstable sort would re-sort all M ids every round.
+            merged.sort();
+            Some(Cow::Owned(merged))
+        }
+    }
+}
+
+/// A candidate list over the whole document: the spec's list, or every
+/// element for a wildcard.
+fn everywhere<'l>(doc: &Document, list: &'l Option<Cow<'_, [NodeId]>>) -> Cow<'l, [NodeId]> {
+    match list {
+        Some(list) => Cow::Borrowed(list),
+        None => doc.elements().collect(),
+    }
+}
+
+/// Whether a node tagged `tag` (`None` = a text node) can bind `spec`:
+/// its own tag, a hierarchy member, or any element for a wildcard. The
+/// id-range scan's counterpart of [`spec_list`].
+fn tag_test(spec: &NodeSpec, tag: Option<Sym>) -> bool {
+    let Some(t) = tag else {
+        return false;
     };
-    // Hierarchy extension: sibling subtypes are candidates too; merge
-    // back into document order so answers stream sorted by node id.
-    for &alt in &spec.alt_tags {
-        out.extend_from_slice(doc.nodes_with_tag(alt));
-    }
-    out.sort_unstable();
-    Cow::Owned(out)
+    let wildcard = spec.tag.is_none() && spec.alt_tags.is_empty() && !spec.tag_missing;
+    spec.tag == Some(t) || spec.alt_tags.contains(&t) || wildcard
 }
 
 /// The root candidates worth handing to the DP: those that pass the
 /// **existence test of the relaxed query's required skeleton**.
 ///
 /// The surviving specs, linked by `anchor`/`axis`, *are* the relaxed tree
-/// pattern; each starts from its tag's document-ordered node list, is cut
-/// down to the nodes satisfying its `required_contains` (the sorted
+/// pattern; each starts from its [`spec_list`], is cut down to the nodes
+/// satisfying its `required_contains` (the sorted
 /// [`flexpath_ftsearch::FtEval::nodes`]), and then cuts its anchor's set
 /// down to the nodes that have it as a child / descendant — a bottom-up
 /// pass of semijoins, spec index descending, since an anchor's index is
 /// always smaller than its dependants'. What reaches the root is a
 /// **superset** of the roots [`Evaluator::match_node`] accepts: ghosts,
-/// wildcards, hierarchy `alt_tags`, attribute predicates and the pinned
-/// distinguished binding constrain nothing here and are left to the DP,
-/// which stays the only code that admits, scores and emits an answer.
+/// wildcards, attribute predicates and the pinned distinguished binding
+/// constrain nothing here and are left to the DP, which stays the only
+/// code that admits, scores and emits an answer.
 ///
 /// A pure function of the document and the encoding. The semijoins
 /// checkpoint `budget`; on a trip no roots are returned, exactly as if the
 /// scan had tripped on its first candidate.
-fn required_roots<'d>(doc: &'d Document, enc: &EncodedQuery, budget: &Budget) -> Cow<'d, [NodeId]> {
+fn required_roots<'l>(
+    doc: &Document,
+    enc: &EncodedQuery,
+    lists: &'l [Option<Cow<'_, [NodeId]>>],
+    budget: &Budget,
+) -> Cow<'l, [NodeId]> {
     let specs = &enc.specs;
     if specs.iter().any(|s| s.surviving && s.tag_missing) {
         return Cow::Borrowed(&[]); // a required node names a tag the document lacks
     }
     // Per spec, the nodes that can still bind it; `None` = unconstrained.
-    let mut sets: Vec<Option<Cow<'d, [NodeId]>>> = specs
-        .iter()
-        .map(|s| match s.tag {
-            Some(tag) if s.surviving && s.alt_tags.is_empty() => {
-                Some(Cow::Borrowed(doc.nodes_with_tag(tag)))
-            }
-            _ => None,
-        })
+    let mut sets: Vec<Option<Cow<'l, [NodeId]>>> = (specs.iter().zip(lists))
+        .map(|(s, list)| list.as_deref().filter(|_| s.surviving).map(Cow::Borrowed))
         .collect();
     // lint:allow(governor): query-arity-sized loop; the corpus-sized work
     // is inside the semijoins, which checkpoint per node.
@@ -347,21 +369,22 @@ fn required_roots<'d>(doc: &'d Document, enc: &EncodedQuery, budget: &Budget) ->
             }
         }
     }
-    // Wildcard or hierarchy-typed root: nothing to filter by.
-    spec_candidates(doc, enc, ROOT_SPEC)
+    // Wildcard root: nothing to filter by.
+    everywhere(doc, &lists[ROOT_SPEC])
 }
 
 impl<'a> Evaluator<'a> {
     fn new(
-        ctx: &'a EngineContext,
+        doc: &'a Document,
         enc: &'a EncodedQuery,
+        lists: &'a [Option<Cow<'a, [NodeId]>>],
         scheme: RankingScheme,
         budget: &'a Budget,
     ) -> Self {
         Evaluator {
-            ctx,
-            doc: ctx.doc(),
+            doc,
             enc,
+            lists,
             scheme,
             children: enc.child_index(),
             subtree: subtree_info(enc),
@@ -369,7 +392,6 @@ impl<'a> Evaluator<'a> {
             env: vec![None; enc.specs.len()],
             pinned: None,
             stats: EvalStats::default(),
-            buffer_pool: Vec::new(),
             budget,
         }
     }
@@ -528,40 +550,16 @@ impl<'a> Evaluator<'a> {
 
         let (achievable, can_saturate) = self.saturation_target(c);
 
+        let doc = self.doc;
+        let last = doc.subtree_last(anchor_binding);
         let mut best: Option<Contribution> = None;
-        if let (Some(tag), true) = (spec.tag, spec.alt_tags.is_empty()) {
-            let doc = self.doc;
-            let last = doc.subtree_last(anchor_binding);
-            if last.0 - anchor_binding.0 <= SMALL_SUBTREE {
-                // Tiny anchor subtree (deep specs re-anchored at a bound
-                // parent): a sequential id-range scan with a tag test per
-                // node beats two binary probes into the global tag list —
-                // node ids are contiguous per subtree, so this reads a
-                // handful of adjacent tag entries instead of hopping
-                // through a list with ~log(n) cache misses.
-                for raw in anchor_binding.0 + 1..=last.0 {
-                    if self.budget.checkpoint() {
-                        break;
-                    }
-                    let d = NodeId(raw);
-                    if doc.tag(d) != Some(tag) {
-                        continue;
-                    }
-                    if children_only && !doc.is_parent(anchor_binding, d) {
-                        continue;
-                    }
-                    if self.consider(c, d, achievable, can_saturate, &mut best) {
-                        break;
-                    }
-                }
-            } else {
-                // Hot path (single concrete tag): iterate the
-                // document-ordered tag list in place — no copy into a
-                // scratch buffer, and the subtree range is memoized per
-                // spec (inner loops re-request the same (spec, anchor)
-                // range for every candidate of the enclosing loop).
-                let (lo, hi) = self.tag_range(c, tag, anchor_binding);
-                let list = doc.nodes_with_tag(tag);
+        match self.lists[c].as_deref() {
+            Some(list) if last.0 - anchor_binding.0 > SMALL_SUBTREE => {
+                // Iterate the document-ordered list in place; the subtree
+                // range is memoized per spec (inner loops re-request the
+                // same (spec, anchor) range for every candidate of the
+                // enclosing loop).
+                let (lo, hi) = self.list_range(c, list, anchor_binding, last);
                 for &d in &list[lo..hi] {
                     if self.budget.checkpoint() {
                         break;
@@ -574,38 +572,29 @@ impl<'a> Evaluator<'a> {
                     }
                 }
             }
-        } else {
-            // Cold path (wildcard, or hierarchy alt-tags): materialize the
-            // merged candidate list in a pooled scratch buffer.
-            let mut candidates = self.buffer_pool.pop().unwrap_or_default();
-            if spec.tag.is_some() || spec.alt_tags.is_empty() {
-                self.ctx
-                    .candidates_under(spec.tag, anchor_binding, children_only, &mut candidates);
-            } else {
-                candidates.clear();
-            }
-            if !spec.alt_tags.is_empty() {
-                let mut extra = self.buffer_pool.pop().unwrap_or_default();
-                for &alt in &spec.alt_tags {
-                    self.ctx
-                        .candidates_under(Some(alt), anchor_binding, children_only, &mut extra);
-                    candidates.extend_from_slice(&extra);
-                }
-                self.buffer_pool.push(extra);
-                candidates.sort_unstable();
-            }
-            for &d in &candidates {
-                if self.budget.checkpoint() {
-                    break;
-                }
-                if self.consider(c, d, achievable, can_saturate, &mut best) {
-                    break;
+            _ => {
+                // Tiny anchor subtree (deep specs re-anchored at a bound
+                // parent), or a wildcard: a sequential id-range scan with a
+                // tag test per node beats two binary probes into the list —
+                // node ids are contiguous per subtree, so this reads a
+                // handful of adjacent tag entries instead of hopping
+                // through a list with ~log(n) cache misses.
+                for raw in anchor_binding.0 + 1..=last.0 {
+                    if self.budget.checkpoint() {
+                        break;
+                    }
+                    let d = NodeId(raw);
+                    if !tag_test(spec, doc.tag(d)) {
+                        continue;
+                    }
+                    if children_only && !doc.is_parent(anchor_binding, d) {
+                        continue;
+                    }
+                    if self.consider(c, d, achievable, can_saturate, &mut best) {
+                        break;
+                    }
                 }
             }
-            // Return the buffer so deeper/later calls reuse its capacity —
-            // dropping it here would put an allocation back on the hot path.
-            candidates.clear();
-            self.buffer_pool.push(candidates);
         }
         if surviving {
             return best;
@@ -665,19 +654,22 @@ impl<'a> Evaluator<'a> {
         false
     }
 
-    /// Subtree candidate range of spec `c`'s tag list under `anchor`,
-    /// memoized per spec: the two binary searches only run when the anchor
-    /// actually changes (inner loops re-request the same range for every
-    /// candidate of the enclosing loop).
-    fn tag_range(&mut self, c: usize, tag: flexpath_xmldom::Sym, anchor: NodeId) -> (usize, usize) {
+    /// Range of spec `c`'s candidate `list` inside `anchor`'s subtree
+    /// (which ends at `last`), memoized per spec: the two binary searches
+    /// only run when the anchor actually changes (inner loops re-request
+    /// the same range for every candidate of the enclosing loop).
+    fn list_range(
+        &mut self,
+        c: usize,
+        list: &[NodeId],
+        anchor: NodeId,
+        last: NodeId,
+    ) -> (usize, usize) {
         if let Some((a, lo, hi)) = self.range_memo[c] {
             if a == anchor {
                 return (lo, hi);
             }
         }
-        let doc = self.doc;
-        let list = doc.nodes_with_tag(tag);
-        let last = doc.subtree_last(anchor);
         let lo = list.partition_point(|&n| n <= anchor);
         let hi = lo + list[lo..].partition_point(|&n| n <= last);
         self.range_memo[c] = Some((anchor, lo, hi));
@@ -706,11 +698,12 @@ impl<'a> Evaluator<'a> {
 mod tests {
     use super::*;
     use crate::fixtures::{q1, setup, ARTICLES};
+    use crate::hierarchy::TagHierarchy;
     use crate::schedule::build_schedule;
     use crate::score::{PenaltyModel, WeightAssignment};
     use flexpath_ftsearch::FtExpr;
     use flexpath_reference::{naive_exact_answers, shapes};
-    use flexpath_tpq::{Predicate, TpqBuilder, Var};
+    use flexpath_tpq::{parse_query, Predicate, TpqBuilder, Var};
 
     fn collect(ctx: &EngineContext, enc: &EncodedQuery, scheme: RankingScheme) -> Vec<Answer> {
         collect_with(ctx, enc, scheme).0
@@ -1016,15 +1009,17 @@ mod tests {
         scheme: RankingScheme,
     ) -> Vec<Answer> {
         let (doc, dist) = (ctx.doc(), enc.distinguished_spec());
-        let roots = spec_candidates(doc, enc, ROOT_SPEC);
+        let lists: Vec<_> = enc.specs.iter().map(|s| spec_list(doc, s)).collect();
+        let roots = everywhere(doc, &lists[ROOT_SPEC]);
         let (outer, roots) = if dist == ROOT_SPEC {
             (roots, Cow::Borrowed(&[][..]))
         } else {
-            (spec_candidates(doc, enc, dist), roots)
+            (everywhere(doc, &lists[dist]), roots)
         };
         let mut out = Vec::new();
         let budget = Budget::unlimited();
-        Evaluator::new(ctx, enc, scheme, &budget).scan(&outer, &roots, &mut |a| out.push(a));
+        Evaluator::new(doc, enc, &lists, scheme, &budget)
+            .scan(&outer, &roots, &mut |a| out.push(a));
         out
     }
 
@@ -1060,7 +1055,8 @@ mod tests {
                 let enc = EncodedQuery::build(&ctx, &model, &q, &steps[..p]);
                 let what = format!("case {case}, prefix {p}: {} over {xml}", q.to_xpath());
                 let stats = assert_prefilter_is_invisible(&ctx, &enc, &what);
-                let all = spec_candidates(ctx.doc(), &enc, ROOT_SPEC).len() as u64;
+                let root_list = spec_list(ctx.doc(), &enc.specs[ROOT_SPEC]);
+                let all = everywhere(ctx.doc(), &root_list).len() as u64;
                 assert!(stats.roots <= all, "{what}");
                 roots_dropped += all - stats.roots;
             }
@@ -1109,8 +1105,9 @@ mod tests {
         let stats = assert_prefilter_is_invisible(&ctx, &enc, "//article/section[./algorithm]");
         assert_eq!((stats.roots, stats.answers), (2, 2)); // a0 and a1, of five articles
 
-        // Hierarchy `alt_tags`: the widened spec is unconstrained, so the
-        // sibling subtype still reaches the DP.
+        // Hierarchy `alt_tags`: the widened spec's list merges both
+        // subtypes, so the sibling subtype still reaches the DP and the
+        // article with neither is filtered out.
         let q = flexpath_tpq::parse_query("//article[./section]").unwrap();
         let xml = "<r><article><section/></article><article><chapter/></article><article/></r>";
         let (ctx, model) = setup(xml, &q);
@@ -1126,6 +1123,150 @@ mod tests {
             &Budget::unlimited(),
         );
         let stats = assert_prefilter_is_invisible(&ctx, &enc, "section|chapter");
-        assert_eq!((stats.roots, stats.answers), (3, 2));
+        assert_eq!((stats.roots, stats.answers), (2, 2));
+    }
+
+    /// Answer node ids of the exact encoding of `query` under `hierarchy`.
+    fn typed_nodes(
+        ctx: &EngineContext,
+        query: &str,
+        hierarchy: Option<&TagHierarchy>,
+    ) -> Vec<NodeId> {
+        let q = parse_query(query).unwrap();
+        let model = PenaltyModel::new(&q, WeightAssignment::uniform());
+        let unlimited = Budget::unlimited();
+        let enc = EncodedQuery::build_full(ctx, &model, &q, &[], hierarchy, None, &unlimited);
+        collect(ctx, &enc, RankingScheme::StructureFirst)
+            .iter()
+            .map(|a| a.node)
+            .collect()
+    }
+
+    #[test]
+    fn answers_stream_in_strictly_ascending_node_order() {
+        let ascending = |nodes: &[NodeId]| nodes.windows(2).all(|w| w[0] < w[1]);
+        for case in 0..10 * shapes::SHAPES {
+            let (xml, q) = shapes::case(case);
+            let (ctx, model) = setup(&xml, &q);
+            let steps = build_schedule(&ctx, &model, &q, 64);
+            for p in 0..=steps.len() {
+                let enc = EncodedQuery::build(&ctx, &model, &q, &steps[..p]);
+                let nodes: Vec<NodeId> = collect(&ctx, &enc, RankingScheme::Combined)
+                    .iter()
+                    .map(|a| a.node)
+                    .collect();
+                let what = format!("case {case}, prefix {p}: {} over {xml}", q.to_xpath());
+                assert!(ascending(&nodes), "{what}");
+            }
+        }
+        // A distinguished hierarchy-typed node streams its merged list, a
+        // distinguished wildcard every element.
+        let ctx = EngineContext::new(flexpath_xmldom::parse(ARTICLES).unwrap());
+        let mut hierarchy = TagHierarchy::new();
+        hierarchy.add_type("block", &["paragraph", "title", "algorithm"]);
+        let typed = typed_nodes(&ctx, "//article//paragraph", Some(&hierarchy));
+        assert_eq!(typed.len(), 8);
+        assert!(ascending(&typed));
+        let wildcard = typed_nodes(&ctx, "//article//*", None);
+        assert_eq!(wildcard.len(), 14);
+        assert!(ascending(&wildcard));
+    }
+
+    /// Answers of `template` with `{}` standing for the hierarchy-typed tag
+    /// `members[0]` (no members: no hierarchy), checked against the
+    /// brute-force reference — for a typed node, the union of the exact
+    /// answers with each member substituted.
+    fn check_candidates(ctx: &EngineContext, template: &str, members: &[&str]) -> Vec<NodeId> {
+        let mut expected: Vec<NodeId> = members
+            .iter()
+            .chain(members.is_empty().then_some(&""))
+            .flat_map(|m| {
+                let q = parse_query(&template.replace("{}", m)).unwrap();
+                naive_exact_answers(ctx.doc(), &q)
+            })
+            .collect();
+        expected.sort_unstable();
+        expected.dedup();
+        let mut hierarchy = TagHierarchy::new();
+        hierarchy.add_type("type", members);
+        let query = template.replace("{}", members.first().unwrap_or(&""));
+        let typed = (!members.is_empty()).then_some(&hierarchy);
+        let got = typed_nodes(ctx, &query, typed);
+        assert_eq!(got, expected, "{template} over {members:?}");
+        got
+    }
+
+    #[test]
+    fn both_candidate_loops_agree_with_the_reference() {
+        // Sixty outer `a` anchors: a `b` or `c` part (a child, one level
+        // deeper, a nested `a`, or none) at either end of 0–30 `x` fillers
+        // of two ids each — subtrees of 0 to 62 ids, 30–34 among them.
+        let parts = [
+            "<b/>",
+            "<x><b/></x>",
+            "<c>t</c>",
+            "<x><c/></x>",
+            "<a><b/></a>",
+            "",
+        ];
+        let mut body = String::new();
+        for part in parts {
+            for fillers in [0, 6, 15, 16, 30] {
+                let filler = "<x>t</x>".repeat(fillers);
+                body.push_str(&format!("<a>{part}{filler}</a><a>{filler}{part}</a>"));
+            }
+        }
+        let ctx = EngineContext::new(flexpath_xmldom::parse(&format!("<r>{body}</r>")).unwrap());
+        let doc = ctx.doc();
+        let spans: Vec<u32> = (doc.nodes_with_tag_name("a").iter())
+            .map(|&a| doc.subtree_last(a).0 - a.0)
+            .collect();
+        assert!(
+            spans.iter().any(|&s| s <= SMALL_SUBTREE) && spans.iter().any(|&s| s > SMALL_SUBTREE)
+        );
+        let cases: [(&str, &[&str]); 12] = [
+            // A single tag, child and descendant axis.
+            ("//a[./b]", &[]),
+            ("//a[.//c]", &[]),
+            // Wildcards: never a list, always the id scan.
+            ("//a[./*[./b]]", &[]),
+            ("//a[.//*[./c]]", &[]),
+            // A recursive tag never binds its own anchor.
+            ("//a[./a]", &[]),
+            ("//a[.//a]", &[]),
+            // Hierarchy-typed nodes: one merged list per evaluation.
+            ("//a[./{}]", &["b", "c"]),
+            ("//a[.//{}]", &["c", "b"]),
+            ("//a[./x[./{}]]", &["b", "c"]),
+            // The typed tag itself is absent; its sibling still binds.
+            ("//a[./{}]", &["q", "c"]),
+            // A typed root: the outer list is the merged one.
+            ("//{}[./b]", &["a", "x"]),
+            ("//{}[./c]", &["x", "a"]),
+        ];
+        for (template, members) in cases {
+            let got = check_candidates(&ctx, template, members);
+            assert!(!got.is_empty(), "{template} over {members:?}");
+        }
+    }
+
+    #[test]
+    fn candidate_edge_cases_agree_with_the_reference() {
+        // Children against descendants.
+        let ctx = EngineContext::new(
+            flexpath_xmldom::parse("<r><a><b/><c><b/><b/></c></a><a><c><b/></c></a></r>").unwrap(),
+        );
+        assert_eq!(check_candidates(&ctx, "//a[./b]", &[]).len(), 1);
+        assert_eq!(check_candidates(&ctx, "//a[.//b]", &[]).len(), 2);
+        assert_eq!(check_candidates(&ctx, "//a/c/b", &[]).len(), 3);
+        // A wildcard covers every element below its anchor, not the anchor.
+        let ctx =
+            EngineContext::new(flexpath_xmldom::parse("<r><a><b/><c><d/>t</c></a></r>").unwrap());
+        assert_eq!(check_candidates(&ctx, "//a//*", &[]).len(), 3);
+        assert_eq!(check_candidates(&ctx, "//a/*", &[]).len(), 2);
+        // A recursive tag never binds its own anchor.
+        let ctx = EngineContext::new(flexpath_xmldom::parse("<r><p><p/></p></r>").unwrap());
+        assert_eq!(check_candidates(&ctx, "//p[.//p]", &[]).len(), 1);
+        assert_eq!(check_candidates(&ctx, "//p//p", &[]).len(), 1);
     }
 }

@@ -68,16 +68,16 @@ pub struct CacheStats {
 ///
 /// ```
 /// use flexpath_ftsearch::ShardedCache;
+/// use std::sync::Arc;
 ///
 /// let cache: ShardedCache<String, usize> = ShardedCache::default();
-/// let v = cache.get_or_insert_with(&"answer".to_string(), || 42);
+/// let key = "answer".to_string();
+/// assert!(cache.get(&key).is_none()); // a miss: compute, then insert
+/// let v = cache.insert_if_absent(&key, Arc::new(42));
 /// assert_eq!(*v, 42);
 /// assert_eq!(cache.len(), 1);
-/// // Second probe hits the same shared value.
-/// assert!(std::sync::Arc::ptr_eq(
-///     &v,
-///     &cache.get_or_insert_with(&"answer".to_string(), || 0)
-/// ));
+/// // The next probe hits the same shared value.
+/// assert!(Arc::ptr_eq(&v, &cache.get(&key).unwrap()));
 /// let stats = cache.stats();
 /// assert_eq!((stats.hits, stats.misses, stats.inserts), (1, 1, 1));
 /// ```
@@ -145,11 +145,15 @@ impl<K: Hash + Eq + Clone, V> ShardedCache<K, V> {
         self.shards[i].write().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Inserts `value` under the shard's write lock, evicting FIFO as
-    /// needed. Returns the resident entry (the existing one if another
-    /// thread won an insert race).
-    fn insert_evicting(&self, shard: usize, key: &K, value: Arc<V>) -> Arc<V> {
-        let mut state = self.write_shard(shard);
+    /// Inserts `value` for `key` unless an entry already exists, evicting
+    /// FIFO as needed; returns the entry that ended up in the cache. Does
+    /// not count as a probe in [`CacheStats`] (callers already probed with
+    /// [`get`](Self::get)). Callers compute `value` between the probe and
+    /// this insert, outside any lock; if two threads race on the same
+    /// missing key, both compute but only the first insert wins, and both
+    /// get the winner back.
+    pub fn insert_if_absent(&self, key: &K, value: Arc<V>) -> Arc<V> {
+        let mut state = self.write_shard(self.shard_of(key));
         if let Some(existing) = state.map.get(key) {
             return existing.clone();
         }
@@ -176,31 +180,6 @@ impl<K: Hash + Eq + Clone, V> ShardedCache<K, V> {
             None => self.misses.fetch_add(1, Ordering::Relaxed),
         };
         hit
-    }
-
-    /// Returns the cached value for `key`, computing and inserting it with
-    /// `compute` on a miss.
-    ///
-    /// `compute` runs *outside* any lock, so a slow computation never
-    /// blocks other shards (or even other keys of the same shard beyond
-    /// the final insert). If two threads race on the same missing key, both
-    /// compute but only the first insert wins; both return the winner.
-    pub fn get_or_insert_with(&self, key: &K, compute: impl FnOnce() -> V) -> Arc<V> {
-        let shard = self.shard_of(key);
-        if let Some(hit) = self.read_shard(shard).map.get(key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return hit.clone();
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let value = Arc::new(compute());
-        self.insert_evicting(shard, key, value)
-    }
-
-    /// Inserts `value` for `key` unless an entry already exists; returns
-    /// the entry that ended up in the cache. Does not count as a probe in
-    /// [`CacheStats`] (callers already probed with [`get`](Self::get)).
-    pub fn insert_if_absent(&self, key: &K, value: Arc<V>) -> Arc<V> {
-        self.insert_evicting(self.shard_of(key), key, value)
     }
 
     /// Total number of cached entries (sums the shards; approximate while
@@ -233,17 +212,28 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    /// The probe, compute, insert sequence every caller runs.
+    fn memo<K: Hash + Eq + Clone, V>(
+        cache: &ShardedCache<K, V>,
+        key: &K,
+        compute: impl FnOnce() -> V,
+    ) -> Arc<V> {
+        cache
+            .get(key)
+            .unwrap_or_else(|| cache.insert_if_absent(key, Arc::new(compute())))
+    }
+
     #[test]
     fn miss_computes_and_hit_shares() {
         let cache: ShardedCache<u32, String> = ShardedCache::default();
-        let first = cache.get_or_insert_with(&7, || "seven".to_string());
-        let second = cache.get_or_insert_with(&7, || unreachable!("must hit"));
+        let first = memo(&cache, &7, || "seven".to_string());
+        let second = memo(&cache, &7, || unreachable!("must hit"));
         assert!(Arc::ptr_eq(&first, &second));
         assert_eq!(cache.len(), 1);
         assert!(cache.get(&8).is_none());
         let stats = cache.stats();
         assert_eq!(stats.hits, 1);
-        assert_eq!(stats.misses, 2); // first get_or_insert + the get(&8)
+        assert_eq!(stats.misses, 2); // the first memo + the get(&8)
         assert_eq!(stats.inserts, 1);
         assert_eq!(stats.evictions, 0);
         assert_eq!(stats.entries, 1);
@@ -253,7 +243,7 @@ mod tests {
     fn keys_spread_across_shards() {
         let cache: ShardedCache<u64, u64> = ShardedCache::default();
         for k in 0..256u64 {
-            cache.get_or_insert_with(&k, || k * 2);
+            memo(&cache, &k, || k * 2);
         }
         assert_eq!(cache.len(), 256);
         assert_eq!(cache.shards.len(), SHARDS);
@@ -269,7 +259,7 @@ mod tests {
     fn shard_cap_evicts_fifo() {
         let cache: ShardedCache<u32, u32> = ShardedCache::sized(1, 3);
         for k in 0..5u32 {
-            cache.get_or_insert_with(&k, || k);
+            memo(&cache, &k, || k);
         }
         // Cap 3 on one shard: keys 0 and 1 (oldest) were evicted.
         assert_eq!(cache.len(), 3);
@@ -278,7 +268,7 @@ mod tests {
         assert!(cache.get(&1).is_none());
         assert!(cache.get(&4).is_some());
         // An evicted key recomputes on next probe.
-        let v = cache.get_or_insert_with(&0, || 100);
+        let v = memo(&cache, &0, || 100);
         assert_eq!(*v, 100);
     }
 
@@ -290,7 +280,7 @@ mod tests {
             for _ in 0..8 {
                 scope.spawn(|| {
                     for k in 0..64u32 {
-                        let v = cache.get_or_insert_with(&k, || {
+                        let v = memo(&cache, &k, || {
                             computations.fetch_add(1, Ordering::Relaxed);
                             k + 1
                         });
