@@ -37,6 +37,7 @@
 
 use crate::context::EngineContext;
 use crate::encode::{BitCheck, ChildIndex, EncodedQuery, NodeSpec};
+use crate::metrics::{self, Counter};
 use crate::score::{AnswerScore, RankingScheme};
 use crate::structural_join::{retain_containing, retain_parents_of};
 use crate::topk::Answer;
@@ -129,12 +130,12 @@ pub fn evaluate_encoded(
     let mut stats =
         Evaluator::new(doc, enc, &lists, scheme, budget).scan(&outer, &roots, &mut on_answer);
     stats.roots = root_count;
-    let reg = crate::metrics::global();
-    reg.add("engine.exec.evaluations", 1);
-    reg.add("engine.exec.roots", stats.roots);
-    reg.add("engine.exec.candidates", stats.candidates_examined);
-    reg.add("engine.exec.answers", stats.answers);
-    reg.add("engine.exec.saturated", stats.saturated_breaks);
+    let reg = metrics::global();
+    reg.add(Counter::ExecEvaluations, 1);
+    reg.add(Counter::ExecRoots, stats.roots);
+    reg.add(Counter::ExecCandidates, stats.candidates_examined);
+    reg.add(Counter::ExecAnswers, stats.answers);
+    reg.add(Counter::ExecSaturated, stats.saturated_breaks);
     stats
 }
 

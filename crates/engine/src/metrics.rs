@@ -8,8 +8,9 @@
 //!
 //! * [`MetricsRegistry`] — process-wide counters and log₂-bucketed duration
 //!   histograms, shared by every query in the process (the [`global`]
-//!   registry lives for the process lifetime). Cheap enough for hot paths:
-//!   a pre-interned counter handle is one relaxed `fetch_add`.
+//!   registry is a `static`). The names form a closed table: one [`Counter`]
+//!   or [`Timer`] variant each, so a misspelled name does not build. Cheap
+//!   enough for hot paths: a count is one relaxed `fetch_add`.
 //! * [`QueryTrace`] — a per-query tree of timed [`TraceSpan`]s built by a
 //!   [`Tracer`], carried on `TopKResult` when the caller opts in. Each span
 //!   holds a duration plus named counters.
@@ -36,7 +37,6 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
 /// Key prefix for counters that legitimately vary with concurrent queries
@@ -48,6 +48,85 @@ pub const ND_PREFIX: &str = "nd.";
 // Registry
 // ---------------------------------------------------------------------------
 
+/// Declares a closed metric enum and its name table from one list, so a
+/// variant and its registry name cannot drift apart.
+macro_rules! metric_table {
+    ($(#[$doc:meta])* $kind:ident { $($variant:ident => $name:literal,)* }) => {
+        $(#[$doc])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum $kind {
+            $(#[doc = concat!("`", $name, "`")] $variant,)*
+        }
+
+        impl $kind {
+            /// Registry names, indexed by discriminant.
+            pub const NAMES: &'static [&'static str] = &[$($name,)*];
+        }
+    };
+}
+
+metric_table! {
+    /// The process-wide counters (`engine.*` variants drop the prefix,
+    /// `serve.*` ones keep it). A name outside the table does not build:
+    ///
+    /// ```compile_fail
+    /// flexpath_engine::metrics::global().add("engine.query.count", 1);
+    /// ```
+    Counter {
+        ExecEvaluations => "engine.exec.evaluations",
+        ExecRoots => "engine.exec.roots",
+        ExecCandidates => "engine.exec.candidates",
+        ExecAnswers => "engine.exec.answers",
+        ExecSaturated => "engine.exec.saturated",
+        JoinCalls => "engine.join.calls",
+        JoinPairs => "engine.join.pairs",
+        JoinSkipped => "engine.join.skipped",
+        QueryCount => "engine.query.count",
+        QueryDpo => "engine.query.dpo",
+        QuerySso => "engine.query.sso",
+        QueryHybrid => "engine.query.hybrid",
+        StoreOpens => "engine.store.opens",
+        StoreOpenErrors => "engine.store.open_errors",
+        StoreLazyDecodes => "engine.store.lazy_decodes",
+        StoreLazyDecodeErrors => "engine.store.lazy_decode_errors",
+        StoreBytesRead => "engine.store.bytes_read",
+        StoreSaves => "engine.store.saves",
+        StoreBytesWritten => "engine.store.bytes_written",
+        ServeRequests => "serve.requests",
+        ServeResponses2xx => "serve.responses.2xx",
+        ServeResponses4xx => "serve.responses.4xx",
+        ServeResponses429 => "serve.responses.429",
+        ServeResponses503 => "serve.responses.503",
+        ServeResponses5xx => "serve.responses.5xx",
+        ServeQueryComplete => "serve.query.complete",
+        ServeQueryPartial => "serve.query.partial",
+        ServeShedAtDoor => "serve.shed.at_door",
+        ServeShedQueueFull => "serve.shed.queue_full",
+        ServeShedTimeout => "serve.shed.timeout",
+        ServeShedDraining => "serve.shed.draining",
+        ServeConnsAccepted => "serve.conns.accepted",
+        ServeDrainDeadlineFired => "serve.drain.deadline_fired",
+        ServeHttpErrors => "serve.http.errors",
+        ServeSessionsCacheHits => "serve.sessions.cache_hits",
+        ServeSessionsLoaded => "serve.sessions.loaded",
+        ServeDebugRecorded => "serve.debug.recorded",
+        ServeDebugSlowRecorded => "serve.debug.slow_recorded",
+        ServeDebugSlowlogErrors => "serve.debug.slowlog_errors",
+    }
+}
+
+metric_table! {
+    /// The process-wide duration histograms (variants named as in [`Counter`]).
+    Timer {
+        QueryDuration => "engine.query_duration",
+        StoreOpen => "engine.store.open",
+        StoreLazyDecode => "engine.store.lazy_decode",
+        StoreSave => "engine.store.save",
+        ServeQueryDuration => "serve.query.duration",
+        ServeSessionsLoad => "serve.sessions.load_duration",
+    }
+}
+
 /// Number of log₂ histogram buckets: bucket `i` counts observations whose
 /// microsecond value has bit-length `i` (i.e. `2^(i-1) ≤ v < 2^i`, with
 /// bucket 0 holding zeros).
@@ -55,23 +134,22 @@ const HISTOGRAM_BUCKETS: usize = 40;
 
 /// A log₂-bucketed histogram of durations, recorded in microseconds.
 #[derive(Debug)]
-pub struct Histogram {
+struct Histogram {
     buckets: [AtomicU64; HISTOGRAM_BUCKETS],
     count: AtomicU64,
     sum_micros: AtomicU64,
 }
 
 impl Histogram {
-    fn new() -> Self {
+    const fn new() -> Self {
         Histogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+            buckets: [const { AtomicU64::new(0) }; HISTOGRAM_BUCKETS],
             count: AtomicU64::new(0),
             sum_micros: AtomicU64::new(0),
         }
     }
 
-    /// Records one duration.
-    pub fn observe(&self, d: Duration) {
+    fn observe(&self, d: Duration) {
         let v = d.as_micros().min(u128::from(u64::MAX)) as u64;
         let bucket = (64 - v.leading_zeros() as usize).min(HISTOGRAM_BUCKETS - 1);
         self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
@@ -99,7 +177,7 @@ impl Histogram {
     }
 }
 
-/// Point-in-time copy of one [`Histogram`].
+/// Point-in-time copy of one duration histogram.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Total observations.
@@ -110,83 +188,52 @@ pub struct HistogramSnapshot {
     pub buckets: Vec<(u64, u64)>,
 }
 
-/// Process-wide registry of named counters and duration histograms.
-///
-/// Counter handles are interned [`Arc<AtomicU64>`]s: resolve once with
-/// [`MetricsRegistry::counter`], then bump with a relaxed `fetch_add` in
-/// hot loops. The registry never forgets a name; its memory is bounded by
-/// the (static) set of instrumentation sites.
-#[derive(Debug, Default)]
+/// Process-wide counters and duration histograms: one slot per
+/// [`Counter`] and per [`Timer`], indexed by the variant.
+#[derive(Debug)]
 pub struct MetricsRegistry {
-    counters: RwLock<BTreeMap<String, Arc<AtomicU64>>>,
-    histograms: RwLock<BTreeMap<String, Arc<Histogram>>>,
+    counters: [AtomicU64; Counter::NAMES.len()],
+    timers: [Histogram; Timer::NAMES.len()],
 }
+
+static GLOBAL: MetricsRegistry = MetricsRegistry::new();
 
 /// The process-wide registry. Lives for the process lifetime; every query
 /// in the process accumulates into it.
 pub fn global() -> &'static MetricsRegistry {
-    static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
-    GLOBAL.get_or_init(MetricsRegistry::default)
+    &GLOBAL
 }
 
 impl MetricsRegistry {
-    /// A fresh, empty registry (tests; production code uses [`global`]).
-    pub fn new() -> Self {
-        MetricsRegistry::default()
-    }
-
-    // Metric maps hold only monotone atomics, so a panic while holding the
-    // write lock cannot leave them logically inconsistent.
-    fn read<'a, T>(lock: &'a RwLock<T>) -> std::sync::RwLockReadGuard<'a, T> {
-        lock.read().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn write<'a, T>(lock: &'a RwLock<T>) -> std::sync::RwLockWriteGuard<'a, T> {
-        lock.write().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Returns the interned counter named `name`, creating it at zero.
-    pub fn counter(&self, name: &str) -> Arc<AtomicU64> {
-        if let Some(c) = Self::read(&self.counters).get(name) {
-            return c.clone();
+    const fn new() -> Self {
+        MetricsRegistry {
+            counters: [const { AtomicU64::new(0) }; Counter::NAMES.len()],
+            timers: [const { Histogram::new() }; Timer::NAMES.len()],
         }
-        Self::write(&self.counters)
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::new(AtomicU64::new(0)))
-            .clone()
     }
 
-    /// Adds `n` to the counter named `name` (interning it if new).
-    pub fn add(&self, name: &str, n: u64) {
-        self.counter(name).fetch_add(n, Ordering::Relaxed);
+    /// Adds `n` to `counter`.
+    pub fn add(&self, counter: Counter, n: u64) {
+        self.counters[counter as usize].fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Returns the interned histogram named `name`, creating it empty.
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        if let Some(h) = Self::read(&self.histograms).get(name) {
-            return h.clone();
-        }
-        Self::write(&self.histograms)
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::new(Histogram::new()))
-            .clone()
+    /// Records `d` into `timer`'s histogram.
+    pub fn observe_duration(&self, timer: Timer, d: Duration) {
+        self.timers[timer as usize].observe(d);
     }
 
-    /// Records `d` into the histogram named `name`.
-    pub fn observe_duration(&self, name: &str, d: Duration) {
-        self.histogram(name).observe(d);
-    }
-
-    /// Point-in-time copy of every counter and histogram.
+    /// Point-in-time copy of every counter and histogram, zeros included.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
-            counters: Self::read(&self.counters)
+            counters: Counter::NAMES
                 .iter()
-                .map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed)))
+                .zip(&self.counters)
+                .map(|(name, c)| (name.to_string(), c.load(Ordering::Relaxed)))
                 .collect(),
-            histograms: Self::read(&self.histograms)
+            histograms: Timer::NAMES
                 .iter()
-                .map(|(k, v)| (k.clone(), v.snapshot()))
+                .zip(&self.timers)
+                .map(|(name, h)| (name.to_string(), h.snapshot()))
                 .collect(),
         }
     }
@@ -447,27 +494,91 @@ mod tests {
     #[test]
     fn registry_counters_accumulate_and_snapshot() {
         let reg = MetricsRegistry::new();
-        reg.add("engine.join.calls", 2);
-        let handle = reg.counter("engine.join.calls");
-        handle.fetch_add(3, Ordering::Relaxed);
+        reg.add(Counter::JoinCalls, 2);
+        reg.add(Counter::JoinCalls, 3);
         let snap = reg.snapshot();
         assert_eq!(snap.counters.get("engine.join.calls"), Some(&5));
+        assert_eq!(snap.counters.get("engine.join.pairs"), Some(&0));
     }
 
     #[test]
     fn histogram_buckets_by_bit_length() {
         let reg = MetricsRegistry::new();
-        reg.observe_duration("q", Duration::from_micros(0));
-        reg.observe_duration("q", Duration::from_micros(1));
-        reg.observe_duration("q", Duration::from_micros(3));
-        reg.observe_duration("q", Duration::from_micros(1000));
+        for us in [0, 1, 3, 1000] {
+            reg.observe_duration(Timer::StoreSave, Duration::from_micros(us));
+        }
         let snap = reg.snapshot();
-        let h = snap.histograms.get("q").unwrap();
+        let h = &snap.histograms["engine.store.save"];
         assert_eq!(h.count, 4);
         assert_eq!(h.sum_micros, 1004);
         // 0 → bucket 0 (upper 0); 1 → bucket 1 (upper 1); 3 → bucket 2
         // (upper 3); 1000 → bucket 10 (upper 1023).
         assert_eq!(h.buckets, vec![(0, 1), (1, 1), (3, 1), (1023, 1)]);
+        let idle = &snap.histograms["engine.store.open"];
+        assert_eq!((idle.count, idle.buckets.len()), (0, 0));
+    }
+
+    #[test]
+    fn names_are_unique_namespaced_and_in_charset() {
+        let all: Vec<&str> = Counter::NAMES.iter().chain(Timer::NAMES).copied().collect();
+        let unique: std::collections::BTreeSet<&str> = all.iter().copied().collect();
+        assert_eq!(unique.len(), all.len(), "duplicate name in {all:?}");
+        for name in all {
+            assert!(
+                name.starts_with("engine.") || name.starts_with("serve."),
+                "{name}: outside engine.* / serve.*"
+            );
+            assert!(
+                name.bytes()
+                    .all(|b| matches!(b, b'a'..=b'z' | b'0'..=b'9' | b'.' | b'_')),
+                "{name}: outside [a-z0-9._]"
+            );
+        }
+    }
+
+    #[test]
+    fn prometheus_names_never_collide() {
+        // `/metrics` maps `.` to `_`, and a histogram also exposes
+        // `<name>_bucket`, `<name>_sum` and `<name>_count`.
+        let prom = |name: &str| name.replace('.', "_");
+        let mut taken = std::collections::BTreeSet::new();
+        for name in Counter::NAMES {
+            assert!(taken.insert(prom(name)), "{name} collides");
+        }
+        for name in Timer::NAMES {
+            let base = prom(name);
+            for series in ["", "_bucket", "_sum", "_count"] {
+                assert!(
+                    taken.insert(format!("{base}{series}")),
+                    "{name}{series} collides"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn snapshot_lists_exactly_the_tables() {
+        let snap = global().snapshot();
+        let counters: Vec<&str> = snap.counters.keys().map(String::as_str).collect();
+        let timers: Vec<&str> = snap.histograms.keys().map(String::as_str).collect();
+        assert_eq!(counters, sorted(Counter::NAMES));
+        assert_eq!(timers, sorted(Timer::NAMES));
+        // Listed before anything counts it: nothing in this crate sheds.
+        assert!(snap.counters.contains_key("serve.shed.at_door"));
+        assert_eq!(
+            Counter::NAMES[Counter::ServeShedAtDoor as usize],
+            "serve.shed.at_door"
+        );
+        assert_eq!(
+            Timer::NAMES[Timer::QueryDuration as usize],
+            "engine.query_duration"
+        );
+    }
+
+    fn sorted<'a>(names: &[&'a str]) -> Vec<&'a str> {
+        let mut v = names.to_vec();
+        v.sort_unstable();
+        v
     }
 
     #[test]

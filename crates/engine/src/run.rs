@@ -9,7 +9,7 @@
 
 use crate::context::EngineContext;
 use crate::governor::{reason_key, Budget, CheckpointSite, Completeness, ExhaustReason};
-use crate::metrics::{self, Tracer};
+use crate::metrics::{self, Counter, Timer, Tracer};
 use crate::schedule::{build_schedule_reported, ScheduledStep};
 use crate::score::PenaltyModel;
 use crate::topk::{Algorithm, Answer, ExecStats, TopKRequest, TopKResult};
@@ -138,9 +138,16 @@ impl<'a> Run<'a> {
             self.tracer.record_trip(site.name(), reason_key(reason));
         }
         let reg = metrics::global();
-        reg.add("engine.query.count", 1);
-        reg.add(&format!("engine.query.{}", self.algorithm.key()), 1);
-        reg.observe_duration("engine.query_duration", self.started.elapsed());
+        reg.add(Counter::QueryCount, 1);
+        reg.add(
+            match self.algorithm {
+                Algorithm::Dpo => Counter::QueryDpo,
+                Algorithm::Sso => Counter::QuerySso,
+                Algorithm::Hybrid => Counter::QueryHybrid,
+            },
+            1,
+        );
+        reg.observe_duration(Timer::QueryDuration, self.started.elapsed());
         TopKResult {
             answers,
             stats,

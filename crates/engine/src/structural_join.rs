@@ -18,6 +18,7 @@
 //! one partner), budgeted, and share the galloping cursor (`gallop`) with
 //! the pair join.
 
+use crate::metrics::{self, Counter};
 use flexpath_ftsearch::Budget;
 use flexpath_xmldom::{Document, NodeId};
 use std::borrow::Cow;
@@ -84,10 +85,10 @@ pub fn stack_tree_desc(
         }
         di += 1;
     }
-    let reg = crate::metrics::global();
-    reg.add("engine.join.calls", 1);
-    reg.add("engine.join.pairs", out.len() as u64);
-    reg.add("engine.join.skipped", skipped);
+    let reg = metrics::global();
+    reg.add(Counter::JoinCalls, 1);
+    reg.add(Counter::JoinPairs, out.len() as u64);
+    reg.add(Counter::JoinSkipped, skipped);
     out
 }
 

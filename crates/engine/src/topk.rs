@@ -21,8 +21,8 @@ pub enum Algorithm {
 }
 
 impl Algorithm {
-    /// Stable lowercase key: the trace root's name and the
-    /// `engine.query.<key>` counter.
+    /// Stable lowercase key: the trace root's name (`run.rs` counts the
+    /// matching `engine.query.<key>` row).
     pub(crate) fn key(self) -> &'static str {
         match self {
             Algorithm::Dpo => "dpo",

@@ -2,7 +2,7 @@
 //!
 //! Parses every library `.rs` file in the workspace (own lexer + attribute
 //! scoper — the workspace builds offline with zero external dependencies,
-//! so `syn` is deliberately not used) and enforces seven rule families:
+//! so `syn` is deliberately not used) and enforces six rule families:
 //!
 //! 1. **panic** — no `.unwrap()` / `.expect(…)` / panic macros / `unsafe`
 //!    in library code, and no direct indexing in byte-decoding modules.
@@ -10,15 +10,13 @@
 //!    in the fingerprinted modules.
 //! 3. **governor** — every non-trivial loop in the executor/join/top-K/
 //!    eval modules reaches a budget checkpoint.
-//! 4. **metrics-name** — registry metric names stay in the documented
-//!    `engine.*` / `governor.*` / `nd.*` / `serve.*` namespaces.
-//! 5. **lock-order** — the static lock-acquisition graph over the
+//! 4. **lock-order** — the static lock-acquisition graph over the
 //!    concurrent modules stays acyclic, same-class guards never nest, and
 //!    no guard is held across blocking I/O or a store cold-load.
-//! 6. **unsafe-boundary** — `unsafe` exists only inside the explicit
+//! 5. **unsafe-boundary** — `unsafe` exists only inside the explicit
 //!    module allowlist ([`UNSAFE_ALLOWLIST`]) and always carries an
 //!    adjacent `// SAFETY:` comment there.
-//! 7. **fallibility** — `EngineContext` parts are reached through the
+//! 6. **fallibility** — `EngineContext` parts are reached through the
 //!    fallible `try_*`/`ensure_ready` surface unless the scope is
 //!    provably post-materialization.
 //!
@@ -50,8 +48,6 @@ pub struct FileClass {
     pub determinism: bool,
     /// Governor-coverage family (candidate/postings loops).
     pub governor: bool,
-    /// Metrics-naming family (all library code).
-    pub metrics: bool,
     /// Lock-order family (modules holding `Mutex`/`RwLock` guards).
     pub lock_order: bool,
     /// Lazy-fallibility family (`EngineContext` consumers).
@@ -69,9 +65,8 @@ pub struct FileClass {
 pub const UNSAFE_ALLOWLIST: &[&str] = &["crates/store/src/mmap.rs"];
 
 /// Modules whose lock acquisitions feed the lock-order graph (the serve
-/// crate is covered wholesale by [`classify`]; these are the two
-/// out-of-crate concurrent modules).
-const LOCK_ORDER_ENGINE: &[&str] = &["metrics.rs"];
+/// crate is covered wholesale by [`classify`]; this is the one
+/// out-of-crate concurrent module).
 const LOCK_ORDER_FTSEARCH: &[&str] = &["cache.rs"];
 
 /// Engine modules on the fingerprinted path (schedule/score/trace bytes).
@@ -107,7 +102,6 @@ const INDEXING_XMLDOM: &[&str] = &["wire.rs", "codec.rs", "parser.rs"];
 /// Maps a workspace-relative path (forward slashes) to its rule set.
 pub fn classify(rel: &str) -> FileClass {
     let mut c = FileClass {
-        metrics: true,
         unsafe_boundary: true,
         unsafe_allowlisted: UNSAFE_ALLOWLIST.contains(&rel),
         ..FileClass::default()
@@ -116,7 +110,7 @@ pub fn classify(rel: &str) -> FileClass {
         .strip_prefix("crates/")
         .and_then(|r| r.split_once("/src/"))
     else {
-        return c; // root src/: metrics naming + unsafe boundary only
+        return c; // root src/: unsafe boundary only
     };
     match crate_dir {
         "xmldom" => {
@@ -131,7 +125,6 @@ pub fn classify(rel: &str) -> FileClass {
             c.panic = true;
             c.determinism = DETERMINISM_ENGINE.contains(&file);
             c.governor = GOVERNOR_ENGINE.contains(&file);
-            c.lock_order = LOCK_ORDER_ENGINE.contains(&file);
             c.fallibility = true;
         }
         "ftsearch" => {
@@ -285,9 +278,6 @@ fn run_rules(
     if class.governor {
         rules::governor::check(model, covered, out);
     }
-    if class.metrics {
-        rules::metrics_names::check(model, out);
-    }
     if class.unsafe_boundary {
         rules::unsafe_boundary::check(model, class.unsafe_allowlisted, out);
     }
@@ -371,13 +361,13 @@ mod tests {
         assert!(!classify("crates/ftsearch/src/index.rs").governor);
         assert!(classify("crates/ftsearch/src/index.rs").determinism);
         let root = classify("src/bin/flexpath_cli.rs");
-        assert!(root.metrics && !root.panic);
+        assert!(!root.panic);
         assert!(root.unsafe_boundary && !root.unsafe_allowlisted);
         let serve = classify("crates/serve/src/http.rs");
-        assert!(serve.panic && serve.metrics);
+        assert!(serve.panic);
         assert!(!serve.indexing && !serve.determinism && !serve.governor);
         assert!(serve.lock_order && serve.fallibility);
-        assert!(classify("crates/engine/src/metrics.rs").lock_order);
+        assert!(!classify("crates/engine/src/metrics.rs").lock_order);
         assert!(!classify("crates/engine/src/exec.rs").lock_order);
         assert!(classify("crates/engine/src/exec.rs").fallibility);
         assert!(classify("crates/ftsearch/src/cache.rs").lock_order);

@@ -1,4 +1,4 @@
-//! Rule family 7: lazy-store fallibility discipline.
+//! Rule family 6: lazy-store fallibility discipline.
 //!
 //! An `EngineContext` reads its parts from a `ContextSource`, and the
 //! source behind a store-backed session decodes lazily and can fail. The

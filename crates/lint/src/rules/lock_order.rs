@@ -1,9 +1,9 @@
-//! Rule family 5: static lock-acquisition ordering.
+//! Rule family 4: static lock-acquisition ordering.
 //!
-//! The serve crate, the metrics registry, and the sharded full-text cache
-//! are the only places in the workspace that take `Mutex`/`RwLock` guards.
-//! TSan can only catch an inconsistent acquisition order when the schedule
-//! actually interleaves; this rule finds the hazard statically:
+//! The rule models the `Mutex`/`RwLock` guards of the serve crate and of
+//! the sharded full-text cache. TSan can only catch an inconsistent
+//! acquisition order when the schedule actually interleaves; this rule
+//! finds the hazard statically:
 //!
 //! 1. every acquisition site is assigned a **lock class** — the
 //!    file-qualified name of the field (or binding) behind the guard

@@ -1,4 +1,4 @@
-//! The four rule families and their shared file model.
+//! The six rule families and their shared file model.
 //!
 //! Each rule walks the scoped token stream of one file (see
 //! [`crate::scope`]) and appends [`Violation`]s. Test-gated tokens are
@@ -15,7 +15,6 @@ pub mod determinism;
 pub mod fallibility;
 pub mod governor;
 pub mod lock_order;
-pub mod metrics_names;
 pub mod panic_policy;
 pub mod unsafe_boundary;
 
@@ -30,9 +29,9 @@ pub struct Violation {
     /// (after the file path) that makes `--json` output fully
     /// deterministic even with several findings on one line.
     pub offset: u32,
-    /// Rule family id (`panic`, `determinism`, `governor`, `metrics-name`,
-    /// `lock-order`, `unsafe-boundary`, `fallibility`) — the stable key a
-    /// consumer can dispatch on.
+    /// Rule family id (`panic`, `determinism`, `governor`, `lock-order`,
+    /// `unsafe-boundary`, `fallibility`) — the stable key a consumer can
+    /// dispatch on.
     pub rule: &'static str,
     /// Human-readable description of the finding.
     pub message: String,

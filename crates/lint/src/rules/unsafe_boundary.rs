@@ -1,4 +1,4 @@
-//! Rule family 6: the unsafe boundary.
+//! Rule family 5: the unsafe boundary.
 //!
 //! The workspace is `#![forbid(unsafe_code)]` everywhere except an
 //! explicit module allowlist (today: `crates/store/src/mmap.rs`, the raw

@@ -21,7 +21,7 @@
 use crate::lexer::{Delim, Tok, TokKind};
 
 /// Bitmask of attribute-based opt-outs (the panic-policy family; the
-/// determinism/governor/metrics escapes are comment-based instead).
+/// other families' escapes are comment-based instead).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Allow(pub u16);
 

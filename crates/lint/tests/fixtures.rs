@@ -1,7 +1,7 @@
 //! Fixture corpus: every rule family must fire on its known-bad fixture
 //! and stay silent on the matching allowed fixture (escape hatches,
-//! ordered collections, trivial loops, documented namespaces, striped
-//! locks, SAFETY-commented unsafe, post-materialize access).
+//! ordered collections, trivial loops, striped locks, SAFETY-commented
+//! unsafe, post-materialize access).
 
 use flexpath_lint::{lint_source, FileClass, Violation};
 
@@ -19,7 +19,6 @@ const OFF: FileClass = FileClass {
     indexing: false,
     determinism: false,
     governor: false,
-    metrics: false,
     lock_order: false,
     fallibility: false,
     unsafe_boundary: false,
@@ -39,11 +38,6 @@ const DETERMINISM_CLASS: FileClass = FileClass {
 
 const GOVERNOR_CLASS: FileClass = FileClass {
     governor: true,
-    ..OFF
-};
-
-const METRICS_CLASS: FileClass = FileClass {
-    metrics: true,
     ..OFF
 };
 
@@ -138,40 +132,6 @@ fn governor_rule_fires_on_unbudgeted_loops_of_every_kind() {
 fn governor_rule_accepts_budgeted_trivial_and_justified_loops() {
     let src = include_str!("../fixtures/governor_allowed.rs");
     let found = lint("fixtures/governor_allowed.rs", src, GOVERNOR_CLASS);
-    assert!(found.is_empty(), "{found:?}");
-}
-
-#[test]
-fn metrics_rule_fires_on_out_of_namespace_names() {
-    let src = include_str!("../fixtures/metrics_bad.rs");
-    let found = lint("fixtures/metrics_bad.rs", src, METRICS_CLASS);
-    assert!(found.iter().all(|v| v.rule == "metrics-name"), "{found:?}");
-    assert_eq!(found.len(), 5, "{found:?}");
-    for name in [
-        "cache.hits",
-        "latency.ms",
-        "rows_emitted",
-        "server.requests",
-        "serve.debug.Recorded",
-    ] {
-        assert!(
-            found.iter().any(|v| v.message.contains(name)),
-            "no violation for {name:?}: {found:?}"
-        );
-    }
-    // The in-namespace, out-of-charset name gets the charset diagnostic.
-    assert!(
-        found
-            .iter()
-            .any(|v| v.message.contains("charset [a-z0-9._]")),
-        "{found:?}"
-    );
-}
-
-#[test]
-fn metrics_rule_accepts_namespaced_dynamic_and_justified_names() {
-    let src = include_str!("../fixtures/metrics_allowed.rs");
-    let found = lint("fixtures/metrics_allowed.rs", src, METRICS_CLASS);
     assert!(found.is_empty(), "{found:?}");
 }
 

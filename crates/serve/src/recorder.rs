@@ -25,7 +25,7 @@
 
 use crate::json::JsonBuf;
 use flexpath::QueryLimits;
-use flexpath_engine::metrics;
+use flexpath_engine::metrics::{self, Counter};
 use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
@@ -242,7 +242,7 @@ impl FlightRecorder {
         let slow = rec.duration >= self.slow_threshold;
         let rec = Arc::new(rec);
         let reg = metrics::global();
-        reg.add("serve.debug.recorded", 1);
+        reg.add(Counter::ServeDebugRecorded, 1);
         {
             let mut stripe = lock(&self.stripes[(id % STRIPES as u64) as usize]);
             if stripe.len() >= self.stripe_cap {
@@ -251,7 +251,7 @@ impl FlightRecorder {
             stripe.push_back(rec.clone());
         }
         if slow {
-            reg.add("serve.debug.slow_recorded", 1);
+            reg.add(Counter::ServeDebugSlowRecorded, 1);
             {
                 let mut ring = lock(&self.slow);
                 if ring.len() >= self.slow_cap {
@@ -265,7 +265,7 @@ impl FlightRecorder {
                 // slow-log lines whole — serializing this single buffered
                 // write_all is its purpose, and no other lock is held.
                 if lock(file).write_all(line.as_bytes()).is_err() {
-                    reg.add("serve.debug.slowlog_errors", 1);
+                    reg.add(Counter::ServeDebugSlowlogErrors, 1);
                 }
             }
         }

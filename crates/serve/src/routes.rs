@@ -17,7 +17,7 @@ use crate::policy::ServePolicy;
 use crate::recorder::{fnv1a, FlightRecorder, QueryRecord};
 use crate::state::ServerState;
 use flexpath::{Algorithm, CancelToken, QueryLimits, QueryResults, RankingScheme};
-use flexpath_engine::metrics::{self, MetricsSnapshot};
+use flexpath_engine::metrics::{self, Counter, MetricsSnapshot, Timer};
 use flexpath_engine::reason_key;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -45,7 +45,7 @@ pub struct RouteContext<'a> {
 /// Routes one request. Never panics; anything unexpected becomes a typed
 /// error response.
 pub fn dispatch(ctx: &RouteContext<'_>, req: &Request) -> Response {
-    metrics::global().add("serve.requests", 1);
+    metrics::global().add(Counter::ServeRequests, 1);
     let resp = match (req.method, req.path.as_str()) {
         (Method::Get | Method::Head, "/healthz") => healthz(ctx),
         (Method::Get | Method::Head, "/version") => version(ctx),
@@ -73,26 +73,26 @@ pub fn dispatch(ctx: &RouteContext<'_>, req: &Request) -> Response {
 /// response the server writes passes through here once: [`dispatch`]'s,
 /// and the ones the connection loop writes without routing a request.
 pub(crate) fn count_response(status: u16) {
-    let key = match status {
-        200..=299 => "serve.responses.2xx",
-        429 => "serve.responses.429",
-        503 => "serve.responses.503",
-        400..=499 => "serve.responses.4xx",
-        _ => "serve.responses.5xx",
+    let counter = match status {
+        200..=299 => Counter::ServeResponses2xx,
+        429 => Counter::ServeResponses429,
+        503 => Counter::ServeResponses503,
+        400..=499 => Counter::ServeResponses4xx,
+        _ => Counter::ServeResponses5xx,
     };
-    metrics::global().add(key, 1);
+    metrics::global().add(counter, 1);
 }
 
 /// Renders a `ServeError` as its JSON error response, attaching
 /// `Retry-After` to shed responses so well-behaved clients back off.
 pub fn error_response(ctx: &RouteContext<'_>, e: &ServeError) -> Response {
     if let ServeError::Shed(reason) = e {
-        let key = match reason {
-            AdmissionError::QueueFull => "serve.shed.queue_full",
-            AdmissionError::Timeout => "serve.shed.timeout",
-            AdmissionError::Draining => "serve.shed.draining",
+        let counter = match reason {
+            AdmissionError::QueueFull => Counter::ServeShedQueueFull,
+            AdmissionError::Timeout => Counter::ServeShedTimeout,
+            AdmissionError::Draining => Counter::ServeShedDraining,
         };
-        metrics::global().add(key, 1);
+        metrics::global().add(counter, 1);
     }
     let resp = err_json(e.status(), e.kind(), &e.to_string());
     match e {
@@ -226,9 +226,9 @@ pub fn render_prometheus(snapshot: &MetricsSnapshot) -> String {
 
 /// Sanitizes `name` for Prometheus exposition: characters outside
 /// `[a-zA-Z0-9_:]` map to `_`, and a leading digit gets a `_` prefix. The
-/// registry's dotted lowercase naming convention (enforced by
-/// `flexpath-lint`'s metrics-name rule) keeps this mapping injective in
-/// practice — distinct registry names never collide after sanitization.
+/// registry's names are the closed `Counter`/`Timer` tables, whose unit
+/// tests keep them in `[a-z0-9._]` and collision-free after this mapping
+/// (`_bucket`/`_sum`/`_count` suffixes included).
 fn prometheus_name(name: &str) -> String {
     let mut out = String::with_capacity(name.len());
     for c in name.chars() {
@@ -472,12 +472,12 @@ fn query(
     // surfaces here as a typed 500 (`session`), never a worker panic.
     let results = q.execute()?;
     let elapsed = started.elapsed();
-    metrics::global().observe_duration("serve.query.duration", elapsed);
+    metrics::global().observe_duration(Timer::ServeQueryDuration, elapsed);
     metrics::global().add(
         if results.is_complete() {
-            "serve.query.complete"
+            Counter::ServeQueryComplete
         } else {
-            "serve.query.partial"
+            Counter::ServeQueryPartial
         },
         1,
     );

@@ -38,7 +38,7 @@ use crate::recorder::FlightRecorder;
 use crate::routes::{self, RouteContext};
 use crate::state::ServerState;
 use flexpath::CancelToken;
-use flexpath_engine::metrics;
+use flexpath_engine::metrics::{self, Counter};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::ErrorKind::{ConnectionRefused, TimedOut};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -211,7 +211,7 @@ impl Server {
                     // counted, queued or shed; a client racing it gets a bare close.
                     _ if shared.is_shutdown() => break,
                     Ok((stream, _)) => {
-                        metrics::global().add("serve.conns.accepted", 1);
+                        metrics::global().add(Counter::ServeConnsAccepted, 1);
                         let mut queue = lock(&shared.queue);
                         if queue.len() >= policy.conn_queue_depth {
                             drop(queue);
@@ -251,7 +251,7 @@ impl Server {
 /// buffer is empty, so the small 503 body virtually always fits; when it
 /// doesn't, the client just sees the close.
 fn shed_connection(stream: TcpStream, policy: &ServePolicy) {
-    metrics::global().add("serve.shed.at_door", 1);
+    metrics::global().add(Counter::ServeShedAtDoor, 1);
     let resp = routes::err_json(503, "overloaded", "connection queue full; retry later")
         .retry_after(policy.retry_after_secs);
     routes::count_response(resp.status);
@@ -275,7 +275,7 @@ fn drain_watchdog(shared: &Shared, drain_deadline: Duration) {
             return;
         }
         if started.elapsed() >= drain_deadline {
-            metrics::global().add("serve.drain.deadline_fired", 1);
+            metrics::global().add(Counter::ServeDrainDeadlineFired, 1);
             shared.drain_cancel.cancel();
             return;
         }
@@ -353,7 +353,7 @@ fn serve_requests(
             Ok(req) => req,
             Err(HttpError::ConnectionClosed) => return,
             Err(e) => {
-                metrics::global().add("serve.http.errors", 1);
+                metrics::global().add(Counter::ServeHttpErrors, 1);
                 let err = ServeError::Http(e);
                 let resp = routes::error_response(&ctx, &err);
                 routes::count_response(resp.status);
@@ -398,8 +398,9 @@ mod tests {
         let resp = crate::http_call(addr, "GET", "/healthz", b"", Duration::from_secs(5)).unwrap();
         assert_eq!(resp.status, 200);
         let door = || {
-            ["serve.conns.accepted", "serve.shed.at_door"]
-                .map(|name| metrics::global().counter(name).load(Ordering::Relaxed))
+            let counters = metrics::global().snapshot().counters;
+            [Counter::ServeConnsAccepted, Counter::ServeShedAtDoor]
+                .map(|c| counters[Counter::NAMES[c as usize]])
         };
         let before = door();
         handle.shutdown();

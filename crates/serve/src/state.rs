@@ -14,7 +14,7 @@
 
 use crate::error::ServeError;
 use flexpath::{Catalog, FleXPath, SourceResidency};
-use flexpath_engine::metrics;
+use flexpath_engine::metrics::{self, Counter, Timer};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::{Duration, Instant};
@@ -121,7 +121,7 @@ impl ServerState {
     pub fn session(&self, name: &str) -> Result<Arc<FleXPath>, ServeError> {
         if let Some(slot) = read_lock(&self.sessions).get(name) {
             if let Some(s) = slot.session.get() {
-                metrics::global().add("serve.sessions.cache_hits", 1);
+                metrics::global().add(Counter::ServeSessionsCacheHits, 1);
                 return Ok(s.clone());
             }
         }
@@ -131,7 +131,7 @@ impl ServerState {
             .clone();
         let _loading = lock(&slot.loading);
         if let Some(s) = slot.session.get() {
-            metrics::global().add("serve.sessions.cache_hits", 1);
+            metrics::global().add(Counter::ServeSessionsCacheHits, 1);
             return Ok(s.clone());
         }
         let started = Instant::now();
@@ -163,8 +163,8 @@ impl ServerState {
         let flex = Arc::new(FleXPath::from_lazy_store(store));
         let _ = slot.open.set(open);
         let _ = slot.session.set(flex.clone());
-        metrics::global().add("serve.sessions.loaded", 1);
-        metrics::global().observe_duration("serve.sessions.load_duration", open);
+        metrics::global().add(Counter::ServeSessionsLoaded, 1);
+        metrics::global().observe_duration(Timer::ServeSessionsLoad, open);
         Ok(flex)
     }
 

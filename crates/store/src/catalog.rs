@@ -148,7 +148,7 @@ impl Catalog {
             }
             // The in-memory open, not `LazyStore::open`: a listing is not
             // a session open and must not count as one in
-            // `engine.store.opens` / `open_errors`.
+            // `Counter::StoreOpens` / `StoreOpenErrors`.
             let opened = StoreBytes::open(&path)
                 .map_err(StoreError::from)
                 .and_then(LazyStore::from_store_bytes);

@@ -32,7 +32,7 @@ use crate::error::StoreError;
 use crate::format::{self, SectionId, FORMAT_VERSION};
 use crate::mmap::StoreBytes;
 use crate::store::StoreMeta;
-use flexpath_engine::metrics::{self, TraceSpan};
+use flexpath_engine::metrics::{self, Counter, Timer, TraceSpan};
 use flexpath_engine::{ContextSource, SourceError, SourceErrorKind, SourceResidency};
 use flexpath_ftsearch::InvertedIndex;
 use flexpath_xmldom::codec::{decode_document, decode_stats};
@@ -84,13 +84,13 @@ impl<T> Part<T> {
         let m = metrics::global();
         match decode() {
             Ok((value, bytes_read)) => {
-                m.add("engine.store.lazy_decodes", 1);
-                m.add("engine.store.bytes_read", bytes_read as u64);
-                m.observe_duration("engine.store.lazy_decode", start.elapsed());
+                m.add(Counter::StoreLazyDecodes, 1);
+                m.add(Counter::StoreBytesRead, bytes_read as u64);
+                m.observe_duration(Timer::StoreLazyDecode, start.elapsed());
                 Ok(self.cell.get_or_init(move || value))
             }
             Err(e) => {
-                m.add("engine.store.lazy_decode_errors", 1);
+                m.add(Counter::StoreLazyDecodeErrors, 1);
                 Err(e)
             }
         }
@@ -122,13 +122,12 @@ impl LazyStore {
             Ok(mut store) => {
                 let elapsed = start.elapsed();
                 store.open_span.duration = elapsed;
-                m.add("engine.store.opens", 1);
-                m.add("engine.store.lazy_opens", 1);
-                m.observe_duration("engine.store.open", elapsed);
+                m.add(Counter::StoreOpens, 1);
+                m.observe_duration(Timer::StoreOpen, elapsed);
                 Ok(store)
             }
             Err(e) => {
-                m.add("engine.store.open_errors", 1);
+                m.add(Counter::StoreOpenErrors, 1);
                 Err(e)
             }
         }

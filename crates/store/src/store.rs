@@ -8,7 +8,7 @@
 
 use crate::error::StoreError;
 use crate::format::{self, SectionId};
-use flexpath_engine::metrics;
+use flexpath_engine::metrics::{self, Counter, Timer};
 use flexpath_ftsearch::InvertedIndex;
 use flexpath_xmldom::codec::{encode_nodes, encode_stats, encode_symbols};
 use flexpath_xmldom::wire::{ByteReader, ByteWriter};
@@ -120,9 +120,9 @@ impl StoreBuilder {
             return Err(StoreError::Io(e));
         }
         let m = metrics::global();
-        m.add("engine.store.saves", 1);
-        m.add("engine.store.bytes_written", bytes.len() as u64);
-        m.observe_duration("engine.store.save", start.elapsed());
+        m.add(Counter::StoreSaves, 1);
+        m.add(Counter::StoreBytesWritten, bytes.len() as u64);
+        m.observe_duration(Timer::StoreSave, start.elapsed());
         Ok(bytes.len() as u64)
     }
 }
